@@ -84,13 +84,13 @@ def cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    out = _out_root(args.out) / plan.name
-    out.mkdir(parents=True, exist_ok=True)
     try:
         traj = _solve(plan)
     except (ScenarioError, SolverDivergedError, AssumptionViolationError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 2
+    out = _out_root(args.out) / plan.name
+    out.mkdir(parents=True, exist_ok=True)
 
     traj.write_csv(out)
     results = [f"stamps={len(traj)} t_end={_fmt(traj.times[-1])}"]

@@ -34,9 +34,12 @@ class SolverConfig:
 
     dt is mandatory for the parabolic stepper.  The hyperbolic steppers
     choose dt per step from cfl_sigma (and cap it at dt when both are
-    given); cfl_sigma must lie in (0, 1].  bc_tol bounds the bisection
-    interval for implicit flux boundaries.  Every output_stride-th step
-    is recorded, plus the initial and final states.
+    given); cfl_sigma must lie in (0, 1].  bc_tol, finite and positive,
+    is the bracket width at which the flux-boundary bisection of the
+    parabolic stepper stops (it also stops once the bracket ends are
+    adjacent floats), and the largest end-value change accepted between
+    the coupled sweeps of a line with two flux ends.  Every
+    output_stride-th step is recorded, plus the initial and final states.
     """
 
     t_end: float
@@ -52,13 +55,15 @@ class SolverConfig:
             raise ValueError("dt must be positive when given")
         if self.cfl_sigma is not None and not (0.0 < self.cfl_sigma <= 1.0):
             raise ValueError("cfl_sigma must lie in (0, 1]")
+        if not (math.isfinite(self.bc_tol) and self.bc_tol > 0):
+            raise ValueError("bc_tol must be finite and positive")
         if self.output_stride < 1:
             raise ValueError("output_stride must be at least 1")
 
 
-def check_finite(values, step, t):
+def check_finite(values, step, t, detail=""):
     if not np.all(np.isfinite(values)):
-        raise SolverDivergedError(step, t)
+        raise SolverDivergedError(step, t, detail)
 
 
 def capped_dt(raw_dt, speed, h, sigma):

@@ -185,3 +185,44 @@ def test_cli_verify_rejects_unknown_suite(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "nonsense"])
     capsys.readouterr()
+
+
+def _diverging_demo(tmp_path, demo="parabolic_demo", **scenario):
+    """A parabolic demo with a cubic reaction and a large initial state."""
+    doc = load_config(demo)
+    doc["name"] = "diverging"
+    doc["scenario"]["reaction"] = {"kind": "cubic", "gamma": 1.5}
+    doc["scenario"]["initial"]["terms"][1]["amplitude"] = 300.0
+    doc["scenario"].update(scenario)
+    doc["solver"]["dt"] = 0.05
+    cfg = tmp_path / "diverging.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    return cfg
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("demo", ["parabolic_demo", "parabolic_2d_demo"])
+def test_cli_run_diverging_flux_closure_exits_2(tmp_path, capsys, demo):
+    cfg = _diverging_demo(tmp_path, demo)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "solver error: solver diverged at step" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_cli_run_non_finite_source_exits_2(tmp_path, capsys):
+    cfg = _diverging_demo(tmp_path, dirichlet_edges=["left", "right"], flux_edges=[])
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "non-finite explicit source" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("bc_tol", [0.0, -1e-10, math.nan, math.inf])
+def test_cli_run_rejects_bad_bc_tol(tmp_path, capsys, bc_tol):
+    doc = load_config("parabolic_demo")
+    doc["solver"]["bc_tol"] = bc_tol
+    cfg = tmp_path / "bad_tol.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "config error: solver: bc_tol must be finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
