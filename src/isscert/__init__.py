@@ -14,7 +14,7 @@ from .comparison import (KLBound, MonotoneFn, identity_map, invert_monotone,
                          iss_gain, linear_map, odd_cubic_map, power_map,
                          truncation_sandwich)
 from .config import ConfigError, RunPlan, build_plan, load_config, load_plan
-from .fields import Field, Grid1D, Grid2D, Trajectory, lq_norm
+from .fields import Grid1D, Grid2D, Trajectory, lq_norm
 from .glf import (GlfSeries, GlfSpec, dissipation_rate, dissipation_report,
                   evaluate, glf_for_parabolic, glf_for_transport, glf_for_wave,
                   local_speed_floor, series, wave_forcing_slack,

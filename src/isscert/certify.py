@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import Grid2D, Trajectory, lq_norm, trapezoid_1d
+from .fields import Grid2D, Trajectory, csv_rows, float_cells, lq_norm, trapezoid_1d
 from .glf import _invert_expanding, default_transport_rate, local_speed_floor
 from .signals import sup_field, sup_window
 from .solvers.wave import reconstruct_wave_state
@@ -176,12 +176,6 @@ def running_sup_field(fld, space, times) -> np.ndarray:
     return out
 
 
-def _domain_space(grid):
-    if isinstance(grid, Grid2D):
-        return grid.points()
-    return grid.points()
-
-
 def _boundary_space(grid, edges):
     if not isinstance(grid, Grid2D):
         pts = [0.0 if e == "left" else 1.0 for e in sorted(edges)]
@@ -220,17 +214,18 @@ class IssBound:
     warnings: list = dc_field(default_factory=list)
 
 
-def _wave_lhs(traj, i, q, c):
-    snap = traj.snapshot(i)
-    w_t, w_y = reconstruct_wave_state(snap["plus"], snap["minus"], c)
-    return (lq_norm(w_t, q, traj.grid) + lq_norm(w_y, q, traj.grid))
+def _wave_lhs(plus, minus, q, grid, c):
+    """|w_t|_q + |w_y|_q of one characteristic pair or a stack of them."""
+    w_t, w_y = reconstruct_wave_state(plus, minus, c)
+    return lq_norm(w_t, q, grid) + lq_norm(w_y, q, grid)
 
 
-def _state_norms(traj, q, kind):
+def _state_norms(traj, q):
+    """The checked norm at every stamp, evaluated block by block."""
     if traj.pde_class == "wave":
         c = traj.meta["c"]
-        return np.asarray([_wave_lhs(traj, i, q, c) for i in range(len(traj))])
-    return np.asarray([lq_norm(traj.field(i), q) for i in range(len(traj))])
+        return traj.blockwise(lambda _, s: _wave_lhs(s["plus"], s["minus"], q, traj.grid, c))
+    return traj.blockwise(lambda _, s: lq_norm(s["u"], q, traj.grid))
 
 
 def _heat_forcing_sup(scn, grid, times):
@@ -269,8 +264,7 @@ def prepare_bound(kind, traj, scn, q, params=None) -> IssBound:
     gate = None
 
     if kind == "parabolic_q":
-        space = _domain_space(traj.grid)
-        sup_f = running_sup_field(scn.f, space, times)
+        sup_f = running_sup_field(scn.f, traj.grid.points(), times)
         sup_d1 = (running_sup_field(scn.d1, _boundary_space(traj.grid, scn.gamma1), times)
                   if scn.gamma1 else np.zeros_like(times))
         sup_d2 = (running_sup_field(scn.d2, _boundary_space(traj.grid, scn.gamma2), times)
@@ -282,12 +276,12 @@ def prepare_bound(kind, traj, scn, q, params=None) -> IssBound:
             + sd1 + _invert_expanding(scn.boundary_reaction, sd2)
             for sf, sd1, sd2 in zip(sup_f, sup_d1, sup_d2)])
         params.setdefault("c0", scn.c0)
-        return IssBound(kind, params, float(lq_norm(traj.field(0), q)),
+        return IssBound(kind, params, lq_norm(traj.state(0), q, traj.grid),
                         {"level": level}, warnings=warnings)
 
     if kind in ("transport_p", "transport_q", "transport_liss"):
         sup_d = running_sup_signal(scn.d, times)
-        init = float(lq_norm(traj.field(0), q))
+        init = lq_norm(traj.state(0), q, traj.grid)
         if kind == "transport_liss":
             radius = params["R0"]
             floor, mass_range = local_speed_floor(scn, radius)
@@ -323,11 +317,11 @@ def prepare_bound(kind, traj, scn, q, params=None) -> IssBound:
                         warnings=warnings)
 
     if kind in ("wave_r_eps", "wave_m"):
-        space = _domain_space(traj.grid)
-        sup_f = running_sup_field(scn.f, space, times)
+        sup_f = running_sup_field(scn.f, traj.grid.points(), times)
         sup_d = running_sup_signal(scn.d, times)
         params.setdefault("c", scn.c)
-        init = float(_wave_lhs(traj, 0, q, scn.c))
+        snap = traj.snapshot(0)
+        init = _wave_lhs(snap["plus"], snap["minus"], q, traj.grid, scn.c)
         return IssBound(kind, params, init, {"sup_f": sup_f, "sup_d": sup_d},
                         warnings=warnings)
 
@@ -340,7 +334,7 @@ def prepare_bound(kind, traj, scn, q, params=None) -> IssBound:
     sup_d = (running_sup_field(scn.d2, _boundary_space(traj.grid, scn.gamma2), times)
              if scn.gamma2 else np.zeros_like(times))
     params.setdefault("eps", 1.0)
-    init = float(lq_norm(traj.field(0), 2.0))
+    init = lq_norm(traj.state(0), 2.0, traj.grid)
     return IssBound("heat_clm", params, init, {"sup_f": sup_f, "sup_d": sup_d},
                     warnings=warnings)
 
@@ -421,8 +415,7 @@ class CheckReport:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w") as fh:
             fh.write("t,lhs,rhs,margin\n")
-            for t, a, b in zip(self.times, self.lhs, self.rhs):
-                fh.write(f"{float(t)!r},{float(a)!r},{float(b)!r},{float(b - a)!r}\n")
+            fh.write(csv_rows(*map(float_cells, (self.times, self.lhs, self.rhs, self.margins))))
             fh.write(f"# {self.summary_line()}\n")
         return path
 
@@ -434,7 +427,7 @@ def check_trajectory(traj: Trajectory, q, bound: IssBound, tol: float) -> CheckR
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     times = traj.times
-    lhs = _state_norms(traj, q, bound.kind)
+    lhs = _state_norms(traj, q)
     rhs = np.asarray(_evaluate_bound(bound, q, times), dtype=float)
     applicable = bound.gate is not False
     return CheckReport(kind=bound.kind, q=q, times=times, lhs=lhs, rhs=rhs,

@@ -89,12 +89,22 @@ def cmd_run(args) -> int:
     except (ScenarioError, SolverDivergedError, AssumptionViolationError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 2
+    # everything that can fail runs before the output directory exists
+    stage, reports = "energy", []
+    try:
+        spec, erep = _energy_report(plan, traj)
+        stage = "check"
+        for entry in plan.checks:
+            bound = prepare_bound(entry["kind"], traj, plan.scenario, entry["q"], entry["params"])
+            reports.append(check_trajectory(traj, entry["q"], bound, entry["tol"]))
+    except (ValueError, ScenarioError) as exc:
+        print(f"{stage} error: {exc}", file=sys.stderr)
+        return 2
+
     out = _out_root(args.out) / plan.name
     out.mkdir(parents=True, exist_ok=True)
-
     traj.write_csv(out)
     results = [f"stamps={len(traj)} t_end={_fmt(traj.times[-1])}"]
-    spec, erep = _energy_report(plan, traj)
     if erep is not None:
         erep.to_csv(out / "glf.csv")
         excess = float(np.max(erep.vhat - erep.envelope))
@@ -102,18 +112,8 @@ def cmd_run(args) -> int:
             f"energy p={spec.p:g} rate={_fmt(erep.decay_rate)} "
             f"level={_fmt(spec.level)} max_residual={_fmt(erep.max_residual)} "
             f"max_envelope_excess={_fmt(excess)}")
-
-    reports = []
-    for i, entry in enumerate(plan.checks):
-        try:
-            bound = prepare_bound(entry["kind"], traj, plan.scenario,
-                                  entry["q"], entry["params"])
-        except (ValueError, ScenarioError) as exc:
-            print(f"check error: {exc}", file=sys.stderr)
-            return 2
-        rep = check_trajectory(traj, entry["q"], bound, entry["tol"])
+    for i, (entry, rep) in enumerate(zip(plan.checks, reports)):
         rep.to_csv(out / f"check{i:02d}_{entry['kind']}_q{_qtag(entry['q'])}.csv")
-        reports.append(rep)
         results.append(rep.summary_line())
         for w in rep.warnings:
             results.append(f"warning {w}")

@@ -1,5 +1,5 @@
-"""Grids on the unit interval and unit square, discrete fields, Lq norms,
-and the trajectory record produced by the solvers.
+"""Grids on the unit interval and unit square, Lq norms, and the
+trajectory record produced by the solvers.
 
 Node-centered layouts carry n+1 points including both endpoints and
 integrate with composite trapezoid; cell-centered layouts carry n cell
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,6 @@ import yaml
 __all__ = [
     "Grid1D",
     "Grid2D",
-    "Field",
     "Trajectory",
     "lq_norm",
     "trapezoid_1d",
@@ -110,71 +110,78 @@ class Grid2D:
         return Grid2D(2 * self.nx, 2 * self.ny, self.gamma1, self.gamma2)
 
 
-@dataclass(frozen=True)
-class Field:
-    """State snapshot: values on a grid at one time."""
+def scalar_or_array(out):
+    """A float for a 0-d result, else the array: one value per stacked state."""
+    return float(out) if np.ndim(out) == 0 else out
 
-    grid: object
-    values: np.ndarray
-    t: float = 0.0
 
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
-        if isinstance(self.grid, Grid1D):
-            if vals.shape != (self.grid.npoints,):
-                raise ValueError(f"values shape {vals.shape} does not match grid")
-        elif isinstance(self.grid, Grid2D):
-            if vals.shape != (self.grid.nx + 1, self.grid.ny + 1):
-                raise ValueError(f"values shape {vals.shape} does not match grid")
-        else:
-            raise TypeError("grid must be Grid1D or Grid2D")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("field values must be finite")
+def point_shape(grid) -> tuple:
+    """Shape of one state array on the grid."""
+    if isinstance(grid, Grid2D):
+        return (grid.nx + 1, grid.ny + 1)
+    return (grid.npoints,)
 
 
 def trapezoid_1d(values, h):
+    """Composite trapezoid along the last axis, bitwise equal row by row."""
     values = np.asarray(values, dtype=float)
-    return float(h * (values.sum() - 0.5 * (values[0] + values[-1])))
+    return scalar_or_array(h * (values.sum(axis=-1) - 0.5 * (values[..., 0] + values[..., -1])))
 
 
 def trapezoid_2d(values, hx, hy):
+    """Tensor trapezoid over the last two axes; a stack gives one per state."""
     values = np.asarray(values, dtype=float)
+    if values.ndim > 2:
+        return np.asarray([trapezoid_2d(v, hx, hy) for v in values])
     wx = np.ones(values.shape[0]); wx[0] = wx[-1] = 0.5
     wy = np.ones(values.shape[1]); wy[0] = wy[-1] = 0.5
     return float(hx * hy * (wx @ values @ wy))
 
 
-def lq_norm(fld, q, grid=None):
-    """Lq norm of a field over its domain for q in [2, inf].
+def integrate(values, grid):
+    """The grid's native second-order quadrature, per state of a stack."""
+    if isinstance(grid, Grid2D):
+        return trapezoid_2d(values, grid.hx, grid.hy)
+    if grid.layout == "node":
+        return trapezoid_1d(values, grid.h)
+    return scalar_or_array(grid.h * np.sum(values, axis=-1))
 
-    Accepts a :class:`Field` or a raw array plus a grid.  Finite q uses
-    the grid's native second-order quadrature of |w|**q; q = inf is the
-    max norm.
+
+def lq_norm(values, q, grid=None):
+    """Lq norm over the grid's domain for q in [2, inf].
+
+    values is one state array or a stack of them along a leading axis; a
+    stack gives one norm per state, bitwise equal to the single-state
+    call.  Finite q uses the grid's native second-order quadrature of
+    |w|**q; q = inf is the max norm.
     """
-    if isinstance(fld, Field):
-        values, grid = fld.values, fld.grid
-    else:
-        values = np.asarray(fld, dtype=float)
-        if grid is None:
-            raise ValueError("grid required when passing a bare array")
-        expected = ((grid.nx + 1, grid.ny + 1) if isinstance(grid, Grid2D)
-                    else (grid.npoints,))
-        if values.shape != expected:
-            raise ValueError(f"values shape {values.shape} does not match grid")
+    if grid is None:
+        raise ValueError("grid required")
+    values = np.asarray(values, dtype=float)
+    shape = point_shape(grid)
+    if values.shape[-len(shape):] != shape:
+        raise ValueError(f"values shape {values.shape} does not match grid")
     if q == math.inf or q == "inf":
-        return float(np.max(np.abs(values)))
+        return scalar_or_array(np.max(np.abs(values), axis=tuple(range(-len(shape), 0))))
     q = float(q)
     if not q >= 2.0:
         raise ValueError(f"q must lie in [2, inf], got {q}")
-    power = np.abs(values) ** q
-    if isinstance(grid, Grid2D):
-        integral = trapezoid_2d(power, grid.hx, grid.hy)
-    elif grid.layout == "node":
-        integral = trapezoid_1d(power, grid.h)
-    else:
-        integral = float(grid.h * power.sum())
-    return float(integral ** (1.0 / q))
+    integral = integrate(np.abs(values) ** q, grid)
+    if np.ndim(integral) == 0:
+        return float(integral) ** (1.0 / q)
+    # Python's float power per state: numpy's array power can differ by an ulp
+    return np.asarray([x ** (1.0 / q) for x in integral.tolist()])
+
+
+def float_cells(values) -> list:
+    """repr of every value as a Python float, in C order."""
+    return list(map(repr, np.asarray(values, dtype=float).ravel().tolist()))
+
+
+def csv_rows(*columns) -> str:
+    """Comma-joined lines from equally long columns of formatted cells."""
+    text = "\n".join(map(",".join, zip(*columns)))
+    return text + "\n" if text else ""
 
 
 class Trajectory:
@@ -183,6 +190,11 @@ class Trajectory:
     Parabolic and transport runs carry one array per stamp under the name
     "u"; wave runs carry the characteristic pair under "plus" and
     "minus".  Metadata (scheme, step sizes, grid size) lives in ``meta``.
+
+    Storage: ``times`` and, per state name, one C-contiguous float array
+    of shape (capacity, *point_shape(grid)) whose first ``len(self)`` rows
+    are the stamps.  ``append`` copies into the next row and doubles the
+    capacity when full; ``states(name)`` views all stamps at once.
     """
 
     def __init__(self, pde_class: str, grid, names=("u",), meta=None):
@@ -192,64 +204,77 @@ class Trajectory:
         self.grid = grid
         self.names = tuple(names)
         self.meta = dict(meta or {})
-        self._times: list[float] = []
-        self._states: list[dict] = []
+        self._n = 0
+        self._times = np.empty(16)
+        self._data = {k: np.empty((16, *point_shape(grid))) for k in self.names}
 
     def append(self, t: float, **arrays):
         if set(arrays) != set(self.names):
             raise ValueError(f"expected arrays {self.names}, got {tuple(arrays)}")
-        if self._times and not t > self._times[-1]:
+        n = self._n
+        if n and not t > self._times[n - 1]:
             raise ValueError("time stamps must increase")
-        self._times.append(float(t))
-        self._states.append({k: np.asarray(v, dtype=float) for k, v in arrays.items()})
+        if n == self._times.size:
+            self._times = np.concatenate([self._times, np.empty(n)])
+            for k, old in self._data.items():
+                self._data[k] = np.empty((2 * n, *old.shape[1:]))
+                self._data[k][:n] = old
+        for k, v in arrays.items():
+            self._data[k][n] = v
+            if not np.isfinite(self._data[k][n]).all():
+                raise ValueError("state values must be finite")
+        self._times[n] = float(t)
+        self._n = n + 1
 
     def __len__(self):
-        return len(self._times)
+        return self._n
 
     @property
     def times(self) -> np.ndarray:
-        return np.asarray(self._times)
+        view = self._times[:self._n]
+        view.flags.writeable = False
+        return view
+
+    def states(self, name: str = None) -> np.ndarray:
+        """Every recorded stamp of one state, shape (stamps, *points)."""
+        return self._data[name or self.names[0]][:self._n]
+
+    def blockwise(self, fn, size: int = 64):
+        """fn(times, {name: states}) on runs of at most size stamps, concatenated
+        (per key for dicts): stamp-wise work in blocks bounds its temporaries."""
+        parts = [fn(self.times[lo:lo + size], {k: self.states(k)[lo:lo + size] for k in self.names})
+                 for lo in range(0, self._n, size)]
+        if isinstance(parts[0], dict):
+            return {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
+        return np.concatenate(parts)
 
     def state(self, i: int, name: str = None) -> np.ndarray:
-        name = name or self.names[0]
-        return self._states[i][name]
+        return self.states(name)[i]
 
     def snapshot(self, i: int) -> dict:
         """All state arrays at stamp i, keyed by name."""
-        return self._states[i]
-
-    def field(self, i: int, name: str = None) -> Field:
-        name = name or self.names[0]
-        return Field(self.grid, self._states[i][name], self._times[i])
+        return {k: self.states(k)[i] for k in self.names}
 
     def write_csv(self, directory, basename: str = "trajectory"):
         """One long-format CSV per state name, plus a metadata sidecar.
 
         Columns are (t, y, value) in one dimension and (t, y1, y2, value)
-        on the square.  Returns the list of paths written.
+        on the square, each number the repr of a Python float, one write per
+        stamp.  Returns the list of paths written.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
+        pts = self.grid.points()
+        coords = [float_cells(c) for c in (pts if isinstance(self.grid, Grid2D) else [pts])]
+        header = "t,y1,y2,value\n" if len(coords) == 2 else "t,y,value\n"
         paths = []
         for name in self.names:
             suffix = "" if len(self.names) == 1 else f"_{name}"
             path = directory / f"{basename}{suffix}.csv"
             with open(path, "w") as fh:
-                if isinstance(self.grid, Grid2D):
-                    fh.write("t,y1,y2,value\n")
-                    X, Y = self.grid.points()
-                    for t, state in zip(self._times, self._states):
-                        vals = state[name]
-                        for ix in range(vals.shape[0]):
-                            for iy in range(vals.shape[1]):
-                                fh.write(f"{t!r},{float(X[ix, iy])!r},"
-                                         f"{float(Y[ix, iy])!r},{float(vals[ix, iy])!r}\n")
-                else:
-                    fh.write("t,y,value\n")
-                    pts = self.grid.points()
-                    for t, state in zip(self._times, self._states):
-                        for y, v in zip(pts, state[name]):
-                            fh.write(f"{t!r},{float(y)!r},{float(v)!r}\n")
+                fh.write(header)
+                for t, row in zip(float_cells(self.times), self.states(name)):
+                    fh.write(csv_rows(repeat(t), *coords, float_cells(row)))
             paths.append(path)
         meta_path = directory / f"{basename}_meta.yaml"
         # solvers may stash numpy scalars in meta; yaml wants plain types

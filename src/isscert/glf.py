@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .comparison import invert_monotone
-from .fields import Grid1D, Grid2D, Trajectory, trapezoid_1d, trapezoid_2d
+from .fields import Grid2D, Trajectory, csv_rows, float_cells, integrate
 from .signals import sup_field, sup_window
 from .solvers.common import ScenarioError
 from .trunc import TruncationPair, gronwall_envelope_at
@@ -87,7 +87,8 @@ def weighted_energy(values, grid, pair, rate=0.0, weight_sign=0, shift_sign=1,
     """integral of exp(weight_sign * rate * y) * G(shift_sign * v - level).
 
     Node layouts integrate by composite trapezoid, cell layouts by
-    midpoint; on the square only the unweighted case is defined.
+    midpoint; on the square only the unweighted case is defined.  A stack
+    of states gives one energy each, bitwise equal to the single-state call.
     """
     values = np.asarray(values, dtype=float)
     if weight_sign not in (-1, 0, 1):
@@ -97,15 +98,11 @@ def weighted_energy(values, grid, pair, rate=0.0, weight_sign=0, shift_sign=1,
     if level < 0:
         raise ValueError("level must be nonnegative")
     integrand = pair.G(shift_sign * values - level)
-    if isinstance(grid, Grid2D):
-        if weight_sign != 0:
-            raise ValueError("exponential weights are one-dimensional")
-        return trapezoid_2d(integrand, grid.hx, grid.hy)
     if weight_sign != 0:
+        if isinstance(grid, Grid2D):
+            raise ValueError("exponential weights are one-dimensional")
         integrand = np.exp(weight_sign * rate * grid.points()) * integrand
-    if grid.layout == "node":
-        return trapezoid_1d(integrand, grid.h)
-    return float(grid.h * integrand.sum())
+    return integrate(integrand, grid)
 
 
 def components(state: dict, grid, spec: GlfSpec) -> dict:
@@ -133,15 +130,9 @@ def evaluate(state: dict, grid, spec: GlfSpec) -> float:
 
 
 def series(traj: Trajectory, spec: GlfSpec):
-    """Functional values and component arrays along a trajectory."""
-    comp_arrays: dict = {}
-    vhat = np.empty(len(traj))
-    for i in range(len(traj)):
-        comps = components(traj.snapshot(i), traj.grid, spec)
-        for name, val in comps.items():
-            comp_arrays.setdefault(name, np.empty(len(traj)))[i] = val
-        vhat[i] = sum(comps.values())
-    return vhat, comp_arrays
+    """Functional values and component arrays, evaluated block by block."""
+    comps = traj.blockwise(lambda _, states: components(states, traj.grid, spec))
+    return sum(comps.values()), comps
 
 
 @dataclass
@@ -169,12 +160,10 @@ class GlfSeries:
     def to_csv(self, path):
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
+        res = np.append(self.residuals, math.nan)
         with open(path, "w") as fh:
             fh.write("t,Vhat,residual,envelope\n")
-            for i in range(self.times.size):
-                res = self.residuals[i] if i < self.residuals.size else math.nan
-                fh.write(f"{float(self.times[i])!r},{float(self.vhat[i])!r},"
-                         f"{float(res)!r},{float(self.envelope[i])!r}\n")
+            fh.write(csv_rows(*map(float_cells, (self.times, self.vhat, res, self.envelope))))
         return path
 
 
@@ -339,14 +328,11 @@ def wave_forcing_slack(traj: Trajectory, spec: GlfSpec, f_field) -> np.ndarray:
     """Forcing slack 4*(p/eps)**p * E_plus(|f(., t)|) per recorded stamp."""
     if spec.eps is None:
         raise ValueError("wave slack needs the Young split eps")
-    pair = spec.pair
     pts = traj.grid.points()
-    out = np.empty(len(traj))
     coef = 4.0 * (spec.p / spec.eps) ** spec.p
-    for i, t in enumerate(traj.times):
-        fabs = np.abs(np.asarray(f_field(pts, float(t)), dtype=float))
-        out[i] = coef * weighted_energy(fabs, traj.grid, pair, spec.r, 1, 1, 0.0)
-    return out
+    return traj.blockwise(lambda times, _: coef * weighted_energy(
+        np.abs([np.broadcast_to(f_field(pts, t), pts.shape) for t in times.tolist()]),
+        traj.grid, spec.pair, spec.r, 1, 1, 0.0))
 
 
 def local_speed_floor(scn, radius: float):

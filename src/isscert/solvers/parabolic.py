@@ -413,7 +413,7 @@ def _solve_1d(scn, grid, cfg):
         "dim": 1, "n": grid.n, "dt": cfg.dt, "t_end": cfg.t_end,
         "scenario": scn.label,
     })
-    traj.append(0.0, u=w.copy())
+    traj.append(0.0, u=w)
 
     t, step = 0.0, 0
     while t < cfg.t_end - 1e-12 * cfg.t_end:
@@ -433,7 +433,7 @@ def _solve_1d(scn, grid, cfg):
         t = tn
         check_finite(w, step, t)
         if step % cfg.output_stride == 0 or t >= cfg.t_end - 1e-12 * cfg.t_end:
-            traj.append(t, u=w.copy())
+            traj.append(t, u=w)
     return traj
 
 
@@ -463,7 +463,7 @@ def _solve_2d(scn, grid, cfg):
         "dim": 2, "nx": nx, "ny": ny, "dt": cfg.dt, "t_end": cfg.t_end,
         "scenario": scn.label,
     })
-    traj.append(0.0, u=w.copy())
+    traj.append(0.0, u=w)
 
     t, step = 0.0, 0
     while t < cfg.t_end - 1e-12 * cfg.t_end:
@@ -497,5 +497,5 @@ def _solve_2d(scn, grid, cfg):
         t = tn
         check_finite(w, step, t)
         if step % cfg.output_stride == 0 or t >= cfg.t_end - 1e-12 * cfg.t_end:
-            traj.append(t, u=w.copy())
+            traj.append(t, u=w)
     return traj

@@ -90,7 +90,7 @@ def solve_transport(scn: TransportScenario, grid: Grid1D, cfg: SolverConfig) -> 
         "n": grid.n, "cfl_sigma": sigma, "t_end": cfg.t_end,
         "scenario": scn.label,
     })
-    traj.append(0.0, u=rho.copy())
+    traj.append(0.0, u=rho)
     dt_history = []
 
     t, step = 0.0, 0
@@ -111,7 +111,7 @@ def solve_transport(scn: TransportScenario, grid: Grid1D, cfg: SolverConfig) -> 
         dt_history.append(dt)
         check_finite(rho, step, t)
         if step % cfg.output_stride == 0 or t >= cfg.t_end - 1e-12 * cfg.t_end:
-            traj.append(t, u=rho.copy())
+            traj.append(t, u=rho)
     traj.meta["dt_min"] = min(dt_history) if dt_history else None
     traj.meta["dt_max"] = max(dt_history) if dt_history else None
     traj.meta["steps"] = step

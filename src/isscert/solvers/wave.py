@@ -95,7 +95,7 @@ def solve_wave(scn: WaveScenario, grid: Grid1D, cfg: SolverConfig) -> Trajectory
         "n": grid.n, "cfl_sigma": sigma, "c": c, "t_end": cfg.t_end,
         "scenario": scn.label,
     })
-    traj.append(0.0, plus=plus.copy(), minus=minus.copy())
+    traj.append(0.0, plus=plus, minus=minus)
 
     t, step = 0.0, 0
     while t < cfg.t_end - 1e-12 * cfg.t_end:
@@ -116,6 +116,6 @@ def solve_wave(scn: WaveScenario, grid: Grid1D, cfg: SolverConfig) -> Trajectory
         check_finite(plus, step, t)
         check_finite(minus, step, t)
         if step % cfg.output_stride == 0 or t >= cfg.t_end - 1e-12 * cfg.t_end:
-            traj.append(t, plus=plus.copy(), minus=minus.copy())
+            traj.append(t, plus=plus, minus=minus)
     traj.meta["steps"] = step
     return traj

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import scalar_or_array as _scalar_or_array
+
 __all__ = [
     "TruncationPair",
     "GAP_PROPERTY_IDS",
@@ -43,10 +45,6 @@ def _as_finite(x, name):
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
     return arr
-
-
-def _scalar_or_array(out):
-    return float(out) if np.ndim(out) == 0 else out
 
 
 @dataclass(frozen=True)

@@ -209,8 +209,7 @@ def verify_transport(seed: int = 42):
 
     steady = load_plan("transport_steady")
     straj = solve_transport(steady.scenario, steady.grid, steady.solver)
-    dev = max(float(np.max(np.abs(straj.state(i) - 1.0)))
-              for i in range(len(straj)))
+    dev = float(np.max(np.abs(straj.states() - 1.0)))
     steps = straj.meta["steps"]
     lines.append(CheckLine("transport", "steady_state",
                            dev <= 1e-10 and steps >= 1000,
@@ -268,12 +267,10 @@ def verify_wave(seed: int = 42):
     traj = solve_wave(plan.scenario, plan.grid, cfg)
     c = plan.scenario.c
     d = plan.scenario.d
-    res_in = 0.0
-    res_flip = 0.0
-    for i, t in enumerate(traj.times):
-        snap = traj.snapshot(i)
-        res_in = max(res_in, abs(snap["plus"][-1] - c * float(d(t))))
-        res_flip = max(res_flip, abs(snap["minus"][0] + snap["plus"][0]))
+    plus, minus = traj.states("plus"), traj.states("minus")
+    inflow = c * np.asarray([float(d(t)) for t in traj.times.tolist()])
+    res_in = float(np.max(np.abs(plus[:, -1] - inflow)))
+    res_flip = float(np.max(np.abs(minus[:, 0] + plus[:, 0])))
     lines.append(CheckLine("wave", "boundary_identities",
                            res_in == 0.0 and res_flip == 0.0,
                            f"inflow_res={_fmt(res_in)} flip_res={_fmt(res_flip)}"))

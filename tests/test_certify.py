@@ -5,18 +5,19 @@ import math
 import numpy as np
 import pytest
 
-from isscert.certify import (CheckReport, bound_heat_classical,
+from isscert.certify import (CheckReport, _state_norms, bound_heat_classical,
                              bound_parabolic_q, bound_transport_p,
                              bound_transport_q, bound_wave_m,
                              bound_wave_r_eps, check_trajectory,
                              prepare_bound, running_sup_field,
                              running_sup_signal)
 from isscert.comparison import identity_map
-from isscert.fields import Grid1D
+from isscert.fields import Grid1D, lq_norm
 from isscert.signals import (SpaceTimeField, TimeSignal, profile_bump,
                              profile_constant, profile_sum, profile_sin)
 from isscert.solvers import (ParabolicScenario, SolverConfig,
-                             TransportScenario, WaveScenario, solve_parabolic,
+                             TransportScenario, WaveScenario,
+                             reconstruct_wave_state, solve_parabolic,
                              solve_transport, solve_wave)
 
 ZERO = SpaceTimeField.constant(0.0)
@@ -320,3 +321,46 @@ def test_report_csv_schema(tmp_path):
     assert lines[-1].startswith("# check kind=transport_q")
     row = lines[1].split(",")
     assert float(row[3]) == rep.margins[0]
+
+
+# ---------------------------------------------------------------------------
+# stamp-batched norms equal the per-stamp norms
+
+
+def _solved(pde):
+    if pde == "parabolic":
+        return solve_parabolic(make_parabolic_demo(), Grid1D(48, layout="node"),
+                               SolverConfig(t_end=0.7, dt=0.005))
+    if pde == "transport":
+        return solve_transport(make_transport_uniform(), Grid1D(40, layout="cell"),
+                               SolverConfig(t_end=2.0, cfl_sigma=0.9))
+    scn = WaveScenario(c=2.0, f=ONE, d=TimeSignal.constant(0.3),
+                       w0=profile_constant(0.0), v0=profile_bump(1.0, 0.5, 0.2))
+    return solve_wave(scn, Grid1D(48, layout="node"),
+                      SolverConfig(t_end=1.5, cfl_sigma=0.9))
+
+
+@pytest.mark.parametrize("q", [2.0, 3.0, 4.0, math.inf])
+@pytest.mark.parametrize("pde", ["parabolic", "transport", "wave"])
+def test_state_norms_bitwise_equal_per_stamp(pde, q):
+    traj = _solved(pde)
+    if pde == "wave":
+        pairs = [reconstruct_wave_state(traj.state(i, "plus"), traj.state(i, "minus"), 2.0)
+                 for i in range(len(traj))]
+        expected = [lq_norm(w_t, q, traj.grid) + lq_norm(w_y, q, traj.grid)
+                    for w_t, w_y in pairs]
+    else:
+        expected = [lq_norm(traj.state(i), q, traj.grid) for i in range(len(traj))]
+    assert len(traj) > 64  # more than one block of stamps
+    assert np.array_equal(_state_norms(traj, q), expected)
+
+
+def test_report_csv_matches_row_reference(tmp_path):
+    traj = _solved("transport")
+    rep = check_trajectory(traj, 2.0, prepare_bound("transport_q", traj,
+                                                    make_transport_uniform(), 2.0), 0.0)
+    lines = ["t,lhs,rhs,margin\n"]
+    for t, a, b in zip(rep.times, rep.lhs, rep.rhs):
+        lines.append(f"{float(t)!r},{float(a)!r},{float(b)!r},{float(b - a)!r}\n")
+    lines.append(f"# {rep.summary_line()}\n")
+    assert rep.to_csv(tmp_path / "check.csv").read_text() == "".join(lines)

@@ -226,3 +226,27 @@ def test_cli_run_rejects_bad_bc_tol(tmp_path, capsys, bc_tol):
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert "config error: solver: bc_tol must be finite and positive" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+
+@pytest.mark.parametrize("demo,edit,message", [
+    # dissipation_rate needs a declared speed floor, which "decreasing" lacks
+    ("transport_liss", lambda doc: doc.update(energy={"p": 2.0}),
+     "energy error: decay rate needs a declared speed floor"),
+    # c*r = 2 does not exceed the Young split
+    ("wave_demo", lambda doc: doc["energy"].update(eps=3.0),
+     "energy error: need c*r - eps > 0"),
+    # a check that fails after an earlier one succeeded
+    ("wave_demo", lambda doc: doc["checks"].append(
+        {"kind": "wave_r_eps", "q": 2, "r": 1.0, "eps": 3.0, "tol": 0.0}),
+     "check error: need c*r - eps > 0"),
+], ids=["transport_liss_energy", "wave_energy_eps", "wave_check_eps"])
+def test_cli_run_post_solve_errors_exit_2(tmp_path, capsys, demo, edit, message):
+    doc = load_config(demo)
+    edit(doc)
+    cfg = tmp_path / "post_solve.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import yaml
 
-from isscert.fields import Field, Grid1D, Grid2D, Trajectory, lq_norm
+from isscert.fields import (Grid1D, Grid2D, Trajectory, csv_rows, float_cells,
+                            lq_norm, trapezoid_1d, trapezoid_2d)
 
 
 def test_grid1d_node_layout():
@@ -55,13 +56,6 @@ def test_grid2d_edges_partition():
         Grid2D(8, 8, gamma1=frozenset({"left"}), gamma2=frozenset({"right"}))
 
 
-def test_field_shape_check():
-    g = Grid1D(8, layout="node")
-    Field(g, np.zeros(9))
-    with pytest.raises(ValueError):
-        Field(g, np.zeros(8))
-
-
 # ---------------------------------------------------------------------------
 # norms
 
@@ -102,12 +96,6 @@ def test_lq_norm_validation():
         lq_norm(np.ones(9), 2.0, None)
     with pytest.raises(ValueError):
         lq_norm(np.ones(7), 2.0, g)
-
-
-def test_lq_norm_field_object():
-    g = Grid1D(8, layout="node")
-    fld = Field(g, 2.0 * np.ones(9))
-    assert lq_norm(fld, 2.0) == pytest.approx(2.0, rel=1e-14)
 
 
 def test_lq_norm_2d():
@@ -163,3 +151,141 @@ def test_trajectory_write_csv(tmp_path):
     meta_path = [p for p in paths if p.suffix == ".yaml"][0]
     meta = yaml.safe_load(meta_path.read_text())
     assert meta["dt"] == 0.25
+
+
+def test_trajectory_grows_past_doubling_boundaries():
+    g = Grid1D(8, layout="node")
+    traj = Trajectory("wave", g, names=("plus", "minus"))
+    src = np.empty(9)
+    for i in range(150):
+        src[:] = i
+        traj.append(0.01 * i, plus=src, minus=-src)
+        src[:] = -1.0  # the record holds a copy, not the caller's array
+    assert len(traj) == 150
+    expected = np.repeat(np.arange(150.0)[:, None], 9, axis=1)
+    np.testing.assert_array_equal(traj.states("plus"), expected)
+    np.testing.assert_array_equal(traj.states("minus"), -expected)
+    np.testing.assert_array_equal(traj.times, 0.01 * np.arange(150))
+    assert traj.states("plus").flags.c_contiguous
+    np.testing.assert_array_equal(traj.snapshot(37)["minus"], np.full(9, -37.0))
+
+
+def test_blockwise_concatenates_runs_of_stamps():
+    g = Grid1D(8, layout="node")
+    traj = Trajectory("wave", g, names=("plus", "minus"))
+    for i in range(10):
+        traj.append(0.5 * i, plus=np.full(9, i), minus=np.full(9, -i))
+    seen = []
+
+    def fn(times, states):
+        seen.append(times.size)
+        return {"t": times.copy(), "sum": states["plus"].sum(axis=1) + states["minus"][:, 0]}
+    out = traj.blockwise(fn, size=4)
+    assert seen == [4, 4, 2]
+    np.testing.assert_array_equal(out["t"], traj.times)
+    np.testing.assert_array_equal(out["sum"], 8.0 * np.arange(10))
+    np.testing.assert_array_equal(traj.blockwise(lambda t, s: s["plus"][:, 0], size=3),
+                                  np.arange(10.0))
+
+
+def test_trajectory_append_validation():
+    g = Grid1D(8, layout="node")
+    traj = Trajectory("parabolic", g)
+    with pytest.raises(ValueError):
+        traj.append(0.0, u=np.zeros(8))
+    with pytest.raises(ValueError):
+        traj.append(0.0, u=np.full(9, math.nan))
+    assert len(traj) == 0
+    traj.append(0.0, u=np.zeros(9))
+    with pytest.raises(ValueError):
+        traj.append(0.0, u=np.zeros(9))
+    with pytest.raises(ValueError):
+        traj.times[0] = 1.0
+
+
+# ---------------------------------------------------------------------------
+# stacked states give bitwise the per-state results
+
+GRIDS = {
+    "node": Grid1D(40, layout="node"),
+    "cell": Grid1D(33, layout="cell"),
+    "square": Grid2D(9, 12, gamma1=frozenset({"left", "right"}),
+                     gamma2=frozenset({"bottom", "top"})),
+}
+
+
+def _stack(grid, stamps=23, seed=0):
+    shape = (grid.nx + 1, grid.ny + 1) if isinstance(grid, Grid2D) else (grid.npoints,)
+    return np.random.default_rng(seed).standard_normal((stamps, *shape)) * 3.0
+
+
+@pytest.mark.parametrize("q", [2.0, 3.0, 4.0, math.inf])
+@pytest.mark.parametrize("layout", sorted(GRIDS))
+def test_lq_norm_stack_matches_per_state(layout, q):
+    grid = GRIDS[layout]
+    values = _stack(grid)
+    stacked = lq_norm(values, q, grid)
+    assert stacked.shape == (values.shape[0],)
+    assert np.array_equal(stacked, [lq_norm(v, q, grid) for v in values])
+    with pytest.raises(ValueError):
+        lq_norm(values[..., 1:], q, grid)
+
+
+def test_trapezoids_stack_match_per_state():
+    rows = _stack(GRIDS["node"])
+    assert np.array_equal(trapezoid_1d(rows, 0.025),
+                          [trapezoid_1d(r, 0.025) for r in rows])
+    sheets = _stack(GRIDS["square"])
+    assert np.array_equal(trapezoid_2d(sheets, 0.1, 0.2),
+                          [trapezoid_2d(s, 0.1, 0.2) for s in sheets])
+
+
+# ---------------------------------------------------------------------------
+# CSV output is byte-equal to a row-by-row writer
+
+ODD_VALUES = [0.1 + 0.2, -0.0, 5e-324, 1e16, 1.0 / 3.0]
+
+
+def _reference_csv(traj, name):
+    """Row-by-row formatting of one state name, the writer's definition."""
+    times = [float(t) for t in traj.times]
+    if isinstance(traj.grid, Grid2D):
+        lines = ["t,y1,y2,value\n"]
+        X, Y = traj.grid.points()
+        for i, t in enumerate(times):
+            vals = traj.state(i, name)
+            for ix in range(vals.shape[0]):
+                for iy in range(vals.shape[1]):
+                    lines.append(f"{t!r},{float(X[ix, iy])!r},"
+                                 f"{float(Y[ix, iy])!r},{float(vals[ix, iy])!r}\n")
+    else:
+        lines = ["t,y,value\n"]
+        for i, t in enumerate(times):
+            for y, v in zip(traj.grid.points(), traj.state(i, name)):
+                lines.append(f"{t!r},{float(y)!r},{float(v)!r}\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("layout,names", [
+    ("node", ("u",)), ("cell", ("u",)), ("square", ("u",)),
+    ("node", ("plus", "minus")),
+])
+def test_write_csv_matches_row_reference(tmp_path, layout, names):
+    grid = GRIDS[layout]
+    pde = "wave" if len(names) == 2 else "parabolic"
+    traj = Trajectory(pde, grid, names=names)
+    values = _stack(grid, stamps=40)
+    values.flat[:len(ODD_VALUES)] = ODD_VALUES
+    times = [0.0, 5e-324, 0.1 + 0.2, 1.0 / 3.0, 1e16] + [1e16 + 2.0 * k for k in range(1, 36)]
+    for t, vals in zip(times, values):
+        traj.append(t, **{k: (-1) ** j * vals for j, k in enumerate(names)})
+    paths = traj.write_csv(tmp_path)
+    for name, path in zip(names, paths):
+        assert path.read_text() == _reference_csv(traj, name)
+
+
+def test_csv_rows_formats_python_float_reprs():
+    cells = float_cells(np.array(ODD_VALUES))
+    assert cells == [repr(float(v)) for v in ODD_VALUES]
+    assert csv_rows(cells, ["a"] * 5) == "".join(f"{c},a\n" for c in cells)
+    assert csv_rows([], []) == ""

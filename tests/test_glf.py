@@ -7,8 +7,9 @@ import pytest
 
 from isscert.comparison import odd_cubic_map
 from isscert.fields import Grid1D, Grid2D, Trajectory
-from isscert.glf import (GlfSeries, GlfSpec, default_transport_rate,
-                         dissipation_rate, dissipation_report, evaluate,
+from isscert.glf import (GlfSeries, GlfSpec, components,
+                         default_transport_rate, dissipation_rate,
+                         dissipation_report, evaluate,
                          glf_for_parabolic, glf_for_transport, glf_for_wave,
                          local_speed_floor, series, transport_rate_bounds_q,
                          truncation_level_parabolic,
@@ -351,3 +352,65 @@ def test_wave_forcing_slack_tracks_stamp_times():
     s = np.array([abs(float(sig(t))) for t in traj.times])
     assert out[1] / out[0] == pytest.approx((s[1] / s[0]) ** 3.0, rel=1e-12)
     assert out[2] / out[0] == pytest.approx((s[2] / s[0]) ** 3.0, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# stamp-batched evaluation equals the per-stamp functional
+
+
+def _random_trajectory(pde, grid, names=("u",), stamps=150, seed=3):
+    rng = np.random.default_rng(seed)
+    shape = (grid.nx + 1, grid.ny + 1) if isinstance(grid, Grid2D) else (grid.npoints,)
+    traj = Trajectory(pde, grid, names=names)
+    for i in range(stamps):
+        traj.append(0.05 * i, **{k: 2.0 * rng.standard_normal(shape) for k in names})
+    return traj
+
+
+BATCH_CASES = {
+    "parabolic_1d": (lambda: _random_trajectory("parabolic", Grid1D(50, layout="node")),
+                     GlfSpec("parabolic", 2.0, level=0.5)),
+    "parabolic_2d": (lambda: _random_trajectory(
+        "parabolic", Grid2D(10, 13, gamma1=frozenset({"left", "right", "bottom"}),
+                            gamma2=frozenset({"top"}))),
+        GlfSpec("parabolic", 3.0, level=0.25)),
+    "transport": (lambda: _random_trajectory("transport", Grid1D(41, layout="cell")),
+                  GlfSpec("transport", 2.0, r=1.3, level=0.5)),
+    "wave": (lambda: _random_trajectory("wave", Grid1D(48, layout="node"),
+                                        names=("plus", "minus")),
+             GlfSpec("wave", 2.5, r=1.0, level=0.3, eps=1.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_series_bitwise_equals_per_stamp_evaluate(case):
+    make, spec = BATCH_CASES[case]
+    traj = make()
+    vhat, comps = series(traj, spec)
+    per_stamp = [components(traj.snapshot(i), traj.grid, spec) for i in range(len(traj))]
+    assert np.array_equal(vhat, [evaluate(traj.snapshot(i), traj.grid, spec)
+                                 for i in range(len(traj))])
+    for name, values in comps.items():
+        assert np.array_equal(values, [c[name] for c in per_stamp])
+
+
+def test_wave_forcing_slack_bitwise_equals_per_stamp():
+    traj = BATCH_CASES["wave"][0]()
+    spec = BATCH_CASES["wave"][1]
+    fld = SpaceTimeField(lambda y, t: np.sin(3.0 * y + t) - 0.2)
+    pts = traj.grid.points()
+    coef = 4.0 * (spec.p / spec.eps) ** spec.p
+    expected = [coef * weighted_energy(np.abs(fld(pts, t)), traj.grid, spec.pair,
+                                       spec.r, 1, 1, 0.0) for t in traj.times]
+    assert np.array_equal(wave_forcing_slack(traj, spec, fld), expected)
+
+
+def test_glf_csv_matches_row_reference(tmp_path):
+    make, spec = BATCH_CASES["transport"]
+    rep = dissipation_report(make(), spec, 0.7)
+    lines = ["t,Vhat,residual,envelope\n"]
+    for i in range(rep.times.size):
+        res = rep.residuals[i] if i < rep.residuals.size else math.nan
+        lines.append(f"{float(rep.times[i])!r},{float(rep.vhat[i])!r},"
+                     f"{float(res)!r},{float(rep.envelope[i])!r}\n")
+    assert rep.to_csv(tmp_path / "glf.csv").read_text() == "".join(lines)
