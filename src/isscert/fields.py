@@ -30,6 +30,7 @@ __all__ = [
 EDGES_2D = ("left", "right", "bottom", "top")
 
 _MIN_CELLS = 8
+_BLOCK = 64  # stamps per call of Trajectory.blockwise
 
 
 @dataclass(frozen=True)
@@ -191,10 +192,9 @@ class Trajectory:
     "u"; wave runs carry the characteristic pair under "plus" and
     "minus".  Metadata (scheme, step sizes, grid size) lives in ``meta``.
 
-    Storage: ``times`` and, per state name, one C-contiguous float array
-    of shape (capacity, *point_shape(grid)) whose first ``len(self)`` rows
-    are the stamps.  ``append`` copies into the next row and doubles the
-    capacity when full; ``states(name)`` views all stamps at once.
+    Storage: ``times`` plus one C-contiguous (capacity, *point_shape(grid))
+    float array per state name; its first ``len(self)`` rows are the stamps.
+    ``append`` copies into the next row, doubling the capacity when full.
     """
 
     def __init__(self, pde_class: str, grid, names=("u",), meta=None):
@@ -220,9 +220,9 @@ class Trajectory:
                 self._data[k] = np.empty((2 * n, *old.shape[1:]))
                 self._data[k][:n] = old
         for k, v in arrays.items():
+            if np.shape(v) != self._data[k].shape[1:] or not np.isfinite(v).all():
+                raise ValueError(f"state {k!r} must be finite of shape {self._data[k].shape[1:]}")
             self._data[k][n] = v
-            if not np.isfinite(self._data[k][n]).all():
-                raise ValueError("state values must be finite")
         self._times[n] = float(t)
         self._n = n + 1
 
@@ -239,11 +239,11 @@ class Trajectory:
         """Every recorded stamp of one state, shape (stamps, *points)."""
         return self._data[name or self.names[0]][:self._n]
 
-    def blockwise(self, fn, size: int = 64):
-        """fn(times, {name: states}) on runs of at most size stamps, concatenated
-        (per key for dicts): stamp-wise work in blocks bounds its temporaries."""
-        parts = [fn(self.times[lo:lo + size], {k: self.states(k)[lo:lo + size] for k in self.names})
-                 for lo in range(0, self._n, size)]
+    def blockwise(self, fn):
+        """fn(times, {name: states}) on runs of at most _BLOCK stamps (one empty run if
+        none), concatenated (per key for dicts): blocks bound the temporaries."""
+        parts = [fn(self.times[lo:lo + _BLOCK], {k: self.states(k)[lo:lo + _BLOCK] for k in self.names})
+                 for lo in range(0, max(self._n, 1), _BLOCK)]
         if isinstance(parts[0], dict):
             return {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
         return np.concatenate(parts)

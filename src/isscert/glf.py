@@ -331,7 +331,8 @@ def wave_forcing_slack(traj: Trajectory, spec: GlfSpec, f_field) -> np.ndarray:
     pts = traj.grid.points()
     coef = 4.0 * (spec.p / spec.eps) ** spec.p
     return traj.blockwise(lambda times, _: coef * weighted_energy(
-        np.abs([np.broadcast_to(f_field(pts, t), pts.shape) for t in times.tolist()]),
+        np.abs(np.reshape([np.broadcast_to(f_field(pts, t), pts.shape) for t in times.tolist()],
+                          (times.size, *pts.shape))),
         traj.grid, spec.pair, spec.r, 1, 1, 0.0))
 
 

@@ -12,7 +12,7 @@ from isscert.certify import (CheckReport, _state_norms, bound_heat_classical,
                              prepare_bound, running_sup_field,
                              running_sup_signal)
 from isscert.comparison import identity_map
-from isscert.fields import Grid1D, lq_norm
+from isscert.fields import Grid1D, Trajectory, lq_norm
 from isscert.signals import (SpaceTimeField, TimeSignal, profile_bump,
                              profile_constant, profile_sum, profile_sin)
 from isscert.solvers import (ParabolicScenario, SolverConfig,
@@ -364,3 +364,11 @@ def test_report_csv_matches_row_reference(tmp_path):
         lines.append(f"{float(t)!r},{float(a)!r},{float(b)!r},{float(b - a)!r}\n")
     lines.append(f"# {rep.summary_line()}\n")
     assert rep.to_csv(tmp_path / "check.csv").read_text() == "".join(lines)
+
+
+@pytest.mark.parametrize("q", [2.0, math.inf])
+def test_state_norms_of_empty_trajectory(q):
+    grid = Grid1D(8, layout="node")
+    assert _state_norms(Trajectory("parabolic", grid), q).shape == (0,)
+    wave = Trajectory("wave", grid, names=("plus", "minus"), meta={"c": 1.0})
+    assert _state_norms(wave, q).shape == (0,)

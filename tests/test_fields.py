@@ -173,19 +173,25 @@ def test_trajectory_grows_past_doubling_boundaries():
 def test_blockwise_concatenates_runs_of_stamps():
     g = Grid1D(8, layout="node")
     traj = Trajectory("wave", g, names=("plus", "minus"))
-    for i in range(10):
+    for i in range(150):
         traj.append(0.5 * i, plus=np.full(9, i), minus=np.full(9, -i))
     seen = []
 
     def fn(times, states):
         seen.append(times.size)
         return {"t": times.copy(), "sum": states["plus"].sum(axis=1) + states["minus"][:, 0]}
-    out = traj.blockwise(fn, size=4)
-    assert seen == [4, 4, 2]
+    out = traj.blockwise(fn)
+    assert sum(seen) == 150 and len(seen) > 2 and max(seen) < 150
     np.testing.assert_array_equal(out["t"], traj.times)
-    np.testing.assert_array_equal(out["sum"], 8.0 * np.arange(10))
-    np.testing.assert_array_equal(traj.blockwise(lambda t, s: s["plus"][:, 0], size=3),
-                                  np.arange(10.0))
+    np.testing.assert_array_equal(out["sum"], 8.0 * np.arange(150))
+    np.testing.assert_array_equal(traj.blockwise(lambda t, s: s["plus"][:, 0]),
+                                  np.arange(150.0))
+
+
+def test_blockwise_on_empty_trajectory():
+    traj = Trajectory("parabolic", Grid1D(8, layout="node"))
+    out = traj.blockwise(lambda t, s: {"t": t.copy(), "n": lq_norm(s["u"], 2, traj.grid)})
+    assert out["t"].shape == (0,) and out["n"].shape == (0,)
 
 
 def test_trajectory_append_validation():
@@ -195,6 +201,9 @@ def test_trajectory_append_validation():
         traj.append(0.0, u=np.zeros(8))
     with pytest.raises(ValueError):
         traj.append(0.0, u=np.full(9, math.nan))
+    for wrong in (0.0, np.zeros(1), np.zeros((1, 9))):  # broadcastable, still rejected
+        with pytest.raises(ValueError):
+            traj.append(0.0, u=wrong)
     assert len(traj) == 0
     traj.append(0.0, u=np.zeros(9))
     with pytest.raises(ValueError):

@@ -414,3 +414,12 @@ def test_glf_csv_matches_row_reference(tmp_path):
         lines.append(f"{float(rep.times[i])!r},{float(rep.vhat[i])!r},"
                      f"{float(res)!r},{float(rep.envelope[i])!r}\n")
     assert rep.to_csv(tmp_path / "glf.csv").read_text() == "".join(lines)
+
+
+def test_series_and_wave_slack_of_empty_trajectory():
+    grid = Grid1D(8, layout="node")
+    values, comps = series(Trajectory("parabolic", grid), GlfSpec("parabolic", 2.0, level=1.0))
+    assert values.shape == (0,) and all(v.shape == (0,) for v in comps.values())
+    wave = Trajectory("wave", grid, names=("plus", "minus"))
+    spec = GlfSpec("wave", 2.0, r=1.0, level=1.0, eps=0.5)
+    assert wave_forcing_slack(wave, spec, SpaceTimeField.constant(1.0)).shape == (0,)
