@@ -10,9 +10,8 @@ from .certify import (CheckReport, IssBound, bound_heat_classical,
                       bound_parabolic_q, bound_transport_p, bound_transport_q,
                       bound_wave_m, bound_wave_r_eps, check_trajectory,
                       prepare_bound)
-from .comparison import (KLBound, MonotoneFn, identity_map, invert_monotone,
-                         iss_gain, linear_map, odd_cubic_map, power_map,
-                         truncation_sandwich)
+from .comparison import (MonotoneFn, identity_map, invert_monotone, linear_map,
+                         odd_cubic_map, power_map)
 from .config import ConfigError, RunPlan, build_plan, load_config, load_plan
 from .fields import Grid1D, Grid2D, Trajectory, lq_norm
 from .glf import (GlfSeries, GlfSpec, dissipation_rate, dissipation_report,
@@ -25,7 +24,7 @@ from .solvers import (AssumptionViolationError, ParabolicScenario,
                       ScenarioError, SolverConfig, SolverDivergedError,
                       TransportScenario, WaveScenario, reconstruct_wave_state,
                       solve_parabolic, solve_transport, solve_wave)
-from .trunc import (TruncationPair, gronwall_envelope, gronwall_envelope_at,
-                    property_gap, property_sides, young_epsilon_gap)
+from .trunc import (TruncationPair, gronwall_envelope_at, property_gap,
+                    property_sides, young_epsilon_gap)
 
 __version__ = "0.1.0"

@@ -1,11 +1,12 @@
 """Closed-form decay bounds with explicit constants, and trajectory checks.
 
 Each bound evaluator is a pure formula in the elapsed time, the initial
-norm, and windowed disturbance sups.  :func:`prepare_bound` packages a
-bound for a computed trajectory, turning every disturbance into a running
-sup over (0, t) so the comparison is causal, and
-:func:`check_trajectory` measures the margin bound - norm at every
-recorded stamp.
+norm, and windowed disturbance sups.  :data:`BOUNDS` holds one entry per
+bound kind: its config keys, a prepare step and an evaluate step.
+:func:`prepare_bound` packages a bound for a computed trajectory, turning
+every disturbance into a running sup over (0, t) so the comparison is
+causal, and :func:`check_trajectory` measures the margin bound - norm at
+every recorded stamp.
 """
 
 from __future__ import annotations
@@ -13,16 +14,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .fields import Grid2D, Trajectory, csv_rows, float_cells, lq_norm, trapezoid_1d
-from .glf import _invert_expanding, default_transport_rate, local_speed_floor
-from .signals import sup_field, sup_window
+from .fields import Trajectory, csv_rows, float_cells, lq_norm
+from .glf import (default_transport_rate, local_speed_floor, running_sups,
+                  truncation_level_parabolic)
+# module attributes that profilers wrap per module (perfbench/tracing.py);
+# the sups themselves run through glf.running_sups
+from .signals import sup_field, sup_window  # noqa: F401
 from .solvers.wave import reconstruct_wave_state
 
 __all__ = [
-    "BOUND_KINDS",
+    "BOUNDS",
+    "BoundKind",
     "bound_parabolic_q",
     "bound_transport_p",
     "bound_transport_q",
@@ -33,12 +39,7 @@ __all__ = [
     "CheckReport",
     "prepare_bound",
     "check_trajectory",
-    "running_sup_signal",
-    "running_sup_field",
 ]
-
-BOUND_KINDS = ("parabolic_q", "transport_p", "transport_q", "transport_liss",
-               "wave_r_eps", "wave_m", "heat_clm")
 
 # below this the transport q-norm constants blow up like 1/|k|
 _SMALL_GAIN = 0.05
@@ -104,8 +105,6 @@ def bound_wave_r_eps(q, r, eps, t, init_norm, sup_f, sup_d, c):
     is the same sum along the trajectory.
     """
     q = _check_q(q, allow_inf=False)
-    if q == math.inf:
-        raise ValueError("this bound needs a finite norm exponent")
     if not (r > 0 and eps > 0 and c > 0):
         raise ValueError("r, eps, c must be positive")
     gap = c * r - eps
@@ -152,50 +151,6 @@ def bound_heat_classical(t, w0_norm, eps, sup_f, sup_d):
             + gain * (np.asarray(sup_f, dtype=float) + np.asarray(sup_d, dtype=float)))
 
 
-# ---------------------------------------------------------------------------
-# running sups along a trajectory
-
-
-def running_sup_signal(sig, times) -> np.ndarray:
-    """sup of |sig| over (0, t_i) for each stamp, closed windows."""
-    times = np.asarray(times, dtype=float)
-    out = np.empty(times.size)
-    for i, t in enumerate(times):
-        out[i] = abs(float(sig(t))) if t <= 0.0 else sup_window(sig, 0.0, float(t))
-    return out
-
-
-def running_sup_field(fld, space, times) -> np.ndarray:
-    """Running sup of |fld| over space x (0, t_i), one value per stamp."""
-    times = np.asarray(times, dtype=float)
-    out = np.empty(times.size)
-    out[0] = sup_field(fld, space, times[0], times[0])
-    for i in range(1, times.size):
-        seg = sup_field(fld, space, times[i - 1], times[i], time_resolution=33)
-        out[i] = max(out[i - 1], seg)
-    return out
-
-
-def _boundary_space(grid, edges):
-    if not isinstance(grid, Grid2D):
-        pts = [0.0 if e == "left" else 1.0 for e in sorted(edges)]
-        return np.asarray(pts)
-    lat = np.linspace(0.0, 1.0, grid.nx + 1)
-    coords = []
-    for edge in sorted(edges):
-        if edge == "left":
-            coords.append((np.zeros_like(lat), lat))
-        elif edge == "right":
-            coords.append((np.ones_like(lat), lat))
-        elif edge == "bottom":
-            coords.append((lat, np.zeros_like(lat)))
-        else:
-            coords.append((lat, np.ones_like(lat)))
-    xs = np.concatenate([c[0] for c in coords])
-    ys = np.concatenate([c[1] for c in coords])
-    return (xs, ys)
-
-
 @dataclass
 class IssBound:
     """A bound prepared for one trajectory: formula kind, fixed parameters,
@@ -228,25 +183,108 @@ def _state_norms(traj, q):
     return traj.blockwise(lambda _, s: lq_norm(s["u"], q, traj.grid))
 
 
-def _heat_forcing_sup(scn, grid, times):
-    """Running sup of the spatial 2-norm of the forcing."""
-    if scn.f.signal is not None:
-        # spatially uniform forcing: |f(., s)|_2 on (0, 1) equals |signal(s)|
-        return running_sup_signal(scn.f.signal, times)
-    pts = grid.points()
-    times = np.asarray(times, dtype=float)
-    out = np.empty(times.size)
-    prev = 0.0
-    for i, t in enumerate(times):
-        lo = times[i - 1] if i else t
-        lattice = np.linspace(lo, t, 17) if t > lo else [t]
-        seg = 0.0
-        for s in lattice:
-            vals = np.abs(np.asarray(scn.f(pts, float(s)), dtype=float))
-            seg = max(seg, math.sqrt(trapezoid_1d(vals**2, grid.h)))
-        prev = max(prev, seg)
-        out[i] = prev
-    return out
+# ---------------------------------------------------------------------------
+# the bound kinds
+
+
+def _prepare_parabolic_q(b, traj, scn, q, sups):
+    b.init_norm = lq_norm(traj.state(0), q, traj.grid)
+    b.series = {"level": truncation_level_parabolic(scn, sups)}
+    b.params.setdefault("c0", scn.c0)
+
+
+def _prepare_transport(b, traj, scn, q, sups):
+    b.init_norm = lq_norm(traj.state(0), q, traj.grid)
+    b.series = {"sup_d": sups["d"]}
+    params = b.params
+    if b.kind == "transport_liss":
+        radius = params["R0"]
+        params["speed_floor"], params["mass_range"] = local_speed_floor(scn, radius)
+        b.gate = bool(b.init_norm + sups["d"][-1] <= radius)
+        route = params.setdefault("variant", "q")
+        if route not in ("p", "q"):
+            raise ValueError("transport_liss variant must be 'p' or 'q'")
+    else:
+        if scn.assumption != "uniform" or not scn.speed_floor:
+            raise ValueError(f"{b.kind} needs the 'uniform' assumption with a declared floor")
+        params["speed_floor"] = scn.speed_floor
+        route = b.kind[-1]  # transport_p or transport_q
+    if route == "p":
+        # the weighted-energy route certifies the (p+1)-norm
+        if "p" not in params:
+            raise ValueError("the energy route needs the energy exponent p")
+        p = params["p"]
+        if q != p + 1.0:
+            raise ValueError(f"the energy route certifies the (p+1)-norm; "
+                             f"got q = {q} with p = {p}")
+        if "r" not in params:
+            params["r"] = default_transport_rate(p, scn.k)
+    elif scn.k != 0 and abs(scn.k) < _SMALL_GAIN:
+        b.warnings.append(f"recirculation gain |k| = {abs(scn.k)} below {_SMALL_GAIN}; "
+                          "the q-norm constants are ill conditioned")
+    params.setdefault("k", scn.k)
+
+
+def _evaluate_transport(b, q, t):
+    if (b.params["variant"] if b.kind == "transport_liss" else b.kind[-1]) == "p":
+        return bound_transport_p(b.params["p"], b.params["r"], t, b.init_norm,
+                                 b.params["speed_floor"], b.series["sup_d"])
+    return bound_transport_q(q, b.params["k"], t, b.init_norm,
+                             b.params["speed_floor"], b.series["sup_d"])
+
+
+def _prepare_wave(b, traj, scn, q, sups):
+    snap = traj.snapshot(0)
+    b.init_norm = _wave_lhs(snap["plus"], snap["minus"], q, traj.grid, scn.c)
+    b.series = {"sup_f": sups["f"], "sup_d": sups["d"]}
+    b.params.setdefault("c", scn.c)
+
+
+def _prepare_heat_clm(b, traj, scn, q, sups):
+    # the boundary-damped heat equation: zero reaction, unit diffusion,
+    # Dirichlet zero on gamma1, identity flux law with disturbance d2
+    if scn.c0 != 0:
+        b.warnings.append("heat baseline ignores the reaction floor; scenario has c0 != 0")
+    b.init_norm = lq_norm(traj.state(0), 2.0, traj.grid)
+    b.series = {"sup_f": sups["f_l2"], "sup_d": sups["d2"]}
+    b.params.setdefault("eps", 1.0)
+
+
+@dataclass(frozen=True)
+class BoundKind:
+    """One bound kind: the config keys it accepts and requires besides
+    kind, q and tol; prepare(bound, traj, scn, q, sups), which fills in
+    the initial norm, the stamp-aligned series, the parameters the
+    scenario fixes, and the gate and warnings where the kind has them;
+    and evaluate(bound, q, times), which returns the bound at the stamps."""
+
+    keys: tuple
+    required: tuple
+    prepare: Callable
+    evaluate: Callable
+
+
+BOUNDS = {
+    "parabolic_q": BoundKind(
+        (), (), _prepare_parabolic_q,
+        lambda b, q, t: bound_parabolic_q(q, t, b.init_norm, b.series["level"], b.params["c0"])),
+    "transport_p": BoundKind(("p", "r"), ("p",), _prepare_transport, _evaluate_transport),
+    "transport_q": BoundKind((), (), _prepare_transport, _evaluate_transport),
+    "transport_liss": BoundKind(("R0", "variant", "p", "r"), ("R0",),
+                                _prepare_transport, _evaluate_transport),
+    "wave_r_eps": BoundKind(
+        ("r", "eps"), ("r", "eps"), _prepare_wave,
+        lambda b, q, t: bound_wave_r_eps(q, b.params["r"], b.params["eps"], t, b.init_norm,
+                                         b.series["sup_f"], b.series["sup_d"], b.params["c"])),
+    "wave_m": BoundKind(
+        ("m",), ("m",), _prepare_wave,
+        lambda b, q, t: bound_wave_m(q, b.params["m"], t, b.init_norm, b.series["sup_f"],
+                                     b.series["sup_d"], b.params["c"])),
+    "heat_clm": BoundKind(
+        ("eps",), ("eps",), _prepare_heat_clm,
+        lambda b, q, t: bound_heat_classical(t, b.init_norm, b.params["eps"],
+                                             b.series["sup_f"], b.series["sup_d"])),
+}
 
 
 def prepare_bound(kind, traj, scn, q, params=None) -> IssBound:
@@ -254,116 +292,19 @@ def prepare_bound(kind, traj, scn, q, params=None) -> IssBound:
 
     ``params`` supplies the free constants the kind needs (see the bound
     evaluators); scenario structure provides the rest.  Running sups are
-    evaluated on the trajectory's recorded stamps.
+    evaluated on the trajectory's recorded stamps by
+    :func:`~isscert.glf.running_sups`; a disturbance whose sup could only
+    be sampled adds a warning.
     """
-    if kind not in BOUND_KINDS:
+    if kind not in BOUNDS:
         raise ValueError(f"unknown bound kind {kind!r}")
-    params = dict(params or {})
-    times = traj.times
-    warnings: list = []
-    gate = None
-
-    if kind == "parabolic_q":
-        sup_f = running_sup_field(scn.f, traj.grid.points(), times)
-        sup_d1 = (running_sup_field(scn.d1, _boundary_space(traj.grid, scn.gamma1), times)
-                  if scn.gamma1 else np.zeros_like(times))
-        sup_d2 = (running_sup_field(scn.d2, _boundary_space(traj.grid, scn.gamma2), times)
-                  if scn.gamma2 else np.zeros_like(times))
-        if not scn.c0 > 0:
-            raise ValueError("parabolic_q needs a positive reaction floor")
-        level = np.asarray([
-            _invert_expanding(scn.reaction, sf / scn.c0)
-            + sd1 + _invert_expanding(scn.boundary_reaction, sd2)
-            for sf, sd1, sd2 in zip(sup_f, sup_d1, sup_d2)])
-        params.setdefault("c0", scn.c0)
-        return IssBound(kind, params, lq_norm(traj.state(0), q, traj.grid),
-                        {"level": level}, warnings=warnings)
-
-    if kind in ("transport_p", "transport_q", "transport_liss"):
-        sup_d = running_sup_signal(scn.d, times)
-        init = lq_norm(traj.state(0), q, traj.grid)
-        if kind == "transport_liss":
-            radius = params["R0"]
-            floor, mass_range = local_speed_floor(scn, radius)
-            horizon = float(times[-1])
-            sup_d_all = sup_window(scn.d, 0.0, horizon) if horizon > 0 else abs(float(scn.d(0.0)))
-            gate = bool(init + sup_d_all <= radius)
-            params.setdefault("variant", "q")
-            params["speed_floor"] = floor
-            params["mass_range"] = mass_range
-            variant = params["variant"]
-            if variant not in ("p", "q"):
-                raise ValueError("transport_liss variant must be 'p' or 'q'")
-            if variant == "q" and scn.k == 0:
-                raise ValueError("the q-norm route needs a nonzero recirculation gain")
-        else:
-            if scn.assumption != "uniform" or not scn.speed_floor:
-                raise ValueError(f"{kind} needs the 'uniform' assumption with a declared floor")
-            params["speed_floor"] = scn.speed_floor
-        if kind == "transport_p" or params.get("variant") == "p":
-            p = params["p"]
-            if q != p + 1.0:
-                raise ValueError(f"the energy route certifies the (p+1)-norm; "
-                                 f"got q = {q} with p = {p}")
-            if "r" not in params:
-                params["r"] = default_transport_rate(p, scn.k)
-        if kind == "transport_q" or params.get("variant") == "q":
-            params.setdefault("k", scn.k)
-            if scn.k != 0 and abs(scn.k) < _SMALL_GAIN:
-                warnings.append(f"recirculation gain |k| = {abs(scn.k)} below {_SMALL_GAIN}; "
-                                "the q-norm constants are ill conditioned")
-        params.setdefault("k", scn.k)
-        return IssBound(kind, params, init, {"sup_d": sup_d}, gate=gate,
-                        warnings=warnings)
-
-    if kind in ("wave_r_eps", "wave_m"):
-        sup_f = running_sup_field(scn.f, traj.grid.points(), times)
-        sup_d = running_sup_signal(scn.d, times)
-        params.setdefault("c", scn.c)
-        snap = traj.snapshot(0)
-        init = _wave_lhs(snap["plus"], snap["minus"], q, traj.grid, scn.c)
-        return IssBound(kind, params, init, {"sup_f": sup_f, "sup_d": sup_d},
-                        warnings=warnings)
-
-    # heat_clm: the classical quadratic-energy baseline.  The scenario is
-    # the boundary-damped heat equation: zero reaction, unit diffusion,
-    # Dirichlet zero on gamma1, identity flux law with disturbance d2.
-    if scn.c0 != 0:
-        warnings.append("heat baseline ignores the reaction floor; scenario has c0 != 0")
-    sup_f = _heat_forcing_sup(scn, traj.grid, times)
-    sup_d = (running_sup_field(scn.d2, _boundary_space(traj.grid, scn.gamma2), times)
-             if scn.gamma2 else np.zeros_like(times))
-    params.setdefault("eps", 1.0)
-    init = lq_norm(traj.state(0), 2.0, traj.grid)
-    return IssBound("heat_clm", params, init, {"sup_f": sup_f, "sup_d": sup_d},
-                    warnings=warnings)
-
-
-def _evaluate_bound(bound: IssBound, q, times):
-    p_ = bound.params
-    s = bound.series
-    if bound.kind == "parabolic_q":
-        return bound_parabolic_q(q, times, bound.init_norm, s["level"], p_["c0"])
-    if bound.kind == "transport_p":
-        return bound_transport_p(p_["p"], p_["r"], times, bound.init_norm,
-                                 p_["speed_floor"], s["sup_d"])
-    if bound.kind == "transport_q":
-        return bound_transport_q(q, p_["k"], times, bound.init_norm,
-                                 p_["speed_floor"], s["sup_d"])
-    if bound.kind == "transport_liss":
-        if p_["variant"] == "p":
-            return bound_transport_p(p_["p"], p_["r"], times, bound.init_norm,
-                                     p_["speed_floor"], s["sup_d"])
-        return bound_transport_q(q, p_["k"], times, bound.init_norm,
-                                 p_["speed_floor"], s["sup_d"])
-    if bound.kind == "wave_r_eps":
-        return bound_wave_r_eps(q, p_["r"], p_["eps"], times, bound.init_norm,
-                                s["sup_f"], s["sup_d"], p_["c"])
-    if bound.kind == "wave_m":
-        return bound_wave_m(q, p_["m"], times, bound.init_norm,
-                            s["sup_f"], s["sup_d"], p_["c"])
-    return bound_heat_classical(times, bound.init_norm, p_["eps"],
-                                s["sup_f"], s["sup_d"])
+    bound = IssBound(kind, dict(params or {}), math.nan, {})
+    for name in ("f", "d1", "d2"):
+        fld = getattr(scn, name, None)
+        if getattr(fld, "sampled", False):
+            bound.warnings.append(f"sup of {fld.label or name} sampled, not exact")
+    BOUNDS[kind].prepare(bound, traj, scn, q, running_sups(scn, traj.grid, traj.times))
+    return bound
 
 
 def _fmt_q(q):
@@ -428,7 +369,7 @@ def check_trajectory(traj: Trajectory, q, bound: IssBound, tol: float) -> CheckR
         raise ValueError("tol must be nonnegative")
     times = traj.times
     lhs = _state_norms(traj, q)
-    rhs = np.asarray(_evaluate_bound(bound, q, times), dtype=float)
+    rhs = np.asarray(BOUNDS[bound.kind].evaluate(bound, q, times), dtype=float)
     applicable = bound.gate is not False
     return CheckReport(kind=bound.kind, q=q, times=times, lhs=lhs, rhs=rhs,
                        tol=tol, params=dict(bound.params), applicable=applicable,

@@ -63,11 +63,12 @@ def _energy_report(plan, traj):
     horizon = plan.solver.t_end
     slack = None
     if plan.pde == "parabolic":
-        spec = glf_for_parabolic(plan.scenario, p, horizon)
+        spec = glf_for_parabolic(plan.scenario, plan.grid, p, horizon)
     elif plan.pde == "transport":
-        spec = glf_for_transport(plan.scenario, p, horizon, plan.energy.get("rate"))
+        spec = glf_for_transport(plan.scenario, plan.grid, p, horizon,
+                                 plan.energy.get("rate"))
     else:
-        spec = glf_for_wave(plan.scenario, p, horizon, plan.energy["rate"],
+        spec = glf_for_wave(plan.scenario, plan.grid, p, horizon, plan.energy["rate"],
                             plan.energy.get("eps"))
         slack = wave_forcing_slack(traj, spec, plan.scenario.f)
     rate = dissipation_rate(spec, plan.scenario)

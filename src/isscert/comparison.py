@@ -1,26 +1,19 @@
 """Comparison-function algebra for decay estimates.
 
-Monotone scalar maps (class-K gains, reaction laws and their inverses),
-exponential class-KL bounds, bracketed inversion by bisection, and the
-standard gain composition that turns a Lyapunov sandwich into an
-input-to-state estimate.
+Monotone scalar maps (class-K gains, reaction laws and their inverses)
+and their bracketed inversion by bisection.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "MonotoneFn",
-    "KLBound",
     "BracketError",
     "invert_monotone",
-    "iss_gain",
-    "SandwichMaps",
-    "truncation_sandwich",
     "identity_map",
     "linear_map",
     "odd_cubic_map",
@@ -111,25 +104,6 @@ def power_map(exponent, coef=1.0, hi=1e6):
                       domain=(0.0, hi), label=f"{coef}*v^{exponent}", class_k=True)
 
 
-@dataclass(frozen=True)
-class KLBound:
-    """Class-KL bound of the form amplitude(s) * exp(-rate * t)."""
-
-    amplitude: MonotoneFn
-    rate: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.rate) and self.rate > 0):
-            raise ValueError("rate must be positive")
-        if not self.amplitude.class_k:
-            raise ValueError("amplitude must be a class-K map")
-
-    def __call__(self, s, t):
-        if np.any(np.asarray(t) < 0):
-            raise ValueError("t must be nonnegative")
-        return self.amplitude(s) * np.exp(-self.rate * np.asarray(t, dtype=float))
-
-
 def invert_monotone(f, y, lo=None, hi=None, tol=1e-10, max_iter=200):
     """Solve f(x) = y by bisection on [lo, hi].
 
@@ -158,48 +132,3 @@ def invert_monotone(f, y, lo=None, hi=None, tol=1e-10, max_iter=200):
         else:
             hi = mid
     raise RuntimeError(f"bisection did not reach residual {tol} in {max_iter} steps")
-
-
-def iss_gain(psi1, rho, mu, s):
-    """Gain composition  s -> 2*psi1(2*rho(s)) + mu(rho(s)).
-
-    This is the input gain produced when a Lyapunov sandwich with upper
-    envelope psi1 and level offset mu is unwound around a disturbance
-    radius map rho.  All three maps must be class-K; s must be
-    nonnegative.
-    """
-    if np.any(np.asarray(s) < 0):
-        raise ValueError("s must be nonnegative")
-    for m in (psi1, rho, mu):
-        if isinstance(m, MonotoneFn) and not m.class_k:
-            raise ValueError("iss_gain expects class-K maps")
-    r = rho(s)
-    return 2.0 * psi1(2.0 * np.asarray(r, dtype=float)) + mu(r)
-
-
-class SandwichMaps(NamedTuple):
-    """Coercivity envelopes of the truncation energy with exponent p.
-
-    upper(s) >= each energy term at state norm s, lower(s) bounds the sum
-    from below, and offset(s) absorbs the truncation level.
-    """
-
-    upper: MonotoneFn
-    lower: MonotoneFn
-    offset: MonotoneFn
-
-
-def truncation_sandwich(p, hi=1e6):
-    """Envelope triple (upper, lower, offset) for the exponent-p energy.
-
-    upper(s)  = s**(p+1) / (p+1)
-    lower(s)  = s**(p+1) / (2**p * (p+1))
-    offset(s) = 2 * s**(p+1)
-    """
-    p = float(p)
-    if not p > 1.0:
-        raise ValueError("p must exceed 1")
-    upper = power_map(p + 1.0, 1.0 / (p + 1.0), hi=hi)
-    lower = power_map(p + 1.0, 1.0 / (2.0**p * (p + 1.0)), hi=hi)
-    offset = power_map(p + 1.0, 2.0, hi=hi)
-    return SandwichMaps(upper=upper, lower=lower, offset=offset)

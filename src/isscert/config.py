@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from .certify import BOUNDS
 from .comparison import identity_map, linear_map, odd_cubic_map, power_map
 from .scenarios import SCENARIOS, bundled_config_text
 from .signals import (SpaceTimeField, TimeSignal, profile2d_constant,
@@ -306,25 +307,6 @@ def _build_energy(doc, path, pde):
     return energy
 
 
-_CHECK_KEYS = {
-    "heat_clm": ("eps",),
-    "parabolic_q": (),
-    "transport_p": ("p", "r"),
-    "transport_q": (),
-    "transport_liss": ("R0", "variant", "p", "r"),
-    "wave_r_eps": ("r", "eps"),
-    "wave_m": ("m",),
-}
-
-_CHECK_REQUIRED = {
-    "heat_clm": ("eps",),
-    "transport_p": ("p",),
-    "transport_liss": ("R0",),
-    "wave_r_eps": ("r", "eps"),
-    "wave_m": ("m",),
-}
-
-
 def _build_checks(doc, path):
     if doc is None:
         return []
@@ -335,9 +317,10 @@ def _build_checks(doc, path):
         epath = f"{path}[{i}]"
         entry = _expect_mapping(entry, epath)
         kind = _get(entry, "kind", epath)
-        if kind not in _CHECK_KEYS:
+        if kind not in BOUNDS:
             raise ConfigError(f"{epath}.kind", f"unknown check kind {kind!r}")
-        _reject_unknown(entry, ("kind", "q", "tol") + _CHECK_KEYS[kind], epath)
+        bound = BOUNDS[kind]
+        _reject_unknown(entry, ("kind", "q", "tol") + bound.keys, epath)
         q = _get(entry, "q", epath)
         if q == "inf":
             q = math.inf
@@ -347,11 +330,11 @@ def _build_checks(doc, path):
             raise ConfigError(f"{epath}.q", f"expected a number or 'inf', got {q!r}")
         tol = _number(entry, "tol", epath, required=False, default=0.0)
         params = {}
-        for key in _CHECK_KEYS[kind]:
+        for key in bound.keys:
             if key in entry:
                 params[key] = (entry[key] if key == "variant"
                                else _number(entry, key, epath))
-        for key in _CHECK_REQUIRED.get(kind, ()):
+        for key in bound.required:
             if key not in params:
                 raise ConfigError(f"{epath}.{key}", "missing required key")
         out.append({"kind": kind, "q": q, "tol": tol, "params": params})

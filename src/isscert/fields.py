@@ -63,9 +63,6 @@ class Grid1D:
             return np.linspace(0.0, 1.0, self.n + 1)
         return (np.arange(self.n) + 0.5) * self.h
 
-    def refine(self) -> "Grid1D":
-        return Grid1D(2 * self.n, self.layout)
-
 
 @dataclass(frozen=True)
 class Grid2D:
@@ -106,9 +103,6 @@ class Grid2D:
         x = np.linspace(0.0, 1.0, self.nx + 1)
         y = np.linspace(0.0, 1.0, self.ny + 1)
         return np.meshgrid(x, y, indexing="ij")
-
-    def refine(self) -> "Grid2D":
-        return Grid2D(2 * self.nx, 2 * self.ny, self.gamma1, self.gamma2)
 
 
 def scalar_or_array(out):

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .comparison import invert_monotone
-from .fields import Grid2D, Trajectory, csv_rows, float_cells, integrate
+from .fields import Grid2D, Trajectory, csv_rows, float_cells, integrate, lq_norm
 from .signals import sup_field, sup_window
 from .solvers.common import ScenarioError
 from .trunc import TruncationPair, gronwall_envelope_at
@@ -35,11 +35,9 @@ __all__ = [
     "components",
     "series",
     "dissipation_report",
+    "running_sups",
     "truncation_level_parabolic",
-    "truncation_level_transport",
-    "truncation_level_wave",
     "default_transport_rate",
-    "transport_rate_bounds_q",
     "local_speed_floor",
     "glf_for_parabolic",
     "glf_for_transport",
@@ -195,53 +193,66 @@ def dissipation_report(traj: Trajectory, spec: GlfSpec, decay_rate: float,
 # truncation levels
 
 
-def _boundary_sup(scn, fld, edges, horizon, samples=129):
-    """Sup of |fld| over the named boundary part crossed with (0, horizon)."""
-    if not edges:
-        return 0.0
-    if scn.dim == 1:
-        pts = np.asarray([0.0 if e == "left" else 1.0 for e in sorted(edges)])
-        return sup_field(fld, pts, 0.0, horizon)
-    lat = np.linspace(0.0, 1.0, samples)
-    best = 0.0
-    for edge in sorted(edges):
-        if edge == "left":
-            pts = (np.zeros(samples), lat)
-        elif edge == "right":
-            pts = (np.ones(samples), lat)
-        elif edge == "bottom":
-            pts = (lat, np.zeros(samples))
-        else:
-            pts = (lat, np.ones(samples))
-        best = max(best, sup_field(fld, pts, 0.0, horizon))
-    return best
+def _edge_nodes(grid, edges):
+    """The grid's own nodes on the named boundary edges."""
+    if not isinstance(grid, Grid2D):
+        return np.asarray([0.0 if e == "left" else 1.0 for e in sorted(edges)])
+    X, Y = grid.points()
+    cut = {"left": np.s_[0, :], "right": np.s_[-1, :],
+           "bottom": np.s_[:, 0], "top": np.s_[:, -1]}
+    return (np.concatenate([X[cut[e]] for e in sorted(edges)]),
+            np.concatenate([Y[cut[e]] for e in sorted(edges)]))
 
 
-def _domain_sup(scn, fld, horizon, samples=257):
-    if scn.dim == 1:
-        space = np.linspace(0.0, 1.0, samples)
-    else:
-        lat = np.linspace(0.0, 1.0, 65)
-        space = tuple(np.meshgrid(lat, lat, indexing="ij"))
-    return sup_field(fld, space, 0.0, horizon)
+def running_sups(scn, grid, times) -> dict:
+    """Running sup over (0, t_i) of every disturbance of scn, at each stamp.
+
+    Keys: "d", the boundary signal of transport and wave scenarios; "f",
+    forcing over the grid's nodes; for parabolic scenarios also "d1" and
+    "d2" over the grid's own nodes on gamma1 and gamma2 (zero on an empty
+    part) and "f_l2", the forcing's spatial 2-norm.  Space parts use the
+    points where the solvers evaluate the data and time parts are exact
+    (:func:`sup_window`), so each array is nondecreasing.
+    """
+    times = np.asarray(times, dtype=float)
+    sups = {}
+    if hasattr(scn, "d"):
+        sups["d"] = sup_window(scn.d, 0.0, times)
+    if hasattr(scn, "f"):
+        sups["f"] = sup_field(scn.f, grid.points(), 0.0, times)
+    if hasattr(scn, "d1"):
+        for name, edges in (("d1", scn.gamma1), ("d2", scn.gamma2)):
+            sups[name] = (sup_field(getattr(scn, name), _edge_nodes(grid, edges), 0.0, times)
+                          if edges else np.zeros_like(times))
+        # |f(., s)|_2 is |s| for a uniform field on the unit domain and at
+        # most its pointwise sup for any field; a separable one scales its
+        # profile's discrete 2-norm
+        sups["f_l2"] = sups["f"]
+        if scn.f.parts is not None:
+            profile, sig = scn.f.parts
+            l2 = lq_norm(np.asarray(profile(grid.points()), dtype=float), 2.0, grid)
+            sups["f_l2"] = l2 * sup_window(sig, 0.0, times)
+    return sups
 
 
-def truncation_level_parabolic(scn, horizon: float) -> float:
+def truncation_level_parabolic(scn, sups) -> np.ndarray:
     """Disturbance level phi^{-1}(sup|f|/c0) + sup|d1| + varphi^{-1}(sup|d2|).
 
-    Requires a strictly positive reaction floor; the classical heat
-    baseline (c0 = 0) has no truncation level and must be certified by
-    its own quadratic estimate instead.
+    ``sups`` are the running sups of :func:`running_sups`; the level is
+    taken entry by entry.  Requires a strictly positive reaction floor;
+    the classical heat baseline (c0 = 0) has no truncation level and
+    must be certified by its own quadratic estimate instead.
     """
     if not scn.c0 > 0:
         raise ScenarioError("truncation level needs a positive reaction floor c0")
-    sup_f = _domain_sup(scn, scn.f, horizon)
-    sup_d1 = _boundary_sup(scn, scn.d1, scn.gamma1, horizon)
-    sup_d2 = _boundary_sup(scn, scn.d2, scn.gamma2, horizon)
-    lvl = _invert_expanding(scn.reaction, sup_f / scn.c0) + sup_d1
-    if scn.gamma2:
-        lvl += _invert_expanding(scn.boundary_reaction, sup_d2)
-    return lvl
+    return (_invert_each(scn.reaction, sups["f"] / scn.c0) + sups["d1"]
+            + _invert_each(scn.boundary_reaction, sups["d2"]))
+
+
+def _invert_each(fn, ys):
+    # running sups repeat values, so invert each distinct one once
+    values, where = np.unique(ys, return_inverse=True)
+    return np.asarray([_invert_expanding(fn, y) for y in values.tolist()])[where]
 
 
 def _invert_expanding(fn, y, tol=1e-12):
@@ -260,14 +271,6 @@ def _invert_expanding(fn, y, tol=1e-12):
     return invert_monotone(fn, y, lo=0.0, hi=hi, tol=tol)
 
 
-def truncation_level_transport(scn, horizon: float) -> float:
-    return sup_window(scn.d, 0.0, horizon) / (1.0 - abs(scn.k))
-
-
-def truncation_level_wave(scn, horizon: float) -> float:
-    return sup_window(scn.d, 0.0, horizon) / scn.c
-
-
 # ---------------------------------------------------------------------------
 # admissible weight rates and spec builders
 
@@ -279,26 +282,22 @@ def default_transport_rate(p: float, k: float) -> float:
     return (p + 1.0) * math.log(1.0 / abs(k))
 
 
-def transport_rate_bounds_q(p: float, k: float):
-    """Admissible (lo, hi) rate window for the q-norm estimate, and its midpoint."""
-    hi = default_transport_rate(p, k)
-    lo = 0.5 * hi
-    return lo, hi, 0.75 * hi
+def glf_for_parabolic(scn, grid, p: float, horizon: float) -> GlfSpec:
+    sups = running_sups(scn, grid, [horizon])
+    return GlfSpec("parabolic", p, 0.0, float(truncation_level_parabolic(scn, sups)[-1]))
 
 
-def glf_for_parabolic(scn, p: float, horizon: float) -> GlfSpec:
-    return GlfSpec("parabolic", p, 0.0, truncation_level_parabolic(scn, horizon))
-
-
-def glf_for_transport(scn, p: float, horizon: float, r: Optional[float] = None) -> GlfSpec:
+def glf_for_transport(scn, grid, p: float, horizon: float,
+                      r: Optional[float] = None) -> GlfSpec:
     hi = default_transport_rate(p, scn.k)
     r = hi if r is None else float(r)
     if not 0.0 < r <= hi + 1e-12:
         raise ValueError(f"weight rate must lie in (0, {hi}], got {r}")
-    return GlfSpec("transport", p, r, truncation_level_transport(scn, horizon))
+    level = float(running_sups(scn, grid, [horizon])["d"][-1]) / (1.0 - abs(scn.k))
+    return GlfSpec("transport", p, r, level)
 
 
-def glf_for_wave(scn, p: float, horizon: float, r: float,
+def glf_for_wave(scn, grid, p: float, horizon: float, r: float,
                  eps: Optional[float] = None) -> GlfSpec:
     r = float(r)
     if not r > 0:
@@ -306,7 +305,8 @@ def glf_for_wave(scn, p: float, horizon: float, r: float,
     eps = 0.5 * scn.c * r if eps is None else float(eps)
     if not scn.c * r - eps > 0:
         raise ValueError(f"need c*r - eps > 0, got c*r = {scn.c * r}, eps = {eps}")
-    return GlfSpec("wave", p, r, truncation_level_wave(scn, horizon), eps)
+    level = float(running_sups(scn, grid, [horizon])["d"][-1]) / scn.c
+    return GlfSpec("wave", p, r, level, eps)
 
 
 def dissipation_rate(spec: GlfSpec, scn) -> float:

@@ -2,12 +2,16 @@
 
 Time signals are piecewise analytic, right-continuous, made of four piece
 kinds (constant, sinusoid, exp_decay, polynomial).  Their windowed sup is
-computed exactly per piece where closed forms exist and by dense sampling
-for polynomials; windows are treated as closed intervals, so the sup is
-conservative and monotone in the window.
+exact for every kind: |signal| is evaluated at the window ends, the piece
+ends and each piece's critical times (sinusoid crests, real roots of a
+polynomial's derivative).  Windows are closed intervals, so the sup is
+conservative and monotone in the window, and one call returns the running
+sups over a whole array of window ends.
 
-Space-time fields wrap a callable f(y, t); spatially uniform fields built
-from a time signal keep a handle on it so windowed sups stay exact.
+Space-time fields wrap a callable f(y, t); spatially uniform and separable
+fields keep a handle on their signal so windowed sups stay exact on the
+given space points.  Only a field known through its callable alone is
+sampled in time.
 """
 
 from __future__ import annotations
@@ -40,6 +44,10 @@ PIECE_KINDS = ("constant", "sinusoid", "exp_decay", "polynomial")
 
 # parameter counts; polynomial takes any positive number of coefficients
 _ARITY = {"constant": 1, "sinusoid": 4, "exp_decay": 3}
+
+# uniform time samples up to the last window end for a field known only
+# through its callable
+_FIELD_SAMPLES = 513
 
 
 @dataclass(frozen=True)
@@ -134,61 +142,68 @@ class TimeSignal:
             return float(self.pieces[self.piece_index(float(t_arr))].eval(t_arr))
         out = np.empty_like(t_arr)
         edges = self._starts[1:] + [np.inf]
-        lo = 0.0
         for piece, hi in zip(self.pieces, edges):
             mask = (t_arr >= piece.start) & (t_arr < hi)
             if mask.any():
                 out[mask] = piece.eval(t_arr[mask])
-            lo = hi
         return out
 
 
-def _piece_abs_sup(piece: Piece, a: float, b: float, resolution: int) -> float:
-    """Sup of |piece| over the closed interval [a, b]."""
-    if piece.kind == "constant":
-        return abs(float(piece.params[0]))
-    if piece.kind == "exp_decay":
-        # monotone inside, so |.| peaks at an endpoint
-        return float(max(abs(piece.eval(a)), abs(piece.eval(b))))
+def _critical_times(piece: Piece, a: float, b: float) -> list:
+    """Times inside [a, b] where |piece| can peak: sinusoid crests and
+    troughs, and the real parts of the roots of a polynomial's derivative
+    (extra candidates never lower the sup).  Constant and exp_decay
+    pieces are monotone, so they have none."""
     if piece.kind == "sinusoid":
-        amp, freq, phase, off = (float(v) for v in piece.params)
+        amp, freq, phase, _ = (float(v) for v in piece.params)
         if freq == 0.0 or amp == 0.0:
-            return abs(off + amp * math.sin(phase))
-        cand = [a, b]
-        # interior critical times: 2*pi*freq*t + phase = pi/2 + k*pi
+            return []
+        # 2*pi*freq*t + phase = pi/2 + k*pi
         w = 2.0 * math.pi * freq
-        k_lo = math.ceil((w * a + phase - math.pi / 2.0) / math.pi)
-        k_hi = math.floor((w * b + phase - math.pi / 2.0) / math.pi)
-        for k in range(k_lo, k_hi + 1):
-            cand.append((math.pi / 2.0 + k * math.pi - phase) / w)
-        vals = piece.eval(np.asarray(cand))
-        return float(np.max(np.abs(vals)))
-    # polynomial: dense lattice, endpoints included
-    lattice = np.linspace(a, b, max(int(resolution), 2))
-    return float(np.max(np.abs(piece.eval(lattice))))
+        k_a, k_b = sorted(((w * a + phase - math.pi / 2.0) / math.pi,
+                           (w * b + phase - math.pi / 2.0) / math.pi))
+        return [(math.pi / 2.0 + k * math.pi - phase) / w
+                for k in range(math.ceil(k_a), math.floor(k_b) + 1)]
+    if piece.kind == "polynomial":
+        roots = np.polynomial.Polynomial(piece.params).deriv().trim().roots()
+        return [t for t in (piece.start + roots.real).tolist() if a < t < b]
+    return []
 
 
-def sup_window(sig: TimeSignal, t0: float, t1: float, resolution: int = 4096) -> float:
-    """Sup of |sig| over the closed window [t0, t1].
+def _running_max(times, values, ends):
+    """max of values over the entries with times <= e, for each e in ends."""
+    order = np.argsort(times, kind="stable")
+    running = np.maximum.accumulate(values[order])
+    return running[np.searchsorted(times[order], ends, side="right") - 1]
 
-    Exact for constant, sinusoid, and exp_decay pieces; dense sampling at
-    the given resolution for polynomial pieces (the result then dominates
-    every sampled value).  Monotone in the window by construction.
+
+def _window_sups(sig: TimeSignal, t0: float, ends: np.ndarray) -> np.ndarray:
+    """Sup of |sig| over the closed window [t0, e] for each e >= t0 in ends."""
+    horizon = float(np.max(ends))
+    times, values = [], []
+    for piece, nxt in zip(sig.pieces, sig._starts[1:] + [math.inf]):
+        a, b = max(t0, piece.start), min(horizon, nxt)
+        # a piece that ends where the window starts does not reach into it
+        if a > b or nxt <= t0:
+            continue
+        cand = np.concatenate(([a, b], _critical_times(piece, a, b),
+                               ends[(ends > a) & (ends < b)]))
+        times.append(cand)
+        values.append(np.abs(piece.eval(cand)))
+    return _running_max(np.concatenate(times), np.concatenate(values), ends)
+
+
+def sup_window(sig: TimeSignal, t0: float, t1):
+    """Sup of |sig| over the closed window [t0, t1], exact for every piece kind.
+
+    |sig| peaks on each piece at a window end, a piece end, or one of the
+    piece's critical times (:func:`_critical_times`); the sup is the
+    largest of those values.  An array of window ends t1 gives the array
+    of sups over [t0, t1_i], as for :func:`sup_field`.
     """
-    t0, t1 = float(t0), float(t1)
-    if not (0.0 <= t0 < t1):
+    if np.ndim(t1) == 0 and not float(t0) < float(t1):
         raise ValueError(f"need 0 <= t0 < t1, got ({t0}, {t1})")
-    edges = list(sig._starts[1:]) + [math.inf]
-    best = 0.0
-    for piece, nxt in zip(sig.pieces, edges):
-        a = max(t0, piece.start)
-        b = min(t1, nxt)
-        if a > b:
-            continue
-        if a == b and piece.start != a:
-            continue
-        best = max(best, _piece_abs_sup(piece, a, max(b, a), resolution))
-    return best
+    return sup_field(SpaceTimeField.from_signal(sig), None, t0, t1)
 
 
 class SpaceTimeField:
@@ -198,7 +213,7 @@ class SpaceTimeField:
     points, in two dimensions a tuple of coordinate meshes.  ``sup_hint``
     optionally declares an analytic bound on |f|; sampled sups never
     exceed it when it is honest, and :func:`sup_field` returns the hint
-    whenever it dominates the sampled value.
+    whenever it dominates.
     """
 
     def __init__(self, fn: Callable, sup_hint=None, label: str = "", signal=None,
@@ -208,6 +223,11 @@ class SpaceTimeField:
         self.label = label
         self.signal = signal  # set when the field is spatially uniform
         self.parts = parts  # (profile, signal) when the field is separable
+
+    @property
+    def sampled(self) -> bool:
+        """True when sups of this field come from samples, not exactly."""
+        return self.signal is None and self.parts is None
 
     @classmethod
     def constant(cls, value):
@@ -222,10 +242,9 @@ class SpaceTimeField:
                    signal=sig)
 
     @classmethod
-    def separable(cls, profile: Callable, sig: TimeSignal, label: str = "",
-                  sup_hint=None):
+    def separable(cls, profile: Callable, sig: TimeSignal, label: str = ""):
         return cls(lambda y, t: profile(y) * float(sig(t)), label=label or "separable",
-                   sup_hint=sup_hint, parts=(profile, sig))
+                   parts=(profile, sig))
 
     def __call__(self, y, t):
         out = self.fn(y, float(t))
@@ -242,42 +261,36 @@ def _uniform(y, value):
     return np.full(arr.shape, value)
 
 
-def sup_field(fld: SpaceTimeField, space, t0: float, t1: float,
-              time_resolution: int = 512) -> float:
-    """Sup of |fld| over space x [t0, t1].
+def sup_field(fld: SpaceTimeField, space, t0: float, t1):
+    """Sup of |fld| over space x [t0, t1]; an array t1 gives one sup per end.
 
-    Spatially uniform fields defer to the exact signal sup.  Otherwise a
-    lattice sample over the supplied space points and a uniform time
-    lattice is taken, and the declared ``sup_hint`` is returned when it
-    dominates the sample.  A degenerate window t0 == t1 samples the single
-    time slice.
+    Uniform fields take the exact signal sup (:func:`sup_window`),
+    separable ones the profile's max over ``space`` times it.  A field
+    known only through its callable is sampled on ``space`` at the window
+    ends and at ``_FIELD_SAMPLES`` uniform times up to the last end
+    (:attr:`SpaceTimeField.sampled`).  A declared ``sup_hint`` is returned
+    wherever it dominates.  For an array of ends every candidate time is
+    evaluated once and a running maximum is read off at each end, so the
+    sups are nondecreasing in t1_i; a window t0 == t1 is one time slice.
     """
-    t0, t1 = float(t0), float(t1)
-    if not (0.0 <= t0 <= t1):
+    t0 = float(t0)
+    ends = np.asarray(t1, dtype=float)
+    if not (ends.size and 0.0 <= t0 <= ends.min()):
         raise ValueError(f"need 0 <= t0 <= t1, got ({t0}, {t1})")
+    flat = ends.reshape(-1)
     if fld.signal is not None:
-        if t1 > t0:
-            return sup_window(fld.signal, t0, t1)
-        return abs(float(fld.signal(t0)))
-    if fld.parts is not None:
+        best = _window_sups(fld.signal, t0, flat)
+    elif fld.parts is not None:
         profile, sig = fld.parts
         prof_sup = float(np.max(np.abs(np.asarray(profile(space), dtype=float))))
-        sig_sup = sup_window(sig, t0, t1) if t1 > t0 else abs(float(sig(t0)))
-        best = prof_sup * sig_sup
-        if fld.sup_hint is not None and fld.sup_hint >= best:
-            return fld.sup_hint
-        return best
-    if t1 > t0:
-        times = np.linspace(t0, t1, max(int(time_resolution), 2))
+        best = prof_sup * _window_sups(sig, t0, flat)
     else:
-        times = np.asarray([t0])
-    best = 0.0
-    for t in times:
-        vals = fld(space, float(t))
-        best = max(best, float(np.max(np.abs(vals))))
-    if fld.sup_hint is not None and fld.sup_hint >= best:
-        return fld.sup_hint
-    return best
+        times = np.union1d(np.linspace(t0, flat.max(), _FIELD_SAMPLES), flat)
+        values = np.asarray([np.max(np.abs(fld(space, t))) for t in times.tolist()])
+        best = _running_max(times, values, flat)
+    if fld.sup_hint is not None:
+        best = np.maximum(best, fld.sup_hint)
+    return float(best[0]) if ends.ndim == 0 else best
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ __all__ = [
     "property_sides",
     "property_gap",
     "young_epsilon_gap",
-    "gronwall_envelope",
     "gronwall_envelope_at",
 ]
 
@@ -185,14 +184,3 @@ def gronwall_envelope_at(times, phi, psi, eta0):
     inner = _cumtrapz(np.exp(-big_phi) * psi, t)
     return np.exp(big_phi) * (float(eta0) + inner)
 
-
-def gronwall_envelope(phi, psi, eta0, dt):
-    """Gronwall envelope on the uniform lattice t_i = i*dt carrying phi, psi."""
-    phi = _as_finite(phi, "phi")
-    if phi.ndim != 1:
-        raise ValueError("phi must be a 1-d array")
-    dt = float(dt)
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    times = dt * np.arange(phi.size)
-    return gronwall_envelope_at(times, phi, psi, eta0)

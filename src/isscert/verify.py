@@ -23,7 +23,7 @@ from .signals import TimeSignal, profile_constant
 from .solvers import (SolverConfig, TransportScenario, solve_parabolic,
                       solve_transport, solve_wave)
 from .solvers.wave import reconstruct_wave_state
-from .trunc import (TruncationPair, gronwall_envelope, property_sides,
+from .trunc import (TruncationPair, gronwall_envelope_at, property_sides,
                     young_epsilon_gap)
 
 __all__ = ["SUITES", "CheckLine", "run_suite", "render_report",
@@ -112,7 +112,7 @@ def verify_trunc(seed: int = 42):
     dt = 1e-3
     npts = int(round(1.0 / dt)) + 1
     t = dt * np.arange(npts)
-    env = gronwall_envelope(np.full(npts, -1.0), np.ones(npts), 0.0, dt)
+    env = gronwall_envelope_at(t, np.full(npts, -1.0), np.ones(npts), 0.0)
     err = float(np.max(np.abs(env - (1.0 - np.exp(-t)))))
     lines.append(CheckLine("trunc", "gronwall_linear", err <= 1e-5,
                            f"max_err={_fmt(err)}"))
@@ -150,7 +150,7 @@ def verify_parabolic(seed: int = 42):
         dt = horizon / n
         cfg = SolverConfig(t_end=horizon, dt=dt, output_stride=1)
         rtraj = solve_parabolic(demo.scenario, grid, cfg)
-        spec = glf_for_parabolic(demo.scenario, 2.0, horizon)
+        spec = glf_for_parabolic(demo.scenario, grid, 2.0, horizon)
         rate = dissipation_rate(spec, demo.scenario)
         report = dissipation_report(rtraj, spec, rate)
         max_res.append(report.max_residual)
@@ -188,7 +188,7 @@ def verify_transport(seed: int = 42):
 
     plan = load_plan("transport_global")
     traj = solve_transport(plan.scenario, plan.grid, plan.solver)
-    spec = glf_for_transport(plan.scenario, plan.energy["p"], plan.solver.t_end)
+    spec = glf_for_transport(plan.scenario, plan.grid, plan.energy["p"], plan.solver.t_end)
     vhat, _ = series(traj, spec)
     h = plan.grid.h
     envelope = np.exp(-spec.r * traj.times) * vhat[0] * (1.0 + 10.0 * h)

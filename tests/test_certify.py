@@ -9,12 +9,13 @@ from isscert.certify import (CheckReport, _state_norms, bound_heat_classical,
                              bound_parabolic_q, bound_transport_p,
                              bound_transport_q, bound_wave_m,
                              bound_wave_r_eps, check_trajectory,
-                             prepare_bound, running_sup_field,
-                             running_sup_signal)
+                             prepare_bound)
 from isscert.comparison import identity_map
-from isscert.fields import Grid1D, Trajectory, lq_norm
-from isscert.signals import (SpaceTimeField, TimeSignal, profile_bump,
-                             profile_constant, profile_sum, profile_sin)
+from isscert.fields import Grid1D, Grid2D, Trajectory, lq_norm
+from isscert.glf import glf_for_parabolic, running_sups
+from isscert.signals import (SpaceTimeField, TimeSignal, profile2d_constant,
+                             profile_bump, profile_constant, profile_sum,
+                             profile_sin)
 from isscert.solvers import (ParabolicScenario, SolverConfig,
                              TransportScenario, WaveScenario,
                              reconstruct_wave_state, solve_parabolic,
@@ -104,24 +105,86 @@ def test_heat_classical_frozen_values():
 
 
 def test_running_sup_signal_causal():
+    grid = Grid1D(32, layout="cell")
     sig = TimeSignal.exp_decay(2.0, 3.0)
     times = np.array([0.0, 0.5, 1.0, 2.0])
-    out = running_sup_signal(sig, times)
+    out = running_sups(make_transport_uniform(d=sig), grid, times)["d"]
     # decaying signal: every window sup is the value at zero
     assert np.allclose(out, 2.0, rtol=1e-12)
 
     ramp = TimeSignal.polynomial(0.0, 1.0)
-    out = running_sup_signal(ramp, times)
+    out = running_sups(make_transport_uniform(d=ramp), grid, times)["d"]
     assert np.allclose(out, times, rtol=1e-6, atol=1e-9)
 
 
 def test_running_sup_field_nondecreasing():
     fld = SpaceTimeField.from_signal(TimeSignal.sinusoid(1.0, 2.0))
     times = np.linspace(0.0, 2.0, 9)
-    space = np.linspace(0.0, 1.0, 33)
-    out = running_sup_field(fld, space, times)
+    scn = WaveScenario(c=1.0, f=fld, d=TimeSignal.constant(0.0),
+                       w0=profile_constant(0.0), v0=profile_constant(0.0))
+    out = running_sups(scn, Grid1D(32, layout="node"), times)["f"]
     assert np.all(np.diff(out) >= -1e-15)
     assert out[-1] == pytest.approx(1.0, rel=1e-4)
+
+
+def test_running_sup_of_a_parabola_is_exact():
+    # 4t - 4t^2 peaks at 1.0 between the stamps 0.3 and 0.7
+    scn = make_transport_uniform(d=TimeSignal.polynomial(0.0, 4.0, -4.0))
+    out = running_sups(scn, Grid1D(32, layout="cell"), [0.0, 0.3, 0.7, 1.0])["d"]
+    np.testing.assert_allclose(out, [0.0, 0.84, 1.0, 1.0], rtol=1e-15)
+    assert out[2] == out[3] == 1.0
+    assert np.all(np.diff(out) >= 0.0)
+
+
+def test_running_sups_take_2d_edges_on_the_grid_nodes():
+    # sin(6 pi y) peaks at y = 1/12, a node of the left edge when ny = 12
+    # but not of a lattice with nx + 1 = 9 points
+    edge = SpaceTimeField.separable(lambda xy: np.sin(6.0 * np.pi * np.asarray(xy[1])),
+                                    TimeSignal.constant(1.0))
+    scn = ParabolicScenario(
+        dim=2, a=ONE, a0=1.0, c=ONE, c0=1.0,
+        reaction=identity_map(), boundary_reaction=identity_map(),
+        f=ZERO, d1=edge, d2=ZERO, w0=profile2d_constant(0.0),
+        gamma1=("left",), gamma2=("right", "bottom", "top"))
+    grid = Grid2D(8, 12, gamma1=scn.gamma1, gamma2=scn.gamma2)
+    sups = running_sups(scn, grid, [0.0, 0.5])
+    assert sups["d1"][-1] == pytest.approx(1.0, rel=1e-12)
+    np.testing.assert_array_equal(sups["d2"], [0.0, 0.0])
+
+
+def test_sampled_sup_is_flagged():
+    bare = SpaceTimeField(lambda y, t: 0.5 * np.cos(t) * np.ones_like(np.asarray(y)),
+                          label="bare")
+    scn = ParabolicScenario(
+        dim=1, a=ONE, a0=1.0, c=ONE, c0=1.0,
+        reaction=identity_map(), boundary_reaction=identity_map(),
+        f=bare, d1=ZERO, d2=ZERO, w0=profile_sin(1.0),
+        gamma1=("left",), gamma2=("right",))
+    traj = solve_parabolic(scn, Grid1D(16, layout="node"),
+                           SolverConfig(t_end=0.05, dt=0.01))
+    bound = prepare_bound("parabolic_q", traj, scn, 2.0)
+    assert bound.warnings == ["sup of bare sampled, not exact"]
+    assert bound.series["level"][0] == pytest.approx(0.5, abs=1e-11)
+    exact = prepare_bound("parabolic_q", traj, make_parabolic_demo(), 2.0)
+    assert exact.warnings == []
+
+
+def test_energy_and_check_share_the_truncation_level():
+    wave = TimeSignal.sinusoid(0.3, 1.3, phase=0.4, offset=0.1)
+    scn = ParabolicScenario(
+        dim=1, a=ONE, a0=1.0, c=ONE, c0=1.0,
+        reaction=identity_map(), boundary_reaction=identity_map(),
+        f=SpaceTimeField.separable(profile_sin(0.8, 2), wave),
+        d1=SpaceTimeField.from_signal(TimeSignal.sinusoid(0.1, 0.7)),
+        d2=SpaceTimeField.from_signal(TimeSignal.polynomial(0.1, 0.5, -0.4)),
+        w0=profile_sin(1.0), gamma1=("left",), gamma2=("right",))
+    grid = Grid1D(40, layout="node")
+    cfg = SolverConfig(t_end=1.2, dt=0.01, output_stride=7)
+    traj = solve_parabolic(scn, grid, cfg)
+    spec = glf_for_parabolic(scn, grid, 2.0, cfg.t_end)
+    bound = prepare_bound("parabolic_q", traj, scn, 2.0)
+    assert traj.times[-1] == cfg.t_end
+    assert spec.level == bound.series["level"][-1]
 
 
 # ---------------------------------------------------------------------------

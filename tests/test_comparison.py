@@ -1,12 +1,11 @@
-"""Tests for monotone maps, inversion, and the gain composition."""
+"""Tests for monotone maps and their inversion."""
 
 import numpy as np
 import pytest
 
-from isscert.comparison import (BracketError, KLBound, MonotoneFn,
-                                identity_map, invert_monotone, iss_gain,
-                                linear_map, odd_cubic_map, power_map,
-                                truncation_sandwich)
+from isscert.comparison import (BracketError, MonotoneFn, identity_map,
+                                invert_monotone, linear_map, odd_cubic_map,
+                                power_map)
 
 
 def test_monotone_construction_rejects_decreasing():
@@ -99,95 +98,3 @@ def test_invert_round_trip_random(rng):
         y = rng.uniform(0.0, float(f(50.0)))
         x = invert_monotone(f, y, 0.0, 50.0, 1e-10)
         assert abs(float(f(x)) - y) <= 2e-10
-
-
-# ---------------------------------------------------------------------------
-# gain composition
-
-
-def test_gain_vanishes_at_zero():
-    psi1 = power_map(2.0, 0.5)
-    rho = identity_map()
-    mu = power_map(2.0, 2.0)
-    assert iss_gain(psi1, rho, mu, 0.0) == 0.0
-
-
-def test_gain_hand_values():
-    # psi1(v)=v^2/2, rho=id, mu(v)=2v^2, s=1 -> 2*(4/2) + 2 = 6
-    assert iss_gain(power_map(2.0, 0.5), identity_map(), power_map(2.0, 2.0),
-                    1.0) == pytest.approx(6.0, rel=1e-12)
-    # psi1(v)=v^3/3, rho=id, mu(v)=2v^3, s=1 -> 2*(8/3) + 2 = 22/3
-    assert iss_gain(power_map(3.0, 1.0 / 3.0), identity_map(),
-                    power_map(3.0, 2.0), 1.0) == pytest.approx(22.0 / 3.0,
-                                                               rel=1e-12)
-
-
-def test_gain_rejects_negative_argument():
-    with pytest.raises(ValueError):
-        iss_gain(power_map(2.0), identity_map(), power_map(2.0), -1.0)
-
-
-def test_gain_monotone_in_s(rng):
-    psi1 = power_map(2.0, 0.5)
-    rho = power_map(1.5)
-    mu = power_map(2.0, 2.0)
-    s = np.sort(rng.uniform(0.0, 10.0, size=50))
-    vals = [iss_gain(psi1, rho, mu, si) for si in s]
-    assert all(b >= a for a, b in zip(vals, vals[1:]))
-
-
-# ---------------------------------------------------------------------------
-# sandwich envelopes
-
-
-def test_sandwich_p2_values():
-    maps = truncation_sandwich(2.0)
-    assert maps.upper(1.0) == pytest.approx(1.0 / 3.0, rel=1e-12)
-    assert maps.lower(1.0) == pytest.approx(1.0 / 12.0, rel=1e-12)
-    assert maps.offset(1.0) == pytest.approx(2.0, rel=1e-12)
-
-
-def test_sandwich_p3_value():
-    maps = truncation_sandwich(3.0)
-    assert maps.lower(2.0) == pytest.approx(0.5, rel=1e-12)
-
-
-def test_sandwich_lower_below_upper(rng):
-    for p in (1.5, 2.0, 4.0):
-        maps = truncation_sandwich(p)
-        s = rng.uniform(0.0, 100.0, size=200)
-        assert np.all(maps.lower(s) <= maps.upper(s) + 1e-15)
-
-
-def test_sandwich_rejects_small_p():
-    with pytest.raises(ValueError):
-        truncation_sandwich(1.0)
-
-
-# ---------------------------------------------------------------------------
-# KL bounds
-
-
-def test_kl_bound_evaluation():
-    beta = KLBound(amplitude=power_map(2.0, 3.0), rate=0.5)
-    assert beta(2.0, 0.0) == pytest.approx(12.0, rel=1e-12)
-    assert beta(2.0, 2.0) == pytest.approx(12.0 * np.exp(-1.0), rel=1e-12)
-
-
-def test_kl_bound_decreasing_in_time():
-    beta = KLBound(amplitude=power_map(1.5), rate=1.0)
-    t = np.linspace(0.0, 5.0, 40)
-    vals = beta(1.0, t)
-    assert np.all(np.diff(vals) < 0)
-
-
-def test_kl_bound_validation():
-    with pytest.raises(ValueError):
-        KLBound(amplitude=power_map(2.0), rate=0.0)
-    not_k = MonotoneFn(lambda v: np.asarray(v, dtype=float) + 1.0,
-                       domain=(0.0, 10.0))
-    with pytest.raises(ValueError):
-        KLBound(amplitude=not_k, rate=1.0)
-    beta = KLBound(amplitude=power_map(2.0), rate=1.0)
-    with pytest.raises(ValueError):
-        beta(1.0, -0.5)

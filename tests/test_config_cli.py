@@ -5,6 +5,7 @@ import math
 import pytest
 import yaml
 
+from isscert.certify import BOUNDS
 from isscert.cli import main
 from isscert.config import ConfigError, build_plan, load_config, load_plan
 from isscert.fields import Grid1D, Grid2D
@@ -108,6 +109,20 @@ def test_check_entries_validated():
     with pytest.raises(ConfigError) as err:
         build_plan(doc)
     assert err.value.path == "checks[0].q"
+
+
+@pytest.mark.parametrize("kind", sorted(BOUNDS))
+def test_every_bound_kind_builds_from_its_required_keys(kind):
+    base = {"parabolic": "parabolic_demo", "heat": "heat_clm_demo",
+            "transport": "transport_global", "wave": "wave_demo"}
+    doc = load_config(base[kind.split("_")[0]])
+    entry = {"kind": kind, "q": 2, **{key: 1.0 for key in BOUNDS[kind].required}}
+    doc["checks"] = [entry]
+    plan = build_plan(doc)
+    assert plan.checks[0]["params"] == {key: 1.0 for key in BOUNDS[kind].required}
+    doc["checks"] = [{**entry, "zeta": 1.0}]
+    with pytest.raises(ConfigError, match=r"^checks\[0\]\.zeta: unknown key$"):
+        build_plan(doc)
 
 
 def test_missing_config_file():
@@ -249,4 +264,14 @@ def test_cli_run_post_solve_errors_exit_2(tmp_path, capsys, demo, edit, message)
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(message) and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_energy_route_without_p_exits_2(tmp_path, capsys):
+    doc = load_config("transport_liss")
+    doc["checks"] = [{"kind": "transport_liss", "q": 3, "R0": 1.0, "variant": "p"}]
+    cfg = tmp_path / "liss_p.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "check error: the energy route needs the energy exponent p\n"
     assert not (tmp_path / "out").exists()

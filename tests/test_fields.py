@@ -27,13 +27,6 @@ def test_grid1d_cell_layout():
     assert pts[-1] == pytest.approx(1.0 - g.h / 2.0)
 
 
-def test_grid1d_refine_doubles():
-    g = Grid1D(16, layout="cell")
-    r = g.refine()
-    assert r.n == 32 and r.layout == "cell"
-    assert r.h == pytest.approx(g.h / 2.0)
-
-
 def test_grid1d_validation():
     with pytest.raises(ValueError):
         Grid1D(4)

@@ -11,9 +11,7 @@ from isscert.glf import (GlfSeries, GlfSpec, components,
                          default_transport_rate, dissipation_rate,
                          dissipation_report, evaluate,
                          glf_for_parabolic, glf_for_transport, glf_for_wave,
-                         local_speed_floor, series, transport_rate_bounds_q,
-                         truncation_level_parabolic,
-                         truncation_level_transport, truncation_level_wave,
+                         local_speed_floor, series,
                          wave_forcing_slack, weighted_energy)
 from isscert.signals import SpaceTimeField, TimeSignal, profile_constant
 from isscert.solvers import (ParabolicScenario, ScenarioError,
@@ -22,6 +20,7 @@ from isscert.trunc import TruncationPair
 
 ONE = SpaceTimeField.constant(1.0)
 ZERO = SpaceTimeField.constant(0.0)
+GRID = Grid1D(16, layout="node")
 
 
 def make_parabolic(**over):
@@ -163,27 +162,27 @@ def test_level_parabolic_identity_reactions():
                          d2=SpaceTimeField.constant(0.3),
                          gamma1=("left",), gamma2=("right",))
     # 0.5/1 + 0.2 + 0.3
-    assert truncation_level_parabolic(scn, 4.0) == pytest.approx(1.0, abs=1e-11)
+    assert glf_for_parabolic(scn, GRID, 2.0, 4.0).level == pytest.approx(1.0, abs=1e-11)
 
 
 def test_level_parabolic_cubic_reaction():
     # v + v**3 = 2 at v = 1
-    assert truncation_level_parabolic(make_parabolic(), 1.0) == pytest.approx(
+    assert glf_for_parabolic(make_parabolic(), GRID, 2.0, 1.0).level == pytest.approx(
         1.0, abs=1e-11)
     # v + 2 v**3 = 2
     scn = make_parabolic(reaction=odd_cubic_map(2.0))
-    assert truncation_level_parabolic(scn, 1.0) == pytest.approx(
+    assert glf_for_parabolic(scn, GRID, 2.0, 1.0).level == pytest.approx(
         0.835122348481, abs=1e-9)
 
 
 def test_level_parabolic_needs_damping_floor():
     with pytest.raises(ScenarioError):
-        truncation_level_parabolic(make_parabolic(c0=0.0), 1.0)
+        glf_for_parabolic(make_parabolic(c0=0.0), GRID, 2.0, 1.0)
 
 
 def test_level_transport_and_wave():
-    assert truncation_level_transport(make_transport(), 2.0) == 1.5
-    assert truncation_level_wave(make_wave(), 1.0) == 0.4
+    assert glf_for_transport(make_transport(), GRID, 2.0, 2.0).level == 1.5
+    assert glf_for_wave(make_wave(), GRID, 2.0, 1.0, r=1.0).level == 0.4
 
 
 # ---------------------------------------------------------------------------
@@ -197,32 +196,25 @@ def test_default_transport_rate():
         default_transport_rate(2.0, 0.0)
 
 
-def test_transport_rate_window():
-    lo, hi, mid = transport_rate_bounds_q(2.0, 0.5)
-    assert hi == pytest.approx(3.0 * math.log(2.0), rel=1e-12)
-    assert lo == pytest.approx(0.5 * hi, rel=1e-12)
-    assert mid == pytest.approx(0.75 * hi, rel=1e-12)
-
-
 def test_builders_derive_specs():
-    pspec = glf_for_parabolic(make_parabolic(), 2.0, 1.0)
+    pspec = glf_for_parabolic(make_parabolic(), GRID, 2.0, 1.0)
     assert pspec.pde_class == "parabolic" and pspec.r == 0.0
     assert pspec.level == pytest.approx(1.0, abs=1e-11)
 
-    tspec = glf_for_transport(make_transport(), 2.0, 2.0)
+    tspec = glf_for_transport(make_transport(), GRID, 2.0, 2.0)
     assert tspec.r == pytest.approx(3.0 * math.log(2.0), rel=1e-12)
     assert tspec.level == 1.5
     with pytest.raises(ValueError):
-        glf_for_transport(make_transport(), 2.0, 2.0,
+        glf_for_transport(make_transport(), GRID, 2.0, 2.0,
                           r=1.1 * default_transport_rate(2.0, 0.5))
 
-    wspec = glf_for_wave(make_wave(), 2.0, 1.0, r=1.0)
+    wspec = glf_for_wave(make_wave(), GRID, 2.0, 1.0, r=1.0)
     assert wspec.eps == 0.5 * 2.0 * 1.0
     assert wspec.level == 0.4
     with pytest.raises(ValueError):
-        glf_for_wave(make_wave(), 2.0, 1.0, r=0.0)
+        glf_for_wave(make_wave(), GRID, 2.0, 1.0, r=0.0)
     with pytest.raises(ValueError):
-        glf_for_wave(make_wave(), 2.0, 1.0, r=1.0, eps=2.0)
+        glf_for_wave(make_wave(), GRID, 2.0, 1.0, r=1.0, eps=2.0)
 
 
 def test_dissipation_rate_per_class():

@@ -104,6 +104,21 @@ def test_sup_window_spans_pieces():
     assert sup_window(sig, 0.0, 2.0) == 6.0
 
 
+def test_sup_window_polynomial_is_exact():
+    # 4t - 4t^2 peaks at 1.0 at t = 0.5; sampling found 0.99999994 here
+    sig = TimeSignal.polynomial(0.0, 4.0, -4.0)
+    assert sup_window(sig, 0.0, 1.0) == 1.0
+    assert sup_window(sig, 0.0, 0.9) == 1.0
+    # a cubic with interior extrema at t = 1 and t = 3 on [0, 4]
+    cubic = TimeSignal.polynomial(0.0, 3.0, -2.0, 1.0 / 3.0)
+    assert sup_window(cubic, 0.0, 2.0) == pytest.approx(4.0 / 3.0, rel=1e-14)
+
+
+def test_sup_window_negative_frequency_hits_peak():
+    # sin(-2 pi t) reaches -1 at t = 0.25 inside [0, 1]
+    assert sup_window(TimeSignal.sinusoid(1.0, -1.0), 0.0, 1.0) == 1.0
+
+
 def test_sup_window_rejects_reversed():
     with pytest.raises(ValueError):
         sup_window(TimeSignal.constant(1.0), 1.0, 0.5)
@@ -146,7 +161,7 @@ def test_sup_field_separable_shortcut_matches_bruteforce():
     slow = SpaceTimeField(lambda y, t: prof(y) * sig(t))
     y = np.linspace(0.0, 1.0, 65)
     a = sup_field(fast, y, 0.0, 2.0)
-    b = sup_field(slow, y, 0.0, 2.0, time_resolution=2048)
+    b = sup_field(slow, y, 0.0, 2.0)
     assert a == pytest.approx(b, rel=1e-4)
 
 

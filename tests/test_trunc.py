@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isscert.trunc import (GAP_PROPERTY_IDS, TruncationPair, gronwall_envelope,
+from isscert.trunc import (GAP_PROPERTY_IDS, TruncationPair,
                            gronwall_envelope_at, property_gap, property_sides,
                            young_epsilon_gap)
 
@@ -153,14 +153,14 @@ def test_gronwall_linear_oracle():
     t = np.arange(n) * dt
     phi = np.full(n, -1.0)
     psi = np.ones(n)
-    eta = gronwall_envelope(phi, psi, 0.0, dt)
+    eta = gronwall_envelope_at(t, phi, psi, 0.0)
     np.testing.assert_allclose(eta, 1.0 - np.exp(-t), atol=1e-5)
 
 
 def test_gronwall_zero_source_is_exponential():
     dt = 1e-3
     t = np.arange(501) * dt
-    eta = gronwall_envelope(np.full(t.size, -2.0), np.zeros(t.size), 3.0, dt)
+    eta = gronwall_envelope_at(t, np.full(t.size, -2.0), np.zeros(t.size), 3.0)
     np.testing.assert_allclose(eta, 3.0 * np.exp(-2.0 * t), rtol=1e-5)
 
 
@@ -175,4 +175,4 @@ def test_gronwall_envelope_at_nonuniform_lattice():
 
 def test_gronwall_rejects_mismatched_lengths():
     with pytest.raises(ValueError):
-        gronwall_envelope(np.zeros(4), np.zeros(5), 0.0, 0.1)
+        gronwall_envelope_at(0.1 * np.arange(4), np.zeros(4), np.zeros(5), 0.0)
