@@ -24,7 +24,7 @@ from .solvers import (AssumptionViolationError, ParabolicScenario,
                       ScenarioError, SolverConfig, SolverDivergedError,
                       TransportScenario, WaveScenario, reconstruct_wave_state,
                       solve_parabolic, solve_transport, solve_wave)
-from .trunc import (TruncationPair, gronwall_envelope_at, property_gap,
-                    property_sides, young_epsilon_gap)
+from .trunc import (TruncationPair, gronwall_envelope_at, property_sides,
+                    young_epsilon_gap)
 
 __version__ = "0.1.0"

@@ -14,7 +14,6 @@ CONFIG is a YAML path or a bundled scenario name.  Output goes under
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from pathlib import Path
@@ -30,13 +29,9 @@ from .scenarios import scenario_lines
 from .solvers import (AssumptionViolationError, ScenarioError,
                       SolverDivergedError, solve_parabolic, solve_transport,
                       solve_wave)
-from .verify import SUITES, render_report, run_suite
+from .verify import SUITES, _fmt, _qtag, render_report, run_suite
 
 __all__ = ["main"]
-
-
-def _fmt(x) -> str:
-    return f"{float(x):.12e}"
 
 
 def _out_root(arg) -> Path:
@@ -73,10 +68,6 @@ def _energy_report(plan, traj):
         slack = wave_forcing_slack(traj, spec, plan.scenario.f)
     rate = dissipation_rate(spec, plan.scenario)
     return spec, dissipation_report(traj, spec, rate, slack)
-
-
-def _qtag(q) -> str:
-    return "inf" if q == math.inf else f"{q:g}"
 
 
 def cmd_run(args) -> int:

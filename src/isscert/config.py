@@ -12,6 +12,7 @@ the dotted key path of the offending entry.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -21,12 +22,13 @@ import yaml
 from .certify import BOUNDS
 from .comparison import identity_map, linear_map, odd_cubic_map, power_map
 from .scenarios import SCENARIOS, bundled_config_text
-from .signals import (SpaceTimeField, TimeSignal, profile2d_constant,
-                      profile2d_sinprod, profile_affine, profile_bump,
-                      profile_constant, profile_poly, profile_sin, profile_sum)
+from .signals import (SpaceTimeField, TimeSignal, profile2d_sinprod,
+                      profile_affine, profile_bump, profile_constant,
+                      profile_poly, profile_sin, profile_sum)
 from .fields import Grid1D, Grid2D
 from .solvers import (ParabolicScenario, SolverConfig, TransportScenario,
                       WaveScenario)
+from .solvers.parabolic import EDGES
 
 __all__ = ["ConfigError", "RunPlan", "load_config", "build_plan", "load_plan"]
 
@@ -62,6 +64,22 @@ def _number(doc, key, path, required=True, default=None):
     return float(val)
 
 
+def _integer(doc, key, path, default):
+    """An integral number as an int; default None makes the key required."""
+    val = _number(doc, key, path, required=default is None, default=default)
+    if not float(val).is_integer():
+        raise ConfigError(f"{path}.{key}", f"expected an integer, got {val!r}")
+    return int(val)
+
+
+def _coeffs(doc, path):
+    coeffs = _get(doc, "coeffs", path)
+    if not (isinstance(coeffs, list) and coeffs and all(
+            isinstance(c, (int, float)) and not isinstance(c, bool) for c in coeffs)):
+        raise ConfigError(f"{path}.coeffs", "expected a nonempty list of numbers")
+    return coeffs
+
+
 def _reject_unknown(doc, allowed, path):
     extra = sorted(set(doc) - set(allowed))
     if extra:
@@ -71,9 +89,48 @@ def _reject_unknown(doc, allowed, path):
 # ---------------------------------------------------------------------------
 # leaf builders
 
+# keys each leaf kind takes besides "kind"
+_SIGNAL_KEYS = {"constant": ("value",),
+                "sinusoid": ("amplitude", "frequency", "phase", "offset"),
+                "exp_decay": ("amplitude", "rate", "offset"),
+                "polynomial": ("coeffs",)}
+_PROFILE_KEYS = {
+    1: {"sum": ("terms",), "constant": ("value",), "affine": ("intercept", "slope"),
+        "sin": ("amplitude", "mode"), "bump": ("amplitude", "center", "halfwidth"),
+        "poly": ("coeffs",)},
+    2: {"sum": ("terms",), "constant": ("value",),
+        "sinprod": ("amplitude", "mode_x", "mode_y")}}
+_FIELD_KEYS = {"constant": ("value",), "uniform": ("signal",),
+               "separable": ("profile", "signal")}
+_MAP_KEYS = {"identity": (), "linear": ("slope",), "cubic": ("gamma",),
+             "power": ("exponent", "coef")}
+_SPEED_KEYS = {"constant": ("value",), "reciprocal": ("scale",)}
+
+
+def _leaf_kind(spec, path, kinds, what):
+    """The kind of a leaf spec, after rejecting an unknown kind or key."""
+    kind = _get(_expect_mapping(spec, path), "kind", path)
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"{path}.kind", f"unknown {what} kind {kind!r}")
+    _reject_unknown(spec, ("kind",) + kinds[kind], path)
+    return kind
+
+
+def _at_path(build):
+    """Report a ValueError of the object a builder makes at the builder's path."""
+    def wrapped(spec, path, *args):
+        try:
+            return build(spec, path, *args)
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(path, str(exc)) from exc
+    return wrapped
+
+
+@_at_path
 def _build_signal(spec, path) -> TimeSignal:
-    spec = _expect_mapping(spec, path)
-    kind = _get(spec, "kind", path)
+    kind = _leaf_kind(spec, path, _SIGNAL_KEYS, "signal")
     if kind == "constant":
         return TimeSignal.constant(_number(spec, "value", path))
     if kind == "sinusoid":
@@ -87,17 +144,12 @@ def _build_signal(spec, path) -> TimeSignal:
             _number(spec, "amplitude", path),
             _number(spec, "rate", path),
             offset=_number(spec, "offset", path, required=False, default=0.0))
-    if kind == "polynomial":
-        coeffs = _get(spec, "coeffs", path)
-        if not isinstance(coeffs, list) or not coeffs:
-            raise ConfigError(f"{path}.coeffs", "expected a nonempty list")
-        return TimeSignal.polynomial(*coeffs)
-    raise ConfigError(f"{path}.kind", f"unknown signal kind {kind!r}")
+    return TimeSignal.polynomial(*_coeffs(spec, path))
 
 
+@_at_path
 def _build_profile(spec, path, dim):
-    spec = _expect_mapping(spec, path)
-    kind = _get(spec, "kind", path)
+    kind = _leaf_kind(spec, path, _PROFILE_KEYS[dim], "2D profile" if dim == 2 else "profile")
     if kind == "sum":
         terms = _get(spec, "terms", path)
         if not isinstance(terms, list) or not terms:
@@ -105,86 +157,67 @@ def _build_profile(spec, path, dim):
         parts = [_build_profile(t, f"{path}.terms[{i}]", dim)
                  for i, t in enumerate(terms)]
         return profile_sum(*parts)
-    if dim == 2:
-        if kind == "constant":
-            return profile2d_constant(_number(spec, "value", path))
-        if kind == "sinprod":
-            return profile2d_sinprod(
-                _number(spec, "amplitude", path),
-                mode_x=int(_number(spec, "mode_x", path, required=False, default=1)),
-                mode_y=int(_number(spec, "mode_y", path, required=False, default=1)))
-        raise ConfigError(f"{path}.kind", f"unknown 2D profile kind {kind!r}")
     if kind == "constant":
         return profile_constant(_number(spec, "value", path))
+    if kind == "sinprod":
+        return profile2d_sinprod(_number(spec, "amplitude", path),
+                                 mode_x=_integer(spec, "mode_x", path, 1),
+                                 mode_y=_integer(spec, "mode_y", path, 1))
     if kind == "affine":
         return profile_affine(_number(spec, "intercept", path),
                               _number(spec, "slope", path))
     if kind == "sin":
         return profile_sin(_number(spec, "amplitude", path),
-                           mode=int(_number(spec, "mode", path, required=False, default=1)))
+                           mode=_integer(spec, "mode", path, 1))
     if kind == "bump":
         return profile_bump(_number(spec, "amplitude", path),
                             _number(spec, "center", path),
                             _number(spec, "halfwidth", path))
-    if kind == "poly":
-        coeffs = _get(spec, "coeffs", path)
-        if not isinstance(coeffs, list) or not coeffs:
-            raise ConfigError(f"{path}.coeffs", "expected a nonempty list")
-        return profile_poly(*coeffs)
-    raise ConfigError(f"{path}.kind", f"unknown profile kind {kind!r}")
+    return profile_poly(*_coeffs(spec, path))
 
 
+@_at_path
 def _build_field(spec, path, dim) -> SpaceTimeField:
-    spec = _expect_mapping(spec, path)
-    kind = _get(spec, "kind", path)
+    kind = _leaf_kind(spec, path, _FIELD_KEYS, "field")
     if kind == "constant":
         return SpaceTimeField.constant(_number(spec, "value", path))
     if kind == "uniform":
         return SpaceTimeField.from_signal(
             _build_signal(_get(spec, "signal", path), f"{path}.signal"))
-    if kind == "separable":
-        profile = _build_profile(_get(spec, "profile", path), f"{path}.profile", dim)
-        sig = _build_signal(_get(spec, "signal", path), f"{path}.signal")
-        return SpaceTimeField.separable(profile, sig)
-    raise ConfigError(f"{path}.kind", f"unknown field kind {kind!r}")
+    profile = _build_profile(_get(spec, "profile", path), f"{path}.profile", dim)
+    sig = _build_signal(_get(spec, "signal", path), f"{path}.signal")
+    return SpaceTimeField.separable(profile, sig)
 
 
+@_at_path
 def _build_monotone(spec, path):
-    spec = _expect_mapping(spec, path)
-    kind = _get(spec, "kind", path)
+    kind = _leaf_kind(spec, path, _MAP_KEYS, "map")
     if kind == "identity":
         return identity_map()
     if kind == "linear":
         return linear_map(_number(spec, "slope", path))
     if kind == "cubic":
         return odd_cubic_map(_number(spec, "gamma", path))
-    if kind == "power":
-        return power_map(_number(spec, "exponent", path),
-                         coef=_number(spec, "coef", path, required=False, default=1.0))
-    raise ConfigError(f"{path}.kind", f"unknown map kind {kind!r}")
+    return power_map(_number(spec, "exponent", path),
+                     coef=_number(spec, "coef", path, required=False, default=1.0))
 
 
+@_at_path
 def _build_speed(spec, path):
-    spec = _expect_mapping(spec, path)
-    kind = _get(spec, "kind", path)
+    kind = _leaf_kind(spec, path, _SPEED_KEYS, "speed")
     if kind == "constant":
         value = _number(spec, "value", path)
         if value <= 0:
             raise ConfigError(f"{path}.value", "speed must be positive")
         return lambda s: value
-    if kind == "reciprocal":
-        scale = _number(spec, "scale", path, required=False, default=1.0)
-        if scale < 0:
-            raise ConfigError(f"{path}.scale", "scale must be nonnegative")
-        return lambda s: 1.0 / (1.0 + scale * np.abs(s))
-    raise ConfigError(f"{path}.kind", f"unknown speed kind {kind!r}")
+    scale = _number(spec, "scale", path, required=False, default=1.0)
+    if scale < 0:
+        raise ConfigError(f"{path}.scale", "scale must be nonnegative")
+    return lambda s: 1.0 / (1.0 + scale * np.abs(s))
 
 
 # ---------------------------------------------------------------------------
 # section builders
-
-_EDGES_1D = ("left", "right")
-_EDGES_2D = ("left", "right", "bottom", "top")
 
 
 def _edge_list(doc, key, path, dim):
@@ -193,9 +226,8 @@ def _edge_list(doc, key, path, dim):
         edges = []
     if not isinstance(edges, list):
         raise ConfigError(f"{path}.{key}", "expected a list of edge names")
-    valid = _EDGES_2D if dim == 2 else _EDGES_1D
     for e in edges:
-        if e not in valid:
+        if e not in EDGES[dim]:
             raise ConfigError(f"{path}.{key}", f"unknown edge {e!r} for dim={dim}")
     return frozenset(edges)
 
@@ -205,7 +237,7 @@ def _build_parabolic(doc, path, name):
                "reaction", "boundary_reaction", "forcing", "dirichlet_data",
                "flux_data", "dirichlet_edges", "flux_edges", "initial")
     _reject_unknown(doc, allowed, path)
-    dim = int(_number(doc, "dim", path, required=False, default=1))
+    dim = _integer(doc, "dim", path, 1)
     if dim not in (1, 2):
         raise ConfigError(f"{path}.dim", f"dim must be 1 or 2, got {dim}")
     scn = ParabolicScenario(
@@ -257,37 +289,35 @@ def _build_wave(doc, path, name):
         label=name)
 
 
-def _build_grid(doc, path, pde, scenario=None):
+@_at_path
+def _build_grid(doc, path, pde, scenario):
     doc = _expect_mapping(doc, path)
     if "nx" in doc or "ny" in doc:
         _reject_unknown(doc, ("nx", "ny"), path)
-        if scenario is None or getattr(scenario, "dim", 1) != 2:
+        if getattr(scenario, "dim", 1) != 2:
             raise ConfigError(path, "an nx/ny grid needs a dim=2 scenario")
-        return Grid2D(int(_number(doc, "nx", path)), int(_number(doc, "ny", path)),
-                      gamma1=scenario.gamma1, gamma2=scenario.gamma2)
+        return Grid2D(_integer(doc, "nx", path, None), _integer(doc, "ny", path, None))
     _reject_unknown(doc, ("n", "layout"), path)
-    n = int(_number(doc, "n", path))
-    layout = _get(doc, "layout", path, required=False,
-                  default="cell" if pde == "transport" else "node")
-    if layout not in ("node", "cell"):
-        raise ConfigError(f"{path}.layout", f"layout must be node or cell, got {layout!r}")
-    return Grid1D(n, layout=layout)
+    # the transport scheme is cell-centered, the other two node-centered
+    layout = "cell" if pde == "transport" else "node"
+    if _get(doc, "layout", path, required=False, default=layout) != layout:
+        raise ConfigError(f"{path}.layout", f"{pde} runs need layout {layout}, "
+                                            f"got {doc['layout']!r}")
+    return Grid1D(_integer(doc, "n", path, None), layout)
 
 
-def _build_solver(doc, path):
+@_at_path
+def _build_solver(doc, path, pde):
     doc = _expect_mapping(doc, path)
     allowed = ("t_end", "dt", "cfl_sigma", "bc_tol", "output_stride")
     _reject_unknown(doc, allowed, path)
-    try:
-        return SolverConfig(
-            t_end=_number(doc, "t_end", path),
-            dt=_number(doc, "dt", path, required=False, default=None),
-            cfl_sigma=_number(doc, "cfl_sigma", path, required=False, default=None),
-            bc_tol=_number(doc, "bc_tol", path, required=False, default=1e-10),
-            output_stride=int(_number(doc, "output_stride", path,
-                                      required=False, default=1)))
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
+    return SolverConfig(
+        t_end=_number(doc, "t_end", path),
+        # the parabolic stepper has no step-size rule of its own
+        dt=_number(doc, "dt", path, required=pde == "parabolic", default=None),
+        cfl_sigma=_number(doc, "cfl_sigma", path, required=False, default=None),
+        bc_tol=_number(doc, "bc_tol", path, required=False, default=1e-10),
+        output_stride=_integer(doc, "output_stride", path, 1))
 
 
 def _build_energy(doc, path, pde):
@@ -317,7 +347,7 @@ def _build_checks(doc, path):
         epath = f"{path}[{i}]"
         entry = _expect_mapping(entry, epath)
         kind = _get(entry, "kind", epath)
-        if kind not in BOUNDS:
+        if not isinstance(kind, str) or kind not in BOUNDS:
             raise ConfigError(f"{epath}.kind", f"unknown check kind {kind!r}")
         bound = BOUNDS[kind]
         _reject_unknown(entry, ("kind", "q", "tol") + bound.keys, epath)
@@ -358,7 +388,6 @@ class RunPlan:
 
 def load_config(source) -> dict:
     """Parse a YAML config from a path, or a bundled scenario name."""
-    text = None
     if isinstance(source, str) and source in SCENARIOS:
         text = bundled_config_text(source)
     else:
@@ -378,6 +407,9 @@ def build_plan(doc: dict) -> RunPlan:
     _reject_unknown(doc, ("name", "description", "pde", "scenario", "grid",
                           "solver", "energy", "checks"), "<config>")
     name = _get(doc, "name", "<config>", required=False, default="run")
+    # the run writes under <out>/<name>, so name must be one directory
+    if not isinstance(name, str) or name in ("", ".", "..") or {os.sep, os.altsep} & set(name):
+        raise ConfigError("<config>.name", f"expected a directory name, got {name!r}")
     description = _get(doc, "description", "<config>", required=False, default="")
     pde = _get(doc, "pde", "<config>")
     if pde not in ("parabolic", "transport", "wave"):
@@ -396,7 +428,7 @@ def build_plan(doc: dict) -> RunPlan:
     grid = _build_grid(_get(doc, "grid", "<config>"), "grid", pde, scenario)
     if pde == "parabolic" and scenario.dim == 2 and not isinstance(grid, Grid2D):
         raise ConfigError("grid", "a dim=2 scenario needs an nx/ny grid")
-    solver = _build_solver(_get(doc, "solver", "<config>"), "solver")
+    solver = _build_solver(_get(doc, "solver", "<config>"), "solver", pde)
     energy = _build_energy(doc.get("energy"), "energy", pde)
     checks = _build_checks(doc.get("checks"), "checks")
     return RunPlan(name=name, description=description, pde=pde, scenario=scenario,

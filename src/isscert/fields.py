@@ -10,7 +10,7 @@ second order, which is what the certification tolerances assume.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 
@@ -24,10 +24,7 @@ __all__ = [
     "lq_norm",
     "trapezoid_1d",
     "trapezoid_2d",
-    "EDGES_2D",
 ]
-
-EDGES_2D = ("left", "right", "bottom", "top")
 
 _MIN_CELLS = 8
 _BLOCK = 64  # stamps per call of Trajectory.blockwise
@@ -66,29 +63,14 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class Grid2D:
-    """Node-centered tensor grid on the unit square.
-
-    The four boundary edges are partitioned into a Dirichlet part
-    (gamma1) and a flux part (gamma2); together they must cover all four
-    edge labels exactly once.
-    """
+    """Node-centered tensor grid on the unit square with nx by ny cells."""
 
     nx: int
     ny: int
-    gamma1: frozenset = dc_field(default_factory=frozenset)
-    gamma2: frozenset = dc_field(default_factory=frozenset)
 
     def __post_init__(self):
         if self.nx < _MIN_CELLS or self.ny < _MIN_CELLS:
             raise ValueError(f"need at least {_MIN_CELLS} cells per direction")
-        g1 = frozenset(self.gamma1)
-        g2 = frozenset(self.gamma2)
-        object.__setattr__(self, "gamma1", g1)
-        object.__setattr__(self, "gamma2", g2)
-        if not g1.isdisjoint(g2):
-            raise ValueError("gamma1 and gamma2 overlap")
-        if g1 | g2 != set(EDGES_2D):
-            raise ValueError(f"edge labels must cover {EDGES_2D} exactly")
 
     @property
     def hx(self) -> float:
@@ -142,7 +124,7 @@ def integrate(values, grid):
     return scalar_or_array(grid.h * np.sum(values, axis=-1))
 
 
-def lq_norm(values, q, grid=None):
+def lq_norm(values, q, grid):
     """Lq norm over the grid's domain for q in [2, inf].
 
     values is one state array or a stack of them along a leading axis; a
@@ -150,8 +132,6 @@ def lq_norm(values, q, grid=None):
     call.  Finite q uses the grid's native second-order quadrature of
     |w|**q; q = inf is the max norm.
     """
-    if grid is None:
-        raise ValueError("grid required")
     values = np.asarray(values, dtype=float)
     shape = point_shape(grid)
     if values.shape[-len(shape):] != shape:
@@ -249,8 +229,9 @@ class Trajectory:
         """All state arrays at stamp i, keyed by name."""
         return {k: self.states(k)[i] for k in self.names}
 
-    def write_csv(self, directory, basename: str = "trajectory"):
-        """One long-format CSV per state name, plus a metadata sidecar.
+    def write_csv(self, directory):
+        """trajectory[_<name>].csv, one long-format CSV per state name, plus
+        the metadata sidecar trajectory_meta.yaml.
 
         Columns are (t, y, value) in one dimension and (t, y1, y2, value)
         on the square, each number the repr of a Python float, one write per
@@ -264,13 +245,13 @@ class Trajectory:
         paths = []
         for name in self.names:
             suffix = "" if len(self.names) == 1 else f"_{name}"
-            path = directory / f"{basename}{suffix}.csv"
+            path = directory / f"trajectory{suffix}.csv"
             with open(path, "w") as fh:
                 fh.write(header)
                 for t, row in zip(float_cells(self.times), self.states(name)):
                     fh.write(csv_rows(repeat(t), *coords, float_cells(row)))
             paths.append(path)
-        meta_path = directory / f"{basename}_meta.yaml"
+        meta_path = directory / "trajectory_meta.yaml"
         # solvers may stash numpy scalars in meta; yaml wants plain types
         clean = {k: (v.item() if isinstance(v, np.generic) else v)
                  for k, v in self.meta.items()}

@@ -15,7 +15,7 @@ measures stamp by stamp.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -255,7 +255,7 @@ def _invert_each(fn, ys):
     return np.asarray([_invert_expanding(fn, y) for y in values.tolist()])[where]
 
 
-def _invert_expanding(fn, y, tol=1e-12):
+def _invert_expanding(fn, y):
     """Inverse of an increasing map at y >= 0 with a doubling bracket."""
     if y < 0:
         raise ValueError("target must be nonnegative")
@@ -268,7 +268,7 @@ def _invert_expanding(fn, y, tol=1e-12):
         hi *= 2.0
     else:
         raise ValueError("bracket expansion failed; map grows too slowly")
-    return invert_monotone(fn, y, lo=0.0, hi=hi, tol=tol)
+    return invert_monotone(fn, y, 0.0, hi, 1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ __all__ = [
     "profile_bump",
     "profile_poly",
     "profile_sum",
-    "profile2d_constant",
     "profile2d_sinprod",
 ]
 
@@ -210,16 +209,11 @@ class SpaceTimeField:
     """Scalar field on the spatial domain crossed with the time axis.
 
     ``fn(y, t)`` must broadcast: in one dimension ``y`` is an array of
-    points, in two dimensions a tuple of coordinate meshes.  ``sup_hint``
-    optionally declares an analytic bound on |f|; sampled sups never
-    exceed it when it is honest, and :func:`sup_field` returns the hint
-    whenever it dominates.
+    points, in two dimensions a tuple of coordinate meshes.
     """
 
-    def __init__(self, fn: Callable, sup_hint=None, label: str = "", signal=None,
-                 parts=None):
+    def __init__(self, fn: Callable, label: str = "", signal=None, parts=None):
         self.fn = fn
-        self.sup_hint = None if sup_hint is None else float(sup_hint)
         self.label = label
         self.signal = signal  # set when the field is spatially uniform
         self.parts = parts  # (profile, signal) when the field is separable
@@ -233,17 +227,15 @@ class SpaceTimeField:
     def constant(cls, value):
         value = float(value)
         sig = TimeSignal.constant(value)
-        return cls(lambda y, t: _uniform(y, value), sup_hint=abs(value),
-                   label=f"const {value}", signal=sig)
+        return cls(lambda y, t: _uniform(y, value), label=f"const {value}", signal=sig)
 
     @classmethod
-    def from_signal(cls, sig: TimeSignal, label: str = ""):
-        return cls(lambda y, t: _uniform(y, float(sig(t))), label=label or "uniform",
-                   signal=sig)
+    def from_signal(cls, sig: TimeSignal):
+        return cls(lambda y, t: _uniform(y, float(sig(t))), label="uniform", signal=sig)
 
     @classmethod
-    def separable(cls, profile: Callable, sig: TimeSignal, label: str = ""):
-        return cls(lambda y, t: profile(y) * float(sig(t)), label=label or "separable",
+    def separable(cls, profile: Callable, sig: TimeSignal):
+        return cls(lambda y, t: profile(y) * float(sig(t)), label="separable",
                    parts=(profile, sig))
 
     def __call__(self, y, t):
@@ -268,10 +260,10 @@ def sup_field(fld: SpaceTimeField, space, t0: float, t1):
     separable ones the profile's max over ``space`` times it.  A field
     known only through its callable is sampled on ``space`` at the window
     ends and at ``_FIELD_SAMPLES`` uniform times up to the last end
-    (:attr:`SpaceTimeField.sampled`).  A declared ``sup_hint`` is returned
-    wherever it dominates.  For an array of ends every candidate time is
-    evaluated once and a running maximum is read off at each end, so the
-    sups are nondecreasing in t1_i; a window t0 == t1 is one time slice.
+    (:attr:`SpaceTimeField.sampled`).  For an array of ends every
+    candidate time is evaluated once and a running maximum is read off at
+    each end, so the sups are nondecreasing in t1_i; a window t0 == t1 is
+    one time slice.
     """
     t0 = float(t0)
     ends = np.asarray(t1, dtype=float)
@@ -288,8 +280,6 @@ def sup_field(fld: SpaceTimeField, space, t0: float, t1):
         times = np.union1d(np.linspace(t0, flat.max(), _FIELD_SAMPLES), flat)
         values = np.asarray([np.max(np.abs(fld(space, t))) for t in times.tolist()])
         best = _running_max(times, values, flat)
-    if fld.sup_hint is not None:
-        best = np.maximum(best, fld.sup_hint)
     return float(best[0]) if ends.ndim == 0 else best
 
 
@@ -297,6 +287,7 @@ def sup_field(fld: SpaceTimeField, space, t0: float, t1):
 # spatial profiles (initial data and separable forcing shapes)
 
 def profile_constant(value):
+    """The constant profile, on the interval or the square."""
     value = float(value)
     return lambda y: _uniform(y, value)
 
@@ -349,11 +340,6 @@ def profile_sum(*profiles):
         return out
 
     return total
-
-
-def profile2d_constant(value):
-    value = float(value)
-    return lambda xy: _uniform(xy, value)
 
 
 def profile2d_sinprod(amplitude, mode_x=1, mode_y=1):

@@ -34,7 +34,8 @@ from .common import (ScenarioError, SolverConfig, SolverDivergedError,
 
 __all__ = ["ParabolicScenario", "solve_parabolic"]
 
-EDGES_1D = ("left", "right")
+# boundary edge names by dimension
+EDGES = {1: ("left", "right"), 2: ("left", "right", "bottom", "top")}
 
 _SIGN_TOL = 1e-12
 _SLOPE_TOL = 1e-8
@@ -44,8 +45,9 @@ _SLOPE_TOL = 1e-8
 class ParabolicScenario:
     """Problem data for the reaction-diffusion class.
 
-    gamma1 and gamma2 partition the boundary edge labels: ("left",
-    "right") in one dimension, the four square edges in two.  The maps
+    gamma1 (Dirichlet) and gamma2 (flux) partition the boundary edge
+    names of the dimension, :data:`EDGES`; the grid carries no edge
+    labels, so this partition is the only one.  The maps
     must satisfy the structural sign conditions checked by
     :meth:`validate`; c0 = 0 is allowed (no reaction floor), but the
     truncation-level computation then refuses the scenario.
@@ -78,7 +80,7 @@ class ParabolicScenario:
             raise ScenarioError("diffusion floor a0 must be positive")
         if self.c0 < 0:
             raise ScenarioError("reaction floor c0 must be nonnegative")
-        edges = set(EDGES_1D) if self.dim == 1 else {"left", "right", "bottom", "top"}
+        edges = set(EDGES[self.dim])
         if not self.gamma1.isdisjoint(self.gamma2):
             raise ScenarioError("gamma1 and gamma2 overlap")
         if self.gamma1 | self.gamma2 != edges:
@@ -135,8 +137,6 @@ def solve_parabolic(scn: ParabolicScenario, grid, cfg: SolverConfig) -> Trajecto
         return _solve_1d(scn, grid, cfg)
     if not isinstance(grid, Grid2D):
         raise ValueError("two-dimensional runs need a Grid2D")
-    if grid.gamma1 != scn.gamma1 or grid.gamma2 != scn.gamma2:
-        raise ScenarioError("grid edge labels disagree with the scenario")
     return _solve_2d(scn, grid, cfg)
 
 

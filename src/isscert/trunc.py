@@ -33,7 +33,6 @@ __all__ = [
     "TruncationPair",
     "GAP_PROPERTY_IDS",
     "property_sides",
-    "property_gap",
     "young_epsilon_gap",
     "gronwall_envelope_at",
 ]
@@ -68,7 +67,7 @@ class TruncationPair:
         return _scalar_or_array(np.maximum(s, 0.0) ** (self.p + 1.0) / (self.p + 1.0))
 
 
-# Inequalities exposed through property_gap and their argument counts.
+# Inequalities exposed through property_sides and their argument counts.
 GAP_PROPERTY_IDS = {"G4": 2, "G5": 2, "G6": 2, "G7": 3, "G8": 3}
 
 
@@ -86,8 +85,7 @@ def property_sides(pair, prop_id, args):
         G8: g(s) * tau <= eps * G(s) + (p / eps)**p * G(tau)   with eps > 0
 
     Arguments are scalars or broadcastable arrays; the gap rhs - lhs is
-    the certificate of interest, so callers usually want
-    :func:`property_gap` instead.
+    the certificate of interest.
     """
     if prop_id not in GAP_PROPERTY_IDS:
         raise ValueError(f"unknown property id {prop_id!r}")
@@ -118,12 +116,6 @@ def property_sides(pair, prop_id, args):
     if np.any(eps <= 0):
         raise ValueError("G8 requires eps > 0")
     return g(s) * tau, eps * G(s) + (p / eps) ** p * G(tau)
-
-
-def property_gap(pair, prop_id, args):
-    """Gap rhs - lhs of the named inequality; nonnegative certifies it."""
-    lhs, rhs = property_sides(pair, prop_id, args)
-    return _scalar_or_array(rhs - lhs)
 
 
 def young_epsilon_gap(r_exp, q_exp, a, b, eps):

@@ -16,7 +16,7 @@ import numpy as np
 from .certify import (bound_parabolic_q, bound_transport_q, bound_wave_m,
                       check_trajectory, prepare_bound)
 from .config import load_plan
-from .fields import Grid1D, lq_norm
+from .fields import Grid1D
 from .glf import (dissipation_rate, dissipation_report, glf_for_parabolic,
                   glf_for_transport, local_speed_floor, series)
 from .signals import TimeSignal, profile_constant
@@ -46,6 +46,11 @@ class CheckLine:
 
 def _fmt(x) -> str:
     return f"{float(x):.12e}"
+
+
+def _qtag(q) -> str:
+    """A norm exponent as it appears in check names: 2, 4, inf."""
+    return f"{q:g}"
 
 
 def _rel_gap(lhs, rhs):
@@ -167,8 +172,7 @@ def verify_parabolic(seed: int = 42):
     for entry in demo.checks:
         b = prepare_bound(entry["kind"], btraj, demo.scenario, entry["q"], entry["params"])
         r = check_trajectory(btraj, entry["q"], b, entry["tol"])
-        qtag = "inf" if entry["q"] == math.inf else f"{entry['q']:g}"
-        lines.append(CheckLine("parabolic", f"qbound_q{qtag}", r.violations == 0,
+        lines.append(CheckLine("parabolic", f"qbound_q{_qtag(entry['q'])}", r.violations == 0,
                                f"violations={r.violations} "
                                f"min_margin={_fmt(r.min_margin)}"))
 
@@ -201,8 +205,7 @@ def verify_transport(seed: int = 42):
     for entry in plan.checks:
         b = prepare_bound(entry["kind"], traj, plan.scenario, entry["q"], entry["params"])
         r = check_trajectory(traj, entry["q"], b, entry["tol"])
-        qtag = "inf" if entry["q"] == math.inf else f"{entry['q']:g}"
-        name = f"{'pbound' if entry['kind'] == 'transport_p' else 'qbound'}_q{qtag}"
+        name = f"{'pbound' if entry['kind'] == 'transport_p' else 'qbound'}_q{_qtag(entry['q'])}"
         lines.append(CheckLine("transport", name, r.violations == 0,
                                f"violations={r.violations} "
                                f"min_margin={_fmt(r.min_margin)}"))
@@ -289,7 +292,7 @@ def verify_wave(seed: int = 42):
         b = prepare_bound(entry["kind"], traj, plan.scenario, entry["q"], entry["params"])
         r = check_trajectory(traj, entry["q"], b, entry["tol"])
         form = "mbound" if entry["kind"] == "wave_m" else "rbound"
-        lines.append(CheckLine("wave", f"{form}_q{entry['q']:g}", r.violations == 0,
+        lines.append(CheckLine("wave", f"{form}_q{_qtag(entry['q'])}", r.violations == 0,
                                f"violations={r.violations} "
                                f"min_margin={_fmt(r.min_margin)}"))
 

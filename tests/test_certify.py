@@ -13,9 +13,8 @@ from isscert.certify import (CheckReport, _state_norms, bound_heat_classical,
 from isscert.comparison import identity_map
 from isscert.fields import Grid1D, Grid2D, Trajectory, lq_norm
 from isscert.glf import glf_for_parabolic, running_sups
-from isscert.signals import (SpaceTimeField, TimeSignal, profile2d_constant,
-                             profile_bump, profile_constant, profile_sum,
-                             profile_sin)
+from isscert.signals import (SpaceTimeField, TimeSignal, profile_bump,
+                             profile_constant, profile_sum, profile_sin)
 from isscert.solvers import (ParabolicScenario, SolverConfig,
                              TransportScenario, WaveScenario,
                              reconstruct_wave_state, solve_parabolic,
@@ -144,9 +143,9 @@ def test_running_sups_take_2d_edges_on_the_grid_nodes():
     scn = ParabolicScenario(
         dim=2, a=ONE, a0=1.0, c=ONE, c0=1.0,
         reaction=identity_map(), boundary_reaction=identity_map(),
-        f=ZERO, d1=edge, d2=ZERO, w0=profile2d_constant(0.0),
+        f=ZERO, d1=edge, d2=ZERO, w0=profile_constant(0.0),
         gamma1=("left",), gamma2=("right", "bottom", "top"))
-    grid = Grid2D(8, 12, gamma1=scn.gamma1, gamma2=scn.gamma2)
+    grid = Grid2D(8, 12)
     sups = running_sups(scn, grid, [0.0, 0.5])
     assert sups["d1"][-1] == pytest.approx(1.0, rel=1e-12)
     np.testing.assert_array_equal(sups["d2"], [0.0, 0.0])

@@ -275,3 +275,123 @@ def test_cli_run_energy_route_without_p_exits_2(tmp_path, capsys):
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == "check error: the energy route needs the energy exponent p\n"
     assert not (tmp_path / "out").exists()
+
+
+
+def _edited(demo, location, value):
+    """A bundled config with the entry at a dotted location replaced, or
+    removed when value is None."""
+    doc = load_config(demo)
+    *parents, key = location.split(".")
+    node = doc
+    for part in parents:
+        node = node[part]
+    if value is None:
+        del node[key]
+    else:
+        node[key] = value
+    return doc
+
+
+# one minimal spec per leaf kind, placed where that kind is read
+LEAF_SPECS = [
+    ("transport_global", "scenario.boundary_data", {"kind": "constant", "value": 0.1}),
+    ("transport_global", "scenario.boundary_data",
+     {"kind": "sinusoid", "amplitude": 0.3, "frequency": 1.0}),
+    ("transport_global", "scenario.boundary_data",
+     {"kind": "exp_decay", "amplitude": 0.3, "rate": 1.0}),
+    ("transport_global", "scenario.boundary_data", {"kind": "polynomial", "coeffs": [0.1]}),
+    ("parabolic_demo", "scenario.initial",
+     {"kind": "sum", "terms": [{"kind": "constant", "value": 0.1}]}),
+    ("parabolic_demo", "scenario.initial", {"kind": "constant", "value": 0.1}),
+    ("parabolic_demo", "scenario.initial", {"kind": "affine", "intercept": 0.1, "slope": 0.2}),
+    ("parabolic_demo", "scenario.initial", {"kind": "sin", "amplitude": 1.0}),
+    ("parabolic_demo", "scenario.initial",
+     {"kind": "bump", "amplitude": 1.0, "center": 0.5, "halfwidth": 0.2}),
+    ("parabolic_demo", "scenario.initial", {"kind": "poly", "coeffs": [0.1, 0.2]}),
+    ("parabolic_2d_demo", "scenario.initial",
+     {"kind": "sum", "terms": [{"kind": "constant", "value": 0.1}]}),
+    ("parabolic_2d_demo", "scenario.initial", {"kind": "constant", "value": 0.1}),
+    ("parabolic_2d_demo", "scenario.initial", {"kind": "sinprod", "amplitude": 1.0}),
+    ("parabolic_demo", "scenario.forcing", {"kind": "constant", "value": 0.1}),
+    ("parabolic_demo", "scenario.forcing",
+     {"kind": "uniform", "signal": {"kind": "constant", "value": 0.1}}),
+    ("parabolic_demo", "scenario.forcing",
+     {"kind": "separable", "profile": {"kind": "constant", "value": 1.0},
+      "signal": {"kind": "constant", "value": 0.1}}),
+    ("parabolic_demo", "scenario.reaction", {"kind": "identity"}),
+    ("parabolic_demo", "scenario.reaction", {"kind": "linear", "slope": 2.0}),
+    ("parabolic_demo", "scenario.reaction", {"kind": "cubic", "gamma": 1.0}),
+    ("parabolic_demo", "scenario.boundary_reaction", {"kind": "power", "exponent": 3.0}),
+    ("transport_global", "scenario.speed", {"kind": "constant", "value": 1.0}),
+    ("transport_liss", "scenario.speed", {"kind": "reciprocal"}),
+]
+
+
+@pytest.mark.parametrize("demo,location,spec", LEAF_SPECS, ids=[
+    f"{demo}-{loc.split('.')[-1]}-{spec['kind']}" for demo, loc, spec in LEAF_SPECS])
+def test_every_leaf_kind_rejects_unknown_keys(demo, location, spec):
+    with pytest.raises(ConfigError, match=rf"^{location}\.phse: unknown key$"):
+        build_plan(_edited(demo, location, {**spec, "phse": 0.5}))
+
+
+INTEGER_CASES = [
+    ("parabolic_demo", "scenario.initial", {"kind": "sin", "amplitude": 1.0, "mode": 1.5},
+     "scenario.initial.mode"),
+    ("parabolic_2d_demo", "scenario.initial",
+     {"kind": "sinprod", "amplitude": 1.0, "mode_x": 2.5}, "scenario.initial.mode_x"),
+    ("parabolic_2d_demo", "scenario.initial",
+     {"kind": "sinprod", "amplitude": 1.0, "mode_y": 0.5}, "scenario.initial.mode_y"),
+    ("parabolic_demo", "scenario.dim", 1.5, "scenario.dim"),
+    ("parabolic_demo", "grid.n", 200.7, "grid.n"),
+    ("parabolic_2d_demo", "grid.nx", 24.5, "grid.nx"),
+    ("parabolic_2d_demo", "grid.ny", 24.5, "grid.ny"),
+    ("parabolic_demo", "solver.output_stride", 2.5, "solver.output_stride"),
+]
+
+
+@pytest.mark.parametrize("demo,location,value,path", INTEGER_CASES,
+                         ids=[case[-1] for case in INTEGER_CASES])
+def test_integer_keys_reject_fractions(demo, location, value, path):
+    with pytest.raises(ConfigError, match=rf"^{path}: expected an integer, got"):
+        build_plan(_edited(demo, location, value))
+
+
+def test_integer_keys_accept_integral_floats():
+    assert build_plan(_edited("parabolic_demo", "grid.n", 200.0)).grid.n == 200
+
+
+@pytest.mark.parametrize("demo,location,value,message", [
+    ("parabolic_demo", "grid.n", 4, "grid: need at least 8 cells, got 4"),
+    ("transport_global", "scenario.initial.halfwidth", 0,
+     "scenario.initial: halfwidth must be positive"),
+    ("parabolic_demo", "scenario.reaction", {"kind": "linear", "slope": -1},
+     "scenario.reaction: slope must be positive"),
+    ("parabolic_demo", "scenario.forcing",
+     {"kind": "uniform", "signal": {"kind": "polynomial", "coeffs": ["a"]}},
+     "scenario.forcing.signal.coeffs: expected a nonempty list of numbers"),
+    ("wave_demo", "scenario.boundary_data", {"kind": "constant", "value": math.nan},
+     "scenario.boundary_data: piece parameters must be finite"),
+    ("transport_global", "grid.layout", "node",
+     "grid.layout: transport runs need layout cell, got 'node'"),
+    ("parabolic_demo", "solver.dt", None, "solver.dt: missing required key"),
+    ("parabolic_demo", "checks", [{"kind": ["parabolic_q"], "q": 2}],
+     "checks[0].kind: unknown check kind ['parabolic_q']"),
+], ids=["grid_n", "bump_halfwidth", "map_slope", "poly_coeffs", "nan_signal",
+        "transport_node_layout", "parabolic_without_dt", "unhashable_check_kind"])
+def test_cli_run_build_errors_exit_2(tmp_path, capsys, demo, location, value, message):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(yaml.safe_dump(_edited(demo, location, value)))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", [5, "", ".", "..", "../escaped", "a/b"])
+def test_name_must_be_one_directory(tmp_path, capsys, name):
+    cfg = tmp_path / "named.yaml"
+    cfg.write_text(yaml.safe_dump(_edited("transport_steady", "name", name)))
+    out = tmp_path / "root" / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: <config>.name: expected a directory name")
+    assert not (tmp_path / "root").exists()

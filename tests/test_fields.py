@@ -34,19 +34,13 @@ def test_grid1d_validation():
         Grid1D(16, layout="staggered")
 
 
-def test_grid2d_edges_partition():
-    g = Grid2D(8, 8, gamma1=frozenset({"left", "right"}),
-               gamma2=frozenset({"bottom", "top"}))
+def test_grid2d_geometry():
+    g = Grid2D(8, 12)
     assert g.hx == pytest.approx(0.125)
     X, Y = g.points()
-    assert X.shape == (9, 9)
+    assert X.shape == (9, 13)
     with pytest.raises(ValueError):
-        Grid2D(8, 8, gamma1=frozenset({"left"}), gamma2=frozenset({"left",
-                                                                   "right",
-                                                                   "bottom",
-                                                                   "top"}))
-    with pytest.raises(ValueError):
-        Grid2D(8, 8, gamma1=frozenset({"left"}), gamma2=frozenset({"right"}))
+        Grid2D(8, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -86,14 +80,11 @@ def test_lq_norm_validation():
     with pytest.raises(ValueError):
         lq_norm(np.ones(9), 1.5, g)
     with pytest.raises(ValueError):
-        lq_norm(np.ones(9), 2.0, None)
-    with pytest.raises(ValueError):
         lq_norm(np.ones(7), 2.0, g)
 
 
 def test_lq_norm_2d():
-    g = Grid2D(8, 8, gamma1=frozenset({"left", "right", "bottom", "top"}),
-               gamma2=frozenset())
+    g = Grid2D(8, 8)
     vals = np.full((9, 9), 1.5)
     assert lq_norm(vals, 2.0, g) == pytest.approx(1.5, rel=1e-14)
 
@@ -211,8 +202,7 @@ def test_trajectory_append_validation():
 GRIDS = {
     "node": Grid1D(40, layout="node"),
     "cell": Grid1D(33, layout="cell"),
-    "square": Grid2D(9, 12, gamma1=frozenset({"left", "right"}),
-                     gamma2=frozenset({"bottom", "top"})),
+    "square": Grid2D(9, 12),
 }
 
 

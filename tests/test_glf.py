@@ -109,7 +109,7 @@ def test_weighted_energy_validation():
         weighted_energy(u, grid, pair, shift_sign=0)
     with pytest.raises(ValueError):
         weighted_energy(u, grid, pair, level=-1.0)
-    g2 = Grid2D(8, 8, gamma1=("left", "right", "bottom", "top"))
+    g2 = Grid2D(8, 8)
     u2 = np.ones((9, 9))
     with pytest.raises(ValueError):
         weighted_energy(u2, g2, pair, rate=1.0, weight_sign=1)
@@ -363,8 +363,7 @@ BATCH_CASES = {
     "parabolic_1d": (lambda: _random_trajectory("parabolic", Grid1D(50, layout="node")),
                      GlfSpec("parabolic", 2.0, level=0.5)),
     "parabolic_2d": (lambda: _random_trajectory(
-        "parabolic", Grid2D(10, 13, gamma1=frozenset({"left", "right", "bottom"}),
-                            gamma2=frozenset({"top"}))),
+        "parabolic", Grid2D(10, 13)),
         GlfSpec("parabolic", 3.0, level=0.25)),
     "transport": (lambda: _random_trajectory("transport", Grid1D(41, layout="cell")),
                   GlfSpec("transport", 2.0, r=1.3, level=0.5)),

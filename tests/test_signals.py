@@ -7,8 +7,8 @@ import pytest
 
 from isscert.signals import (Piece, SpaceTimeField, TimeSignal, profile_affine,
                              profile_bump, profile_constant, profile_poly,
-                             profile_sin, profile_sum, profile2d_constant,
-                             profile2d_sinprod, sup_field, sup_window)
+                             profile_sin, profile_sum, profile2d_sinprod,
+                             sup_field, sup_window)
 
 
 def test_piece_validation():
@@ -165,13 +165,6 @@ def test_sup_field_separable_shortcut_matches_bruteforce():
     assert a == pytest.approx(b, rel=1e-4)
 
 
-def test_sup_field_honors_hint():
-    fld = SpaceTimeField(lambda y, t: 0.3 * np.ones_like(np.asarray(y)),
-                         sup_hint=0.5)
-    y = np.linspace(0.0, 1.0, 9)
-    assert sup_field(fld, y, 0.0, 1.0) == 0.5
-
-
 # ---------------------------------------------------------------------------
 # profiles
 
@@ -197,7 +190,7 @@ def test_profile_basics():
 
 
 def test_profile_2d():
-    const = profile2d_constant(0.7)
+    const = profile_constant(0.7)
     X, Y = np.meshgrid(np.linspace(0, 1, 5), np.linspace(0, 1, 5),
                        indexing="ij")
     np.testing.assert_array_equal(const((X, Y)), np.full((5, 5), 0.7))

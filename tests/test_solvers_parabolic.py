@@ -122,7 +122,7 @@ def test_large_dt_remains_stable():
 
 
 def test_divergence_reported_with_step():
-    scn = make_scenario(reaction=odd_cubic_map(1.0, hi=1e12),
+    scn = make_scenario(reaction=odd_cubic_map(1.0),
                         w0=profile_constant(0.0),
                         f=SpaceTimeField.constant(1e150))
     with pytest.raises(SolverDivergedError):
@@ -139,6 +139,13 @@ def test_scenario_validation_errors():
         make_scenario(gamma1=("left", "right"), gamma2=("right",)).validate()
     with pytest.raises(ScenarioError):
         make_scenario(gamma1=("left",), gamma2=()).validate()
+    # on the square the edges split into the same two parts
+    with pytest.raises(ScenarioError, match="overlap"):
+        make_scenario(dim=2, gamma1=("left",),
+                      gamma2=("left", "right", "bottom", "top")).validate()
+    with pytest.raises(ScenarioError, match="cover"):
+        make_scenario(dim=2, gamma1=("left",), gamma2=("right",)).validate()
+    make_scenario(dim=2, gamma1=("left", "right"), gamma2=("bottom", "top")).validate()
     # reaction slope below one violates the expansion condition
     with pytest.raises(ScenarioError):
         make_scenario(reaction=linear_map(0.5)).validate()
@@ -161,8 +168,7 @@ def test_cell_grid_rejected():
 
 
 def test_2d_zero_equilibrium():
-    grid = Grid2D(10, 10, gamma1=frozenset({"left", "right"}),
-                  gamma2=frozenset({"bottom", "top"}))
+    grid = Grid2D(10, 10)
     scn = make_scenario(dim=2, w0=lambda pts: np.zeros_like(pts[0]),
                         gamma1=("left", "right"), gamma2=("bottom", "top"))
     traj = solve_parabolic(scn, grid, SolverConfig(t_end=0.1, dt=0.01))
@@ -170,8 +176,7 @@ def test_2d_zero_equilibrium():
 
 
 def test_2d_l2_nonincreasing():
-    grid = Grid2D(12, 12, gamma1=frozenset({"left", "right"}),
-                  gamma2=frozenset({"bottom", "top"}))
+    grid = Grid2D(12, 12)
     scn = make_scenario(dim=2, w0=profile2d_sinprod(1.0),
                         gamma1=("left", "right"), gamma2=("bottom", "top"))
     traj = solve_parabolic(scn, grid, SolverConfig(t_end=0.1, dt=0.005))
@@ -324,7 +329,7 @@ def per_line_2d(scn, grid, cfg):
 def test_2d_batched_sweeps_match_per_line_oracle(flux_edges):
     gamma2 = frozenset(flux_edges)
     gamma1 = frozenset({"left", "right", "bottom", "top"}) - gamma2
-    grid = Grid2D(10, 12, gamma1=gamma1, gamma2=gamma2)
+    grid = Grid2D(10, 12)
     wavy = TimeSignal.sinusoid(1.0, 1.3, 0.4, offset=0.5)
     scn = make_scenario(
         dim=2, gamma1=gamma1, gamma2=gamma2,

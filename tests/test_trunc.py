@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isscert.trunc import (GAP_PROPERTY_IDS, TruncationPair,
-                           gronwall_envelope_at, property_gap, property_sides,
+                           gronwall_envelope_at, property_sides,
                            young_epsilon_gap)
 
 PS = (1.5, 2.0, 3.0, 5.0)
@@ -82,13 +82,6 @@ def test_gap_properties_random(p, prop_id, rng):
         lhs, rhs = property_sides(pair, prop_id, tuple(args))
         rel_gap = (rhs - lhs) / (1.0 + abs(lhs) + abs(rhs))
         assert rel_gap >= -1e-9, (prop_id, args, lhs, rhs)
-
-
-def test_property_gap_matches_sides():
-    pair = TruncationPair(2.0)
-    args = (1.3, 0.4)
-    lhs, rhs = property_sides(pair, "G4", args)
-    assert property_gap(pair, "G4", args) == pytest.approx(rhs - lhs, rel=1e-14)
 
 
 def test_unknown_property_rejected():
