@@ -365,8 +365,9 @@ def check_trajectory(traj: Trajectory, q, bound: IssBound, tol: float) -> CheckR
     """Compare the trajectory's norms against the prepared bound."""
     q = _check_q(q)
     tol = float(tol)
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    # NaN fails this, and a NaN or infinite tol would hide every violation
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     times = traj.times
     lhs = _state_norms(traj, q)
     rhs = np.asarray(BOUNDS[bound.kind].evaluate(bound, q, times), dtype=float)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -20,8 +21,7 @@ import numpy as np
 import yaml
 
 from .certify import BOUNDS
-from .comparison import identity_map, linear_map, odd_cubic_map, power_map
-from .scenarios import SCENARIOS, bundled_config_text
+from .scenarios import bundled_config_text, bundled_names
 from .signals import (SpaceTimeField, TimeSignal, profile2d_sinprod,
                       profile_affine, profile_bump, profile_constant,
                       profile_poly, profile_sin, profile_sum)
@@ -61,6 +61,9 @@ def _number(doc, key, path, required=True, default=None):
         return default
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{path}.{key}", f"expected a number, got {val!r}")
+    # exact for ints too large for a float; false for NaN
+    if not abs(val) <= sys.float_info.max:
+        raise ConfigError(f"{path}.{key}", f"expected a finite number, got {val!r}")
     return float(val)
 
 
@@ -102,8 +105,7 @@ _PROFILE_KEYS = {
         "sinprod": ("amplitude", "mode_x", "mode_y")}}
 _FIELD_KEYS = {"constant": ("value",), "uniform": ("signal",),
                "separable": ("profile", "signal")}
-_MAP_KEYS = {"identity": (), "linear": ("slope",), "cubic": ("gamma",),
-             "power": ("exponent", "coef")}
+_MAP_KEYS = {"identity": (), "linear": ("slope",), "cubic": ("gamma",)}
 _SPEED_KEYS = {"constant": ("value",), "reciprocal": ("scale",)}
 
 
@@ -191,15 +193,19 @@ def _build_field(spec, path, dim) -> SpaceTimeField:
 
 @_at_path
 def _build_monotone(spec, path):
+    """v, slope*v (slope > 0) or v + gamma*v**3 (gamma >= 0), elementwise."""
     kind = _leaf_kind(spec, path, _MAP_KEYS, "map")
     if kind == "identity":
-        return identity_map()
+        return lambda v: np.asarray(v, dtype=float) + 0.0
     if kind == "linear":
-        return linear_map(_number(spec, "slope", path))
-    if kind == "cubic":
-        return odd_cubic_map(_number(spec, "gamma", path))
-    return power_map(_number(spec, "exponent", path),
-                     coef=_number(spec, "coef", path, required=False, default=1.0))
+        slope = _number(spec, "slope", path)
+        if not slope > 0:
+            raise ValueError("slope must be positive")
+        return lambda v: slope * np.asarray(v, dtype=float)
+    gamma = _number(spec, "gamma", path)
+    if not gamma >= 0:
+        raise ValueError("gamma must be nonnegative")
+    return lambda v: np.asarray(v, dtype=float) * (1.0 + gamma * np.asarray(v, dtype=float) ** 2)
 
 
 @_at_path
@@ -388,12 +394,13 @@ class RunPlan:
 
 def load_config(source) -> dict:
     """Parse a YAML config from a path, or a bundled scenario name."""
-    if isinstance(source, str) and source in SCENARIOS:
+    bundled = bundled_names()
+    if isinstance(source, str) and source in bundled:
         text = bundled_config_text(source)
     else:
         path = Path(source)
         if not path.exists():
-            known = ", ".join(sorted(SCENARIOS))
+            known = ", ".join(bundled)
             raise ConfigError(str(source),
                               f"no such config file or bundled scenario (bundled: {known})")
         text = path.read_text()

@@ -21,7 +21,6 @@ from typing import Optional
 
 import numpy as np
 
-from .comparison import invert_monotone
 from .fields import Grid2D, Trajectory, csv_rows, float_cells, integrate, lq_norm
 from .signals import sup_field, sup_window
 from .solvers.common import ScenarioError
@@ -31,10 +30,10 @@ __all__ = [
     "GlfSpec",
     "GlfSeries",
     "weighted_energy",
-    "evaluate",
     "components",
     "series",
     "dissipation_report",
+    "invert_monotone",
     "running_sups",
     "truncation_level_parabolic",
     "default_transport_rate",
@@ -122,11 +121,6 @@ def components(state: dict, grid, spec: GlfSpec) -> dict:
     }
 
 
-def evaluate(state: dict, grid, spec: GlfSpec) -> float:
-    """Value of the functional for one state snapshot."""
-    return float(sum(components(state, grid, spec).values()))
-
-
 def series(traj: Trajectory, spec: GlfSpec):
     """Functional values and component arrays, evaluated block by block."""
     comps = traj.blockwise(lambda _, states: components(states, traj.grid, spec))
@@ -191,6 +185,9 @@ def dissipation_report(traj: Trajectory, spec: GlfSpec, decay_rate: float,
 
 # ---------------------------------------------------------------------------
 # truncation levels
+
+# bisection steps before invert_monotone gives up
+_MAX_BISECT = 200
 
 
 def _edge_nodes(grid, edges):
@@ -269,6 +266,30 @@ def _invert_expanding(fn, y):
     else:
         raise ValueError("bracket expansion failed; map grows too slowly")
     return invert_monotone(fn, y, 0.0, hi, 1e-12)
+
+
+def invert_monotone(f, y, lo, hi, tol):
+    """Solve f(x) = y by bisection on [lo, hi] for an increasing callable f.
+
+    Raises ValueError when y is not enclosed.  Returns x with
+    ``|f(x) - y| <= tol``.
+    """
+    lo, hi, y, tol = float(lo), float(hi), float(y), float(tol)
+    if not lo < hi:
+        raise ValueError("need lo < hi")
+    flo, fhi = float(f(lo)), float(f(hi))
+    if not (flo - tol <= y <= fhi + tol):
+        raise ValueError(f"target {y} outside [f({lo}), f({hi})] = [{flo}, {fhi}]")
+    for _ in range(_MAX_BISECT):
+        mid = 0.5 * (lo + hi)
+        fm = float(f(mid))
+        if abs(fm - y) <= tol:
+            return mid
+        if fm < y:
+            lo = mid
+        else:
+            hi = mid
+    raise RuntimeError(f"bisection did not reach residual {tol} in {_MAX_BISECT} steps")
 
 
 # ---------------------------------------------------------------------------

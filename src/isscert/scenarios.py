@@ -1,40 +1,33 @@
 """Bundled demonstration scenarios.
 
-Each entry names a YAML configuration shipped inside the package; the
-CLI accepts these names wherever it accepts a config path.  The mapping
-value is a one-line description of what the run shows.
+Each YAML configuration shipped in ``isscert.configs`` is a bundled
+scenario named after its file; the CLI accepts these names wherever it
+accepts a config path, and lists each with the file's own description.
 """
 
 from __future__ import annotations
 
 from importlib import resources
 
-SCENARIOS = {
-    "heat_clm_demo": "boundary-damped heat run with sinusoidal forcing, checked "
-                     "against the quadratic-energy decay bound",
-    "parabolic_demo": "reaction-diffusion run with constant disturbances: truncation "
-                      "energy decay plus q-norm bounds",
-    "parabolic_2d_demo": "two-dimensional reaction-diffusion run with mixed edge "
-                         "data and a 2-norm bound",
-    "transport_global": "recirculating transport of a bump at unit speed: weighted "
-                        "energy decay plus norm bounds",
-    "transport_steady": "recirculating transport held at its boundary-feedback fixed point",
-    "transport_liss": "transport with mass-dependent slowdown: smallness gate and a "
-                      "locally valid norm bound",
-    "wave_finite_time": "disturbance-free boundary-damped wave run absorbing its "
-                        "initial data in finite time",
-    "wave_demo": "boundary-damped wave run with decaying interior forcing, checked "
-                 "against both norm bound families",
-}
+import yaml
+
+_CONFIGS = resources.files("isscert.configs")
+
+
+def bundled_names() -> list:
+    """Sorted names of the bundled scenario configurations."""
+    return sorted(p.name.removesuffix(".yaml") for p in _CONFIGS.iterdir()
+                  if p.name.endswith(".yaml"))
 
 
 def bundled_config_text(name: str) -> str:
     """YAML text of a bundled scenario configuration."""
-    if name not in SCENARIOS:
-        known = ", ".join(sorted(SCENARIOS))
+    if name not in bundled_names():
+        known = ", ".join(bundled_names())
         raise KeyError(f"unknown scenario {name!r}; bundled scenarios: {known}")
-    return resources.files("isscert.configs").joinpath(f"{name}.yaml").read_text()
+    return _CONFIGS.joinpath(f"{name}.yaml").read_text()
 
 
 def scenario_lines() -> list:
-    return [f"{name}: {SCENARIOS[name]}" for name in sorted(SCENARIOS)]
+    return [f"{name}: {yaml.safe_load(bundled_config_text(name))['description']}"
+            for name in bundled_names()]

@@ -1,12 +1,11 @@
 """Disturbance signals and space-time forcing fields.
 
-Time signals are piecewise analytic, right-continuous, made of four piece
-kinds (constant, sinusoid, exp_decay, polynomial).  Their windowed sup is
-exact for every kind: |signal| is evaluated at the window ends, the piece
-ends and each piece's critical times (sinusoid crests, real roots of a
-polynomial's derivative).  Windows are closed intervals, so the sup is
-conservative and monotone in the window, and one call returns the running
-sups over a whole array of window ends.
+A time signal is one analytic kind (constant, sinusoid, exp_decay,
+polynomial) on t >= 0.  Its extremes over a window are exact: they lie at
+the window ends or at the kind's critical times (sinusoid crests and
+troughs, real roots of a polynomial's derivative).  Windows are closed
+intervals, so the windowed sup is conservative and monotone in the window,
+and one call returns the running sups over a whole array of window ends.
 
 Space-time fields wrap a callable f(y, t); spatially uniform and separable
 fields keep a handle on their signal so windowed sups stay exact on the
@@ -16,17 +15,15 @@ sampled in time.
 
 from __future__ import annotations
 
-import bisect
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 __all__ = [
-    "PIECE_KINDS",
-    "Piece",
+    "SIGNAL_KINDS",
     "TimeSignal",
+    "signal_range",
     "sup_window",
     "SpaceTimeField",
     "sup_field",
@@ -39,7 +36,7 @@ __all__ = [
     "profile2d_sinprod",
 ]
 
-PIECE_KINDS = ("constant", "sinusoid", "exp_decay", "polynomial")
+SIGNAL_KINDS = ("constant", "sinusoid", "exp_decay", "polynomial")
 
 # parameter counts; polynomial takes any positive number of coefficients
 _ARITY = {"constant": 1, "sinusoid": 4, "exp_decay": 3}
@@ -49,112 +46,76 @@ _ARITY = {"constant": 1, "sinusoid": 4, "exp_decay": 3}
 _FIELD_SAMPLES = 513
 
 
-@dataclass(frozen=True)
-class Piece:
-    """One analytic piece, active from ``start`` until the next piece.
+class TimeSignal:
+    """One analytic signal on t >= 0.
 
     Parameter conventions:
       constant:    (value,)
-      sinusoid:    (amplitude, frequency, phase, offset), evaluated in
-                   absolute time as offset + amplitude*sin(2*pi*frequency*t + phase)
-      exp_decay:   (amplitude, rate, offset), evaluated in piece-local time
-                   as offset + amplitude*exp(-rate*(t - start))
-      polynomial:  (c0, c1, ...), sum of ck*(t - start)**k
+      sinusoid:    (amplitude, frequency, phase, offset), evaluated as
+                   offset + amplitude*sin(2*pi*frequency*t + phase)
+      exp_decay:   (amplitude, rate, offset), evaluated as
+                   offset + amplitude*exp(-rate*t)
+      polynomial:  (c0, c1, ...), sum of ck*t**k
     """
 
-    start: float
-    kind: str
-    params: tuple
-
-    def __post_init__(self):
-        if self.kind not in PIECE_KINDS:
-            raise ValueError(f"unknown piece kind {self.kind!r}")
-        want = _ARITY.get(self.kind)
-        if want is not None and len(self.params) != want:
-            raise ValueError(f"{self.kind} takes {want} parameters, got {len(self.params)}")
-        if self.kind == "polynomial" and len(self.params) == 0:
+    def __init__(self, kind: str, params: tuple):
+        if kind not in SIGNAL_KINDS:
+            raise ValueError(f"unknown signal kind {kind!r}")
+        want = _ARITY.get(kind)
+        if want is not None and len(params) != want:
+            raise ValueError(f"{kind} takes {want} parameters, got {len(params)}")
+        if kind == "polynomial" and len(params) == 0:
             raise ValueError("polynomial needs at least one coefficient")
-        if not all(math.isfinite(float(v)) for v in self.params):
-            raise ValueError("piece parameters must be finite")
-        if not (math.isfinite(self.start) and self.start >= 0):
-            raise ValueError("piece start must be finite and nonnegative")
-
-    def eval(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == "constant":
-            out = np.full_like(t, float(self.params[0]))
-        elif self.kind == "sinusoid":
-            amp, freq, phase, off = (float(v) for v in self.params)
-            out = off + amp * np.sin(2.0 * np.pi * freq * t + phase)
-        elif self.kind == "exp_decay":
-            amp, rate, off = (float(v) for v in self.params)
-            out = off + amp * np.exp(-rate * (t - self.start))
-        else:
-            tau = t - self.start
-            out = np.zeros_like(t)
-            for k, ck in enumerate(self.params):
-                out = out + float(ck) * tau**k
-        return out
-
-
-class TimeSignal:
-    """Piecewise analytic signal on t >= 0, right-continuous at breakpoints."""
-
-    def __init__(self, pieces: Sequence[Piece]):
-        pieces = tuple(pieces)
-        if not pieces:
-            raise ValueError("signal needs at least one piece")
-        if pieces[0].start != 0.0:
-            raise ValueError("first piece must start at t = 0")
-        starts = [p.start for p in pieces]
-        if any(b - a <= 0 for a, b in zip(starts, starts[1:])):
-            raise ValueError("piece starts must be strictly increasing")
-        self.pieces = pieces
-        self._starts = starts
+        if not all(math.isfinite(float(v)) for v in params):
+            raise ValueError("signal parameters must be finite")
+        self.kind = kind
+        self.params = tuple(float(v) for v in params)
 
     @classmethod
     def constant(cls, value):
-        return cls([Piece(0.0, "constant", (float(value),))])
+        return cls("constant", (value,))
 
     @classmethod
     def sinusoid(cls, amplitude, frequency, phase=0.0, offset=0.0):
-        return cls([Piece(0.0, "sinusoid",
-                          (float(amplitude), float(frequency), float(phase), float(offset)))])
+        return cls("sinusoid", (amplitude, frequency, phase, offset))
 
     @classmethod
     def exp_decay(cls, amplitude, rate, offset=0.0):
-        return cls([Piece(0.0, "exp_decay", (float(amplitude), float(rate), float(offset)))])
+        return cls("exp_decay", (amplitude, rate, offset))
 
     @classmethod
     def polynomial(cls, *coeffs):
-        return cls([Piece(0.0, "polynomial", tuple(float(c) for c in coeffs))])
+        return cls("polynomial", coeffs)
 
-    def piece_index(self, t):
-        # last piece whose start is <= t
-        return max(bisect.bisect_right(self._starts, float(t)) - 1, 0)
+    def _eval(self, t: np.ndarray) -> np.ndarray:
+        if self.kind == "constant":
+            return np.full_like(t, self.params[0])
+        if self.kind == "sinusoid":
+            amp, freq, phase, off = self.params
+            return off + amp * np.sin(2.0 * np.pi * freq * t + phase)
+        if self.kind == "exp_decay":
+            amp, rate, off = self.params
+            return off + amp * np.exp(-rate * t)
+        out = np.zeros_like(t)
+        for k, ck in enumerate(self.params):
+            out = out + ck * t**k
+        return out
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
         if np.any(t_arr < 0):
             raise ValueError("signals are defined for t >= 0")
-        if t_arr.ndim == 0:
-            return float(self.pieces[self.piece_index(float(t_arr))].eval(t_arr))
-        out = np.empty_like(t_arr)
-        edges = self._starts[1:] + [np.inf]
-        for piece, hi in zip(self.pieces, edges):
-            mask = (t_arr >= piece.start) & (t_arr < hi)
-            if mask.any():
-                out[mask] = piece.eval(t_arr[mask])
-        return out
+        out = self._eval(t_arr)
+        return float(out) if t_arr.ndim == 0 else out
 
 
-def _critical_times(piece: Piece, a: float, b: float) -> list:
-    """Times inside [a, b] where |piece| can peak: sinusoid crests and
+def _critical_times(sig: TimeSignal, a: float, b: float) -> list:
+    """Times inside [a, b] where the signal can peak: sinusoid crests and
     troughs, and the real parts of the roots of a polynomial's derivative
     (extra candidates never lower the sup).  Constant and exp_decay
-    pieces are monotone, so they have none."""
-    if piece.kind == "sinusoid":
-        amp, freq, phase, _ = (float(v) for v in piece.params)
+    signals are monotone, so they have none."""
+    if sig.kind == "sinusoid":
+        amp, freq, phase, _ = sig.params
         if freq == 0.0 or amp == 0.0:
             return []
         # 2*pi*freq*t + phase = pi/2 + k*pi
@@ -163,10 +124,17 @@ def _critical_times(piece: Piece, a: float, b: float) -> list:
                            (w * b + phase - math.pi / 2.0) / math.pi))
         return [(math.pi / 2.0 + k * math.pi - phase) / w
                 for k in range(math.ceil(k_a), math.floor(k_b) + 1)]
-    if piece.kind == "polynomial":
-        roots = np.polynomial.Polynomial(piece.params).deriv().trim().roots()
-        return [t for t in (piece.start + roots.real).tolist() if a < t < b]
+    if sig.kind == "polynomial":
+        roots = np.polynomial.Polynomial(sig.params).deriv().trim().roots()
+        return [t for t in roots.real.tolist() if a < t < b]
     return []
+
+
+def signal_range(sig: TimeSignal, t1: float) -> tuple:
+    """(min, max) of sig over [0, t1], exact: both lie at an end of the
+    window or at one of the signal's critical times."""
+    vals = sig._eval(np.asarray([0.0, t1, *_critical_times(sig, 0.0, t1)]))
+    return float(vals.min()), float(vals.max())
 
 
 def _running_max(times, values, ends):
@@ -179,26 +147,18 @@ def _running_max(times, values, ends):
 def _window_sups(sig: TimeSignal, t0: float, ends: np.ndarray) -> np.ndarray:
     """Sup of |sig| over the closed window [t0, e] for each e >= t0 in ends."""
     horizon = float(np.max(ends))
-    times, values = [], []
-    for piece, nxt in zip(sig.pieces, sig._starts[1:] + [math.inf]):
-        a, b = max(t0, piece.start), min(horizon, nxt)
-        # a piece that ends where the window starts does not reach into it
-        if a > b or nxt <= t0:
-            continue
-        cand = np.concatenate(([a, b], _critical_times(piece, a, b),
-                               ends[(ends > a) & (ends < b)]))
-        times.append(cand)
-        values.append(np.abs(piece.eval(cand)))
-    return _running_max(np.concatenate(times), np.concatenate(values), ends)
+    cand = np.concatenate(([t0, horizon], _critical_times(sig, t0, horizon),
+                           ends[(ends > t0) & (ends < horizon)]))
+    return _running_max(cand, np.abs(sig._eval(cand)), ends)
 
 
 def sup_window(sig: TimeSignal, t0: float, t1):
-    """Sup of |sig| over the closed window [t0, t1], exact for every piece kind.
+    """Sup of |sig| over the closed window [t0, t1], exact for every kind.
 
-    |sig| peaks on each piece at a window end, a piece end, or one of the
-    piece's critical times (:func:`_critical_times`); the sup is the
-    largest of those values.  An array of window ends t1 gives the array
-    of sups over [t0, t1_i], as for :func:`sup_field`.
+    |sig| peaks at a window end or at one of the signal's critical times
+    (:func:`_critical_times`); the sup is the largest of those values.
+    An array of window ends t1 gives the array of sups over [t0, t1_i],
+    as for :func:`sup_field`.
     """
     if np.ndim(t1) == 0 and not float(t0) < float(t1):
         raise ValueError(f"need 0 <= t0 < t1, got ({t0}, {t1})")

@@ -1,6 +1,6 @@
 """Semi-implicit finite differences for the disturbed reaction-diffusion class
 
-    u_t = div(a grad u) - c*phi(u) - absorption(y, t, u) + f(y, t)
+    u_t = div(a grad u) - c*phi(u) + f(y, t)
 
 on the unit interval or unit square, with Dirichlet data u = d1 on one part
 of the boundary and the nonlinear flux law
@@ -8,8 +8,8 @@ of the boundary and the nonlinear flux law
     a du/dnu = -varphi(u) + d2        (nu the outward normal)
 
 on the rest.  Diffusion is implicit (backward Euler in one dimension,
-dimension-split backward Euler on the square); reaction, absorption, and
-forcing are explicit.  The interior unknowns of a grid line are
+dimension-split backward Euler on the square); reaction and forcing are
+explicit.  The interior unknowns of a grid line are
 tridiagonal and affine in its end values, so the balance at each flux
 end becomes a strictly increasing scalar equation with a guaranteed
 bracket, closed by bisection.  In one dimension the single line is
@@ -22,13 +22,13 @@ bitwise the result of closing them one line at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import solve_banded
 
 from ..fields import Grid1D, Grid2D, Trajectory
-from ..signals import SpaceTimeField
+from ..signals import SpaceTimeField, signal_range
 from .common import (ScenarioError, SolverConfig, SolverDivergedError,
                      check_finite)
 
@@ -49,8 +49,10 @@ class ParabolicScenario:
     names of the dimension, :data:`EDGES`; the grid carries no edge
     labels, so this partition is the only one.  The maps
     must satisfy the structural sign conditions checked by
-    :meth:`validate`; c0 = 0 is allowed (no reaction floor), but the
-    truncation-level computation then refuses the scenario.
+    :meth:`validate`.  a0 and c0 are floors of a and c, which
+    :func:`solve_parabolic` checks over the run's horizon; c0 = 0 is
+    allowed (no reaction floor), but the truncation-level computation
+    then refuses the scenario.
     """
 
     dim: int
@@ -66,7 +68,6 @@ class ParabolicScenario:
     w0: Callable
     gamma1: frozenset
     gamma2: frozenset
-    absorption: Optional[Callable] = None
     label: str = ""
 
     def __post_init__(self):
@@ -86,7 +87,6 @@ class ParabolicScenario:
         if self.gamma1 | self.gamma2 != edges:
             raise ScenarioError(f"boundary labels must cover {sorted(edges)} exactly")
         self._check_maps()
-        self._check_coefficients()
 
     def _check_maps(self):
         v = np.linspace(-10.0, 10.0, 401)
@@ -106,24 +106,37 @@ class ParabolicScenario:
         if np.any(np.asarray(self.boundary_reaction(-pos))
                   > -np.asarray(self.boundary_reaction(pos)) + _SIGN_TOL):
             raise ScenarioError("boundary reaction must satisfy varphi(-v) <= -varphi(v)")
-        if self.absorption is not None:
-            ts = (0.0, 0.7, 5.0)
-            ys = np.asarray([0.0, 0.31, 0.5, 0.77, 1.0])
-            pts = ys if self.dim == 1 else (ys, ys[::-1].copy())
-            for t in ts:
-                for vi in (-7.3, -1.0, -0.2, 0.2, 1.0, 7.3):
-                    hv = np.asarray(self.absorption(pts, t, np.full(ys.shape, vi)))
-                    if np.any(hv * vi < -_SIGN_TOL):
-                        raise ScenarioError("absorption must satisfy h(y,t,v)*v >= 0")
 
-    def _check_coefficients(self):
-        ys = np.linspace(0.0, 1.0, 17)
-        pts = ys if self.dim == 1 else tuple(np.meshgrid(ys, ys, indexing="ij"))
-        for t in (0.0, 0.5, 5.0):
-            if np.any(np.asarray(self.a(pts, t)) < self.a0 - _SIGN_TOL):
-                raise ScenarioError("diffusion coefficient drops below a0")
-            if np.any(np.asarray(self.c(pts, t)) < self.c0 - _SIGN_TOL):
-                raise ScenarioError("reaction coefficient drops below c0")
+
+def _field_inf(fld, pts, t_end, dim):
+    """Inf of a coefficient field over the point sets pts and [0, t_end].
+
+    Exact for uniform fields (the signal's min) and separable ones (the
+    least product of the profile's extremes on pts and the signal's
+    extremes).  A field known only through its callable is sampled on a
+    17-point lattice of the domain at t = 0, 0.5 and 5.
+    """
+    if fld.signal is not None:
+        return signal_range(fld.signal, t_end)[0]
+    if fld.parts is not None:
+        profile, sig = fld.parts
+        prof = np.concatenate([np.ravel(profile(p)) for p in pts])
+        return min(p * s for p in (prof.min(), prof.max())
+                   for s in signal_range(sig, t_end))
+    ys = np.linspace(0.0, 1.0, 17)
+    lattice = ys if dim == 1 else tuple(np.meshgrid(ys, ys, indexing="ij"))
+    return min(float(np.min(fld(lattice, t))) for t in (0.0, 0.5, 5.0))
+
+
+def _check_floors(scn, faces, nodes, t_end):
+    """Reject a run whose diffusion coefficient (evaluated on the faces)
+    or reaction coefficient (on the nodes) drops below its floor."""
+    for what, fld, name, floor, pts in (("diffusion", scn.a, "a0", scn.a0, faces),
+                                        ("reaction", scn.c, "c0", scn.c0, [nodes])):
+        low = _field_inf(fld, pts, t_end, scn.dim)
+        if low < floor - _SIGN_TOL:
+            raise ScenarioError(f"{what} coefficient drops below {name} = {floor:g} "
+                                f"(down to {low:g})")
 
 
 def solve_parabolic(scn: ParabolicScenario, grid, cfg: SolverConfig) -> Trajectory:
@@ -396,8 +409,6 @@ def _bisect_lockstep(res, center, bc_tol):
 
 def _explicit_source(scn, pts, t, w):
     src = -np.asarray(scn.c(pts, t), dtype=float) * np.asarray(scn.reaction(w), dtype=float)
-    if scn.absorption is not None:
-        src = src - np.asarray(scn.absorption(pts, t, w), dtype=float)
     return src + np.asarray(scn.f(pts, t), dtype=float)
 
 
@@ -405,6 +416,7 @@ def _solve_1d(scn, grid, cfg):
     y = grid.points()
     h = grid.h
     yf = 0.5 * (y[:-1] + y[1:])
+    _check_floors(scn, [yf], y, cfg.t_end)
     w = np.asarray(scn.w0(y), dtype=float)
     check_finite(w, 0, 0.0)
 
@@ -456,6 +468,7 @@ def _solve_2d(scn, grid, cfg):
     y_rows, x_cols = ys[rows], xs[cols]
     x_faces = np.broadcast_arrays(xf[None, :], y_rows[:, None])
     y_faces = np.broadcast_arrays(x_cols[:, None], yf[None, :])
+    _check_floors(scn, [tuple(x_faces), tuple(y_faces)], (X, Y), cfg.t_end)
     zero_src = np.zeros((x_cols.size, ny + 1))
 
     traj = Trajectory("parabolic", grid, meta={

@@ -10,7 +10,6 @@ from isscert.certify import (CheckReport, _state_norms, bound_heat_classical,
                              bound_transport_q, bound_wave_m,
                              bound_wave_r_eps, check_trajectory,
                              prepare_bound)
-from isscert.comparison import identity_map
 from isscert.fields import Grid1D, Grid2D, Trajectory, lq_norm
 from isscert.glf import glf_for_parabolic, running_sups
 from isscert.signals import (SpaceTimeField, TimeSignal, profile_bump,
@@ -142,7 +141,7 @@ def test_running_sups_take_2d_edges_on_the_grid_nodes():
                                     TimeSignal.constant(1.0))
     scn = ParabolicScenario(
         dim=2, a=ONE, a0=1.0, c=ONE, c0=1.0,
-        reaction=identity_map(), boundary_reaction=identity_map(),
+        reaction=lambda v: v, boundary_reaction=lambda v: v,
         f=ZERO, d1=edge, d2=ZERO, w0=profile_constant(0.0),
         gamma1=("left",), gamma2=("right", "bottom", "top"))
     grid = Grid2D(8, 12)
@@ -156,7 +155,7 @@ def test_sampled_sup_is_flagged():
                           label="bare")
     scn = ParabolicScenario(
         dim=1, a=ONE, a0=1.0, c=ONE, c0=1.0,
-        reaction=identity_map(), boundary_reaction=identity_map(),
+        reaction=lambda v: v, boundary_reaction=lambda v: v,
         f=bare, d1=ZERO, d2=ZERO, w0=profile_sin(1.0),
         gamma1=("left",), gamma2=("right",))
     traj = solve_parabolic(scn, Grid1D(16, layout="node"),
@@ -172,7 +171,7 @@ def test_energy_and_check_share_the_truncation_level():
     wave = TimeSignal.sinusoid(0.3, 1.3, phase=0.4, offset=0.1)
     scn = ParabolicScenario(
         dim=1, a=ONE, a0=1.0, c=ONE, c0=1.0,
-        reaction=identity_map(), boundary_reaction=identity_map(),
+        reaction=lambda v: v, boundary_reaction=lambda v: v,
         f=SpaceTimeField.separable(profile_sin(0.8, 2), wave),
         d1=SpaceTimeField.from_signal(TimeSignal.sinusoid(0.1, 0.7)),
         d2=SpaceTimeField.from_signal(TimeSignal.polynomial(0.1, 0.5, -0.4)),
@@ -193,7 +192,7 @@ def test_energy_and_check_share_the_truncation_level():
 def make_parabolic_demo():
     return ParabolicScenario(
         dim=1, a=ONE, a0=1.0, c=ONE, c0=1.0,
-        reaction=identity_map(), boundary_reaction=identity_map(),
+        reaction=lambda v: v, boundary_reaction=lambda v: v,
         f=SpaceTimeField.constant(0.5),
         d1=SpaceTimeField.constant(0.2), d2=SpaceTimeField.constant(0.3),
         w0=profile_sum(profile_constant(0.2), profile_sin(3.0)),
@@ -227,7 +226,7 @@ def test_parabolic_bound_needs_damping_floor():
     traj = solve_parabolic(scn, grid, SolverConfig(t_end=0.05, dt=0.005))
     bare = ParabolicScenario(
         dim=1, a=ONE, a0=1.0, c=ZERO, c0=0.0,
-        reaction=identity_map(), boundary_reaction=identity_map(),
+        reaction=lambda v: v, boundary_reaction=lambda v: v,
         f=ZERO, d1=ZERO, d2=ZERO, w0=profile_sin(1.0),
         gamma1=("left",), gamma2=("right",))
     with pytest.raises(ValueError):
@@ -345,6 +344,17 @@ def test_unknown_bound_kind():
         check_trajectory(traj, 1.5, prepare_bound("transport_q", traj, scn, 2.0), 0.0)
     with pytest.raises(ValueError):
         check_trajectory(traj, 2.0, prepare_bound("transport_q", traj, scn, 2.0), -1.0)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_check_trajectory_rejects_non_finite_tol(tol):
+    # margins < -tol is never true for these, so every violation would hide
+    scn = make_transport_uniform()
+    traj = solve_transport(scn, Grid1D(32, layout="cell"),
+                           SolverConfig(t_end=0.2, cfl_sigma=0.9))
+    bound = prepare_bound("transport_q", traj, scn, 2.0)
+    with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+        check_trajectory(traj, 2.0, bound, tol)
 
 
 # ---------------------------------------------------------------------------

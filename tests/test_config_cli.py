@@ -9,7 +9,7 @@ from isscert.certify import BOUNDS
 from isscert.cli import main
 from isscert.config import ConfigError, build_plan, load_config, load_plan
 from isscert.fields import Grid1D, Grid2D
-from isscert.scenarios import SCENARIOS
+from isscert.scenarios import bundled_names
 
 EXPECTED_PDE = {
     "heat_clm_demo": "parabolic",
@@ -45,7 +45,7 @@ checks:
 
 
 def test_bundled_catalog_is_loadable():
-    assert set(SCENARIOS) == set(EXPECTED_PDE)
+    assert bundled_names() == sorted(EXPECTED_PDE)
     for name, pde in EXPECTED_PDE.items():
         plan = load_plan(name)
         assert plan.pde == pde
@@ -136,10 +136,9 @@ def test_missing_config_file():
 
 def test_cli_list_scenarios(capsys):
     assert main(["list-scenarios"]) == 0
-    out = capsys.readouterr().out.strip().splitlines()
-    assert len(out) == len(SCENARIOS)
-    assert out == sorted(out)
-    assert all(": " in line for line in out)
+    # one line per bundled config, with that file's own description
+    expected = [f"{name}: {load_config(name)['description']}" for name in sorted(EXPECTED_PDE)]
+    assert capsys.readouterr().out.splitlines() == expected
 
 
 def test_cli_run_unknown_config(tmp_path, capsys):
@@ -239,7 +238,9 @@ def test_cli_run_rejects_bad_bc_tol(tmp_path, capsys, bc_tol):
     cfg = tmp_path / "bad_tol.yaml"
     cfg.write_text(yaml.safe_dump(doc))
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
-    assert "config error: solver: bc_tol must be finite and positive" in capsys.readouterr().err
+    message = ("solver: bc_tol must be finite and positive" if math.isfinite(bc_tol)
+               else f"solver.bc_tol: expected a finite number, got {bc_tol!r}")
+    assert f"config error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -322,7 +323,6 @@ LEAF_SPECS = [
     ("parabolic_demo", "scenario.reaction", {"kind": "identity"}),
     ("parabolic_demo", "scenario.reaction", {"kind": "linear", "slope": 2.0}),
     ("parabolic_demo", "scenario.reaction", {"kind": "cubic", "gamma": 1.0}),
-    ("parabolic_demo", "scenario.boundary_reaction", {"kind": "power", "exponent": 3.0}),
     ("transport_global", "scenario.speed", {"kind": "constant", "value": 1.0}),
     ("transport_liss", "scenario.speed", {"kind": "reciprocal"}),
 ]
@@ -371,20 +371,61 @@ def test_integer_keys_accept_integral_floats():
      {"kind": "uniform", "signal": {"kind": "polynomial", "coeffs": ["a"]}},
      "scenario.forcing.signal.coeffs: expected a nonempty list of numbers"),
     ("wave_demo", "scenario.boundary_data", {"kind": "constant", "value": math.nan},
-     "scenario.boundary_data: piece parameters must be finite"),
+     "scenario.boundary_data.value: expected a finite number, got nan"),
     ("transport_global", "grid.layout", "node",
      "grid.layout: transport runs need layout cell, got 'node'"),
     ("parabolic_demo", "solver.dt", None, "solver.dt: missing required key"),
     ("parabolic_demo", "checks", [{"kind": ["parabolic_q"], "q": 2}],
      "checks[0].kind: unknown check kind ['parabolic_q']"),
+    ("parabolic_demo", "checks", [{"kind": "parabolic_q", "q": 2, "tol": math.nan}],
+     "checks[0].tol: expected a finite number, got nan"),
+    ("parabolic_demo", "scenario.reaction", {"kind": "linear", "slope": math.inf},
+     "scenario.reaction.slope: expected a finite number, got inf"),
+    ("transport_steady", "solver.t_end", 10**400,
+     f"solver.t_end: expected a finite number, got {10**400}"),
+    ("parabolic_demo", "scenario.reaction", {"kind": "linear", "slope": 0},
+     "scenario.reaction: slope must be positive"),
+    ("parabolic_demo", "scenario.boundary_reaction", {"kind": "cubic", "gamma": -0.1},
+     "scenario.boundary_reaction: gamma must be nonnegative"),
+    ("parabolic_demo", "scenario.boundary_reaction", {"kind": "power", "exponent": 3.0},
+     "scenario.boundary_reaction.kind: unknown map kind 'power'"),
 ], ids=["grid_n", "bump_halfwidth", "map_slope", "poly_coeffs", "nan_signal",
-        "transport_node_layout", "parabolic_without_dt", "unhashable_check_kind"])
+        "transport_node_layout", "parabolic_without_dt", "unhashable_check_kind",
+        "nan_tol", "inf_slope", "huge_int", "zero_slope", "negative_gamma", "power_map"])
 def test_cli_run_build_errors_exit_2(tmp_path, capsys, demo, location, value, message):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(yaml.safe_dump(_edited(demo, location, value)))
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_coefficient_below_floor_exits_2(tmp_path, capsys):
+    # 1 - 0.5 sin(4 pi t) and 1 - 0.9 sin(4 pi t) equal their floor 1 at
+    # t = 0, 0.5 and 5 but dip to 0.5 and 0.1 in between
+    doc = load_config("parabolic_demo")
+    for key, amplitude in (("diffusion", -0.5), ("damping", -0.9)):
+        doc["scenario"][key] = {"kind": "uniform", "signal": {
+            "kind": "sinusoid", "amplitude": amplitude, "frequency": 2.0, "offset": 1.0}}
+    cfg = tmp_path / "floor.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "solver error: diffusion coefficient drops below a0 = 1 (down to 0.5)\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_map_kinds_build_closed_forms():
+    def law(spec):
+        return build_plan(_edited("parabolic_demo", "scenario.reaction", spec)).scenario.reaction
+
+    ident = law({"kind": "identity"})
+    assert ident(0.7) == 0.7
+    assert ident(0.0) == 0.0
+    assert law({"kind": "linear", "slope": 2.5})(2.0) == 5.0
+    cub = law({"kind": "cubic", "gamma": 1.0})
+    assert cub(2.0) == pytest.approx(10.0, rel=1e-15)
+    assert cub(-2.0) == pytest.approx(-10.0, rel=1e-15)
 
 
 @pytest.mark.parametrize("name", [5, "", ".", "..", "../escaped", "a/b"])

@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from isscert.comparison import odd_cubic_map
 from isscert.fields import Grid1D, Grid2D, Trajectory
 from isscert.glf import (GlfSeries, GlfSpec, components,
                          default_transport_rate, dissipation_rate,
-                         dissipation_report, evaluate,
-                         glf_for_parabolic, glf_for_transport, glf_for_wave,
+                         dissipation_report, glf_for_parabolic,
+                         glf_for_transport, glf_for_wave, invert_monotone,
                          local_speed_floor, series,
                          wave_forcing_slack, weighted_energy)
 from isscert.signals import SpaceTimeField, TimeSignal, profile_constant
@@ -23,10 +22,20 @@ ZERO = SpaceTimeField.constant(0.0)
 GRID = Grid1D(16, layout="node")
 
 
+def cubic(gamma):
+    """v -> v + gamma*v**3."""
+    return lambda v: np.asarray(v, dtype=float) * (1.0 + gamma * np.asarray(v, dtype=float) ** 2)
+
+
+def evaluate(state, grid, spec):
+    """The functional for one state snapshot: the sum of its components."""
+    return float(sum(components(state, grid, spec).values()))
+
+
 def make_parabolic(**over):
     base = dict(dim=1, a=ONE, a0=1.0, c=ONE, c0=1.0,
-                reaction=odd_cubic_map(1.0),
-                boundary_reaction=odd_cubic_map(1.0),
+                reaction=cubic(1.0),
+                boundary_reaction=cubic(1.0),
                 f=SpaceTimeField.constant(2.0), d1=ZERO, d2=ZERO,
                 w0=profile_constant(0.0), gamma1=("left", "right"),
                 gamma2=())
@@ -170,7 +179,7 @@ def test_level_parabolic_cubic_reaction():
     assert glf_for_parabolic(make_parabolic(), GRID, 2.0, 1.0).level == pytest.approx(
         1.0, abs=1e-11)
     # v + 2 v**3 = 2
-    scn = make_parabolic(reaction=odd_cubic_map(2.0))
+    scn = make_parabolic(reaction=cubic(2.0))
     assert glf_for_parabolic(scn, GRID, 2.0, 1.0).level == pytest.approx(
         0.835122348481, abs=1e-9)
 
@@ -183,6 +192,36 @@ def test_level_parabolic_needs_damping_floor():
 def test_level_transport_and_wave():
     assert glf_for_transport(make_transport(), GRID, 2.0, 2.0).level == 1.5
     assert glf_for_wave(make_wave(), GRID, 2.0, 1.0, r=1.0).level == 0.4
+
+
+def test_invert_cube_root():
+    x = invert_monotone(lambda v: v**3, 8.0, 0.0, 10.0, 1e-10)
+    assert abs(x - 2.0) < 1e-9
+
+
+def test_invert_identity():
+    assert invert_monotone(lambda v: v, 0.7, -1.0, 1.0, 1e-10) == pytest.approx(0.7, abs=1e-10)
+
+
+def test_invert_cubic_reaction_values():
+    # v + v^3 = 2 has the exact root 1; v + 2v^3 = 2 does not.
+    x1 = invert_monotone(cubic(1.0), 2.0, 0.0, 10.0, 1e-10)
+    assert abs(x1 - 1.0) < 1e-9
+    x2 = invert_monotone(cubic(2.0), 2.0, 0.0, 10.0, 1e-10)
+    assert x2 == pytest.approx(0.835122348481, abs=1e-9)
+
+
+def test_invert_bracket_error():
+    with pytest.raises(ValueError, match="outside"):
+        invert_monotone(lambda v: v * v, 100.0, 0.0, 3.0, 1e-10)
+
+
+def test_invert_round_trip_random(rng):
+    f = cubic(0.7)
+    for _ in range(100):
+        y = rng.uniform(0.0, float(f(50.0)))
+        x = invert_monotone(f, y, 0.0, 50.0, 1e-10)
+        assert abs(float(f(x)) - y) <= 2e-10
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,61 @@
+"""The benchmark's tracing hooks still find every name they wrap.
+
+``perfbench/tracing.py`` replaces functions by name on ``isscert``'s
+modules, so renaming one of them in ``src`` breaks traced benchmark runs.
+These tests install the hooks, run one traced parabolic run, and undo
+them.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import isscert.certify
+import isscert.cli
+import isscert.fields
+import isscert.glf
+import isscert.verify
+from isscert.cli import main
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PATCHED = (isscert.certify, isscert.cli, isscert.glf, isscert.verify,
+           isscert.fields.Trajectory)
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracing_hooks_install_and_undo():
+    tracing = _load_tracing()
+    before = [dict(vars(owner)) for owner in PATCHED]
+    undo = tracing.install(tracing.Tracer())
+    try:
+        assert isscert.glf.invert_monotone.__wrapped__ is before[2]["invert_monotone"]
+        assert isscert.cli.solve_parabolic.__wrapped__ is before[1]["solve_parabolic"]
+    finally:
+        undo()
+    for owner, saved in zip(PATCHED, before):
+        assert dict(vars(owner)) == saved
+
+
+def test_traced_run_matches_untraced(tmp_path, capsys):
+    tracing = _load_tracing()
+    assert main(["run", "parabolic_demo", "--out", str(tmp_path / "plain")]) == 0
+    tracer = tracing.Tracer()
+    undo = tracing.install(tracer)
+    try:
+        assert main(["run", "parabolic_demo", "--out", str(tmp_path / "traced")]) == 0
+    finally:
+        undo()
+    capsys.readouterr()
+    for name in ("report.txt", "glf.csv", "trajectory.csv"):
+        assert ((tmp_path / "traced" / "parabolic_demo" / name).read_bytes()
+                == (tmp_path / "plain" / "parabolic_demo" / name).read_bytes())
+    names = {span[0] for span in tracer.spans}
+    assert {"config.load_plan", "solvers.solve", "glf.level", "comparison.invert",
+            "signals.sup_field", "certify.check_trajectory", "fields.write_csv"} <= names
+    solve = next(span for span in tracer.spans if span[0] == "solvers.solve")
+    assert solve[5]["flux_calls"] > 0

@@ -5,23 +5,23 @@ import math
 import numpy as np
 import pytest
 
-from isscert.signals import (Piece, SpaceTimeField, TimeSignal, profile_affine,
+from isscert.signals import (SpaceTimeField, TimeSignal, profile_affine,
                              profile_bump, profile_constant, profile_poly,
                              profile_sin, profile_sum, profile2d_sinprod,
-                             sup_field, sup_window)
+                             signal_range, sup_field, sup_window)
 
 
-def test_piece_validation():
-    with pytest.raises(ValueError):
-        Piece(0.0, "triangle", (1.0,))
-    with pytest.raises(ValueError):
-        Piece(0.0, "constant", (1.0, 2.0))
-    with pytest.raises(ValueError):
-        Piece(0.0, "polynomial", ())
-    with pytest.raises(ValueError):
-        Piece(-1.0, "constant", (1.0,))
-    with pytest.raises(ValueError):
-        Piece(0.0, "constant", (float("nan"),))
+def test_signal_validation():
+    with pytest.raises(ValueError, match="unknown signal kind"):
+        TimeSignal("triangle", (1.0,))
+    with pytest.raises(ValueError, match="takes 1 parameters"):
+        TimeSignal("constant", (1.0, 2.0))
+    with pytest.raises(ValueError, match="at least one coefficient"):
+        TimeSignal("polynomial", ())
+    with pytest.raises(ValueError, match="finite"):
+        TimeSignal("constant", (float("nan"),))
+    with pytest.raises(ValueError, match="finite"):
+        TimeSignal.sinusoid(1.0, math.inf)
 
 
 def test_signal_factories():
@@ -35,24 +35,6 @@ def test_signal_factories():
     assert poly(2.0) == pytest.approx(1.0 + 4.0 + 12.0, rel=1e-12)
 
 
-def test_signal_piecewise_right_continuous():
-    sig = TimeSignal([Piece(0.0, "constant", (1.0,)),
-                      Piece(1.0, "constant", (5.0,))])
-    assert sig(0.999999) == 1.0
-    assert sig(1.0) == 5.0
-    assert sig(2.0) == 5.0
-
-
-def test_signal_requires_increasing_starts():
-    with pytest.raises(ValueError):
-        TimeSignal([Piece(0.0, "constant", (1.0,)),
-                    Piece(0.0, "constant", (2.0,))])
-    with pytest.raises(ValueError):
-        TimeSignal([Piece(0.5, "constant", (1.0,))])
-    with pytest.raises(ValueError):
-        TimeSignal([])
-
-
 def test_signal_rejects_negative_time():
     sig = TimeSignal.constant(1.0)
     with pytest.raises(ValueError):
@@ -60,12 +42,13 @@ def test_signal_rejects_negative_time():
 
 
 def test_signal_vectorized_matches_scalar():
-    sig = TimeSignal([Piece(0.0, "sinusoid", (1.0, 0.5, 0.0, 0.0)),
-                      Piece(2.0, "polynomial", (3.0, -1.0))])
     ts = np.linspace(0.0, 4.0, 37)
-    vec = sig(ts)
-    scal = np.array([sig(float(t)) for t in ts])
-    np.testing.assert_allclose(vec, scal, rtol=1e-14)
+    for sig in (TimeSignal.constant(0.3), TimeSignal.sinusoid(1.0, 0.5),
+                TimeSignal.exp_decay(2.0, 0.7, offset=0.1),
+                TimeSignal.polynomial(3.0, -1.0, 0.25)):
+        vec = sig(ts)
+        scal = np.array([sig(float(t)) for t in ts])
+        np.testing.assert_allclose(vec, scal, rtol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -97,11 +80,17 @@ def test_sup_window_exp_decay_left_endpoint():
                                                       rel=1e-9)
 
 
-def test_sup_window_spans_pieces():
-    sig = TimeSignal([Piece(0.0, "constant", (1.0,)),
-                      Piece(1.0, "constant", (-6.0,))])
-    assert sup_window(sig, 0.0, 0.5) == 1.0
-    assert sup_window(sig, 0.0, 2.0) == 6.0
+def test_signal_range_is_exact():
+    # 1 - 0.5 sin(4 pi t) is 1 at t = 0, 0.5 and 5 but spans [0.5, 1.5]
+    assert signal_range(TimeSignal.sinusoid(-0.5, 2.0, offset=1.0), 5.0) == (0.5, 1.5)
+    # no crest before t = 0.1
+    lo, hi = signal_range(TimeSignal.sinusoid(1.0, 1.0), 0.1)
+    assert (lo, hi) == (0.0, math.sin(2.0 * math.pi * 0.1))
+    # 4t - 4t^2 peaks at 1 inside [0, 2] and ends at -8
+    assert signal_range(TimeSignal.polynomial(0.0, 4.0, -4.0), 2.0) == (-8.0, 1.0)
+    assert signal_range(TimeSignal.exp_decay(2.0, 1.0, offset=-1.0), 3.0) == (
+        -1.0 + 2.0 * math.exp(-3.0), 1.0)
+    assert signal_range(TimeSignal.constant(-0.2), 1.0) == (-0.2, -0.2)
 
 
 def test_sup_window_polynomial_is_exact():

@@ -6,10 +6,11 @@ checked against structural invariants (equilibria, energy decay, sup
 bounds) instead.
 """
 
+import re
+
 import numpy as np
 import pytest
 
-from isscert.comparison import identity_map, linear_map, odd_cubic_map
 from isscert.fields import Grid1D, Grid2D, lq_norm
 from isscert.signals import (SpaceTimeField, TimeSignal, profile_bump,
                              profile_constant, profile_sin, profile_sum,
@@ -23,10 +24,15 @@ ZERO = SpaceTimeField.constant(0.0)
 ONE = SpaceTimeField.constant(1.0)
 
 
+def cubic(gamma):
+    """v -> v + gamma*v**3."""
+    return lambda v: np.asarray(v, dtype=float) * (1.0 + gamma * np.asarray(v, dtype=float) ** 2)
+
+
 def make_scenario(**over):
     base = dict(
         dim=1, a=ONE, a0=1.0, c=ONE, c0=1.0,
-        reaction=identity_map(), boundary_reaction=identity_map(),
+        reaction=lambda v: v, boundary_reaction=lambda v: v,
         f=ZERO, d1=ZERO, d2=ZERO,
         w0=profile_bump(1.0, 0.4, 0.3),
         gamma1=("left",), gamma2=("right",))
@@ -122,7 +128,7 @@ def test_large_dt_remains_stable():
 
 
 def test_divergence_reported_with_step():
-    scn = make_scenario(reaction=odd_cubic_map(1.0),
+    scn = make_scenario(reaction=cubic(1.0),
                         w0=profile_constant(0.0),
                         f=SpaceTimeField.constant(1e150))
     with pytest.raises(SolverDivergedError):
@@ -148,7 +154,75 @@ def test_scenario_validation_errors():
     make_scenario(dim=2, gamma1=("left", "right"), gamma2=("bottom", "top")).validate()
     # reaction slope below one violates the expansion condition
     with pytest.raises(ScenarioError):
-        make_scenario(reaction=linear_map(0.5)).validate()
+        make_scenario(reaction=lambda v: 0.5 * v).validate()
+
+
+# laws a strictly increasing class-K map cannot be: decreasing, flat,
+# turning at the origin, nonzero at zero
+BAD_LAWS = {"decreasing": lambda v: -v, "flat": lambda v: 0.0 * v,
+            "square": lambda v: v * v, "offset": lambda v: v + 1.0}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_LAWS))
+def test_check_maps_rejects_non_monotone_laws(name):
+    with pytest.raises(ScenarioError, match="^reaction"):
+        make_scenario(reaction=BAD_LAWS[name]).validate()
+    if name != "flat":
+        # the flux law needs only the sign and oddness conditions
+        with pytest.raises(ScenarioError, match="^boundary reaction"):
+            make_scenario(boundary_reaction=BAD_LAWS[name]).validate()
+
+
+def _dipping(amplitude):
+    # 1 + amplitude*sin(4 pi t) is 1 at t = 0, 0.5 and 5, its old sample times
+    return TimeSignal.sinusoid(amplitude, 2.0, offset=1.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("coef,low", [("a", 0.5), ("c", 0.1)])
+def test_floor_check_is_exact_for_uniform_fields(dim, coef, low):
+    over = {coef: SpaceTimeField.from_signal(_dipping(low - 1.0))}
+    if dim == 2:
+        over.update(dim=2, w0=profile2d_sinprod(1.0),
+                    gamma1=("left", "right"), gamma2=("bottom", "top"))
+    grid = Grid1D(16, layout="node") if dim == 1 else Grid2D(8, 8)
+    cfg = SolverConfig(t_end=1.0, dt=0.01)
+    scn = make_scenario(**over)
+    scn.validate()
+    what = "diffusion" if coef == "a" else "reaction"
+    message = f"{what} coefficient drops below {coef}0 = 1 (down to {low:g})"
+    with pytest.raises(ScenarioError, match=rf"^{re.escape(message)}$"):
+        solve_parabolic(scn, grid, cfg)
+    # the exact minimum is an admissible floor
+    solve_parabolic(make_scenario(**over, **{f"{coef}0": low}), grid, cfg)
+
+
+def test_floor_check_separable_uses_profile_and_signal_extremes():
+    # profile 1 + y on the nodes: range [1, 2]; signal 1 - 0.25 t on [0, 1]:
+    # range [0.75, 1]; the least product is 0.75
+    ramp = SpaceTimeField.separable(lambda y: 1.0 + np.asarray(y, dtype=float),
+                                    TimeSignal.polynomial(1.0, -0.25))
+    grid = Grid1D(16, layout="node")
+    with pytest.raises(ScenarioError, match=r"drops below c0 = 0.8 \(down to 0.75\)"):
+        solve_parabolic(make_scenario(c=ramp, c0=0.8), grid, SolverConfig(t_end=1.0, dt=0.1))
+    solve_parabolic(make_scenario(c=ramp, c0=0.75), grid, SolverConfig(t_end=1.0, dt=0.1))
+    # the diffusion coefficient counts on the faces only: 1 + y there is at
+    # least 1 + h/2
+    h = grid.h
+    solve_parabolic(make_scenario(a=ramp, a0=0.75 * (1.0 + 0.5 * h)), grid,
+                    SolverConfig(t_end=1.0, dt=0.1))
+    with pytest.raises(ScenarioError, match="diffusion"):
+        solve_parabolic(make_scenario(a=ramp, a0=0.75 * (1.0 + 0.5 * h) + 1e-9), grid,
+                        SolverConfig(t_end=1.0, dt=0.1))
+
+
+def test_floor_check_samples_a_bare_callable():
+    # known only through its callable, the field is sampled on the domain
+    tilted = SpaceTimeField(lambda y, t: 1.0 - 0.5 * np.asarray(y, dtype=float))
+    message = r"^diffusion coefficient drops below a0 = 1 \(down to 0.5\)$"
+    with pytest.raises(ScenarioError, match=message):
+        solve_parabolic(make_scenario(a=tilted), Grid1D(16, layout="node"),
+                        SolverConfig(t_end=1.0, dt=0.05))
 
 
 def test_missing_dt_rejected():
@@ -200,7 +274,7 @@ def random_lines(rng, n_lines=7, m=12, scale=1.0):
 
 
 def solve_both(w_old, af, src, kinds, ends, h=1.0 / 11, dt=0.01,
-               varphi=odd_cubic_map(0.8)):
+               varphi=cubic(0.8)):
     bc_lo, bc_hi = (kinds[0], ends[0]), (kinds[1], ends[1])
     batched = _solve_lines(w_old, h, dt, af, src, bc_lo, bc_hi, varphi, 1e-10)
     per_line = np.array([
@@ -225,7 +299,7 @@ def test_solve_lines_coupled_lines_stop_on_their_own():
     rng = np.random.default_rng(3)
     w_old, af, src, ends = random_lines(rng, n_lines=9, m=6)
     af *= np.logspace(-2, 2, 9)[:, None]
-    varphi = odd_cubic_map(0.8)
+    varphi = cubic(0.8)
     sweeps = []
     for k in range(9):
         # every sweep starts the low end's bracket at the same point
@@ -263,7 +337,7 @@ def test_solve_lines_stops_on_adjacent_floats():
     w_old += 6e5
     for kinds in (("dirichlet", "flux"), ("flux", "flux")):
         batched, per_line = solve_both(w_old, af, src, kinds, ends,
-                                       varphi=identity_map())
+                                       varphi=lambda v: v)
         assert np.all(np.isfinite(batched))
         assert np.array_equal(batched, per_line)
 
@@ -272,7 +346,7 @@ def test_solve_lines_nan_residual_raises():
     rng = np.random.default_rng(6)
     w_old, af, src, ends = random_lines(rng)
     ends[1][3] = np.nan
-    varphi = odd_cubic_map(0.8)
+    varphi = cubic(0.8)
     with pytest.raises(RuntimeError, match="bracket expansion failed"):
         _solve_lines(w_old, 0.1, 0.01, af, src, ("dirichlet", ends[0]),
                      ("flux", ends[1]), varphi, 1e-10)
@@ -335,7 +409,7 @@ def test_2d_batched_sweeps_match_per_line_oracle(flux_edges):
         dim=2, gamma1=gamma1, gamma2=gamma2,
         a=SpaceTimeField(lambda p, t: 1.0 + 0.5 * np.asarray(p[0]) * np.asarray(p[1])
                          + 0.2 * np.sin(t) ** 2),
-        reaction=odd_cubic_map(0.5), boundary_reaction=odd_cubic_map(1.2),
+        reaction=cubic(0.5), boundary_reaction=cubic(1.2),
         f=SpaceTimeField.from_signal(wavy),
         d1=SpaceTimeField(lambda p, t: 0.2 * np.cos(3.0 * np.asarray(p[0])
                                                     + 2.0 * np.asarray(p[1]) + t)),
