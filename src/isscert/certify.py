@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .fields import Trajectory, csv_rows, float_cells, lq_norm
+from .fields import Trajectory, lq_norm, write_table
 from .glf import (default_transport_rate, local_speed_floor, running_sups,
                   truncation_level_parabolic)
 # module attributes that profilers wrap per module (perfbench/tracing.py);
@@ -293,16 +292,17 @@ def prepare_bound(kind, traj, scn, q, params=None) -> IssBound:
     ``params`` supplies the free constants the kind needs (see the bound
     evaluators); scenario structure provides the rest.  Running sups are
     evaluated on the trajectory's recorded stamps by
-    :func:`~isscert.glf.running_sups`; a disturbance whose sup could only
-    be sampled adds a warning.
+    :func:`~isscert.glf.running_sups`; a disturbance whose sup, or a
+    parabolic coefficient whose inf, could only be sampled adds a warning.
     """
     if kind not in BOUNDS:
         raise ValueError(f"unknown bound kind {kind!r}")
     bound = IssBound(kind, dict(params or {}), math.nan, {})
-    for name in ("f", "d1", "d2"):
+    for name, extremum in (("a", "inf"), ("c", "inf"), ("f", "sup"), ("d1", "sup"),
+                           ("d2", "sup")):
         fld = getattr(scn, name, None)
         if getattr(fld, "sampled", False):
-            bound.warnings.append(f"sup of {fld.label or name} sampled, not exact")
+            bound.warnings.append(f"{extremum} of {fld.label or name} sampled, not exact")
     BOUNDS[kind].prepare(bound, traj, scn, q, running_sups(scn, traj.grid, traj.times))
     return bound
 
@@ -352,13 +352,9 @@ class CheckReport:
                 f"tol={self.tol!r} params[{items}]")
 
     def to_csv(self, path):
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w") as fh:
-            fh.write("t,lhs,rhs,margin\n")
-            fh.write(csv_rows(*map(float_cells, (self.times, self.lhs, self.rhs, self.margins))))
-            fh.write(f"# {self.summary_line()}\n")
-        return path
+        return write_table(path, "t,lhs,rhs,margin",
+                           (self.times, self.lhs, self.rhs, self.margins),
+                           f"# {self.summary_line()}\n")
 
 
 def check_trajectory(traj: Trajectory, q, bound: IssBound, tol: float) -> CheckReport:

@@ -358,10 +358,10 @@ def _build_checks(doc, path):
         bound = BOUNDS[kind]
         _reject_unknown(entry, ("kind", "q", "tol") + bound.keys, epath)
         q = _get(entry, "q", epath)
-        if q == "inf":
+        if q == "inf" or q == math.inf:
             q = math.inf
         elif isinstance(q, (int, float)) and not isinstance(q, bool):
-            q = float(q)
+            q = _number(entry, "q", epath)
         else:
             raise ConfigError(f"{epath}.q", f"expected a number or 'inf', got {q!r}")
         tol = _number(entry, "tol", epath, required=False, default=0.0)

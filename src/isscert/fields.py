@@ -159,6 +159,18 @@ def csv_rows(*columns) -> str:
     return text + "\n" if text else ""
 
 
+def write_table(path, header, columns, trailer) -> Path:
+    """Write the header line, one row per entry of the float columns and the
+    trailer text to path, making its directory if missing; return path."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as fh:
+        fh.write(f"{header}\n")
+        fh.write(csv_rows(*map(float_cells, columns)))
+        fh.write(trailer)
+    return path
+
+
 class Trajectory:
     """Append-only record of a solve: time stamps plus named state arrays.
 

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .fields import Grid2D, Trajectory, csv_rows, float_cells, integrate, lq_norm
+from .fields import Grid2D, Trajectory, integrate, lq_norm, write_table
 from .signals import sup_field, sup_window
 from .solvers.common import ScenarioError
 from .trunc import TruncationPair, gronwall_envelope_at
@@ -150,13 +149,9 @@ class GlfSeries:
         return float(np.max(self.residuals)) if self.residuals.size else -math.inf
 
     def to_csv(self, path):
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
         res = np.append(self.residuals, math.nan)
-        with open(path, "w") as fh:
-            fh.write("t,Vhat,residual,envelope\n")
-            fh.write(csv_rows(*map(float_cells, (self.times, self.vhat, res, self.envelope))))
-        return path
+        return write_table(path, "t,Vhat,residual,envelope",
+                           (self.times, self.vhat, res, self.envelope), "")
 
 
 def dissipation_report(traj: Trajectory, spec: GlfSpec, decay_rate: float,

@@ -9,8 +9,8 @@ and one call returns the running sups over a whole array of window ends.
 
 Space-time fields wrap a callable f(y, t); spatially uniform and separable
 fields keep a handle on their signal so windowed sups stay exact on the
-given space points.  Only a field known through its callable alone is
-sampled in time.
+given space points, and so do their infs over a time window.  Only a
+field known through its callable alone is sampled in time.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ __all__ = [
     "sup_window",
     "SpaceTimeField",
     "sup_field",
+    "inf_field",
     "profile_constant",
     "profile_affine",
     "profile_sin",
@@ -237,10 +238,29 @@ def sup_field(fld: SpaceTimeField, space, t0: float, t1):
         prof_sup = float(np.max(np.abs(np.asarray(profile(space), dtype=float))))
         best = prof_sup * _window_sups(sig, t0, flat)
     else:
-        times = np.union1d(np.linspace(t0, flat.max(), _FIELD_SAMPLES), flat)
-        values = np.asarray([np.max(np.abs(fld(space, t))) for t in times.tolist()])
+        times, values = _sampled(fld, space, t0, flat, lambda v: np.max(np.abs(v)))
         best = _running_max(times, values, flat)
     return float(best[0]) if ends.ndim == 0 else best
+
+
+def inf_field(fld: SpaceTimeField, space, t1: float) -> float:
+    """Inf of fld over space x [0, t1]: exact for uniform and separable
+    fields (from the signal's and the profile's extremes), sampled at the
+    times of :func:`sup_field` for a field known only through its callable."""
+    if fld.signal is not None:
+        return signal_range(fld.signal, t1)[0]
+    if fld.parts is not None:
+        prof = np.asarray(fld.parts[0](space), dtype=float)
+        return min(p * s for p in (prof.min(), prof.max())
+                   for s in signal_range(fld.parts[1], t1))
+    return float(_sampled(fld, space, 0.0, np.asarray([float(t1)]), np.min)[1].min())
+
+
+def _sampled(fld, space, t0, ends, reduce):
+    """reduce(fld(space, t)) at the window ends and at ``_FIELD_SAMPLES``
+    uniform times from t0 to the last end; returns (times, values)."""
+    times = np.union1d(np.linspace(t0, ends.max(), _FIELD_SAMPLES), ends)
+    return times, np.asarray([reduce(fld(space, t)) for t in times.tolist()])
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,16 @@ of the boundary and the nonlinear flux law
 
 on the rest.  Diffusion is implicit (backward Euler in one dimension,
 dimension-split backward Euler on the square); reaction and forcing are
-explicit.  The interior unknowns of a grid line are
-tridiagonal and affine in its end values, so the balance at each flux
-end becomes a strictly increasing scalar equation with a guaranteed
-bracket, closed by bisection.  In one dimension the single line is
-closed by a scalar bisection.  On the square all lines of a sweep share
-one banded solve (stacked with zero couplings), and their flux ends are
-closed by the same bisection run in lockstep over the lines, which gives
-bitwise the result of closing them one line at a time.
+explicit.  Every implicit step solves stacks of grid lines: the one line
+of the interval, or all lines of a sweep on the square, stacked with zero
+couplings into one banded solve.  The interior unknowns of a line are
+affine in its end values, so the balance at each flux end becomes a
+strictly increasing scalar equation with a guaranteed bracket, closed by
+bisection in one closure, :func:`_solve_lines`.  Its bisection has two
+kernels chosen by the stack height: one line runs on Python floats, more
+lines run in lockstep on arrays.  Both take the same decisions, so a line
+gives the same bits alone or in a stack.  :func:`solve_parabolic` owns
+the one time loop of both dimensions.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from ..fields import Grid1D, Grid2D, Trajectory
-from ..signals import SpaceTimeField, signal_range
+from ..signals import SpaceTimeField, inf_field
 from .common import (ScenarioError, SolverConfig, SolverDivergedError,
                      check_finite)
 
@@ -108,32 +110,12 @@ class ParabolicScenario:
             raise ScenarioError("boundary reaction must satisfy varphi(-v) <= -varphi(v)")
 
 
-def _field_inf(fld, pts, t_end, dim):
-    """Inf of a coefficient field over the point sets pts and [0, t_end].
-
-    Exact for uniform fields (the signal's min) and separable ones (the
-    least product of the profile's extremes on pts and the signal's
-    extremes).  A field known only through its callable is sampled on a
-    17-point lattice of the domain at t = 0, 0.5 and 5.
-    """
-    if fld.signal is not None:
-        return signal_range(fld.signal, t_end)[0]
-    if fld.parts is not None:
-        profile, sig = fld.parts
-        prof = np.concatenate([np.ravel(profile(p)) for p in pts])
-        return min(p * s for p in (prof.min(), prof.max())
-                   for s in signal_range(sig, t_end))
-    ys = np.linspace(0.0, 1.0, 17)
-    lattice = ys if dim == 1 else tuple(np.meshgrid(ys, ys, indexing="ij"))
-    return min(float(np.min(fld(lattice, t))) for t in (0.0, 0.5, 5.0))
-
-
 def _check_floors(scn, faces, nodes, t_end):
     """Reject a run whose diffusion coefficient (evaluated on the faces)
     or reaction coefficient (on the nodes) drops below its floor."""
     for what, fld, name, floor, pts in (("diffusion", scn.a, "a0", scn.a0, faces),
                                         ("reaction", scn.c, "c0", scn.c0, [nodes])):
-        low = _field_inf(fld, pts, t_end, scn.dim)
+        low = min(inf_field(fld, p, t_end) for p in pts)
         if low < floor - _SIGN_TOL:
             raise ScenarioError(f"{what} coefficient drops below {name} = {floor:g} "
                                 f"(down to {low:g})")
@@ -147,10 +129,95 @@ def solve_parabolic(scn: ParabolicScenario, grid, cfg: SolverConfig) -> Trajecto
     if scn.dim == 1:
         if not isinstance(grid, Grid1D) or grid.layout != "node":
             raise ValueError("one-dimensional runs need a node-centered Grid1D")
-        return _solve_1d(scn, grid, cfg)
-    if not isinstance(grid, Grid2D):
-        raise ValueError("two-dimensional runs need a Grid2D")
-    return _solve_2d(scn, grid, cfg)
+        pts, meta, implicit = _setup_1d(scn, grid, cfg)
+    else:
+        if not isinstance(grid, Grid2D):
+            raise ValueError("two-dimensional runs need a Grid2D")
+        pts, meta, implicit = _setup_2d(scn, grid, cfg)
+    w = np.asarray(scn.w0(pts), dtype=float)
+    check_finite(w, 0, 0.0)
+
+    traj = Trajectory("parabolic", grid, meta={
+        **meta, "dt": cfg.dt, "t_end": cfg.t_end, "scenario": scn.label})
+    traj.append(0.0, u=w)
+
+    t, step = 0.0, 0
+    while t < cfg.t_end - 1e-12 * cfg.t_end:
+        dt = min(cfg.dt, cfg.t_end - t)
+        tn = t + dt
+        src = _explicit_source(scn, pts, t, w)
+        check_finite(src, step + 1, tn, "non-finite explicit source")
+        try:
+            w = implicit(w, src, dt, tn)
+        except (RuntimeError, np.linalg.LinAlgError) as exc:
+            raise SolverDivergedError(step + 1, tn, str(exc)) from exc
+        step, t = step + 1, tn
+        check_finite(w, step, t)
+        if step % cfg.output_stride == 0 or t >= cfg.t_end - 1e-12 * cfg.t_end:
+            traj.append(t, u=w)
+    return traj
+
+
+def _explicit_source(scn, pts, t, w):
+    src = -np.asarray(scn.c(pts, t), dtype=float) * np.asarray(scn.reaction(w), dtype=float)
+    return src + np.asarray(scn.f(pts, t), dtype=float)
+
+
+def _setup_1d(scn, grid, cfg):
+    """Nodes, meta entries and implicit step of a run on the interval."""
+    y = grid.points()
+    yf = 0.5 * (y[:-1] + y[1:])
+    _check_floors(scn, [yf], y, cfg.t_end)
+
+    def implicit(w, src, dt, tn):
+        return _solve_lines(
+            w[None, :], grid.h, dt, np.asarray(scn.a(yf, tn), dtype=float)[None, :],
+            src[None, :], _bc_spec(scn, "left", 0.0, tn), _bc_spec(scn, "right", 1.0, tn),
+            scn.boundary_reaction, cfg.bc_tol)[0]
+
+    meta = {"scheme": "semi-implicit diffusion, explicit reaction", "dim": 1, "n": grid.n}
+    return y, meta, implicit
+
+
+def _setup_2d(scn, grid, cfg):
+    """Nodes, meta entries and dimension-split implicit step on the square."""
+    X, Y = grid.points()
+    xs, ys = X[:, 0], Y[0, :]
+    xf, yf = 0.5 * (xs[:-1] + xs[1:]), 0.5 * (ys[:-1] + ys[1:])
+
+    # the x-sweep solves the rows off Dirichlet bottom/top edges, the
+    # y-sweep the columns off Dirichlet left/right edges; each line's face
+    # points form one row of the sweep's face meshes
+    ny, nx = grid.ny, grid.nx
+    rows = slice(1 if "bottom" in scn.gamma1 else 0, ny if "top" in scn.gamma1 else ny + 1)
+    cols = slice(1 if "left" in scn.gamma1 else 0, nx if "right" in scn.gamma1 else nx + 1)
+    y_rows, x_cols = ys[rows], xs[cols]
+    x_faces = np.broadcast_arrays(xf[None, :], y_rows[:, None])
+    y_faces = np.broadcast_arrays(x_cols[:, None], yf[None, :])
+    _check_floors(scn, [x_faces, y_faces], (X, Y), cfg.t_end)
+    zero_src = np.zeros((x_cols.size, ny + 1))
+
+    def implicit(w, src, dt, tn):
+        dvals = np.asarray(scn.d1((X, Y), tn), dtype=float)
+        # sweep along x: rows carry the full explicit source
+        w_star = dvals.copy()
+        w_star[:, rows] = _solve_lines(
+            w[:, rows].T, grid.hx, dt, np.asarray(scn.a(x_faces, tn), dtype=float),
+            src[:, rows].T, _bc_spec(scn, "left", (0.0, y_rows), tn),
+            _bc_spec(scn, "right", (1.0, y_rows), tn),
+            scn.boundary_reaction, cfg.bc_tol).T
+        # sweep along y: pure diffusion correction
+        w_new = dvals.copy()
+        w_new[cols, :] = _solve_lines(
+            w_star[cols, :], grid.hy, dt, np.asarray(scn.a(y_faces, tn), dtype=float),
+            zero_src, _bc_spec(scn, "bottom", (x_cols, 0.0), tn),
+            _bc_spec(scn, "top", (x_cols, 1.0), tn),
+            scn.boundary_reaction, cfg.bc_tol)
+        return w_new
+
+    meta = {"scheme": "dimension-split semi-implicit diffusion, explicit reaction",
+            "dim": 2, "nx": nx, "ny": ny}
+    return (X, Y), meta, implicit
 
 
 def _bc_spec(scn, edge, coord, tn):
@@ -196,121 +263,21 @@ def _line_responses(w_old, h, dt, af, src, bc_lo, bc_hi):
     return sol[:, :, 0], {end: sol[:, :, col] for col, (end, _) in enumerate(flux, start=1)}
 
 
-def _solve_line(w_old, h, dt, af, src, bc_lo, bc_hi, varphi, bc_tol):
-    """One implicit diffusion solve along a grid line.
-
-    Interior rows are backward Euler with face diffusivities af; the two
-    end rows follow bc_lo / bc_hi, each ("dirichlet", d1) or ("flux", d2)
-    with the flux law varphi.  Flux ends are eliminated affinely and
-    closed by bisection.  :func:`_solve_lines` runs the same closure in
-    lockstep over many lines.
-    """
-    m = w_old.size
-    base, resp = _line_responses(w_old[None, :], h, dt, af[None, :], src[None, :],
-                                 bc_lo, bc_hi)
-    base = base[0]
-    resp_lo, resp_hi = (resp[end][0] if end in resp else None for end in ("lo", "hi"))
-
-    if resp_lo is None and resp_hi is None:
-        return base
-
-    def inner(end, b_lo, b_hi):
-        idx = 1 if end == "lo" else m - 2
-        val = base[idx]
-        if resp_lo is not None:
-            val += b_lo * resp_lo[idx]
-        if resp_hi is not None:
-            val += b_hi * resp_hi[idx]
-        return val
-
-    def residual(end, b, b_lo, b_hi):
-        d2v = bc_lo[1] if end == "lo" else bc_hi[1]
-        i = 0 if end == "lo" else m - 1
-        a_face = af[0] if end == "lo" else af[-1]
-        if end == "lo":
-            b_lo = b
-        else:
-            b_hi = b
-        return ((b - w_old[i]) / dt
-                + (2.0 / h) * float(varphi(b))
-                - (2.0 / h) * d2v
-                + (2.0 / h**2) * a_face * (b - inner(end, b_lo, b_hi))
-                - src[i])
-
-    def bisect(end, b_lo, b_hi):
-        center = w_old[0 if end == "lo" else -1]
-        span = max(1.0, abs(center))
-        lo, hi = center - span, center + span
-        for _ in range(80):
-            if residual(end, lo, b_lo, b_hi) <= 0.0:
-                break
-            span *= 2.0
-            lo = center - span
-        else:
-            raise RuntimeError("flux boundary bracket expansion failed (low side)")
-        span = max(1.0, abs(center))
-        for _ in range(80):
-            if residual(end, hi, b_lo, b_hi) >= 0.0:
-                break
-            span *= 2.0
-            hi = center + span
-        else:
-            raise RuntimeError("flux boundary bracket expansion failed (high side)")
-        while hi - lo > bc_tol:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:
-                # adjacent floats wider apart than bc_tol
-                break
-            r = residual(end, mid, b_lo, b_hi)
-            if r == 0.0:
-                # exact root (equilibria land here); keep it bitwise
-                return mid
-            if r <= 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    b_lo = bc_lo[1] if resp_lo is None else w_old[0]
-    b_hi = bc_hi[1] if resp_hi is None else w_old[-1]
-    if resp_hi is None:
-        b_lo = bisect("lo", b_lo, b_hi)
-    elif resp_lo is None:
-        b_hi = bisect("hi", b_lo, b_hi)
-    else:
-        # two coupled scalar closures; the cross influence through one
-        # implicit step decays like exp(-1/sqrt(a*dt)), so a couple of
-        # sweeps suffice
-        for _ in range(100):
-            new_lo = bisect("lo", b_lo, b_hi)
-            new_hi = bisect("hi", new_lo, b_hi)
-            moved = max(abs(new_lo - b_lo), abs(new_hi - b_hi))
-            b_lo, b_hi = new_lo, new_hi
-            if moved <= bc_tol:
-                break
-        else:
-            raise RuntimeError("coupled flux boundaries did not settle")
-
-    w = base.copy()
-    if resp_lo is not None:
-        w += b_lo * resp_lo
-    if resp_hi is not None:
-        w += b_hi * resp_hi
-    if bc_lo[0] == "dirichlet":
-        w[0] = bc_lo[1]
-    if bc_hi[0] == "dirichlet":
-        w[-1] = bc_hi[1]
-    return w
-
-
 def _solve_lines(w_old, h, dt, af, src, bc_lo, bc_hi, varphi, bc_tol):
-    """:func:`_solve_line` for a stack of lines, bitwise equal per line.
+    """Implicit diffusion solves along a stack of grid lines, flux ends closed.
 
-    Arrays carry one row per line and each end value is a (lines,)
-    array.  The linear solves share one banded call, and the flux ends
-    of all lines are closed by the scalar bisection run in lockstep: the
-    same brackets, midpoints, comparisons, exact-root exit and stopping
-    rule per line.
+    The arguments are those of :func:`_line_responses` (a boundary value
+    may also be one scalar for all lines), the flux law varphi and bc_tol.
+    Each flux end's balance
+
+        (b - w)/dt + (2/h) varphi(b) - (2/h) d2 + (2/h^2) a (b - inner) - src
+
+    is strictly increasing in its end value b and is closed by bisection;
+    a line with two flux ends alternates the two closures until neither end
+    moves by more than bc_tol, each line stopping on its own.  One line runs
+    :func:`_bisect_scalar` on Python floats, a larger stack
+    :func:`_bisect_lockstep`; both take the same decisions, so a line gives
+    the same bits alone or in a stack.
     """
     n_lines, m = w_old.shape
     base, resp = _line_responses(w_old, h, dt, af, src, bc_lo, bc_hi)
@@ -324,17 +291,24 @@ def _solve_lines(w_old, h, dt, af, src, bc_lo, bc_hi, varphi, bc_tol):
         d2v = np.broadcast_to(bc_lo[1] if end == "lo" else bc_hi[1], n_lines)[rows]
         w_i, src_i, base_k = w_old[rows, i], src[rows, i], base[rows, k]
         terms = [(e == end, r[rows, k]) for e, r in resp.items()]
-        # the factors _solve_line forms in every call, formed once
+        # the residual's factors, formed once per closure
         c_phi, c_d2, c_face = 2.0 / h, (2.0 / h) * d2v, (2.0 / h**2) * af[rows, f]
+        law, kernel = varphi, _bisect_lockstep
+        if n_lines == 1:
+            # on one line, size-1 arrays would cost more than the arithmetic
+            w_i, src_i, base_k, c_d2, c_face, other = (
+                x.item() for x in (w_i, src_i, base_k, c_d2, c_face, other))
+            terms = [(own, r_k.item()) for own, r_k in terms]
+            law, kernel = (lambda b: float(varphi(b))), _bisect_scalar
 
         def residual(b):
             val = base_k
             for own, r_k in terms:
                 val = val + (b if own else other) * r_k
-            return ((b - w_i) / dt + c_phi * varphi(b) - c_d2
+            return ((b - w_i) / dt + c_phi * law(b) - c_d2
                     + c_face * (b - val) - src_i)
 
-        return _bisect_lockstep(residual, w_i, bc_tol)
+        return np.reshape(kernel(residual, w_i, bc_tol), -1)
 
     lines = np.arange(n_lines)
     b_lo = w_old[:, 0].copy() if "lo" in resp else np.broadcast_to(bc_lo[1], n_lines)
@@ -344,14 +318,16 @@ def _solve_lines(w_old, h, dt, af, src, bc_lo, bc_hi, varphi, bc_tol):
     elif "lo" not in resp:
         b_hi = bisect("hi", lines, b_lo)
     else:
-        # the coupled sweeps of _solve_line; each line stops on its own
+        # two coupled scalar closures; the cross influence through one
+        # implicit step decays like exp(-1/sqrt(a*dt)), so a couple of
+        # sweeps suffice
         live = lines
         for _ in range(100):
             new_lo = bisect("lo", live, b_hi[live])
             new_hi = bisect("hi", live, new_lo)
             d_lo = np.abs(new_lo - b_lo[live])
             d_hi = np.abs(new_hi - b_hi[live])
-            moved = np.where(d_hi > d_lo, d_hi, d_lo)  # max() of _solve_line
+            moved = np.where(d_hi > d_lo, d_hi, d_lo)
             b_lo[live], b_hi[live] = new_lo, new_hi
             live = live[~(moved <= bc_tol)]
             if not live.size:
@@ -371,8 +347,40 @@ def _solve_lines(w_old, h, dt, af, src, bc_lo, bc_hi, varphi, bc_tol):
     return w
 
 
+def _expand_scalar(res, center, side):
+    """Bracket end for the increasing scalar res: step outward from center,
+    doubling the span, until res changes sign."""
+    span = max(1.0, abs(center))
+    for _ in range(80):
+        x = center - span if side == "low" else center + span
+        if (res(x) <= 0.0) if side == "low" else (res(x) >= 0.0):
+            return x
+        span *= 2.0
+    raise RuntimeError(f"flux boundary bracket expansion failed ({side} side)")
+
+
+def _bisect_scalar(res, center, bc_tol):
+    """Root of the increasing scalar res, bisected down to bc_tol."""
+    lo = _expand_scalar(res, center, "low")
+    hi = _expand_scalar(res, center, "high")
+    while hi - lo > bc_tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            # adjacent floats wider apart than bc_tol
+            break
+        r = res(mid)
+        if r == 0.0:
+            # exact root (equilibria land here); keep it bitwise
+            return mid
+        if r <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def _expand_lockstep(res, center, side):
-    """The bracket search of _solve_line, one entry per line."""
+    """_expand_scalar, one entry per line."""
     span = np.maximum(1.0, np.abs(center))
     x = center - span if side == "low" else center + span
     for _ in range(80):
@@ -386,7 +394,7 @@ def _expand_lockstep(res, center, side):
 
 
 def _bisect_lockstep(res, center, bc_tol):
-    """The bisection of _solve_line, one entry per line.
+    """_bisect_scalar, one entry per line.
 
     res is evaluated on every line each round; a line whose loop has
     ended keeps its bracket, so its extra evaluations change nothing.
@@ -405,110 +413,3 @@ def _bisect_lockstep(res, center, bc_tol):
         np.copyto(hi, mid, where=live & ~(r < 0.0))
         live &= hi - lo > bc_tol
     return np.where(lo == hi, lo, 0.5 * (lo + hi))
-
-
-def _explicit_source(scn, pts, t, w):
-    src = -np.asarray(scn.c(pts, t), dtype=float) * np.asarray(scn.reaction(w), dtype=float)
-    return src + np.asarray(scn.f(pts, t), dtype=float)
-
-
-def _solve_1d(scn, grid, cfg):
-    y = grid.points()
-    h = grid.h
-    yf = 0.5 * (y[:-1] + y[1:])
-    _check_floors(scn, [yf], y, cfg.t_end)
-    w = np.asarray(scn.w0(y), dtype=float)
-    check_finite(w, 0, 0.0)
-
-    traj = Trajectory("parabolic", grid, meta={
-        "scheme": "semi-implicit diffusion, explicit reaction",
-        "dim": 1, "n": grid.n, "dt": cfg.dt, "t_end": cfg.t_end,
-        "scenario": scn.label,
-    })
-    traj.append(0.0, u=w)
-
-    t, step = 0.0, 0
-    while t < cfg.t_end - 1e-12 * cfg.t_end:
-        dt = min(cfg.dt, cfg.t_end - t)
-        tn = t + dt
-        af = np.asarray(scn.a(yf, tn), dtype=float)
-        src = _explicit_source(scn, y, t, w)
-        check_finite(src, step + 1, tn, "non-finite explicit source")
-        bc_lo = _bc_spec(scn, "left", 0.0, tn)
-        bc_hi = _bc_spec(scn, "right", 1.0, tn)
-        try:
-            w = _solve_line(w, h, dt, af, src, bc_lo, bc_hi,
-                            scn.boundary_reaction, cfg.bc_tol)
-        except (RuntimeError, np.linalg.LinAlgError) as exc:
-            raise SolverDivergedError(step + 1, tn, str(exc)) from exc
-        step += 1
-        t = tn
-        check_finite(w, step, t)
-        if step % cfg.output_stride == 0 or t >= cfg.t_end - 1e-12 * cfg.t_end:
-            traj.append(t, u=w)
-    return traj
-
-
-def _solve_2d(scn, grid, cfg):
-    nx, ny = grid.nx, grid.ny
-    hx, hy = grid.hx, grid.hy
-    X, Y = grid.points()
-    xs = X[:, 0]
-    ys = Y[0, :]
-    xf = 0.5 * (xs[:-1] + xs[1:])
-    yf = 0.5 * (ys[:-1] + ys[1:])
-    w = np.asarray(scn.w0((X, Y)), dtype=float)
-    check_finite(w, 0, 0.0)
-
-    # the x-sweep solves the rows off Dirichlet bottom/top edges, the
-    # y-sweep the columns off Dirichlet left/right edges; each line's face
-    # points form one row of the sweep's face meshes
-    rows = slice(1 if "bottom" in scn.gamma1 else 0, ny if "top" in scn.gamma1 else ny + 1)
-    cols = slice(1 if "left" in scn.gamma1 else 0, nx if "right" in scn.gamma1 else nx + 1)
-    y_rows, x_cols = ys[rows], xs[cols]
-    x_faces = np.broadcast_arrays(xf[None, :], y_rows[:, None])
-    y_faces = np.broadcast_arrays(x_cols[:, None], yf[None, :])
-    _check_floors(scn, [tuple(x_faces), tuple(y_faces)], (X, Y), cfg.t_end)
-    zero_src = np.zeros((x_cols.size, ny + 1))
-
-    traj = Trajectory("parabolic", grid, meta={
-        "scheme": "dimension-split semi-implicit diffusion, explicit reaction",
-        "dim": 2, "nx": nx, "ny": ny, "dt": cfg.dt, "t_end": cfg.t_end,
-        "scenario": scn.label,
-    })
-    traj.append(0.0, u=w)
-
-    t, step = 0.0, 0
-    while t < cfg.t_end - 1e-12 * cfg.t_end:
-        dt = min(cfg.dt, cfg.t_end - t)
-        tn = t + dt
-        src = _explicit_source(scn, (X, Y), t, w)
-        check_finite(src, step + 1, tn, "non-finite explicit source")
-        dvals = np.asarray(scn.d1((X, Y), tn), dtype=float)
-
-        try:
-            # sweep along x: rows carry the full explicit source
-            w_star = dvals.copy()
-            w_star[:, rows] = _solve_lines(
-                w[:, rows].T, hx, dt, np.asarray(scn.a(x_faces, tn), dtype=float),
-                src[:, rows].T, _bc_spec(scn, "left", (0.0, y_rows), tn),
-                _bc_spec(scn, "right", (1.0, y_rows), tn),
-                scn.boundary_reaction, cfg.bc_tol).T
-
-            # sweep along y: pure diffusion correction
-            w_new = dvals.copy()
-            w_new[cols, :] = _solve_lines(
-                w_star[cols, :], hy, dt, np.asarray(scn.a(y_faces, tn), dtype=float),
-                zero_src, _bc_spec(scn, "bottom", (x_cols, 0.0), tn),
-                _bc_spec(scn, "top", (x_cols, 1.0), tn),
-                scn.boundary_reaction, cfg.bc_tol)
-        except (RuntimeError, np.linalg.LinAlgError) as exc:
-            raise SolverDivergedError(step + 1, tn, str(exc)) from exc
-
-        w = w_new
-        step += 1
-        t = tn
-        check_finite(w, step, t)
-        if step % cfg.output_stride == 0 or t >= cfg.t_end - 1e-12 * cfg.t_end:
-            traj.append(t, u=w)
-    return traj

@@ -167,6 +167,23 @@ def test_sampled_sup_is_flagged():
     assert exact.warnings == []
 
 
+def test_sampled_floor_is_flagged():
+    # coefficients known only through their callables have sampled infs
+    def bare(value, label):
+        return SpaceTimeField(lambda y, t: np.full(np.shape(y), value), label=label)
+
+    scn = ParabolicScenario(
+        dim=1, a=bare(1.0, ""), a0=1.0, c=bare(2.0, "damping"), c0=1.0,
+        reaction=lambda v: v, boundary_reaction=lambda v: v,
+        f=ZERO, d1=ZERO, d2=ZERO, w0=profile_sin(1.0),
+        gamma1=("left",), gamma2=("right",))
+    traj = solve_parabolic(scn, Grid1D(16, layout="node"),
+                           SolverConfig(t_end=0.05, dt=0.01))
+    bound = prepare_bound("parabolic_q", traj, scn, 2.0)
+    assert bound.warnings == ["inf of a sampled, not exact",
+                              "inf of damping sampled, not exact"]
+
+
 def test_energy_and_check_share_the_truncation_level():
     wave = TimeSignal.sinusoid(0.3, 1.3, phase=0.4, offset=0.1)
     scn = ParabolicScenario(

@@ -61,6 +61,12 @@ def test_demo_checks_parse_inf_norm():
     assert isinstance(plan.grid, Grid1D)
 
 
+@pytest.mark.parametrize("q", ["inf", math.inf], ids=["string", "float"])
+def test_check_q_accepts_both_infinities(q):
+    doc = _edited("parabolic_demo", "checks", [{"kind": "parabolic_q", "q": q}])
+    assert build_plan(doc).checks[0]["q"] == math.inf
+
+
 def test_2d_demo_uses_square_grid():
     plan = load_plan("parabolic_2d_demo")
     assert plan.scenario.dim == 2
@@ -389,9 +395,14 @@ def test_integer_keys_accept_integral_floats():
      "scenario.boundary_reaction: gamma must be nonnegative"),
     ("parabolic_demo", "scenario.boundary_reaction", {"kind": "power", "exponent": 3.0},
      "scenario.boundary_reaction.kind: unknown map kind 'power'"),
+    ("parabolic_demo", "checks", [{"kind": "parabolic_q", "q": 10**400}],
+     f"checks[0].q: expected a finite number, got {10**400}"),
+    ("parabolic_demo", "checks", [{"kind": "parabolic_q", "q": math.nan}],
+     "checks[0].q: expected a finite number, got nan"),
 ], ids=["grid_n", "bump_halfwidth", "map_slope", "poly_coeffs", "nan_signal",
         "transport_node_layout", "parabolic_without_dt", "unhashable_check_kind",
-        "nan_tol", "inf_slope", "huge_int", "zero_slope", "negative_gamma", "power_map"])
+        "nan_tol", "inf_slope", "huge_int", "zero_slope", "negative_gamma", "power_map",
+        "huge_q", "nan_q"])
 def test_cli_run_build_errors_exit_2(tmp_path, capsys, demo, location, value, message):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(yaml.safe_dump(_edited(demo, location, value)))

@@ -17,8 +17,7 @@ from isscert.signals import (SpaceTimeField, TimeSignal, profile_bump,
                              profile2d_sinprod)
 from isscert.solvers import (ParabolicScenario, ScenarioError, SolverConfig,
                              SolverDivergedError, solve_parabolic)
-from isscert.solvers.parabolic import (_bc_spec, _explicit_source, _solve_line,
-                                       _solve_lines)
+from isscert.solvers.parabolic import _bc_spec, _explicit_source, _solve_lines
 
 ZERO = SpaceTimeField.constant(0.0)
 ONE = SpaceTimeField.constant(1.0)
@@ -217,11 +216,23 @@ def test_floor_check_separable_uses_profile_and_signal_extremes():
 
 
 def test_floor_check_samples_a_bare_callable():
-    # known only through its callable, the field is sampled on the domain
+    # known only through its callable, the field is sampled on the faces:
+    # lowest on the last one, y = 31/32
     tilted = SpaceTimeField(lambda y, t: 1.0 - 0.5 * np.asarray(y, dtype=float))
-    message = r"^diffusion coefficient drops below a0 = 1 \(down to 0.5\)$"
+    message = r"^diffusion coefficient drops below a0 = 1 \(down to 0.515625\)$"
     with pytest.raises(ScenarioError, match=message):
         solve_parabolic(make_scenario(a=tilted), Grid1D(16, layout="node"),
+                        SolverConfig(t_end=1.0, dt=0.05))
+
+
+def test_floor_check_samples_a_bare_callable_over_the_run():
+    # 1 at t = 0, 0.5 and 5 but down to 0.5 at t = 1/8, a time of
+    # sup_field's uniform lattice over [0, t_end]
+    dipping = SpaceTimeField(
+        lambda y, t: np.full(np.shape(y), 1.0 - 0.5 * np.sin(4.0 * np.pi * t)))
+    message = r"^diffusion coefficient drops below a0 = 1 \(down to 0.5\)$"
+    with pytest.raises(ScenarioError, match=message):
+        solve_parabolic(make_scenario(a=dipping), Grid1D(16, layout="node"),
                         SolverConfig(t_end=1.0, dt=0.05))
 
 
@@ -260,9 +271,16 @@ def test_2d_l2_nonincreasing():
 
 
 # ---------------------------------------------------------------------------
-# batched line kernel: bitwise equal to one scalar solve per line
+# one closure, two bisection kernels: a stack of lines (lockstep on arrays)
+# is bitwise equal to one solve per line (Python floats)
 
 KINDS = ("dirichlet", "flux")
+
+
+def solve_one_line(w_old, h, dt, af, src, bc_lo, bc_hi, varphi, bc_tol):
+    """_solve_lines on the one-line stack of a single line's data."""
+    return _solve_lines(w_old[None, :], h, dt, af[None, :], src[None, :],
+                        bc_lo, bc_hi, varphi, bc_tol)[0]
 
 
 def random_lines(rng, n_lines=7, m=12, scale=1.0):
@@ -278,8 +296,8 @@ def solve_both(w_old, af, src, kinds, ends, h=1.0 / 11, dt=0.01,
     bc_lo, bc_hi = (kinds[0], ends[0]), (kinds[1], ends[1])
     batched = _solve_lines(w_old, h, dt, af, src, bc_lo, bc_hi, varphi, 1e-10)
     per_line = np.array([
-        _solve_line(w_old[k], h, dt, af[k], src[k], (kinds[0], ends[0][k]),
-                    (kinds[1], ends[1][k]), varphi, 1e-10)
+        solve_one_line(w_old[k], h, dt, af[k], src[k], (kinds[0], ends[0][k]),
+                       (kinds[1], ends[1][k]), varphi, 1e-10)
         for k in range(w_old.shape[0])])
     return batched, per_line
 
@@ -310,8 +328,8 @@ def test_solve_lines_coupled_lines_stop_on_their_own():
             args.append(v)
             return varphi(v)
 
-        _solve_line(w_old[k], 0.2, 0.02, af[k], src[k], ("flux", ends[0][k]),
-                    ("flux", ends[1][k]), recorded, 1e-10)
+        solve_one_line(w_old[k], 0.2, 0.02, af[k], src[k], ("flux", ends[0][k]),
+                       ("flux", ends[1][k]), recorded, 1e-10)
         sweeps.append(args.count(start))
     assert min(sweeps) <= 3 and max(sweeps) >= 20
     batched, per_line = solve_both(w_old, af, src, ("flux", "flux"), ends,
@@ -342,6 +360,22 @@ def test_solve_lines_stops_on_adjacent_floats():
         assert np.array_equal(batched, per_line)
 
 
+def test_flux_law_sees_floats_on_one_line_and_arrays_on_a_stack():
+    rng = np.random.default_rng(7)
+    w_old, af, src, ends = random_lines(rng)
+    varphi = cubic(0.8)
+    for rows, want in ((slice(0, 1), float), (slice(None), np.ndarray)):
+        seen = set()
+
+        def recorded(v):
+            seen.add(type(v))
+            return varphi(v)
+
+        _solve_lines(w_old[rows], 1.0 / 11, 0.01, af[rows], src[rows],
+                     ("flux", ends[0][rows]), ("flux", ends[1][rows]), recorded, 1e-10)
+        assert seen == {want}
+
+
 def test_solve_lines_nan_residual_raises():
     rng = np.random.default_rng(6)
     w_old, af, src, ends = random_lines(rng)
@@ -351,8 +385,8 @@ def test_solve_lines_nan_residual_raises():
         _solve_lines(w_old, 0.1, 0.01, af, src, ("dirichlet", ends[0]),
                      ("flux", ends[1]), varphi, 1e-10)
     with pytest.raises(RuntimeError, match="bracket expansion failed"):
-        _solve_line(w_old[3], 0.1, 0.01, af[3], src[3], ("dirichlet", ends[0][3]),
-                    ("flux", ends[1][3]), varphi, 1e-10)
+        solve_one_line(w_old[3], 0.1, 0.01, af[3], src[3], ("dirichlet", ends[0][3]),
+                       ("flux", ends[1][3]), varphi, 1e-10)
     src[2, 5] = np.inf
     with pytest.raises(RuntimeError, match="non-finite"):
         _solve_lines(w_old, 0.1, 0.01, af, src, ("dirichlet", ends[0]),
@@ -360,7 +394,7 @@ def test_solve_lines_nan_residual_raises():
 
 
 # ---------------------------------------------------------------------------
-# batched 2-D stepper against the per-line sweep it replaced
+# batched 2-D stepper against one line solve at a time
 
 
 def per_line_2d(scn, grid, cfg):
@@ -380,7 +414,7 @@ def per_line_2d(scn, grid, cfg):
             if not ((iy == 0 and "bottom" in scn.gamma1)
                     or (iy == grid.ny and "top" in scn.gamma1)):
                 af = np.asarray(scn.a((xf, np.full(grid.nx, y)), tn), dtype=float)
-                w_star[:, iy] = _solve_line(
+                w_star[:, iy] = solve_one_line(
                     w[:, iy], grid.hx, dt, af, src[:, iy],
                     _bc_spec(scn, "left", (0.0, y), tn), _bc_spec(scn, "right", (1.0, y), tn),
                     scn.boundary_reaction, cfg.bc_tol)
@@ -388,7 +422,7 @@ def per_line_2d(scn, grid, cfg):
             if not ((ix == 0 and "left" in scn.gamma1)
                     or (ix == grid.nx and "right" in scn.gamma1)):
                 af = np.asarray(scn.a((np.full(grid.ny, x), yf), tn), dtype=float)
-                w_new[ix, :] = _solve_line(
+                w_new[ix, :] = solve_one_line(
                     w_star[ix, :], grid.hy, dt, af, np.zeros(grid.ny + 1),
                     _bc_spec(scn, "bottom", (x, 0.0), tn), _bc_spec(scn, "top", (x, 1.0), tn),
                     scn.boundary_reaction, cfg.bc_tol)
