@@ -43,6 +43,23 @@ def _out_root(arg) -> Path:
     return Path("runs")
 
 
+def _make_dir(path) -> bool:
+    """Create the output directory path; report an OSError and return False."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"output error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return False
+    return True
+
+
+def _seed(text) -> int:
+    """A nonnegative integer, as numpy's seeding needs."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _solve(plan):
     if plan.pde == "parabolic":
         return solve_parabolic(plan.scenario, plan.grid, plan.solver)
@@ -94,7 +111,8 @@ def cmd_run(args) -> int:
         return 2
 
     out = _out_root(args.out) / plan.name
-    out.mkdir(parents=True, exist_ok=True)
+    if not _make_dir(out):
+        return 2
     traj.write_csv(out)
     results = [f"stamps={len(traj)} t_end={_fmt(traj.times[-1])}"]
     if erep is not None:
@@ -132,7 +150,8 @@ def cmd_verify(args) -> int:
     lines = run_suite(args.suite, args.seed)
     text = render_report(args.suite, args.seed, lines)
     out = _out_root(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    if not _make_dir(out):
+        return 2
     path = out / f"verify_{args.suite}.txt"
     path.write_text(text)
     sys.stdout.write(text)
@@ -160,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=SUITES)
-    p_verify.add_argument("--seed", type=int, default=42)
+    p_verify.add_argument("--seed", type=_seed, default=42)
     p_verify.add_argument("--out", default=None, help="output directory root")
     p_verify.set_defaults(fn=cmd_verify)
 

@@ -321,9 +321,10 @@ def _build_solver(doc, path, pde):
         t_end=_number(doc, "t_end", path),
         # the parabolic stepper has no step-size rule of its own
         dt=_number(doc, "dt", path, required=pde == "parabolic", default=None),
-        cfl_sigma=_number(doc, "cfl_sigma", path, required=False, default=None),
-        bc_tol=_number(doc, "bc_tol", path, required=False, default=1e-10),
-        output_stride=_integer(doc, "output_stride", path, 1))
+        cfl_sigma=_number(doc, "cfl_sigma", path, required=False,
+                          default=SolverConfig.cfl_sigma),
+        bc_tol=_number(doc, "bc_tol", path, required=False, default=SolverConfig.bc_tol),
+        output_stride=_integer(doc, "output_stride", path, SolverConfig.output_stride))
 
 
 def _build_energy(doc, path, pde):
@@ -403,8 +404,19 @@ def load_config(source) -> dict:
             known = ", ".join(bundled)
             raise ConfigError(str(source),
                               f"no such config file or bundled scenario (bundled: {known})")
-        text = path.read_text()
-    doc = yaml.safe_load(text)
+        try:
+            # bytes: the YAML reader detects the encoding and reports bad bytes
+            text = path.read_bytes()
+        except OSError as exc:
+            raise ConfigError(str(source), f"cannot read: {exc.strerror}") from exc
+    try:
+        doc = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        # one line: the problem and its place, not the parser's context
+        mark = getattr(exc, "problem_mark", None)
+        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
+        raise ConfigError(str(source), f"invalid YAML: {problem}{where}") from exc
     return _expect_mapping(doc, "<config>")
 
 

@@ -1,4 +1,4 @@
-"""Shared solver configuration and error types."""
+"""Shared solver configuration, error types and time loop."""
 
 from __future__ import annotations
 
@@ -33,18 +33,18 @@ class SolverConfig:
     """Time-stepping controls shared by all solvers.
 
     dt is mandatory for the parabolic stepper.  The hyperbolic steppers
-    choose dt per step from cfl_sigma (and cap it at dt when both are
-    given); cfl_sigma must lie in (0, 1].  bc_tol, finite and positive,
-    is the bracket width at which the flux-boundary bisection of the
-    parabolic stepper stops (it also stops once the bracket ends are
-    adjacent floats), and the largest end-value change accepted between
-    the coupled sweeps of a line with two flux ends.  Every
-    output_stride-th step is recorded, plus the initial and final states.
+    choose dt per step from cfl_sigma in (0, 1], 0.9 by default, and cap
+    it at dt when both are given.  bc_tol, finite and positive, is the
+    bracket width at which the flux-boundary bisection of the parabolic
+    stepper stops (it also stops once the bracket ends are adjacent
+    floats), and the largest end-value change accepted between the
+    coupled sweeps of a line with two flux ends.  Every output_stride-th
+    step is recorded, plus the initial and final states.
     """
 
     t_end: float
     dt: float | None = None
-    cfl_sigma: float | None = None
+    cfl_sigma: float = 0.9
     bc_tol: float = 1e-10
     output_stride: int = 1
 
@@ -53,7 +53,7 @@ class SolverConfig:
             raise ValueError("t_end must be positive")
         if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError("dt must be positive when given")
-        if self.cfl_sigma is not None and not (0.0 < self.cfl_sigma <= 1.0):
+        if not (0.0 < self.cfl_sigma <= 1.0):
             raise ValueError("cfl_sigma must lie in (0, 1]")
         if not (math.isfinite(self.bc_tol) and self.bc_tol > 0):
             raise ValueError("bc_tol must be finite and positive")
@@ -64,6 +64,35 @@ class SolverConfig:
 def check_finite(values, step, t, detail=""):
     if not np.all(np.isfinite(values)):
         raise SolverDivergedError(step, t, detail)
+
+
+def march(traj, cfg, state, advance):
+    """Run the time loop of a solve from t = 0 to cfg.t_end into traj.
+
+    state is the tuple of initial arrays, one per name of traj.names.
+    advance(t, dt_max, state, step) takes step number step from t and
+    returns (dt, new state) with dt <= dt_max, where dt_max is the time
+    left, capped at cfg.dt when given; its exceptions pass through
+    unchanged.  Every state must be finite (SolverDivergedError(step, t)
+    otherwise).  Records t = 0, every output_stride-th step and the last
+    step; returns the list of accepted dt.
+    """
+    t_stop = cfg.t_end - 1e-12 * cfg.t_end
+    for values in state:
+        check_finite(values, 0, 0.0)
+    traj.append(0.0, **dict(zip(traj.names, state)))
+    t, dts = 0.0, []
+    while t < t_stop:
+        rest = cfg.t_end - t
+        dt_max = rest if cfg.dt is None else min(cfg.dt, rest)
+        dt, state = advance(t, dt_max, state, len(dts) + 1)
+        t += dt
+        dts.append(dt)
+        for values in state:
+            check_finite(values, len(dts), t)
+        if len(dts) % cfg.output_stride == 0 or t >= t_stop:
+            traj.append(t, **dict(zip(traj.names, state)))
+    return dts
 
 
 def capped_dt(raw_dt, speed, h, sigma):

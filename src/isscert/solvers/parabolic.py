@@ -17,8 +17,9 @@ strictly increasing scalar equation with a guaranteed bracket, closed by
 bisection in one closure, :func:`_solve_lines`.  Its bisection has two
 kernels chosen by the stack height: one line runs on Python floats, more
 lines run in lockstep on arrays.  Both take the same decisions, so a line
-gives the same bits alone or in a stack.  :func:`solve_parabolic` owns
-the one time loop of both dimensions.
+gives the same bits alone or in a stack.  :func:`solve_parabolic`
+supplies the step of either dimension to the time loop all steppers
+share, :func:`~isscert.solvers.common.march`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from scipy.linalg import solve_banded
 from ..fields import Grid1D, Grid2D, Trajectory
 from ..signals import SpaceTimeField, inf_field
 from .common import (ScenarioError, SolverConfig, SolverDivergedError,
-                     check_finite)
+                     check_finite, march)
 
 __all__ = ["ParabolicScenario", "solve_parabolic"]
 
@@ -134,27 +135,20 @@ def solve_parabolic(scn: ParabolicScenario, grid, cfg: SolverConfig) -> Trajecto
         if not isinstance(grid, Grid2D):
             raise ValueError("two-dimensional runs need a Grid2D")
         pts, meta, implicit = _setup_2d(scn, grid, cfg)
-    w = np.asarray(scn.w0(pts), dtype=float)
-    check_finite(w, 0, 0.0)
+
+    def advance(t, dt, state, step):
+        (w,) = state
+        tn = t + dt
+        src = _explicit_source(scn, pts, t, w)
+        check_finite(src, step, tn, "non-finite explicit source")
+        try:
+            return dt, (implicit(w, src, dt, tn),)
+        except (RuntimeError, np.linalg.LinAlgError) as exc:
+            raise SolverDivergedError(step, tn, str(exc)) from exc
 
     traj = Trajectory("parabolic", grid, meta={
         **meta, "dt": cfg.dt, "t_end": cfg.t_end, "scenario": scn.label})
-    traj.append(0.0, u=w)
-
-    t, step = 0.0, 0
-    while t < cfg.t_end - 1e-12 * cfg.t_end:
-        dt = min(cfg.dt, cfg.t_end - t)
-        tn = t + dt
-        src = _explicit_source(scn, pts, t, w)
-        check_finite(src, step + 1, tn, "non-finite explicit source")
-        try:
-            w = implicit(w, src, dt, tn)
-        except (RuntimeError, np.linalg.LinAlgError) as exc:
-            raise SolverDivergedError(step + 1, tn, str(exc)) from exc
-        step, t = step + 1, tn
-        check_finite(w, step, t)
-        if step % cfg.output_stride == 0 or t >= cfg.t_end - 1e-12 * cfg.t_end:
-            traj.append(t, u=w)
+    march(traj, cfg, (np.asarray(scn.w0(pts), dtype=float),), advance)
     return traj
 
 

@@ -6,7 +6,8 @@ with the recirculation boundary condition rho(0, t) = k*rho(1, t) + d(t),
 |k| < 1.  The velocity depends on the instantaneous total mass only, so
 within a step the field is advected rigidly; cell averages are updated
 with first-order upwind fluxes and the step size is chosen so the CFL
-number speed*dt/h never exceeds the configured safety factor.
+number speed*dt/h never exceeds the configured safety factor.  The time
+loop is the one all steppers share, :func:`~isscert.solvers.common.march`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from ..fields import Grid1D, Trajectory
 from ..signals import TimeSignal
 from .common import (AssumptionViolationError, ScenarioError, SolverConfig,
-                     capped_dt, check_finite)
+                     capped_dt, march)
 
 __all__ = ["TransportScenario", "solve_transport"]
 
@@ -79,40 +80,26 @@ def solve_transport(scn: TransportScenario, grid: Grid1D, cfg: SolverConfig) -> 
     scn.validate()
     if not isinstance(grid, Grid1D) or grid.layout != "cell":
         raise ValueError("transport runs need a cell-centered Grid1D")
-    sigma = cfg.cfl_sigma if cfg.cfl_sigma is not None else 0.9
     h = grid.h
-    y = grid.points()
-    rho = np.asarray(scn.rho0(y), dtype=float)
-    check_finite(rho, 0, 0.0)
 
-    traj = Trajectory("transport", grid, meta={
-        "scheme": "first-order conservative upwind, adaptive dt",
-        "n": grid.n, "cfl_sigma": sigma, "t_end": cfg.t_end,
-        "scenario": scn.label,
-    })
-    traj.append(0.0, u=rho)
-    dt_history = []
-
-    t, step = 0.0, 0
-    while t < cfg.t_end - 1e-12 * cfg.t_end:
+    def advance(t, dt_max, state, step):
+        (rho,) = state
         mass = h * float(rho.sum())
         speed = float(scn.speed_map(mass))
         if not (np.isfinite(speed) and speed > 0):
             raise AssumptionViolationError(
                 f"speed {speed} at total mass {mass} is not positive (t = {t})")
-        raw = cfg.t_end - t if cfg.dt is None else min(cfg.dt, cfg.t_end - t)
-        dt = capped_dt(raw, speed, h, sigma)
+        dt = capped_dt(dt_max, speed, h, cfg.cfl_sigma)
         nu = speed * dt / h
         inflow = scn.k * rho[-1] + float(scn.d(t))
         shifted = np.concatenate([[inflow], rho[:-1]])
-        rho = rho - nu * (rho - shifted)
-        step += 1
-        t += dt
-        dt_history.append(dt)
-        check_finite(rho, step, t)
-        if step % cfg.output_stride == 0 or t >= cfg.t_end - 1e-12 * cfg.t_end:
-            traj.append(t, u=rho)
-    traj.meta["dt_min"] = min(dt_history) if dt_history else None
-    traj.meta["dt_max"] = max(dt_history) if dt_history else None
-    traj.meta["steps"] = step
+        return dt, (rho - nu * (rho - shifted),)
+
+    traj = Trajectory("transport", grid, meta={
+        "scheme": "first-order conservative upwind, adaptive dt",
+        "n": grid.n, "cfl_sigma": cfg.cfl_sigma, "t_end": cfg.t_end,
+        "scenario": scn.label,
+    })
+    dts = march(traj, cfg, (np.asarray(scn.rho0(grid.points()), dtype=float),), advance)
+    traj.meta.update(dt_min=min(dts), dt_max=max(dts), steps=len(dts))
     return traj

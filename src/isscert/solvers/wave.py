@@ -14,7 +14,8 @@ substituting the damping law with c*k = 1 gives plus(1, t) = c*d(t), and
 the pinned end gives minus(0, t) = -plus(0, t).  They are enforced by
 direct assignment every step, so the recorded states satisfy them to the
 last bit.  Incompatible initial data is projected onto the closures at
-t = 0.
+t = 0.  The time loop is the one all steppers share,
+:func:`~isscert.solvers.common.march`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from ..fields import Grid1D, Trajectory
 from ..signals import SpaceTimeField, TimeSignal
-from .common import ScenarioError, SolverConfig, capped_dt, check_finite
+from .common import ScenarioError, SolverConfig, capped_dt, march
 
 __all__ = ["WaveScenario", "solve_wave", "reconstruct_wave_state"]
 
@@ -76,7 +77,6 @@ def solve_wave(scn: WaveScenario, grid: Grid1D, cfg: SolverConfig) -> Trajectory
     scn.validate()
     if not isinstance(grid, Grid1D) or grid.layout != "node":
         raise ValueError("wave runs need a node-centered Grid1D")
-    sigma = cfg.cfl_sigma if cfg.cfl_sigma is not None else 0.9
     c = scn.c
     h = grid.h
     y = grid.points()
@@ -87,35 +87,24 @@ def solve_wave(scn: WaveScenario, grid: Grid1D, cfg: SolverConfig) -> Trajectory
     minus = v0 - c * slope0
     plus[-1] = c * float(scn.d(0.0))
     minus[0] = -plus[0]
-    check_finite(plus, 0, 0.0)
-    check_finite(minus, 0, 0.0)
 
-    traj = Trajectory("wave", grid, names=("plus", "minus"), meta={
-        "scheme": "characteristic upwind",
-        "n": grid.n, "cfl_sigma": sigma, "c": c, "t_end": cfg.t_end,
-        "scenario": scn.label,
-    })
-    traj.append(0.0, plus=plus, minus=minus)
-
-    t, step = 0.0, 0
-    while t < cfg.t_end - 1e-12 * cfg.t_end:
-        raw = cfg.t_end - t if cfg.dt is None else min(cfg.dt, cfg.t_end - t)
-        dt = capped_dt(raw, c, h, sigma)
+    def advance(t, dt_max, state, step):
+        plus, minus = state
+        dt = capped_dt(dt_max, c, h, cfg.cfl_sigma)
         nu = c * dt / h
         fvals = np.asarray(scn.f(y, t), dtype=float)
-        tn = t + dt
         plus_new = plus.copy()
         plus_new[:-1] += nu * (plus[1:] - plus[:-1]) + dt * fvals[:-1]
-        plus_new[-1] = c * float(scn.d(tn))
+        plus_new[-1] = c * float(scn.d(t + dt))
         minus_new = minus.copy()
         minus_new[1:] += -nu * (minus[1:] - minus[:-1]) + dt * fvals[1:]
         minus_new[0] = -plus_new[0]
-        plus, minus = plus_new, minus_new
-        step += 1
-        t = tn
-        check_finite(plus, step, t)
-        check_finite(minus, step, t)
-        if step % cfg.output_stride == 0 or t >= cfg.t_end - 1e-12 * cfg.t_end:
-            traj.append(t, plus=plus, minus=minus)
-    traj.meta["steps"] = step
+        return dt, (plus_new, minus_new)
+
+    traj = Trajectory("wave", grid, names=("plus", "minus"), meta={
+        "scheme": "characteristic upwind",
+        "n": grid.n, "cfl_sigma": cfg.cfl_sigma, "c": c, "t_end": cfg.t_end,
+        "scenario": scn.label,
+    })
+    traj.meta["steps"] = len(march(traj, cfg, (plus, minus), advance))
     return traj

@@ -9,7 +9,7 @@ runs with the same seed produce byte-identical text.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -237,7 +237,7 @@ def verify_transport(seed: int = 42):
         label="liss_reject")
     reject_scn.validate()
     rtraj = solve_transport(reject_scn, Grid1D(64, layout="cell"),
-                            SolverConfig(t_end=0.05, cfl_sigma=0.9))
+                            SolverConfig(t_end=0.05))
     rbound = prepare_bound("transport_liss", rtraj, reject_scn, 2.0, {"R0": 1.0})
     rrep = check_trajectory(rtraj, 2.0, rbound, 0.0)
     reject_sum = rbound.init_norm + float(np.max(rbound.series["sup_d"]))
@@ -264,10 +264,7 @@ def verify_wave(seed: int = 42):
     lines = []
 
     plan = load_plan("wave_demo")
-    cfg = SolverConfig(t_end=plan.solver.t_end, dt=plan.solver.dt,
-                       cfl_sigma=plan.solver.cfl_sigma,
-                       bc_tol=plan.solver.bc_tol, output_stride=1)
-    traj = solve_wave(plan.scenario, plan.grid, cfg)
+    traj = solve_wave(plan.scenario, plan.grid, replace(plan.solver, output_stride=1))
     c = plan.scenario.c
     d = plan.scenario.d
     plus, minus = traj.states("plus"), traj.states("minus")

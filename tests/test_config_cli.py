@@ -447,3 +447,44 @@ def test_name_must_be_one_directory(tmp_path, capsys, name):
     assert main(["run", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error: <config>.name: expected a directory name")
     assert not (tmp_path / "root").exists()
+
+
+@pytest.mark.parametrize("case, message", [
+    ("unparsable", "invalid YAML: expected ',' or ']', but got '<stream end>' at line 2, column 1"),
+    ("undecodable", "invalid YAML: unacceptable character #x0080"),
+    ("directory", "cannot read: Is a directory"),
+], ids=["unparsable", "undecodable", "directory"])
+def test_cli_run_unreadable_config_exits_2(tmp_path, capsys, case, message):
+    source = tmp_path / "bad.yaml"
+    if case == "directory":
+        source.mkdir()
+    else:
+        source.write_bytes(b"pde: [unclosed\n" if case == "unparsable" else b"pde: \x80\n")
+    assert main(["run", str(source), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {source}: {message}")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("suite", ["trunc", "all"])
+def test_cli_verify_rejects_negative_seed(tmp_path, capsys, suite):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", suite, "--seed", "-1", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "argument --seed: expected a nonnegative integer, got '-1'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, target", [(["run", "transport_steady"], "transport_steady"),
+                                          (["verify", "trunc"], "")],
+                         ids=["run", "verify"])
+def test_cli_output_root_that_is_a_file_exits_2(tmp_path, capsys, argv, target):
+    root = tmp_path / "taken"
+    root.write_text("")
+    assert main([*argv, "--out", str(root)]) == 2
+    captured = capsys.readouterr()
+    # one line naming the directory that could not be made, no report
+    assert captured.err.startswith(f"output error: {root / target}: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""

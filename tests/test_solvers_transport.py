@@ -1,12 +1,15 @@
 """Tests for the recirculating transport solver."""
 
+import math
+
 import numpy as np
 import pytest
 
 from isscert.fields import Grid1D, lq_norm
 from isscert.signals import TimeSignal, profile_bump, profile_constant
 from isscert.solvers import (AssumptionViolationError, ScenarioError,
-                             SolverConfig, TransportScenario, solve_transport)
+                             SolverConfig, SolverDivergedError, TransportScenario,
+                             solve_transport)
 
 
 def make_scenario(**over):
@@ -106,6 +109,17 @@ def test_speed_collapse_raises():
     with pytest.raises(AssumptionViolationError):
         solve_transport(scn, Grid1D(32, layout="cell"),
                         SolverConfig(t_end=10.0, cfl_sigma=0.9))
+
+
+def test_non_finite_boundary_value_diverges_at_its_step():
+    # steps of 0.01 start at t = 0, ..., 0.03, 0.04: step 5 is the first
+    # whose inflow reads the non-finite d
+    scn = make_scenario(d=lambda t: math.nan if t > 0.035 else 0.0)
+    with pytest.raises(SolverDivergedError) as exc:
+        solve_transport(scn, Grid1D(20, layout="cell"),
+                        SolverConfig(t_end=1.0, dt=0.01))
+    assert exc.value.step == 5
+    assert exc.value.t == pytest.approx(0.05, rel=1e-12)
 
 
 def test_scenario_validation():

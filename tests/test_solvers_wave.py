@@ -1,12 +1,14 @@
 """Tests for the boundary-damped wave solver and state reconstruction."""
 
+import math
+
 import numpy as np
 import pytest
 
 from isscert.fields import Grid1D
 from isscert.signals import SpaceTimeField, TimeSignal, profile_bump
-from isscert.solvers import (ScenarioError, SolverConfig, WaveScenario,
-                             reconstruct_wave_state, solve_wave)
+from isscert.solvers import (ScenarioError, SolverConfig, SolverDivergedError,
+                             WaveScenario, reconstruct_wave_state, solve_wave)
 
 ZERO_FIELD = SpaceTimeField.constant(0.0)
 
@@ -123,6 +125,22 @@ def test_cfl_bound_holds():
     steps = np.diff(traj.times)
     # time stamps are accumulated sums, so allow one rounding ulp
     assert np.max(steps) * 3.0 / grid.h <= sigma * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("where, step", [("forcing", 5), ("boundary", 4)])
+def test_non_finite_data_diverges_at_its_step(where, step):
+    # steps of 0.01 start at t = 0, ..., 0.03, 0.04: step 5 is the first
+    # to read the forcing past 0.035 (at its start), step 4 the first to
+    # read the boundary value past it (at its end)
+    def late(t):
+        return math.nan if t > 0.035 else 0.0
+
+    data = {"f": lambda y, t: np.full_like(y, late(t))} if where == "forcing" else {"d": late}
+    with pytest.raises(SolverDivergedError) as exc:
+        solve_wave(make_scenario(**data), Grid1D(20, layout="node"),
+                   SolverConfig(t_end=1.0, dt=0.01))
+    assert exc.value.step == step
+    assert exc.value.t == pytest.approx(0.01 * step, rel=1e-12)
 
 
 def test_cell_grid_rejected():
