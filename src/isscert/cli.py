@@ -147,11 +147,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    lines = run_suite(args.suite, args.seed)
-    text = render_report(args.suite, args.seed, lines)
+    # the suite writes nothing but its report, so the directory comes first
     out = _out_root(args.out)
     if not _make_dir(out):
         return 2
+    lines = run_suite(args.suite, args.seed)
+    text = render_report(args.suite, args.seed, lines)
     path = out / f"verify_{args.suite}.txt"
     path.write_text(text)
     sys.stdout.write(text)

@@ -5,6 +5,7 @@ import math
 import pytest
 import yaml
 
+from isscert import cli
 from isscert.certify import BOUNDS
 from isscert.cli import main
 from isscert.config import ConfigError, build_plan, load_config, load_plan
@@ -488,3 +489,14 @@ def test_cli_output_root_that_is_a_file_exits_2(tmp_path, capsys, argv, target):
     assert captured.err.startswith(f"output error: {root / target}: ")
     assert captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+def test_cli_verify_checks_the_output_root_before_the_suite(tmp_path, capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("the suite ran before the output directory was made")
+
+    monkeypatch.setattr(cli, "run_suite", never)
+    root = tmp_path / "taken"
+    root.write_text("")
+    assert main(["verify", "all", "--out", str(root)]) == 2
+    assert capsys.readouterr().err.startswith(f"output error: {root}: ")

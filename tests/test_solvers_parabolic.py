@@ -7,17 +7,23 @@ bounds) instead.
 """
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import isscert.solvers.parabolic as parabolic
+from isscert.config import load_plan
 from isscert.fields import Grid1D, Grid2D, lq_norm
 from isscert.signals import (SpaceTimeField, TimeSignal, profile_bump,
                              profile_constant, profile_sin, profile_sum,
                              profile2d_sinprod)
 from isscert.solvers import (ParabolicScenario, ScenarioError, SolverConfig,
                              SolverDivergedError, solve_parabolic)
-from isscert.solvers.parabolic import _bc_spec, _explicit_source, _solve_lines
+from isscert.solvers.parabolic import (_bc_spec, _bisect_lockstep, _bisect_scalar,
+                                       _explicit_source, _solve_lines)
 
 ZERO = SpaceTimeField.constant(0.0)
 ONE = SpaceTimeField.constant(1.0)
@@ -167,9 +173,21 @@ def test_check_maps_rejects_non_monotone_laws(name):
     with pytest.raises(ScenarioError, match="^reaction"):
         make_scenario(reaction=BAD_LAWS[name]).validate()
     if name != "flat":
-        # the flux law needs only the sign and oddness conditions
+        # the flux law needs the sign and oddness conditions and to be
+        # nondecreasing, which a flat law is
         with pytest.raises(ScenarioError, match="^boundary reaction"):
             make_scenario(boundary_reaction=BAD_LAWS[name]).validate()
+
+
+def test_check_maps_rejects_a_wavy_flux_law():
+    # odd, and of the sign of v, but falling between the crests of the
+    # cosine; the flux closure needs a nondecreasing law
+    def wavy(v):
+        v = np.asarray(v, dtype=float)
+        return v * (1.5 + np.cos(50.0 * v))
+
+    with pytest.raises(ScenarioError, match="^boundary reaction must be nondecreasing$"):
+        make_scenario(boundary_reaction=wavy).validate()
 
 
 def _dipping(amplitude):
@@ -305,10 +323,73 @@ def solve_both(w_old, af, src, kinds, ends, h=1.0 / 11, dt=0.01,
 @pytest.mark.parametrize("kinds", [(lo, hi) for lo in KINDS for hi in KINDS])
 def test_solve_lines_matches_scalar_solves(kinds):
     rng = np.random.default_rng(sum(map(len, kinds)))
-    for scale in (1e-3, 1.0, 50.0):
+    for scale in (1e-3, 1.0, 50.0, 1e3, 1e5):
         w_old, af, src, ends = random_lines(rng, scale=scale)
         batched, per_line = solve_both(w_old, af, src, kinds, ends)
         assert np.array_equal(batched, per_line)
+
+
+FLUX_KINDS = [("dirichlet", "flux"), ("flux", "dirichlet"), ("flux", "flux")]
+
+
+@pytest.mark.parametrize("kinds", FLUX_KINDS)
+@pytest.mark.parametrize("gamma", [0.0, 100.0])
+@pytest.mark.parametrize("lam", [1e-2, 1e-1, 1.0, 10.0, 1e2, 1e3])
+def test_float_kernel_matches_lockstep_across_laws_and_steps(kinds, gamma, lam):
+    # dt/h^2 = lam spans nearly explicit to strongly implicit steps; gamma =
+    # 100 is a steep cubic law
+    rng = np.random.default_rng(int(lam * 100) + int(gamma))
+    w_old, af, src, ends = random_lines(rng)
+    h = 1.0 / 11
+    batched, per_line = solve_both(w_old, af, src, kinds, ends, h=h, dt=lam * h * h,
+                                   varphi=cubic(gamma))
+    assert np.array_equal(batched, per_line)
+
+
+@pytest.mark.parametrize("root", [0.0, 0.5, -0.375, 3.0 / 1024, 12345.0 / 2**30,
+                                  -2.0**-33, 1.0 / 3.0])
+def test_float_kernel_keeps_exact_roots(root):
+    # b - root has an exact sign, so a zero margin is sound; a dyadic root
+    # is a midpoint of the bisection from [-1, 1], found after the replay
+    # has skipped the midpoints far from it
+    seen = []
+
+    def res(b):
+        seen.append(b)
+        return b - root
+
+    got = _bisect_scalar(res, 0.0, 1e-10, lambda x: 0.0)
+    want = _bisect_lockstep(lambda b: b - root, np.array([0.0]), 1e-10)[0]
+    assert got == want
+    if root != 1.0 / 3.0:
+        assert got == root
+    assert len(seen) <= 10
+
+
+@pytest.mark.parametrize("root", [0.1234567, -0.7, 0.5 + 2.0**-20])
+def test_float_kernel_margin_covers_a_noisy_residual(root):
+    # a residual of slope 1 whose float values carry noise up to 1e-9 is
+    # not monotone within 2e-9 of its root, 20 bc_tol wide; the replay
+    # must evaluate all of that range to take the plain bisection's turns
+    noise = 1e-9
+
+    def res(b):
+        return (b - root) + noise * ((hash(b) % 2001) - 1000) / 1000.0
+
+    got = _bisect_scalar(res, 0.0, 1e-10, lambda x: 2.0 * noise)
+    want = _bisect_lockstep(lambda b: np.array([res(float(v)) for v in b]),
+                            np.array([0.0]), 1e-10)[0]
+    assert got == want
+
+
+def test_float_kernel_without_a_located_bracket_evaluates_every_midpoint():
+    # NaN residuals near the root leave no located bracket, so the replay
+    # must evaluate as the plain bisection does (a NaN moves hi)
+    def res(b):
+        return np.where(np.abs(b - 0.3) < 1e-3, np.nan, b - 0.3)
+
+    got = _bisect_scalar(lambda b: float(res(b)), 0.0, 1e-10, lambda x: 0.0)
+    assert got == _bisect_lockstep(res, np.array([0.0]), 1e-10)[0]
 
 
 def test_solve_lines_coupled_lines_stop_on_their_own():
@@ -347,9 +428,17 @@ def test_solve_lines_exact_root_equilibrium():
         assert not np.any(batched[::2])
 
 
-def test_solve_lines_stops_on_adjacent_floats():
+def test_solve_lines_stops_on_adjacent_floats(monkeypatch):
     # near 6e5 adjacent floats lie more than bc_tol = 1e-10 apart, so the
-    # bracket cannot shrink below bc_tol; both closures must still stop
+    # bracket cannot shrink below bc_tol; both closures must still stop.
+    # There the float kernel's rounding margin exceeds its fixed window.
+    margins = []
+
+    def recorded(res, center, bc_tol, margin):
+        margins.append(margin(2.0 * abs(center)) / bc_tol)
+        return _bisect_scalar(res, center, bc_tol, margin)
+
+    monkeypatch.setattr(parabolic, "_bisect_scalar", recorded)
     rng = np.random.default_rng(5)
     w_old, af, src, ends = random_lines(rng)
     w_old += 6e5
@@ -358,6 +447,72 @@ def test_solve_lines_stops_on_adjacent_floats():
                                        varphi=lambda v: v)
         assert np.all(np.isfinite(batched))
         assert np.array_equal(batched, per_line)
+    assert min(margins) > parabolic._WINDOW
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kinds=st.sampled_from(FLUX_KINDS),
+       scale=st.sampled_from([1e-3, 1.0, 50.0, 1e3]),
+       gamma=st.sampled_from([0.0, 0.8, 100.0]),
+       lam=st.floats(1e-2, 1e3), m=st.integers(3, 16))
+def test_float_kernel_matches_lockstep_on_random_lines(seed, kinds, scale, gamma, lam, m):
+    rng = np.random.default_rng(seed)
+    w_old, af, src, ends = random_lines(rng, n_lines=3, m=m, scale=scale)
+    ends *= scale
+    h = 1.0 / (m - 1)
+    batched, per_line = solve_both(w_old, af, src, kinds, ends, h=h, dt=lam * h * h,
+                                   varphi=cubic(gamma))
+    assert np.array_equal(batched, per_line)
+
+
+def counting_closures(monkeypatch):
+    """Counters of float-kernel closures and of the flux-law calls they make."""
+    count = {"closures": 0, "calls": 0}
+
+    def closure(*args, **kwargs):
+        count["closures"] += 1
+        return _bisect_scalar(*args, **kwargs)
+
+    monkeypatch.setattr(parabolic, "_bisect_scalar", closure)
+
+    def counted(law):
+        def call(v):
+            count["calls"] += 1
+            return law(v)
+        return call
+
+    return count, counted
+
+
+def test_flux_closure_calls_per_closure_on_step_data(monkeypatch):
+    # step data of the bundled heat_clm_demo kind: identity law, one flux end
+    count, counted = counting_closures(monkeypatch)
+    plan = load_plan("heat_clm_demo")
+    scn = replace(plan.scenario, boundary_reaction=counted(plan.scenario.boundary_reaction))
+    solve_parabolic(scn, plan.grid, replace(plan.solver, t_end=0.25))
+    assert count["closures"] == 250
+    assert count["calls"] <= 10 * count["closures"]
+
+
+def test_flux_closure_calls_per_closure_on_two_flux_ends(monkeypatch):
+    count, counted = counting_closures(monkeypatch)
+    # a run with a cubic law at both ends and time-varying flux data
+    scn = make_scenario(
+        gamma1=(), gamma2=("left", "right"), boundary_reaction=counted(cubic(1.2)),
+        d2=SpaceTimeField.from_signal(TimeSignal.sinusoid(0.3, 1.8, 0.5)),
+        w0=profile_sum(profile_constant(0.2), profile_sin(1.6, mode=1)))
+    solve_parabolic(scn, Grid1D(200, layout="node"), SolverConfig(t_end=0.2, dt=0.002))
+    assert count["closures"] >= 200
+    assert count["calls"] <= 10 * count["closures"]
+    # random lines, one at a time
+    count["closures"] = count["calls"] = 0
+    rng = np.random.default_rng(8)
+    w_old, af, src, ends = random_lines(rng, n_lines=20)
+    for k in range(20):
+        solve_one_line(w_old[k], 1.0 / 11, 0.01, af[k], src[k], ("flux", ends[0][k]),
+                       ("flux", ends[1][k]), counted(cubic(0.8)), 1e-10)
+    assert count["closures"] >= 40
+    assert count["calls"] <= 10 * count["closures"]
 
 
 def test_flux_law_sees_floats_on_one_line_and_arrays_on_a_stack():
