@@ -75,14 +75,6 @@ def _integer(doc, key, path, default):
     return int(val)
 
 
-def _coeffs(doc, path):
-    coeffs = _get(doc, "coeffs", path)
-    if not (isinstance(coeffs, list) and coeffs and all(
-            isinstance(c, (int, float)) and not isinstance(c, bool) for c in coeffs)):
-        raise ConfigError(f"{path}.coeffs", "expected a nonempty list of numbers")
-    return coeffs
-
-
 def _reject_unknown(doc, allowed, path):
     extra = sorted(set(doc) - set(allowed))
     if extra:
@@ -90,32 +82,62 @@ def _reject_unknown(doc, allowed, path):
 
 
 # ---------------------------------------------------------------------------
-# leaf builders
-
-# keys each leaf kind takes besides "kind"
-_SIGNAL_KEYS = {"constant": ("value",),
-                "sinusoid": ("amplitude", "frequency", "phase", "offset"),
-                "exp_decay": ("amplitude", "rate", "offset"),
-                "polynomial": ("coeffs",)}
-_PROFILE_KEYS = {
-    1: {"sum": ("terms",), "constant": ("value",), "affine": ("intercept", "slope"),
-        "sin": ("amplitude", "mode"), "bump": ("amplitude", "center", "halfwidth"),
-        "poly": ("coeffs",)},
-    2: {"sum": ("terms",), "constant": ("value",),
-        "sinprod": ("amplitude", "mode_x", "mode_y")}}
-_FIELD_KEYS = {"constant": ("value",), "uniform": ("signal",),
-               "separable": ("profile", "signal")}
-_MAP_KEYS = {"identity": (), "linear": ("slope",), "cubic": ("gamma",)}
-_SPEED_KEYS = {"constant": ("value",), "reciprocal": ("scale",)}
+# leaves: time signals, profiles, fields, monotone maps, speed maps
 
 
-def _leaf_kind(spec, path, kinds, what):
-    """The kind of a leaf spec, after rejecting an unknown kind or key."""
-    kind = _get(_expect_mapping(spec, path), "kind", path)
-    if not isinstance(kind, str) or kind not in kinds:
-        raise ConfigError(f"{path}.kind", f"unknown {what} kind {kind!r}")
-    _reject_unknown(spec, ("kind",) + kinds[kind], path)
-    return kind
+def _identity():
+    return lambda v: np.asarray(v, dtype=float) + 0.0
+
+
+def _linear(slope):
+    if not slope > 0:
+        raise ValueError("slope must be positive")
+    return lambda v: slope * np.asarray(v, dtype=float)
+
+
+def _cubic(gamma):
+    """v + gamma*v**3, elementwise."""
+    if not gamma >= 0:
+        raise ValueError("gamma must be nonnegative")
+    return lambda v: np.asarray(v, dtype=float) * (1.0 + gamma * np.asarray(v, dtype=float) ** 2)
+
+
+def _constant_speed(value):
+    if value <= 0:
+        raise ValueError("speed must be positive")
+    return lambda s: value
+
+
+def _reciprocal_speed(scale):
+    if scale < 0:
+        raise ValueError("scale must be nonnegative")
+    return lambda s: 1.0 / (1.0 + scale * np.abs(s))
+
+
+# each family's kinds: (constructor, the keys besides "kind" in its argument
+# order); _leaf reads a key by its name alone
+_LEAVES = {
+    "signal": {"constant": (TimeSignal.constant, ("value",)),
+               "sinusoid": (TimeSignal.sinusoid, ("amplitude", "frequency", "phase", "offset")),
+               "exp_decay": (TimeSignal.exp_decay, ("amplitude", "rate", "offset")),
+               "polynomial": (TimeSignal.polynomial, ("coeffs",))},
+    "profile": {"sum": (profile_sum, ("terms",)), "constant": (profile_constant, ("value",)),
+                "affine": (profile_affine, ("intercept", "slope")),
+                "sin": (profile_sin, ("amplitude", "mode")),
+                "bump": (profile_bump, ("amplitude", "center", "halfwidth")),
+                "poly": (profile_poly, ("coeffs",))},
+    "2D profile": {"sum": (profile_sum, ("terms",)), "constant": (profile_constant, ("value",)),
+                   "sinprod": (profile2d_sinprod, ("amplitude", "mode_x", "mode_y"))},
+    "field": {"constant": (SpaceTimeField.constant, ("value",)),
+              "uniform": (SpaceTimeField.from_signal, ("signal",)),
+              "separable": (SpaceTimeField.separable, ("profile", "signal"))},
+    "map": {"identity": (_identity, ()), "linear": (_linear, ("slope",)),
+            "cubic": (_cubic, ("gamma",))},
+    "speed": {"constant": (_constant_speed, ("value",)),
+              "reciprocal": (_reciprocal_speed, ("scale",))},
+}
+# optional keys and their defaults; every other number is required
+_DEFAULTS = {"mode": 1, "mode_x": 1, "mode_y": 1, "phase": 0.0, "offset": 0.0, "scale": 1.0}
 
 
 def _at_path(build):
@@ -131,95 +153,41 @@ def _at_path(build):
 
 
 @_at_path
-def _build_signal(spec, path) -> TimeSignal:
-    kind = _leaf_kind(spec, path, _SIGNAL_KEYS, "signal")
-    if kind == "constant":
-        return TimeSignal.constant(_number(spec, "value", path))
-    if kind == "sinusoid":
-        return TimeSignal.sinusoid(
-            _number(spec, "amplitude", path),
-            _number(spec, "frequency", path),
-            phase=_number(spec, "phase", path, required=False, default=0.0),
-            offset=_number(spec, "offset", path, required=False, default=0.0))
-    if kind == "exp_decay":
-        return TimeSignal.exp_decay(
-            _number(spec, "amplitude", path),
-            _number(spec, "rate", path),
-            offset=_number(spec, "offset", path, required=False, default=0.0))
-    return TimeSignal.polynomial(*_coeffs(spec, path))
+def _leaf(spec, path, family, dim=1):
+    """The object a leaf spec of a family describes; dim picks 2D profiles."""
+    if family == "profile" and dim == 2:
+        family = "2D profile"
+    kind = _get(_expect_mapping(spec, path), "kind", path)
+    if not isinstance(kind, str) or kind not in _LEAVES[family]:
+        raise ConfigError(f"{path}.kind", f"unknown {family} kind {kind!r}")
+    make, keys = _LEAVES[family][kind]
+    _reject_unknown(spec, ("kind",) + keys, path)
+    args = []
+    for key in keys:
+        if key == "terms":
+            terms = _get(spec, key, path)
+            if not isinstance(terms, list) or not terms:
+                raise ConfigError(f"{path}.terms", "expected a nonempty list")
+            args += [_leaf(t, f"{path}.terms[{i}]", family, dim) for i, t in enumerate(terms)]
+        elif key == "coeffs":
+            coeffs = _get(spec, key, path)
+            if not (isinstance(coeffs, list) and coeffs and all(
+                    isinstance(c, (int, float)) and not isinstance(c, bool) for c in coeffs)):
+                raise ConfigError(f"{path}.coeffs", "expected a nonempty list of numbers")
+            args += coeffs
+        elif key in ("signal", "profile"):
+            args.append(_leaf_at(spec, key, path, key, dim))
+        elif key.startswith("mode"):
+            args.append(_integer(spec, key, path, _DEFAULTS[key]))
+        else:
+            args.append(_number(spec, key, path, required=key not in _DEFAULTS,
+                                default=_DEFAULTS.get(key)))
+    return make(*args)
 
 
-@_at_path
-def _build_profile(spec, path, dim):
-    kind = _leaf_kind(spec, path, _PROFILE_KEYS[dim], "2D profile" if dim == 2 else "profile")
-    if kind == "sum":
-        terms = _get(spec, "terms", path)
-        if not isinstance(terms, list) or not terms:
-            raise ConfigError(f"{path}.terms", "expected a nonempty list")
-        parts = [_build_profile(t, f"{path}.terms[{i}]", dim)
-                 for i, t in enumerate(terms)]
-        return profile_sum(*parts)
-    if kind == "constant":
-        return profile_constant(_number(spec, "value", path))
-    if kind == "sinprod":
-        return profile2d_sinprod(_number(spec, "amplitude", path),
-                                 mode_x=_integer(spec, "mode_x", path, 1),
-                                 mode_y=_integer(spec, "mode_y", path, 1))
-    if kind == "affine":
-        return profile_affine(_number(spec, "intercept", path),
-                              _number(spec, "slope", path))
-    if kind == "sin":
-        return profile_sin(_number(spec, "amplitude", path),
-                           mode=_integer(spec, "mode", path, 1))
-    if kind == "bump":
-        return profile_bump(_number(spec, "amplitude", path),
-                            _number(spec, "center", path),
-                            _number(spec, "halfwidth", path))
-    return profile_poly(*_coeffs(spec, path))
-
-
-@_at_path
-def _build_field(spec, path, dim) -> SpaceTimeField:
-    kind = _leaf_kind(spec, path, _FIELD_KEYS, "field")
-    if kind == "constant":
-        return SpaceTimeField.constant(_number(spec, "value", path))
-    if kind == "uniform":
-        return SpaceTimeField.from_signal(
-            _build_signal(_get(spec, "signal", path), f"{path}.signal"))
-    profile = _build_profile(_get(spec, "profile", path), f"{path}.profile", dim)
-    sig = _build_signal(_get(spec, "signal", path), f"{path}.signal")
-    return SpaceTimeField.separable(profile, sig)
-
-
-@_at_path
-def _build_monotone(spec, path):
-    """v, slope*v (slope > 0) or v + gamma*v**3 (gamma >= 0), elementwise."""
-    kind = _leaf_kind(spec, path, _MAP_KEYS, "map")
-    if kind == "identity":
-        return lambda v: np.asarray(v, dtype=float) + 0.0
-    if kind == "linear":
-        slope = _number(spec, "slope", path)
-        if not slope > 0:
-            raise ValueError("slope must be positive")
-        return lambda v: slope * np.asarray(v, dtype=float)
-    gamma = _number(spec, "gamma", path)
-    if not gamma >= 0:
-        raise ValueError("gamma must be nonnegative")
-    return lambda v: np.asarray(v, dtype=float) * (1.0 + gamma * np.asarray(v, dtype=float) ** 2)
-
-
-@_at_path
-def _build_speed(spec, path):
-    kind = _leaf_kind(spec, path, _SPEED_KEYS, "speed")
-    if kind == "constant":
-        value = _number(spec, "value", path)
-        if value <= 0:
-            raise ConfigError(f"{path}.value", "speed must be positive")
-        return lambda s: value
-    scale = _number(spec, "scale", path, required=False, default=1.0)
-    if scale < 0:
-        raise ConfigError(f"{path}.scale", "scale must be nonnegative")
-    return lambda s: 1.0 / (1.0 + scale * np.abs(s))
+def _leaf_at(doc, key, path, family, dim=1):
+    """The leaf of a family under a required key."""
+    return _leaf(_get(doc, key, path), f"{path}.{key}", family, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -246,23 +214,21 @@ def _build_parabolic(doc, path, name):
     dim = _integer(doc, "dim", path, 1)
     if dim not in (1, 2):
         raise ConfigError(f"{path}.dim", f"dim must be 1 or 2, got {dim}")
-    scn = ParabolicScenario(
+    return ParabolicScenario(
         dim=dim,
-        a=_build_field(_get(doc, "diffusion", path), f"{path}.diffusion", dim),
+        a=_leaf_at(doc, "diffusion", path, "field", dim),
         a0=_number(doc, "diffusion_floor", path),
-        c=_build_field(_get(doc, "damping", path), f"{path}.damping", dim),
+        c=_leaf_at(doc, "damping", path, "field", dim),
         c0=_number(doc, "damping_floor", path),
-        reaction=_build_monotone(_get(doc, "reaction", path), f"{path}.reaction"),
-        boundary_reaction=_build_monotone(_get(doc, "boundary_reaction", path),
-                                          f"{path}.boundary_reaction"),
-        f=_build_field(_get(doc, "forcing", path), f"{path}.forcing", dim),
-        d1=_build_field(_get(doc, "dirichlet_data", path), f"{path}.dirichlet_data", dim),
-        d2=_build_field(_get(doc, "flux_data", path), f"{path}.flux_data", dim),
-        w0=_build_profile(_get(doc, "initial", path), f"{path}.initial", dim),
+        reaction=_leaf_at(doc, "reaction", path, "map"),
+        boundary_reaction=_leaf_at(doc, "boundary_reaction", path, "map"),
+        f=_leaf_at(doc, "forcing", path, "field", dim),
+        d1=_leaf_at(doc, "dirichlet_data", path, "field", dim),
+        d2=_leaf_at(doc, "flux_data", path, "field", dim),
+        w0=_leaf_at(doc, "initial", path, "profile", dim),
         gamma1=_edge_list(doc, "dirichlet_edges", path, dim),
         gamma2=_edge_list(doc, "flux_edges", path, dim),
         label=name)
-    return scn
 
 
 def _build_transport(doc, path, name):
@@ -270,11 +236,11 @@ def _build_transport(doc, path, name):
     _reject_unknown(doc, allowed, path)
     floor = _number(doc, "speed_floor", path, required=False, default=None)
     return TransportScenario(
-        speed_map=_build_speed(_get(doc, "speed", path), f"{path}.speed"),
+        speed_map=_leaf_at(doc, "speed", path, "speed"),
         assumption=_get(doc, "assumption", path),
         k=_number(doc, "k", path),
-        d=_build_signal(_get(doc, "boundary_data", path), f"{path}.boundary_data"),
-        rho0=_build_profile(_get(doc, "initial", path), f"{path}.initial", 1),
+        d=_leaf_at(doc, "boundary_data", path, "signal"),
+        rho0=_leaf_at(doc, "initial", path, "profile"),
         speed_floor=floor,
         label=name)
 
@@ -283,15 +249,13 @@ def _build_wave(doc, path, name):
     allowed = ("c", "forcing", "boundary_data", "initial_displacement",
                "initial_velocity")
     _reject_unknown(doc, allowed, path)
-    d_sig = _build_signal(_get(doc, "boundary_data", path), f"{path}.boundary_data")
+    d_sig = _leaf_at(doc, "boundary_data", path, "signal")
     return WaveScenario(
         c=_number(doc, "c", path),
-        f=_build_field(_get(doc, "forcing", path), f"{path}.forcing", 1),
+        f=_leaf_at(doc, "forcing", path, "field"),
         d=d_sig,
-        w0=_build_profile(_get(doc, "initial_displacement", path),
-                          f"{path}.initial_displacement", 1),
-        v0=_build_profile(_get(doc, "initial_velocity", path),
-                          f"{path}.initial_velocity", 1),
+        w0=_leaf_at(doc, "initial_displacement", path, "profile"),
+        v0=_leaf_at(doc, "initial_velocity", path, "profile"),
         label=name)
 
 
@@ -327,19 +291,22 @@ def _build_solver(doc, path, pde):
         output_stride=_integer(doc, "output_stride", path, SolverConfig.output_stride))
 
 
+# the energy keys each class reads
+_ENERGY_KEYS = {"parabolic": ("p",), "transport": ("p", "rate"), "wave": ("p", "rate", "eps")}
+
+
 def _build_energy(doc, path, pde):
     if doc is None:
         return None
     doc = _expect_mapping(doc, path)
-    _reject_unknown(doc, ("p", "rate", "eps"), path)
+    keys = _ENERGY_KEYS[pde]
+    _reject_unknown(doc, keys, path)
     energy = {"p": _number(doc, "p", path)}
-    rate = _number(doc, "rate", path, required=False, default=None)
-    eps = _number(doc, "eps", path, required=False, default=None)
-    if rate is not None:
-        energy["rate"] = rate
-    if eps is not None:
-        energy["eps"] = eps
-    if pde == "wave" and rate is None:
+    for key in keys[1:]:
+        val = _number(doc, key, path, required=False)
+        if val is not None:
+            energy[key] = val
+    if pde == "wave" and "rate" not in energy:
         raise ConfigError(f"{path}.rate", "wave energies need an explicit weight rate")
     return energy
 

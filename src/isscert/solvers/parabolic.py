@@ -69,10 +69,16 @@ class ParabolicScenario:
     names of the dimension, :data:`EDGES`; the grid carries no edge
     labels, so this partition is the only one.  The maps must satisfy
     the structural sign and monotonicity conditions checked by
-    :meth:`validate`.  a0 and c0 are floors of a and c, which
-    :func:`solve_parabolic` checks over the run's horizon; c0 = 0 is
-    allowed (no reaction floor), but the truncation-level computation
-    then refuses the scenario.
+    :meth:`validate`, which samples them at 401 points of [-10, 10].  A
+    flux law (boundary_reaction) must be nondecreasing everywhere, not
+    only there: the one-line flux closure's rounding margin rests on it,
+    and a law that dips between the samples passes :meth:`validate` but
+    can change the closure's bits.  The config-built laws are monotone;
+    a law passed through the Python API is the caller's to check.
+
+    a0 and c0 are floors of a and c, which :func:`solve_parabolic` checks
+    over the run's horizon; c0 = 0 is allowed (no reaction floor), but the
+    truncation-level computation then refuses the scenario.
     """
 
     dim: int

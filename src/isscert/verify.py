@@ -57,6 +57,23 @@ def _rel_gap(lhs, rhs):
     return (rhs - lhs) / (1.0 + np.abs(lhs) + np.abs(rhs))
 
 
+# check names of a bundled plan's bound kinds, before the _q<q> suffix
+_CHECK_PREFIX = {"parabolic_q": "qbound", "transport_q": "qbound", "transport_p": "pbound",
+                 "wave_m": "mbound", "wave_r_eps": "rbound"}
+
+
+def _plan_checks(group, plan, traj):
+    """One line per check a bundled plan declares, on its solved trajectory."""
+    lines = []
+    for entry in plan.checks:
+        b = prepare_bound(entry["kind"], traj, plan.scenario, entry["q"], entry["params"])
+        r = check_trajectory(traj, entry["q"], b, entry["tol"])
+        name = f"{_CHECK_PREFIX[entry['kind']]}_q{_qtag(entry['q'])}"
+        lines.append(CheckLine(group, name, r.violations == 0,
+                               f"violations={r.violations} min_margin={_fmt(r.min_margin)}"))
+    return lines
+
+
 # ---------------------------------------------------------------------------
 # truncation calculus and scalar lemmas
 
@@ -169,12 +186,7 @@ def verify_parabolic(seed: int = 42):
         f"c_rep={_fmt(c_rep)}"))
 
     btraj = solve_parabolic(demo.scenario, demo.grid, demo.solver)
-    for entry in demo.checks:
-        b = prepare_bound(entry["kind"], btraj, demo.scenario, entry["q"], entry["params"])
-        r = check_trajectory(btraj, entry["q"], b, entry["tol"])
-        lines.append(CheckLine("parabolic", f"qbound_q{_qtag(entry['q'])}", r.violations == 0,
-                               f"violations={r.violations} "
-                               f"min_margin={_fmt(r.min_margin)}"))
+    lines += _plan_checks("parabolic", demo, btraj)
 
     unit = float(bound_parabolic_q(2.0, 0.0, 1.0, 0.0, 1.0))
     gain = float(bound_parabolic_q(2.0, 7.5, 0.0, 0.7, 1.0))
@@ -202,13 +214,7 @@ def verify_transport(seed: int = 42):
                            worst <= 0.0 and rate_ok,
                            f"max_excess={_fmt(worst)} rate={_fmt(spec.r)}"))
 
-    for entry in plan.checks:
-        b = prepare_bound(entry["kind"], traj, plan.scenario, entry["q"], entry["params"])
-        r = check_trajectory(traj, entry["q"], b, entry["tol"])
-        name = f"{'pbound' if entry['kind'] == 'transport_p' else 'qbound'}_q{_qtag(entry['q'])}"
-        lines.append(CheckLine("transport", name, r.violations == 0,
-                               f"violations={r.violations} "
-                               f"min_margin={_fmt(r.min_margin)}"))
+    lines += _plan_checks("transport", plan, traj)
 
     steady = load_plan("transport_steady")
     straj = solve_transport(steady.scenario, steady.grid, steady.solver)
@@ -285,13 +291,7 @@ def verify_wave(seed: int = 42):
                            f"residue={_fmt(residue)} limit={_fmt(limit)} "
                            f"t_end={_fmt(ftraj.times[-1])}"))
 
-    for entry in plan.checks:
-        b = prepare_bound(entry["kind"], traj, plan.scenario, entry["q"], entry["params"])
-        r = check_trajectory(traj, entry["q"], b, entry["tol"])
-        form = "mbound" if entry["kind"] == "wave_m" else "rbound"
-        lines.append(CheckLine("wave", f"{form}_q{_qtag(entry['q'])}", r.violations == 0,
-                               f"violations={r.violations} "
-                               f"min_margin={_fmt(r.min_margin)}"))
+    lines += _plan_checks("wave", plan, traj)
 
     val = float(bound_wave_m(2.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0))
     ref = 8.0 * math.exp(4.0)

@@ -1,14 +1,16 @@
 """Tests for configuration loading and the command line interface."""
 
 import math
+import re
 
+import numpy as np
 import pytest
 import yaml
 
 from isscert import cli
 from isscert.certify import BOUNDS
 from isscert.cli import main
-from isscert.config import ConfigError, build_plan, load_config, load_plan
+from isscert.config import _LEAVES, ConfigError, _leaf, build_plan, load_config, load_plan
 from isscert.fields import Grid1D, Grid2D
 from isscert.scenarios import bundled_names
 
@@ -364,6 +366,81 @@ def test_integer_keys_reject_fractions(demo, location, value, path):
         build_plan(_edited(demo, location, value))
 
 
+# where a leaf of each family is read in a bundled config
+FAMILY_AT = {"signal": ("transport_global", "scenario.boundary_data"),
+             "profile": ("parabolic_demo", "scenario.initial"),
+             "2D profile": ("parabolic_2d_demo", "scenario.initial"),
+             "field": ("parabolic_demo", "scenario.forcing"),
+             "map": ("parabolic_demo", "scenario.reaction"),
+             "speed": ("transport_global", "scenario.speed")}
+# the optional leaf keys and their documented defaults
+LEAF_DEFAULTS = {"mode": 1, "mode_x": 1, "mode_y": 1, "phase": 0.0, "offset": 0.0,
+                 "scale": 1.0}
+# a valid value for each key name that is not a plain number; numbers get 0.5
+LEAF_VALUES = {"coeffs": [0.1, 0.2], "terms": [{"kind": "constant", "value": 0.1}],
+               "signal": {"kind": "constant", "value": 0.1},
+               "profile": {"kind": "constant", "value": 1.0},
+               "mode": 2, "mode_x": 2, "mode_y": 3}
+LEAF_KEYS = [(family, kind, key) for family, kinds in _LEAVES.items()
+             for kind, (_, keys) in kinds.items() for key in keys]
+
+
+def _leaf_spec(family, kind):
+    """A spec of the kind with every key set, optional ones included."""
+    return {"kind": kind, **{key: LEAF_VALUES.get(key, 0.5) for key in _LEAVES[family][kind][1]}}
+
+
+def _leaf_values(obj, family):
+    """What a built leaf gives on a few points, to compare two of them."""
+    y = np.linspace(0.0, 1.0, 7)
+    if family == "signal":
+        return np.array(obj.params)
+    if family == "2D profile":
+        return obj((y, y[::-1]))
+    return obj(y)
+
+
+@pytest.mark.parametrize("family,kind,key", [c for c in LEAF_KEYS if c[2] not in LEAF_DEFAULTS],
+                         ids=lambda v: str(v).replace(" ", "_"))
+def test_leaf_without_a_required_key_names_it(family, kind, key):
+    demo, location = FAMILY_AT[family]
+    spec = _leaf_spec(family, kind)
+    del spec[key]
+    with pytest.raises(ConfigError, match=rf"^{re.escape(location)}\.{key}: missing required key$"):
+        build_plan(_edited(demo, location, spec))
+
+
+@pytest.mark.parametrize("family,kind,key", [c for c in LEAF_KEYS if c[2] in LEAF_DEFAULTS],
+                         ids=lambda v: str(v).replace(" ", "_"))
+def test_leaf_optional_key_defaults_to_its_written_value(family, kind, key):
+    dim = 2 if family == "2D profile" else 1
+    spec = _leaf_spec(family, kind)
+    omitted = {k: v for k, v in spec.items() if k != key}
+    written = {**spec, key: LEAF_DEFAULTS[key]}
+    args = ("leaf", "profile" if dim == 2 else family, dim)
+    assert np.array_equal(_leaf_values(_leaf(omitted, *args), family),
+                          _leaf_values(_leaf(written, *args), family))
+    # the key is read: its sample value builds another object
+    assert not np.array_equal(_leaf_values(_leaf(omitted, *args), family),
+                              _leaf_values(_leaf(spec, *args), family))
+
+
+@pytest.mark.parametrize("demo,key", [("parabolic_demo", "rate"), ("parabolic_demo", "eps"),
+                                      ("transport_global", "eps")])
+def test_cli_run_rejects_energy_keys_the_class_ignores(tmp_path, capsys, demo, key):
+    cfg = tmp_path / "energy.yaml"
+    cfg.write_text(yaml.safe_dump(_edited(demo, f"energy.{key}", 5.0)))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: energy.{key}: unknown key\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_energy_keys_each_class_reads():
+    assert build_plan(_edited("transport_global", "energy.rate", 1.5)).energy == {
+        "p": 2.0, "rate": 1.5}
+    assert load_plan("wave_demo").energy == {"p": 2.0, "rate": 1.0, "eps": 1.0}
+
+
 def test_integer_keys_accept_integral_floats():
     assert build_plan(_edited("parabolic_demo", "grid.n", 200.0)).grid.n == 200
 
@@ -400,10 +477,14 @@ def test_integer_keys_accept_integral_floats():
      f"checks[0].q: expected a finite number, got {10**400}"),
     ("parabolic_demo", "checks", [{"kind": "parabolic_q", "q": math.nan}],
      "checks[0].q: expected a finite number, got nan"),
+    ("transport_global", "scenario.speed", {"kind": "constant", "value": 0},
+     "scenario.speed: speed must be positive"),
+    ("transport_liss", "scenario.speed", {"kind": "reciprocal", "scale": -1},
+     "scenario.speed: scale must be nonnegative"),
 ], ids=["grid_n", "bump_halfwidth", "map_slope", "poly_coeffs", "nan_signal",
         "transport_node_layout", "parabolic_without_dt", "unhashable_check_kind",
         "nan_tol", "inf_slope", "huge_int", "zero_slope", "negative_gamma", "power_map",
-        "huge_q", "nan_q"])
+        "huge_q", "nan_q", "zero_speed", "negative_speed_scale"])
 def test_cli_run_build_errors_exit_2(tmp_path, capsys, demo, location, value, message):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(yaml.safe_dump(_edited(demo, location, value)))

@@ -1,8 +1,9 @@
-"""Every name a src module imports is used in that module.
+"""Every name a src module imports is used in that module, and every
+private top-level name src defines is read somewhere in src.
 
-Package ``__init__`` modules exist to re-export, so they are skipped.  An
-import statement carrying ``# noqa`` is kept on purpose (for example a
-module attribute that profilers wrap) and is skipped too.
+Package ``__init__`` modules exist to re-export, so the import check skips
+them.  An import statement carrying ``# noqa`` is kept on purpose (for
+example a module attribute that profilers wrap) and is skipped too.
 """
 
 import ast
@@ -41,3 +42,42 @@ def test_checker_sees_unused_and_noqa():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
 def test_src_module_imports_only_what_it_uses(path):
     assert unused_imports(path.read_text()) == []
+
+
+
+def top_level(source: str) -> list:
+    """(private names defined, names read) of each top-level statement.
+
+    A private name starts with one underscore.  Names read include
+    attributes, so ``parabolic._solve_lines`` reads ``_solve_lines``.
+    """
+    out = []
+    for node in ast.parse(source).body:
+        defined = set()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        read = ({n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+        out.append(({n for n in defined if n.startswith("_") and not n.startswith("__")}, read))
+    return out
+
+
+def unreferenced(sources) -> list:
+    """Private top-level names that no other top-level statement reads."""
+    stmts = [stmt for source in sources for stmt in top_level(source)]
+    return sorted(name for i, (defined, _) in enumerate(stmts) for name in defined
+                  if not any(name in read for j, (_, read) in enumerate(stmts) if j != i))
+
+
+def test_checker_sees_unreferenced_private_names():
+    source = ("_a = 1\n_b, c = 2, 3\n__all__ = []\n\n"
+              "def _f(n):\n    return _f(n - 1) + _a\n")
+    assert unreferenced([source]) == ["_b", "_f"]
+    assert unreferenced([source, "import m\nm._f(0)\nm._b\n"]) == []
+
+
+def test_src_private_names_are_referenced():
+    assert unreferenced(p.read_text() for p in sorted(SRC.rglob("*.py"))) == []
