@@ -292,17 +292,11 @@ def prepare_bound(kind, traj, scn, q, params=None) -> IssBound:
     ``params`` supplies the free constants the kind needs (see the bound
     evaluators); scenario structure provides the rest.  Running sups are
     evaluated on the trajectory's recorded stamps by
-    :func:`~isscert.glf.running_sups`; a disturbance whose sup, or a
-    parabolic coefficient whose inf, could only be sampled adds a warning.
+    :func:`~isscert.glf.running_sups`.
     """
     if kind not in BOUNDS:
         raise ValueError(f"unknown bound kind {kind!r}")
     bound = IssBound(kind, dict(params or {}), math.nan, {})
-    for name, extremum in (("a", "inf"), ("c", "inf"), ("f", "sup"), ("d1", "sup"),
-                           ("d2", "sup")):
-        fld = getattr(scn, name, None)
-        if getattr(fld, "sampled", False):
-            bound.warnings.append(f"{extremum} of {fld.label or name} sampled, not exact")
     BOUNDS[kind].prepare(bound, traj, scn, q, running_sups(scn, traj.grid, traj.times))
     return bound
 

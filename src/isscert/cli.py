@@ -72,16 +72,13 @@ def _energy_report(plan, traj):
     if not plan.energy:
         return None, None
     p = plan.energy["p"]
-    horizon = plan.solver.t_end
     slack = None
     if plan.pde == "parabolic":
-        spec = glf_for_parabolic(plan.scenario, plan.grid, p, horizon)
+        spec = glf_for_parabolic(plan.scenario, traj, p)
     elif plan.pde == "transport":
-        spec = glf_for_transport(plan.scenario, plan.grid, p, horizon,
-                                 plan.energy.get("rate"))
+        spec = glf_for_transport(plan.scenario, traj, p, plan.energy.get("rate"))
     else:
-        spec = glf_for_wave(plan.scenario, plan.grid, p, horizon, plan.energy["rate"],
-                            plan.energy.get("eps"))
+        spec = glf_for_wave(plan.scenario, traj, p, plan.energy["rate"], plan.energy.get("eps"))
         slack = wave_forcing_slack(traj, spec, plan.scenario.f)
     rate = dissipation_rate(spec, plan.scenario)
     return spec, dissipation_report(traj, spec, rate, slack)

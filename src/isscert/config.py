@@ -61,9 +61,14 @@ def _number(doc, key, path, required=True, default=None):
         return default
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{path}.{key}", f"expected a number, got {val!r}")
+    return _finite(val, f"{path}.{key}")
+
+
+def _finite(val, where):
+    """A number as a float, or a ConfigError at where when it is not finite."""
     # exact for ints too large for a float; false for NaN
     if not abs(val) <= sys.float_info.max:
-        raise ConfigError(f"{path}.{key}", f"expected a finite number, got {val!r}")
+        raise ConfigError(where, f"expected a finite number, got {val!r}")
     return float(val)
 
 
@@ -174,7 +179,7 @@ def _leaf(spec, path, family, dim=1):
             if not (isinstance(coeffs, list) and coeffs and all(
                     isinstance(c, (int, float)) and not isinstance(c, bool) for c in coeffs)):
                 raise ConfigError(f"{path}.coeffs", "expected a nonempty list of numbers")
-            args += coeffs
+            args += [_finite(c, f"{path}.coeffs") for c in coeffs]
         elif key in ("signal", "profile"):
             args.append(_leaf_at(spec, key, path, key, dim))
         elif key.startswith("mode"):

@@ -216,14 +216,12 @@ def running_sups(scn, grid, times) -> dict:
         for name, edges in (("d1", scn.gamma1), ("d2", scn.gamma2)):
             sups[name] = (sup_field(getattr(scn, name), _edge_nodes(grid, edges), 0.0, times)
                           if edges else np.zeros_like(times))
-        # |f(., s)|_2 is |s| for a uniform field on the unit domain and at
-        # most its pointwise sup for any field; a separable one scales its
-        # profile's discrete 2-norm
+        # |f(., s)|_2 is |s| for a uniform field on the unit domain; a
+        # profiled one scales its profile's discrete 2-norm
         sups["f_l2"] = sups["f"]
-        if scn.f.parts is not None:
-            profile, sig = scn.f.parts
-            l2 = lq_norm(np.asarray(profile(grid.points()), dtype=float), 2.0, grid)
-            sups["f_l2"] = l2 * sup_window(sig, 0.0, times)
+        if scn.f.profile is not None:
+            l2 = lq_norm(np.asarray(scn.f.profile(grid.points()), dtype=float), 2.0, grid)
+            sups["f_l2"] = l2 * sup_window(scn.f.signal, 0.0, times)
     return sups
 
 
@@ -298,22 +296,24 @@ def default_transport_rate(p: float, k: float) -> float:
     return (p + 1.0) * math.log(1.0 / abs(k))
 
 
-def glf_for_parabolic(scn, grid, p: float, horizon: float) -> GlfSpec:
-    sups = running_sups(scn, grid, [horizon])
+# the builders read the level at the run's last stamp, where its checks end
+
+def glf_for_parabolic(scn, traj: Trajectory, p: float) -> GlfSpec:
+    sups = running_sups(scn, traj.grid, traj.times[-1:])
     return GlfSpec("parabolic", p, 0.0, float(truncation_level_parabolic(scn, sups)[-1]))
 
 
-def glf_for_transport(scn, grid, p: float, horizon: float,
+def glf_for_transport(scn, traj: Trajectory, p: float,
                       r: Optional[float] = None) -> GlfSpec:
     hi = default_transport_rate(p, scn.k)
     r = hi if r is None else float(r)
     if not 0.0 < r <= hi + 1e-12:
         raise ValueError(f"weight rate must lie in (0, {hi}], got {r}")
-    level = float(running_sups(scn, grid, [horizon])["d"][-1]) / (1.0 - abs(scn.k))
+    level = float(running_sups(scn, traj.grid, traj.times[-1:])["d"][-1]) / (1.0 - abs(scn.k))
     return GlfSpec("transport", p, r, level)
 
 
-def glf_for_wave(scn, grid, p: float, horizon: float, r: float,
+def glf_for_wave(scn, traj: Trajectory, p: float, r: float,
                  eps: Optional[float] = None) -> GlfSpec:
     r = float(r)
     if not r > 0:
@@ -321,7 +321,7 @@ def glf_for_wave(scn, grid, p: float, horizon: float, r: float,
     eps = 0.5 * scn.c * r if eps is None else float(eps)
     if not scn.c * r - eps > 0:
         raise ValueError(f"need c*r - eps > 0, got c*r = {scn.c * r}, eps = {eps}")
-    level = float(running_sups(scn, grid, [horizon])["d"][-1]) / scn.c
+    level = float(running_sups(scn, traj.grid, traj.times[-1:])["d"][-1]) / scn.c
     return GlfSpec("wave", p, r, level, eps)
 
 

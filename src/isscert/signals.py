@@ -7,16 +7,17 @@ troughs, real roots of a polynomial's derivative).  Windows are closed
 intervals, so the windowed sup is conservative and monotone in the window,
 and one call returns the running sups over a whole array of window ends.
 
-Space-time fields wrap a callable f(y, t); spatially uniform and separable
-fields keep a handle on their signal so windowed sups stay exact on the
-given space points, and so do their infs over a time window.  Only a
-field known through its callable alone is sampled in time.
+A space-time field is a time signal times an optional spatial profile,
+f(y, t) = profile(y) * signal(t); without a profile it is spatially
+uniform.  Its sup and inf over given space points and a time window are
+the profile's extremes there times the signal's exact window extremes, so
+every one is exact.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -41,10 +42,6 @@ SIGNAL_KINDS = ("constant", "sinusoid", "exp_decay", "polynomial")
 
 # parameter counts; polynomial takes any positive number of coefficients
 _ARITY = {"constant": 1, "sinusoid": 4, "exp_decay": 3}
-
-# uniform time samples up to the last window end for a field known only
-# through its callable
-_FIELD_SAMPLES = 513
 
 
 class TimeSignal:
@@ -97,17 +94,23 @@ class TimeSignal:
         if self.kind == "exp_decay":
             amp, rate, off = self.params
             return off + amp * np.exp(-rate * t)
-        out = np.zeros_like(t)
-        for k, ck in enumerate(self.params):
-            out = out + ck * t**k
-        return out
+        return _power_sum(self.params, t)
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr < 0):
+        # fields call this once per step: a scalar skips the array reduction
+        if float(t_arr) < 0 if t_arr.ndim == 0 else (t_arr < 0).any():
             raise ValueError("signals are defined for t >= 0")
         out = self._eval(t_arr)
         return float(out) if t_arr.ndim == 0 else out
+
+
+def _power_sum(coeffs, x):
+    """The sum of ck * x**k, added term by term from k = 0."""
+    out = np.zeros_like(x)
+    for k, ck in enumerate(coeffs):
+        out = out + ck * x**k
+    return out
 
 
 def _critical_times(sig: TimeSignal, a: float, b: float) -> list:
@@ -138,28 +141,21 @@ def signal_range(sig: TimeSignal, t1: float) -> tuple:
     return float(vals.min()), float(vals.max())
 
 
-def _running_max(times, values, ends):
-    """max of values over the entries with times <= e, for each e in ends."""
-    order = np.argsort(times, kind="stable")
-    running = np.maximum.accumulate(values[order])
-    return running[np.searchsorted(times[order], ends, side="right") - 1]
-
-
 def _window_sups(sig: TimeSignal, t0: float, ends: np.ndarray) -> np.ndarray:
-    """Sup of |sig| over the closed window [t0, e] for each e >= t0 in ends."""
+    """Sup of |sig| over the closed window [t0, e] for each e >= t0 in ends:
+    the running max of |sig| over the candidate times, read off at each e."""
     horizon = float(np.max(ends))
     cand = np.concatenate(([t0, horizon], _critical_times(sig, t0, horizon),
                            ends[(ends > t0) & (ends < horizon)]))
-    return _running_max(cand, np.abs(sig._eval(cand)), ends)
+    order = np.argsort(cand, kind="stable")
+    running = np.maximum.accumulate(np.abs(sig._eval(cand))[order])
+    return running[np.searchsorted(cand[order], ends, side="right") - 1]
 
 
 def sup_window(sig: TimeSignal, t0: float, t1):
-    """Sup of |sig| over the closed window [t0, t1], exact for every kind.
-
-    |sig| peaks at a window end or at one of the signal's critical times
-    (:func:`_critical_times`); the sup is the largest of those values.
-    An array of window ends t1 gives the array of sups over [t0, t1_i],
-    as for :func:`sup_field`.
+    """Sup of |sig| over the closed window [t0, t1], exact for every kind:
+    the largest |sig| at a window end or a critical time.  An array of
+    window ends t1 gives the sups over [t0, t1_i], as for :func:`sup_field`.
     """
     if np.ndim(t1) == 0 and not float(t0) < float(t1):
         raise ValueError(f"need 0 <= t0 < t1, got ({t0}, {t1})")
@@ -167,100 +163,72 @@ def sup_window(sig: TimeSignal, t0: float, t1):
 
 
 class SpaceTimeField:
-    """Scalar field on the spatial domain crossed with the time axis.
+    """The field profile(y) * signal(t) on the spatial domain crossed with
+    the time axis; no profile means the field is spatially uniform.
 
-    ``fn(y, t)`` must broadcast: in one dimension ``y`` is an array of
+    ``profile(y)`` must broadcast: in one dimension ``y`` is an array of
     points, in two dimensions a tuple of coordinate meshes.
     """
 
-    def __init__(self, fn: Callable, label: str = "", signal=None, parts=None):
-        self.fn = fn
-        self.label = label
-        self.signal = signal  # set when the field is spatially uniform
-        self.parts = parts  # (profile, signal) when the field is separable
-
-    @property
-    def sampled(self) -> bool:
-        """True when sups of this field come from samples, not exactly."""
-        return self.signal is None and self.parts is None
+    def __init__(self, signal: TimeSignal, profile: Optional[Callable] = None):
+        if not isinstance(signal, TimeSignal):
+            raise TypeError(f"a field's signal must be a TimeSignal, got {type(signal).__name__}")
+        self.signal = signal
+        self.profile = profile
 
     @classmethod
     def constant(cls, value):
-        value = float(value)
-        sig = TimeSignal.constant(value)
-        return cls(lambda y, t: _uniform(y, value), label=f"const {value}", signal=sig)
+        return cls(TimeSignal.constant(value))
 
     @classmethod
     def from_signal(cls, sig: TimeSignal):
-        return cls(lambda y, t: _uniform(y, float(sig(t))), label="uniform", signal=sig)
+        return cls(sig)
 
     @classmethod
     def separable(cls, profile: Callable, sig: TimeSignal):
-        return cls(lambda y, t: profile(y) * float(sig(t)), label="separable",
-                   parts=(profile, sig))
+        return cls(sig, profile)
 
     def __call__(self, y, t):
-        out = self.fn(y, float(t))
+        value = self.signal(float(t))
+        out = _uniform(y, value) if self.profile is None else self.profile(y) * value
         return float(out) if np.ndim(out) == 0 else np.asarray(out, dtype=float)
 
 
 def _uniform(y, value):
-    if isinstance(y, tuple):
-        shape = np.broadcast(*[np.asarray(c, dtype=float) for c in y]).shape
-        return np.full(shape, value)
-    arr = np.asarray(y, dtype=float)
-    if arr.ndim == 0:
-        return value
-    return np.full(arr.shape, value)
+    """value at every point of y: points, or a tuple of coordinate meshes."""
+    shape = np.broadcast(*y).shape if isinstance(y, tuple) else np.shape(y)
+    return np.full(shape, value) if shape else value
+
+
+def _profile_range(fld: SpaceTimeField, space) -> tuple:
+    """(min, max) of the field's profile over space; (1, 1) when uniform."""
+    if fld.profile is None:
+        return 1.0, 1.0
+    prof = np.asarray(fld.profile(space), dtype=float)
+    return float(prof.min()), float(prof.max())
 
 
 def sup_field(fld: SpaceTimeField, space, t0: float, t1):
     """Sup of |fld| over space x [t0, t1]; an array t1 gives one sup per end.
 
-    Uniform fields take the exact signal sup (:func:`sup_window`),
-    separable ones the profile's max over ``space`` times it.  A field
-    known only through its callable is sampled on ``space`` at the window
-    ends and at ``_FIELD_SAMPLES`` uniform times up to the last end
-    (:attr:`SpaceTimeField.sampled`).  For an array of ends every
-    candidate time is evaluated once and a running maximum is read off at
-    each end, so the sups are nondecreasing in t1_i; a window t0 == t1 is
-    one time slice.
+    The sup is the profile's largest magnitude over ``space`` (1 when the
+    field is uniform) times the signal's exact window sup, so the sups
+    are nondecreasing in t1_i; a window t0 == t1 is one time slice.
     """
     t0 = float(t0)
     ends = np.asarray(t1, dtype=float)
     if not (ends.size and 0.0 <= t0 <= ends.min()):
         raise ValueError(f"need 0 <= t0 <= t1, got ({t0}, {t1})")
-    flat = ends.reshape(-1)
-    if fld.signal is not None:
-        best = _window_sups(fld.signal, t0, flat)
-    elif fld.parts is not None:
-        profile, sig = fld.parts
-        prof_sup = float(np.max(np.abs(np.asarray(profile(space), dtype=float))))
-        best = prof_sup * _window_sups(sig, t0, flat)
-    else:
-        times, values = _sampled(fld, space, t0, flat, lambda v: np.max(np.abs(v)))
-        best = _running_max(times, values, flat)
+    best = (max(map(abs, _profile_range(fld, space)))
+            * _window_sups(fld.signal, t0, ends.reshape(-1)))
     return float(best[0]) if ends.ndim == 0 else best
 
 
 def inf_field(fld: SpaceTimeField, space, t1: float) -> float:
-    """Inf of fld over space x [0, t1]: exact for uniform and separable
-    fields (from the signal's and the profile's extremes), sampled at the
-    times of :func:`sup_field` for a field known only through its callable."""
-    if fld.signal is not None:
-        return signal_range(fld.signal, t1)[0]
-    if fld.parts is not None:
-        prof = np.asarray(fld.parts[0](space), dtype=float)
-        return min(p * s for p in (prof.min(), prof.max())
-                   for s in signal_range(fld.parts[1], t1))
-    return float(_sampled(fld, space, 0.0, np.asarray([float(t1)]), np.min)[1].min())
-
-
-def _sampled(fld, space, t0, ends, reduce):
-    """reduce(fld(space, t)) at the window ends and at ``_FIELD_SAMPLES``
-    uniform times from t0 to the last end; returns (times, values)."""
-    times = np.union1d(np.linspace(t0, ends.max(), _FIELD_SAMPLES), ends)
-    return times, np.asarray([reduce(fld(space, t)) for t in times.tolist()])
+    """Inf of fld over space x [0, t1], exact: the least product of the
+    profile's extremes over ``space`` and the signal's over [0, t1]."""
+    return min(p * s for p in _profile_range(fld, space)
+               for s in signal_range(fld.signal, t1))
 
 
 # ---------------------------------------------------------------------------
@@ -300,24 +268,13 @@ def profile_bump(amplitude, center, halfwidth):
 
 def profile_poly(*coeffs):
     coeffs = tuple(float(c) for c in coeffs)
-
-    def poly(y):
-        y = np.asarray(y, dtype=float)
-        out = np.zeros_like(y)
-        for k, ck in enumerate(coeffs):
-            out = out + ck * y**k
-        return out
-
-    return poly
+    return lambda y: _power_sum(coeffs, np.asarray(y, dtype=float))
 
 
 def profile_sum(*profiles):
     def total(y):
-        vals = [np.asarray(p(y), dtype=float) for p in profiles]
-        out = vals[0]
-        for v in vals[1:]:
-            out = out + v
-        return out
+        first, *rest = [np.asarray(p(y), dtype=float) for p in profiles]
+        return sum(rest, first)
 
     return total
 

@@ -76,9 +76,11 @@ class ParabolicScenario:
     can change the closure's bits.  The config-built laws are monotone;
     a law passed through the Python API is the caller's to check.
 
-    a0 and c0 are floors of a and c, which :func:`solve_parabolic` checks
-    over the run's horizon; c0 = 0 is allowed (no reaction floor), but the
-    truncation-level computation then refuses the scenario.
+    a, c, f, d1 and d2 are SpaceTimeFields, so their infs and sups are
+    exact; :meth:`validate` refuses any other callable.  a0 and c0 are
+    floors of a and c, which :func:`solve_parabolic` checks over the run's
+    horizon; c0 = 0 is allowed (no reaction floor), but the truncation-level
+    computation then refuses the scenario.
     """
 
     dim: int
@@ -101,6 +103,10 @@ class ParabolicScenario:
         self.gamma2 = frozenset(self.gamma2)
 
     def validate(self):
+        for name in ("a", "c", "f", "d1", "d2"):
+            if not isinstance(getattr(self, name), SpaceTimeField):
+                raise ScenarioError(f"{name} must be a SpaceTimeField, "
+                                    f"got {type(getattr(self, name)).__name__}")
         if self.dim not in (1, 2):
             raise ScenarioError(f"dim must be 1 or 2, got {self.dim}")
         if not self.a0 > 0:

@@ -25,6 +25,7 @@ from .common import (AssumptionViolationError, ScenarioError, SolverConfig,
 __all__ = ["TransportScenario", "solve_transport"]
 
 _ASSUMPTIONS = ("uniform", "decreasing")
+_FLOOR_SLACK = 1e-12  # how far a speed may sit below the floor of "uniform"
 
 
 @dataclass
@@ -35,7 +36,8 @@ class TransportScenario:
     (speed_floor mandatory); assumption "decreasing" declares speed
     positive, nonincreasing on s >= 0, and speed(s) >= speed(|s|), which
     is what the local estimates need.  Both are spot-checked on a sample
-    lattice.
+    lattice, and :func:`solve_transport` checks the floor of "uniform" at
+    every step.
     """
 
     speed_map: Callable
@@ -58,7 +60,7 @@ class TransportScenario:
         if self.assumption == "uniform":
             if self.speed_floor is None or not self.speed_floor > 0:
                 raise ScenarioError("assumption 'uniform' needs speed_floor > 0")
-            if np.any(vals < self.speed_floor - 1e-12):
+            if np.any(vals < self.speed_floor - _FLOOR_SLACK):
                 raise ScenarioError("speed map drops below its declared floor")
         else:
             pos = vals[s >= 0]
@@ -75,7 +77,8 @@ def solve_transport(scn: TransportScenario, grid: Grid1D, cfg: SolverConfig) -> 
     The inflow value k*rho(1, t) + d(t) uses the current outflow cell and
     the current time.  Total mass W(t) is the midpoint sum of the cell
     averages.  Raises AssumptionViolationError if the speed ever fails to
-    be positive along the run.
+    be positive along the run, or under assumption "uniform" drops below
+    speed_floor (with validate's slack).
     """
     scn.validate()
     if not isinstance(grid, Grid1D) or grid.layout != "cell":
@@ -89,6 +92,10 @@ def solve_transport(scn: TransportScenario, grid: Grid1D, cfg: SolverConfig) -> 
         if not (np.isfinite(speed) and speed > 0):
             raise AssumptionViolationError(
                 f"speed {speed} at total mass {mass} is not positive (t = {t})")
+        if scn.assumption == "uniform" and speed < scn.speed_floor - _FLOOR_SLACK:
+            raise AssumptionViolationError(
+                f"speed {speed} at total mass {mass} drops below the declared "
+                f"floor {scn.speed_floor} (t = {t})")
         dt = capped_dt(dt_max, speed, h, cfg.cfl_sigma)
         nu = speed * dt / h
         inflow = scn.k * rho[-1] + float(scn.d(t))

@@ -37,7 +37,8 @@ class WaveScenario:
     """Problem data for the boundary-damped wave class.
 
     The damping gain is tied to the wave speed by k = 1/c.  Initial
-    displacement must vanish at the pinned end y = 0.
+    displacement must vanish at the pinned end y = 0.  The forcing f is a
+    :class:`~isscert.signals.SpaceTimeField`, so its sup is exact.
     """
 
     c: float
@@ -52,6 +53,8 @@ class WaveScenario:
         return 1.0 / self.c
 
     def validate(self):
+        if not isinstance(self.f, SpaceTimeField):
+            raise ScenarioError(f"f must be a SpaceTimeField, got {type(self.f).__name__}")
         if not (np.isfinite(self.c) and self.c > 0):
             raise ScenarioError("wave speed must be positive")
         if abs(float(self.w0(0.0))) > 1e-12:

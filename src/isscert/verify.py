@@ -172,7 +172,7 @@ def verify_parabolic(seed: int = 42):
         dt = horizon / n
         cfg = SolverConfig(t_end=horizon, dt=dt, output_stride=1)
         rtraj = solve_parabolic(demo.scenario, grid, cfg)
-        spec = glf_for_parabolic(demo.scenario, grid, 2.0, horizon)
+        spec = glf_for_parabolic(demo.scenario, rtraj, 2.0)
         rate = dissipation_rate(spec, demo.scenario)
         report = dissipation_report(rtraj, spec, rate)
         max_res.append(report.max_residual)
@@ -204,7 +204,7 @@ def verify_transport(seed: int = 42):
 
     plan = load_plan("transport_global")
     traj = solve_transport(plan.scenario, plan.grid, plan.solver)
-    spec = glf_for_transport(plan.scenario, plan.grid, plan.energy["p"], plan.solver.t_end)
+    spec = glf_for_transport(plan.scenario, traj, plan.energy["p"])
     vhat, _ = series(traj, spec)
     h = plan.grid.h
     envelope = np.exp(-spec.r * traj.times) * vhat[0] * (1.0 + 10.0 * h)

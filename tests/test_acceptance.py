@@ -94,7 +94,7 @@ def test_criterion_4_parabolic_energy_and_bounds():
         rtraj = solve_parabolic(demo.scenario, grid,
                                 SolverConfig(t_end=horizon, dt=dt,
                                              output_stride=1))
-        spec = glf_for_parabolic(demo.scenario, grid, 2.0, horizon)
+        spec = glf_for_parabolic(demo.scenario, rtraj, 2.0)
         rep = dissipation_report(rtraj, spec, dissipation_rate(spec, demo.scenario))
         max_res.append(rep.max_residual)
         scales.append(grid.h + dt)
@@ -124,7 +124,7 @@ def test_criterion_4_parabolic_energy_and_bounds():
 def test_criterion_5_transport_global():
     plan = load_plan("transport_global")
     traj = solve_transport(plan.scenario, plan.grid, plan.solver)
-    spec = glf_for_transport(plan.scenario, plan.grid, plan.energy["p"], plan.solver.t_end)
+    spec = glf_for_transport(plan.scenario, traj, plan.energy["p"])
     rate_ok = abs(spec.r - 3.0 * math.log(2.0)) <= 1e-12
     vhat, _ = series(traj, spec)
     envelope = np.exp(-spec.r * traj.times) * vhat[0] * (1.0 + 10.0 * plan.grid.h)

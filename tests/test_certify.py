@@ -10,11 +10,13 @@ from isscert.certify import (CheckReport, _state_norms, bound_heat_classical,
                              bound_transport_q, bound_wave_m,
                              bound_wave_r_eps, check_trajectory,
                              prepare_bound)
+from isscert.cli import _energy_report
+from isscert.config import build_plan, load_config
 from isscert.fields import Grid1D, Grid2D, Trajectory, lq_norm
 from isscert.glf import glf_for_parabolic, running_sups
 from isscert.signals import (SpaceTimeField, TimeSignal, profile_bump,
                              profile_constant, profile_sum, profile_sin)
-from isscert.solvers import (ParabolicScenario, SolverConfig,
+from isscert.solvers import (ParabolicScenario, ScenarioError, SolverConfig,
                              TransportScenario, WaveScenario,
                              reconstruct_wave_state, solve_parabolic,
                              solve_transport, solve_wave)
@@ -150,38 +152,25 @@ def test_running_sups_take_2d_edges_on_the_grid_nodes():
     np.testing.assert_array_equal(sups["d2"], [0.0, 0.0])
 
 
-def test_sampled_sup_is_flagged():
-    bare = SpaceTimeField(lambda y, t: 0.5 * np.cos(t) * np.ones_like(np.asarray(y)),
-                          label="bare")
-    scn = ParabolicScenario(
-        dim=1, a=ONE, a0=1.0, c=ONE, c0=1.0,
-        reaction=lambda v: v, boundary_reaction=lambda v: v,
-        f=bare, d1=ZERO, d2=ZERO, w0=profile_sin(1.0),
-        gamma1=("left",), gamma2=("right",))
-    traj = solve_parabolic(scn, Grid1D(16, layout="node"),
-                           SolverConfig(t_end=0.05, dt=0.01))
-    bound = prepare_bound("parabolic_q", traj, scn, 2.0)
-    assert bound.warnings == ["sup of bare sampled, not exact"]
-    assert bound.series["level"][0] == pytest.approx(0.5, abs=1e-11)
-    exact = prepare_bound("parabolic_q", traj, make_parabolic_demo(), 2.0)
-    assert exact.warnings == []
+@pytest.mark.parametrize("pde, name", [
+    ("parabolic", "a"), ("parabolic", "c"), ("parabolic", "f"), ("parabolic", "d1"),
+    ("parabolic", "d2"), ("wave", "f")])
+def test_bare_callable_field_is_refused(pde, name):
+    # a field known only through its callable has no exact sup or inf
+    def bare(y, t):
+        return np.full(np.shape(y), 1.0)
 
-
-def test_sampled_floor_is_flagged():
-    # coefficients known only through their callables have sampled infs
-    def bare(value, label):
-        return SpaceTimeField(lambda y, t: np.full(np.shape(y), value), label=label)
-
-    scn = ParabolicScenario(
-        dim=1, a=bare(1.0, ""), a0=1.0, c=bare(2.0, "damping"), c0=1.0,
-        reaction=lambda v: v, boundary_reaction=lambda v: v,
-        f=ZERO, d1=ZERO, d2=ZERO, w0=profile_sin(1.0),
-        gamma1=("left",), gamma2=("right",))
-    traj = solve_parabolic(scn, Grid1D(16, layout="node"),
-                           SolverConfig(t_end=0.05, dt=0.01))
-    bound = prepare_bound("parabolic_q", traj, scn, 2.0)
-    assert bound.warnings == ["inf of a sampled, not exact",
-                              "inf of damping sampled, not exact"]
+    grid = Grid1D(16, layout="node")
+    cfg = SolverConfig(t_end=0.05, dt=0.01)
+    if pde == "parabolic":
+        scn, solve = make_parabolic_demo(), solve_parabolic
+    else:
+        scn = WaveScenario(c=1.0, f=ZERO, d=TimeSignal.constant(0.0),
+                           w0=profile_constant(0.0), v0=profile_constant(0.0))
+        solve = solve_wave
+    setattr(scn, name, bare)
+    with pytest.raises(ScenarioError, match=f"^{name} must be a SpaceTimeField, got function$"):
+        solve(scn, grid, cfg)
 
 
 def test_energy_and_check_share_the_truncation_level():
@@ -196,10 +185,29 @@ def test_energy_and_check_share_the_truncation_level():
     grid = Grid1D(40, layout="node")
     cfg = SolverConfig(t_end=1.2, dt=0.01, output_stride=7)
     traj = solve_parabolic(scn, grid, cfg)
-    spec = glf_for_parabolic(scn, grid, 2.0, cfg.t_end)
+    spec = glf_for_parabolic(scn, traj, 2.0)
     bound = prepare_bound("parabolic_q", traj, scn, 2.0)
     assert traj.times[-1] == cfg.t_end
     assert spec.level == bound.series["level"][-1]
+
+
+def test_energy_level_is_read_at_the_last_stamp():
+    # 2000 steps of 0.001 sum to just short of t_end = 2, so the run's
+    # last stamp is not t_end; the forcing and the Dirichlet data still rise
+    # there, and sup|d1| enters the level as it is
+    doc = load_config("parabolic_demo")
+    doc["grid"]["n"] = 20
+    doc["solver"] = {"t_end": 2.0, "dt": 0.001, "output_stride": 50}
+    for key, coeffs in (("forcing", [0.1, 0.5, 0.25]), ("dirichlet_data", [0.2, 0.5])):
+        doc["scenario"][key] = {"kind": "uniform", "signal": {
+            "kind": "polynomial", "coeffs": coeffs}}
+    plan = build_plan(doc)
+    traj = solve_parabolic(plan.scenario, plan.grid, plan.solver)
+    assert traj.times[-1] < plan.solver.t_end
+    spec, _ = _energy_report(plan, traj)
+    for entry in plan.checks:
+        bound = prepare_bound(entry["kind"], traj, plan.scenario, entry["q"], entry["params"])
+        assert spec.level == bound.series["level"][-1]
 
 
 # ---------------------------------------------------------------------------

@@ -481,10 +481,12 @@ def test_integer_keys_accept_integral_floats():
      "scenario.speed: speed must be positive"),
     ("transport_liss", "scenario.speed", {"kind": "reciprocal", "scale": -1},
      "scenario.speed: scale must be nonnegative"),
+    ("parabolic_demo", "scenario.initial", {"kind": "poly", "coeffs": [0.1, math.nan]},
+     "scenario.initial.coeffs: expected a finite number, got nan"),
 ], ids=["grid_n", "bump_halfwidth", "map_slope", "poly_coeffs", "nan_signal",
         "transport_node_layout", "parabolic_without_dt", "unhashable_check_kind",
         "nan_tol", "inf_slope", "huge_int", "zero_slope", "negative_gamma", "power_map",
-        "huge_q", "nan_q", "zero_speed", "negative_speed_scale"])
+        "huge_q", "nan_q", "zero_speed", "negative_speed_scale", "nan_coeffs"])
 def test_cli_run_build_errors_exit_2(tmp_path, capsys, demo, location, value, message):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(yaml.safe_dump(_edited(demo, location, value)))
@@ -505,6 +507,27 @@ def test_cli_run_coefficient_below_floor_exits_2(tmp_path, capsys):
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == (
         "solver error: diffusion coefficient drops below a0 = 1 (down to 0.5)\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_speed_below_uniform_floor_exits_2(tmp_path, capsys):
+    # 1/(1 + |s|) stays above the floor on validate's lattice |s| <= 10,
+    # but the run starts at total mass 200
+    doc = load_config("transport_global")
+    doc["scenario"].update(speed={"kind": "reciprocal", "scale": 1.0},
+                           speed_floor=0.0909090909,
+                           initial={"kind": "constant", "value": 200.0})
+    doc["grid"]["n"] = 64
+    doc["solver"] = {"t_end": 200.0}
+    del doc["energy"]
+    doc["checks"] = [{"kind": "transport_q", "q": 2, "tol": 0.0},
+                     {"kind": "transport_p", "q": 3, "p": 2.0, "tol": 0.0}]
+    cfg = tmp_path / "floor.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "solver error: speed 0.004975124378109453 at total mass 200.0 drops below "
+        "the declared floor 0.0909090909 (t = 0.0)\n")
     assert not (tmp_path / "out").exists()
 
 

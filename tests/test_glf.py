@@ -12,7 +12,8 @@ from isscert.glf import (GlfSeries, GlfSpec, components,
                          glf_for_transport, glf_for_wave, invert_monotone,
                          local_speed_floor, series,
                          wave_forcing_slack, weighted_energy)
-from isscert.signals import SpaceTimeField, TimeSignal, profile_constant
+from isscert.signals import (SpaceTimeField, TimeSignal, profile_affine,
+                             profile_constant)
 from isscert.solvers import (ParabolicScenario, ScenarioError,
                              TransportScenario, WaveScenario)
 from isscert.trunc import TruncationPair
@@ -30,6 +31,15 @@ def cubic(gamma):
 def evaluate(state, grid, spec):
     """The functional for one state snapshot: the sum of its components."""
     return float(sum(components(state, grid, spec).values()))
+
+
+def ending_at(t_end, pde="parabolic"):
+    """A trajectory on GRID of zero states, stamped at 0 and t_end."""
+    names = ("plus", "minus") if pde == "wave" else ("u",)
+    traj = Trajectory(pde, GRID, names=names)
+    for t in (0.0, t_end):
+        traj.append(t, **{k: np.zeros_like(GRID.points()) for k in names})
+    return traj
 
 
 def make_parabolic(**over):
@@ -171,27 +181,27 @@ def test_level_parabolic_identity_reactions():
                          d2=SpaceTimeField.constant(0.3),
                          gamma1=("left",), gamma2=("right",))
     # 0.5/1 + 0.2 + 0.3
-    assert glf_for_parabolic(scn, GRID, 2.0, 4.0).level == pytest.approx(1.0, abs=1e-11)
+    assert glf_for_parabolic(scn, ending_at(4.0), 2.0).level == pytest.approx(1.0, abs=1e-11)
 
 
 def test_level_parabolic_cubic_reaction():
     # v + v**3 = 2 at v = 1
-    assert glf_for_parabolic(make_parabolic(), GRID, 2.0, 1.0).level == pytest.approx(
+    assert glf_for_parabolic(make_parabolic(), ending_at(1.0), 2.0).level == pytest.approx(
         1.0, abs=1e-11)
     # v + 2 v**3 = 2
     scn = make_parabolic(reaction=cubic(2.0))
-    assert glf_for_parabolic(scn, GRID, 2.0, 1.0).level == pytest.approx(
+    assert glf_for_parabolic(scn, ending_at(1.0), 2.0).level == pytest.approx(
         0.835122348481, abs=1e-9)
 
 
 def test_level_parabolic_needs_damping_floor():
     with pytest.raises(ScenarioError):
-        glf_for_parabolic(make_parabolic(c0=0.0), GRID, 2.0, 1.0)
+        glf_for_parabolic(make_parabolic(c0=0.0), ending_at(1.0), 2.0)
 
 
 def test_level_transport_and_wave():
-    assert glf_for_transport(make_transport(), GRID, 2.0, 2.0).level == 1.5
-    assert glf_for_wave(make_wave(), GRID, 2.0, 1.0, r=1.0).level == 0.4
+    assert glf_for_transport(make_transport(), ending_at(2.0, "transport"), 2.0).level == 1.5
+    assert glf_for_wave(make_wave(), ending_at(1.0, "wave"), 2.0, r=1.0).level == 0.4
 
 
 def test_invert_cube_root():
@@ -236,24 +246,24 @@ def test_default_transport_rate():
 
 
 def test_builders_derive_specs():
-    pspec = glf_for_parabolic(make_parabolic(), GRID, 2.0, 1.0)
+    pspec = glf_for_parabolic(make_parabolic(), ending_at(1.0), 2.0)
     assert pspec.pde_class == "parabolic" and pspec.r == 0.0
     assert pspec.level == pytest.approx(1.0, abs=1e-11)
 
-    tspec = glf_for_transport(make_transport(), GRID, 2.0, 2.0)
+    tspec = glf_for_transport(make_transport(), ending_at(2.0, "transport"), 2.0)
     assert tspec.r == pytest.approx(3.0 * math.log(2.0), rel=1e-12)
     assert tspec.level == 1.5
     with pytest.raises(ValueError):
-        glf_for_transport(make_transport(), GRID, 2.0, 2.0,
+        glf_for_transport(make_transport(), ending_at(2.0, "transport"), 2.0,
                           r=1.1 * default_transport_rate(2.0, 0.5))
 
-    wspec = glf_for_wave(make_wave(), GRID, 2.0, 1.0, r=1.0)
+    wspec = glf_for_wave(make_wave(), ending_at(1.0, "wave"), 2.0, r=1.0)
     assert wspec.eps == 0.5 * 2.0 * 1.0
     assert wspec.level == 0.4
     with pytest.raises(ValueError):
-        glf_for_wave(make_wave(), GRID, 2.0, 1.0, r=0.0)
+        glf_for_wave(make_wave(), ending_at(1.0, "wave"), 2.0, r=0.0)
     with pytest.raises(ValueError):
-        glf_for_wave(make_wave(), GRID, 2.0, 1.0, r=1.0, eps=2.0)
+        glf_for_wave(make_wave(), ending_at(1.0, "wave"), 2.0, r=1.0, eps=2.0)
 
 
 def test_dissipation_rate_per_class():
@@ -427,7 +437,9 @@ def test_series_bitwise_equals_per_stamp_evaluate(case):
 def test_wave_forcing_slack_bitwise_equals_per_stamp():
     traj = BATCH_CASES["wave"][0]()
     spec = BATCH_CASES["wave"][1]
-    fld = SpaceTimeField(lambda y, t: np.sin(3.0 * y + t) - 0.2)
+    # changes sign in y and in t, so the slack's |f| matters
+    fld = SpaceTimeField.separable(profile_affine(-0.4, 1.5),
+                                   TimeSignal.sinusoid(1.0, 0.7, 0.3, offset=0.2))
     pts = traj.grid.points()
     coef = 4.0 * (spec.p / spec.eps) ** spec.p
     expected = [coef * weighted_energy(np.abs(fld(pts, t)), traj.grid, spec.pair,

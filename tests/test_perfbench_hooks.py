@@ -2,12 +2,14 @@
 
 ``perfbench/tracing.py`` replaces functions by name on ``isscert``'s
 modules, so renaming one of them in ``src`` breaks traced benchmark runs.
-These tests install the hooks, run one traced parabolic run, and undo
-them.
+These tests install the hooks, run traced parabolic, wave and transport
+runs, and undo them.
 """
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 import isscert.certify
 import isscert.cli
@@ -41,21 +43,41 @@ def test_tracing_hooks_install_and_undo():
         assert dict(vars(owner)) == saved
 
 
-def test_traced_run_matches_untraced(tmp_path, capsys):
+def _plain_and_traced(tmp_path, scenario):
+    """Run a bundled scenario untraced, then traced; return the two output
+    directories and the tracer."""
     tracing = _load_tracing()
-    assert main(["run", "parabolic_demo", "--out", str(tmp_path / "plain")]) == 0
+    assert main(["run", scenario, "--out", str(tmp_path / "plain")]) == 0
     tracer = tracing.Tracer()
     undo = tracing.install(tracer)
     try:
-        assert main(["run", "parabolic_demo", "--out", str(tmp_path / "traced")]) == 0
+        assert main(["run", scenario, "--out", str(tmp_path / "traced")]) == 0
     finally:
         undo()
+    return tmp_path / "plain" / scenario, tmp_path / "traced" / scenario, tracer
+
+
+def test_traced_run_matches_untraced(tmp_path, capsys):
+    plain, traced, tracer = _plain_and_traced(tmp_path, "parabolic_demo")
     capsys.readouterr()
     for name in ("report.txt", "glf.csv", "trajectory.csv"):
-        assert ((tmp_path / "traced" / "parabolic_demo" / name).read_bytes()
-                == (tmp_path / "plain" / "parabolic_demo" / name).read_bytes())
+        assert (traced / name).read_bytes() == (plain / name).read_bytes()
     names = {span[0] for span in tracer.spans}
     assert {"config.load_plan", "solvers.solve", "glf.level", "comparison.invert",
             "signals.sup_field", "certify.check_trajectory", "fields.write_csv"} <= names
     solve = next(span for span in tracer.spans if span[0] == "solvers.solve")
     assert solve[5]["flux_calls"] > 0
+
+
+@pytest.mark.parametrize("scenario, spans", [
+    ("wave_demo", {"glf.level", "glf.forcing_slack"}), ("transport_global", {"glf.level"})])
+def test_traced_hyperbolic_run_matches_untraced(tmp_path, capsys, scenario, spans):
+    # these runs reach glf_for_wave or glf_for_transport, and
+    # wave_forcing_slack, through cli
+    plain, traced, tracer = _plain_and_traced(tmp_path, scenario)
+    capsys.readouterr()
+    names = sorted(p.name for p in plain.iterdir())
+    assert names == sorted(p.name for p in traced.iterdir())
+    for name in names:
+        assert (traced / name).read_bytes() == (plain / name).read_bytes()
+    assert spans <= {span[0] for span in tracer.spans}

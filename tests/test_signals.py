@@ -8,7 +8,7 @@ import pytest
 from isscert.signals import (SpaceTimeField, TimeSignal, profile_affine,
                              profile_bump, profile_constant, profile_poly,
                              profile_sin, profile_sum, profile2d_sinprod,
-                             signal_range, sup_field, sup_window)
+                             inf_field, signal_range, sup_field, sup_window)
 
 
 def test_signal_validation():
@@ -131,8 +131,17 @@ def test_field_separable_records_parts():
     prof = profile_bump(1.0, 0.5, 0.25)
     sig = TimeSignal.exp_decay(1.0, 1.0)
     fld = SpaceTimeField.separable(prof, sig)
-    assert fld.parts is not None
+    assert fld.profile is prof and fld.signal is sig
     assert fld(np.array([0.5]), 0.0)[0] == pytest.approx(prof(0.5), rel=1e-12)
+    y = np.linspace(0.0, 1.0, 9)
+    np.testing.assert_array_equal(fld(y, 0.3), prof(y) * sig(0.3))
+    uniform = SpaceTimeField.from_signal(sig)
+    assert uniform.profile is None and uniform.signal is sig
+
+
+def test_field_signal_must_be_a_time_signal():
+    with pytest.raises(TypeError, match="must be a TimeSignal, got function"):
+        SpaceTimeField(lambda y, t: np.sin(y + t))
 
 
 def test_sup_field_uniform_matches_sup_window():
@@ -146,12 +155,25 @@ def test_sup_field_uniform_matches_sup_window():
 def test_sup_field_separable_shortcut_matches_bruteforce():
     prof = profile_sin(2.0, mode=1)
     sig = TimeSignal.sinusoid(1.0, 1.0, offset=0.2)
-    fast = SpaceTimeField.separable(prof, sig)
-    slow = SpaceTimeField(lambda y, t: prof(y) * sig(t))
+    fld = SpaceTimeField.separable(prof, sig)
     y = np.linspace(0.0, 1.0, 65)
-    a = sup_field(fast, y, 0.0, 2.0)
-    b = sup_field(slow, y, 0.0, 2.0)
-    assert a == pytest.approx(b, rel=1e-4)
+    exact = sup_field(fld, y, 0.0, 2.0)
+    dense = max(float(np.max(np.abs(fld(y, t)))) for t in np.linspace(0.0, 2.0, 4001))
+    assert exact >= dense
+    assert exact - dense <= 1e-4
+
+
+def test_inf_field_is_the_least_product_of_extremes():
+    sig = TimeSignal.sinusoid(1.0, 0.5, offset=0.3)
+    y = np.linspace(0.0, 1.0, 33)
+    # uniform: the signal's own minimum over [0, 1.5]
+    assert inf_field(SpaceTimeField.from_signal(sig), y, 1.5) == signal_range(sig, 1.5)[0]
+    # the profile spans [-0.5, 1] and the signal [-0.7, 1.3]: 1 * -0.7 or -0.5 * 1.3
+    fld = SpaceTimeField.separable(profile_affine(-0.5, 1.5), sig)
+    low = inf_field(fld, y, 1.5)
+    assert low == pytest.approx(-0.7, rel=1e-12)
+    dense = min(float(np.min(fld(y, t))) for t in np.linspace(0.0, 1.5, 3001))
+    assert low <= dense <= low + 1e-5
 
 
 # ---------------------------------------------------------------------------

@@ -233,27 +233,6 @@ def test_floor_check_separable_uses_profile_and_signal_extremes():
                         SolverConfig(t_end=1.0, dt=0.1))
 
 
-def test_floor_check_samples_a_bare_callable():
-    # known only through its callable, the field is sampled on the faces:
-    # lowest on the last one, y = 31/32
-    tilted = SpaceTimeField(lambda y, t: 1.0 - 0.5 * np.asarray(y, dtype=float))
-    message = r"^diffusion coefficient drops below a0 = 1 \(down to 0.515625\)$"
-    with pytest.raises(ScenarioError, match=message):
-        solve_parabolic(make_scenario(a=tilted), Grid1D(16, layout="node"),
-                        SolverConfig(t_end=1.0, dt=0.05))
-
-
-def test_floor_check_samples_a_bare_callable_over_the_run():
-    # 1 at t = 0, 0.5 and 5 but down to 0.5 at t = 1/8, a time of
-    # sup_field's uniform lattice over [0, t_end]
-    dipping = SpaceTimeField(
-        lambda y, t: np.full(np.shape(y), 1.0 - 0.5 * np.sin(4.0 * np.pi * t)))
-    message = r"^diffusion coefficient drops below a0 = 1 \(down to 0.5\)$"
-    with pytest.raises(ScenarioError, match=message):
-        solve_parabolic(make_scenario(a=dipping), Grid1D(16, layout="node"),
-                        SolverConfig(t_end=1.0, dt=0.05))
-
-
 def test_missing_dt_rejected():
     with pytest.raises(ValueError):
         solve_parabolic(make_scenario(), Grid1D(16, layout="node"),
@@ -596,14 +575,18 @@ def test_2d_batched_sweeps_match_per_line_oracle(flux_edges):
     wavy = TimeSignal.sinusoid(1.0, 1.3, 0.4, offset=0.5)
     scn = make_scenario(
         dim=2, gamma1=gamma1, gamma2=gamma2,
-        a=SpaceTimeField(lambda p, t: 1.0 + 0.5 * np.asarray(p[0]) * np.asarray(p[1])
-                         + 0.2 * np.sin(t) ** 2),
+        # every field varies in x, y and t
+        a=SpaceTimeField.separable(
+            lambda p: 1.0 + 0.5 * np.asarray(p[0]) * np.asarray(p[1]),
+            TimeSignal.sinusoid(0.2, 0.3, offset=1.0)),
         reaction=cubic(0.5), boundary_reaction=cubic(1.2),
         f=SpaceTimeField.from_signal(wavy),
-        d1=SpaceTimeField(lambda p, t: 0.2 * np.cos(3.0 * np.asarray(p[0])
-                                                    + 2.0 * np.asarray(p[1]) + t)),
-        d2=SpaceTimeField(lambda p, t: 0.3 * np.sin(2.0 * np.asarray(p[0])
-                                                    - np.asarray(p[1]) + 3.0 * t)),
+        d1=SpaceTimeField.separable(
+            lambda p: 0.2 * np.cos(3.0 * np.asarray(p[0]) + 2.0 * np.asarray(p[1])),
+            TimeSignal.sinusoid(1.0, 0.2, 0.5)),
+        d2=SpaceTimeField.separable(
+            lambda p: 0.3 * np.sin(2.0 * np.asarray(p[0]) - np.asarray(p[1]) + 0.4),
+            TimeSignal.polynomial(1.0, 3.0)),
         w0=profile_sum(lambda xy: np.full(np.shape(xy[0]), 0.3), profile2d_sinprod(2.0)))
     cfg = SolverConfig(t_end=0.05, dt=0.01)
     traj = solve_parabolic(scn, grid, cfg)

@@ -135,8 +135,10 @@ def test_non_finite_data_diverges_at_its_step(where, step):
     def late(t):
         return math.nan if t > 0.035 else 0.0
 
-    data = {"f": lambda y, t: np.full_like(y, late(t))} if where == "forcing" else {"d": late}
-    with pytest.raises(SolverDivergedError) as exc:
+    # exp(20000 t) overflows to inf past t = 0.0355, and is finite at 0.03
+    blowup = SpaceTimeField.from_signal(TimeSignal.exp_decay(1.0, -20000.0))
+    data = {"f": blowup} if where == "forcing" else {"d": late}
+    with pytest.raises(SolverDivergedError) as exc, np.errstate(over="ignore"):
         solve_wave(make_scenario(**data), Grid1D(20, layout="node"),
                    SolverConfig(t_end=1.0, dt=0.01))
     assert exc.value.step == step
