@@ -21,9 +21,15 @@ gives the same bits alone or in a stack.  The one-line kernel locates the
 root by regula falsi first and then replays the bisection, evaluating the
 flux law only at the midpoints near the root, where a rounding bound
 cannot tell the residual's sign: about 4 law calls per closure on linear
-laws and 8 to 10 on cubic ones, instead of 37.  The lockstep kernel stays
-a plain bisection, because on a stack the per-round work of masking the
-predicted lines costs more than the law calls it saves.
+laws and 8 to 10 on cubic ones, instead of 37.  The lockstep kernel is a
+plain bisection that records its trail, the points it evaluated and the
+signs it read there: on a stack the per-round work of masking predicted
+lines costs more than the law calls it saves, so rounds, not points, are
+what to cut.  A later coupled closure of the same end differs only
+through the other end's value; it reads the new signs on its whole trail
+in one call and bisects only from the first round where a line's signs
+change: after the first sweep, a few late rounds or none on the bundled
+2-D runs.
 :func:`solve_parabolic` supplies the step of either dimension to the time
 loop all steppers share, :func:`~isscert.solvers.common.march`.
 """
@@ -32,11 +38,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from ..fields import Grid1D, Grid2D, Trajectory
 from ..signals import SpaceTimeField, inf_field
@@ -58,7 +63,12 @@ _SLOPE_TOL = 1e-8
 _PROBE, _WINDOW, _LOCATE_STEPS = 1e-3, 1e-2, 40
 _ROUNDING = 2.0 ** -46
 
-_gtsv, = get_lapack_funcs(("gtsv",), (np.zeros(1),))
+
+@cache
+def _gtsv():
+    """LAPACK's tridiagonal solver; scipy is imported on the first solve."""
+    from scipy.linalg import get_lapack_funcs
+    return get_lapack_funcs(("gtsv",), (np.zeros(1),))[0]
 
 
 @dataclass
@@ -287,7 +297,7 @@ def _line_responses(w_old, h, dt, af, src, bc_lo, bc_hi):
         raise RuntimeError("non-finite diffusion band or right-hand side")
     # the LAPACK routine solve_banded((1, 1), ...) calls, on arrays owned here
     ab = ab.reshape(3, n_lines * m)
-    info = _gtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs.T, True, True, True, True)[-1]
+    info = _gtsv()(ab[2, :-1], ab[1], ab[0, 1:], rhs.T, True, True, True, True)[-1]
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
     return cols[0], {end: cols[col] for col, (end, _) in enumerate(flux, start=1)}
@@ -312,12 +322,18 @@ def _solve_lines(w_old, h, dt, af, src, bc_lo, bc_hi, varphi, bc_tol):
     evaluating only the midpoints within a rounding margin of it (built
     here from the residual's factors by :func:`_rounding_margin`); the
     lockstep kernel evaluates every midpoint, which keeps it a plain
-    bisection and the tests' oracle for the float kernel.
+    bisection and the tests' oracle for the float kernel.  On a stack with
+    two flux ends, each end keeps the :class:`_Trail` of its last lockstep
+    closure, and its next closure, on the same lines and centres, confirms
+    that trail with :func:`_confirm_lockstep` instead of bisecting anew;
+    lines that settle leave both trails.
     """
     n_lines, m = w_old.shape
     base, resp = _line_responses(w_old, h, dt, af, src, bc_lo, bc_hi)
     if not resp:
         return base
+
+    trails = {}  # each lockstep end's last closure, one column per live line
 
     def bisect(end, rows, other):
         """Close end on lines rows, the other end held at other."""
@@ -328,14 +344,14 @@ def _solve_lines(w_old, h, dt, af, src, bc_lo, bc_hi, varphi, bc_tol):
         terms = [(e == end, r[rows, k]) for e, r in resp.items()]
         # the residual's factors, formed once per closure
         c_phi, c_d2, c_face = 2.0 / h, (2.0 / h) * d2v, (2.0 / h**2) * af[rows, f]
-        law, kernel = varphi, _bisect_lockstep
+        law, scalar = varphi, None
         if n_lines == 1:
             # on one line, size-1 arrays would cost more than the arithmetic
             w_i, src_i, base_k, c_d2, c_face, other = (
                 x.item() for x in (w_i, src_i, base_k, c_d2, c_face, other))
             terms = [(own, r_k.item()) for own, r_k in terms]
             margin = _rounding_margin(dt, w_i, src_i, base_k, c_d2, c_face, other, terms)
-            law, kernel = (lambda b: float(varphi(b))), partial(_bisect_scalar, margin=margin)
+            law, scalar = (lambda b: float(varphi(b))), partial(_bisect_scalar, margin=margin)
 
         def residual(b):
             val = base_k
@@ -344,7 +360,11 @@ def _solve_lines(w_old, h, dt, af, src, bc_lo, bc_hi, varphi, bc_tol):
             return ((b - w_i) / dt + c_phi * law(b) - c_d2
                     + c_face * (b - val) - src_i)
 
-        return np.reshape(kernel(residual, w_i, bc_tol), -1)
+        if scalar:
+            return np.reshape(scalar(residual, w_i, bc_tol), -1)
+        trails[end] = (_confirm_lockstep(residual, w_i, bc_tol, trails[end]) if end in trails
+                       else _bisect_lockstep(residual, w_i, bc_tol))
+        return trails[end].root
 
     lines = np.arange(n_lines)
     b_lo = w_old[:, 0].copy() if "lo" in resp else np.broadcast_to(bc_lo[1], n_lines)
@@ -365,9 +385,13 @@ def _solve_lines(w_old, h, dt, af, src, bc_lo, bc_hi, varphi, bc_tol):
             d_hi = np.abs(new_hi - b_hi[live])
             moved = np.where(d_hi > d_lo, d_hi, d_lo)
             b_lo[live], b_hi[live] = new_lo, new_hi
-            live = live[~(moved <= bc_tol)]
+            keep = ~(moved <= bc_tol)
+            live = live[keep]
             if not live.size:
                 break
+            if not keep.all():
+                for end, trail in trails.items():
+                    trails[end] = trail.take(keep)
         else:
             raise RuntimeError("coupled flux boundaries did not settle")
 
@@ -531,36 +555,134 @@ def _bisect_scalar(res, center, bc_tol, margin):
 
 
 def _expand_lockstep(res, center, side):
-    """_expand_scalar, one entry per line."""
+    """_expand_scalar, one entry per line: the (rounds, lines) trial points
+    and their stop bits.  A line that has stopped keeps its point, so the
+    last row holds every line's bracket end."""
     span = np.maximum(1.0, np.abs(center))
     x = center - span if side == "low" else center + span
+    xs, stops = [], []
     for _ in range(80):
         r = res(x)
-        grow = ~(r <= 0.0) if side == "low" else ~(r >= 0.0)
-        if not grow.any():
-            return x
+        stop = (r <= 0.0) if side == "low" else (r >= 0.0)
+        xs.append(x)
+        stops.append(stop)
+        if stop.all():
+            return np.array(xs), np.array(stops)
         span *= 2.0  # only the spans of lines still growing are used
-        x = np.where(grow, center - span if side == "low" else center + span, x)
+        x = np.where(stop, x, center - span if side == "low" else center + span)
     raise RuntimeError(f"flux boundary bracket expansion failed ({side} side)")
 
 
-def _bisect_lockstep(res, center, bc_tol):
-    """_bisect_scalar, one entry per line.
+@dataclass
+class _Trail:
+    """The path of a lockstep closure, column j for line j.
+
+    x_lo/stop_lo and x_hi/stop_hi are the expansions' trial points and stop
+    bits (:func:`_expand_lockstep`).  Row k of mid, live, le and lt is
+    bisection round k: its midpoints, the lines it updates, and the bits
+    r <= 0 (lo moves) and r < 0 (hi stays) of their residuals r.  root is
+    the closure's result.  A line's live rows are a prefix of its column.
+    """
+
+    x_lo: np.ndarray
+    stop_lo: np.ndarray
+    x_hi: np.ndarray
+    stop_hi: np.ndarray
+    mid: np.ndarray
+    live: np.ndarray
+    le: np.ndarray
+    lt: np.ndarray
+    root: np.ndarray
+
+    def take(self, keep):
+        """The trail of the lines keep selects."""
+        return _Trail(*(a[..., keep] for a in vars(self).values()))
+
+
+def _bisect_rounds(res, lo, hi, bc_tol):
+    """Bisect the brackets [lo, hi] in lockstep, in place, down to bc_tol.
 
     res is evaluated on every line each round; a line whose loop has
     ended keeps its bracket, so its extra evaluations change nothing.
+    Returns the roots and the rounds' mid, live, le and lt rows.
     """
-    lo = _expand_lockstep(res, center, "low")
-    hi = _expand_lockstep(res, center, "high")
+    n = lo.size
+    rounds = [], [], [], []
     live = hi - lo > bc_tol
     while live.any():
         mid = 0.5 * (lo + hi)
         # adjacent floats wider apart than bc_tol end a line's loop
-        live &= (lo < mid) & (mid < hi)
+        live = live & (lo < mid) & (mid < hi)
         r = res(mid)
+        le, lt = r <= 0.0, r < 0.0
         # an exact root (equilibria land here) moves both ends onto mid,
         # which ends its loop and keeps it bitwise; NaN moves hi
-        np.copyto(lo, mid, where=live & (r <= 0.0))
-        np.copyto(hi, mid, where=live & ~(r < 0.0))
-        live &= hi - lo > bc_tol
-    return np.where(lo == hi, lo, 0.5 * (lo + hi))
+        np.copyto(lo, mid, where=live & le)
+        np.copyto(hi, mid, where=live & ~lt)
+        for row, rows in zip((mid, live, le, lt), rounds):
+            rows.append(row)
+        live = live & (hi - lo > bc_tol)
+    root = np.where(lo == hi, lo, 0.5 * (lo + hi))
+    return root, [np.reshape(np.array(rows, dtype=dtype), (-1, n))
+                  for rows, dtype in zip(rounds, (float, bool, bool, bool))]
+
+
+def _bisect_lockstep(res, center, bc_tol):
+    """_bisect_scalar, one entry per line: the :class:`_Trail` whose root
+    holds the results."""
+    x_lo, stop_lo = _expand_lockstep(res, center, "low")
+    x_hi, stop_hi = _expand_lockstep(res, center, "high")
+    root, rounds = _bisect_rounds(res, x_lo[-1].copy(), x_hi[-1].copy(), bc_tol)
+    return _Trail(x_lo, stop_lo, x_hi, stop_hi, *rounds, root)
+
+
+def _confirm_lockstep(res, center, bc_tol, trail):
+    """:func:`_bisect_lockstep` of res, taken from the trail of an earlier
+    closure of the same lines and centres.
+
+    The closure is a function of the residual's signs at the points it
+    evaluates, so one broadcast call evaluates res on every point of the
+    trail; elementwise evaluation gives a (rounds, lines) array the bits
+    it gives one row, as the stack and the one-line kernel already assume.
+    A line whose live rounds read the same bits keeps its recorded root.
+    A line whose bits first differ in round k resumes the bisection at
+    round k, from the bracket its lo- and hi-moving midpoints before k
+    left, and its rounds from k on are replaced.  An expansion that stops
+    on other rounds closes the stack afresh; no 2-D run of the bundled
+    scenarios or the benchmark seeds has needed it.
+    """
+    e_lo, e_hi = len(trail.x_lo), len(trail.x_hi)
+    r = res(np.concatenate((trail.x_lo, trail.x_hi, trail.mid)))
+    if (np.any((r[:e_lo] <= 0.0) != trail.stop_lo)
+            or np.any((r[e_lo:e_lo + e_hi] >= 0.0) != trail.stop_hi)):
+        return _bisect_lockstep(res, center, bc_tol)
+    r = r[e_lo + e_hi:]
+    differs = trail.live & (((r <= 0.0) != trail.le) | ((r < 0.0) != trail.lt))
+    cols = np.flatnonzero(differs.any(0))
+    if not cols.size:
+        return trail
+    k = differs[:, cols].argmax(0)
+    # live rows are a prefix, so every round before k updated the line
+    before = np.arange(len(trail.mid))[:, None] < k
+    mid = trail.mid[:, cols]
+    # the other lines get the empty bracket [root, root], which ends them
+    lo, hi = trail.root.copy(), trail.root.copy()
+    lo[cols] = np.maximum(trail.x_lo[-1, cols],
+                          np.where(before & trail.le[:, cols], mid, -np.inf).max(0))
+    hi[cols] = np.minimum(trail.x_hi[-1, cols],
+                          np.where(before & ~trail.lt[:, cols], mid, np.inf).min(0))
+    root, rounds = _bisect_rounds(res, lo, hi, bc_tol)
+    # splice: line cols[j] takes the new rounds from round k[j] on
+    rows = k + np.arange(len(rounds[0]))[:, None]
+    n = max(len(trail.mid), rows.max() + 1)
+    mid, live, le, lt = (
+        np.concatenate((a, np.broadcast_to(fill, (n - len(a), a.shape[1]))))
+        for a, fill in zip((trail.mid, trail.live, trail.le, trail.lt),
+                           (trail.root, False, False, False)))
+    live[:, cols] &= np.arange(n)[:, None] < k
+    for a, new in zip((mid, live, le, lt), rounds):
+        a[rows, cols] = new[:, cols]
+    # drop the rows no line is live in from the end
+    n = np.flatnonzero(live.any(1))[-1] + 1
+    return _Trail(trail.x_lo, trail.stop_lo, trail.x_hi, trail.stop_hi,
+                  mid[:n], live[:n], le[:n], lt[:n], root)

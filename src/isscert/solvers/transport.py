@@ -49,6 +49,8 @@ class TransportScenario:
     label: str = ""
 
     def validate(self):
+        if not isinstance(self.d, TimeSignal):
+            raise ScenarioError(f"d must be a TimeSignal, got {type(self.d).__name__}")
         if self.assumption not in _ASSUMPTIONS:
             raise ScenarioError(f"assumption must be one of {_ASSUMPTIONS}")
         if not abs(self.k) < 1.0:

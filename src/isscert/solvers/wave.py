@@ -55,6 +55,8 @@ class WaveScenario:
     def validate(self):
         if not isinstance(self.f, SpaceTimeField):
             raise ScenarioError(f"f must be a SpaceTimeField, got {type(self.f).__name__}")
+        if not isinstance(self.d, TimeSignal):
+            raise ScenarioError(f"d must be a TimeSignal, got {type(self.d).__name__}")
         if not (np.isfinite(self.c) and self.c > 0):
             raise ScenarioError("wave speed must be positive")
         if abs(float(self.w0(0.0))) > 1e-12:

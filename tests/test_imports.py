@@ -1,5 +1,6 @@
 """Every name a src module imports is used in that module, and every
-private top-level name src defines is read somewhere in src.
+private top-level name src defines is read somewhere in src.  scipy is
+loaded only when a parabolic run steps.
 
 Package ``__init__`` modules exist to re-export, so the import check skips
 them.  An import statement carrying ``# noqa`` is kept on purpose (for
@@ -7,6 +8,9 @@ example a module attribute that profilers wrap) and is skipped too.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -81,3 +85,16 @@ def test_checker_sees_unreferenced_private_names():
 
 def test_src_private_names_are_referenced():
     assert unreferenced(p.read_text() for p in sorted(SRC.rglob("*.py"))) == []
+
+
+def test_scipy_loads_only_when_a_parabolic_run_steps(tmp_path):
+    # importing scipy.linalg is about half of a cold start, and only the
+    # parabolic step's tridiagonal solve needs it
+    code = ("import sys, isscert, isscert.cli\n"
+            f"assert isscert.cli.main(['run', 'transport_steady', '--out', {str(tmp_path)!r}]) == 0\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
+            f"assert isscert.cli.main(['run', 'parabolic_demo', '--out', {str(tmp_path)!r}]) == 0\n"
+            "assert 'scipy.linalg' in sys.modules\n")
+    path = os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))
+    subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                   env={**os.environ, "PYTHONPATH": path})

@@ -70,10 +70,13 @@ def test_traced_run_matches_untraced(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("scenario, spans", [
-    ("wave_demo", {"glf.level", "glf.forcing_slack"}), ("transport_global", {"glf.level"})])
-def test_traced_hyperbolic_run_matches_untraced(tmp_path, capsys, scenario, spans):
-    # these runs reach glf_for_wave or glf_for_transport, and
-    # wave_forcing_slack, through cli
+    ("wave_demo", {"glf.level", "glf.forcing_slack"}), ("transport_global", {"glf.level"}),
+    ("parabolic_2d_demo", {"glf.level"})])
+def test_traced_run_files_match_untraced(tmp_path, capsys, scenario, spans):
+    # the hyperbolic runs reach glf_for_wave or glf_for_transport, and
+    # wave_forcing_slack, through cli; the 2-D run hands the counting flux
+    # law the stacked closures' arrays, the confirming closures' (rounds,
+    # lines) trails among them
     plain, traced, tracer = _plain_and_traced(tmp_path, scenario)
     capsys.readouterr()
     names = sorted(p.name for p in plain.iterdir())

@@ -338,7 +338,7 @@ def test_float_kernel_keeps_exact_roots(root):
         return b - root
 
     got = _bisect_scalar(res, 0.0, 1e-10, lambda x: 0.0)
-    want = _bisect_lockstep(lambda b: b - root, np.array([0.0]), 1e-10)[0]
+    want = _bisect_lockstep(lambda b: b - root, np.array([0.0]), 1e-10).root[0]
     assert got == want
     if root != 1.0 / 3.0:
         assert got == root
@@ -357,7 +357,7 @@ def test_float_kernel_margin_covers_a_noisy_residual(root):
 
     got = _bisect_scalar(res, 0.0, 1e-10, lambda x: 2.0 * noise)
     want = _bisect_lockstep(lambda b: np.array([res(float(v)) for v in b]),
-                            np.array([0.0]), 1e-10)[0]
+                            np.array([0.0]), 1e-10).root[0]
     assert got == want
 
 
@@ -368,12 +368,36 @@ def test_float_kernel_without_a_located_bracket_evaluates_every_midpoint():
         return np.where(np.abs(b - 0.3) < 1e-3, np.nan, b - 0.3)
 
     got = _bisect_scalar(lambda b: float(res(b)), 0.0, 1e-10, lambda x: 0.0)
-    assert got == _bisect_lockstep(res, np.array([0.0]), 1e-10)[0]
+    assert got == _bisect_lockstep(res, np.array([0.0]), 1e-10).root[0]
 
 
-def test_solve_lines_coupled_lines_stop_on_their_own():
+def confirm_spy(monkeypatch):
+    """Counts the confirming closures that closed the stack afresh, and
+    records the round at which each line another one resumed did so."""
+    seen = {"fresh": 0, "resumed_at": []}
+    confirm = parabolic._confirm_lockstep
+
+    def confirmed(res, center, bc_tol, trail):
+        out = confirm(res, center, bc_tol, trail)
+        if out.x_lo is not trail.x_lo:
+            seen["fresh"] += 1
+        else:
+            # a resumed line's bits change first in the round it resumed at
+            n = min(len(trail.live), len(out.live))
+            changed = trail.live[:n] & ((trail.le[:n] != out.le[:n])
+                                        | (trail.lt[:n] != out.lt[:n]))
+            seen["resumed_at"] += changed.argmax(0)[changed.any(0)].tolist()
+        return out
+
+    monkeypatch.setattr(parabolic, "_confirm_lockstep", confirmed)
+    return seen
+
+
+def test_solve_lines_coupled_lines_stop_on_their_own(monkeypatch):
     # strong diffusion on few points couples the two flux ends, so the
-    # lines need different numbers of coupled sweeps
+    # lines need different numbers of coupled sweeps; the stack's later
+    # closures resume lines from their trails
+    seen = confirm_spy(monkeypatch)
     rng = np.random.default_rng(3)
     w_old, af, src, ends = random_lines(rng, n_lines=9, m=6)
     af *= np.logspace(-2, 2, 9)[:, None]
@@ -395,9 +419,13 @@ def test_solve_lines_coupled_lines_stop_on_their_own():
     batched, per_line = solve_both(w_old, af, src, ("flux", "flux"), ends,
                                    h=0.2, dt=0.02, varphi=varphi)
     assert np.array_equal(batched, per_line)
+    assert seen["resumed_at"]
 
 
-def test_solve_lines_exact_root_equilibrium():
+def test_solve_lines_exact_root_equilibrium(monkeypatch):
+    # equilibrium lines close on an exact root in round 0, beside lines
+    # the later coupled closures resume
+    seen = confirm_spy(monkeypatch)
     rng = np.random.default_rng(4)
     w_old, af, src, ends = random_lines(rng)
     w_old[::2], src[::2], ends[:, ::2] = 0.0, 0.0, 0.0
@@ -405,6 +433,15 @@ def test_solve_lines_exact_root_equilibrium():
         batched, per_line = solve_both(w_old, af, src, kinds, ends)
         assert np.array_equal(batched, per_line)
         assert not np.any(batched[::2])
+    assert seen["resumed_at"]
+    # flux data on the high ends only: each low end's first closure lands
+    # on the exact root 0, where its later ones read a residual of the
+    # data's sign
+    for d2 in (1.0, -1.0):
+        ends[1, ::2] = d2
+        batched, per_line = solve_both(w_old, af, src, ("flux", "flux"), ends)
+        assert np.array_equal(batched, per_line)
+        assert np.all(batched[::2, 0] != 0.0)
 
 
 def test_solve_lines_stops_on_adjacent_floats(monkeypatch):
@@ -418,6 +455,7 @@ def test_solve_lines_stops_on_adjacent_floats(monkeypatch):
         return _bisect_scalar(res, center, bc_tol, margin)
 
     monkeypatch.setattr(parabolic, "_bisect_scalar", recorded)
+    seen = confirm_spy(monkeypatch)
     rng = np.random.default_rng(5)
     w_old, af, src, ends = random_lines(rng)
     w_old += 6e5
@@ -427,6 +465,7 @@ def test_solve_lines_stops_on_adjacent_floats(monkeypatch):
         assert np.all(np.isfinite(batched))
         assert np.array_equal(batched, per_line)
     assert min(margins) > parabolic._WINDOW
+    assert seen["resumed_at"]
 
 
 @settings(max_examples=50, derandomize=True, deadline=None)
@@ -515,9 +554,10 @@ def test_solve_lines_nan_residual_raises():
     w_old, af, src, ends = random_lines(rng)
     ends[1][3] = np.nan
     varphi = cubic(0.8)
-    with pytest.raises(RuntimeError, match="bracket expansion failed"):
-        _solve_lines(w_old, 0.1, 0.01, af, src, ("dirichlet", ends[0]),
-                     ("flux", ends[1]), varphi, 1e-10)
+    for kind in ("dirichlet", "flux"):
+        with pytest.raises(RuntimeError, match="bracket expansion failed"):
+            _solve_lines(w_old, 0.1, 0.01, af, src, (kind, ends[0]),
+                         ("flux", ends[1]), varphi, 1e-10)
     with pytest.raises(RuntimeError, match="bracket expansion failed"):
         solve_one_line(w_old[3], 0.1, 0.01, af[3], src[3], ("dirichlet", ends[0][3]),
                        ("flux", ends[1][3]), varphi, 1e-10)
@@ -525,6 +565,52 @@ def test_solve_lines_nan_residual_raises():
     with pytest.raises(RuntimeError, match="non-finite"):
         _solve_lines(w_old, 0.1, 0.01, af, src, ("dirichlet", ends[0]),
                      ("dirichlet", ends[0]), varphi, 1e-10)
+
+
+def test_strongly_coupled_closures_match_scalar_solves(monkeypatch):
+    # each end's root moves far with the other end's value, so later
+    # closures leave their trails within the first rounds or expand afresh
+    seen = confirm_spy(monkeypatch)
+    rng = np.random.default_rng(3)
+    w_old, af, src, ends = random_lines(rng, n_lines=9, m=6)
+    batched, per_line = solve_both(w_old, 100.0 * af, src, ("flux", "flux"), ends,
+                                   h=0.2, dt=0.02)
+    assert np.array_equal(batched, per_line)
+    assert seen["fresh"]
+    assert min(seen["resumed_at"]) < 4
+
+
+def test_confirmed_closure_with_nan_residuals_raises():
+    # the law turns NaN after the first closure of each end, so the later
+    # closures' expansions no longer stop where their trails did
+    rng = np.random.default_rng(6)
+    w_old, af, src, ends = random_lines(rng)
+    varphi, stacked = cubic(0.8), []
+
+    def law(v):
+        stacked.append(np.ndim(v) == 2)
+        return np.full(np.shape(v), np.nan) if any(stacked) else varphi(v)
+
+    with pytest.raises(RuntimeError, match="bracket expansion failed"):
+        _solve_lines(w_old, 0.1, 0.01, af, src, ("flux", ends[0]), ("flux", ends[1]),
+                     law, 1e-10)
+    assert stacked[-1] is False and sum(stacked) == 1
+
+
+def test_2d_closure_stacked_law_calls():
+    # the parabolic_2d_demo solve: 16 653 law calls when every coupled
+    # closure bisects anew
+    plan = load_plan("parabolic_2d_demo")
+    law, calls = plan.scenario.boundary_reaction, []
+
+    def counted(v):
+        calls.append(np.ndim(v))
+        return law(v)
+
+    scn = replace(plan.scenario, boundary_reaction=counted)
+    solve_parabolic(scn, plan.grid, plan.solver)
+    assert 2 in calls
+    assert len(calls) <= 8000
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,5 @@
 """Tests for the recirculating transport solver."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -113,9 +111,10 @@ def test_speed_collapse_raises():
 
 def test_non_finite_boundary_value_diverges_at_its_step():
     # steps of 0.01 start at t = 0, ..., 0.03, 0.04: step 5 is the first
-    # whose inflow reads the non-finite d
-    scn = make_scenario(d=lambda t: math.nan if t > 0.035 else 0.0)
-    with pytest.raises(SolverDivergedError) as exc:
+    # whose inflow reads the non-finite d, as exp(20000 t) overflows to inf
+    # past t = 0.0355 and is finite at 0.03
+    scn = make_scenario(d=TimeSignal.exp_decay(1.0, -20000.0))
+    with pytest.raises(SolverDivergedError) as exc, np.errstate(over="ignore"):
         solve_transport(scn, Grid1D(20, layout="cell"),
                         SolverConfig(t_end=1.0, dt=0.01))
     assert exc.value.step == 5
@@ -129,6 +128,9 @@ def test_scenario_validation():
         make_scenario(k=1.0).validate()
     with pytest.raises(ScenarioError):
         make_scenario(k=-1.2).validate()
+    # a bare callable d would solve to the end and fail in the bound's sup
+    with pytest.raises(ScenarioError, match="d must be a TimeSignal, got function"):
+        make_scenario(d=lambda t: 0.1).validate()
 
 
 def test_node_grid_rejected():

@@ -1,7 +1,5 @@
 """Tests for the boundary-damped wave solver and state reconstruction."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -110,6 +108,9 @@ def test_scenario_validation():
         make_scenario(c=-1.0).validate()
     with pytest.raises(ScenarioError):
         make_scenario(w0=lambda y: np.asarray(y, dtype=float) + 1.0).validate()
+    # a bare callable d would solve to the end and fail in the bound's sup
+    with pytest.raises(ScenarioError, match="d must be a TimeSignal, got function"):
+        make_scenario(d=lambda t: 0.1).validate()
 
 
 def test_gain_tied_to_speed():
@@ -130,14 +131,12 @@ def test_cfl_bound_holds():
 @pytest.mark.parametrize("where, step", [("forcing", 5), ("boundary", 4)])
 def test_non_finite_data_diverges_at_its_step(where, step):
     # steps of 0.01 start at t = 0, ..., 0.03, 0.04: step 5 is the first
-    # to read the forcing past 0.035 (at its start), step 4 the first to
-    # read the boundary value past it (at its end)
-    def late(t):
-        return math.nan if t > 0.035 else 0.0
-
-    # exp(20000 t) overflows to inf past t = 0.0355, and is finite at 0.03
-    blowup = SpaceTimeField.from_signal(TimeSignal.exp_decay(1.0, -20000.0))
-    data = {"f": blowup} if where == "forcing" else {"d": late}
+    # to read the forcing past 0.0355 (at its start), step 4 the first to
+    # read the boundary value past it (at its end).  exp(20000 t)
+    # overflows to inf past t = 0.0355, and is finite at 0.03
+    blowup = TimeSignal.exp_decay(1.0, -20000.0)
+    data = ({"f": SpaceTimeField.from_signal(blowup)} if where == "forcing"
+            else {"d": blowup})
     with pytest.raises(SolverDivergedError) as exc, np.errstate(over="ignore"):
         solve_wave(make_scenario(**data), Grid1D(20, layout="node"),
                    SolverConfig(t_end=1.0, dt=0.01))
