@@ -178,9 +178,15 @@ class Trajectory:
     "u"; wave runs carry the characteristic pair under "plus" and
     "minus".  Metadata (scheme, step sizes, grid size) lives in ``meta``.
 
+    Solver counters, such as the largest state magnitudes a run reached,
+    live in ``counters``, apart from ``meta``, so the sidecar does not
+    depend on them.
+
     Storage: ``times`` plus one C-contiguous (capacity, *point_shape(grid))
     float array per state name; its first ``len(self)`` rows are the stamps.
-    ``append`` copies into the next row, doubling the capacity when full.
+    ``append`` copies into the next row, doubling the capacity when full;
+    a solver that knows its stamp count sizes the record once with
+    ``reserve``.
     """
 
     def __init__(self, pde_class: str, grid, names=("u",), meta=None):
@@ -190,9 +196,21 @@ class Trajectory:
         self.grid = grid
         self.names = tuple(names)
         self.meta = dict(meta or {})
+        self.counters = {}
         self._n = 0
-        self._times = np.empty(16)
-        self._data = {k: np.empty((16, *point_shape(grid))) for k in self.names}
+        self._times = np.empty(0)
+        self._data = {k: np.empty((0, *point_shape(grid))) for k in self.names}
+
+    def reserve(self, rows: int):
+        """Make the capacity at least rows stamps, exactly rows if it grows."""
+        if rows <= self._times.size:
+            return
+        n = self._n
+        times, self._times = self._times, np.empty(rows)
+        self._times[:n] = times[:n]
+        for k, old in self._data.items():
+            self._data[k] = np.empty((rows, *old.shape[1:]))
+            self._data[k][:n] = old[:n]
 
     def append(self, t: float, **arrays):
         if set(arrays) != set(self.names):
@@ -201,10 +219,7 @@ class Trajectory:
         if n and not t > self._times[n - 1]:
             raise ValueError("time stamps must increase")
         if n == self._times.size:
-            self._times = np.concatenate([self._times, np.empty(n)])
-            for k, old in self._data.items():
-                self._data[k] = np.empty((2 * n, *old.shape[1:]))
-                self._data[k][:n] = old
+            self.reserve(max(16, 2 * n))
         for k, v in arrays.items():
             if np.shape(v) != self._data[k].shape[1:] or not np.isfinite(v).all():
                 raise ValueError(f"state {k!r} must be finite of shape {self._data[k].shape[1:]}")

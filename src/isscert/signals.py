@@ -11,7 +11,10 @@ A space-time field is a time signal times an optional spatial profile,
 f(y, t) = profile(y) * signal(t); without a profile it is spatially
 uniform.  Its sup and inf over given space points and a time window are
 the profile's extremes there times the signal's exact window extremes, so
-every one is exact.
+every one is exact.  A field bound to fixed points (:class:`BoundField`)
+holds its profile's values there, so a stepper that binds its fields once
+per solve evaluates only their signals at each step, with the bits of
+evaluating the field anew.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ __all__ = [
     "signal_range",
     "sup_window",
     "SpaceTimeField",
+    "BoundField",
     "sup_field",
-    "inf_field",
     "profile_constant",
     "profile_affine",
     "profile_sin",
@@ -97,9 +100,15 @@ class TimeSignal:
         return _power_sum(self.params, t)
 
     def __call__(self, t):
+        if isinstance(t, float):
+            # fields call this once per step: a float skips the array
+            # checks, and a constant is its parameter, which is what the
+            # array evaluation gives
+            if t < 0:
+                raise ValueError("signals are defined for t >= 0")
+            return self.params[0] if self.kind == "constant" else float(self._eval(np.asarray(t)))
         t_arr = np.asarray(t, dtype=float)
-        # fields call this once per step: a scalar skips the array reduction
-        if float(t_arr) < 0 if t_arr.ndim == 0 else (t_arr < 0).any():
+        if (t_arr < 0).any():
             raise ValueError("signals are defined for t >= 0")
         out = self._eval(t_arr)
         return float(out) if t_arr.ndim == 0 else out
@@ -189,23 +198,60 @@ class SpaceTimeField:
         return cls(sig, profile)
 
     def __call__(self, y, t):
+        return self.bind(y)(t)
+
+    def bind(self, y) -> "BoundField":
+        """The field on the fixed points y, its profile evaluated there once."""
+        return BoundField(self, y)
+
+
+class BoundField:
+    """A field on fixed points y, as a function of t alone.
+
+    ``bound(t)`` has the bits of ``fld(y, t)``, a float when y is one point
+    and else an array of y's shape, but the profile was evaluated on y
+    once, by :meth:`SpaceTimeField.bind`: a call evaluates the signal and
+    forms the same product.  Steppers bind every field once per solve.
+    """
+
+    __slots__ = ("signal", "values", "shape")
+
+    def __init__(self, fld: SpaceTimeField, y):
+        self.signal = fld.signal
+        # the profile's values as it returns them; None when uniform
+        self.values = None if fld.profile is None else fld.profile(y)
+        self.shape = _shape(y) if self.values is None else np.shape(self.values)
+
+    def __call__(self, t):
         value = self.signal(float(t))
-        out = _uniform(y, value) if self.profile is None else self.profile(y) * value
-        return float(out) if np.ndim(out) == 0 else np.asarray(out, dtype=float)
+        if self.values is None:
+            return np.full(self.shape, value) if self.shape else value
+        out = self.values * value
+        return np.asarray(out, dtype=float) if self.shape else float(out)
+
+    def profile_range(self) -> tuple:
+        """(min, max) of the profile on the points; (1, 1) when uniform."""
+        if self.values is None:
+            return 1.0, 1.0
+        prof = np.asarray(self.values, dtype=float)
+        return float(prof.min()), float(prof.max())
+
+    def inf(self, t1: float) -> float:
+        """Inf over the points x [0, t1], exact: the least product of the
+        profile's extremes and the signal's over [0, t1]."""
+        return min(p * s for p in self.profile_range()
+                   for s in signal_range(self.signal, t1))
+
+
+def _shape(y):
+    """Shape of the points y: an array of points, or a tuple of coordinate meshes."""
+    return np.broadcast(*y).shape if isinstance(y, tuple) else np.shape(y)
 
 
 def _uniform(y, value):
-    """value at every point of y: points, or a tuple of coordinate meshes."""
-    shape = np.broadcast(*y).shape if isinstance(y, tuple) else np.shape(y)
+    """value at every point of y."""
+    shape = _shape(y)
     return np.full(shape, value) if shape else value
-
-
-def _profile_range(fld: SpaceTimeField, space) -> tuple:
-    """(min, max) of the field's profile over space; (1, 1) when uniform."""
-    if fld.profile is None:
-        return 1.0, 1.0
-    prof = np.asarray(fld.profile(space), dtype=float)
-    return float(prof.min()), float(prof.max())
 
 
 def sup_field(fld: SpaceTimeField, space, t0: float, t1):
@@ -219,16 +265,9 @@ def sup_field(fld: SpaceTimeField, space, t0: float, t1):
     ends = np.asarray(t1, dtype=float)
     if not (ends.size and 0.0 <= t0 <= ends.min()):
         raise ValueError(f"need 0 <= t0 <= t1, got ({t0}, {t1})")
-    best = (max(map(abs, _profile_range(fld, space)))
+    best = (max(map(abs, fld.bind(space).profile_range()))
             * _window_sups(fld.signal, t0, ends.reshape(-1)))
     return float(best[0]) if ends.ndim == 0 else best
-
-
-def inf_field(fld: SpaceTimeField, space, t1: float) -> float:
-    """Inf of fld over space x [0, t1], exact: the least product of the
-    profile's extremes over ``space`` and the signal's over [0, t1]."""
-    return min(p * s for p in _profile_range(fld, space)
-               for s in signal_range(fld.signal, t1))
 
 
 # ---------------------------------------------------------------------------

@@ -62,36 +62,71 @@ class SolverConfig:
 
 
 def check_finite(values, step, t, detail=""):
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise SolverDivergedError(step, t, detail)
 
 
-def march(traj, cfg, state, advance):
+def _steps(cfg, take):
+    """The time loop from t = 0 to cfg.t_end, and its stop rule.
+
+    take(t, dt_max, step) takes step number step from t and returns its
+    dt <= dt_max, where dt_max is the time left, capped at cfg.dt when
+    given.  Yields (step, t, last) after each step.
+    """
+    t_stop = cfg.t_end - 1e-12 * cfg.t_end
+    t, step = 0.0, 0
+    while t < t_stop:
+        rest = cfg.t_end - t
+        step += 1
+        t += take(t, rest if cfg.dt is None else min(cfg.dt, rest), step)
+        yield step, t, t >= t_stop
+
+
+def march(traj, cfg, state, advance, step_dt=None):
     """Run the time loop of a solve from t = 0 to cfg.t_end into traj.
 
     state is the tuple of initial arrays, one per name of traj.names.
     advance(t, dt_max, state, step) takes step number step from t and
     returns (dt, new state) with dt <= dt_max, where dt_max is the time
     left, capped at cfg.dt when given; its exceptions pass through
-    unchanged.  Every state must be finite (SolverDivergedError(step, t)
-    otherwise).  Records t = 0, every output_stride-th step and the last
-    step; returns the list of accepted dt.
+    unchanged.  step_dt(dt_max), when given, is the dt that advance takes
+    whatever the state, so the steps are known before the run and traj is
+    sized to the stamps it will hold.  Every state must be finite
+    (SolverDivergedError(step, t) otherwise); the largest magnitude each
+    state reaches over all steps goes to traj.counters["max_abs"], by
+    name.  Records t = 0, every output_stride-th step and the last step;
+    returns the list of accepted dt.
     """
-    t_stop = cfg.t_end - 1e-12 * cfg.t_end
-    for values in state:
-        check_finite(values, 0, 0.0)
+    stride = cfg.output_stride
+    if step_dt is not None:
+        steps = sum(1 for _ in _steps(cfg, lambda t, dt_max, step: step_dt(dt_max)))
+        traj.reserve(1 + -(-steps // stride))
+    reach = dict.fromkeys(traj.names, 0.0)
+
+    def reached(state, step, t):
+        for name, values in zip(traj.names, state):
+            # one reduction checks finiteness (NaN and inf survive it) and
+            # gives the magnitude
+            top = float(np.abs(values).max())
+            if not top < math.inf:
+                raise SolverDivergedError(step, t)
+            reach[name] = max(reach[name], top)
+
+    reached(state, 0, 0.0)
     traj.append(0.0, **dict(zip(traj.names, state)))
-    t, dts = 0.0, []
-    while t < t_stop:
-        rest = cfg.t_end - t
-        dt_max = rest if cfg.dt is None else min(cfg.dt, rest)
-        dt, state = advance(t, dt_max, state, len(dts) + 1)
-        t += dt
+    dts = []
+
+    def take(t, dt_max, step):
+        nonlocal state
+        dt, state = advance(t, dt_max, state, step)
         dts.append(dt)
-        for values in state:
-            check_finite(values, len(dts), t)
-        if len(dts) % cfg.output_stride == 0 or t >= t_stop:
+        return dt
+
+    for step, t, last in _steps(cfg, take):
+        reached(state, step, t)
+        if step % stride == 0 or last:
             traj.append(t, **dict(zip(traj.names, state)))
+    traj.counters["max_abs"] = reach
     return dts
 
 

@@ -15,9 +15,11 @@ couplings into one banded solve.  The interior unknowns of a line are
 affine in its end values, so the balance at each flux end becomes a
 strictly increasing scalar equation with a guaranteed bracket, closed by
 bisection in one closure, :func:`_solve_lines`.  Its bisection has two
-kernels chosen by the stack height: one line runs on Python floats, more
-lines run in lockstep on arrays.  Both take the same decisions, so a line
-gives the same bits alone or in a stack.  The one-line kernel locates the
+kernels chosen by the stack height: one line runs on Python floats end to
+end, from its end factors and boundary values through the coupled sweeps
+to its end values; more lines run in lockstep on arrays.  Both take the
+same decisions, so a line gives the same bits alone or in a stack.  The
+one-line kernel locates the
 root by regula falsi first and then replays the bisection, evaluating the
 flux law only at the midpoints near the root, where a rounding bound
 cannot tell the residual's sign: about 4 law calls per closure on linear
@@ -31,20 +33,26 @@ in one call and bisects only from the first round where a line's signs
 change: after the first sweep, a few late rounds or none on the bundled
 2-D runs.
 :func:`solve_parabolic` supplies the step of either dimension to the time
-loop all steppers share, :func:`~isscert.solvers.common.march`.
+loop all steppers share, :func:`~isscert.solvers.common.march`.  It binds
+every field to its points once per solve
+(:meth:`~isscert.signals.SpaceTimeField.bind`): a on the faces, c and f
+on the nodes, d1 and d2 on the boundary points, so a step evaluates the
+fields' time signals only.  A run whose states reach beyond the range
+:meth:`ParabolicScenario.validate` samples has its maps checked again
+over the range it reached.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from typing import Callable
 
 import numpy as np
 
 from ..fields import Grid1D, Grid2D, Trajectory
-from ..signals import SpaceTimeField, inf_field
+from ..signals import SpaceTimeField
 from .common import (ScenarioError, SolverConfig, SolverDivergedError,
                      check_finite, march)
 
@@ -55,6 +63,10 @@ EDGES = {1: ("left", "right"), 2: ("left", "right", "bottom", "top")}
 
 _SIGN_TOL = 1e-12
 _SLOPE_TOL = 1e-8
+# validate samples the maps at _MAP_INTERVALS + 1 points of [-_MAP_REACH,
+# _MAP_REACH]; a run that reaches further is checked again at that spacing,
+# _MAP_BLOCK intervals at a time, up to states of _MAP_REACH_MAX
+_MAP_REACH, _MAP_INTERVALS, _MAP_BLOCK, _MAP_REACH_MAX = 10.0, 400, 4000, 1e6
 
 # one-line flux closure: at most _LOCATE_STEPS regula falsi estimates,
 # probing _PROBE*bc_tol beside the last one, locate the root; the replayed
@@ -62,6 +74,9 @@ _SLOPE_TOL = 1e-8
 # and _ROUNDING*P/s (see _rounding_margin) of it
 _PROBE, _WINDOW, _LOCATE_STEPS = 1e-3, 1e-2, 40
 _ROUNDING = 2.0 ** -46
+
+# a line with two flux ends gives up after _SWEEPS coupled sweeps
+_SWEEPS, _UNSETTLED = 100, "coupled flux boundaries did not settle"
 
 
 @cache
@@ -79,7 +94,9 @@ class ParabolicScenario:
     names of the dimension, :data:`EDGES`; the grid carries no edge
     labels, so this partition is the only one.  The maps must satisfy
     the structural sign and monotonicity conditions checked by
-    :meth:`validate`, which samples them at 401 points of [-10, 10].  A
+    :meth:`validate`, which samples them at 401 points of [-10, 10];
+    :func:`solve_parabolic` checks them again at that spacing on [-R, R]
+    when the run reaches a state magnitude R above 10.  A
     flux law (boundary_reaction) must be nondecreasing everywhere, not
     only there: the one-line flux closure's rounding margin rests on it,
     and a law that dips between the samples passes :meth:`validate` but
@@ -130,58 +147,78 @@ class ParabolicScenario:
             raise ScenarioError(f"boundary labels must cover {sorted(edges)} exactly")
         self._check_maps()
 
-    def _check_maps(self):
-        v = np.linspace(-10.0, 10.0, 401)
+    def _check_maps(self, reach=_MAP_REACH):
+        """The conditions on the maps, sampled on [-reach, reach] at a
+        spacing of at most 0.05 (401 points on validate's [-10, 10]), in
+        blocks of at most _MAP_BLOCK intervals that share their ends."""
+        intervals = math.ceil(reach * (_MAP_INTERVALS / _MAP_REACH))
+        blocks = -(-intervals // _MAP_BLOCK)
+        edges = np.linspace(-reach, reach, blocks + 1)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            self._check_block(np.linspace(lo, hi, -(-intervals // blocks) + 1))
+
+    def _check_block(self, v):
         phi = np.asarray(self.reaction(v), dtype=float)
         if np.any(phi * v < -_SIGN_TOL):
             raise ScenarioError("reaction must satisfy phi(v)*v >= 0")
         pos = v[v >= 0]
-        if np.any(np.asarray(self.reaction(-pos)) > -np.asarray(self.reaction(pos)) + _SIGN_TOL):
+        if pos.size and np.any(np.asarray(self.reaction(-pos))
+                               > -np.asarray(self.reaction(pos)) + _SIGN_TOL):
             raise ScenarioError("reaction must satisfy phi(-v) <= -phi(v) for v >= 0")
-        dv = 1e-4
-        slope = (np.asarray(self.reaction(v + dv)) - phi) / dv
+        # the secant over the float step taken, which far from 0 is not dv
+        x = v + 1e-4
+        slope = (np.asarray(self.reaction(x)) - phi) / (x - v)
         if np.any(slope < 1.0 - _SLOPE_TOL):
             raise ScenarioError("reaction slope must be at least one")
         bphi = np.asarray(self.boundary_reaction(v), dtype=float)
         if np.any(bphi * v < -_SIGN_TOL):
             raise ScenarioError("boundary reaction must satisfy varphi(v)*v >= 0")
-        if np.any(np.asarray(self.boundary_reaction(-pos))
-                  > -np.asarray(self.boundary_reaction(pos)) + _SIGN_TOL):
+        if pos.size and np.any(np.asarray(self.boundary_reaction(-pos))
+                               > -np.asarray(self.boundary_reaction(pos)) + _SIGN_TOL):
             raise ScenarioError("boundary reaction must satisfy varphi(-v) <= -varphi(v)")
         # the flux closure's bracket and its rounding margin rest on this
         if np.any(np.diff(bphi) < -_SIGN_TOL):
             raise ScenarioError("boundary reaction must be nondecreasing")
 
 
-def _check_floors(scn, faces, nodes, t_end):
-    """Reject a run whose diffusion coefficient (evaluated on the faces)
-    or reaction coefficient (on the nodes) drops below its floor."""
-    for what, fld, name, floor, pts in (("diffusion", scn.a, "a0", scn.a0, faces),
-                                        ("reaction", scn.c, "c0", scn.c0, [nodes])):
-        low = min(inf_field(fld, p, t_end) for p in pts)
+def _check_floors(scn, a_faces, c_nodes, t_end):
+    """Reject a run whose diffusion coefficient (bound on the faces of
+    each sweep) or reaction coefficient (bound on the nodes) drops below
+    its floor."""
+    for what, bound, name, floor in (("diffusion", a_faces, "a0", scn.a0),
+                                     ("reaction", [c_nodes], "c0", scn.c0)):
+        low = min(b.inf(t_end) for b in bound)
         if low < floor - _SIGN_TOL:
             raise ScenarioError(f"{what} coefficient drops below {name} = {floor:g} "
                                 f"(down to {low:g})")
 
 
 def solve_parabolic(scn: ParabolicScenario, grid, cfg: SolverConfig) -> Trajectory:
-    """March the scenario to cfg.t_end and record every stride-th state."""
+    """March the scenario to cfg.t_end and record every stride-th state.
+
+    The maps are checked again over [-R, R] when the run reaches a state
+    magnitude R above the 10 that :meth:`ParabolicScenario.validate`
+    covers.
+    """
     scn.validate()
     if cfg.dt is None:
         raise ValueError("the parabolic stepper needs an explicit dt")
     if scn.dim == 1:
         if not isinstance(grid, Grid1D) or grid.layout != "node":
             raise ValueError("one-dimensional runs need a node-centered Grid1D")
-        pts, meta, implicit = _setup_1d(scn, grid, cfg)
+        pts, a_faces, meta, implicit = _setup_1d(scn, grid, cfg)
     else:
         if not isinstance(grid, Grid2D):
             raise ValueError("two-dimensional runs need a Grid2D")
-        pts, meta, implicit = _setup_2d(scn, grid, cfg)
+        pts, a_faces, meta, implicit = _setup_2d(scn, grid, cfg)
+    # every field is bound to its points once: a step evaluates signals only
+    c_n, f_n = scn.c.bind(pts), scn.f.bind(pts)
+    _check_floors(scn, a_faces, c_n, cfg.t_end)
 
     def advance(t, dt, state, step):
         (w,) = state
         tn = t + dt
-        src = _explicit_source(scn, pts, t, w)
+        src = -c_n(t) * np.asarray(scn.reaction(w), dtype=float) + f_n(t)
         check_finite(src, step, tn, "non-finite explicit source")
         try:
             return dt, (implicit(w, src, dt, tn),)
@@ -190,33 +227,51 @@ def solve_parabolic(scn: ParabolicScenario, grid, cfg: SolverConfig) -> Trajecto
 
     traj = Trajectory("parabolic", grid, meta={
         **meta, "dt": cfg.dt, "t_end": cfg.t_end, "scenario": scn.label})
-    march(traj, cfg, (np.asarray(scn.w0(pts), dtype=float),), advance)
+    march(traj, cfg, (np.asarray(scn.w0(pts), dtype=float),), advance,
+          step_dt=lambda dt_max: dt_max)
+    reach = traj.counters["max_abs"]["u"]
+    if reach > _MAP_REACH_MAX:
+        raise ScenarioError(f"the maps are checked up to |u| = {_MAP_REACH_MAX:g}, "
+                            f"but the run reached {reach:g}")
+    if reach > _MAP_REACH:
+        try:
+            scn._check_maps(reach)
+        except ScenarioError as exc:
+            raise ScenarioError(f"{exc} on [-{reach:g}, {reach:g}], "
+                                "the range the run reached") from None
     return traj
 
 
-def _explicit_source(scn, pts, t, w):
-    src = -np.asarray(scn.c(pts, t), dtype=float) * np.asarray(scn.reaction(w), dtype=float)
-    return src + np.asarray(scn.f(pts, t), dtype=float)
+def _bind_edges(scn, *edges):
+    """(kind, value at t) of each (edge, coord); coord may hold arrays of
+    points, whose data fields are bound once here."""
+    return [("dirichlet", scn.d1.bind(coord)) if edge in scn.gamma1
+            else ("flux", scn.d2.bind(coord)) for edge, coord in edges]
+
+
+def _at(bcs, tn):
+    """The (kind, values) boundary specs of bound edges at time tn."""
+    return [(kind, value(tn)) for kind, value in bcs]
 
 
 def _setup_1d(scn, grid, cfg):
-    """Nodes, meta entries and implicit step of a run on the interval."""
+    """Nodes, diffusion bound on the faces, meta entries and implicit step
+    of a run on the interval."""
     y = grid.points()
-    yf = 0.5 * (y[:-1] + y[1:])
-    _check_floors(scn, [yf], y, cfg.t_end)
+    a_f = scn.a.bind(0.5 * (y[:-1] + y[1:]))
+    bcs = _bind_edges(scn, ("left", 0.0), ("right", 1.0))
 
     def implicit(w, src, dt, tn):
-        return _solve_lines(
-            w[None, :], grid.h, dt, np.asarray(scn.a(yf, tn), dtype=float)[None, :],
-            src[None, :], _bc_spec(scn, "left", 0.0, tn), _bc_spec(scn, "right", 1.0, tn),
-            scn.boundary_reaction, cfg.bc_tol)[0]
+        return _solve_lines(w[None, :], grid.h, dt, a_f(tn)[None, :], src[None, :],
+                            *_at(bcs, tn), scn.boundary_reaction, cfg.bc_tol)[0]
 
     meta = {"scheme": "semi-implicit diffusion, explicit reaction", "dim": 1, "n": grid.n}
-    return y, meta, implicit
+    return y, [a_f], meta, implicit
 
 
 def _setup_2d(scn, grid, cfg):
-    """Nodes, meta entries and dimension-split implicit step on the square."""
+    """Nodes, diffusion bound on each sweep's faces, meta entries and
+    dimension-split implicit step on the square."""
     X, Y = grid.points()
     xs, ys = X[:, 0], Y[0, :]
     xf, yf = 0.5 * (xs[:-1] + xs[1:]), 0.5 * (ys[:-1] + ys[1:])
@@ -230,37 +285,28 @@ def _setup_2d(scn, grid, cfg):
     y_rows, x_cols = ys[rows], xs[cols]
     x_faces = np.broadcast_arrays(xf[None, :], y_rows[:, None])
     y_faces = np.broadcast_arrays(x_cols[:, None], yf[None, :])
-    _check_floors(scn, [x_faces, y_faces], (X, Y), cfg.t_end)
     zero_src = np.zeros((x_cols.size, ny + 1))
+    d1_n, a_x, a_y = scn.d1.bind((X, Y)), scn.a.bind(x_faces), scn.a.bind(y_faces)
+    x_bcs = _bind_edges(scn, ("left", (0.0, y_rows)), ("right", (1.0, y_rows)))
+    y_bcs = _bind_edges(scn, ("bottom", (x_cols, 0.0)), ("top", (x_cols, 1.0)))
 
     def implicit(w, src, dt, tn):
-        dvals = np.asarray(scn.d1((X, Y), tn), dtype=float)
+        dvals = d1_n(tn)
         # sweep along x: rows carry the full explicit source
         w_star = dvals.copy()
         w_star[:, rows] = _solve_lines(
-            w[:, rows].T, grid.hx, dt, np.asarray(scn.a(x_faces, tn), dtype=float),
-            src[:, rows].T, _bc_spec(scn, "left", (0.0, y_rows), tn),
-            _bc_spec(scn, "right", (1.0, y_rows), tn),
+            w[:, rows].T, grid.hx, dt, a_x(tn), src[:, rows].T, *_at(x_bcs, tn),
             scn.boundary_reaction, cfg.bc_tol).T
         # sweep along y: pure diffusion correction
         w_new = dvals.copy()
         w_new[cols, :] = _solve_lines(
-            w_star[cols, :], grid.hy, dt, np.asarray(scn.a(y_faces, tn), dtype=float),
-            zero_src, _bc_spec(scn, "bottom", (x_cols, 0.0), tn),
-            _bc_spec(scn, "top", (x_cols, 1.0), tn),
+            w_star[cols, :], grid.hy, dt, a_y(tn), zero_src, *_at(y_bcs, tn),
             scn.boundary_reaction, cfg.bc_tol)
         return w_new
 
     meta = {"scheme": "dimension-split semi-implicit diffusion, explicit reaction",
             "dim": 2, "nx": nx, "ny": ny}
-    return (X, Y), meta, implicit
-
-
-def _bc_spec(scn, edge, coord, tn):
-    """(kind, value) of an edge at coord; coord may hold arrays of points."""
-    if edge in scn.gamma1:
-        return ("dirichlet", scn.d1(coord, tn))
-    return ("flux", scn.d2(coord, tn))
+    return (X, Y), [a_x, a_y], meta, implicit
 
 
 def _line_responses(w_old, h, dt, af, src, bc_lo, bc_hi):
@@ -293,7 +339,7 @@ def _line_responses(w_old, h, dt, af, src, bc_lo, bc_hi):
             cols[0, :, i] = value
     for col, (_, i) in enumerate(flux, start=1):
         cols[col, :, i] = 1.0
-    if not (np.all(np.isfinite(ab)) and np.all(np.isfinite(rhs))):
+    if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
         raise RuntimeError("non-finite diffusion band or right-hand side")
     # the LAPACK routine solve_banded((1, 1), ...) calls, on arrays owned here
     ab = ab.reshape(3, n_lines * m)
@@ -314,97 +360,141 @@ def _solve_lines(w_old, h, dt, af, src, bc_lo, bc_hi, varphi, bc_tol):
 
     is strictly increasing in its end value b and is closed by bisection;
     a line with two flux ends alternates the two closures until neither end
-    moves by more than bc_tol, each line stopping on its own.  One line runs
-    :func:`_bisect_scalar` on Python floats, a larger stack
-    :func:`_bisect_lockstep`; both take the same decisions, so a line gives
-    the same bits alone or in a stack.  The float kernel locates the root
-    by Pegasus regula falsi and replays the bisection on that bracket,
-    evaluating only the midpoints within a rounding margin of it (built
-    here from the residual's factors by :func:`_rounding_margin`); the
-    lockstep kernel evaluates every midpoint, which keeps it a plain
-    bisection and the tests' oracle for the float kernel.  On a stack with
-    two flux ends, each end keeps the :class:`_Trail` of its last lockstep
-    closure, and its next closure, on the same lines and centres, confirms
-    that trail with :func:`_confirm_lockstep` instead of bisecting anew;
-    lines that settle leave both trails.
+    moves by more than bc_tol, each line stopping on its own, and gives up
+    after _SWEEPS sweeps.  One line runs :func:`_close_line`, on Python
+    floats from its factors to its end values; a larger stack runs
+    :func:`_close_stack` in lockstep on arrays.  Both take the same
+    decisions, so a line gives the same bits alone or in a stack.
     """
-    n_lines, m = w_old.shape
     base, resp = _line_responses(w_old, h, dt, af, src, bc_lo, bc_hi)
     if not resp:
         return base
-
-    trails = {}  # each lockstep end's last closure, one column per live line
-
-    def bisect(end, rows, other):
-        """Close end on lines rows, the other end held at other."""
-        # node, inner neighbour and face of the end
-        i, k, f = (0, 1, 0) if end == "lo" else (m - 1, m - 2, -1)
-        d2v = np.broadcast_to(bc_lo[1] if end == "lo" else bc_hi[1], n_lines)[rows]
-        w_i, src_i, base_k = w_old[rows, i], src[rows, i], base[rows, k]
-        terms = [(e == end, r[rows, k]) for e, r in resp.items()]
-        # the residual's factors, formed once per closure
-        c_phi, c_d2, c_face = 2.0 / h, (2.0 / h) * d2v, (2.0 / h**2) * af[rows, f]
-        law, scalar = varphi, None
-        if n_lines == 1:
-            # on one line, size-1 arrays would cost more than the arithmetic
-            w_i, src_i, base_k, c_d2, c_face, other = (
-                x.item() for x in (w_i, src_i, base_k, c_d2, c_face, other))
-            terms = [(own, r_k.item()) for own, r_k in terms]
-            margin = _rounding_margin(dt, w_i, src_i, base_k, c_d2, c_face, other, terms)
-            law, scalar = (lambda b: float(varphi(b))), partial(_bisect_scalar, margin=margin)
-
-        def residual(b):
-            val = base_k
-            for own, r_k in terms:
-                val = val + (b if own else other) * r_k
-            return ((b - w_i) / dt + c_phi * law(b) - c_d2
-                    + c_face * (b - val) - src_i)
-
-        if scalar:
-            return np.reshape(scalar(residual, w_i, bc_tol), -1)
-        trails[end] = (_confirm_lockstep(residual, w_i, bc_tol, trails[end]) if end in trails
-                       else _bisect_lockstep(residual, w_i, bc_tol))
-        return trails[end].root
-
-    lines = np.arange(n_lines)
-    b_lo = w_old[:, 0].copy() if "lo" in resp else np.broadcast_to(bc_lo[1], n_lines)
-    b_hi = w_old[:, -1].copy() if "hi" in resp else np.broadcast_to(bc_hi[1], n_lines)
-    if "hi" not in resp:
-        b_lo = bisect("lo", lines, b_hi)
-    elif "lo" not in resp:
-        b_hi = bisect("hi", lines, b_lo)
-    else:
-        # two coupled scalar closures; the cross influence through one
-        # implicit step decays like exp(-1/sqrt(a*dt)), so a couple of
-        # sweeps suffice
-        live = lines
-        for _ in range(100):
-            new_lo = bisect("lo", live, b_hi[live])
-            new_hi = bisect("hi", live, new_lo)
-            d_lo = np.abs(new_lo - b_lo[live])
-            d_hi = np.abs(new_hi - b_hi[live])
-            moved = np.where(d_hi > d_lo, d_hi, d_lo)
-            b_lo[live], b_hi[live] = new_lo, new_hi
-            keep = ~(moved <= bc_tol)
-            live = live[keep]
-            if not live.size:
-                break
-            if not keep.all():
-                for end, trail in trails.items():
-                    trails[end] = trail.take(keep)
-        else:
-            raise RuntimeError("coupled flux boundaries did not settle")
-
+    close = _close_line if w_old.shape[0] == 1 else _close_stack
+    ends = close(h, dt, w_old, src, base, resp, af, {"lo": bc_lo[1], "hi": bc_hi[1]},
+                 varphi, bc_tol)
     w = base.copy()
-    if "lo" in resp:
-        w += b_lo[:, None] * resp["lo"]
-    if "hi" in resp:
-        w += b_hi[:, None] * resp["hi"]
+    for end, r in resp.items():
+        w += ends[end] * r
     if bc_lo[0] == "dirichlet":
         w[:, 0] = bc_lo[1]
     if bc_hi[0] == "dirichlet":
         w[:, -1] = bc_hi[1]
     return w
+
+
+def _end_factors(end, pick, h, w_old, src, base, resp, af, d2):
+    """The factors of end's balance that stay fixed through its closures:
+    w_i, src_i, base_k, c_d2, c_face and the (own, r_k) terms of the flux
+    responses, read through pick(array, column) and the end's data d2."""
+    m = w_old.shape[1]
+    # node, inner neighbour and face of the end
+    i, k, f = (0, 1, 0) if end == "lo" else (m - 1, m - 2, m - 2)
+    return (pick(w_old, i), pick(src, i), pick(base, k), (2.0 / h) * d2,
+            (2.0 / h**2) * pick(af, f), [(e == end, pick(r, k)) for e, r in resp.items()])
+
+
+def _residual(dt, c_phi, law, other, w_i, src_i, base_k, c_d2, c_face, terms):
+    """The balance of an end with factors :func:`_end_factors`, as a
+    function of its value b, the other flux end (if any) held at other."""
+    def residual(b):
+        val = base_k
+        for own, r_k in terms:
+            val = val + (b if own else other) * r_k
+        return ((b - w_i) / dt + c_phi * law(b) - c_d2
+                + c_face * (b - val) - src_i)
+
+    return residual
+
+
+def _close_line(h, dt, w_old, src, base, resp, af, data, varphi, bc_tol):
+    """The values {end: b} of one line's flux ends, as floats.
+
+    The line's factors, its boundary data (a scalar or a size-1 array)
+    and the coupled sweeps' state are read as Python floats once, and the
+    flux law sees floats.  Each closure is :func:`_bisect_scalar`: it
+    locates the root by Pegasus regula falsi and replays the bisection on
+    that bracket, evaluating only the midpoints within a rounding margin
+    of it, built from the residual's factors by :func:`_rounding_margin`.
+    """
+    def law(b):
+        return float(varphi(b))
+
+    data = {end: np.asarray(value, dtype=float).item() for end, value in data.items()}
+    factors = {end: _end_factors(end, np.ndarray.item, h, w_old, src, base, resp, af, data[end])
+               for end in resp}
+
+    def close(end, other):
+        w_i, src_i, base_k, c_d2, c_face, terms = fac = factors[end]
+        margin = _rounding_margin(dt, w_i, src_i, base_k, c_d2, c_face, other, terms)
+        return _bisect_scalar(_residual(dt, 2.0 / h, law, other, *fac), w_i, bc_tol,
+                              margin=margin)
+
+    if len(resp) == 1:
+        (end,) = resp
+        return {end: close(end, data["hi" if end == "lo" else "lo"])}
+    # the coupled sweeps start from the old end values
+    b_lo, b_hi = w_old.item(0), w_old.item(-1)
+    for _ in range(_SWEEPS):
+        new_lo = close("lo", b_hi)
+        new_hi = close("hi", new_lo)
+        d_lo, d_hi = abs(new_lo - b_lo), abs(new_hi - b_hi)
+        moved = d_hi if d_hi > d_lo else d_lo
+        b_lo, b_hi = new_lo, new_hi
+        if moved <= bc_tol:
+            return {"lo": b_lo, "hi": b_hi}
+    raise RuntimeError(_UNSETTLED)
+
+
+def _close_stack(h, dt, w_old, src, base, resp, af, data, varphi, bc_tol):
+    """:func:`_close_line` for each line of a stack, in lockstep on arrays:
+    the end values as (lines, 1) columns.
+
+    Each closure is :func:`_bisect_lockstep`, which evaluates every
+    midpoint: a plain bisection, and the tests' oracle for the float
+    kernel.  With two flux ends, each end keeps the :class:`_Trail` of its
+    last closure, and its next closure, on the same lines and centres,
+    confirms that trail with :func:`_confirm_lockstep` instead of bisecting
+    anew; lines that settle leave both trails.
+    """
+    n_lines = w_old.shape[0]
+    data = {end: np.broadcast_to(value, n_lines) for end, value in data.items()}
+    trails = {}  # each end's last closure, one column per live line
+
+    def bisect(end, rows, other):
+        """Close end on lines rows, the other end held at other."""
+        fac = _end_factors(end, lambda a, j: a[rows, j], h, w_old, src, base, resp, af,
+                           data[end][rows])
+        residual = _residual(dt, 2.0 / h, varphi, other, *fac)
+        trails[end] = (_confirm_lockstep(residual, fac[0], bc_tol, trails[end])
+                       if end in trails else _bisect_lockstep(residual, fac[0], bc_tol))
+        return trails[end].root
+
+    lines = np.arange(n_lines)
+    b_lo = w_old[:, 0].copy() if "lo" in resp else data["lo"]
+    b_hi = w_old[:, -1].copy() if "hi" in resp else data["hi"]
+    if "hi" not in resp:
+        return {"lo": bisect("lo", lines, b_hi)[:, None]}
+    if "lo" not in resp:
+        return {"hi": bisect("hi", lines, b_lo)[:, None]}
+    # two coupled scalar closures; the cross influence through one
+    # implicit step decays like exp(-1/sqrt(a*dt)), so a couple of
+    # sweeps suffice
+    live = lines
+    for _ in range(_SWEEPS):
+        new_lo = bisect("lo", live, b_hi[live])
+        new_hi = bisect("hi", live, new_lo)
+        d_lo = np.abs(new_lo - b_lo[live])
+        d_hi = np.abs(new_hi - b_hi[live])
+        moved = np.where(d_hi > d_lo, d_hi, d_lo)
+        b_lo[live], b_hi[live] = new_lo, new_hi
+        keep = ~(moved <= bc_tol)
+        live = live[keep]
+        if not live.size:
+            return {"lo": b_lo[:, None], "hi": b_hi[:, None]}
+        if not keep.all():
+            for end, trail in trails.items():
+                trails[end] = trail.take(keep)
+    raise RuntimeError(_UNSETTLED)
 
 
 def _expand_scalar(res, center, side):
@@ -424,8 +514,9 @@ def _rounding_margin(dt, w_i, src_i, base_k, c_d2, c_face, other, terms):
     """Half-width, as a function of X, of the window around a located root
     outside which :func:`_bisect_scalar` predicts residual signs.
 
-    The arguments are the one-line factors of ``bisect`` in
-    :func:`_solve_lines`; X bounds |b| over the bisection bracket [lo, hi].
+    The arguments are the factors :func:`_end_factors` reads for one line
+    in :func:`_close_line`, and the other flux end's value; X bounds |b|
+    over the bisection bracket [lo, hi].
     Write the computed residual of a float b as r(b) = R(b) + e(b), where
     R evaluates the same formula exactly on the same float factors and on
     L(b) = varphi(b), the law's float value; u = 2^-53.

@@ -93,11 +93,16 @@ def solve_wave(scn: WaveScenario, grid: Grid1D, cfg: SolverConfig) -> Trajectory
     plus[-1] = c * float(scn.d(0.0))
     minus[0] = -plus[0]
 
+    f_y = scn.f.bind(y)
+
+    def step_dt(dt_max):
+        return capped_dt(dt_max, c, h, cfg.cfl_sigma)
+
     def advance(t, dt_max, state, step):
         plus, minus = state
-        dt = capped_dt(dt_max, c, h, cfg.cfl_sigma)
+        dt = step_dt(dt_max)
         nu = c * dt / h
-        fvals = np.asarray(scn.f(y, t), dtype=float)
+        fvals = f_y(t)
         plus_new = plus.copy()
         plus_new[:-1] += nu * (plus[1:] - plus[:-1]) + dt * fvals[:-1]
         plus_new[-1] = c * float(scn.d(t + dt))
@@ -111,5 +116,5 @@ def solve_wave(scn: WaveScenario, grid: Grid1D, cfg: SolverConfig) -> Trajectory
         "n": grid.n, "cfl_sigma": cfg.cfl_sigma, "c": c, "t_end": cfg.t_end,
         "scenario": scn.label,
     })
-    traj.meta["steps"] = len(march(traj, cfg, (plus, minus), advance))
+    traj.meta["steps"] = len(march(traj, cfg, (plus, minus), advance, step_dt))
     return traj

@@ -154,6 +154,25 @@ def test_trajectory_grows_past_doubling_boundaries():
     np.testing.assert_array_equal(traj.snapshot(37)["minus"], np.full(9, -37.0))
 
 
+def test_trajectory_reserve_sizes_the_record_once():
+    g = Grid1D(8, layout="node")
+    traj = Trajectory("wave", g, names=("plus", "minus"))
+    traj.reserve(5)
+    buffers = [traj._times, *traj._data.values()]
+    for i in range(5):
+        traj.append(0.1 * i, plus=np.full(9, i), minus=np.full(9, -i))
+    # exactly the rows reserved, and no reallocation on the way
+    assert [b.shape[0] for b in buffers] == [5, 5, 5]
+    assert traj._times is buffers[0] and traj._data["plus"] is buffers[1]
+    traj.reserve(3)  # never shrinks
+    assert traj._times is buffers[0]
+    # past the reserve the record doubles and keeps the stamps
+    traj.append(0.5, plus=np.full(9, 5.0), minus=np.full(9, -5.0))
+    assert traj._times.size == 16
+    np.testing.assert_array_equal(traj.states("minus")[:, 0], -np.arange(6.0))
+    np.testing.assert_array_equal(traj.times, 0.1 * np.arange(6))
+
+
 def test_blockwise_concatenates_runs_of_stamps():
     g = Grid1D(8, layout="node")
     traj = Trajectory("wave", g, names=("plus", "minus"))

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from isscert.config import _LEAVES, _leaf
+from isscert.fields import Grid1D, Grid2D
 from isscert.signals import (SpaceTimeField, TimeSignal, profile_affine,
                              profile_bump, profile_constant, profile_poly,
                              profile_sin, profile_sum, profile2d_sinprod,
-                             inf_field, signal_range, sup_field, sup_window)
+                             signal_range, sup_field, sup_window)
 
 
 def test_signal_validation():
@@ -167,10 +169,10 @@ def test_inf_field_is_the_least_product_of_extremes():
     sig = TimeSignal.sinusoid(1.0, 0.5, offset=0.3)
     y = np.linspace(0.0, 1.0, 33)
     # uniform: the signal's own minimum over [0, 1.5]
-    assert inf_field(SpaceTimeField.from_signal(sig), y, 1.5) == signal_range(sig, 1.5)[0]
+    assert SpaceTimeField.from_signal(sig).bind(y).inf(1.5) == signal_range(sig, 1.5)[0]
     # the profile spans [-0.5, 1] and the signal [-0.7, 1.3]: 1 * -0.7 or -0.5 * 1.3
     fld = SpaceTimeField.separable(profile_affine(-0.5, 1.5), sig)
-    low = inf_field(fld, y, 1.5)
+    low = fld.bind(y).inf(1.5)
     assert low == pytest.approx(-0.7, rel=1e-12)
     dense = min(float(np.min(fld(y, t))) for t in np.linspace(0.0, 1.5, 3001))
     assert low <= dense <= low + 1e-5
@@ -208,3 +210,82 @@ def test_profile_2d():
     sp = profile2d_sinprod(2.0, mode_x=1, mode_y=1)
     assert sp((np.array([[0.5]]), np.array([[0.5]])))[0, 0] == pytest.approx(
         2.0, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# fields bound to fixed points, as the steppers use them
+
+# a value for every key the config's signal and profile kinds take
+LEAF_VALUES = {"value": 0.7, "amplitude": 1.3, "frequency": 1.7, "phase": 0.4,
+               "offset": 0.1, "rate": 0.8, "coeffs": [0.2, -0.5, 0.9, 1.1],
+               "intercept": 0.3, "slope": -0.6, "mode": 2, "center": 0.4,
+               "halfwidth": 0.3, "mode_x": 1, "mode_y": 2}
+TERMS = {1: [{"kind": "sin", "amplitude": 1.0}, {"kind": "constant", "value": 0.2}],
+         2: [{"kind": "sinprod", "amplitude": 1.0}, {"kind": "constant", "value": 0.2}]}
+
+
+def leaf(family, kind, dim=1):
+    """The config leaf of a kind, every key given a value."""
+    _, keys = _LEAVES[family][kind]
+    spec = {"kind": kind, **{k: TERMS[dim] if k == "terms" else LEAF_VALUES[k]
+                             for k in keys}}
+    return _leaf(spec, "x", "profile" if family == "2D profile" else family, dim)
+
+
+def stepper_point_sets(dim):
+    """Point sets of each kind the steppers bind fields to: nodes, faces
+    and boundary points or edges."""
+    if dim == 1:
+        y = Grid1D(16).points()
+        return [y, 0.5 * (y[:-1] + y[1:]), 0.0, 1.0]
+    X, Y = Grid2D(8, 10).points()
+    xs, ys = X[:, 0], Y[0, :]
+    xf = 0.5 * (xs[:-1] + xs[1:])
+    return [(X, Y), np.broadcast_arrays(xf[None, :], ys[1:-1, None]),
+            (0.0, ys[1:-1]), (xs, 1.0)]
+
+
+def stepper_times(dt=0.002, steps=60):
+    t, times = 0.0, [0.0]
+    for _ in range(steps):
+        t += dt
+        times.append(t)
+    return times
+
+
+@pytest.mark.parametrize("signal_kind", sorted(_LEAVES["signal"]))
+def test_signal_float_path_matches_array_evaluation(signal_kind):
+    sig = leaf("signal", signal_kind)
+    times = stepper_times()
+    for t, arr in zip(times, sig(np.array(times))):
+        assert type(sig(t)) is float
+        assert sig(t) == arr
+
+
+@pytest.mark.parametrize("signal_kind", sorted(_LEAVES["signal"]))
+@pytest.mark.parametrize("dim,profile_kind",
+                         [(1, None)] + [(1, k) for k in sorted(_LEAVES["profile"])]
+                         + [(2, k) for k in sorted(_LEAVES["2D profile"])])
+def test_bound_field_is_profile_times_signal(signal_kind, dim, profile_kind):
+    # the definition, profile(y) * signal(t) evaluated anew at every time,
+    # against a field bound to the points once
+    sig = leaf("signal", signal_kind)
+    if profile_kind is None:
+        fld = SpaceTimeField.from_signal(sig)
+    else:
+        fld = SpaceTimeField.separable(
+            leaf("2D profile" if dim == 2 else "profile", profile_kind, dim), sig)
+    for y in stepper_point_sets(dim):
+        bound = fld.bind(y)
+        for t in stepper_times():
+            if fld.profile is None:
+                want = np.full(np.broadcast(*y).shape if isinstance(y, tuple) else np.shape(y),
+                               sig(t))
+            else:
+                want = fld.profile(y) * sig(t)
+            got = bound(t)
+            if np.ndim(want) == 0:
+                assert type(got) is float and got == float(want)
+            else:
+                assert got.dtype == float and np.array_equal(got, want)
+            assert np.array_equal(fld(y, t), got)

@@ -22,8 +22,7 @@ from isscert.signals import (SpaceTimeField, TimeSignal, profile_bump,
                              profile2d_sinprod)
 from isscert.solvers import (ParabolicScenario, ScenarioError, SolverConfig,
                              SolverDivergedError, solve_parabolic)
-from isscert.solvers.parabolic import (_bc_spec, _bisect_lockstep, _bisect_scalar,
-                                       _explicit_source, _solve_lines)
+from isscert.solvers.parabolic import _bisect_lockstep, _bisect_scalar, _solve_lines
 
 ZERO = SpaceTimeField.constant(0.0)
 ONE = SpaceTimeField.constant(1.0)
@@ -617,8 +616,22 @@ def test_2d_closure_stacked_law_calls():
 # batched 2-D stepper against one line solve at a time
 
 
+def explicit_source(scn, pts, t, w):
+    """-c phi(w) + f at the points, the fields evaluated anew."""
+    return (-np.asarray(scn.c(pts, t), dtype=float) * np.asarray(scn.reaction(w), dtype=float)
+            + np.asarray(scn.f(pts, t), dtype=float))
+
+
+def bc_spec(scn, edge, coord, tn):
+    """(kind, value) of an edge at coord, the data field evaluated anew."""
+    if edge in scn.gamma1:
+        return ("dirichlet", scn.d1(coord, tn))
+    return ("flux", scn.d2(coord, tn))
+
+
 def per_line_2d(scn, grid, cfg):
-    """Every state of the dimension-split stepper, one line solve at a time."""
+    """Every state of the dimension-split stepper, one line solve at a time,
+    every field evaluated anew at every step."""
     X, Y = grid.points()
     xs, ys = X[:, 0], Y[0, :]
     xf, yf = 0.5 * (xs[:-1] + xs[1:]), 0.5 * (ys[:-1] + ys[1:])
@@ -627,7 +640,7 @@ def per_line_2d(scn, grid, cfg):
     while t < cfg.t_end - 1e-12 * cfg.t_end:
         dt = min(cfg.dt, cfg.t_end - t)
         tn = t + dt
-        src = _explicit_source(scn, (X, Y), t, w)
+        src = explicit_source(scn, (X, Y), t, w)
         w_star = np.asarray(scn.d1((X, Y), tn), dtype=float)
         w_new = w_star.copy()
         for iy, y in enumerate(ys):
@@ -636,7 +649,7 @@ def per_line_2d(scn, grid, cfg):
                 af = np.asarray(scn.a((xf, np.full(grid.nx, y)), tn), dtype=float)
                 w_star[:, iy] = solve_one_line(
                     w[:, iy], grid.hx, dt, af, src[:, iy],
-                    _bc_spec(scn, "left", (0.0, y), tn), _bc_spec(scn, "right", (1.0, y), tn),
+                    bc_spec(scn, "left", (0.0, y), tn), bc_spec(scn, "right", (1.0, y), tn),
                     scn.boundary_reaction, cfg.bc_tol)
         for ix, x in enumerate(xs):
             if not ((ix == 0 and "left" in scn.gamma1)
@@ -644,7 +657,7 @@ def per_line_2d(scn, grid, cfg):
                 af = np.asarray(scn.a((np.full(grid.ny, x), yf), tn), dtype=float)
                 w_new[ix, :] = solve_one_line(
                     w_star[ix, :], grid.hy, dt, af, np.zeros(grid.ny + 1),
-                    _bc_spec(scn, "bottom", (x, 0.0), tn), _bc_spec(scn, "top", (x, 1.0), tn),
+                    bc_spec(scn, "bottom", (x, 0.0), tn), bc_spec(scn, "top", (x, 1.0), tn),
                     scn.boundary_reaction, cfg.bc_tol)
         w, t = w_new, tn
         states.append(w)
@@ -680,3 +693,160 @@ def test_2d_batched_sweeps_match_per_line_oracle(flux_edges):
     assert len(traj) == len(oracle)
     for i, expected in enumerate(oracle):
         assert np.array_equal(traj.state(i), expected)
+
+
+# ---------------------------------------------------------------------------
+# the one-line step: fields bound once, the closure on floats
+
+
+def per_step_1d(scn, grid, cfg, partner):
+    """Every state of the one-dimensional stepper, each step solved as row 0
+    of a two-line lockstep stack whose row 1 is partner(w), every field
+    evaluated anew at every step."""
+    y = grid.points()
+    yf = 0.5 * (y[:-1] + y[1:])
+    w = np.asarray(scn.w0(y), dtype=float)
+    states, t = [w], 0.0
+    while t < cfg.t_end - 1e-12 * cfg.t_end:
+        dt = min(cfg.dt, cfg.t_end - t)
+        tn = t + dt
+        src = explicit_source(scn, y, t, w)
+        ends = []
+        for edge, coord in (("left", 0.0), ("right", 1.0)):
+            kind, value = bc_spec(scn, edge, coord, tn)
+            ends.append((kind, np.array([value, 0.5 * value - 0.1])))
+        stack = np.stack([w, partner(w)])
+        w = _solve_lines(stack, grid.h, dt, np.repeat(scn.a(yf, tn)[None, :], 2, axis=0),
+                         np.stack([src, 0.3 * src]), *ends, scn.boundary_reaction,
+                         cfg.bc_tol)[0]
+        states.append(w)
+        t = tn
+    return states
+
+
+def varying_1d(**over):
+    """A one-line scenario whose every field varies in space and time."""
+    return make_scenario(
+        a=SpaceTimeField.separable(lambda y: 1.0 + 0.5 * np.asarray(y),
+                                   TimeSignal.sinusoid(0.2, 0.3, offset=1.0)),
+        c=SpaceTimeField.separable(lambda y: 1.0 + np.asarray(y) ** 2,
+                                   TimeSignal.exp_decay(0.5, 2.0, offset=1.0)),
+        f=SpaceTimeField.separable(profile_sin(0.8, mode=2), TimeSignal.sinusoid(1.0, 1.3, 0.4)),
+        d1=SpaceTimeField.from_signal(TimeSignal.sinusoid(0.2, 0.9, offset=0.1)),
+        d2=SpaceTimeField.from_signal(TimeSignal.polynomial(0.3, -1.0, 2.0)),
+        w0=profile_sum(profile_constant(0.2), profile_sin(1.6, mode=1)), **over)
+
+
+@pytest.mark.parametrize("kinds", FLUX_KINDS)
+@pytest.mark.parametrize("law", ["identity", "cubic"])
+def test_one_line_steps_match_row_0_of_a_lockstep_stack(kinds, law):
+    gamma1 = tuple(e for e, k in zip(("left", "right"), kinds) if k == "dirichlet")
+    gamma2 = tuple(e for e, k in zip(("left", "right"), kinds) if k == "flux")
+    scn = varying_1d(gamma1=gamma1, gamma2=gamma2, reaction=cubic(0.5),
+                     boundary_reaction=(lambda v: v) if law == "identity" else cubic(1.2))
+    grid, cfg = Grid1D(24, layout="node"), SolverConfig(t_end=0.1, dt=0.004)
+    traj = solve_parabolic(scn, grid, cfg)
+    oracle = per_step_1d(scn, grid, cfg, partner=lambda w: w[::-1] - 0.3)
+    assert len(traj) == len(oracle)
+    for i, expected in enumerate(oracle):
+        assert np.array_equal(traj.state(i), expected)
+
+
+def test_profiles_are_evaluated_once_per_point_set_per_solve():
+    # a step evaluates the fields' signals only: the profiles of separable
+    # a, c, f, d1 and d2 are evaluated once on each point set they are
+    # bound to, whatever the step count
+    calls = []
+
+    def spied(name, profile):
+        def prof(y):
+            calls.append((name, np.asarray(y).tobytes()))
+            return profile(y)
+        return prof
+
+    def counts(steps):
+        calls.clear()
+        sig = TimeSignal.sinusoid(0.2, 0.7, offset=1.0)
+        fields = {name: SpaceTimeField.separable(spied(name, profile_constant(0.5)), sig)
+                  for name in ("a", "c", "f", "d1", "d2")}
+        scn = make_scenario(**fields, a0=0.4, c0=0.4)
+        solve_parabolic(scn, Grid1D(16, layout="node"), SolverConfig(t_end=0.01 * steps, dt=0.01))
+        return {(name, pts): calls.count((name, pts)) for name, pts in set(calls)}
+
+    few, many = counts(3), counts(30)
+    assert few == many
+    # a on the faces; c and f on the nodes; d1 at the left end, d2 at the right
+    assert sorted(name for name, _ in many) == ["a", "c", "d1", "d2", "f"]
+    assert set(many.values()) == {1}
+
+
+# ---------------------------------------------------------------------------
+# the maps are checked over the range the run reached
+
+
+def kinked(slope_beyond):
+    """The identity on |v| <= 10.5 (validate's samples and their slope
+    steps reach 10.0001), continued with slope slope_beyond beyond."""
+    def law(v):
+        v = np.asarray(v, dtype=float)
+        far = np.sign(v) * (10.5 + slope_beyond * (np.abs(v) - 10.5))
+        return np.where(np.abs(v) <= 10.5, v, far)
+    return law
+
+
+@pytest.mark.parametrize("which,message", [
+    ("reaction", "reaction slope must be at least one"),
+    ("boundary_reaction", "boundary reaction must be nondecreasing")])
+def test_maps_are_checked_again_over_the_range_the_run_reached(which, message):
+    # the laws meet every condition on [-10, 10] but not beyond it, where
+    # initial data of amplitude 20 takes the run
+    scn = make_scenario(**{which: kinked(0.5 if which == "reaction" else -0.5)},
+                        w0=profile_sin(20.0, mode=1))
+    scn.validate()
+    grid, cfg = Grid1D(32, layout="node"), SolverConfig(t_end=0.02, dt=0.01)
+    with pytest.raises(ScenarioError, match=rf"^{message} on \[-20, 20\], the range the run reached$"):
+        solve_parabolic(scn, grid, cfg)
+    # within [-10, 10] the same laws pass
+    solve_parabolic(replace(scn, w0=profile_sin(9.0, mode=1)), grid, cfg)
+
+
+def test_monotone_laws_pass_the_range_check_far_out():
+    # the config's laws hold everywhere; the slope is the secant over the
+    # float step, so a state of 5e4 does not fail the identity's slope
+    scn = make_scenario(w0=profile_sin(5e4, mode=1), boundary_reaction=cubic(0.5))
+    traj = solve_parabolic(scn, Grid1D(16, layout="node"), SolverConfig(t_end=0.02, dt=0.01))
+    assert traj.counters["max_abs"]["u"] == pytest.approx(5e4)
+    with pytest.raises(ScenarioError, match=r"^the maps are checked up to \|u\| = 1e\+06, "
+                                            r"but the run reached 2e\+06$"):
+        solve_parabolic(replace(scn, w0=profile_sin(2e6, mode=1)), Grid1D(16, layout="node"),
+                        SolverConfig(t_end=0.02, dt=0.01))
+
+
+# ---------------------------------------------------------------------------
+# a confirmed trail is the trail of a fresh closure
+
+
+def live_rounds(trail):
+    """Per line, the (mid, le, lt) of its live rounds."""
+    return [[(trail.mid[r, j], trail.le[r, j], trail.lt[r, j])
+             for r in np.flatnonzero(trail.live[:, j])] for j in range(trail.root.size)]
+
+
+def test_confirmed_trail_drops_the_rounds_a_sooner_exact_root_leaves():
+    # line 0's root moves from 0.3 onto the dyadic 0.5, the midpoint of its
+    # second round, so its resumed bisection ends there, 30-odd rounds
+    # before its recorded one; line 1 keeps its root
+    center = np.zeros(2)
+
+    def linear(roots):
+        return lambda b: b - np.asarray(roots)
+
+    first = _bisect_lockstep(linear([0.3, 0.7]), center, 1e-10)
+    for roots in ([0.5, 0.7], [0.3, 0.7], [0.5 + 2.0**-30, 0.7]):
+        fresh = _bisect_lockstep(linear(roots), center, 1e-10)
+        confirmed = parabolic._confirm_lockstep(linear(roots), center, 1e-10, first)
+        assert confirmed.x_lo is first.x_lo  # resumed, not closed afresh
+        assert np.array_equal(confirmed.root, fresh.root)
+        assert live_rounds(confirmed) == live_rounds(fresh)
+        first = confirmed
+    assert len(live_rounds(_bisect_lockstep(linear([0.5, 0.7]), center, 1e-10))[0]) == 2
