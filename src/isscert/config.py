@@ -89,22 +89,26 @@ def _reject_unknown(doc, allowed, path):
 # ---------------------------------------------------------------------------
 # leaves: time signals, profiles, fields, monotone maps, speed maps
 
+# the monotone maps are plain arithmetic: a float in gives a float out, with
+# the bits an array gives elementwise, so both flux closure kernels read the
+# same law values
+
 
 def _identity():
-    return lambda v: np.asarray(v, dtype=float) + 0.0
+    return lambda v: v + 0.0
 
 
 def _linear(slope):
     if not slope > 0:
         raise ValueError("slope must be positive")
-    return lambda v: slope * np.asarray(v, dtype=float)
+    return lambda v: slope * v
 
 
 def _cubic(gamma):
     """v + gamma*v**3, elementwise."""
     if not gamma >= 0:
         raise ValueError("gamma must be nonnegative")
-    return lambda v: np.asarray(v, dtype=float) * (1.0 + gamma * np.asarray(v, dtype=float) ** 2)
+    return lambda v: v * (1.0 + gamma * (v * v))
 
 
 def _constant_speed(value):

@@ -14,24 +14,21 @@ of the interval, or all lines of a sweep on the square, stacked with zero
 couplings into one banded solve.  The interior unknowns of a line are
 affine in its end values, so the balance at each flux end becomes a
 strictly increasing scalar equation with a guaranteed bracket, closed by
-bisection in one closure, :func:`_solve_lines`.  Its bisection has two
-kernels chosen by the stack height: one line runs on Python floats end to
-end, from its end factors and boundary values through the coupled sweeps
-to its end values; more lines run in lockstep on arrays.  Both take the
-same decisions, so a line gives the same bits alone or in a stack.  The
-one-line kernel locates the
-root by regula falsi first and then replays the bisection, evaluating the
-flux law only at the midpoints near the root, where a rounding bound
-cannot tell the residual's sign: about 4 law calls per closure on linear
-laws and 8 to 10 on cubic ones, instead of 37.  The lockstep kernel is a
-plain bisection that records its trail, the points it evaluated and the
-signs it read there: on a stack the per-round work of masking predicted
-lines costs more than the law calls it saves, so rounds, not points, are
-what to cut.  A later coupled closure of the same end differs only
-through the other end's value; it reads the new signs on its whole trail
-in one call and bisects only from the first round where a line's signs
-change: after the first sweep, a few late rounds or none on the bundled
-2-D runs.
+bisection in one closure, :func:`_solve_lines`.  Both of its kernels run
+one bisection, on two data layouts chosen by the stack height: one line
+runs on Python floats end to end, from its end factors and boundary
+values through the coupled sweeps to its end values; more lines run in
+lockstep on arrays.  Each expands the bracket and evaluates every
+midpoint, with the same exact-root and adjacent-float exits, so a line
+gives the same bits alone or in a stack for any law that gives a float
+the bits an array gives elementwise.  The lockstep kernel also records
+its trail, the points it evaluated and the signs it read there: on a
+stack the per-round work of masking predicted lines costs more than the
+law calls it saves, so rounds, not points, are what to cut.  A later
+coupled closure of the same end differs only through the other end's
+value; it reads the new signs on its whole trail in one call and bisects
+only from the first round where a line's signs change: after the first
+sweep, a few late rounds or none on the bundled 2-D runs.
 :func:`solve_parabolic` supplies the step of either dimension to the time
 loop all steppers share, :func:`~isscert.solvers.common.march`.  It binds
 every field to its points once per solve
@@ -68,13 +65,6 @@ _SLOPE_TOL = 1e-8
 # _MAP_BLOCK intervals at a time, up to states of _MAP_REACH_MAX
 _MAP_REACH, _MAP_INTERVALS, _MAP_BLOCK, _MAP_REACH_MAX = 10.0, 400, 4000, 1e6
 
-# one-line flux closure: at most _LOCATE_STEPS regula falsi estimates,
-# probing _PROBE*bc_tol beside the last one, locate the root; the replayed
-# bisection then evaluates the residual within the larger of _WINDOW*bc_tol
-# and _ROUNDING*P/s (see _rounding_margin) of it
-_PROBE, _WINDOW, _LOCATE_STEPS = 1e-3, 1e-2, 40
-_ROUNDING = 2.0 ** -46
-
 # a line with two flux ends gives up after _SWEEPS coupled sweeps
 _SWEEPS, _UNSETTLED = 100, "coupled flux boundaries did not settle"
 
@@ -98,10 +88,9 @@ class ParabolicScenario:
     :func:`solve_parabolic` checks them again at that spacing on [-R, R]
     when the run reaches a state magnitude R above 10.  A
     flux law (boundary_reaction) must be nondecreasing everywhere, not
-    only there: the one-line flux closure's rounding margin rests on it,
-    and a law that dips between the samples passes :meth:`validate` but
-    can change the closure's bits.  The config-built laws are monotone;
-    a law passed through the Python API is the caller's to check.
+    only there, for the flux closure's bracket to hold the root.  The
+    config-built laws are monotone; a law passed through the Python API
+    is the caller's to check.
 
     a, c, f, d1 and d2 are SpaceTimeFields, so their infs and sups are
     exact; :meth:`validate` refuses any other callable.  a0 and c0 are
@@ -176,7 +165,7 @@ class ParabolicScenario:
         if pos.size and np.any(np.asarray(self.boundary_reaction(-pos))
                                > -np.asarray(self.boundary_reaction(pos)) + _SIGN_TOL):
             raise ScenarioError("boundary reaction must satisfy varphi(-v) <= -varphi(v)")
-        # the flux closure's bracket and its rounding margin rest on this
+        # the flux closure's bracket rests on this
         if np.any(np.diff(bphi) < -_SIGN_TOL):
             raise ScenarioError("boundary reaction must be nondecreasing")
 
@@ -411,23 +400,16 @@ def _close_line(h, dt, w_old, src, base, resp, af, data, varphi, bc_tol):
 
     The line's factors, its boundary data (a scalar or a size-1 array)
     and the coupled sweeps' state are read as Python floats once, and the
-    flux law sees floats.  Each closure is :func:`_bisect_scalar`: it
-    locates the root by Pegasus regula falsi and replays the bisection on
-    that bracket, evaluating only the midpoints within a rounding margin
-    of it, built from the residual's factors by :func:`_rounding_margin`.
+    flux law sees floats.  Each closure is :func:`_bisect_scalar`, the
+    bisection :func:`_close_stack` runs in lockstep, on the float layout.
     """
-    def law(b):
-        return float(varphi(b))
-
     data = {end: np.asarray(value, dtype=float).item() for end, value in data.items()}
     factors = {end: _end_factors(end, np.ndarray.item, h, w_old, src, base, resp, af, data[end])
                for end in resp}
 
     def close(end, other):
-        w_i, src_i, base_k, c_d2, c_face, terms = fac = factors[end]
-        margin = _rounding_margin(dt, w_i, src_i, base_k, c_d2, c_face, other, terms)
-        return _bisect_scalar(_residual(dt, 2.0 / h, law, other, *fac), w_i, bc_tol,
-                              margin=margin)
+        fac = factors[end]
+        return _bisect_scalar(_residual(dt, 2.0 / h, varphi, other, *fac), fac[0], bc_tol)
 
     if len(resp) == 1:
         (end,) = resp
@@ -449,9 +431,9 @@ def _close_stack(h, dt, w_old, src, base, resp, af, data, varphi, bc_tol):
     """:func:`_close_line` for each line of a stack, in lockstep on arrays:
     the end values as (lines, 1) columns.
 
-    Each closure is :func:`_bisect_lockstep`, which evaluates every
-    midpoint: a plain bisection, and the tests' oracle for the float
-    kernel.  With two flux ends, each end keeps the :class:`_Trail` of its
+    Each closure is :func:`_bisect_lockstep`, the bisection of
+    :func:`_bisect_scalar` on arrays, which records its trail.  With two
+    flux ends, each end keeps the :class:`_Trail` of its
     last closure, and its next closure, on the same lines and centres,
     confirms that trail with :func:`_confirm_lockstep` instead of bisecting
     anew; lines that settle leave both trails.
@@ -498,143 +480,30 @@ def _close_stack(h, dt, w_old, src, base, resp, af, data, varphi, bc_tol):
 
 
 def _expand_scalar(res, center, side):
-    """Bracket end for the increasing scalar res, with its residual: step
-    outward from center, doubling the span, until res changes sign."""
+    """Bracket end for the increasing scalar res: step outward from
+    center, doubling the span, until res changes sign."""
     span = max(1.0, abs(center))
     for _ in range(80):
         x = center - span if side == "low" else center + span
         r = res(x)
         if (r <= 0.0) if side == "low" else (r >= 0.0):
-            return x, r
+            return x
         span *= 2.0
     raise RuntimeError(f"flux boundary bracket expansion failed ({side} side)")
 
 
-def _rounding_margin(dt, w_i, src_i, base_k, c_d2, c_face, other, terms):
-    """Half-width, as a function of X, of the window around a located root
-    outside which :func:`_bisect_scalar` predicts residual signs.
-
-    The arguments are the factors :func:`_end_factors` reads for one line
-    in :func:`_close_line`, and the other flux end's value; X bounds |b|
-    over the bisection bracket [lo, hi].
-    Write the computed residual of a float b as r(b) = R(b) + e(b), where
-    R evaluates the same formula exactly on the same float factors and on
-    L(b) = varphi(b), the law's float value; u = 2^-53.
-
-    * Slope.  L is nondecreasing (a hypothesis of the class, which
-      :meth:`ParabolicScenario.validate` samples; the config's identity,
-      linear and cubic laws are monotone compositions of correctly rounded
-      operations, so their float values are too) and the other terms are
-      linear in b, so for floats b1 < b2,
-      R(b2) - R(b1) >= s (b2 - b1) with s = 1/dt + c_face (1 - r_own).
-      The exact inner response r_own to the own end lies in [0, 1], so
-      s >= 1/dt; rounding can push the computed r_own past 1, so the
-      margin is infinite unless the computed s is at least 1/(2 dt), which
-      then holds s to within 5u.
-    * Rounding.  Each of the formula's nine leaf products (b/dt, w/dt,
-      c_phi L, c_d2, c_face b, c_face base, c_face b r_own, c_face other
-      r_other, src) passes through at most seven roundings, so
-      |e(b)| <= g M(b) with g = 7u/(1 - 7u) and M(b) the sum of their
-      absolute values.  Let P bound M less its c_phi L term over |b| <= X.
-      Since c_phi |L(b)| <= |R(b)| + P, |e(b)| <= g (2P + |R(b)|).
-    * Sign.  Let E = 2gP/(1 - g).  An evaluated a with r(a) <= 0 has
-      R(a) <= E (if R(a) > 0, then R(a) <= r(a) + g (2P + R(a))).  A float
-      x with a - x > w >= 2E/s then has R(x) <= R(a) - s (a - x) < -E, so
-      r(x) <= (1 - g) R(x) + 2gP < 0: never zero, never positive.  In the
-      same way an evaluated b with r(b) > 0 has R(b) >= -E, and x - b > w
-      gives r(x) > 0.  A comparison ``a - x > w`` made in floats implies
-      the exact one, since rounding is monotone and w is a float.
-    * Margin.  2E/s < 2^-48 P/s.  The margin 2^-46 P/s, P and s as
-      computed (each within 13u), leaves a factor near 4, which also
-      covers underflow (at most 2^-1074 per rounding, while P/s >= X >= 1)
-      for any dt below 2^1000.
-
-    An overflowing or NaN margin is infinite, so every midpoint is then
-    evaluated.
-    """
-    r_own = next(r_k for own, r_k in terms if own)
-    slope = 1.0 / dt + c_face * (1.0 - r_own)
-    if not slope * dt >= 0.5:
-        return lambda x: math.inf
-    fixed = (abs(w_i) / dt + abs(c_d2) + abs(src_i) + abs(c_face) * (
-        abs(base_k) + sum(abs(other * r_k) for own, r_k in terms if not own)))
-    per_x = 1.0 / dt + abs(c_face) * (1.0 + abs(r_own))
-
-    def margin(x):
-        m = _ROUNDING * (fixed + per_x * x) / slope
-        return m if m < math.inf else math.inf
-
-    return margin
-
-
-def _locate(res, lo, r_lo, hi, r_hi, probe):
-    """Float-sign bracket of the root of the increasing scalar res.
-
-    Regula falsi with the Pegasus weights (Dowell & Jarratt, BIT 1972)
-    narrows the bracket [lo, hi], whose residuals are r_lo and r_hi.  An
-    estimate is kept at least probe from the point evaluated last, on the
-    side the root lies, so near the root it probes that point's
-    neighbourhood.  Returns evaluated points a < b with
-    res(a) <= 0 < res(b) once b - a < 2 probe or no float lies between
-    them, else after _LOCATE_STEPS estimates.  A NaN residual, or a zero
-    at hi, gives (-inf, inf): no bracket.
-    """
-    if not r_lo <= 0.0 < r_hi:
-        return -math.inf, math.inf
-    a, fa, b, fb, side = lo, r_lo, hi, r_hi, 0
-    for _ in range(_LOCATE_STEPS):
-        x = b - fb * ((b - a) / (fb - fa)) if fb > fa else 0.5 * (a + b)
-        if side < 0:
-            x = max(x, a + probe)
-        elif side > 0:
-            x = min(x, b - probe)
-        if not a < x < b:
-            x = 0.5 * (a + b)
-        if b - a < 2.0 * probe or not a < x < b:
-            break
-        fx = res(x)
-        # an end kept twice in a row has its residual scaled down
-        if fx <= 0.0:
-            if side < 0:
-                fb *= fa / (fa + fx) if fa + fx < 0.0 else 0.5
-            a, fa, side = x, fx, -1
-        elif fx > 0.0:
-            if side > 0:
-                fa *= fb / (fb + fx)
-            b, fb, side = x, fx, 1
-        else:
-            return -math.inf, math.inf
-    return a, b
-
-
-def _bisect_scalar(res, center, bc_tol, margin):
-    """Root of the increasing scalar res, bisected down to bc_tol.
-
-    The bisection below defines the answer.  It is replayed on a bracket
-    that :func:`_locate` finds first, so that it evaluates res only near
-    the root: a midpoint further than w below the located bracket moves
-    lo, one further than w above it moves hi, and every other midpoint is
-    evaluated, so the decisions, the exact-root exit, the adjacent-float
-    stop and the result are those of evaluating every midpoint.  w is the
-    larger of _WINDOW*bc_tol and margin(X) (see
-    :func:`_rounding_margin`), which makes a predicted sign the sign the
-    float residual has there.
-    """
-    lo, r_lo = _expand_scalar(res, center, "low")
-    hi, r_hi = _expand_scalar(res, center, "high")
-    a, b = _locate(res, lo, r_lo, hi, r_hi, _PROBE * bc_tol)
-    w = max(_WINDOW * bc_tol, margin(max(abs(lo), abs(hi))))
+def _bisect_scalar(res, center, bc_tol):
+    """Root of the increasing scalar res, bisected down to bc_tol: the
+    bracket from :func:`_expand_scalar`, then every midpoint evaluated,
+    as :func:`_bisect_rounds` does for each line of a stack."""
+    lo = _expand_scalar(res, center, "low")
+    hi = _expand_scalar(res, center, "high")
     while hi - lo > bc_tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             # adjacent floats wider apart than bc_tol
             break
-        if a - mid > w:
-            r = -1.0  # res(mid) < 0, proven by the margin
-        elif mid - b > w:
-            r = 1.0
-        else:
-            r = res(mid)
+        r = res(mid)
         if r == 0.0:
             # exact root (equilibria land here); keep it bitwise
             return mid

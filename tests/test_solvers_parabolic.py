@@ -327,46 +327,37 @@ def test_float_kernel_matches_lockstep_across_laws_and_steps(kinds, gamma, lam):
 @pytest.mark.parametrize("root", [0.0, 0.5, -0.375, 3.0 / 1024, 12345.0 / 2**30,
                                   -2.0**-33, 1.0 / 3.0])
 def test_float_kernel_keeps_exact_roots(root):
-    # b - root has an exact sign, so a zero margin is sound; a dyadic root
-    # is a midpoint of the bisection from [-1, 1], found after the replay
-    # has skipped the midpoints far from it
-    seen = []
-
-    def res(b):
-        seen.append(b)
-        return b - root
-
-    got = _bisect_scalar(res, 0.0, 1e-10, lambda x: 0.0)
+    # a dyadic root is a midpoint of the bisection from [-1, 1], where the
+    # residual b - root is exactly zero
+    got = _bisect_scalar(lambda b: b - root, 0.0, 1e-10)
     want = _bisect_lockstep(lambda b: b - root, np.array([0.0]), 1e-10).root[0]
     assert got == want
     if root != 1.0 / 3.0:
         assert got == root
-    assert len(seen) <= 10
 
 
 @pytest.mark.parametrize("root", [0.1234567, -0.7, 0.5 + 2.0**-20])
 def test_float_kernel_margin_covers_a_noisy_residual(root):
     # a residual of slope 1 whose float values carry noise up to 1e-9 is
-    # not monotone within 2e-9 of its root, 20 bc_tol wide; the replay
-    # must evaluate all of that range to take the plain bisection's turns
+    # not monotone within 2e-9 of its root, 20 bc_tol wide; both kernels
+    # take the same turns there
     noise = 1e-9
 
     def res(b):
         return (b - root) + noise * ((hash(b) % 2001) - 1000) / 1000.0
 
-    got = _bisect_scalar(res, 0.0, 1e-10, lambda x: 2.0 * noise)
+    got = _bisect_scalar(res, 0.0, 1e-10)
     want = _bisect_lockstep(lambda b: np.array([res(float(v)) for v in b]),
                             np.array([0.0]), 1e-10).root[0]
     assert got == want
 
 
 def test_float_kernel_without_a_located_bracket_evaluates_every_midpoint():
-    # NaN residuals near the root leave no located bracket, so the replay
-    # must evaluate as the plain bisection does (a NaN moves hi)
+    # NaN residuals near the root: a NaN moves hi in both kernels
     def res(b):
         return np.where(np.abs(b - 0.3) < 1e-3, np.nan, b - 0.3)
 
-    got = _bisect_scalar(lambda b: float(res(b)), 0.0, 1e-10, lambda x: 0.0)
+    got = _bisect_scalar(lambda b: float(res(b)), 0.0, 1e-10)
     assert got == _bisect_lockstep(res, np.array([0.0]), 1e-10).root[0]
 
 
@@ -445,15 +436,7 @@ def test_solve_lines_exact_root_equilibrium(monkeypatch):
 
 def test_solve_lines_stops_on_adjacent_floats(monkeypatch):
     # near 6e5 adjacent floats lie more than bc_tol = 1e-10 apart, so the
-    # bracket cannot shrink below bc_tol; both closures must still stop.
-    # There the float kernel's rounding margin exceeds its fixed window.
-    margins = []
-
-    def recorded(res, center, bc_tol, margin):
-        margins.append(margin(2.0 * abs(center)) / bc_tol)
-        return _bisect_scalar(res, center, bc_tol, margin)
-
-    monkeypatch.setattr(parabolic, "_bisect_scalar", recorded)
+    # bracket cannot shrink below bc_tol; both closures must still stop
     seen = confirm_spy(monkeypatch)
     rng = np.random.default_rng(5)
     w_old, af, src, ends = random_lines(rng)
@@ -463,7 +446,6 @@ def test_solve_lines_stops_on_adjacent_floats(monkeypatch):
                                        varphi=lambda v: v)
         assert np.all(np.isfinite(batched))
         assert np.array_equal(batched, per_line)
-    assert min(margins) > parabolic._WINDOW
     assert seen["resumed_at"]
 
 
@@ -482,54 +464,77 @@ def test_float_kernel_matches_lockstep_on_random_lines(seed, kinds, scale, gamma
     assert np.array_equal(batched, per_line)
 
 
-def counting_closures(monkeypatch):
-    """Counters of float-kernel closures and of the flux-law calls they make."""
-    count = {"closures": 0, "calls": 0}
-
-    def closure(*args, **kwargs):
-        count["closures"] += 1
-        return _bisect_scalar(*args, **kwargs)
-
-    monkeypatch.setattr(parabolic, "_bisect_scalar", closure)
-
-    def counted(law):
-        def call(v):
-            count["calls"] += 1
-            return law(v)
-        return call
-
-    return count, counted
+def dipping_law(v):
+    """Odd, of the sign of v and rising at validate's samples, each on a
+    crest of the cosine, but falling between them."""
+    return v * (1.5 + np.cos(40.0 * np.pi * v))
 
 
-def test_flux_closure_calls_per_closure_on_step_data(monkeypatch):
-    # step data of the bundled heat_clm_demo kind: identity law, one flux end
-    count, counted = counting_closures(monkeypatch)
-    plan = load_plan("heat_clm_demo")
-    scn = replace(plan.scenario, boundary_reaction=counted(plan.scenario.boundary_reaction))
-    solve_parabolic(scn, plan.grid, replace(plan.solver, t_end=0.25))
-    assert count["closures"] == 250
-    assert count["calls"] <= 10 * count["closures"]
+@pytest.mark.parametrize("kinds", FLUX_KINDS)
+def test_kernels_agree_on_a_law_that_dips_between_samples(kinds):
+    make_scenario(boundary_reaction=dipping_law).validate()
+    rng = np.random.default_rng(10)
+    for scale in (1e-3, 0.1, 1.0, 50.0):
+        for _ in range(5):
+            w_old, af, src, ends = random_lines(rng, scale=scale)
+            batched, per_line = solve_both(w_old, af, src, kinds, ends, varphi=dipping_law)
+            assert np.array_equal(batched, per_line)
 
 
-def test_flux_closure_calls_per_closure_on_two_flux_ends(monkeypatch):
-    count, counted = counting_closures(monkeypatch)
-    # a run with a cubic law at both ends and time-varying flux data
-    scn = make_scenario(
-        gamma1=(), gamma2=("left", "right"), boundary_reaction=counted(cubic(1.2)),
-        d2=SpaceTimeField.from_signal(TimeSignal.sinusoid(0.3, 1.8, 0.5)),
-        w0=profile_sum(profile_constant(0.2), profile_sin(1.6, mode=1)))
-    solve_parabolic(scn, Grid1D(200, layout="node"), SolverConfig(t_end=0.2, dt=0.002))
-    assert count["closures"] >= 200
-    assert count["calls"] <= 10 * count["closures"]
-    # random lines, one at a time
-    count["closures"] = count["calls"] = 0
-    rng = np.random.default_rng(8)
-    w_old, af, src, ends = random_lines(rng, n_lines=20)
-    for k in range(20):
-        solve_one_line(w_old[k], 1.0 / 11, 0.01, af[k], src[k], ("flux", ends[0][k]),
-                       ("flux", ends[1][k]), counted(cubic(0.8)), 1e-10)
-    assert count["closures"] >= 40
-    assert count["calls"] <= 10 * count["closures"]
+def lockstep_trails(monkeypatch):
+    """The trails of the lockstep closures, in the order they close."""
+    trails = []
+    bisect, confirm = parabolic._bisect_lockstep, parabolic._confirm_lockstep
+
+    def fresh(res, center, bc_tol):
+        trails.append(bisect(res, center, bc_tol))
+        return trails[-1]
+
+    def confirmed(res, center, bc_tol, trail):
+        out = confirm(res, center, bc_tol, trail)
+        if out.x_lo is trail.x_lo:  # a stack closed afresh is in already
+            trails.append(out)
+        return out
+
+    monkeypatch.setattr(parabolic, "_bisect_lockstep", fresh)
+    monkeypatch.setattr(parabolic, "_confirm_lockstep", confirmed)
+    return trails
+
+
+def trail_points(trail, j):
+    """The points a trail records for line j: the expansions up to their
+    stops, then the midpoints of its live rounds."""
+    return [*trail.x_lo[:trail.stop_lo[:, j].argmax() + 1, j],
+            *trail.x_hi[:trail.stop_hi[:, j].argmax() + 1, j],
+            *trail.mid[trail.live[:, j], j]]
+
+
+@pytest.mark.parametrize("kinds", FLUX_KINDS)
+def test_one_line_kernel_evaluates_the_points_of_the_lockstep_trail(monkeypatch, kinds):
+    # a line stacked twice runs in lockstep, both columns alike; alone it
+    # runs on floats and must call the law at the trail's points, in order
+    trails = lockstep_trails(monkeypatch)
+    rng = np.random.default_rng(9)
+    varphi = cubic(0.8)
+    for scale in (1.0, 1e3):
+        w_old, af, src, ends = random_lines(rng, scale=scale)
+        for k in range(w_old.shape[0]):
+            pair = np.r_[k, k]
+            trails.clear()
+            stacked = _solve_lines(w_old[pair], 1.0 / 11, 0.01, af[pair], src[pair],
+                                   (kinds[0], ends[0][pair]), (kinds[1], ends[1][pair]),
+                                   varphi, 1e-10)
+            points = []
+
+            def recorded(v):
+                points.append(v)
+                return varphi(v)
+
+            alone = solve_one_line(w_old[k], 1.0 / 11, 0.01, af[k], src[k],
+                                   (kinds[0], ends[0][k]), (kinds[1], ends[1][k]),
+                                   recorded, 1e-10)
+            assert np.array_equal(stacked[0], alone)
+            assert points == [p for trail in trails for p in trail_points(trail, 0)]
 
 
 def test_flux_law_sees_floats_on_one_line_and_arrays_on_a_stack():
