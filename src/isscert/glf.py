@@ -315,13 +315,19 @@ def glf_for_transport(scn, traj: Trajectory, p: float,
 
 def glf_for_wave(scn, traj: Trajectory, p: float, r: float,
                  eps: Optional[float] = None) -> GlfSpec:
+    """The wave functional on the pair (plus, minus), truncated at c*sup|d|.
+
+    The solver's pair has plus = w_t + c*w_y, and the damping law pins
+    plus(1, t) = c*d(t), so no smaller level lets the energy vanish: the
+    steady state w = d*y has plus = c*d and minus = -c*d everywhere.
+    """
     r = float(r)
     if not r > 0:
         raise ValueError("the wave functional needs a positive weight rate")
     eps = 0.5 * scn.c * r if eps is None else float(eps)
     if not scn.c * r - eps > 0:
         raise ValueError(f"need c*r - eps > 0, got c*r = {scn.c * r}, eps = {eps}")
-    level = float(running_sups(scn, traj.grid, traj.times[-1:])["d"][-1]) / scn.c
+    level = scn.c * float(running_sups(scn, traj.grid, traj.times[-1:])["d"][-1])
     return GlfSpec("wave", p, r, level, eps)
 
 

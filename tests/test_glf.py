@@ -14,8 +14,8 @@ from isscert.glf import (GlfSeries, GlfSpec, components,
                          wave_forcing_slack, weighted_energy)
 from isscert.signals import (SpaceTimeField, TimeSignal, profile_affine,
                              profile_constant)
-from isscert.solvers import (ParabolicScenario, ScenarioError,
-                             TransportScenario, WaveScenario)
+from isscert.solvers import (ParabolicScenario, ScenarioError, SolverConfig,
+                             TransportScenario, WaveScenario, solve_wave)
 from isscert.trunc import TruncationPair
 
 ONE = SpaceTimeField.constant(1.0)
@@ -201,7 +201,22 @@ def test_level_parabolic_needs_damping_floor():
 
 def test_level_transport_and_wave():
     assert glf_for_transport(make_transport(), ending_at(2.0, "transport"), 2.0).level == 1.5
-    assert glf_for_wave(make_wave(), ending_at(1.0, "wave"), 2.0, r=1.0).level == 0.4
+    assert glf_for_wave(make_wave(), ending_at(1.0, "wave"), 2.0, r=1.0).level == 1.6
+
+
+@pytest.mark.parametrize("c", [0.5, 2.0, 4.0])
+def test_wave_energy_vanishes_on_the_steady_state(c):
+    # w = d*y solves the damped wave with f = 0 and constant d exactly, and
+    # its pair plus = c*d, minus = -c*d lies inside the truncation band
+    d = 0.4
+    scn = WaveScenario(c=c, f=ZERO, d=TimeSignal.constant(d),
+                       w0=profile_affine(0.0, d), v0=profile_constant(0.0))
+    traj = solve_wave(scn, Grid1D(100, layout="node"), SolverConfig(t_end=2.0, cfl_sigma=0.9))
+    spec = glf_for_wave(scn, traj, 2.0, r=1.0)
+    rep = dissipation_report(traj, spec, dissipation_rate(spec, scn),
+                             wave_forcing_slack(traj, spec, scn.f))
+    assert np.all(rep.vhat <= 1e-30)
+    assert np.max(rep.vhat - rep.envelope) <= 0.0
 
 
 def test_invert_cube_root():
@@ -259,7 +274,7 @@ def test_builders_derive_specs():
 
     wspec = glf_for_wave(make_wave(), ending_at(1.0, "wave"), 2.0, r=1.0)
     assert wspec.eps == 0.5 * 2.0 * 1.0
-    assert wspec.level == 0.4
+    assert wspec.level == 1.6
     with pytest.raises(ValueError):
         glf_for_wave(make_wave(), ending_at(1.0, "wave"), 2.0, r=0.0)
     with pytest.raises(ValueError):
