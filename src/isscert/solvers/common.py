@@ -94,8 +94,9 @@ def march(traj, cfg, state, advance, step_dt=None):
     sized to the stamps it will hold.  Every state must be finite
     (SolverDivergedError(step, t) otherwise); the largest magnitude each
     state reaches over all steps goes to traj.counters["max_abs"], by
-    name.  Records t = 0, every output_stride-th step and the last step;
-    returns the list of accepted dt.
+    name, and the number of steps to traj.counters["steps"].  Records
+    t = 0, every output_stride-th step and the last step; returns the list
+    of accepted dt.
     """
     stride = cfg.output_stride
     if step_dt is not None:
@@ -126,7 +127,7 @@ def march(traj, cfg, state, advance, step_dt=None):
         reached(state, step, t)
         if step % stride == 0 or last:
             traj.append(t, **dict(zip(traj.names, state)))
-    traj.counters["max_abs"] = reach
+    traj.counters["max_abs"], traj.counters["steps"] = reach, len(dts)
     return dts
 
 

@@ -9,21 +9,24 @@ of the boundary and the nonlinear flux law
 
 on the rest.  Diffusion is implicit (backward Euler in one dimension,
 dimension-split backward Euler on the square); reaction and forcing are
-explicit.  Every implicit step solves stacks of grid lines: the one line
-of the interval, or all lines of a sweep on the square, stacked with zero
-couplings into one banded solve.  The interior unknowns of a line are
-affine in its end values, so the balance at each flux end becomes a
-strictly increasing scalar equation with a guaranteed bracket, closed by
-bisection in one closure, :func:`_solve_lines`.  Both of its kernels run
-one bisection, on two data layouts chosen by the stack height: one line
-runs on Python floats end to end, from its end factors and boundary
-values through the coupled sweeps to its end values; more lines run in
-lockstep on arrays.  Each expands the bracket and evaluates every
-midpoint, with the same exact-root and adjacent-float exits, so a line
-gives the same bits alone or in a stack for any law that gives a float
-the bits an array gives elementwise.  The lockstep kernel also records
-its trail, the points it evaluated and the signs it read there: on a
-stack the per-round work of masking predicted lines costs more than the
+explicit.  Every implicit step solves stacks of grid lines: the one line of
+the interval, or all lines of a sweep on the square, stacked with zero
+couplings into one tridiagonal band.  Each sweep factors its band once per
+operator (LAPACK gttrf), with the unit responses of its flux ends, and a
+step solves one right-hand side (gttrs); a new h, dt or diffusivity, such
+as a time-varying a or a shorter last step, refactors.  The interior
+unknowns of a line are affine in its end values, so the balance at each
+flux end becomes a strictly increasing scalar equation with a guaranteed
+bracket, closed by bisection in one closure, :func:`_solve_lines`.  Both of
+its kernels run one bisection, on two data layouts chosen by the stack
+height: one line runs on Python floats end to end, from its end factors
+and boundary values through the coupled sweeps to its end values; more
+lines run in lockstep on arrays.  Each expands the bracket and evaluates
+every midpoint, with the same exact-root and adjacent-float exits, so a
+line gives the same bits alone or in a stack for any law that gives a
+float the bits an array gives elementwise.  The lockstep kernel also
+records its trail, the points it evaluated and the signs it read there: on
+a stack the per-round work of masking predicted lines costs more than the
 law calls it saves, so rounds, not points, are what to cut.  A later
 coupled closure of the same end differs only through the other end's
 value; it reads the new signs on its whole trail in one call and bisects
@@ -32,11 +35,11 @@ sweep, a few late rounds or none on the bundled 2-D runs.
 :func:`solve_parabolic` supplies the step of either dimension to the time
 loop all steppers share, :func:`~isscert.solvers.common.march`.  It binds
 every field to its points once per solve
-(:meth:`~isscert.signals.SpaceTimeField.bind`): a on the faces, c and f
-on the nodes, d1 and d2 on the boundary points, so a step evaluates the
+(:meth:`~isscert.signals.SpaceTimeField.bind`): a on the faces, c and f on
+the nodes, d1 and d2 on the boundary points, so a step evaluates the
 fields' time signals only.  A run whose states reach beyond the range
-:meth:`ParabolicScenario.validate` samples has its maps checked again
-over the range it reached.
+:meth:`ParabolicScenario.validate` samples has its maps checked again over
+the range it reached.
 """
 
 from __future__ import annotations
@@ -67,13 +70,15 @@ _MAP_REACH, _MAP_INTERVALS, _MAP_BLOCK, _MAP_REACH_MAX = 10.0, 400, 4000, 1e6
 
 # a line with two flux ends gives up after _SWEEPS coupled sweeps
 _SWEEPS, _UNSETTLED = 100, "coupled flux boundaries did not settle"
+_NONFINITE = "non-finite diffusion band or right-hand side"
 
 
 @cache
-def _gtsv():
-    """LAPACK's tridiagonal solver; scipy is imported on the first solve."""
+def _lapack():
+    """LAPACK's tridiagonal factor and solve, gttrf and gttrs; scipy is
+    imported on the first factorisation."""
     from scipy.linalg import get_lapack_funcs
-    return get_lapack_funcs(("gtsv",), (np.zeros(1),))[0]
+    return get_lapack_funcs(("gttrf", "gttrs"), (np.zeros(1),))
 
 
 @dataclass
@@ -195,11 +200,11 @@ def solve_parabolic(scn: ParabolicScenario, grid, cfg: SolverConfig) -> Trajecto
     if scn.dim == 1:
         if not isinstance(grid, Grid1D) or grid.layout != "node":
             raise ValueError("one-dimensional runs need a node-centered Grid1D")
-        pts, a_faces, meta, implicit = _setup_1d(scn, grid, cfg)
+        pts, a_faces, bands, meta, implicit = _setup_1d(scn, grid, cfg)
     else:
         if not isinstance(grid, Grid2D):
             raise ValueError("two-dimensional runs need a Grid2D")
-        pts, a_faces, meta, implicit = _setup_2d(scn, grid, cfg)
+        pts, a_faces, bands, meta, implicit = _setup_2d(scn, grid, cfg)
     # every field is bound to its points once: a step evaluates signals only
     c_n, f_n = scn.c.bind(pts), scn.f.bind(pts)
     _check_floors(scn, a_faces, c_n, cfg.t_end)
@@ -218,6 +223,7 @@ def solve_parabolic(scn: ParabolicScenario, grid, cfg: SolverConfig) -> Trajecto
         **meta, "dt": cfg.dt, "t_end": cfg.t_end, "scenario": scn.label})
     march(traj, cfg, (np.asarray(scn.w0(pts), dtype=float),), advance,
           step_dt=lambda dt_max: dt_max)
+    traj.counters["band_factorizations"] = sum(band.factorizations for band in bands)
     reach = traj.counters["max_abs"]["u"]
     if reach > _MAP_REACH_MAX:
         raise ScenarioError(f"the maps are checked up to |u| = {_MAP_REACH_MAX:g}, "
@@ -244,23 +250,24 @@ def _at(bcs, tn):
 
 
 def _setup_1d(scn, grid, cfg):
-    """Nodes, diffusion bound on the faces, meta entries and implicit step
-    of a run on the interval."""
+    """Nodes, diffusion bound on the faces, the line's :class:`_Band`,
+    meta entries and implicit step of a run on the interval."""
     y = grid.points()
     a_f = scn.a.bind(0.5 * (y[:-1] + y[1:]))
     bcs = _bind_edges(scn, ("left", 0.0), ("right", 1.0))
+    band = _Band()
 
     def implicit(w, src, dt, tn):
-        return _solve_lines(w[None, :], grid.h, dt, a_f(tn)[None, :], src[None, :],
+        return _solve_lines(band, w[None, :], grid.h, dt, a_f(tn)[None, :], src[None, :],
                             *_at(bcs, tn), scn.boundary_reaction, cfg.bc_tol)[0]
 
     meta = {"scheme": "semi-implicit diffusion, explicit reaction", "dim": 1, "n": grid.n}
-    return y, [a_f], meta, implicit
+    return y, [a_f], [band], meta, implicit
 
 
 def _setup_2d(scn, grid, cfg):
-    """Nodes, diffusion bound on each sweep's faces, meta entries and
-    dimension-split implicit step on the square."""
+    """Nodes, diffusion bound on each sweep's faces, each sweep's band,
+    meta entries and dimension-split implicit step on the square."""
     X, Y = grid.points()
     xs, ys = X[:, 0], Y[0, :]
     xf, yf = 0.5 * (xs[:-1] + xs[1:]), 0.5 * (ys[:-1] + ys[1:])
@@ -278,67 +285,94 @@ def _setup_2d(scn, grid, cfg):
     d1_n, a_x, a_y = scn.d1.bind((X, Y)), scn.a.bind(x_faces), scn.a.bind(y_faces)
     x_bcs = _bind_edges(scn, ("left", (0.0, y_rows)), ("right", (1.0, y_rows)))
     y_bcs = _bind_edges(scn, ("bottom", (x_cols, 0.0)), ("top", (x_cols, 1.0)))
+    x_band, y_band = _Band(), _Band()
 
     def implicit(w, src, dt, tn):
         dvals = d1_n(tn)
         # sweep along x: rows carry the full explicit source
         w_star = dvals.copy()
         w_star[:, rows] = _solve_lines(
-            w[:, rows].T, grid.hx, dt, a_x(tn), src[:, rows].T, *_at(x_bcs, tn),
+            x_band, w[:, rows].T, grid.hx, dt, a_x(tn), src[:, rows].T, *_at(x_bcs, tn),
             scn.boundary_reaction, cfg.bc_tol).T
         # sweep along y: pure diffusion correction
         w_new = dvals.copy()
         w_new[cols, :] = _solve_lines(
-            w_star[cols, :], grid.hy, dt, a_y(tn), zero_src, *_at(y_bcs, tn),
+            y_band, w_star[cols, :], grid.hy, dt, a_y(tn), zero_src, *_at(y_bcs, tn),
             scn.boundary_reaction, cfg.bc_tol)
         return w_new
 
     meta = {"scheme": "dimension-split semi-implicit diffusion, explicit reaction",
             "dim": 2, "nx": nx, "ny": ny}
-    return (X, Y), [a_x, a_y], meta, implicit
+    return (X, Y), [a_x, a_y], [x_band, y_band], meta, implicit
 
 
-def _line_responses(w_old, h, dt, af, src, bc_lo, bc_hi):
+@dataclass
+class _Band:
+    """One sweep's memo of its last factored diffusion band: the key it was
+    factored under, gttrf's factors lu, the read-only unit responses resp
+    of its flux ends, and the number of factorisations so far."""
+
+    key: tuple = None
+    lu: list = None
+    resp: dict = None
+    factorizations: int = 0
+
+    def factor(self, key, h, dt, af, kinds):
+        """Factor the band of faces af under key; solve the ends' unit responses."""
+        n_lines, m = af.shape[0], af.shape[1] + 1
+        lam = dt / h**2
+        ab = np.zeros((3, n_lines, m))
+        ab[1] = 1.0
+        ab[1, :, 1:m - 1] = 1.0 + lam * (af[:, 1:] + af[:, :-1])
+        ab[0, :, 2:] = -lam * af[:, 1:]
+        ab[2, :, :m - 2] = -lam * af[:, :-1]
+        if not np.isfinite(ab).all():
+            raise RuntimeError(_NONFINITE)
+        # the diagonals of banded storage, on arrays owned here
+        ab = ab.reshape(3, n_lines * m)
+        gttrf, gttrs = _lapack()
+        *lu, info = gttrf(ab[2, :-1], ab[1], ab[0, 1:], True, True, True)
+        if info > 0:
+            raise np.linalg.LinAlgError("singular matrix")
+        # one right-hand side per row of unit, so unit.T is column-major
+        unit = np.zeros((2, n_lines, m))
+        unit[0, :, 0] = unit[1, :, m - 1] = 1.0
+        x = gttrs(*lu, unit.reshape(2, -1).T, overwrite_b=True)[0].T.reshape(2, n_lines, m)
+        x.flags.writeable = False
+        self.key, self.lu, self.resp = key, lu, {
+            end: x[j] for j, (end, kind) in enumerate(zip(("lo", "hi"), kinds)) if kind == "flux"}
+        self.factorizations += 1
+
+
+def _line_responses(band, w_old, h, dt, af, src, bc_lo, bc_hi):
     """Implicit diffusion solves along a stack of grid lines.
 
     w_old and src are (lines, m), af is (lines, m - 1) face diffusivities,
     and bc_lo / bc_hi are (kind, values) with one value per line.  The
     lines go into one tridiagonal band with zero couplings between them,
-    so a single LAPACK gtsv call solves all of them.  Returns the
-    (lines, m) solution with every flux end held at zero, and a dict
-    mapping each flux end, "lo" and/or "hi", to the response to a unit
-    value there.
+    which band, the sweep's :class:`_Band`, factors once per operator: anew
+    only when h, dt, the end kinds or the bits of af change, solving and
+    caching the ends' unit responses then.  A step solves one right-hand
+    side.  Returns the (lines, m) solution with every flux end held at
+    zero, and {end: read-only response to a unit value there} for each
+    flux end, "lo" and/or "hi".
     """
     n_lines, m = w_old.shape
-    lam = dt / h**2
-    ab = np.zeros((3, n_lines, m))
-    ab[1] = 1.0
-    ab[1, :, 1:m - 1] = 1.0 + lam * (af[:, 1:] + af[:, :-1])
-    ab[0, :, 2:] = -lam * af[:, 1:]
-    ab[2, :, :m - 2] = -lam * af[:, :-1]
-
-    ends = (("lo", 0, bc_lo), ("hi", m - 1, bc_hi))
-    flux = [(end, i) for end, i, (kind, _) in ends if kind == "flux"]
-    # one right-hand side per row of rhs, so rhs.T is gtsv's column-major b
-    rhs = np.zeros((1 + len(flux), n_lines * m))
-    cols = rhs.reshape(-1, n_lines, m)
-    cols[0, :, 1:m - 1] = w_old[:, 1:m - 1] + dt * src[:, 1:m - 1]
-    for _, i, (kind, value) in ends:
-        if kind == "dirichlet":
-            cols[0, :, i] = value
-    for col, (_, i) in enumerate(flux, start=1):
-        cols[col, :, i] = 1.0
-    if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
-        raise RuntimeError("non-finite diffusion band or right-hand side")
-    # the LAPACK routine solve_banded((1, 1), ...) calls, on arrays owned here
-    ab = ab.reshape(3, n_lines * m)
-    info = _gtsv()(ab[2, :-1], ab[1], ab[0, 1:], rhs.T, True, True, True, True)[-1]
-    if info > 0:
-        raise np.linalg.LinAlgError("singular matrix")
-    return cols[0], {end: cols[col] for col, (end, _) in enumerate(flux, start=1)}
+    kinds = (bc_lo[0], bc_hi[0])
+    key = (h, dt, kinds, af.shape, af.tobytes())
+    if band.key != key:
+        band.factor(key, h, dt, af, kinds)
+    rhs = np.empty((n_lines, m))
+    rhs[:, 1:m - 1] = w_old[:, 1:m - 1] + dt * src[:, 1:m - 1]
+    for i, (kind, value) in ((0, bc_lo), (m - 1, bc_hi)):
+        rhs[:, i] = value if kind == "dirichlet" else 0.0
+    if not np.isfinite(rhs).all():
+        raise RuntimeError(_NONFINITE)
+    base = _lapack()[1](*band.lu, rhs.reshape(-1, 1), overwrite_b=True)[0]
+    return base.reshape(n_lines, m), band.resp
 
 
-def _solve_lines(w_old, h, dt, af, src, bc_lo, bc_hi, varphi, bc_tol):
+def _solve_lines(band, w_old, h, dt, af, src, bc_lo, bc_hi, varphi, bc_tol):
     """Implicit diffusion solves along a stack of grid lines, flux ends closed.
 
     The arguments are those of :func:`_line_responses` (a boundary value
@@ -355,7 +389,7 @@ def _solve_lines(w_old, h, dt, af, src, bc_lo, bc_hi, varphi, bc_tol):
     :func:`_close_stack` in lockstep on arrays.  Both take the same
     decisions, so a line gives the same bits alone or in a stack.
     """
-    base, resp = _line_responses(w_old, h, dt, af, src, bc_lo, bc_hi)
+    base, resp = _line_responses(band, w_old, h, dt, af, src, bc_lo, bc_hi)
     if not resp:
         return base
     close = _close_line if w_old.shape[0] == 1 else _close_stack

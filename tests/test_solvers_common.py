@@ -98,6 +98,7 @@ def test_march_records_the_largest_magnitude_over_every_step():
     assert len(traj) == traj._times.size == 3
     assert np.abs(traj.states()).max() == 1.0
     assert traj.counters["max_abs"] == {"u": 7.5}
+    assert traj.counters["steps"] == 10
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -22,7 +22,8 @@ from isscert.signals import (SpaceTimeField, TimeSignal, profile_bump,
                              profile2d_sinprod)
 from isscert.solvers import (ParabolicScenario, ScenarioError, SolverConfig,
                              SolverDivergedError, solve_parabolic)
-from isscert.solvers.parabolic import _bisect_lockstep, _bisect_scalar, _solve_lines
+from isscert.solvers.parabolic import (_Band, _bisect_lockstep, _bisect_scalar,
+                                       _line_responses, _solve_lines)
 
 ZERO = SpaceTimeField.constant(0.0)
 ONE = SpaceTimeField.constant(1.0)
@@ -275,7 +276,7 @@ KINDS = ("dirichlet", "flux")
 
 def solve_one_line(w_old, h, dt, af, src, bc_lo, bc_hi, varphi, bc_tol):
     """_solve_lines on the one-line stack of a single line's data."""
-    return _solve_lines(w_old[None, :], h, dt, af[None, :], src[None, :],
+    return _solve_lines(_Band(), w_old[None, :], h, dt, af[None, :], src[None, :],
                         bc_lo, bc_hi, varphi, bc_tol)[0]
 
 
@@ -290,7 +291,7 @@ def random_lines(rng, n_lines=7, m=12, scale=1.0):
 def solve_both(w_old, af, src, kinds, ends, h=1.0 / 11, dt=0.01,
                varphi=cubic(0.8)):
     bc_lo, bc_hi = (kinds[0], ends[0]), (kinds[1], ends[1])
-    batched = _solve_lines(w_old, h, dt, af, src, bc_lo, bc_hi, varphi, 1e-10)
+    batched = _solve_lines(_Band(), w_old, h, dt, af, src, bc_lo, bc_hi, varphi, 1e-10)
     per_line = np.array([
         solve_one_line(w_old[k], h, dt, af[k], src[k], (kinds[0], ends[0][k]),
                        (kinds[1], ends[1][k]), varphi, 1e-10)
@@ -521,7 +522,7 @@ def test_one_line_kernel_evaluates_the_points_of_the_lockstep_trail(monkeypatch,
         for k in range(w_old.shape[0]):
             pair = np.r_[k, k]
             trails.clear()
-            stacked = _solve_lines(w_old[pair], 1.0 / 11, 0.01, af[pair], src[pair],
+            stacked = _solve_lines(_Band(), w_old[pair], 1.0 / 11, 0.01, af[pair], src[pair],
                                    (kinds[0], ends[0][pair]), (kinds[1], ends[1][pair]),
                                    varphi, 1e-10)
             points = []
@@ -548,7 +549,7 @@ def test_flux_law_sees_floats_on_one_line_and_arrays_on_a_stack():
             seen.add(type(v))
             return varphi(v)
 
-        _solve_lines(w_old[rows], 1.0 / 11, 0.01, af[rows], src[rows],
+        _solve_lines(_Band(), w_old[rows], 1.0 / 11, 0.01, af[rows], src[rows],
                      ("flux", ends[0][rows]), ("flux", ends[1][rows]), recorded, 1e-10)
         assert seen == {want}
 
@@ -560,14 +561,14 @@ def test_solve_lines_nan_residual_raises():
     varphi = cubic(0.8)
     for kind in ("dirichlet", "flux"):
         with pytest.raises(RuntimeError, match="bracket expansion failed"):
-            _solve_lines(w_old, 0.1, 0.01, af, src, (kind, ends[0]),
+            _solve_lines(_Band(), w_old, 0.1, 0.01, af, src, (kind, ends[0]),
                          ("flux", ends[1]), varphi, 1e-10)
     with pytest.raises(RuntimeError, match="bracket expansion failed"):
         solve_one_line(w_old[3], 0.1, 0.01, af[3], src[3], ("dirichlet", ends[0][3]),
                        ("flux", ends[1][3]), varphi, 1e-10)
     src[2, 5] = np.inf
     with pytest.raises(RuntimeError, match="non-finite"):
-        _solve_lines(w_old, 0.1, 0.01, af, src, ("dirichlet", ends[0]),
+        _solve_lines(_Band(), w_old, 0.1, 0.01, af, src, ("dirichlet", ends[0]),
                      ("dirichlet", ends[0]), varphi, 1e-10)
 
 
@@ -596,7 +597,7 @@ def test_confirmed_closure_with_nan_residuals_raises():
         return np.full(np.shape(v), np.nan) if any(stacked) else varphi(v)
 
     with pytest.raises(RuntimeError, match="bracket expansion failed"):
-        _solve_lines(w_old, 0.1, 0.01, af, src, ("flux", ends[0]), ("flux", ends[1]),
+        _solve_lines(_Band(), w_old, 0.1, 0.01, af, src, ("flux", ends[0]), ("flux", ends[1]),
                      law, 1e-10)
     assert stacked[-1] is False and sum(stacked) == 1
 
@@ -721,7 +722,7 @@ def per_step_1d(scn, grid, cfg, partner):
             kind, value = bc_spec(scn, edge, coord, tn)
             ends.append((kind, np.array([value, 0.5 * value - 0.1])))
         stack = np.stack([w, partner(w)])
-        w = _solve_lines(stack, grid.h, dt, np.repeat(scn.a(yf, tn)[None, :], 2, axis=0),
+        w = _solve_lines(_Band(), stack, grid.h, dt, np.repeat(scn.a(yf, tn)[None, :], 2, axis=0),
                          np.stack([src, 0.3 * src]), *ends, scn.boundary_reaction,
                          cfg.bc_tol)[0]
         states.append(w)
@@ -855,3 +856,129 @@ def test_confirmed_trail_drops_the_rounds_a_sooner_exact_root_leaves():
         assert live_rounds(confirmed) == live_rounds(fresh)
         first = confirmed
     assert len(live_rounds(_bisect_lockstep(linear([0.5, 0.7]), center, 1e-10))[0]) == 2
+
+
+# ---------------------------------------------------------------------------
+# the diffusion band: factored once per operator, solved once per step
+
+NONFINITE = "non-finite diffusion band or right-hand side"
+
+
+def gtsv_responses(w_old, h, dt, af, src, kinds, ends):
+    """The base and flux-end responses of a stack from scipy's
+    solve_banded((1, 1), ...), which calls LAPACK gtsv, on the stepper's band."""
+    from scipy.linalg import solve_banded
+    n_lines, m = w_old.shape
+    lam = dt / h**2
+    ab = np.zeros((3, n_lines, m))
+    ab[1] = 1.0
+    ab[1, :, 1:-1] = 1.0 + lam * (af[:, 1:] + af[:, :-1])
+    ab[0, :, 2:] = -lam * af[:, 1:]
+    ab[2, :, :-2] = -lam * af[:, :-1]
+    ab = ab.reshape(3, -1)
+    rhs, resp = np.zeros((n_lines, m)), {}
+    rhs[:, 1:-1] = w_old[:, 1:-1] + dt * src[:, 1:-1]
+    for end, i, kind, value in (("lo", 0, kinds[0], ends[0]), ("hi", m - 1, kinds[1], ends[1])):
+        if kind == "dirichlet":
+            rhs[:, i] = value
+        else:
+            unit = np.zeros((n_lines, m))
+            unit[:, i] = 1.0
+            resp[end] = solve_banded((1, 1), ab, unit.ravel()).reshape(n_lines, m)
+    return solve_banded((1, 1), ab, rhs.ravel()).reshape(n_lines, m), resp
+
+
+@pytest.mark.parametrize("kinds", [(lo, hi) for lo in KINDS for hi in KINDS])
+@pytest.mark.parametrize("n_lines", [1, 5])
+@pytest.mark.parametrize("lam_a", [1e-2, 80.0, 1e4])
+def test_line_responses_match_gtsv_bitwise(lam_a, n_lines, kinds):
+    rng = np.random.default_rng(15)
+    m, h, dt = 12, 1.0 / 11, 0.01
+    af = (lam_a * h**2 / dt) * rng.uniform(0.5, 2.0, size=(n_lines, m - 1))
+    band = _Band()
+    for _ in range(2):  # the second step reuses the factorisation
+        w_old, src = rng.normal(size=(2, n_lines, m))
+        ends = rng.normal(size=(2, n_lines))
+        base, resp = _line_responses(band, w_old, h, dt, af, src,
+                                     (kinds[0], ends[0]), (kinds[1], ends[1]))
+        want_base, want_resp = gtsv_responses(w_old, h, dt, af, src, kinds, ends)
+        assert np.array_equal(base, want_base)
+        assert resp.keys() == want_resp.keys()
+        for end, r in resp.items():
+            assert np.array_equal(r, want_resp[end])
+    assert band.factorizations == 1
+    # the rows next to the identity end rows pivot exactly when lam*a > 1
+    ipiv = band.lu[4]
+    assert np.any(ipiv != np.arange(1, ipiv.size + 1)) == (lam_a > 1)
+
+
+def test_band_checks_survive_the_cache():
+    rng = np.random.default_rng(16)
+    w_old, af, src, ends = random_lines(rng)
+    bcs = ("dirichlet", ends[0]), ("flux", ends[1])
+    band = _Band()
+    _, resp = _line_responses(band, w_old, 0.1, 0.01, af, src, *bcs)
+    assert not resp["hi"].flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        resp["hi"][0, 0] = 0.0
+    # a NaN source on the cached band
+    bad_src = src.copy()
+    bad_src[2, 5] = np.nan
+    with pytest.raises(RuntimeError, match=NONFINITE):
+        _line_responses(band, w_old, 0.1, 0.01, af, bad_src, *bcs)
+    # an infinite face diffusivity when the band is refactored
+    bad_af = af.copy()
+    bad_af[3, 4] = np.inf
+    with pytest.raises(RuntimeError, match=NONFINITE):
+        _line_responses(band, w_old, 0.1, 0.01, bad_af, src, *bcs)
+    # the memo keeps its last good factorisation
+    assert band.factorizations == 1
+    assert _line_responses(band, w_old, 0.1, 0.01, af, src, *bcs)[1] is resp
+    assert band.factorizations == 1
+
+
+def test_non_finite_band_on_refactoring_is_a_divergence():
+    # a(t) = exp(1500 t) is finite at the first step and infinite at the second
+    scn = make_scenario(a=SpaceTimeField.from_signal(TimeSignal.exp_decay(1.0, -1500.0)),
+                        gamma1=("left", "right"), gamma2=())
+    with np.errstate(over="ignore"), pytest.raises(
+            SolverDivergedError, match=rf"^solver diverged at step 2, t = 0.5 \({NONFINITE}\)$"):
+        solve_parabolic(scn, Grid1D(32, layout="node"), SolverConfig(t_end=0.5, dt=0.25))
+
+
+def test_non_finite_right_hand_side_on_a_cached_band_is_a_divergence():
+    # no reaction and f = 1e308: w + dt*f is finite at the first step and
+    # overflows at the second, on the band the first step factored
+    scn = make_scenario(a=SpaceTimeField.constant(1e-9), a0=1e-9, c=ZERO, c0=0.0,
+                        f=SpaceTimeField.constant(1e308), w0=profile_constant(0.0),
+                        gamma1=("left", "right"), gamma2=())
+    with np.errstate(over="ignore"), pytest.raises(
+            SolverDivergedError, match=rf"^solver diverged at step 2, t = 2.0 \({NONFINITE}\)$"):
+        solve_parabolic(scn, Grid1D(32, layout="node"), SolverConfig(t_end=2.0, dt=1.0))
+
+
+@pytest.mark.parametrize("t_end, dt, steps, factorizations", [
+    (0.25, 2.0**-6, 16, 1),  # dt divides t_end
+    (0.0105, 0.002, 6, 2),   # a shorter last step refactors
+])
+def test_a_constant_operator_is_factored_once_per_dt(t_end, dt, steps, factorizations):
+    scn = make_scenario(d2=SpaceTimeField.constant(0.3))
+    traj = solve_parabolic(scn, Grid1D(32, layout="node"), SolverConfig(t_end=t_end, dt=dt))
+    assert traj.counters["steps"] == steps
+    assert traj.counters["band_factorizations"] == factorizations
+    assert not {"steps", "band_factorizations"} & traj.meta.keys()
+
+
+def test_a_time_varying_diffusion_is_factored_every_step():
+    scn = make_scenario(a=SpaceTimeField.from_signal(TimeSignal.sinusoid(0.2, 1.0, offset=1.0)),
+                        a0=0.8, d2=SpaceTimeField.constant(0.3))
+    traj = solve_parabolic(scn, Grid1D(32, layout="node"), SolverConfig(t_end=0.2, dt=0.01))
+    assert traj.counters["steps"] == traj.counters["band_factorizations"] == 20
+
+
+def test_each_2d_sweep_factors_its_band_once():
+    scn = make_scenario(dim=2, w0=profile2d_sinprod(1.0), d2=SpaceTimeField.constant(0.3),
+                        gamma1=("left", "right"), gamma2=("bottom", "top"))
+    traj = solve_parabolic(scn, Grid2D(8, 8), SolverConfig(t_end=0.25, dt=2.0**-6))
+    assert traj.counters["steps"] == 16
+    assert traj.counters["band_factorizations"] == 2
