@@ -23,6 +23,7 @@ from .glf import (default_transport_rate, local_speed_floor, running_sups,
 # module attributes that profilers wrap per module (perfbench/tracing.py);
 # the sups themselves run through glf.running_sups
 from .signals import sup_field, sup_window  # noqa: F401
+from .solvers.common import AssumptionViolationError
 from .solvers.wave import reconstruct_wave_state
 
 __all__ = [
@@ -200,6 +201,10 @@ def _prepare_transport(b, traj, scn, q, sups):
         radius = params["R0"]
         params["speed_floor"], params["mass_range"] = local_speed_floor(scn, radius)
         b.gate = bool(b.init_norm + sups["d"][-1] <= radius)
+        reached = traj.counters["max_abs_mass"]  # the floor holds within mass_range only
+        if b.gate and reached > params["mass_range"]:
+            raise AssumptionViolationError(f"the total mass reached {reached:g}, beyond the "
+                                           f"range {params['mass_range']:g} of the speed floor")
         route = params.setdefault("variant", "q")
         if route not in ("p", "q"):
             raise ValueError("transport_liss variant must be 'p' or 'q'")
@@ -292,7 +297,8 @@ def prepare_bound(kind, traj, scn, q, params=None) -> IssBound:
     ``params`` supplies the free constants the kind needs (see the bound
     evaluators); scenario structure provides the rest.  Running sups are
     evaluated on the trajectory's recorded stamps by
-    :func:`~isscert.glf.running_sups`.
+    :func:`~isscert.glf.running_sups`.  A ``transport_liss`` gate that admits
+    a run whose mass left the floor's range raises AssumptionViolationError.
     """
     if kind not in BOUNDS:
         raise ValueError(f"unknown bound kind {kind!r}")

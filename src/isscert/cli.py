@@ -103,7 +103,7 @@ def cmd_run(args) -> int:
         for entry in plan.checks:
             bound = prepare_bound(entry["kind"], traj, plan.scenario, entry["q"], entry["params"])
             reports.append(check_trajectory(traj, entry["q"], bound, entry["tol"]))
-    except (ValueError, ScenarioError) as exc:
+    except (ValueError, ScenarioError, AssumptionViolationError) as exc:
         print(f"{stage} error: {exc}", file=sys.stderr)
         return 2
 

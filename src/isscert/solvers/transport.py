@@ -78,18 +78,21 @@ def solve_transport(scn: TransportScenario, grid: Grid1D, cfg: SolverConfig) -> 
 
     The inflow value k*rho(1, t) + d(t) uses the current outflow cell and
     the current time.  Total mass W(t) is the midpoint sum of the cell
-    averages.  Raises AssumptionViolationError if the speed ever fails to
-    be positive along the run, or under assumption "uniform" drops below
-    speed_floor (with validate's slack).
+    averages; the largest |W| over every state goes to
+    traj.counters["max_abs_mass"].  Raises AssumptionViolationError if the
+    speed ever fails to be positive along the run, or under assumption
+    "uniform" drops below speed_floor (with validate's slack).
     """
     scn.validate()
     if not isinstance(grid, Grid1D) or grid.layout != "cell":
         raise ValueError("transport runs need a cell-centered Grid1D")
     h = grid.h
+    masses = []
 
     def advance(t, dt_max, state, step):
         (rho,) = state
         mass = h * float(rho.sum())
+        masses.append(abs(mass))
         speed = float(scn.speed_map(mass))
         if not (np.isfinite(speed) and speed > 0):
             raise AssumptionViolationError(
@@ -111,4 +114,5 @@ def solve_transport(scn: TransportScenario, grid: Grid1D, cfg: SolverConfig) -> 
     })
     dts = march(traj, cfg, (np.asarray(scn.rho0(grid.points()), dtype=float),), advance)
     traj.meta.update(dt_min=min(dts), dt_max=max(dts), steps=len(dts))
+    traj.counters["max_abs_mass"] = max(max(masses), abs(h * float(traj.state(-1).sum())))
     return traj

@@ -13,10 +13,11 @@ from isscert.certify import (CheckReport, _state_norms, bound_heat_classical,
 from isscert.cli import _energy_report
 from isscert.config import build_plan, load_config
 from isscert.fields import Grid1D, Grid2D, Trajectory, lq_norm
-from isscert.glf import glf_for_parabolic, running_sups
+from isscert.glf import glf_for_parabolic, local_speed_floor, running_sups
 from isscert.signals import (SpaceTimeField, TimeSignal, profile_bump,
                              profile_constant, profile_sum, profile_sin)
-from isscert.solvers import (ParabolicScenario, ScenarioError, SolverConfig,
+from isscert.solvers import (AssumptionViolationError, ParabolicScenario,
+                             ScenarioError, SolverConfig,
                              TransportScenario, WaveScenario,
                              reconstruct_wave_state, solve_parabolic,
                              solve_transport, solve_wave)
@@ -327,6 +328,19 @@ def test_liss_gate_rejects_large_radius_budget():
     report = check_trajectory(traj, 2.0, bound, tol=0.0)
     assert not report.applicable
     assert report.violations == 0
+
+
+def test_liss_gate_refuses_a_run_whose_mass_left_the_range():
+    scn = make_transport_local()
+    traj = solve_transport(scn, Grid1D(32, layout="cell"),
+                           SolverConfig(t_end=0.5, cfl_sigma=0.9))
+    _, mass_range = local_speed_floor(scn, 1.0)
+    assert traj.counters["max_abs_mass"] <= mass_range
+    traj.counters["max_abs_mass"] = np.nextafter(mass_range, np.inf)
+    with pytest.raises(AssumptionViolationError, match="total mass reached"):
+        prepare_bound("transport_liss", traj, scn, 2.0, params={"R0": 1.0})
+    # a gate that refuses the run certifies nothing, so the range is moot
+    assert prepare_bound("transport_liss", traj, scn, 2.0, params={"R0": 0.01}).gate is False
 
 
 def test_liss_variant_validation():

@@ -193,6 +193,21 @@ def test_cli_run_honors_env_root(tmp_path, monkeypatch, capsys):
     assert (root / "quick_transport" / "report.txt").exists()
 
 
+def test_cli_liss_run_whose_mass_left_the_range_exits_2(tmp_path, monkeypatch, capsys):
+    solve = cli.solve_transport
+
+    def inflated(*args):
+        traj = solve(*args)
+        traj.counters["max_abs_mass"] = 1e3
+        return traj
+
+    monkeypatch.setattr(cli, "solve_transport", inflated)
+    assert main(["run", "transport_liss", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("check error: the total mass reached 1000,") and err.count("\n") == 1
+    assert not (tmp_path / "transport_liss").exists()
+
+
 def test_cli_verify_writes_report(tmp_path, capsys):
     code = main(["verify", "trunc", "--seed", "7", "--out", str(tmp_path)])
     assert code == 0

@@ -97,6 +97,16 @@ def test_mass_dependent_speed_slows_run():
     assert traj.meta["steps"] < traj_fast.meta["steps"]
 
 
+def test_max_abs_mass_covers_every_state():
+    # the mass grows from 0.2 towards d/(1 - k) = 1; every state is recorded
+    scn = make_scenario(k=0.5, rho0=profile_constant(0.2), d=TimeSignal.constant(0.5))
+    grid = Grid1D(32, layout="cell")
+    traj = solve_transport(scn, grid, SolverConfig(t_end=1.5, cfl_sigma=0.9))
+    masses = [abs(grid.h * traj.state(i).sum()) for i in range(len(traj))]
+    assert traj.counters["max_abs_mass"] == max(masses) > 0.2
+    assert traj.counters["steps"] == traj.meta["steps"] == len(traj) - 1
+
+
 def test_speed_collapse_raises():
     # map is positive on the validation lattice but the sustained inflow
     # pushes total mass past the zero crossing at 11
