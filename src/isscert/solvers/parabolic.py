@@ -9,24 +9,21 @@ of the boundary and the nonlinear flux law
 
 on the rest.  Diffusion is implicit (backward Euler in one dimension,
 dimension-split backward Euler on the square); reaction and forcing are
-explicit.  Every implicit step solves stacks of grid lines: the one line of
-the interval, or all lines of a sweep on the square, stacked with zero
-couplings into one tridiagonal band.  Each sweep factors its band once per
-operator (LAPACK gttrf), with the unit responses of its flux ends, and a
-step solves one right-hand side (gttrs); a new h, dt or diffusivity, such
-as a time-varying a or a shorter last step, refactors.  The interior
-unknowns of a line are affine in its end values, so the balance at each
-flux end becomes a strictly increasing scalar equation with a guaranteed
-bracket, closed by bisection in one closure, :func:`_solve_lines`.  Both of
-its kernels run one bisection, on two data layouts chosen by the stack
-height: one line runs on Python floats end to end, from its end factors
-and boundary values through the coupled sweeps to its end values; more
-lines run in lockstep on arrays.  Each expands the bracket and evaluates
-every midpoint, with the same exact-root and adjacent-float exits, so a
-line gives the same bits alone or in a stack for any law that gives a
-float the bits an array gives elementwise.  The lockstep kernel also
-records its trail, the points it evaluated and the signs it read there: on
-a stack the per-round work of masking predicted lines costs more than the
+explicit.  Every implicit step solves stacks of grid lines: the one line
+of the interval, or all lines of a sweep on the square, stacked with zero
+couplings into one tridiagonal band.  The interior unknowns of a line are
+affine in its end values, so the balance at each flux end becomes a
+strictly increasing scalar equation with a guaranteed bracket, closed by
+bisection in one closure, :func:`_solve_lines`.  Both of its kernels run
+one bisection, on two data layouts chosen by the stack height: one line
+runs on Python floats end to end, from its end factors and boundary
+values through the coupled sweeps to its end values; more lines run in
+lockstep on arrays.  Each expands the bracket and evaluates every
+midpoint, with the same exact-root and adjacent-float exits, so a line
+gives the same bits alone or in a stack for any law that gives a float
+the bits an array gives elementwise.  The lockstep kernel also records
+its trail, the points it evaluated and the signs it read there: on a
+stack the per-round work of masking predicted lines costs more than the
 law calls it saves, so rounds, not points, are what to cut.  A later
 coupled closure of the same end differs only through the other end's
 value; it reads the new signs on its whole trail in one call and bisects
@@ -35,11 +32,14 @@ sweep, a few late rounds or none on the bundled 2-D runs.
 :func:`solve_parabolic` supplies the step of either dimension to the time
 loop all steppers share, :func:`~isscert.solvers.common.march`.  It binds
 every field to its points once per solve
-(:meth:`~isscert.signals.SpaceTimeField.bind`): a on the faces, c and f on
-the nodes, d1 and d2 on the boundary points, so a step evaluates the
-fields' time signals only.  A run whose states reach beyond the range
-:meth:`ParabolicScenario.validate` samples has its maps checked again over
-the range it reached.
+(:meth:`~isscert.signals.SpaceTimeField.bind`): a on the faces, c and f
+on the nodes, d1 and d2 on the boundary points, so a step evaluates the
+fields' time signals only.  Each sweep factors its band once per operator
+(LAPACK gttrf), with the unit responses of its flux ends, and a step
+solves one right-hand side (gttrs); a new h, dt or diffusivity, such as a
+time-varying a or a shorter last step, refactors.  A run whose states
+reach beyond the range :meth:`ParabolicScenario.validate` samples has its
+maps checked again over the range it reached.
 """
 
 from __future__ import annotations
@@ -75,8 +75,7 @@ _NONFINITE = "non-finite diffusion band or right-hand side"
 
 @cache
 def _lapack():
-    """LAPACK's tridiagonal factor and solve, gttrf and gttrs; scipy is
-    imported on the first factorisation."""
+    """LAPACK's gttrf and gttrs; scipy is imported on the first factorisation."""
     from scipy.linalg import get_lapack_funcs
     return get_lapack_funcs(("gttrf", "gttrs"), (np.zeros(1),))
 
@@ -334,7 +333,8 @@ class _Band:
         *lu, info = gttrf(ab[2, :-1], ab[1], ab[0, 1:], True, True, True)
         if info > 0:
             raise np.linalg.LinAlgError("singular matrix")
-        # one right-hand side per row of unit, so unit.T is column-major
+        # one right-hand side per end, as the rows of unit, so unit.T is
+        # column-major; both ends, so LAPACK never sees zero columns
         unit = np.zeros((2, n_lines, m))
         unit[0, :, 0] = unit[1, :, m - 1] = 1.0
         x = gttrs(*lu, unit.reshape(2, -1).T, overwrite_b=True)[0].T.reshape(2, n_lines, m)
