@@ -43,14 +43,10 @@ def _out_root(arg) -> Path:
     return Path("runs")
 
 
-def _make_dir(path) -> bool:
-    """Create the output directory path; report an OSError and return False."""
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"output error: {exc.filename}: {exc.strerror}", file=sys.stderr)
-        return False
-    return True
+def _output_error(exc, path) -> int:
+    """Report an OSError met writing path, or a file under it; exit code 2."""
+    print(f"output error: {exc.filename or path}: {exc.strerror}", file=sys.stderr)
+    return 2
 
 
 def _seed(text) -> int:
@@ -107,20 +103,14 @@ def cmd_run(args) -> int:
         print(f"{stage} error: {exc}", file=sys.stderr)
         return 2
 
-    out = _out_root(args.out) / plan.name
-    if not _make_dir(out):
-        return 2
-    traj.write_csv(out)
     results = [f"stamps={len(traj)} t_end={_fmt(traj.times[-1])}"]
     if erep is not None:
-        erep.to_csv(out / "glf.csv")
         excess = float(np.max(erep.vhat - erep.envelope))
         results.append(
             f"energy p={spec.p:g} rate={_fmt(erep.decay_rate)} "
             f"level={_fmt(spec.level)} max_residual={_fmt(erep.max_residual)} "
             f"max_envelope_excess={_fmt(excess)}")
-    for i, (entry, rep) in enumerate(zip(plan.checks, reports)):
-        rep.to_csv(out / f"check{i:02d}_{entry['kind']}_q{_qtag(entry['q'])}.csv")
+    for rep in reports:
         results.append(rep.summary_line())
         for w in rep.warnings:
             results.append(f"warning {w}")
@@ -137,7 +127,17 @@ def cmd_run(args) -> int:
         [f"run name={plan.name}", f"pde={plan.pde}", "--- config",
          yaml.safe_dump(plan.doc, sort_keys=True, default_flow_style=False).rstrip(),
          "--- results", *results, f"status={status}"]) + "\n"
-    (out / "report.txt").write_text(text)
+    out = _out_root(args.out) / plan.name
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        traj.write_csv(out)
+        if erep is not None:
+            erep.to_csv(out / "glf.csv")
+        for i, (entry, rep) in enumerate(zip(plan.checks, reports)):
+            rep.to_csv(out / f"check{i:02d}_{entry['kind']}_q{_qtag(entry['q'])}.csv")
+        (out / "report.txt").write_text(text)
+    except OSError as exc:
+        return _output_error(exc, out)
     sys.stdout.write(text)
     print(f"wrote {out}", file=sys.stderr)
     return 1 if violations else 0
@@ -146,12 +146,17 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     # the suite writes nothing but its report, so the directory comes first
     out = _out_root(args.out)
-    if not _make_dir(out):
-        return 2
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _output_error(exc, out)
     lines = run_suite(args.suite, args.seed)
     text = render_report(args.suite, args.seed, lines)
     path = out / f"verify_{args.suite}.txt"
-    path.write_text(text)
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        return _output_error(exc, path)
     sys.stdout.write(text)
     print(f"wrote {path}", file=sys.stderr)
     return 0 if all(ln.passed for ln in lines) else 1

@@ -492,9 +492,10 @@ def _close_stack(h, dt, w_old, src, base, resp, af, data, varphi, bc_tol):
         return {"lo": bisect("lo", lines, b_hi)[:, None]}
     if "lo" not in resp:
         return {"hi": bisect("hi", lines, b_lo)[:, None]}
-    # two coupled scalar closures; the cross influence through one
-    # implicit step decays like exp(-1/sqrt(a*dt)), so a couple of
-    # sweeps suffice
+    # two coupled scalar closures, swept Gauss-Seidel style; for linear
+    # laws the sweeps contract by rho = beta_lo*beta_hi/(s_lo*s_hi) (cross
+    # factors over own slopes), which is small while a*dt is well below
+    # the line length squared and tends to 1 as a*dt grows past it
     live = lines
     for _ in range(_SWEEPS):
         new_lo = bisect("lo", live, b_hi[live])

@@ -1,6 +1,7 @@
 """Tests for configuration loading and the command line interface."""
 
 import math
+import os
 import re
 
 import numpy as np
@@ -619,3 +620,31 @@ def test_cli_verify_checks_the_output_root_before_the_suite(tmp_path, capsys, mo
     root.write_text("")
     assert main(["verify", "all", "--out", str(root)]) == 2
     assert capsys.readouterr().err.startswith(f"output error: {root}: ")
+
+
+@pytest.mark.parametrize("cpus, taken", [({0}, "trajectory_plus.csv"),
+                                         ({0, 1}, "trajectory_plus.csv"),
+                                         ({0, 1}, "trajectory_minus.csv")],
+                         ids=["serial", "forked-parent", "forked-child"])
+def test_cli_run_output_error_exits_2(tmp_path, capsys, monkeypatch, cpus, taken):
+    # wave_demo's CSVs have 107 736 rows: with two CPUs the parent writes
+    # trajectory_plus.csv and a forked child trajectory_minus.csv
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    target = tmp_path / "wave_demo" / taken
+    target.mkdir(parents=True)
+    assert main(["run", "wave_demo", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"output error: {target}: Is a directory\n"
+    assert captured.out == ""
+    assert not list(target.parent.glob("*.part"))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_cli_verify_report_write_error_exits_2(tmp_path, capsys):
+    target = tmp_path / "verify_trunc.txt"
+    target.mkdir()
+    assert main(["verify", "trunc", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"output error: {target}: Is a directory\n"
+    assert captured.out == ""

@@ -1,13 +1,17 @@
 """Tests for grids, norms, and trajectory recording."""
 
+import errno
 import math
+import os
+import time
 
 import numpy as np
 import pytest
 import yaml
 
-from isscert.fields import (Grid1D, Grid2D, Trajectory, csv_rows, float_cells,
-                            lq_norm, trapezoid_1d, trapezoid_2d)
+from isscert import fields
+from isscert.fields import (_FORK_ROWS, Grid1D, Grid2D, Trajectory, csv_rows, float_cells,
+                            lq_norm, point_shape, trapezoid_1d, trapezoid_2d)
 
 
 def test_grid1d_node_layout():
@@ -277,22 +281,112 @@ def _reference_csv(traj, name):
     return "".join(lines)
 
 
-@pytest.mark.parametrize("layout,names", [
-    ("node", ("u",)), ("cell", ("u",)), ("square", ("u",)),
-    ("node", ("plus", "minus")),
-])
-def test_write_csv_matches_row_reference(tmp_path, layout, names):
+def _forked_stamps(grid, names, parity):
+    """The least stamp count of the given parity whose CSV has _FORK_ROWS rows."""
+    stamps = -(-_FORK_ROWS // (math.prod(point_shape(grid)) * len(names)))
+    return stamps + (stamps % 2 != parity)
+
+
+def _odd_trajectory(layout, names, stamps):
+    """A record whose values and stamps include the hardest reprs."""
     grid = GRIDS[layout]
     pde = "wave" if len(names) == 2 else "parabolic"
     traj = Trajectory(pde, grid, names=names)
-    values = _stack(grid, stamps=40)
+    values = _stack(grid, stamps=stamps)
     values.flat[:len(ODD_VALUES)] = ODD_VALUES
-    times = [0.0, 5e-324, 0.1 + 0.2, 1.0 / 3.0, 1e16] + [1e16 + 2.0 * k for k in range(1, 36)]
+    times = [0.0, 5e-324, 0.1 + 0.2, 1.0 / 3.0, 1e16] + [1e16 + 2.0 * k for k in range(1, stamps - 4)]
     for t, vals in zip(times, values):
         traj.append(t, **{k: (-1) ** j * vals for j, k in enumerate(names)})
+    return traj
+
+
+def _assert_no_part_and_no_child(directory):
+    assert not list(directory.glob("*.part"))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Report two usable CPUs and count the forks write_csv makes."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+@pytest.mark.parametrize("layout,names,parity", [
+    ("node", ("u",), None), ("cell", ("u",), None), ("square", ("u",), None),
+    ("node", ("plus", "minus"), None),
+    ("node", ("u",), 1), ("node", ("u",), 0), ("node", ("plus", "minus"), 1),
+    ("square", ("u",), 1),
+])
+def test_write_csv_matches_row_reference(tmp_path, two_cpus, layout, names, parity):
+    # parity None: 40 stamps, one writer; else the least odd or even stamp
+    # count from _FORK_ROWS rows on, split between two
+    stamps = 40 if parity is None else _forked_stamps(GRIDS[layout], names, parity)
+    traj = _odd_trajectory(layout, names, stamps)
     paths = traj.write_csv(tmp_path)
+    assert len(two_cpus) == (parity is not None)
     for name, path in zip(names, paths):
         assert path.read_text() == _reference_csv(traj, name)
+    _assert_no_part_and_no_child(tmp_path)
+
+
+@pytest.mark.parametrize("rows, cpus", [("below", {0, 1}), ("above", {0}), ("above", None)],
+                         ids=["few-rows", "one-cpu", "no-affinity"])
+def test_small_outputs_never_fork(tmp_path, monkeypatch, rows, cpus):
+    def no_fork():
+        raise AssertionError("write_csv forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    grid = GRIDS["node"]
+    stamps = _forked_stamps(grid, ("u",), 1) - (2 if rows == "below" else 0)
+    assert (stamps * grid.npoints >= _FORK_ROWS) == (rows == "above")
+    traj = _odd_trajectory("node", ("u",), stamps)
+    assert traj.write_csv(tmp_path)[0].read_text() == _reference_csv(traj, "u")
+
+
+def test_forked_writer_failure_names_the_file(tmp_path, two_cpus, monkeypatch):
+    parent, rows = os.getpid(), fields.csv_rows
+
+    def child_disk_full(*columns):
+        if os.getpid() != parent:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return rows(*columns)
+
+    monkeypatch.setattr(fields, "csv_rows", child_disk_full)
+    traj = _odd_trajectory("node", ("u",), _forked_stamps(GRIDS["node"], ("u",), 1))
+    with pytest.raises(OSError) as info:
+        traj.write_csv(tmp_path)
+    assert (info.value.errno, info.value.filename) == (errno.ENOSPC, str(tmp_path / "trajectory.csv"))
+    assert len(two_cpus) == 1
+    _assert_no_part_and_no_child(tmp_path)
+
+
+def test_a_failing_parent_kills_and_reaps_the_writer(tmp_path, two_cpus, monkeypatch):
+    parent, part, seen = os.getpid(), tmp_path / "trajectory.csv.part", []
+
+    def stuck_child_failing_parent(*columns):
+        if os.getpid() != parent:
+            time.sleep(60)
+        deadline = time.monotonic() + 10.0
+        while not part.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        seen.append(part.exists())
+        raise OSError(errno.EIO, "parent fails once the child writes its part")
+
+    monkeypatch.setattr(fields, "csv_rows", stuck_child_failing_parent)
+    traj = _odd_trajectory("node", ("u",), _forked_stamps(GRIDS["node"], ("u",), 0))
+    start = time.monotonic()
+    with pytest.raises(OSError, match="parent fails"):
+        traj.write_csv(tmp_path)
+    assert time.monotonic() - start < 30.0 and seen == [True]
+    _assert_no_part_and_no_child(tmp_path)
 
 
 def test_csv_rows_formats_python_float_reprs():

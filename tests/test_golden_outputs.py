@@ -10,12 +10,22 @@ this test reports the files whose hash moved.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from isscert.cli import main
 from isscert.scenarios import bundled_names
 
 GOLDEN = Path(__file__).parent / "data" / "golden_sha256.txt"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _golden():
+    return dict(reversed(line.split()) for line in GOLDEN.read_text().splitlines())
 
 
 def test_outputs_match_recorded_hashes(tmp_path, capsys):
@@ -24,7 +34,26 @@ def test_outputs_match_recorded_hashes(tmp_path, capsys):
     for seed in (0, 7):
         main(["verify", "all", "--seed", str(seed), "--out", str(tmp_path / f"verify{seed}")])
     capsys.readouterr()
-    expected = dict(reversed(line.split()) for line in GOLDEN.read_text().splitlines())
+    expected = _golden()
     actual = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
               for p in tmp_path.rglob("*") if p.is_file()}
+    assert actual == expected
+
+
+@pytest.mark.parametrize("name", ["wave_demo", "transport_global"])
+def test_a_forking_run_through_the_entry_point(tmp_path, name):
+    # both CSVs have more than 100 000 rows, so on two CPUs a forked child
+    # writes half of them; it must leave no duplicated buffer and no warning
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "isscert", "run", name, "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+    out = tmp_path / name
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (out / "report.txt").read_text()
+    assert proc.stdout.count("run name=") == 1
+    assert proc.stderr == f"wrote {out}\n"
+    expected = {k: v for k, v in _golden().items() if k.startswith(f"bundled/{name}/")}
+    actual = {f"bundled/{name}/{p.name}": hashlib.sha256(p.read_bytes()).hexdigest()
+              for p in out.iterdir()}
     assert actual == expected
