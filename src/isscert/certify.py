@@ -247,6 +247,8 @@ def _prepare_wave(b, traj, scn, q, sups):
 def _prepare_heat_clm(b, traj, scn, q, sups):
     # the boundary-damped heat equation: zero reaction, unit diffusion,
     # Dirichlet zero on gamma1, identity flux law with disturbance d2
+    if q != 2:
+        raise ValueError(f"heat_clm bounds the L2 norm; got q = {q}")
     if scn.c0 != 0:
         b.warnings.append("heat baseline ignores the reaction floor; scenario has c0 != 0")
     b.init_norm = lq_norm(traj.state(0), 2.0, traj.grid)
@@ -256,12 +258,13 @@ def _prepare_heat_clm(b, traj, scn, q, sups):
 
 @dataclass(frozen=True)
 class BoundKind:
-    """One bound kind: the config keys it accepts and requires besides
-    kind, q and tol; prepare(bound, traj, scn, q, sups), which fills in
-    the initial norm, the stamp-aligned series, the parameters the
-    scenario fixes, and the gate and warnings where the kind has them;
-    and evaluate(bound, q, times), which returns the bound at the stamps."""
+    """One bound kind: the PDE class it bounds, the config keys it accepts
+    and requires besides kind, q and tol; prepare(bound, traj, scn, q,
+    sups), which fills in the initial norm, the stamp-aligned series, the
+    parameters the scenario fixes, and any gate and warnings; and
+    evaluate(bound, q, times), which returns the bound at the stamps."""
 
+    pde: str
     keys: tuple
     required: tuple
     prepare: Callable
@@ -270,22 +273,23 @@ class BoundKind:
 
 BOUNDS = {
     "parabolic_q": BoundKind(
-        (), (), _prepare_parabolic_q,
+        "parabolic", (), (), _prepare_parabolic_q,
         lambda b, q, t: bound_parabolic_q(q, t, b.init_norm, b.series["level"], b.params["c0"])),
-    "transport_p": BoundKind(("p", "r"), ("p",), _prepare_transport, _evaluate_transport),
-    "transport_q": BoundKind((), (), _prepare_transport, _evaluate_transport),
-    "transport_liss": BoundKind(("R0", "variant", "p", "r"), ("R0",),
+    "transport_p": BoundKind("transport", ("p", "r"), ("p",), _prepare_transport,
+                             _evaluate_transport),
+    "transport_q": BoundKind("transport", (), (), _prepare_transport, _evaluate_transport),
+    "transport_liss": BoundKind("transport", ("R0", "variant", "p", "r"), ("R0",),
                                 _prepare_transport, _evaluate_transport),
     "wave_r_eps": BoundKind(
-        ("r", "eps"), ("r", "eps"), _prepare_wave,
+        "wave", ("r", "eps"), ("r", "eps"), _prepare_wave,
         lambda b, q, t: bound_wave_r_eps(q, b.params["r"], b.params["eps"], t, b.init_norm,
                                          b.series["sup_f"], b.series["sup_d"], b.params["c"])),
     "wave_m": BoundKind(
-        ("m",), ("m",), _prepare_wave,
+        "wave", ("m",), ("m",), _prepare_wave,
         lambda b, q, t: bound_wave_m(q, b.params["m"], t, b.init_norm, b.series["sup_f"],
                                      b.series["sup_d"], b.params["c"])),
     "heat_clm": BoundKind(
-        ("eps",), ("eps",), _prepare_heat_clm,
+        "parabolic", ("eps",), ("eps",), _prepare_heat_clm,
         lambda b, q, t: bound_heat_classical(t, b.init_norm, b.params["eps"],
                                              b.series["sup_f"], b.series["sup_d"])),
 }
@@ -302,6 +306,8 @@ def prepare_bound(kind, traj, scn, q, params=None) -> IssBound:
     """
     if kind not in BOUNDS:
         raise ValueError(f"unknown bound kind {kind!r}")
+    if BOUNDS[kind].pde != traj.pde_class:
+        raise ValueError(f"{kind} bounds {BOUNDS[kind].pde} runs, not {traj.pde_class} ones")
     bound = IssBound(kind, dict(params or {}), math.nan, {})
     BOUNDS[kind].prepare(bound, traj, scn, q, running_sups(scn, traj.grid, traj.times))
     return bound

@@ -16,11 +16,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import yaml
 
+from . import verify  # verify reads run_plan back through this module
 from .certify import check_trajectory, prepare_bound
 from .config import ConfigError, load_plan
 from .glf import (dissipation_rate, dissipation_report, glf_for_parabolic,
@@ -29,9 +31,8 @@ from .scenarios import scenario_lines
 from .solvers import (AssumptionViolationError, ScenarioError,
                       SolverDivergedError, solve_parabolic, solve_transport,
                       solve_wave)
-from .verify import SUITES, _fmt, _qtag, render_report, run_suite
 
-__all__ = ["main"]
+__all__ = ["main", "run_plan", "RunResult", "RunError"]
 
 
 def _out_root(arg) -> Path:
@@ -56,28 +57,56 @@ def _seed(text) -> int:
     return int(text)
 
 
-def _solve(plan):
-    if plan.pde == "parabolic":
-        return solve_parabolic(plan.scenario, plan.grid, plan.solver)
-    if plan.pde == "transport":
-        return solve_transport(plan.scenario, plan.grid, plan.solver)
-    return solve_wave(plan.scenario, plan.grid, plan.solver)
+class RunError(Exception):
+    """A failed run_plan stage; its text is "<solver|energy|check> error: <reason>"."""
 
 
-def _energy_report(plan, traj):
-    if not plan.energy:
-        return None, None
-    p = plan.energy["p"]
-    slack = None
-    if plan.pde == "parabolic":
-        spec = glf_for_parabolic(plan.scenario, traj, p)
-    elif plan.pde == "transport":
-        spec = glf_for_transport(plan.scenario, traj, p, plan.energy.get("rate"))
-    else:
-        spec = glf_for_wave(plan.scenario, traj, p, plan.energy["rate"], plan.energy.get("eps"))
-        slack = wave_forcing_slack(traj, spec, plan.scenario.f)
-    rate = dissipation_rate(spec, plan.scenario)
-    return spec, dissipation_report(traj, spec, rate, slack)
+@dataclass
+class RunResult:
+    """What run_plan computed: the trajectory, the energy spec and its
+    GlfSeries (None without an energy section), and each check's prepared
+    bound and CheckReport, in the plan's order."""
+
+    traj: object
+    spec: object
+    energy: object
+    bounds: list
+    reports: list
+
+
+def run_plan(plan) -> RunResult:
+    """Solve a plan, evaluate its energy, and prepare and check every bound.
+
+    The one path from a plan to its checks, for ``isscert run`` and ``verify``
+    alike.  It reads the stage functions from this module's globals.
+    """
+    solve = {"parabolic": solve_parabolic, "transport": solve_transport,
+             "wave": solve_wave}[plan.pde]
+    try:
+        traj = solve(plan.scenario, plan.grid, plan.solver)
+    except (ScenarioError, SolverDivergedError, AssumptionViolationError) as exc:
+        raise RunError(f"solver error: {exc}") from exc
+    stage, spec, erep, bounds, reports = "energy", None, None, [], []
+    try:
+        if plan.energy:
+            p, slack = plan.energy["p"], None
+            if plan.pde == "parabolic":
+                spec = glf_for_parabolic(plan.scenario, traj, p)
+            elif plan.pde == "transport":
+                spec = glf_for_transport(plan.scenario, traj, p, plan.energy.get("rate"))
+            else:
+                spec = glf_for_wave(plan.scenario, traj, p, plan.energy["rate"],
+                                    plan.energy.get("eps"))
+                slack = wave_forcing_slack(traj, spec, plan.scenario.f)
+            erep = dissipation_report(traj, spec, dissipation_rate(spec, plan.scenario), slack)
+        stage = "check"
+        for entry in plan.checks:
+            bounds.append(prepare_bound(entry["kind"], traj, plan.scenario, entry["q"],
+                                        entry["params"]))
+            reports.append(check_trajectory(traj, entry["q"], bounds[-1], entry["tol"]))
+    except (ValueError, ScenarioError, AssumptionViolationError) as exc:
+        raise RunError(f"{stage} error: {exc}") from exc
+    return RunResult(traj, spec, erep, bounds, reports)
 
 
 def cmd_run(args) -> int:
@@ -86,42 +115,26 @@ def cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        traj = _solve(plan)
-    except (ScenarioError, SolverDivergedError, AssumptionViolationError) as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 2
     # everything that can fail runs before the output directory exists
-    stage, reports = "energy", []
     try:
-        spec, erep = _energy_report(plan, traj)
-        stage = "check"
-        for entry in plan.checks:
-            bound = prepare_bound(entry["kind"], traj, plan.scenario, entry["q"], entry["params"])
-            reports.append(check_trajectory(traj, entry["q"], bound, entry["tol"]))
-    except (ValueError, ScenarioError, AssumptionViolationError) as exc:
-        print(f"{stage} error: {exc}", file=sys.stderr)
+        res = run_plan(plan)
+    except RunError as exc:
+        print(exc, file=sys.stderr)
         return 2
-
-    results = [f"stamps={len(traj)} t_end={_fmt(traj.times[-1])}"]
+    traj, spec, erep, reports = res.traj, res.spec, res.energy, res.reports
+    results = [f"stamps={len(traj)} t_end={verify._fmt(traj.times[-1])}"]
     if erep is not None:
         excess = float(np.max(erep.vhat - erep.envelope))
         results.append(
-            f"energy p={spec.p:g} rate={_fmt(erep.decay_rate)} "
-            f"level={_fmt(spec.level)} max_residual={_fmt(erep.max_residual)} "
-            f"max_envelope_excess={_fmt(excess)}")
+            f"energy p={spec.p:g} rate={verify._fmt(erep.decay_rate)} "
+            f"level={verify._fmt(spec.level)} max_residual={verify._fmt(erep.max_residual)} "
+            f"max_envelope_excess={verify._fmt(excess)}")
     for rep in reports:
-        results.append(rep.summary_line())
-        for w in rep.warnings:
-            results.append(f"warning {w}")
+        results += [rep.summary_line(), *(f"warning {w}" for w in rep.warnings)]
 
     violations = sum(r.violations for r in reports)
-    if violations:
-        status = "violations"
-    elif any(not r.applicable for r in reports):
-        status = "not-applicable"
-    else:
-        status = "ok"
+    status = ("violations" if violations else
+              "not-applicable" if any(not r.applicable for r in reports) else "ok")
 
     text = "\n".join(
         [f"run name={plan.name}", f"pde={plan.pde}", "--- config",
@@ -134,7 +147,7 @@ def cmd_run(args) -> int:
         if erep is not None:
             erep.to_csv(out / "glf.csv")
         for i, (entry, rep) in enumerate(zip(plan.checks, reports)):
-            rep.to_csv(out / f"check{i:02d}_{entry['kind']}_q{_qtag(entry['q'])}.csv")
+            rep.to_csv(out / f"check{i:02d}_{entry['kind']}_q{verify._qtag(entry['q'])}.csv")
         (out / "report.txt").write_text(text)
     except OSError as exc:
         return _output_error(exc, out)
@@ -150,8 +163,8 @@ def cmd_verify(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         return _output_error(exc, out)
-    lines = run_suite(args.suite, args.seed)
-    text = render_report(args.suite, args.seed, lines)
+    lines = verify.run_suite(args.suite, args.seed)
+    text = verify.render_report(args.suite, args.seed, lines)
     path = out / f"verify_{args.suite}.txt"
     try:
         path.write_text(text)
@@ -181,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(fn=cmd_run)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", choices=SUITES)
+    p_verify.add_argument("suite", choices=verify.SUITES)
     p_verify.add_argument("--seed", type=_seed, default=42)
     p_verify.add_argument("--out", default=None, help="output directory root")
     p_verify.set_defaults(fn=cmd_verify)

@@ -320,7 +320,7 @@ def _build_energy(doc, path, pde):
     return energy
 
 
-def _build_checks(doc, path):
+def _build_checks(doc, path, pde):
     if doc is None:
         return []
     if not isinstance(doc, list):
@@ -333,6 +333,8 @@ def _build_checks(doc, path):
         if not isinstance(kind, str) or kind not in BOUNDS:
             raise ConfigError(f"{epath}.kind", f"unknown check kind {kind!r}")
         bound = BOUNDS[kind]
+        if bound.pde != pde:
+            raise ConfigError(f"{epath}.kind", f"{kind} bounds {bound.pde} runs, not {pde} ones")
         _reject_unknown(entry, ("kind", "q", "tol") + bound.keys, epath)
         q = _get(entry, "q", epath)
         if q == "inf" or q == math.inf:
@@ -341,6 +343,8 @@ def _build_checks(doc, path):
             q = _number(entry, "q", epath)
         else:
             raise ConfigError(f"{epath}.q", f"expected a number or 'inf', got {q!r}")
+        if kind == "heat_clm" and q != 2:
+            raise ConfigError(f"{epath}.q", f"heat_clm is an L2 bound; q must be 2, got {q!r}")
         tol = _number(entry, "tol", epath, required=False, default=0.0)
         params = {}
         for key in bound.keys:
@@ -425,7 +429,7 @@ def build_plan(doc: dict) -> RunPlan:
         raise ConfigError("grid", "a dim=2 scenario needs an nx/ny grid")
     solver = _build_solver(_get(doc, "solver", "<config>"), "solver", pde)
     energy = _build_energy(doc.get("energy"), "energy", pde)
-    checks = _build_checks(doc.get("checks"), "checks")
+    checks = _build_checks(doc.get("checks"), "checks", pde)
     return RunPlan(name=name, description=description, pde=pde, scenario=scenario,
                    grid=grid, solver=solver, energy=energy, checks=checks, doc=doc)
 

@@ -13,15 +13,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .certify import (bound_parabolic_q, bound_transport_q, bound_wave_m,
-                      check_trajectory, prepare_bound)
-from .config import load_plan
+from . import cli  # run_plan, read at call time
+from .certify import bound_parabolic_q, bound_transport_q, bound_wave_m
+from .config import build_plan, load_config, load_plan
 from .fields import Grid1D
-from .glf import (dissipation_rate, dissipation_report, glf_for_parabolic,
-                  glf_for_transport, local_speed_floor, series)
-from .signals import TimeSignal, profile_constant
-from .solvers import (SolverConfig, TransportScenario, solve_parabolic,
-                      solve_transport, solve_wave)
+from .glf import local_speed_floor
+from .solvers import SolverConfig
 from .solvers.wave import reconstruct_wave_state
 from .trunc import (TruncationPair, gronwall_envelope_at, property_sides,
                     young_epsilon_gap)
@@ -62,16 +59,12 @@ _CHECK_PREFIX = {"parabolic_q": "qbound", "transport_q": "qbound", "transport_p"
                  "wave_m": "mbound", "wave_r_eps": "rbound"}
 
 
-def _plan_checks(group, plan, traj):
-    """One line per check a bundled plan declares, on its solved trajectory."""
-    lines = []
-    for entry in plan.checks:
-        b = prepare_bound(entry["kind"], traj, plan.scenario, entry["q"], entry["params"])
-        r = check_trajectory(traj, entry["q"], b, entry["tol"])
-        name = f"{_CHECK_PREFIX[entry['kind']]}_q{_qtag(entry['q'])}"
-        lines.append(CheckLine(group, name, r.violations == 0,
-                               f"violations={r.violations} min_margin={_fmt(r.min_margin)}"))
-    return lines
+def _plan_checks(group, plan, reports):
+    """One line per check a bundled plan declares, from its run's reports."""
+    return [CheckLine(group, f"{_CHECK_PREFIX[entry['kind']]}_q{_qtag(entry['q'])}",
+                      r.violations == 0,
+                      f"violations={r.violations} min_margin={_fmt(r.min_margin)}")
+            for entry, r in zip(plan.checks, reports)]
 
 
 # ---------------------------------------------------------------------------
@@ -147,11 +140,7 @@ def verify_trunc(seed: int = 42):
 def verify_parabolic(seed: int = 42):
     lines = []
 
-    plan = load_plan("heat_clm_demo")
-    traj = solve_parabolic(plan.scenario, plan.grid, plan.solver)
-    chk = plan.checks[0]
-    bound = prepare_bound(chk["kind"], traj, plan.scenario, chk["q"], chk["params"])
-    rep = check_trajectory(traj, chk["q"], bound, chk["tol"])
+    rep = cli.run_plan(load_plan("heat_clm_demo")).reports[0]
     ok = rep.violations == 0 and rep.min_margin > 0.0
     lines.append(CheckLine("parabolic", "heat_margin", ok,
                            f"min_margin={_fmt(rep.min_margin)} "
@@ -171,10 +160,7 @@ def verify_parabolic(seed: int = 42):
         grid = Grid1D(n, layout="node")
         dt = horizon / n
         cfg = SolverConfig(t_end=horizon, dt=dt, output_stride=1)
-        rtraj = solve_parabolic(demo.scenario, grid, cfg)
-        spec = glf_for_parabolic(demo.scenario, rtraj, 2.0)
-        rate = dissipation_rate(spec, demo.scenario)
-        report = dissipation_report(rtraj, spec, rate)
+        report = cli.run_plan(replace(demo, grid=grid, solver=cfg, checks=[])).energy
         max_res.append(report.max_residual)
         scales.append(grid.h + dt)
     c_rep = abs(max_res[0]) / scales[0]
@@ -185,8 +171,7 @@ def verify_parabolic(seed: int = 42):
         f"max_res={_fmt(max_res[0])},{_fmt(max_res[1])},{_fmt(max_res[2])} "
         f"c_rep={_fmt(c_rep)}"))
 
-    btraj = solve_parabolic(demo.scenario, demo.grid, demo.solver)
-    lines += _plan_checks("parabolic", demo, btraj)
+    lines += _plan_checks("parabolic", demo, cli.run_plan(replace(demo, energy=None)).reports)
 
     unit = float(bound_parabolic_q(2.0, 0.0, 1.0, 0.0, 1.0))
     gain = float(bound_parabolic_q(2.0, 7.5, 0.0, 0.7, 1.0))
@@ -203,21 +188,19 @@ def verify_transport(seed: int = 42):
     lines = []
 
     plan = load_plan("transport_global")
-    traj = solve_transport(plan.scenario, plan.grid, plan.solver)
-    spec = glf_for_transport(plan.scenario, traj, plan.energy["p"])
-    vhat, _ = series(traj, spec)
-    h = plan.grid.h
-    envelope = np.exp(-spec.r * traj.times) * vhat[0] * (1.0 + 10.0 * h)
+    res = cli.run_plan(plan)
+    spec, vhat, times = res.spec, res.energy.vhat, res.traj.times
+    envelope = np.exp(-spec.r * times) * vhat[0] * (1.0 + 10.0 * plan.grid.h)
     worst = float(np.max(vhat - envelope))
     rate_ok = abs(spec.r - 3.0 * math.log(2.0)) <= 1e-12
     lines.append(CheckLine("transport", "energy_envelope",
                            worst <= 0.0 and rate_ok,
                            f"max_excess={_fmt(worst)} rate={_fmt(spec.r)}"))
 
-    lines += _plan_checks("transport", plan, traj)
+    lines += _plan_checks("transport", plan, res.reports)
 
     steady = load_plan("transport_steady")
-    straj = solve_transport(steady.scenario, steady.grid, steady.solver)
+    straj = cli.run_plan(replace(steady, checks=[])).traj
     dev = float(np.max(np.abs(straj.states() - 1.0)))
     steps = straj.meta["steps"]
     lines.append(CheckLine("transport", "steady_state",
@@ -230,22 +213,16 @@ def verify_transport(seed: int = 42):
                            floor == 0.2 and mass_range == 4.0,
                            f"floor={_fmt(floor)} mass_range={_fmt(mass_range)}"))
 
-    ltraj = solve_transport(liss.scenario, liss.grid, liss.solver)
-    entry = liss.checks[0]
-    lbound = prepare_bound(entry["kind"], ltraj, liss.scenario, entry["q"], entry["params"])
-    lrep = check_trajectory(ltraj, entry["q"], lbound, entry["tol"])
+    accepted = cli.run_plan(liss)
+    lbound, lrep = accepted.bounds[0], accepted.reports[0]
     accept_sum = lbound.init_norm + float(np.max(lbound.series["sup_d"]))
-
-    reject_scn = TransportScenario(
-        speed_map=lambda s: 1.0 / (1.0 + np.abs(s)),
-        assumption="decreasing", k=0.5,
-        d=TimeSignal.constant(0.2), rho0=profile_constant(1.3),
-        label="liss_reject")
-    reject_scn.validate()
-    rtraj = solve_transport(reject_scn, Grid1D(64, layout="cell"),
-                            SolverConfig(t_end=0.05))
-    rbound = prepare_bound("transport_liss", rtraj, reject_scn, 2.0, {"R0": 1.0})
-    rrep = check_trajectory(rtraj, 2.0, rbound, 0.0)
+    # the same run with data its smallness gate refuses: 1.3 + 0.2 > R0 = 1
+    doc = load_config("transport_liss")
+    doc.update(name="liss_reject", grid={"n": 64, "layout": "cell"}, solver={"t_end": 0.05})
+    doc["scenario"].update(boundary_data={"kind": "constant", "value": 0.2},
+                           initial={"kind": "constant", "value": 1.3})
+    rejected = cli.run_plan(build_plan(doc))
+    rbound, rrep = rejected.bounds[0], rejected.reports[0]
     reject_sum = rbound.init_norm + float(np.max(rbound.series["sup_d"]))
     gate_ok = (lbound.gate is True and rbound.gate is False
                and lrep.applicable and not rrep.applicable)
@@ -270,9 +247,8 @@ def verify_wave(seed: int = 42):
     lines = []
 
     plan = load_plan("wave_demo")
-    traj = solve_wave(plan.scenario, plan.grid, replace(plan.solver, output_stride=1))
-    c = plan.scenario.c
-    d = plan.scenario.d
+    res = cli.run_plan(replace(plan, solver=replace(plan.solver, output_stride=1), energy=None))
+    traj, c, d = res.traj, plan.scenario.c, plan.scenario.d
     plus, minus = traj.states("plus"), traj.states("minus")
     inflow = c * np.asarray([float(d(t)) for t in traj.times.tolist()])
     res_in = float(np.max(np.abs(plus[:, -1] - inflow)))
@@ -282,7 +258,7 @@ def verify_wave(seed: int = 42):
                            f"inflow_res={_fmt(res_in)} flip_res={_fmt(res_flip)}"))
 
     ft = load_plan("wave_finite_time")
-    ftraj = solve_wave(ft.scenario, ft.grid, ft.solver)
+    ftraj = cli.run_plan(ft).traj
     snap = ftraj.snapshot(len(ftraj) - 1)
     w_t, w_y = reconstruct_wave_state(snap["plus"], snap["minus"], ft.scenario.c)
     residue = max(float(np.max(np.abs(w_t))), float(np.max(np.abs(w_y))))
@@ -291,7 +267,7 @@ def verify_wave(seed: int = 42):
                            f"residue={_fmt(residue)} limit={_fmt(limit)} "
                            f"t_end={_fmt(ftraj.times[-1])}"))
 
-    lines += _plan_checks("wave", plan, traj)
+    lines += _plan_checks("wave", plan, res.reports)
 
     val = float(bound_wave_m(2.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0))
     ref = 8.0 * math.exp(4.0)

@@ -10,7 +10,7 @@ from isscert.certify import (CheckReport, _state_norms, bound_heat_classical,
                              bound_transport_q, bound_wave_m,
                              bound_wave_r_eps, check_trajectory,
                              prepare_bound)
-from isscert.cli import _energy_report
+from isscert.cli import run_plan
 from isscert.config import build_plan, load_config
 from isscert.fields import Grid1D, Grid2D, Trajectory, lq_norm
 from isscert.glf import glf_for_parabolic, local_speed_floor, running_sups
@@ -203,12 +203,11 @@ def test_energy_level_is_read_at_the_last_stamp():
         doc["scenario"][key] = {"kind": "uniform", "signal": {
             "kind": "polynomial", "coeffs": coeffs}}
     plan = build_plan(doc)
-    traj = solve_parabolic(plan.scenario, plan.grid, plan.solver)
-    assert traj.times[-1] < plan.solver.t_end
-    spec, _ = _energy_report(plan, traj)
-    for entry in plan.checks:
-        bound = prepare_bound(entry["kind"], traj, plan.scenario, entry["q"], entry["params"])
-        assert spec.level == bound.series["level"][-1]
+    res = run_plan(plan)
+    assert res.traj.times[-1] < plan.solver.t_end
+    assert len(res.bounds) == len(plan.checks) == 3
+    for bound in res.bounds:
+        assert res.spec.level == bound.series["level"][-1]
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +370,9 @@ def test_heat_baseline_warns_about_reaction():
     traj = solve_parabolic(scn, grid, SolverConfig(t_end=0.05, dt=0.005))
     bound = prepare_bound("heat_clm", traj, scn, 2.0)
     assert any("reaction floor" in w for w in bound.warnings)
+    # the baseline bounds the L2 norm only
+    with pytest.raises(ValueError, match="heat_clm bounds the L2 norm"):
+        prepare_bound("heat_clm", traj, scn, 4.0)
 
 
 def test_unknown_bound_kind():
@@ -379,6 +381,8 @@ def test_unknown_bound_kind():
                            SolverConfig(t_end=0.2, cfl_sigma=0.9))
     with pytest.raises(ValueError):
         prepare_bound("elliptic_q", traj, scn, 2.0)
+    with pytest.raises(ValueError, match="wave_m bounds wave runs, not transport ones"):
+        prepare_bound("wave_m", traj, scn, 2.0, {"m": 1.0})
     with pytest.raises(ValueError):
         check_trajectory(traj, 1.5, prepare_bound("transport_q", traj, scn, 2.0), 0.0)
     with pytest.raises(ValueError):

@@ -110,11 +110,12 @@ def test_unknown_pde_rejected():
 
 
 def test_check_entries_validated():
-    doc = load_config("parabolic_demo")
+    doc = load_config("wave_demo")
     doc["checks"] = [{"kind": "wave_m", "q": 2}]
     with pytest.raises(ConfigError) as err:
         build_plan(doc)
     assert err.value.path == "checks[0].m"
+    doc = load_config("parabolic_demo")
     doc["checks"] = [{"kind": "parabolic_q", "q": "three"}]
     with pytest.raises(ConfigError) as err:
         build_plan(doc)
@@ -133,6 +134,36 @@ def test_every_bound_kind_builds_from_its_required_keys(kind):
     doc["checks"] = [{**entry, "zeta": 1.0}]
     with pytest.raises(ConfigError, match=r"^checks\[0\]\.zeta: unknown key$"):
         build_plan(doc)
+
+
+_CLASS_DEMOS = {"parabolic": "parabolic_demo", "transport": "transport_global",
+                "wave": "wave_demo"}
+_MISMATCHES = [(kind, pde) for kind in sorted(BOUNDS) for pde in sorted(_CLASS_DEMOS)
+               if BOUNDS[kind].pde != pde]
+
+
+@pytest.mark.parametrize("kind, pde", _MISMATCHES, ids=[f"{k}-on-{p}" for k, p in _MISMATCHES])
+def test_cli_run_rejects_a_check_kind_of_another_class(tmp_path, capsys, kind, pde):
+    # each of these once reached prepare_bound and died there with a
+    # KeyError or AttributeError traceback and exit code 1
+    entry = {"kind": kind, "q": 2, **{key: 1.0 for key in BOUNDS[kind].required}}
+    cfg = tmp_path / "mismatch.yaml"
+    cfg.write_text(yaml.safe_dump(_edited(_CLASS_DEMOS[pde], "checks", [entry])))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (f"config error: checks[0].kind: {kind} bounds "
+                                       f"{BOUNDS[kind].pde} runs, not {pde} ones\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_rejects_heat_clm_off_the_l2_norm(tmp_path, capsys):
+    # at q = 4 the L2 bound once reported a false violation and exit 1
+    cfg = tmp_path / "heat_q4.yaml"
+    cfg.write_text(yaml.safe_dump(_edited("heat_clm_demo", "checks",
+                                          [{"kind": "heat_clm", "q": 4, "eps": 1.0}])))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == ("config error: checks[0].q: heat_clm is an L2 bound; "
+                                       "q must be 2, got 4.0\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_config_file():
@@ -615,7 +646,7 @@ def test_cli_verify_checks_the_output_root_before_the_suite(tmp_path, capsys, mo
     def never(*args):
         raise AssertionError("the suite ran before the output directory was made")
 
-    monkeypatch.setattr(cli, "run_suite", never)
+    monkeypatch.setattr(cli.verify, "run_suite", never)
     root = tmp_path / "taken"
     root.write_text("")
     assert main(["verify", "all", "--out", str(root)]) == 2

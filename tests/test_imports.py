@@ -98,3 +98,12 @@ def test_scipy_loads_only_when_a_parabolic_run_steps(tmp_path):
     path = os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))
     subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
                    env={**os.environ, "PYTHONPATH": path})
+
+
+@pytest.mark.parametrize("module", ["isscert.verify", "isscert.cli"])
+def test_cli_and_verify_each_import_first(module):
+    # cli imports verify for its verify command and verify runs its plans
+    # through cli.run_plan; each must import in a fresh interpreter alone
+    path = os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))
+    subprocess.run([sys.executable, "-c", f"import {module}"], check=True,
+                   capture_output=True, env={**os.environ, "PYTHONPATH": path})

@@ -84,3 +84,30 @@ def test_traced_run_files_match_untraced(tmp_path, capsys, scenario, spans):
     for name in names:
         assert (traced / name).read_bytes() == (plain / name).read_bytes()
     assert spans <= {span[0] for span in tracer.spans}
+
+
+def test_traced_verify_all_matches_untraced(tmp_path, capsys):
+    # the benchmark's traced verify_all compares these two reports' digests;
+    # every plan-driven verify line goes through cli.run_plan, so its solves
+    # are traced inside their suite's span
+    tracing = _load_tracing()
+    argv = ["verify", "all", "--seed", "0", "--out"]
+    assert main([*argv, str(tmp_path / "plain")]) == 0
+    tracer = tracing.Tracer()
+    undo = tracing.install(tracer)
+    try:
+        assert main([*argv, str(tmp_path / "traced")]) == 0
+    finally:
+        undo()
+    capsys.readouterr()
+    plain, traced = (tmp_path / d / "verify_all.txt" for d in ("plain", "traced"))
+    assert traced.read_bytes() == plain.read_bytes()
+
+    def suite(span):
+        while span[3] != -1:
+            span = tracer.spans[span[3]]
+        return span[0]
+
+    solves = [span for span in tracer.spans if span[0] == "solvers.solve"]
+    assert {suite(span) for span in solves} == {
+        "verify.suite.parabolic", "verify.suite.transport", "verify.suite.wave"}
