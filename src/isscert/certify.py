@@ -20,6 +20,7 @@ import numpy as np
 from .fields import Trajectory, lq_norm, write_table
 from .glf import (default_transport_rate, local_speed_floor, running_sups,
                   truncation_level_parabolic)
+from .signals import signal_range
 # module attributes that profilers wrap per module (perfbench/tracing.py);
 # the sups themselves run through glf.running_sups
 from .signals import sup_field, sup_window  # noqa: F401
@@ -244,11 +245,41 @@ def _prepare_wave(b, traj, scn, q, sups):
     b.params.setdefault("c", scn.c)
 
 
+def heat_clm_misfit(scn, grid, t_end):
+    """Why the heat_clm bound does not hold for the parabolic scenario scn
+    on grid up to t_end, or None.  The bound is derived for the 1-D heat
+    equation with unit diffusion, Dirichlet zero on one end and the
+    identity flux law on the other; a field is checked on the points the
+    solver binds it to, exactly, and the law on validate's samples."""
+    if scn.dim != 1:
+        return f"heat_clm bounds 1-D runs, not dim {scn.dim}"
+    if len(scn.gamma1) != 1:
+        return "heat_clm needs one Dirichlet end and one flux end"
+    y = grid.points()
+
+    def identically(fld, points, value):
+        bound = fld.bind(points)
+        return {p * s for p in bound.profile_range()
+                for s in signal_range(bound.signal, t_end)} == {value}
+
+    if not identically(scn.d1, 0.0 if "left" in scn.gamma1 else 1.0, 0.0):
+        return "heat_clm needs Dirichlet data identically 0"
+    if not identically(scn.a, 0.5 * (y[:-1] + y[1:]), 1.0):
+        return "heat_clm needs diffusion identically 1"
+    v = np.linspace(-10.0, 10.0, 401)
+    if not np.array_equal(np.asarray(scn.boundary_reaction(v), dtype=float), v):
+        return "heat_clm needs the identity flux law"
+    return None
+
+
 def _prepare_heat_clm(b, traj, scn, q, sups):
     # the boundary-damped heat equation: zero reaction, unit diffusion,
     # Dirichlet zero on gamma1, identity flux law with disturbance d2
     if q != 2:
         raise ValueError(f"heat_clm bounds the L2 norm; got q = {q}")
+    misfit = heat_clm_misfit(scn, traj.grid, float(traj.times[-1]))
+    if misfit:
+        raise ValueError(misfit)
     if scn.c0 != 0:
         b.warnings.append("heat baseline ignores the reaction floor; scenario has c0 != 0")
     b.init_norm = lq_norm(traj.state(0), 2.0, traj.grid)

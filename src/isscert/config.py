@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .certify import BOUNDS
+from .certify import BOUNDS, heat_clm_misfit
 from .scenarios import bundled_config_text, bundled_names
 from .signals import (SpaceTimeField, TimeSignal, profile2d_sinprod,
                       profile_affine, profile_bump, profile_constant,
@@ -430,6 +430,10 @@ def build_plan(doc: dict) -> RunPlan:
     solver = _build_solver(_get(doc, "solver", "<config>"), "solver", pde)
     energy = _build_energy(doc.get("energy"), "energy", pde)
     checks = _build_checks(doc.get("checks"), "checks", pde)
+    for i, check in enumerate(checks):
+        if check["kind"] == "heat_clm" and (misfit := heat_clm_misfit(scenario, grid,
+                                                                      solver.t_end)):
+            raise ConfigError(f"checks[{i}].kind", misfit)
     return RunPlan(name=name, description=description, pde=pde, scenario=scenario,
                    grid=grid, solver=solver, energy=energy, checks=checks, doc=doc)
 

@@ -14,21 +14,16 @@ of the interval, or all lines of a sweep on the square, stacked with zero
 couplings into one tridiagonal band.  The interior unknowns of a line are
 affine in its end values, so the balance at each flux end becomes a
 strictly increasing scalar equation with a guaranteed bracket, closed by
-bisection in one closure, :func:`_solve_lines`.  Both of its kernels run
-one bisection, on two data layouts chosen by the stack height: one line
-runs on Python floats end to end, from its end factors and boundary
-values through the coupled sweeps to its end values; more lines run in
-lockstep on arrays.  Each expands the bracket and evaluates every
-midpoint, with the same exact-root and adjacent-float exits, so a line
-gives the same bits alone or in a stack for any law that gives a float
-the bits an array gives elementwise.  The lockstep kernel also records
-its trail, the points it evaluated and the signs it read there: on a
-stack the per-round work of masking predicted lines costs more than the
-law calls it saves, so rounds, not points, are what to cut.  A later
-coupled closure of the same end differs only through the other end's
-value; it reads the new signs on its whole trail in one call and bisects
-only from the first round where a line's signs change: after the first
-sweep, a few late rounds or none on the bundled 2-D runs.
+bisection in one closure, :func:`_solve_lines`.  With two flux ends, the
+high end's balance is affine in the low end's value, so solving it for
+that value (clipped to the finite floats where the coupling underflows)
+leaves one increasing equation in the high end's value: one bisection
+gives the high end, the low end's own closure there the low end.  The
+closure runs on two data layouts chosen by the
+stack height: one line on Python floats end to end, more lines in
+lockstep on arrays, with the same expansion, midpoints and exits, so a
+line gives the same bits alone or in a stack for any law that gives a
+float the bits an array gives elementwise.
 :func:`solve_parabolic` supplies the step of either dimension to the time
 loop all steppers share, :func:`~isscert.solvers.common.march`.  It binds
 every field to its points once per solve
@@ -45,6 +40,7 @@ maps checked again over the range it reached.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable
@@ -68,8 +64,8 @@ _SLOPE_TOL = 1e-8
 # _MAP_BLOCK intervals at a time, up to states of _MAP_REACH_MAX
 _MAP_REACH, _MAP_INTERVALS, _MAP_BLOCK, _MAP_REACH_MAX = 10.0, 400, 4000, 1e6
 
-# a line with two flux ends gives up after _SWEEPS coupled sweeps
-_SWEEPS, _UNSETTLED = 100, "coupled flux boundaries did not settle"
+# x(y) of a line with two flux ends is clipped to the finite floats
+_FLOAT_MAX = sys.float_info.max
 _NONFINITE = "non-finite diffusion band or right-hand side"
 
 
@@ -381,13 +377,12 @@ def _solve_lines(band, w_old, h, dt, af, src, bc_lo, bc_hi, varphi, bc_tol):
 
         (b - w)/dt + (2/h) varphi(b) - (2/h) d2 + (2/h^2) a (b - inner) - src
 
-    is strictly increasing in its end value b and is closed by bisection;
-    a line with two flux ends alternates the two closures until neither end
-    moves by more than bc_tol, each line stopping on its own, and gives up
-    after _SWEEPS sweeps.  One line runs :func:`_close_line`, on Python
-    floats from its factors to its end values; a larger stack runs
-    :func:`_close_stack` in lockstep on arrays.  Both take the same
-    decisions, so a line gives the same bits alone or in a stack.
+    is strictly increasing in its end value b and is closed by bisection,
+    :func:`_close`; a line with two flux ends runs two.  One line runs
+    :func:`_close_line`, on Python floats from its factors to its end
+    values; a larger stack runs :func:`_close_stack` in lockstep on arrays.
+    Both take the same decisions, so a line gives the same bits alone or in
+    a stack.
     """
     base, resp = _line_responses(band, w_old, h, dt, af, src, bc_lo, bc_hi)
     if not resp:
@@ -416,10 +411,10 @@ def _end_factors(end, pick, h, w_old, src, base, resp, af, d2):
             (2.0 / h**2) * pick(af, f), [(e == end, pick(r, k)) for e, r in resp.items()])
 
 
-def _residual(dt, c_phi, law, other, w_i, src_i, base_k, c_d2, c_face, terms):
+def _residual(dt, c_phi, law, w_i, src_i, base_k, c_d2, c_face, terms):
     """The balance of an end with factors :func:`_end_factors`, as a
-    function of its value b, the other flux end (if any) held at other."""
-    def residual(b):
+    function of its value b and the other flux end's value, if any."""
+    def residual(b, other=0.0):
         val = base_k
         for own, r_k in terms:
             val = val + (b if own else other) * r_k
@@ -429,89 +424,73 @@ def _residual(dt, c_phi, law, other, w_i, src_i, base_k, c_d2, c_face, terms):
     return residual
 
 
+def _close(bisect, clip, dt, c_phi, law, factors):
+    """The values {end: b} of the flux ends with factors {end: factors}
+    (:func:`_end_factors`), closed by bisect(residual, center) from each
+    end's old value; clip(r, beta) is the layout's r/beta, clipped to the
+    finite floats and of r's sign where beta = 0.
+
+    With two flux ends, the high end's balance is affine in the low end's
+    value x, R_hi(y; x) = R_hi(y; 0) - beta*x with beta >= 0 its cross
+    factor (c_face times the low end's response r_k), so x(y) =
+    R_hi(y; 0)/beta zeroes it.  F(y) = R_lo(x(y); y) is strictly
+    increasing while rho = beta_lo*beta_hi/(s_lo*s_hi) < 1 (cross factors
+    over own slopes), which the diffusion band guarantees.  One bisection
+    of F gives y; x comes from the low end's own closure at y, not from
+    x(y), which amplifies errors by s/beta.  The clip keeps F at +-inf,
+    never NaN, where beta underflows.
+    """
+    res = {end: _residual(dt, c_phi, law, *fac) for end, fac in factors.items()}
+    if len(res) == 1:
+        ((end, residual),) = res.items()
+        return {end: bisect(residual, factors[end][0])}
+    lo, hi = res["lo"], res["hi"]
+    w_hi, *_, c_face, terms = factors["hi"]
+    beta = c_face * next(r_k for own, r_k in terms if not own)
+    y = bisect(lambda y: lo(clip(hi(y), beta), y), w_hi)
+    return {"lo": bisect(lambda x: lo(x, y), factors["lo"][0]), "hi": y}
+
+
+def _clip_scalar(r, beta):
+    """r/beta as a Python float, clipped to the finite floats; of r's sign
+    when beta = 0."""
+    x = float(r) / beta if beta else math.copysign(_FLOAT_MAX, r)
+    return min(max(x, -_FLOAT_MAX), _FLOAT_MAX)
+
+
+def _clip_lockstep(r, beta):
+    """:func:`_clip_scalar` on arrays."""
+    return np.clip(np.where(beta == 0.0, np.copysign(_FLOAT_MAX, r), r / beta),
+                   -_FLOAT_MAX, _FLOAT_MAX)
+
+
 def _close_line(h, dt, w_old, src, base, resp, af, data, varphi, bc_tol):
     """The values {end: b} of one line's flux ends, as floats.
 
-    The line's factors, its boundary data (a scalar or a size-1 array)
-    and the coupled sweeps' state are read as Python floats once, and the
-    flux law sees floats.  Each closure is :func:`_bisect_scalar`, the
-    bisection :func:`_close_stack` runs in lockstep, on the float layout.
+    The line's factors and its boundary data (a scalar or a size-1 array)
+    are read as Python floats once, and the flux law sees floats.  Each
+    closure is :func:`_bisect_scalar`, the bisection :func:`_close_stack`
+    runs in lockstep, on the float layout.
     """
-    data = {end: np.asarray(value, dtype=float).item() for end, value in data.items()}
-    factors = {end: _end_factors(end, np.ndarray.item, h, w_old, src, base, resp, af, data[end])
-               for end in resp}
-
-    def close(end, other):
-        fac = factors[end]
-        return _bisect_scalar(_residual(dt, 2.0 / h, varphi, other, *fac), fac[0], bc_tol)
-
-    if len(resp) == 1:
-        (end,) = resp
-        return {end: close(end, data["hi" if end == "lo" else "lo"])}
-    # the coupled sweeps start from the old end values
-    b_lo, b_hi = w_old.item(0), w_old.item(-1)
-    for _ in range(_SWEEPS):
-        new_lo = close("lo", b_hi)
-        new_hi = close("hi", new_lo)
-        d_lo, d_hi = abs(new_lo - b_lo), abs(new_hi - b_hi)
-        moved = d_hi if d_hi > d_lo else d_lo
-        b_lo, b_hi = new_lo, new_hi
-        if moved <= bc_tol:
-            return {"lo": b_lo, "hi": b_hi}
-    raise RuntimeError(_UNSETTLED)
+    factors = {end: _end_factors(end, np.ndarray.item, h, w_old, src, base, resp, af,
+                                 np.asarray(data[end], dtype=float).item()) for end in resp}
+    return _close(lambda res, center: _bisect_scalar(res, center, bc_tol), _clip_scalar,
+                  dt, 2.0 / h, varphi, factors)
 
 
 def _close_stack(h, dt, w_old, src, base, resp, af, data, varphi, bc_tol):
     """:func:`_close_line` for each line of a stack, in lockstep on arrays:
-    the end values as (lines, 1) columns.
-
-    Each closure is :func:`_bisect_lockstep`, the bisection of
-    :func:`_bisect_scalar` on arrays, which records its trail.  With two
-    flux ends, each end keeps the :class:`_Trail` of its
-    last closure, and its next closure, on the same lines and centres,
-    confirms that trail with :func:`_confirm_lockstep` instead of bisecting
-    anew; lines that settle leave both trails.
-    """
+    the end values as (lines, 1) columns.  Each closure is
+    :func:`_bisect_lockstep`, the bisection of :func:`_bisect_scalar` on
+    arrays."""
     n_lines = w_old.shape[0]
-    data = {end: np.broadcast_to(value, n_lines) for end, value in data.items()}
-    trails = {}  # each end's last closure, one column per live line
-
-    def bisect(end, rows, other):
-        """Close end on lines rows, the other end held at other."""
-        fac = _end_factors(end, lambda a, j: a[rows, j], h, w_old, src, base, resp, af,
-                           data[end][rows])
-        residual = _residual(dt, 2.0 / h, varphi, other, *fac)
-        trails[end] = (_confirm_lockstep(residual, fac[0], bc_tol, trails[end])
-                       if end in trails else _bisect_lockstep(residual, fac[0], bc_tol))
-        return trails[end].root
-
-    lines = np.arange(n_lines)
-    b_lo = w_old[:, 0].copy() if "lo" in resp else data["lo"]
-    b_hi = w_old[:, -1].copy() if "hi" in resp else data["hi"]
-    if "hi" not in resp:
-        return {"lo": bisect("lo", lines, b_hi)[:, None]}
-    if "lo" not in resp:
-        return {"hi": bisect("hi", lines, b_lo)[:, None]}
-    # two coupled scalar closures, swept Gauss-Seidel style; for linear
-    # laws the sweeps contract by rho = beta_lo*beta_hi/(s_lo*s_hi) (cross
-    # factors over own slopes), which is small while a*dt is well below
-    # the line length squared and tends to 1 as a*dt grows past it
-    live = lines
-    for _ in range(_SWEEPS):
-        new_lo = bisect("lo", live, b_hi[live])
-        new_hi = bisect("hi", live, new_lo)
-        d_lo = np.abs(new_lo - b_lo[live])
-        d_hi = np.abs(new_hi - b_hi[live])
-        moved = np.where(d_hi > d_lo, d_hi, d_lo)
-        b_lo[live], b_hi[live] = new_lo, new_hi
-        keep = ~(moved <= bc_tol)
-        live = live[keep]
-        if not live.size:
-            return {"lo": b_lo[:, None], "hi": b_hi[:, None]}
-        if not keep.all():
-            for end, trail in trails.items():
-                trails[end] = trail.take(keep)
-    raise RuntimeError(_UNSETTLED)
+    factors = {end: _end_factors(end, lambda a, j: a[:, j], h, w_old, src, base, resp, af,
+                                 np.broadcast_to(data[end], n_lines)) for end in resp}
+    # x(y) and the balances past it overflow where a cross factor underflows
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ends = _close(lambda res, center: _bisect_lockstep(res, center, bc_tol),
+                      _clip_lockstep, dt, 2.0 / h, varphi, factors)
+    return {end: b[:, None] for end, b in ends.items()}
 
 
 def _expand_scalar(res, center, side):
@@ -530,7 +509,7 @@ def _expand_scalar(res, center, side):
 def _bisect_scalar(res, center, bc_tol):
     """Root of the increasing scalar res, bisected down to bc_tol: the
     bracket from :func:`_expand_scalar`, then every midpoint evaluated,
-    as :func:`_bisect_rounds` does for each line of a stack."""
+    as :func:`_bisect_lockstep` does for each line of a stack."""
     lo = _expand_scalar(res, center, "low")
     hi = _expand_scalar(res, center, "high")
     while hi - lo > bc_tol:
@@ -550,134 +529,37 @@ def _bisect_scalar(res, center, bc_tol):
 
 
 def _expand_lockstep(res, center, side):
-    """_expand_scalar, one entry per line: the (rounds, lines) trial points
-    and their stop bits.  A line that has stopped keeps its point, so the
-    last row holds every line's bracket end."""
+    """_expand_scalar, one entry per line: each line's bracket end, a line
+    that has stopped keeping its point."""
     span = np.maximum(1.0, np.abs(center))
     x = center - span if side == "low" else center + span
-    xs, stops = [], []
     for _ in range(80):
         r = res(x)
         stop = (r <= 0.0) if side == "low" else (r >= 0.0)
-        xs.append(x)
-        stops.append(stop)
         if stop.all():
-            return np.array(xs), np.array(stops)
+            return x
         span *= 2.0  # only the spans of lines still growing are used
         x = np.where(stop, x, center - span if side == "low" else center + span)
     raise RuntimeError(f"flux boundary bracket expansion failed ({side} side)")
 
 
-@dataclass
-class _Trail:
-    """The path of a lockstep closure, column j for line j.
-
-    x_lo/stop_lo and x_hi/stop_hi are the expansions' trial points and stop
-    bits (:func:`_expand_lockstep`).  Row k of mid, live, le and lt is
-    bisection round k: its midpoints, the lines it updates, and the bits
-    r <= 0 (lo moves) and r < 0 (hi stays) of their residuals r.  root is
-    the closure's result.  A line's live rows are a prefix of its column.
-    """
-
-    x_lo: np.ndarray
-    stop_lo: np.ndarray
-    x_hi: np.ndarray
-    stop_hi: np.ndarray
-    mid: np.ndarray
-    live: np.ndarray
-    le: np.ndarray
-    lt: np.ndarray
-    root: np.ndarray
-
-    def take(self, keep):
-        """The trail of the lines keep selects."""
-        return _Trail(*(a[..., keep] for a in vars(self).values()))
-
-
-def _bisect_rounds(res, lo, hi, bc_tol):
-    """Bisect the brackets [lo, hi] in lockstep, in place, down to bc_tol.
+def _bisect_lockstep(res, center, bc_tol):
+    """_bisect_scalar, one entry per line, on arrays.
 
     res is evaluated on every line each round; a line whose loop has
     ended keeps its bracket, so its extra evaluations change nothing.
-    Returns the roots and the rounds' mid, live, le and lt rows.
     """
-    n = lo.size
-    rounds = [], [], [], []
+    lo = _expand_lockstep(res, center, "low")
+    hi = _expand_lockstep(res, center, "high")
     live = hi - lo > bc_tol
     while live.any():
         mid = 0.5 * (lo + hi)
         # adjacent floats wider apart than bc_tol end a line's loop
-        live = live & (lo < mid) & (mid < hi)
+        live &= (lo < mid) & (mid < hi)
         r = res(mid)
-        le, lt = r <= 0.0, r < 0.0
         # an exact root (equilibria land here) moves both ends onto mid,
         # which ends its loop and keeps it bitwise; NaN moves hi
-        np.copyto(lo, mid, where=live & le)
-        np.copyto(hi, mid, where=live & ~lt)
-        for row, rows in zip((mid, live, le, lt), rounds):
-            rows.append(row)
-        live = live & (hi - lo > bc_tol)
-    root = np.where(lo == hi, lo, 0.5 * (lo + hi))
-    return root, [np.reshape(np.array(rows, dtype=dtype), (-1, n))
-                  for rows, dtype in zip(rounds, (float, bool, bool, bool))]
-
-
-def _bisect_lockstep(res, center, bc_tol):
-    """_bisect_scalar, one entry per line: the :class:`_Trail` whose root
-    holds the results."""
-    x_lo, stop_lo = _expand_lockstep(res, center, "low")
-    x_hi, stop_hi = _expand_lockstep(res, center, "high")
-    root, rounds = _bisect_rounds(res, x_lo[-1].copy(), x_hi[-1].copy(), bc_tol)
-    return _Trail(x_lo, stop_lo, x_hi, stop_hi, *rounds, root)
-
-
-def _confirm_lockstep(res, center, bc_tol, trail):
-    """:func:`_bisect_lockstep` of res, taken from the trail of an earlier
-    closure of the same lines and centres.
-
-    The closure is a function of the residual's signs at the points it
-    evaluates, so one broadcast call evaluates res on every point of the
-    trail; elementwise evaluation gives a (rounds, lines) array the bits
-    it gives one row, as the stack and the one-line kernel already assume.
-    A line whose live rounds read the same bits keeps its recorded root.
-    A line whose bits first differ in round k resumes the bisection at
-    round k, from the bracket its lo- and hi-moving midpoints before k
-    left, and its rounds from k on are replaced.  An expansion that stops
-    on other rounds closes the stack afresh; no 2-D run of the bundled
-    scenarios or the benchmark seeds has needed it.
-    """
-    e_lo, e_hi = len(trail.x_lo), len(trail.x_hi)
-    r = res(np.concatenate((trail.x_lo, trail.x_hi, trail.mid)))
-    if (np.any((r[:e_lo] <= 0.0) != trail.stop_lo)
-            or np.any((r[e_lo:e_lo + e_hi] >= 0.0) != trail.stop_hi)):
-        return _bisect_lockstep(res, center, bc_tol)
-    r = r[e_lo + e_hi:]
-    differs = trail.live & (((r <= 0.0) != trail.le) | ((r < 0.0) != trail.lt))
-    cols = np.flatnonzero(differs.any(0))
-    if not cols.size:
-        return trail
-    k = differs[:, cols].argmax(0)
-    # live rows are a prefix, so every round before k updated the line
-    before = np.arange(len(trail.mid))[:, None] < k
-    mid = trail.mid[:, cols]
-    # the other lines get the empty bracket [root, root], which ends them
-    lo, hi = trail.root.copy(), trail.root.copy()
-    lo[cols] = np.maximum(trail.x_lo[-1, cols],
-                          np.where(before & trail.le[:, cols], mid, -np.inf).max(0))
-    hi[cols] = np.minimum(trail.x_hi[-1, cols],
-                          np.where(before & ~trail.lt[:, cols], mid, np.inf).min(0))
-    root, rounds = _bisect_rounds(res, lo, hi, bc_tol)
-    # splice: line cols[j] takes the new rounds from round k[j] on
-    rows = k + np.arange(len(rounds[0]))[:, None]
-    n = max(len(trail.mid), rows.max() + 1)
-    mid, live, le, lt = (
-        np.concatenate((a, np.broadcast_to(fill, (n - len(a), a.shape[1]))))
-        for a, fill in zip((trail.mid, trail.live, trail.le, trail.lt),
-                           (trail.root, False, False, False)))
-    live[:, cols] &= np.arange(n)[:, None] < k
-    for a, new in zip((mid, live, le, lt), rounds):
-        a[rows, cols] = new[:, cols]
-    # drop the rows no line is live in from the end
-    n = np.flatnonzero(live.any(1))[-1] + 1
-    return _Trail(trail.x_lo, trail.stop_lo, trail.x_hi, trail.stop_hi,
-                  mid[:n], live[:n], le[:n], lt[:n], root)
+        np.copyto(lo, mid, where=live & (r <= 0.0))
+        np.copyto(hi, mid, where=live & ~(r < 0.0))
+        live &= hi - lo > bc_tol
+    return np.where(lo == hi, lo, 0.5 * (lo + hi))

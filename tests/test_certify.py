@@ -366,6 +366,7 @@ def test_wave_m_check_positive_margins():
 
 def test_heat_baseline_warns_about_reaction():
     scn = make_parabolic_demo()
+    scn.d1 = ZERO  # the heat baseline needs Dirichlet zero
     grid = Grid1D(32, layout="node")
     traj = solve_parabolic(scn, grid, SolverConfig(t_end=0.05, dt=0.005))
     bound = prepare_bound("heat_clm", traj, scn, 2.0)
@@ -373,6 +374,23 @@ def test_heat_baseline_warns_about_reaction():
     # the baseline bounds the L2 norm only
     with pytest.raises(ValueError, match="heat_clm bounds the L2 norm"):
         prepare_bound("heat_clm", traj, scn, 4.0)
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"gamma1": frozenset(("left", "right")), "gamma2": frozenset()},
+     "one Dirichlet end and one flux end"),
+    ({"d1": SpaceTimeField.constant(0.2)}, "Dirichlet data identically 0"),
+    ({"a": SpaceTimeField.constant(2.0)}, "diffusion identically 1"),
+    ({"boundary_reaction": lambda v: 2.0 * v}, "the identity flux law")])
+def test_heat_baseline_refuses_other_equations(edit, message):
+    scn = make_parabolic_demo()
+    scn.d1 = ZERO
+    grid, cfg = Grid1D(32, layout="node"), SolverConfig(t_end=0.05, dt=0.005)
+    assert prepare_bound("heat_clm", solve_parabolic(scn, grid, cfg), scn, 2.0)
+    for name, value in edit.items():
+        setattr(scn, name, value)
+    with pytest.raises(ValueError, match=f"^heat_clm needs {message}$"):
+        prepare_bound("heat_clm", solve_parabolic(scn, grid, cfg), scn, 2.0)
 
 
 def test_unknown_bound_kind():

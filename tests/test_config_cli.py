@@ -166,6 +166,32 @@ def test_cli_run_rejects_heat_clm_off_the_l2_norm(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+_HEAT_MISFITS = [
+    ("parabolic_2d_demo", {}, "heat_clm bounds 1-D runs, not dim 2"),
+    ("heat_clm_demo", {"flux_edges": ["left", "right"], "dirichlet_edges": []},
+     "heat_clm needs one Dirichlet end and one flux end"),
+    ("parabolic_demo", {}, "heat_clm needs Dirichlet data identically 0"),
+    ("heat_clm_demo", {"diffusion": {"kind": "uniform", "signal": {
+        "kind": "sinusoid", "amplitude": 0.1, "frequency": 1.0, "offset": 1.0}},
+        "diffusion_floor": 0.9}, "heat_clm needs diffusion identically 1"),
+    ("heat_clm_demo", {"boundary_reaction": {"kind": "cubic", "gamma": 0.5}},
+     "heat_clm needs the identity flux law"),
+]
+
+
+@pytest.mark.parametrize("demo, scenario, message", _HEAT_MISFITS,
+                         ids=["dim", "edges", "dirichlet", "diffusion", "flux_law"])
+def test_cli_run_rejects_heat_clm_off_its_equation(tmp_path, capsys, demo, scenario, message):
+    # the parabolic demos once ran a heat_clm check to status=ok and exit 0
+    doc = _edited(demo, "checks", [{"kind": "heat_clm", "q": 2, "eps": 1.0}])
+    doc["scenario"].update(scenario)
+    cfg = tmp_path / "heat_misfit.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: checks[0].kind: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_file():
     with pytest.raises(ConfigError):
         load_config("definitely_not_bundled")
@@ -285,6 +311,26 @@ def test_cli_run_non_finite_source_exits_2(tmp_path, capsys):
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert "non-finite explicit source" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("diffusion,dt,n,t_end", [
+    (100.0, 0.1, 200, 1.5), (1000.0, 0.01, 200, 1.5),
+    # a unit value at one end reaches the other end's inner node as 0.0
+    (1.0, 1e-7, 2000, 3e-7)])
+def test_cli_run_closes_two_strongly_or_weakly_coupled_flux_ends(tmp_path, capsys, diffusion,
+                                                                 dt, n, t_end):
+    # the first two once gave up with "coupled flux boundaries did not settle"
+    doc = load_config("parabolic_demo")
+    doc["scenario"].update(flux_edges=["left", "right"], dirichlet_edges=[],
+                           diffusion={"kind": "constant", "value": diffusion},
+                           diffusion_floor=diffusion)
+    doc["grid"]["n"] = n
+    doc["solver"].update(dt=dt, t_end=t_end)
+    cfg = tmp_path / "two_flux.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    out, err = capsys.readouterr()
+    assert "status=ok" in out and err.startswith("wrote ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("bc_tol", [0.0, -1e-10, math.nan, math.inf])

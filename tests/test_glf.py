@@ -398,6 +398,20 @@ def test_wave_forcing_slack_frozen_constant():
     assert np.allclose(out, 16.0 / 3.0, rtol=1e-12)
 
 
+def test_wave_forcing_slack_evaluates_the_profile_once():
+    calls = []
+
+    def profile(y):
+        calls.append(np.size(y))
+        return np.sin(3.0 * np.asarray(y))
+
+    fld = SpaceTimeField.separable(profile, TimeSignal.sinusoid(1.0, 0.7, 0.0, 2.0))
+    traj = _wave_trajectory(5)
+    spec = GlfSpec("wave", 2.0, r=1.0, level=0.0, eps=1.0)
+    assert np.all(wave_forcing_slack(traj, spec, fld) > 0.0)
+    assert calls == [traj.grid.npoints]
+
+
 def test_wave_forcing_slack_tracks_stamp_times():
     sig = TimeSignal.sinusoid(1.0, 0.7, 0.0, 2.0)
     fld = SpaceTimeField.from_signal(sig)

@@ -75,8 +75,7 @@ def test_traced_run_matches_untraced(tmp_path, capsys):
 def test_traced_run_files_match_untraced(tmp_path, capsys, scenario, spans):
     # the hyperbolic runs reach glf_for_wave or glf_for_transport, and
     # wave_forcing_slack, through cli; the 2-D run hands the counting flux
-    # law the stacked closures' arrays, the confirming closures' (rounds,
-    # lines) trails among them
+    # law the stacked closures' arrays, one entry per line
     plain, traced, tracer = _plain_and_traced(tmp_path, scenario)
     capsys.readouterr()
     names = sorted(p.name for p in plain.iterdir())

@@ -7,7 +7,9 @@ bounds) instead.
 """
 
 import re
+import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -331,7 +333,7 @@ def test_float_kernel_keeps_exact_roots(root):
     # a dyadic root is a midpoint of the bisection from [-1, 1], where the
     # residual b - root is exactly zero
     got = _bisect_scalar(lambda b: b - root, 0.0, 1e-10)
-    want = _bisect_lockstep(lambda b: b - root, np.array([0.0]), 1e-10).root[0]
+    want = _bisect_lockstep(lambda b: b - root, np.array([0.0]), 1e-10)[0]
     assert got == want
     if root != 1.0 / 3.0:
         assert got == root
@@ -349,7 +351,7 @@ def test_float_kernel_margin_covers_a_noisy_residual(root):
 
     got = _bisect_scalar(res, 0.0, 1e-10)
     want = _bisect_lockstep(lambda b: np.array([res(float(v)) for v in b]),
-                            np.array([0.0]), 1e-10).root[0]
+                            np.array([0.0]), 1e-10)[0]
     assert got == want
 
 
@@ -359,64 +361,41 @@ def test_float_kernel_without_a_located_bracket_evaluates_every_midpoint():
         return np.where(np.abs(b - 0.3) < 1e-3, np.nan, b - 0.3)
 
     got = _bisect_scalar(lambda b: float(res(b)), 0.0, 1e-10)
-    assert got == _bisect_lockstep(res, np.array([0.0]), 1e-10).root[0]
+    assert got == _bisect_lockstep(res, np.array([0.0]), 1e-10)[0]
 
 
-def confirm_spy(monkeypatch):
-    """Counts the confirming closures that closed the stack afresh, and
-    records the round at which each line another one resumed did so."""
-    seen = {"fresh": 0, "resumed_at": []}
-    confirm = parabolic._confirm_lockstep
+def bisection_counts(monkeypatch):
+    """Counts the closures each kernel runs."""
+    seen = {"scalar": 0, "lockstep": 0}
+    kernels = {"scalar": parabolic._bisect_scalar, "lockstep": parabolic._bisect_lockstep}
 
-    def confirmed(res, center, bc_tol, trail):
-        out = confirm(res, center, bc_tol, trail)
-        if out.x_lo is not trail.x_lo:
-            seen["fresh"] += 1
-        else:
-            # a resumed line's bits change first in the round it resumed at
-            n = min(len(trail.live), len(out.live))
-            changed = trail.live[:n] & ((trail.le[:n] != out.le[:n])
-                                        | (trail.lt[:n] != out.lt[:n]))
-            seen["resumed_at"] += changed.argmax(0)[changed.any(0)].tolist()
-        return out
+    def counted(layout):
+        def bisect(res, center, bc_tol):
+            seen[layout] += 1
+            return kernels[layout](res, center, bc_tol)
+        return bisect
 
-    monkeypatch.setattr(parabolic, "_confirm_lockstep", confirmed)
+    for layout in kernels:
+        monkeypatch.setattr(parabolic, f"_bisect_{layout}", counted(layout))
     return seen
 
 
 def test_solve_lines_coupled_lines_stop_on_their_own(monkeypatch):
-    # strong diffusion on few points couples the two flux ends, so the
-    # lines need different numbers of coupled sweeps; the stack's later
-    # closures resume lines from their trails
-    seen = confirm_spy(monkeypatch)
+    # the coupling of the two flux ends spans four decades over the lines;
+    # each line closes with two bisections, alone or in a stack
+    seen = bisection_counts(monkeypatch)
     rng = np.random.default_rng(3)
     w_old, af, src, ends = random_lines(rng, n_lines=9, m=6)
     af *= np.logspace(-2, 2, 9)[:, None]
-    varphi = cubic(0.8)
-    sweeps = []
-    for k in range(9):
-        # every sweep starts the low end's bracket at the same point
-        start = w_old[k, 0] - max(1.0, abs(w_old[k, 0]))
-        args = []
-
-        def recorded(v):
-            args.append(v)
-            return varphi(v)
-
-        solve_one_line(w_old[k], 0.2, 0.02, af[k], src[k], ("flux", ends[0][k]),
-                       ("flux", ends[1][k]), recorded, 1e-10)
-        sweeps.append(args.count(start))
-    assert min(sweeps) <= 3 and max(sweeps) >= 20
     batched, per_line = solve_both(w_old, af, src, ("flux", "flux"), ends,
-                                   h=0.2, dt=0.02, varphi=varphi)
+                                   h=0.2, dt=0.02, varphi=cubic(0.8))
     assert np.array_equal(batched, per_line)
-    assert seen["resumed_at"]
+    assert seen == {"scalar": 2 * 9, "lockstep": 2}
 
 
-def test_solve_lines_exact_root_equilibrium(monkeypatch):
+def test_solve_lines_exact_root_equilibrium():
     # equilibrium lines close on an exact root in round 0, beside lines
-    # the later coupled closures resume
-    seen = confirm_spy(monkeypatch)
+    # that do not
     rng = np.random.default_rng(4)
     w_old, af, src, ends = random_lines(rng)
     w_old[::2], src[::2], ends[:, ::2] = 0.0, 0.0, 0.0
@@ -424,10 +403,7 @@ def test_solve_lines_exact_root_equilibrium(monkeypatch):
         batched, per_line = solve_both(w_old, af, src, kinds, ends)
         assert np.array_equal(batched, per_line)
         assert not np.any(batched[::2])
-    assert seen["resumed_at"]
-    # flux data on the high ends only: each low end's first closure lands
-    # on the exact root 0, where its later ones read a residual of the
-    # data's sign
+    # flux data on the high ends only: the low ends move off 0 with them
     for d2 in (1.0, -1.0):
         ends[1, ::2] = d2
         batched, per_line = solve_both(w_old, af, src, ("flux", "flux"), ends)
@@ -435,10 +411,9 @@ def test_solve_lines_exact_root_equilibrium(monkeypatch):
         assert np.all(batched[::2, 0] != 0.0)
 
 
-def test_solve_lines_stops_on_adjacent_floats(monkeypatch):
+def test_solve_lines_stops_on_adjacent_floats():
     # near 6e5 adjacent floats lie more than bc_tol = 1e-10 apart, so the
     # bracket cannot shrink below bc_tol; both closures must still stop
-    seen = confirm_spy(monkeypatch)
     rng = np.random.default_rng(5)
     w_old, af, src, ends = random_lines(rng)
     w_old += 6e5
@@ -447,7 +422,6 @@ def test_solve_lines_stops_on_adjacent_floats(monkeypatch):
                                        varphi=lambda v: v)
         assert np.all(np.isfinite(batched))
         assert np.array_equal(batched, per_line)
-    assert seen["resumed_at"]
 
 
 @settings(max_examples=50, derandomize=True, deadline=None)
@@ -480,62 +454,6 @@ def test_kernels_agree_on_a_law_that_dips_between_samples(kinds):
             w_old, af, src, ends = random_lines(rng, scale=scale)
             batched, per_line = solve_both(w_old, af, src, kinds, ends, varphi=dipping_law)
             assert np.array_equal(batched, per_line)
-
-
-def lockstep_trails(monkeypatch):
-    """The trails of the lockstep closures, in the order they close."""
-    trails = []
-    bisect, confirm = parabolic._bisect_lockstep, parabolic._confirm_lockstep
-
-    def fresh(res, center, bc_tol):
-        trails.append(bisect(res, center, bc_tol))
-        return trails[-1]
-
-    def confirmed(res, center, bc_tol, trail):
-        out = confirm(res, center, bc_tol, trail)
-        if out.x_lo is trail.x_lo:  # a stack closed afresh is in already
-            trails.append(out)
-        return out
-
-    monkeypatch.setattr(parabolic, "_bisect_lockstep", fresh)
-    monkeypatch.setattr(parabolic, "_confirm_lockstep", confirmed)
-    return trails
-
-
-def trail_points(trail, j):
-    """The points a trail records for line j: the expansions up to their
-    stops, then the midpoints of its live rounds."""
-    return [*trail.x_lo[:trail.stop_lo[:, j].argmax() + 1, j],
-            *trail.x_hi[:trail.stop_hi[:, j].argmax() + 1, j],
-            *trail.mid[trail.live[:, j], j]]
-
-
-@pytest.mark.parametrize("kinds", FLUX_KINDS)
-def test_one_line_kernel_evaluates_the_points_of_the_lockstep_trail(monkeypatch, kinds):
-    # a line stacked twice runs in lockstep, both columns alike; alone it
-    # runs on floats and must call the law at the trail's points, in order
-    trails = lockstep_trails(monkeypatch)
-    rng = np.random.default_rng(9)
-    varphi = cubic(0.8)
-    for scale in (1.0, 1e3):
-        w_old, af, src, ends = random_lines(rng, scale=scale)
-        for k in range(w_old.shape[0]):
-            pair = np.r_[k, k]
-            trails.clear()
-            stacked = _solve_lines(_Band(), w_old[pair], 1.0 / 11, 0.01, af[pair], src[pair],
-                                   (kinds[0], ends[0][pair]), (kinds[1], ends[1][pair]),
-                                   varphi, 1e-10)
-            points = []
-
-            def recorded(v):
-                points.append(v)
-                return varphi(v)
-
-            alone = solve_one_line(w_old[k], 1.0 / 11, 0.01, af[k], src[k],
-                                   (kinds[0], ends[0][k]), (kinds[1], ends[1][k]),
-                                   recorded, 1e-10)
-            assert np.array_equal(stacked[0], alone)
-            assert points == [p for trail in trails for p in trail_points(trail, 0)]
 
 
 def test_flux_law_sees_floats_on_one_line_and_arrays_on_a_stack():
@@ -572,39 +490,36 @@ def test_solve_lines_nan_residual_raises():
                      ("dirichlet", ends[0]), varphi, 1e-10)
 
 
-def test_strongly_coupled_closures_match_scalar_solves(monkeypatch):
-    # each end's root moves far with the other end's value, so later
-    # closures leave their trails within the first rounds or expand afresh
-    seen = confirm_spy(monkeypatch)
+def test_strongly_coupled_closures_match_scalar_solves():
+    # each end's root moves far with the other end's value
     rng = np.random.default_rng(3)
     w_old, af, src, ends = random_lines(rng, n_lines=9, m=6)
     batched, per_line = solve_both(w_old, 100.0 * af, src, ("flux", "flux"), ends,
                                    h=0.2, dt=0.02)
     assert np.array_equal(batched, per_line)
-    assert seen["fresh"]
-    assert min(seen["resumed_at"]) < 4
 
 
-def test_confirmed_closure_with_nan_residuals_raises():
-    # the law turns NaN after the first closure of each end, so the later
-    # closures' expansions no longer stop where their trails did
+@pytest.mark.parametrize("n_lines", [1, 7])
+def test_law_turning_nan_partway_through_a_closure_raises(n_lines):
+    # the law turns NaN in the rounds of the first bisection, after its
+    # expansions, so the second bisection's expansion cannot stop
     rng = np.random.default_rng(6)
-    w_old, af, src, ends = random_lines(rng)
-    varphi, stacked = cubic(0.8), []
+    w_old, af, src, ends = random_lines(rng, n_lines=n_lines)
+    varphi, calls = cubic(0.8), []
 
     def law(v):
-        stacked.append(np.ndim(v) == 2)
-        return np.full(np.shape(v), np.nan) if any(stacked) else varphi(v)
+        calls.append(v)
+        return np.full(np.shape(v), np.nan) if len(calls) > 20 else varphi(v)
 
     with pytest.raises(RuntimeError, match="bracket expansion failed"):
         _solve_lines(_Band(), w_old, 0.1, 0.01, af, src, ("flux", ends[0]), ("flux", ends[1]),
                      law, 1e-10)
-    assert stacked[-1] is False and sum(stacked) == 1
+    assert len(calls) > 100
 
 
 def test_2d_closure_stacked_law_calls():
-    # the parabolic_2d_demo solve: 16 653 law calls when every coupled
-    # closure bisects anew
+    # the parabolic_2d_demo solve: each stack of lines with two flux ends
+    # runs two lockstep bisections, the first calling the law twice a round
     plan = load_plan("parabolic_2d_demo")
     law, calls = plan.scenario.boundary_reaction, []
 
@@ -614,8 +529,151 @@ def test_2d_closure_stacked_law_calls():
 
     scn = replace(plan.scenario, boundary_reaction=counted)
     solve_parabolic(scn, plan.grid, plan.solver)
-    assert 2 in calls
-    assert len(calls) <= 8000
+    assert len(calls) <= 8328
+
+
+# ---------------------------------------------------------------------------
+# two flux ends: the end values against an exact and an independent solve
+
+A_DT = (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3)
+BC_TOL = 1e-10
+
+
+def coupled_lines(n, a, n_lines=5, dt=0.01, seed=0):
+    """n_lines random lines of n intervals with two flux ends and constant
+    diffusion a (one value per line when a is a sequence)."""
+    rng = np.random.default_rng(seed)
+    w_old, src = rng.normal(size=(2, n_lines, n + 1))
+    af = np.broadcast_to(np.reshape(a, (-1, 1)), (n_lines, n)).astype(float)
+    return w_old, 1.0 / n, dt, af, src, rng.normal(size=(2, n_lines))
+
+
+def balance_factors(w_old, h, dt, af, src, ends):
+    """Per line and end, (s, beta, g) of the balance s*b + (2/h)*varphi(b)
+    - beta*other - g, from the band's base solution and unit responses."""
+    base, resp = _line_responses(_Band(), w_old, h, dt, af, src,
+                                 ("flux", ends[0]), ("flux", ends[1]))
+    out = {}
+    for end, i, k, f, other in (("lo", 0, 1, 0, "hi"), ("hi", -1, -2, -1, "lo")):
+        c_face = (2.0 / h**2) * af[:, f]
+        g = w_old[:, i] / dt + (2.0 / h) * ends[0 if end == "lo" else 1] \
+            + c_face * base[:, k] + src[:, i]
+        out[end] = (1.0 / dt + c_face * (1.0 - resp[end][:, k]), c_face * resp[other][:, k], g)
+    return out
+
+
+def exact_linear_ends(w_old, h, dt, af, src, ends):
+    """The end values of the identity law, each line's 2x2 system solved
+    exactly in fractions from the float factors; and each line's rho."""
+    fac = balance_factors(w_old, h, dt, af, src, ends)
+    lines, rhos = [], []
+    for j in range(w_old.shape[0]):
+        (s_lo, b_lo, g_lo), (s_hi, b_hi, g_hi) = (
+            [Fraction(float(v[j])) for v in fac[end]] for end in ("lo", "hi"))
+        a_lo, a_hi = s_lo + Fraction(2.0 / h), s_hi + Fraction(2.0 / h)
+        det = a_lo * a_hi - b_lo * b_hi
+        lines.append(((g_lo * a_hi + b_lo * g_hi) / det, (a_lo * g_hi + b_hi * g_lo) / det))
+        rhos.append(float(b_lo * b_hi / (a_lo * a_hi)))
+    return lines, rhos
+
+
+def end_errors(w, exact):
+    """Largest distance of the end values of w from the exact ones."""
+    return max(abs(Fraction(float(w[j, i])) - want[e])
+               for j, want in enumerate(exact) for e, i in ((0, 0), (1, -1)))
+
+
+def test_two_flux_ends_match_the_exact_linear_solve():
+    # rho -> 1 as a*dt grows past the line length squared; sweeping the two
+    # end closures missed bc_tol from a*dt = 1 and gave up from a*dt = 10
+    identity = lambda v: v  # noqa: E731
+    worst, top_rho = 0.0, 0.0
+    for a_dt in A_DT:
+        for n in (8, 32, 200):
+            w_old, h, dt, af, src, ends = coupled_lines(n, a_dt / 0.01, seed=n)
+            exact, rhos = exact_linear_ends(w_old, h, dt, af, src, ends)
+            stack = _solve_lines(_Band(), w_old, h, dt, af, src, ("flux", ends[0]),
+                                 ("flux", ends[1]), identity, BC_TOL)
+            alone = solve_one_line(w_old[0], h, dt, af[0], src[0], ("flux", ends[0][0]),
+                                   ("flux", ends[1][0]), identity, BC_TOL)
+            worst = max(worst, end_errors(stack, exact), end_errors(alone[None], exact[:1]))
+            top_rho = max(top_rho, *rhos)
+    assert worst <= BC_TOL
+    assert top_rho > 0.998
+
+
+def nested_bisection_ends(fac, c_phi, varphi, reach=1e4):
+    """The end values of lines with factors fac (:func:`balance_factors`)
+    and law coefficients c_phi = 2/h by nested bisection on [-reach,
+    reach]: the low end closed for each high value y, and y bisected on
+    the high end's balance at that low value; 64 halvings each, on every
+    line at once."""
+    (s_lo, b_lo, g_lo), (s_hi, b_hi, g_hi) = fac["lo"], fac["hi"]
+
+    def bisect(res):
+        lo, hi = np.full(c_phi.shape, -reach), np.full(c_phi.shape, reach)
+        assert np.all(res(lo) < 0.0) and np.all(res(hi) > 0.0)
+        for _ in range(64):
+            mid = 0.5 * (lo + hi)
+            below = res(mid) <= 0.0
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        return 0.5 * (lo + hi)
+
+    def low_end(y):
+        return bisect(lambda x: s_lo * x + c_phi * varphi(x) - b_lo * y - g_lo)
+
+    y = bisect(lambda y: s_hi * y + c_phi * varphi(y) - b_hi * low_end(y) - g_hi)
+    return low_end(y), y
+
+
+@pytest.mark.parametrize("gamma", [1.0, 100.0])
+def test_two_flux_ends_match_a_nested_bisection_on_a_cubic_law(gamma):
+    varphi = cubic(gamma)
+    cases = [coupled_lines(n, a_dt / 0.01, seed=n + 1) for a_dt in A_DT for n in (8, 32, 200)]
+    stacks, alone, facs = [], [], []
+    for w_old, h, dt, af, src, ends in cases:
+        stacks.append(_solve_lines(_Band(), w_old, h, dt, af, src, ("flux", ends[0]),
+                                   ("flux", ends[1]), varphi, BC_TOL))
+        alone.append(solve_one_line(w_old[0], h, dt, af[0], src[0], ("flux", ends[0][0]),
+                                    ("flux", ends[1][0]), varphi, BC_TOL))
+        facs.append(balance_factors(w_old, h, dt, af, src, ends))
+    # every case's lines at once
+    fac = {end: [np.concatenate(parts) for parts in zip(*(f[end] for f in facs))]
+           for end in ("lo", "hi")}
+    c_phi = np.concatenate([np.full(case[0].shape[0], 2.0 / case[1]) for case in cases])
+    lo, hi = nested_bisection_ends(fac, c_phi, varphi)
+    want = np.stack([lo, hi], axis=1)
+    assert np.abs(np.concatenate([w[:, [0, -1]] for w in stacks]) - want).max() <= BC_TOL
+    firsts = np.cumsum([0] + [case[0].shape[0] for case in cases[:-1]])
+    assert np.abs(np.array([w[[0, -1]] for w in alone]) - want[firsts]).max() <= BC_TOL
+
+
+def test_cross_factors_that_underflow_give_finite_ends():
+    # 2000 intervals, dt = 1e-7: a unit value at one end reaches the other
+    # end's inner node as 0.0 at a = 1, as 0.0 one way and a subnormal the
+    # other at a = 16, and as a subnormal both ways at a = 18, where
+    # x(y) = R_hi(y; 0)/beta overflows and is clipped
+    w_old, h, dt, af, src, ends = coupled_lines(2000, [1.0, 16.0, 18.0], n_lines=3,
+                                                dt=1e-7, seed=3)
+    fac = balance_factors(w_old, h, dt, af, src, ends)
+    betas = np.array([fac["lo"][1], fac["hi"][1]])
+    assert not betas[:, 0].any() and betas[:, 1].tolist().count(0.0) == 1
+    assert 0.0 < betas[:, 2].max() < 1e-300
+    seen = []
+
+    def recorded(v):
+        seen.append(np.max(np.abs(v)))
+        return v
+
+    stack = _solve_lines(_Band(), w_old, h, dt, af, src, ("flux", ends[0]), ("flux", ends[1]),
+                         recorded, BC_TOL)
+    assert np.all(np.isfinite(stack)) and sys.float_info.max in seen
+    for j in range(3):
+        alone = solve_one_line(w_old[j], h, dt, af[j], src[j], ("flux", ends[0][j]),
+                               ("flux", ends[1][j]), recorded, BC_TOL)
+        assert np.array_equal(alone, stack[j])
+    exact, _ = exact_linear_ends(w_old, h, dt, af, src, ends)
+    assert end_errors(stack, exact) <= BC_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -826,36 +884,6 @@ def test_monotone_laws_pass_the_range_check_far_out():
                                             r"but the run reached 2e\+06$"):
         solve_parabolic(replace(scn, w0=profile_sin(2e6, mode=1)), Grid1D(16, layout="node"),
                         SolverConfig(t_end=0.02, dt=0.01))
-
-
-# ---------------------------------------------------------------------------
-# a confirmed trail is the trail of a fresh closure
-
-
-def live_rounds(trail):
-    """Per line, the (mid, le, lt) of its live rounds."""
-    return [[(trail.mid[r, j], trail.le[r, j], trail.lt[r, j])
-             for r in np.flatnonzero(trail.live[:, j])] for j in range(trail.root.size)]
-
-
-def test_confirmed_trail_drops_the_rounds_a_sooner_exact_root_leaves():
-    # line 0's root moves from 0.3 onto the dyadic 0.5, the midpoint of its
-    # second round, so its resumed bisection ends there, 30-odd rounds
-    # before its recorded one; line 1 keeps its root
-    center = np.zeros(2)
-
-    def linear(roots):
-        return lambda b: b - np.asarray(roots)
-
-    first = _bisect_lockstep(linear([0.3, 0.7]), center, 1e-10)
-    for roots in ([0.5, 0.7], [0.3, 0.7], [0.5 + 2.0**-30, 0.7]):
-        fresh = _bisect_lockstep(linear(roots), center, 1e-10)
-        confirmed = parabolic._confirm_lockstep(linear(roots), center, 1e-10, first)
-        assert confirmed.x_lo is first.x_lo  # resumed, not closed afresh
-        assert np.array_equal(confirmed.root, fresh.root)
-        assert live_rounds(confirmed) == live_rounds(fresh)
-        first = confirmed
-    assert len(live_rounds(_bisect_lockstep(linear([0.5, 0.7]), center, 1e-10))[0]) == 2
 
 
 # ---------------------------------------------------------------------------
