@@ -2,7 +2,8 @@
 
 Each bound evaluator is a pure formula in the elapsed time, the initial
 norm, and windowed disturbance sups.  :data:`BOUNDS` holds one entry per
-bound kind: its config keys, a prepare step and an evaluate step.
+bound kind and is the one place its rules live; :func:`admit_check`
+refuses, before any solve, a check its kind cannot certify.
 :func:`prepare_bound` packages a bound for a computed trajectory, turning
 every disturbance into a running sup over (0, t) so the comparison is
 causal, and :func:`check_trajectory` measures the margin bound - norm at
@@ -12,24 +13,26 @@ every recorded stamp.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
 import numpy as np
 
 from .fields import Trajectory, lq_norm, write_table
-from .glf import (default_transport_rate, local_speed_floor, running_sups,
+from .glf import (ParamError, default_transport_rate, local_speed_floor, running_sups,
                   truncation_level_parabolic)
 from .signals import signal_range
 # module attributes that profilers wrap per module (perfbench/tracing.py);
 # the sups themselves run through glf.running_sups
 from .signals import sup_field, sup_window  # noqa: F401
-from .solvers.common import AssumptionViolationError
+from .solvers.common import AssumptionViolationError, ScenarioError
 from .solvers.wave import reconstruct_wave_state
 
 __all__ = [
     "BOUNDS",
     "BoundKind",
+    "admit_check",
     "bound_parabolic_q",
     "bound_transport_p",
     "bound_transport_q",
@@ -49,19 +52,33 @@ _SMALL_GAIN = 0.05
 def _check_q(q, allow_inf=True):
     if q == math.inf or q == "inf":
         if not allow_inf:
-            raise ValueError("this bound needs a finite norm exponent")
+            raise ParamError("q", "this bound needs a finite norm exponent")
         return math.inf
     q = float(q)
     if not q >= 2.0:
-        raise ValueError(f"norm exponent must lie in [2, inf], got {q}")
+        raise ParamError("q", f"norm exponent must lie in [2, inf], got {q}")
     return q
+
+
+def _check_tol(tol):
+    tol = float(tol)
+    # NaN fails this, and a NaN or infinite tol would hide every violation
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ParamError("tol", f"tol must be finite and nonnegative, got {tol!r}")
+    return tol
+
+
+def _positive(**values):
+    for key, value in values.items():
+        if not value > 0:
+            raise ParamError(key, f"{key} must be positive, got {value!r}")
 
 
 def bound_parabolic_q(q, t, w0_norm, level, c0):
     """4 * |w0|_q * exp(-c0 t) + 8 * level, uniformly in q within [2, inf]."""
     _check_q(q)
     if not c0 > 0:
-        raise ValueError("needs a positive reaction floor c0")
+        raise ParamError("c0", "needs a positive reaction floor c0")
     t = np.asarray(t, dtype=float)
     return 4.0 * w0_norm * np.exp(-c0 * t) + 8.0 * np.asarray(level, dtype=float)
 
@@ -73,11 +90,8 @@ def bound_transport_p(p, r, t, rho0_norm, speed_floor, sup_d):
     """
     p = float(p)
     if not p > 1:
-        raise ValueError("p must exceed 1")
-    if not r > 0:
-        raise ValueError("weight rate must be positive")
-    if not speed_floor > 0:
-        raise ValueError("speed floor must be positive")
+        raise ParamError("p", "p must exceed 1")
+    _positive(r=r, speed_floor=speed_floor)
     t = np.asarray(t, dtype=float)
     return (2.0 * math.exp(r / (p + 1.0)) * rho0_norm
             * np.exp(-r * speed_floor * t / (p + 1.0))
@@ -88,11 +102,10 @@ def bound_transport_q(q, k, t, rho0_norm, speed_floor, sup_d):
     """(2/|k|) |rho0| |k|^{floor*t/2} + (2/(1-|k|)) sup|d|, any q in [2, inf]."""
     _check_q(q)
     if k == 0:
-        raise ValueError("the q-norm route needs a nonzero recirculation gain")
+        raise ParamError("k", "the q-norm route needs a nonzero recirculation gain")
     if not abs(k) < 1:
-        raise ValueError("|k| must be below one")
-    if not speed_floor > 0:
-        raise ValueError("speed floor must be positive")
+        raise ParamError("k", "|k| must be below one")
+    _positive(speed_floor=speed_floor)
     ak = abs(k)
     t = np.asarray(t, dtype=float)
     return ((2.0 / ak) * rho0_norm * ak ** (speed_floor * t / 2.0)
@@ -106,11 +119,10 @@ def bound_wave_r_eps(q, r, eps, t, init_norm, sup_f, sup_d, c):
     is the same sum along the trajectory.
     """
     q = _check_q(q, allow_inf=False)
-    if not (r > 0 and eps > 0 and c > 0):
-        raise ValueError("r, eps, c must be positive")
+    _positive(r=r, eps=eps, c=c)
     gap = c * r - eps
     if not gap > 0:
-        raise ValueError(f"need c*r - eps > 0, got {gap}")
+        raise ParamError(None, f"need c*r - eps > 0, got {gap}")
     t = np.asarray(t, dtype=float)
     decay = np.exp((2.0 * r - gap * t) / q)
     forcing = ((q - 1.0) / eps) ** ((q - 1.0) / q) * (8.0 * math.exp(2.0 * r) / gap) ** (1.0 / q)
@@ -126,8 +138,7 @@ def bound_wave_m(q, m, t, init_norm, sup_f, sup_d, c):
     8 e^{4m/c} e^{-m t/2} init + (16/m) e^{4m/c} sup|f| + (4/c) sup|d|.
     """
     _check_q(q)
-    if not (m > 0 and c > 0):
-        raise ValueError("m and c must be positive")
+    _positive(m=m, c=c)
     t = np.asarray(t, dtype=float)
     boost = math.exp(4.0 * m / c)
     return (8.0 * boost * np.exp(-m * t / 2.0) * init_norm
@@ -144,7 +155,7 @@ def bound_heat_classical(t, w0_norm, eps, sup_f, sup_d):
     """
     eps = float(eps)
     if not 0.0 < eps <= 2.0:
-        raise ValueError("eps must lie in (0, 2]")
+        raise ParamError("eps", "eps must lie in (0, 2]")
     rate = math.pi**2 / 2.0 - eps
     t = np.asarray(t, dtype=float)
     gain = 1.0 / math.sqrt(eps * rate)
@@ -170,91 +181,98 @@ class IssBound:
     warnings: list = dc_field(default_factory=list)
 
 
-def _wave_lhs(plus, minus, q, grid, c):
-    """|w_t|_q + |w_y|_q of one characteristic pair or a stack of them."""
-    w_t, w_y = reconstruct_wave_state(plus, minus, c)
-    return lq_norm(w_t, q, grid) + lq_norm(w_y, q, grid)
+def _norm(states, q, traj):
+    """The checked norm of one snapshot of traj, or of a stack of them: |u|_q,
+    or |w_t|_q + |w_y|_q of a wave's characteristic pair."""
+    if traj.pde_class != "wave":
+        return lq_norm(states["u"], q, traj.grid)
+    w_t, w_y = reconstruct_wave_state(states["plus"], states["minus"], traj.meta["c"])
+    return lq_norm(w_t, q, traj.grid) + lq_norm(w_y, q, traj.grid)
 
 
 def _state_norms(traj, q):
     """The checked norm at every stamp, evaluated block by block."""
-    if traj.pde_class == "wave":
-        c = traj.meta["c"]
-        return traj.blockwise(lambda _, s: _wave_lhs(s["plus"], s["minus"], q, traj.grid, c))
-    return traj.blockwise(lambda _, s: lq_norm(s["u"], q, traj.grid))
+    return traj.blockwise(lambda _, states: _norm(states, q, traj))
 
 
 # ---------------------------------------------------------------------------
 # the bound kinds
 
 
-def _prepare_parabolic_q(b, traj, scn, q, sups):
-    b.init_norm = lq_norm(traj.state(0), q, traj.grid)
-    b.series = {"level": truncation_level_parabolic(scn, sups)}
-    b.params.setdefault("c0", scn.c0)
+def _route(kind, params):
+    """"p" for the weighted-energy route, "q" for the q-norm route."""
+    return params["variant"] if kind == "transport_liss" else kind[-1]
 
 
-def _prepare_transport(b, traj, scn, q, sups):
-    b.init_norm = lq_norm(traj.state(0), q, traj.grid)
-    b.series = {"sup_d": sups["d"]}
-    params = b.params
-    if b.kind == "transport_liss":
-        radius = params["R0"]
-        params["speed_floor"], params["mass_range"] = local_speed_floor(scn, radius)
-        b.gate = bool(b.init_norm + sups["d"][-1] <= radius)
-        reached = traj.counters["max_abs_mass"]  # the floor holds within mass_range only
-        if b.gate and reached > params["mass_range"]:
-            raise AssumptionViolationError(f"the total mass reached {reached:g}, beyond the "
-                                           f"range {params['mass_range']:g} of the speed floor")
-        route = params.setdefault("variant", "q")
-        if route not in ("p", "q"):
-            raise ValueError("transport_liss variant must be 'p' or 'q'")
+def _admit_transport(params, scn, kind, q, grid, t_end):
+    if kind == "transport_liss":
+        try:
+            params["speed_floor"], params["mass_range"] = local_speed_floor(scn, params["R0"])
+        except ScenarioError as exc:  # the scenario, not R0, is at fault
+            raise ParamError("kind", str(exc)) from exc
+        except ValueError as exc:
+            raise ParamError("R0", str(exc)) from exc
+        if params.setdefault("variant", "q") not in ("p", "q"):
+            raise ParamError("variant", "transport_liss variant must be 'p' or 'q'")
+    elif scn.assumption != "uniform" or not scn.speed_floor:
+        raise ParamError("kind", f"{kind} needs the 'uniform' assumption with a declared floor")
     else:
-        if scn.assumption != "uniform" or not scn.speed_floor:
-            raise ValueError(f"{b.kind} needs the 'uniform' assumption with a declared floor")
         params["speed_floor"] = scn.speed_floor
-        route = b.kind[-1]  # transport_p or transport_q
-    if route == "p":
-        # the weighted-energy route certifies the (p+1)-norm
+    if _route(kind, params) == "p":
         if "p" not in params:
-            raise ValueError("the energy route needs the energy exponent p")
-        p = params["p"]
-        if q != p + 1.0:
-            raise ValueError(f"the energy route certifies the (p+1)-norm; "
-                             f"got q = {q} with p = {p}")
+            raise ParamError("p", "the energy route needs the energy exponent p")
         if "r" not in params:
-            params["r"] = default_transport_rate(p, scn.k)
-    elif scn.k != 0 and abs(scn.k) < _SMALL_GAIN:
-        b.warnings.append(f"recirculation gain |k| = {abs(scn.k)} below {_SMALL_GAIN}; "
-                          "the q-norm constants are ill conditioned")
+            params["r"] = default_transport_rate(params["p"], scn.k)
     params.setdefault("k", scn.k)
 
 
+def _prepare_transport(b, traj, scn, sups):
+    if b.kind == "transport_liss":
+        b.gate = bool(b.init_norm + sups["d"][-1] <= b.params["R0"])
+        reached = traj.counters["max_abs_mass"]  # the floor holds within mass_range only
+        if b.gate and reached > b.params["mass_range"]:
+            raise AssumptionViolationError(f"the total mass reached {reached:g}, beyond the "
+                                           f"range {b.params['mass_range']:g} of the speed floor")
+    if _route(b.kind, b.params) == "q" and scn.k != 0 and abs(scn.k) < _SMALL_GAIN:
+        b.warnings.append(f"recirculation gain |k| = {abs(scn.k)} below {_SMALL_GAIN}; "
+                          "the q-norm constants are ill conditioned")
+    return {"sup_d": sups["d"]}
+
+
 def _evaluate_transport(b, q, t):
-    if (b.params["variant"] if b.kind == "transport_liss" else b.kind[-1]) == "p":
-        return bound_transport_p(b.params["p"], b.params["r"], t, b.init_norm,
-                                 b.params["speed_floor"], b.series["sup_d"])
-    return bound_transport_q(q, b.params["k"], t, b.init_norm,
-                             b.params["speed_floor"], b.series["sup_d"])
+    params = b.params
+    if _route(b.kind, params) == "q":
+        return bound_transport_q(q, params["k"], t, b.init_norm, params["speed_floor"],
+                                 b.series["sup_d"])
+    # the weighted-energy route certifies the (p+1)-norm; the formula runs
+    # first, so a p of at most 1 is refused as such
+    rhs = bound_transport_p(params["p"], params["r"], t, b.init_norm, params["speed_floor"],
+                            b.series["sup_d"])
+    if q != params["p"] + 1.0:
+        raise ParamError("q", f"the energy route certifies the (p+1)-norm; "
+                              f"got q = {q} with p = {params['p']}")
+    return rhs
 
 
-def _prepare_wave(b, traj, scn, q, sups):
-    snap = traj.snapshot(0)
-    b.init_norm = _wave_lhs(snap["plus"], snap["minus"], q, traj.grid, scn.c)
-    b.series = {"sup_f": sups["f"], "sup_d": sups["d"]}
-    b.params.setdefault("c", scn.c)
+def _admit_wave(params, scn, *_):
+    params.setdefault("c", scn.c)
 
 
-def heat_clm_misfit(scn, grid, t_end):
-    """Why the heat_clm bound does not hold for the parabolic scenario scn
-    on grid up to t_end, or None.  The bound is derived for the 1-D heat
-    equation with unit diffusion, Dirichlet zero on one end and the
-    identity flux law on the other; a field is checked on the points the
-    solver binds it to, exactly, and the law on validate's samples."""
+def _prepare_wave(b, traj, scn, sups):
+    return {"sup_f": sups["f"], "sup_d": sups["d"]}
+
+
+def _admit_heat_clm(params, scn, kind, q, grid, t_end):
+    """The bound is derived for the 1-D heat equation with unit diffusion,
+    zero reaction, Dirichlet zero on gamma1 and the identity flux law with
+    disturbance d2 on gamma2.  A field is checked exactly on the points the
+    solver binds it to up to t_end, and the law on validate's samples."""
+    if q != 2:
+        raise ParamError("q", f"heat_clm is an L2 bound; q must be 2, got {q!r}")
     if scn.dim != 1:
-        return f"heat_clm bounds 1-D runs, not dim {scn.dim}"
+        raise ParamError("kind", f"heat_clm bounds 1-D runs, not dim {scn.dim}")
     if len(scn.gamma1) != 1:
-        return "heat_clm needs one Dirichlet end and one flux end"
+        raise ParamError("kind", "heat_clm needs one Dirichlet end and one flux end")
     y = grid.points()
 
     def identically(fld, points, value):
@@ -263,84 +281,105 @@ def heat_clm_misfit(scn, grid, t_end):
                 for s in signal_range(bound.signal, t_end)} == {value}
 
     if not identically(scn.d1, 0.0 if "left" in scn.gamma1 else 1.0, 0.0):
-        return "heat_clm needs Dirichlet data identically 0"
+        raise ParamError("kind", "heat_clm needs Dirichlet data identically 0")
     if not identically(scn.a, 0.5 * (y[:-1] + y[1:]), 1.0):
-        return "heat_clm needs diffusion identically 1"
+        raise ParamError("kind", "heat_clm needs diffusion identically 1")
     v = np.linspace(-10.0, 10.0, 401)
     if not np.array_equal(np.asarray(scn.boundary_reaction(v), dtype=float), v):
-        return "heat_clm needs the identity flux law"
-    return None
+        raise ParamError("kind", "heat_clm needs the identity flux law")
 
 
-def _prepare_heat_clm(b, traj, scn, q, sups):
-    # the boundary-damped heat equation: zero reaction, unit diffusion,
-    # Dirichlet zero on gamma1, identity flux law with disturbance d2
-    if q != 2:
-        raise ValueError(f"heat_clm bounds the L2 norm; got q = {q}")
-    misfit = heat_clm_misfit(scn, traj.grid, float(traj.times[-1]))
-    if misfit:
-        raise ValueError(misfit)
+def _prepare_heat_clm(b, traj, scn, sups):
     if scn.c0 != 0:
         b.warnings.append("heat baseline ignores the reaction floor; scenario has c0 != 0")
-    b.init_norm = lq_norm(traj.state(0), 2.0, traj.grid)
-    b.series = {"sup_f": sups["f_l2"], "sup_d": sups["d2"]}
-    b.params.setdefault("eps", 1.0)
+    return {"sup_f": sups["f_l2"], "sup_d": sups["d2"]}
 
 
 @dataclass(frozen=True)
 class BoundKind:
-    """One bound kind: the PDE class it bounds, the config keys it accepts
-    and requires besides kind, q and tol; prepare(bound, traj, scn, q,
-    sups), which fills in the initial norm, the stamp-aligned series, the
-    parameters the scenario fixes, and any gate and warnings; and
-    evaluate(bound, q, times), which returns the bound at the stamps."""
+    """One bound kind: the PDE class it bounds, the name verify gives its
+    checks (before the _q<q> suffix), the config keys it accepts and
+    requires besides kind, q and tol, and those read as written, not as
+    numbers.  Before any solve, admit(params, scn, kind, q, grid, t_end)
+    fills in the parameters the scenario fixes and refuses what the kind
+    cannot certify; after it, prepare(bound, traj, scn, sups) returns the
+    stamp-aligned series and sets any gate and warnings.  evaluate(bound,
+    q, times) is the bound at the stamps."""
 
     pde: str
+    tag: str
     keys: tuple
     required: tuple
+    admit: Callable
     prepare: Callable
     evaluate: Callable
+    verbatim: tuple = ()
 
 
 BOUNDS = {
     "parabolic_q": BoundKind(
-        "parabolic", (), (), _prepare_parabolic_q,
+        "parabolic", "qbound", (), (), lambda params, scn, *_: params.setdefault("c0", scn.c0),
+        lambda b, traj, scn, sups: {"level": truncation_level_parabolic(scn, sups)},
         lambda b, q, t: bound_parabolic_q(q, t, b.init_norm, b.series["level"], b.params["c0"])),
-    "transport_p": BoundKind("transport", ("p", "r"), ("p",), _prepare_transport,
-                             _evaluate_transport),
-    "transport_q": BoundKind("transport", (), (), _prepare_transport, _evaluate_transport),
-    "transport_liss": BoundKind("transport", ("R0", "variant", "p", "r"), ("R0",),
-                                _prepare_transport, _evaluate_transport),
+    "transport_p": BoundKind("transport", "pbound", ("p", "r"), ("p",), _admit_transport,
+                             _prepare_transport, _evaluate_transport),
+    "transport_q": BoundKind("transport", "qbound", (), (), _admit_transport,
+                             _prepare_transport, _evaluate_transport),
+    "transport_liss": BoundKind("transport", "lissbound", ("R0", "variant", "p", "r"), ("R0",),
+                                _admit_transport, _prepare_transport, _evaluate_transport,
+                                verbatim=("variant",)),
     "wave_r_eps": BoundKind(
-        "wave", ("r", "eps"), ("r", "eps"), _prepare_wave,
+        "wave", "rbound", ("r", "eps"), ("r", "eps"), _admit_wave, _prepare_wave,
         lambda b, q, t: bound_wave_r_eps(q, b.params["r"], b.params["eps"], t, b.init_norm,
                                          b.series["sup_f"], b.series["sup_d"], b.params["c"])),
     "wave_m": BoundKind(
-        "wave", ("m",), ("m",), _prepare_wave,
+        "wave", "mbound", ("m",), ("m",), _admit_wave, _prepare_wave,
         lambda b, q, t: bound_wave_m(q, b.params["m"], t, b.init_norm, b.series["sup_f"],
                                      b.series["sup_d"], b.params["c"])),
     "heat_clm": BoundKind(
-        "parabolic", ("eps",), ("eps",), _prepare_heat_clm,
+        "parabolic", "heatbound", ("eps",), ("eps",), _admit_heat_clm, _prepare_heat_clm,
         lambda b, q, t: bound_heat_classical(t, b.init_norm, b.params["eps"],
                                              b.series["sup_f"], b.series["sup_d"])),
 }
+
+
+def admit_check(kind, pde, scn, grid, t_end, q, params=None, tol=0.0) -> dict:
+    """``params`` of a check of the given kind on a run of class pde, with
+    those the scenario fixes filled in, or a ValueError (a ParamError naming
+    the parameter at fault) for a check the kind cannot certify.  Runs the
+    kind's admit step, then its formula once at t = 0 with zero norms."""
+    if kind not in BOUNDS:
+        raise ParamError("kind", f"unknown bound kind {kind!r}")
+    bound = BOUNDS[kind]
+    if bound.pde != pde:
+        raise ParamError("kind", f"{kind} bounds {bound.pde} runs, not {pde} ones")
+    _check_tol(tol)
+    params = dict(params or {})
+    for key in bound.required:
+        if key not in params:
+            raise ParamError(key, "missing required key")
+    bound.admit(params, scn, kind, q, grid, t_end)
+    try:
+        bound.evaluate(IssBound(kind, params, 0.0, defaultdict(float)), q, 0.0)
+    except OverflowError as exc:  # a constant such as e^{4m/c} beyond the floats
+        raise ParamError(None, f"the bound overflows the floats: {exc}") from exc
+    return params
 
 
 def prepare_bound(kind, traj, scn, q, params=None) -> IssBound:
     """Package a bound of the given kind for a computed trajectory.
 
     ``params`` supplies the free constants the kind needs (see the bound
-    evaluators); scenario structure provides the rest.  Running sups are
+    evaluators); scenario structure provides the rest.  Refuses what
+    :func:`admit_check` refuses, up to the last stamp.  Running sups are
     evaluated on the trajectory's recorded stamps by
     :func:`~isscert.glf.running_sups`.  A ``transport_liss`` gate that admits
     a run whose mass left the floor's range raises AssumptionViolationError.
     """
-    if kind not in BOUNDS:
-        raise ValueError(f"unknown bound kind {kind!r}")
-    if BOUNDS[kind].pde != traj.pde_class:
-        raise ValueError(f"{kind} bounds {BOUNDS[kind].pde} runs, not {traj.pde_class} ones")
-    bound = IssBound(kind, dict(params or {}), math.nan, {})
-    BOUNDS[kind].prepare(bound, traj, scn, q, running_sups(scn, traj.grid, traj.times))
+    params = admit_check(kind, traj.pde_class, scn, traj.grid, float(traj.times[-1]), q, params)
+    bound = IssBound(kind, params, _norm(traj.snapshot(0), q, traj), {})
+    bound.series = BOUNDS[kind].prepare(bound, traj, scn,
+                                        running_sups(scn, traj.grid, traj.times))
     return bound
 
 
@@ -397,10 +436,7 @@ class CheckReport:
 def check_trajectory(traj: Trajectory, q, bound: IssBound, tol: float) -> CheckReport:
     """Compare the trajectory's norms against the prepared bound."""
     q = _check_q(q)
-    tol = float(tol)
-    # NaN fails this, and a NaN or infinite tol would hide every violation
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+    tol = _check_tol(tol)
     times = traj.times
     lhs = _state_norms(traj, q)
     rhs = np.asarray(BOUNDS[bound.kind].evaluate(bound, q, times), dtype=float)

@@ -89,15 +89,11 @@ def run_plan(plan) -> RunResult:
     stage, spec, erep, bounds, reports = "energy", None, None, [], []
     try:
         if plan.energy:
-            p, slack = plan.energy["p"], None
-            if plan.pde == "parabolic":
-                spec = glf_for_parabolic(plan.scenario, traj, p)
-            elif plan.pde == "transport":
-                spec = glf_for_transport(plan.scenario, traj, p, plan.energy.get("rate"))
-            else:
-                spec = glf_for_wave(plan.scenario, traj, p, plan.energy["rate"],
-                                    plan.energy.get("eps"))
-                slack = wave_forcing_slack(traj, spec, plan.scenario.f)
+            build = {"parabolic": glf_for_parabolic, "transport": glf_for_transport,
+                     "wave": glf_for_wave}[plan.pde]
+            spec = build(plan.scenario, traj, **plan.energy)
+            slack = (wave_forcing_slack(traj, spec, plan.scenario.f) if plan.pde == "wave"
+                     else None)
             erep = dissipation_report(traj, spec, dissipation_rate(spec, plan.scenario), slack)
         stage = "check"
         for entry in plan.checks:

@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .certify import BOUNDS, heat_clm_misfit
+from .certify import BOUNDS, admit_check
+from .glf import dissipation_rate, glf_for_parabolic, glf_for_transport, glf_for_wave
 from .scenarios import bundled_config_text, bundled_names
 from .signals import (SpaceTimeField, TimeSignal, profile2d_sinprod,
                       profile_affine, profile_bump, profile_constant,
@@ -300,15 +301,23 @@ def _build_solver(doc, path, pde):
         output_stride=_integer(doc, "output_stride", path, SolverConfig.output_stride))
 
 
-# the energy keys each class reads
-_ENERGY_KEYS = {"parabolic": ("p",), "transport": ("p", "rate"), "wave": ("p", "rate", "eps")}
+# each class's energy builder and the keys it reads
+_ENERGY = {"parabolic": (glf_for_parabolic, ("p",)),
+           "transport": (glf_for_transport, ("p", "rate")),
+           "wave": (glf_for_wave, ("p", "rate", "eps"))}
 
 
-def _build_energy(doc, path, pde):
+def _refusal(exc, path, keys):
+    """A ConfigError at path.<key> when exc names one of keys, else at path."""
+    key = getattr(exc, "key", None)
+    return ConfigError(f"{path}.{key}" if key in keys else path, str(exc))
+
+
+def _build_energy(doc, path, pde, scenario):
     if doc is None:
         return None
     doc = _expect_mapping(doc, path)
-    keys = _ENERGY_KEYS[pde]
+    build, keys = _ENERGY[pde]
     _reject_unknown(doc, keys, path)
     energy = {"p": _number(doc, "p", path)}
     for key in keys[1:]:
@@ -317,10 +326,14 @@ def _build_energy(doc, path, pde):
             energy[key] = val
     if pde == "wave" and "rate" not in energy:
         raise ConfigError(f"{path}.rate", "wave energies need an explicit weight rate")
+    try:  # the builder and decay rate at zero level, before any run
+        dissipation_rate(build(scenario, None, **energy), scenario)
+    except ValueError as exc:
+        raise _refusal(exc, path, keys) from exc
     return energy
 
 
-def _build_checks(doc, path, pde):
+def _build_checks(doc, path, pde, scenario, grid, t_end):
     if doc is None:
         return []
     if not isinstance(doc, list):
@@ -333,9 +346,8 @@ def _build_checks(doc, path, pde):
         if not isinstance(kind, str) or kind not in BOUNDS:
             raise ConfigError(f"{epath}.kind", f"unknown check kind {kind!r}")
         bound = BOUNDS[kind]
-        if bound.pde != pde:
-            raise ConfigError(f"{epath}.kind", f"{kind} bounds {bound.pde} runs, not {pde} ones")
-        _reject_unknown(entry, ("kind", "q", "tol") + bound.keys, epath)
+        keys = ("kind", "q", "tol") + bound.keys
+        _reject_unknown(entry, keys, epath)
         q = _get(entry, "q", epath)
         if q == "inf" or q == math.inf:
             q = math.inf
@@ -343,17 +355,13 @@ def _build_checks(doc, path, pde):
             q = _number(entry, "q", epath)
         else:
             raise ConfigError(f"{epath}.q", f"expected a number or 'inf', got {q!r}")
-        if kind == "heat_clm" and q != 2:
-            raise ConfigError(f"{epath}.q", f"heat_clm is an L2 bound; q must be 2, got {q!r}")
         tol = _number(entry, "tol", epath, required=False, default=0.0)
-        params = {}
-        for key in bound.keys:
-            if key in entry:
-                params[key] = (entry[key] if key == "variant"
-                               else _number(entry, key, epath))
-        for key in bound.required:
-            if key not in params:
-                raise ConfigError(f"{epath}.{key}", "missing required key")
+        params = {key: entry[key] if key in bound.verbatim else _number(entry, key, epath)
+                  for key in bound.keys if key in entry}
+        try:
+            admit_check(kind, pde, scenario, grid, t_end, q, params, tol)
+        except ValueError as exc:
+            raise _refusal(exc, epath, keys) from exc
         out.append({"kind": kind, "q": q, "tol": tol, "params": params})
     return out
 
@@ -428,12 +436,8 @@ def build_plan(doc: dict) -> RunPlan:
     if pde == "parabolic" and scenario.dim == 2 and not isinstance(grid, Grid2D):
         raise ConfigError("grid", "a dim=2 scenario needs an nx/ny grid")
     solver = _build_solver(_get(doc, "solver", "<config>"), "solver", pde)
-    energy = _build_energy(doc.get("energy"), "energy", pde)
-    checks = _build_checks(doc.get("checks"), "checks", pde)
-    for i, check in enumerate(checks):
-        if check["kind"] == "heat_clm" and (misfit := heat_clm_misfit(scenario, grid,
-                                                                      solver.t_end)):
-            raise ConfigError(f"checks[{i}].kind", misfit)
+    energy = _build_energy(doc.get("energy"), "energy", pde, scenario)
+    checks = _build_checks(doc.get("checks"), "checks", pde, scenario, grid, solver.t_end)
     return RunPlan(name=name, description=description, pde=pde, scenario=scenario,
                    grid=grid, solver=solver, energy=energy, checks=checks, doc=doc)
 

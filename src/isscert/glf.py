@@ -15,6 +15,7 @@ measures stamp by stamp.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,6 +27,7 @@ from .solvers.common import ScenarioError
 from .trunc import TruncationPair, gronwall_envelope_at
 
 __all__ = [
+    "ParamError",
     "GlfSpec",
     "GlfSeries",
     "weighted_energy",
@@ -43,6 +45,15 @@ __all__ = [
     "dissipation_rate",
     "wave_forcing_slack",
 ]
+
+
+class ParamError(ValueError):
+    """A parameter outside its formula's range; key names it, None when no
+    single one is at fault."""
+
+    def __init__(self, key, message):
+        super().__init__(message)
+        self.key = key
 
 
 @dataclass(frozen=True)
@@ -65,13 +76,13 @@ class GlfSpec:
         if self.pde_class not in ("parabolic", "transport", "wave"):
             raise ValueError(f"unknown pde class {self.pde_class!r}")
         if not self.p > 1.0:
-            raise ValueError("exponent p must exceed 1")
+            raise ParamError("p", "exponent p must exceed 1")
         if not self.r >= 0.0:
-            raise ValueError("weight rate r must be nonnegative")
+            raise ParamError("r", "weight rate r must be nonnegative")
         if self.level < 0.0:
             raise ValueError("truncation level must be nonnegative")
         if self.eps is not None and not self.eps > 0.0:
-            raise ValueError("eps must be positive when given")
+            raise ParamError("eps", "eps must be positive when given")
 
     @property
     def pair(self) -> TruncationPair:
@@ -296,24 +307,33 @@ def default_transport_rate(p: float, k: float) -> float:
     return (p + 1.0) * math.log(1.0 / abs(k))
 
 
-# the builders read the level at the run's last stamp, where its checks end
+def _end_sups(scn, traj) -> dict:
+    """The running sups at traj's last stamp; zero when traj is None."""
+    if traj is None:
+        return defaultdict(lambda: np.zeros(1))
+    return running_sups(scn, traj.grid, traj.times[-1:])
 
-def glf_for_parabolic(scn, traj: Trajectory, p: float) -> GlfSpec:
-    sups = running_sups(scn, traj.grid, traj.times[-1:])
-    return GlfSpec("parabolic", p, 0.0, float(truncation_level_parabolic(scn, sups)[-1]))
+
+# the builders read the level at the run's last stamp, where its checks end,
+# and at zero level for traj None, which refuses before any run what they
+# refuse after it
+
+def glf_for_parabolic(scn, traj: Optional[Trajectory], p: float) -> GlfSpec:
+    return GlfSpec("parabolic", p, 0.0,
+                   float(truncation_level_parabolic(scn, _end_sups(scn, traj))[-1]))
 
 
-def glf_for_transport(scn, traj: Trajectory, p: float,
-                      r: Optional[float] = None) -> GlfSpec:
+def glf_for_transport(scn, traj: Optional[Trajectory], p: float,
+                      rate: Optional[float] = None) -> GlfSpec:
+    """At the largest admissible weight rate when none is given."""
     hi = default_transport_rate(p, scn.k)
-    r = hi if r is None else float(r)
+    r = hi if rate is None else float(rate)
     if not 0.0 < r <= hi + 1e-12:
-        raise ValueError(f"weight rate must lie in (0, {hi}], got {r}")
-    level = float(running_sups(scn, traj.grid, traj.times[-1:])["d"][-1]) / (1.0 - abs(scn.k))
-    return GlfSpec("transport", p, r, level)
+        raise ParamError("rate", f"weight rate must lie in (0, {hi}], got {r}")
+    return GlfSpec("transport", p, r, float(_end_sups(scn, traj)["d"][-1]) / (1.0 - abs(scn.k)))
 
 
-def glf_for_wave(scn, traj: Trajectory, p: float, r: float,
+def glf_for_wave(scn, traj: Optional[Trajectory], p: float, rate: float,
                  eps: Optional[float] = None) -> GlfSpec:
     """The wave functional on the pair (plus, minus), truncated at c*sup|d|.
 
@@ -321,14 +341,13 @@ def glf_for_wave(scn, traj: Trajectory, p: float, r: float,
     plus(1, t) = c*d(t), so no smaller level lets the energy vanish: the
     steady state w = d*y has plus = c*d and minus = -c*d everywhere.
     """
-    r = float(r)
+    r = float(rate)
     if not r > 0:
-        raise ValueError("the wave functional needs a positive weight rate")
+        raise ParamError("rate", "the wave functional needs a positive weight rate")
     eps = 0.5 * scn.c * r if eps is None else float(eps)
     if not scn.c * r - eps > 0:
-        raise ValueError(f"need c*r - eps > 0, got c*r = {scn.c * r}, eps = {eps}")
-    level = scn.c * float(running_sups(scn, traj.grid, traj.times[-1:])["d"][-1])
-    return GlfSpec("wave", p, r, level, eps)
+        raise ParamError(None, f"need c*r - eps > 0, got c*r = {scn.c * r}, eps = {eps}")
+    return GlfSpec("wave", p, r, scn.c * float(_end_sups(scn, traj)["d"][-1]), eps)
 
 
 def dissipation_rate(spec: GlfSpec, scn) -> float:

@@ -36,8 +36,9 @@ class TransportScenario:
     (speed_floor mandatory); assumption "decreasing" declares speed
     positive, nonincreasing on s >= 0, and speed(s) >= speed(|s|), which
     is what the local estimates need.  Both are spot-checked on a sample
-    lattice, and :func:`solve_transport` checks the floor of "uniform" at
-    every step.
+    lattice.  A declared speed_floor, under either assumption, is what the
+    energy's decay rate uses, so :func:`solve_transport` checks it at every
+    step.
     """
 
     speed_map: Callable
@@ -59,8 +60,10 @@ class TransportScenario:
         vals = np.asarray([float(self.speed_map(si)) for si in s])
         if not np.all(np.isfinite(vals)) or np.any(vals <= 0):
             raise ScenarioError("speed map must be positive and finite")
+        if self.speed_floor is not None and not self.speed_floor > 0:
+            raise ScenarioError("a declared speed_floor must be positive")
         if self.assumption == "uniform":
-            if self.speed_floor is None or not self.speed_floor > 0:
+            if self.speed_floor is None:
                 raise ScenarioError("assumption 'uniform' needs speed_floor > 0")
             if np.any(vals < self.speed_floor - _FLOOR_SLACK):
                 raise ScenarioError("speed map drops below its declared floor")
@@ -80,8 +83,8 @@ def solve_transport(scn: TransportScenario, grid: Grid1D, cfg: SolverConfig) -> 
     the current time.  Total mass W(t) is the midpoint sum of the cell
     averages; the largest |W| over every state goes to
     traj.counters["max_abs_mass"].  Raises AssumptionViolationError if the
-    speed ever fails to be positive along the run, or under assumption
-    "uniform" drops below speed_floor (with validate's slack).
+    speed ever fails to be positive along the run, or drops below a
+    declared speed_floor (with validate's slack).
     """
     scn.validate()
     if not isinstance(grid, Grid1D) or grid.layout != "cell":
@@ -97,7 +100,7 @@ def solve_transport(scn: TransportScenario, grid: Grid1D, cfg: SolverConfig) -> 
         if not (np.isfinite(speed) and speed > 0):
             raise AssumptionViolationError(
                 f"speed {speed} at total mass {mass} is not positive (t = {t})")
-        if scn.assumption == "uniform" and speed < scn.speed_floor - _FLOOR_SLACK:
+        if scn.speed_floor is not None and speed < scn.speed_floor - _FLOOR_SLACK:
             raise AssumptionViolationError(
                 f"speed {speed} at total mass {mass} drops below the declared "
                 f"floor {scn.speed_floor} (t = {t})")

@@ -14,10 +14,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import cli  # run_plan, read at call time
-from .certify import bound_parabolic_q, bound_transport_q, bound_wave_m
+from .certify import BOUNDS, bound_parabolic_q, bound_transport_q, bound_wave_m
 from .config import build_plan, load_config, load_plan
 from .fields import Grid1D
-from .glf import local_speed_floor
 from .solvers import SolverConfig
 from .solvers.wave import reconstruct_wave_state
 from .trunc import (TruncationPair, gronwall_envelope_at, property_sides,
@@ -54,14 +53,9 @@ def _rel_gap(lhs, rhs):
     return (rhs - lhs) / (1.0 + np.abs(lhs) + np.abs(rhs))
 
 
-# check names of a bundled plan's bound kinds, before the _q<q> suffix
-_CHECK_PREFIX = {"parabolic_q": "qbound", "transport_q": "qbound", "transport_p": "pbound",
-                 "wave_m": "mbound", "wave_r_eps": "rbound"}
-
-
 def _plan_checks(group, plan, reports):
     """One line per check a bundled plan declares, from its run's reports."""
-    return [CheckLine(group, f"{_CHECK_PREFIX[entry['kind']]}_q{_qtag(entry['q'])}",
+    return [CheckLine(group, f"{BOUNDS[entry['kind']].tag}_q{_qtag(entry['q'])}",
                       r.violations == 0,
                       f"violations={r.violations} min_margin={_fmt(r.min_margin)}")
             for entry, r in zip(plan.checks, reports)]
@@ -207,14 +201,13 @@ def verify_transport(seed: int = 42):
                            dev <= 1e-10 and steps >= 1000,
                            f"max_dev={_fmt(dev)} steps={steps}"))
 
-    liss = load_plan("transport_liss")
-    floor, mass_range = local_speed_floor(liss.scenario, 1.0)
+    accepted = cli.run_plan(load_plan("transport_liss"))
+    lbound, lrep = accepted.bounds[0], accepted.reports[0]
+    # the floor its check admitted, for the demo's R0 = 1
+    floor, mass_range = lbound.params["speed_floor"], lbound.params["mass_range"]
     lines.append(CheckLine("transport", "liss_floor",
                            floor == 0.2 and mass_range == 4.0,
                            f"floor={_fmt(floor)} mass_range={_fmt(mass_range)}"))
-
-    accepted = cli.run_plan(liss)
-    lbound, lrep = accepted.bounds[0], accepted.reports[0]
     accept_sum = lbound.init_norm + float(np.max(lbound.series["sup_d"]))
     # the same run with data its smallness gate refuses: 1.3 + 0.2 > R0 = 1
     doc = load_config("transport_liss")

@@ -369,11 +369,11 @@ def test_heat_baseline_warns_about_reaction():
     scn.d1 = ZERO  # the heat baseline needs Dirichlet zero
     grid = Grid1D(32, layout="node")
     traj = solve_parabolic(scn, grid, SolverConfig(t_end=0.05, dt=0.005))
-    bound = prepare_bound("heat_clm", traj, scn, 2.0)
+    bound = prepare_bound("heat_clm", traj, scn, 2.0, {"eps": 1.0})
     assert any("reaction floor" in w for w in bound.warnings)
     # the baseline bounds the L2 norm only
-    with pytest.raises(ValueError, match="heat_clm bounds the L2 norm"):
-        prepare_bound("heat_clm", traj, scn, 4.0)
+    with pytest.raises(ValueError, match="heat_clm is an L2 bound; q must be 2"):
+        prepare_bound("heat_clm", traj, scn, 4.0, {"eps": 1.0})
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -386,11 +386,11 @@ def test_heat_baseline_refuses_other_equations(edit, message):
     scn = make_parabolic_demo()
     scn.d1 = ZERO
     grid, cfg = Grid1D(32, layout="node"), SolverConfig(t_end=0.05, dt=0.005)
-    assert prepare_bound("heat_clm", solve_parabolic(scn, grid, cfg), scn, 2.0)
+    assert prepare_bound("heat_clm", solve_parabolic(scn, grid, cfg), scn, 2.0, {"eps": 1.0})
     for name, value in edit.items():
         setattr(scn, name, value)
     with pytest.raises(ValueError, match=f"^heat_clm needs {message}$"):
-        prepare_bound("heat_clm", solve_parabolic(scn, grid, cfg), scn, 2.0)
+        prepare_bound("heat_clm", solve_parabolic(scn, grid, cfg), scn, 2.0, {"eps": 1.0})
 
 
 def test_unknown_bound_kind():

@@ -1,15 +1,17 @@
 """Tests for configuration loading and the command line interface."""
 
+import functools
 import math
 import os
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import yaml
 
 from isscert import cli
-from isscert.certify import BOUNDS
+from isscert.certify import BOUNDS, check_trajectory, prepare_bound
 from isscert.cli import main
 from isscert.config import _LEAVES, ConfigError, _leaf, build_plan, load_config, load_plan
 from isscert.fields import Grid1D, Grid2D
@@ -122,15 +124,25 @@ def test_check_entries_validated():
     assert err.value.path == "checks[0].q"
 
 
+# per kind: a bundled demo it applies to, q, and its required keys' values
+_ADMISSIBLE = {"parabolic_q": ("parabolic_demo", 2, {}),
+               "heat_clm": ("heat_clm_demo", 2, {"eps": 1.0}),
+               "transport_p": ("transport_global", 3, {"p": 2.0}),
+               "transport_q": ("transport_global", 2, {}),
+               "transport_liss": ("transport_liss", 2, {"R0": 1.0}),
+               "wave_r_eps": ("wave_demo", 2, {"r": 1.0, "eps": 1.0}),
+               "wave_m": ("wave_demo", 2, {"m": 1.0})}
+
+
 @pytest.mark.parametrize("kind", sorted(BOUNDS))
 def test_every_bound_kind_builds_from_its_required_keys(kind):
-    base = {"parabolic": "parabolic_demo", "heat": "heat_clm_demo",
-            "transport": "transport_global", "wave": "wave_demo"}
-    doc = load_config(base[kind.split("_")[0]])
-    entry = {"kind": kind, "q": 2, **{key: 1.0 for key in BOUNDS[kind].required}}
+    demo, q, required = _ADMISSIBLE[kind]
+    assert sorted(required) == sorted(BOUNDS[kind].required)
+    doc = load_config(demo)
+    entry = {"kind": kind, "q": q, **required}
     doc["checks"] = [entry]
     plan = build_plan(doc)
-    assert plan.checks[0]["params"] == {key: 1.0 for key in BOUNDS[kind].required}
+    assert plan.checks[0]["params"] == required
     doc["checks"] = [{**entry, "zeta": 1.0}]
     with pytest.raises(ConfigError, match=r"^checks\[0\]\.zeta: unknown key$"):
         build_plan(doc)
@@ -347,19 +359,41 @@ def test_cli_run_rejects_bad_bc_tol(tmp_path, capsys, bc_tol):
 
 
 
+def _no_solver(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a refused config reached the solver")
+    for name in ("solve_parabolic", "solve_transport", "solve_wave"):
+        monkeypatch.setattr(cli, name, unreachable)
+
+
 @pytest.mark.parametrize("demo,edit,message", [
     # dissipation_rate needs a declared speed floor, which "decreasing" lacks
     ("transport_liss", lambda doc: doc.update(energy={"p": 2.0}),
-     "energy error: decay rate needs a declared speed floor"),
+     "config error: energy: decay rate needs a declared speed floor"),
     # c*r = 2 does not exceed the Young split
     ("wave_demo", lambda doc: doc["energy"].update(eps=3.0),
-     "energy error: need c*r - eps > 0"),
-    # a check that fails after an earlier one succeeded
+     "config error: energy: need c*r - eps > 0, got c*r = 2.0, eps = 3.0"),
+    # a check after four admissible ones
     ("wave_demo", lambda doc: doc["checks"].append(
         {"kind": "wave_r_eps", "q": 2, "r": 1.0, "eps": 3.0, "tol": 0.0}),
-     "check error: need c*r - eps > 0"),
-], ids=["transport_liss_energy", "wave_energy_eps", "wave_check_eps"])
-def test_cli_run_post_solve_errors_exit_2(tmp_path, capsys, demo, edit, message):
+     "config error: checks[4]: need c*r - eps > 0"),
+    ("parabolic_demo", lambda doc: doc["energy"].update(p=1.0),
+     "config error: energy.p: exponent p must exceed 1"),
+    # the heat demo's damping floor is 0
+    ("heat_clm_demo", lambda doc: doc.update(energy={"p": 2.0}),
+     "config error: energy: truncation level needs a positive reaction floor c0"),
+    ("transport_global", lambda doc: doc["energy"].update(rate=3.0),
+     f"config error: energy.rate: weight rate must lie in (0, {3.0 * math.log(2.0)}], got 3.0"),
+    ("transport_global", lambda doc: doc["scenario"].update(k=0.0),
+     "config error: energy: recirculation gain zero leaves the rate unconstrained"),
+    ("wave_demo", lambda doc: doc["energy"].update(rate=0.0),
+     "config error: energy.rate: the wave functional needs a positive weight rate"),
+], ids=["transport_liss_energy", "wave_energy_eps", "wave_check_eps", "energy_p",
+        "parabolic_energy_c0", "transport_rate", "transport_k", "wave_rate"])
+def test_cli_run_post_solve_errors_exit_2(tmp_path, capsys, monkeypatch, demo, edit, message):
+    # these once failed after the solve, as energy and check errors; now
+    # build_plan refuses them and no solver runs
+    _no_solver(monkeypatch)
     doc = load_config(demo)
     edit(doc)
     cfg = tmp_path / "post_solve.yaml"
@@ -376,9 +410,84 @@ def test_cli_run_energy_route_without_p_exits_2(tmp_path, capsys):
     cfg = tmp_path / "liss_p.yaml"
     cfg.write_text(yaml.safe_dump(doc))
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == "check error: the energy route needs the energy exponent p\n"
+    assert capsys.readouterr().err == ("config error: checks[0].p: the energy route needs "
+                                       "the energy exponent p\n")
     assert not (tmp_path / "out").exists()
 
+
+# each probe's check on a bundled demo, and the refusal it gets
+_REFUSALS = [
+    ("wave_demo", {"kind": "wave_r_eps", "q": "inf", "r": 1.0, "eps": 1.0},
+     "checks[0].q: this bound needs a finite norm exponent"),
+    ("wave_demo", {"kind": "wave_r_eps", "q": 2, "r": 0.1, "eps": 1.0},
+     "checks[0]: need c*r - eps > 0, got -0.8"),
+    ("wave_demo", {"kind": "wave_r_eps", "q": 2, "r": -1.0, "eps": 1.0},
+     "checks[0].r: r must be positive, got -1.0"),
+    ("wave_demo", {"kind": "wave_m", "q": 2, "m": -1.0},
+     "checks[0].m: m must be positive, got -1.0"),
+    # e^{4m/c} once raised OverflowError, a traceback and exit 1
+    ("wave_demo", {"kind": "wave_m", "q": 2, "m": 1000.0},
+     "checks[0]: the bound overflows the floats: math range error"),
+    ("transport_liss", {"kind": "transport_liss", "q": 2, "R0": 1.0, "variant": "x"},
+     "checks[0].variant: transport_liss variant must be 'p' or 'q'"),
+    ("transport_liss", {"kind": "transport_liss", "q": 2, "R0": 1.0, "variant": 3},
+     "checks[0].variant: transport_liss variant must be 'p' or 'q'"),
+    ("transport_liss", {"kind": "transport_liss", "q": 3, "R0": 1.0, "variant": "p"},
+     "checks[0].p: the energy route needs the energy exponent p"),
+    ("transport_liss", {"kind": "transport_liss", "q": 2, "R0": -1.0},
+     "checks[0].R0: radius must be positive"),
+    ("transport_liss", {"kind": "transport_q", "q": 2},
+     "checks[0].kind: transport_q needs the 'uniform' assumption with a declared floor"),
+    ("transport_global", {"kind": "transport_liss", "q": 2, "R0": 1.0},
+     "checks[0].kind: local speed floors need the 'decreasing' assumption"),
+    ("transport_global", {"kind": "transport_p", "q": 2, "p": 2.0},
+     "checks[0].q: the energy route certifies the (p+1)-norm; got q = 2.0 with p = 2.0"),
+    ("transport_global", {"kind": "transport_p", "q": 3, "p": 2.0, "r": -1.0},
+     "checks[0].r: r must be positive, got -1.0"),
+    # the first rule broken, not the (p+1)-norm mismatch
+    ("transport_global", {"kind": "transport_p", "q": 3, "p": 0.5},
+     "checks[0].p: p must exceed 1"),
+    ("heat_clm_demo", {"kind": "parabolic_q", "q": 2},
+     "checks[0]: needs a positive reaction floor c0"),
+    ("heat_clm_demo", {"kind": "heat_clm", "q": 2, "eps": 3.0},
+     "checks[0].eps: eps must lie in (0, 2]"),
+    ("parabolic_demo", {"kind": "parabolic_q", "q": 1},
+     "checks[0].q: norm exponent must lie in [2, inf], got 1.0"),
+    ("parabolic_demo", {"kind": "parabolic_q", "q": 2, "tol": -1},
+     "checks[0].tol: tol must be finite and nonnegative, got -1.0"),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _short_run(demo):
+    """A bundled demo's scenario and its trajectory on 32 points up to t = 0.1."""
+    doc = load_config(demo)
+    doc["grid"]["n"] = 32
+    doc["solver"]["t_end"] = 0.1
+    plan = build_plan(doc)
+    return plan.scenario, cli.run_plan(replace(plan, energy=None, checks=[])).traj
+
+
+@pytest.mark.parametrize("demo, entry, refusal", _REFUSALS,
+                         ids=[f"{e['kind']}-{r.split(':')[0]}-{i}"
+                              for i, (_, e, r) in enumerate(_REFUSALS)])
+def test_cli_run_refuses_a_check_before_the_solve(tmp_path, capsys, monkeypatch, demo, entry,
+                                                  refusal):
+    # each of these once exited 2 with "check error:" and no key path, after
+    # the full solve
+    scn, traj = _short_run(demo)
+    _no_solver(monkeypatch)
+    cfg = tmp_path / "refused.yaml"
+    cfg.write_text(yaml.safe_dump(_edited(demo, "checks", [entry])))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {refusal}\n"
+    assert not (tmp_path / "out").exists()
+    # the API refuses the same check on a solved trajectory, for the same reason
+    params = {key: entry[key] for key in entry if key not in ("kind", "q", "tol")}
+    with pytest.raises(ValueError) as err:
+        bound = prepare_bound(entry["kind"], traj, scn, float(entry["q"]), params)
+        check_trajectory(traj, float(entry["q"]), bound, entry.get("tol", 0.0))
+    assert str(err.value) == refusal.split(": ", 1)[1]
 
 
 def _edited(demo, location, value):
@@ -622,6 +731,34 @@ def test_cli_run_speed_below_uniform_floor_exits_2(tmp_path, capsys):
         "solver error: speed 0.004975124378109453 at total mass 200.0 drops below "
         "the declared floor 0.0909090909 (t = 0.0)\n")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("floor", [5.0, 0.2])
+def test_cli_run_checks_a_declared_floor_under_decreasing(tmp_path, capsys, floor):
+    # the energy's decay rate is r times the declared floor; 5.0 once went
+    # unchecked under "decreasing" and gave rate=1.0397e+01 and status=ok
+    doc = load_config("transport_liss")
+    doc["scenario"]["speed_floor"] = floor
+    doc["energy"] = {"p": 2.0}
+    cfg = tmp_path / "floor.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    code = main(["run", str(cfg), "--out", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    if floor == 5.0:
+        assert code == 2 and err.count("\n") == 1
+        assert err.startswith("solver error: speed ")
+        assert "drops below the declared floor 5.0 (t = 0.0)" in err
+        assert not (tmp_path / "out").exists()
+    else:
+        assert code == 0 and out.endswith("status=ok\n")
+
+
+@pytest.mark.parametrize("demo", ["transport_global", "transport_liss"])
+def test_declared_floor_must_be_positive_under_either_assumption(demo):
+    # under "decreasing", -1.0 once certified the decay rate -2.08
+    doc = _edited(demo, "scenario.speed_floor", -1.0)
+    with pytest.raises(ConfigError, match="^scenario: a declared speed_floor must be positive$"):
+        build_plan(doc)
 
 
 def test_map_kinds_build_closed_forms():

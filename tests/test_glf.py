@@ -201,7 +201,7 @@ def test_level_parabolic_needs_damping_floor():
 
 def test_level_transport_and_wave():
     assert glf_for_transport(make_transport(), ending_at(2.0, "transport"), 2.0).level == 1.5
-    assert glf_for_wave(make_wave(), ending_at(1.0, "wave"), 2.0, r=1.0).level == 1.6
+    assert glf_for_wave(make_wave(), ending_at(1.0, "wave"), 2.0, rate=1.0).level == 1.6
 
 
 @pytest.mark.parametrize("c", [0.5, 2.0, 4.0])
@@ -212,7 +212,7 @@ def test_wave_energy_vanishes_on_the_steady_state(c):
     scn = WaveScenario(c=c, f=ZERO, d=TimeSignal.constant(d),
                        w0=profile_affine(0.0, d), v0=profile_constant(0.0))
     traj = solve_wave(scn, Grid1D(100, layout="node"), SolverConfig(t_end=2.0, cfl_sigma=0.9))
-    spec = glf_for_wave(scn, traj, 2.0, r=1.0)
+    spec = glf_for_wave(scn, traj, 2.0, rate=1.0)
     rep = dissipation_report(traj, spec, dissipation_rate(spec, scn),
                              wave_forcing_slack(traj, spec, scn.f))
     assert np.all(rep.vhat <= 1e-30)
@@ -270,15 +270,15 @@ def test_builders_derive_specs():
     assert tspec.level == 1.5
     with pytest.raises(ValueError):
         glf_for_transport(make_transport(), ending_at(2.0, "transport"), 2.0,
-                          r=1.1 * default_transport_rate(2.0, 0.5))
+                          rate=1.1 * default_transport_rate(2.0, 0.5))
 
-    wspec = glf_for_wave(make_wave(), ending_at(1.0, "wave"), 2.0, r=1.0)
+    wspec = glf_for_wave(make_wave(), ending_at(1.0, "wave"), 2.0, rate=1.0)
     assert wspec.eps == 0.5 * 2.0 * 1.0
     assert wspec.level == 1.6
     with pytest.raises(ValueError):
-        glf_for_wave(make_wave(), ending_at(1.0, "wave"), 2.0, r=0.0)
+        glf_for_wave(make_wave(), ending_at(1.0, "wave"), 2.0, rate=0.0)
     with pytest.raises(ValueError):
-        glf_for_wave(make_wave(), ending_at(1.0, "wave"), 2.0, r=1.0, eps=2.0)
+        glf_for_wave(make_wave(), ending_at(1.0, "wave"), 2.0, rate=1.0, eps=2.0)
 
 
 def test_dissipation_rate_per_class():
