@@ -22,11 +22,10 @@ import numpy as np
 from .fields import Trajectory, lq_norm, write_table
 from .glf import (ParamError, default_transport_rate, local_speed_floor, running_sups,
                   truncation_level_parabolic)
-from .signals import signal_range
 # module attributes that profilers wrap per module (perfbench/tracing.py);
 # the sups themselves run through glf.running_sups
 from .signals import sup_field, sup_window  # noqa: F401
-from .solvers.common import AssumptionViolationError, ScenarioError
+from .solvers.common import AssumptionViolationError, ScenarioError, map_samples
 from .solvers.wave import reconstruct_wave_state
 
 __all__ = [
@@ -274,17 +273,11 @@ def _admit_heat_clm(params, scn, kind, q, grid, t_end):
     if len(scn.gamma1) != 1:
         raise ParamError("kind", "heat_clm needs one Dirichlet end and one flux end")
     y = grid.points()
-
-    def identically(fld, points, value):
-        bound = fld.bind(points)
-        return {p * s for p in bound.profile_range()
-                for s in signal_range(bound.signal, t_end)} == {value}
-
-    if not identically(scn.d1, 0.0 if "left" in scn.gamma1 else 1.0, 0.0):
+    if scn.d1.bind(0.0 if "left" in scn.gamma1 else 1.0).range(t_end) != (0.0, 0.0):
         raise ParamError("kind", "heat_clm needs Dirichlet data identically 0")
-    if not identically(scn.a, 0.5 * (y[:-1] + y[1:]), 1.0):
+    if scn.a.bind(0.5 * (y[:-1] + y[1:])).range(t_end) != (1.0, 1.0):
         raise ParamError("kind", "heat_clm needs diffusion identically 1")
-    v = np.linspace(-10.0, 10.0, 401)
+    v = map_samples()
     if not np.array_equal(np.asarray(scn.boundary_reaction(v), dtype=float), v):
         raise ParamError("kind", "heat_clm needs the identity flux law")
 

@@ -6,10 +6,12 @@ weighted truncation energies of the shifted state,
     E(v) = integral of exp(sign * r * y) * G(v(y) - level) dy,
 
 summed over the sign pattern the class calls for.  The truncation level
-is derived from the disturbances alone, so the functional vanishes
-whenever the state is trapped inside the disturbance band, and along
-solutions it obeys a linear decay inequality whose residual this module
-measures stamp by stamp.
+is derived from the disturbances alone, through one path: their exact
+running sups (:func:`running_sups`), each pushed through its map's
+inverse (:func:`invert_monotone`).  So the functional vanishes whenever
+the state is trapped inside the disturbance band, and along solutions it
+obeys a linear decay inequality whose residual this module measures
+stamp by stamp.
 """
 
 from __future__ import annotations
@@ -192,9 +194,6 @@ def dissipation_report(traj: Trajectory, spec: GlfSpec, decay_rate: float,
 # ---------------------------------------------------------------------------
 # truncation levels
 
-# bisection steps before invert_monotone gives up
-_MAX_BISECT = 200
-
 
 def _edge_nodes(grid, edges):
     """The grid's own nodes on the named boundary edges."""
@@ -215,24 +214,24 @@ def running_sups(scn, grid, times) -> dict:
     "d2" over the grid's own nodes on gamma1 and gamma2 (zero on an empty
     part) and "f_l2", the forcing's spatial 2-norm.  Space parts use the
     points where the solvers evaluate the data and time parts are exact
-    (:func:`sup_window`), so each array is nondecreasing.
+    (:func:`sup_field`, :func:`sup_window`), so each array is nondecreasing.
     """
     times = np.asarray(times, dtype=float)
     sups = {}
     if hasattr(scn, "d"):
-        sups["d"] = sup_window(scn.d, 0.0, times)
+        sups["d"] = sup_window(scn.d, times)
     if hasattr(scn, "f"):
-        sups["f"] = sup_field(scn.f, grid.points(), 0.0, times)
+        sups["f"] = sup_field(scn.f, grid.points(), times)
     if hasattr(scn, "d1"):
         for name, edges in (("d1", scn.gamma1), ("d2", scn.gamma2)):
-            sups[name] = (sup_field(getattr(scn, name), _edge_nodes(grid, edges), 0.0, times)
+            sups[name] = (sup_field(getattr(scn, name), _edge_nodes(grid, edges), times)
                           if edges else np.zeros_like(times))
         # |f(., s)|_2 is |s| for a uniform field on the unit domain; a
         # profiled one scales its profile's discrete 2-norm
         sups["f_l2"] = sups["f"]
         if scn.f.profile is not None:
             l2 = lq_norm(np.asarray(scn.f.profile(grid.points()), dtype=float), 2.0, grid)
-            sups["f_l2"] = l2 * sup_window(scn.f.signal, 0.0, times)
+            sups["f_l2"] = l2 * sup_window(scn.f.signal, times)
     return sups
 
 
@@ -240,9 +239,10 @@ def truncation_level_parabolic(scn, sups) -> np.ndarray:
     """Disturbance level phi^{-1}(sup|f|/c0) + sup|d1| + varphi^{-1}(sup|d2|).
 
     ``sups`` are the running sups of :func:`running_sups`; the level is
-    taken entry by entry.  Requires a strictly positive reaction floor;
-    the classical heat baseline (c0 = 0) has no truncation level and
-    must be certified by its own quadratic estimate instead.
+    taken entry by entry, each inverse by :func:`invert_monotone`, never
+    below the root.  Requires a strictly positive reaction floor; the
+    classical heat baseline (c0 = 0) has no truncation level and must be
+    certified by its own quadratic estimate instead.
     """
     if not scn.c0 > 0:
         raise ScenarioError("truncation level needs a positive reaction floor c0")
@@ -253,47 +253,40 @@ def truncation_level_parabolic(scn, sups) -> np.ndarray:
 def _invert_each(fn, ys):
     # running sups repeat values, so invert each distinct one once
     values, where = np.unique(ys, return_inverse=True)
-    return np.asarray([_invert_expanding(fn, y) for y in values.tolist()])[where]
+    return np.asarray([invert_monotone(fn, y) for y in values.tolist()])[where]
 
 
-def _invert_expanding(fn, y):
-    """Inverse of an increasing map at y >= 0 with a doubling bracket."""
+def invert_monotone(f, y):
+    """Solve f(x) = y >= 0 for an increasing callable f with f(0) <= y.
+
+    The bracket [0, hi] doubles hi from 1 until f(hi) >= y; bisection then
+    returns the first midpoint with ``|f(mid) - y| <= 1e-12``.  Where no
+    float meets that, it stops when the ends are adjacent floats and
+    returns the upper one: f(hi) >= y holds throughout, so x is never
+    taken below the root.
+    """
     if y < 0:
         raise ValueError("target must be nonnegative")
     if y == 0.0:
         return 0.0
-    hi = 1.0
+    lo, hi = 0.0, 1.0
     for _ in range(200):
-        if float(fn(hi)) >= y:
+        if float(f(hi)) >= y:
             break
         hi *= 2.0
     else:
         raise ValueError("bracket expansion failed; map grows too slowly")
-    return invert_monotone(fn, y, 0.0, hi, 1e-12)
-
-
-def invert_monotone(f, y, lo, hi, tol):
-    """Solve f(x) = y by bisection on [lo, hi] for an increasing callable f.
-
-    Raises ValueError when y is not enclosed.  Returns x with
-    ``|f(x) - y| <= tol``.
-    """
-    lo, hi, y, tol = float(lo), float(hi), float(y), float(tol)
-    if not lo < hi:
-        raise ValueError("need lo < hi")
-    flo, fhi = float(f(lo)), float(f(hi))
-    if not (flo - tol <= y <= fhi + tol):
-        raise ValueError(f"target {y} outside [f({lo}), f({hi})] = [{flo}, {fhi}]")
-    for _ in range(_MAX_BISECT):
+    while True:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return hi
         fm = float(f(mid))
-        if abs(fm - y) <= tol:
+        if abs(fm - y) <= 1e-12:
             return mid
         if fm < y:
             lo = mid
         else:
             hi = mid
-    raise RuntimeError(f"bisection did not reach residual {tol} in {_MAX_BISECT} steps")
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +340,9 @@ def glf_for_wave(scn, traj: Optional[Trajectory], p: float, rate: float,
     eps = 0.5 * scn.c * r if eps is None else float(eps)
     if not scn.c * r - eps > 0:
         raise ParamError(None, f"need c*r - eps > 0, got c*r = {scn.c * r}, eps = {eps}")
-    return GlfSpec("wave", p, r, scn.c * float(_end_sups(scn, traj)["d"][-1]), eps)
+    spec = GlfSpec("wave", p, r, scn.c * float(_end_sups(scn, traj)["d"][-1]), eps)
+    _slack_coefficient(spec)
+    return spec
 
 
 def dissipation_rate(spec: GlfSpec, scn) -> float:
@@ -365,13 +360,26 @@ def dissipation_rate(spec: GlfSpec, scn) -> float:
     return scn.c * spec.r - spec.eps
 
 
+def _slack_coefficient(spec: GlfSpec) -> float:
+    """The wave forcing slack's coefficient 4*(p/eps)**p; ParamError when
+    it overflows the floats."""
+    try:
+        coef = 4.0 * (spec.p / spec.eps) ** spec.p
+    except OverflowError:
+        coef = math.inf
+    if not math.isfinite(coef):
+        raise ParamError(None, f"the forcing slack 4*(p/eps)**p overflows the floats "
+                               f"at p = {spec.p}, eps = {spec.eps}")
+    return coef
+
+
 def wave_forcing_slack(traj: Trajectory, spec: GlfSpec, f_field) -> np.ndarray:
     """Forcing slack 4*(p/eps)**p * E_plus(|f(., t)|) per recorded stamp."""
     if spec.eps is None:
         raise ValueError("wave slack needs the Young split eps")
     pts = traj.grid.points()
     f = f_field.bind(pts)  # the profile is evaluated once
-    coef = 4.0 * (spec.p / spec.eps) ** spec.p
+    coef = _slack_coefficient(spec)
     return traj.blockwise(lambda times, _: coef * weighted_energy(
         np.abs(np.reshape([np.broadcast_to(f(t), pts.shape) for t in times.tolist()],
                           (times.size, *pts.shape))),

@@ -1,20 +1,21 @@
 """Disturbance signals and space-time forcing fields.
 
 A time signal is one analytic kind (constant, sinusoid, exp_decay,
-polynomial) on t >= 0.  Its extremes over a window are exact: they lie at
-the window ends or at the kind's critical times (sinusoid crests and
-troughs, real roots of a polynomial's derivative).  Windows are closed
-intervals, so the windowed sup is conservative and monotone in the window,
-and one call returns the running sups over a whole array of window ends.
+polynomial) on t >= 0.  Its extremes over [0, e] are exact: they lie at 0,
+at e or at one of the kind's critical times (sinusoid crests and troughs,
+real roots of a polynomial's derivative).  :func:`signal_range` is the one
+place they are taken; one call returns the running (min, max) over a whole
+array of window ends, so each is monotone in the end.
 
 A space-time field is a time signal times an optional spatial profile,
 f(y, t) = profile(y) * signal(t); without a profile it is spatially
-uniform.  Its sup and inf over given space points and a time window are
-the profile's extremes there times the signal's exact window extremes, so
-every one is exact.  A field bound to fixed points (:class:`BoundField`)
-holds its profile's values there, so a stepper that binds its fields once
-per solve evaluates only their signals at each step, with the bits of
-evaluating the field anew.
+uniform.  Its extremes over given space points and [0, e] are the extreme
+products of the profile's extremes there and the signal's
+(:meth:`BoundField.range`), and its sup is the larger magnitude of the two
+(:func:`sup_field`), so every one is exact.  A field bound to fixed points
+(:class:`BoundField`) holds its profile's values there, so a stepper that
+binds its fields once per solve evaluates only their signals at each step,
+with the bits of evaluating the field anew.
 """
 
 from __future__ import annotations
@@ -122,53 +123,48 @@ def _power_sum(coeffs, x):
     return out
 
 
-def _critical_times(sig: TimeSignal, a: float, b: float) -> list:
-    """Times inside [a, b] where the signal can peak: sinusoid crests and
-    troughs, and the real parts of the roots of a polynomial's derivative
-    (extra candidates never lower the sup).  Constant and exp_decay
-    signals are monotone, so they have none."""
+def _critical_times(sig: TimeSignal, horizon: float) -> list:
+    """Times inside [0, horizon] where the signal can peak: sinusoid crests
+    and troughs, and the real parts of the roots of a polynomial's
+    derivative (extra candidates never widen the range).  Constant and
+    exp_decay signals are monotone, so they have none."""
     if sig.kind == "sinusoid":
         amp, freq, phase, _ = sig.params
         if freq == 0.0 or amp == 0.0:
             return []
         # 2*pi*freq*t + phase = pi/2 + k*pi
         w = 2.0 * math.pi * freq
-        k_a, k_b = sorted(((w * a + phase - math.pi / 2.0) / math.pi,
-                           (w * b + phase - math.pi / 2.0) / math.pi))
+        k_a, k_b = sorted(((phase - math.pi / 2.0) / math.pi,
+                           (w * horizon + phase - math.pi / 2.0) / math.pi))
         return [(math.pi / 2.0 + k * math.pi - phase) / w
                 for k in range(math.ceil(k_a), math.floor(k_b) + 1)]
     if sig.kind == "polynomial":
         roots = np.polynomial.Polynomial(sig.params).deriv().trim().roots()
-        return [t for t in roots.real.tolist() if a < t < b]
+        return [t for t in roots.real.tolist() if 0.0 < t < horizon]
     return []
 
 
-def signal_range(sig: TimeSignal, t1: float) -> tuple:
-    """(min, max) of sig over [0, t1], exact: both lie at an end of the
-    window or at one of the signal's critical times."""
-    vals = sig._eval(np.asarray([0.0, t1, *_critical_times(sig, 0.0, t1)]))
-    return float(vals.min()), float(vals.max())
-
-
-def _window_sups(sig: TimeSignal, t0: float, ends: np.ndarray) -> np.ndarray:
-    """Sup of |sig| over the closed window [t0, e] for each e >= t0 in ends:
-    the running max of |sig| over the candidate times, read off at each e."""
-    horizon = float(np.max(ends))
-    cand = np.concatenate(([t0, horizon], _critical_times(sig, t0, horizon),
-                           ends[(ends > t0) & (ends < horizon)]))
+def signal_range(sig: TimeSignal, ends):
+    """Running (min, max) of sig over the closed window [0, e] for each end
+    e in ends, exact: both lie at 0, at an end or at a critical time, so
+    the running extremes over those candidates, read off at each end, are
+    the window's.  Scalar ends give scalars."""
+    flat = np.asarray(ends, dtype=float).reshape(-1)
+    if not (flat.size and 0.0 <= flat.min()):
+        raise ValueError(f"need window ends t >= 0, got {ends}")
+    horizon = float(flat.max())
+    cand = np.concatenate(([0.0, horizon], _critical_times(sig, horizon),
+                           flat[(flat > 0.0) & (flat < horizon)]))
     order = np.argsort(cand, kind="stable")
-    running = np.maximum.accumulate(np.abs(sig._eval(cand))[order])
-    return running[np.searchsorted(cand[order], ends, side="right") - 1]
+    vals = sig._eval(cand)[order]
+    at = np.searchsorted(cand[order], ends, side="right") - 1
+    return np.minimum.accumulate(vals)[at], np.maximum.accumulate(vals)[at]
 
 
-def sup_window(sig: TimeSignal, t0: float, t1):
-    """Sup of |sig| over the closed window [t0, t1], exact for every kind:
-    the largest |sig| at a window end or a critical time.  An array of
-    window ends t1 gives the sups over [t0, t1_i], as for :func:`sup_field`.
-    """
-    if np.ndim(t1) == 0 and not float(t0) < float(t1):
-        raise ValueError(f"need 0 <= t0 < t1, got ({t0}, {t1})")
-    return sup_field(SpaceTimeField.from_signal(sig), None, t0, t1)
+def sup_window(sig: TimeSignal, t1):
+    """Sup of |sig| over the closed window [0, t1], exact for every kind;
+    an array t1 gives one sup per end, as for :func:`sup_field`."""
+    return sup_field(SpaceTimeField.from_signal(sig), None, t1)
 
 
 class SpaceTimeField:
@@ -229,18 +225,14 @@ class BoundField:
         out = self.values * value
         return np.asarray(out, dtype=float) if self.shape else float(out)
 
-    def profile_range(self) -> tuple:
-        """(min, max) of the profile on the points; (1, 1) when uniform."""
-        if self.values is None:
-            return 1.0, 1.0
-        prof = np.asarray(self.values, dtype=float)
-        return float(prof.min()), float(prof.max())
-
-    def inf(self, t1: float) -> float:
-        """Inf over the points x [0, t1], exact: the least product of the
-        profile's extremes and the signal's over [0, t1]."""
-        return min(p * s for p in self.profile_range()
-                   for s in signal_range(self.signal, t1))
+    def range(self, ends):
+        """Least and largest value over the points x [0, e] for each end e,
+        exact: the extreme products of the profile's extremes on the points
+        (1 when uniform) and the signal's running extremes."""
+        lo, hi = signal_range(self.signal, ends)
+        prof = np.asarray(1.0 if self.values is None else self.values, dtype=float)
+        prods = [p * s for p in (prof.min(), prof.max()) for s in (lo, hi)]
+        return np.minimum.reduce(prods), np.maximum.reduce(prods)
 
 
 def _shape(y):
@@ -254,20 +246,14 @@ def _uniform(y, value):
     return np.full(shape, value) if shape else value
 
 
-def sup_field(fld: SpaceTimeField, space, t0: float, t1):
-    """Sup of |fld| over space x [t0, t1]; an array t1 gives one sup per end.
+def sup_field(fld: SpaceTimeField, space, t1):
+    """Sup of |fld| over space x [0, t1]; an array t1 gives one sup per end.
 
-    The sup is the profile's largest magnitude over ``space`` (1 when the
-    field is uniform) times the signal's exact window sup, so the sups
-    are nondecreasing in t1_i; a window t0 == t1 is one time slice.
+    The sup is the larger magnitude of the field's exact extremes
+    (:meth:`BoundField.range`), so the sups are nondecreasing in t1_i.
     """
-    t0 = float(t0)
-    ends = np.asarray(t1, dtype=float)
-    if not (ends.size and 0.0 <= t0 <= ends.min()):
-        raise ValueError(f"need 0 <= t0 <= t1, got ({t0}, {t1})")
-    best = (max(map(abs, fld.bind(space).profile_range()))
-            * _window_sups(fld.signal, t0, ends.reshape(-1)))
-    return float(best[0]) if ends.ndim == 0 else best
+    lo, hi = fld.bind(space).range(t1)
+    return np.maximum(np.abs(lo), np.abs(hi))
 
 
 # ---------------------------------------------------------------------------

@@ -49,8 +49,8 @@ import numpy as np
 
 from ..fields import Grid1D, Grid2D, Trajectory
 from ..signals import SpaceTimeField
-from .common import (ScenarioError, SolverConfig, SolverDivergedError,
-                     check_finite, march)
+from .common import (MAP_INTERVALS, MAP_REACH, ScenarioError, SolverConfig,
+                     SolverDivergedError, check_finite, march)
 
 __all__ = ["ParabolicScenario", "solve_parabolic"]
 
@@ -59,10 +59,9 @@ EDGES = {1: ("left", "right"), 2: ("left", "right", "bottom", "top")}
 
 _SIGN_TOL = 1e-12
 _SLOPE_TOL = 1e-8
-# validate samples the maps at _MAP_INTERVALS + 1 points of [-_MAP_REACH,
-# _MAP_REACH]; a run that reaches further is checked again at that spacing,
-# _MAP_BLOCK intervals at a time, up to states of _MAP_REACH_MAX
-_MAP_REACH, _MAP_INTERVALS, _MAP_BLOCK, _MAP_REACH_MAX = 10.0, 400, 4000, 1e6
+# a run that reaches beyond common's map lattice is checked again at its
+# spacing, _MAP_BLOCK intervals at a time, up to states of _MAP_REACH_MAX
+_MAP_BLOCK, _MAP_REACH_MAX = 4000, 1e6
 
 # x(y) of a line with two flux ends is clipped to the finite floats
 _FLOAT_MAX = sys.float_info.max
@@ -136,11 +135,11 @@ class ParabolicScenario:
             raise ScenarioError(f"boundary labels must cover {sorted(edges)} exactly")
         self._check_maps()
 
-    def _check_maps(self, reach=_MAP_REACH):
+    def _check_maps(self, reach=MAP_REACH):
         """The conditions on the maps, sampled on [-reach, reach] at a
         spacing of at most 0.05 (401 points on validate's [-10, 10]), in
         blocks of at most _MAP_BLOCK intervals that share their ends."""
-        intervals = math.ceil(reach * (_MAP_INTERVALS / _MAP_REACH))
+        intervals = math.ceil(reach * (MAP_INTERVALS / MAP_REACH))
         blocks = -(-intervals // _MAP_BLOCK)
         edges = np.linspace(-reach, reach, blocks + 1)
         for lo, hi in zip(edges[:-1], edges[1:]):
@@ -176,7 +175,7 @@ def _check_floors(scn, a_faces, c_nodes, t_end):
     its floor."""
     for what, bound, name, floor in (("diffusion", a_faces, "a0", scn.a0),
                                      ("reaction", [c_nodes], "c0", scn.c0)):
-        low = min(b.inf(t_end) for b in bound)
+        low = min(b.range(t_end)[0] for b in bound)
         if low < floor - _SIGN_TOL:
             raise ScenarioError(f"{what} coefficient drops below {name} = {floor:g} "
                                 f"(down to {low:g})")
@@ -223,7 +222,7 @@ def solve_parabolic(scn: ParabolicScenario, grid, cfg: SolverConfig) -> Trajecto
     if reach > _MAP_REACH_MAX:
         raise ScenarioError(f"the maps are checked up to |u| = {_MAP_REACH_MAX:g}, "
                             f"but the run reached {reach:g}")
-    if reach > _MAP_REACH:
+    if reach > MAP_REACH:
         try:
             scn._check_maps(reach)
         except ScenarioError as exc:

@@ -20,7 +20,7 @@ import numpy as np
 from ..fields import Grid1D, Trajectory
 from ..signals import TimeSignal
 from .common import (AssumptionViolationError, ScenarioError, SolverConfig,
-                     capped_dt, march)
+                     capped_dt, map_samples, march)
 
 __all__ = ["TransportScenario", "solve_transport"]
 
@@ -56,7 +56,7 @@ class TransportScenario:
             raise ScenarioError(f"assumption must be one of {_ASSUMPTIONS}")
         if not abs(self.k) < 1.0:
             raise ScenarioError(f"recirculation gain must satisfy |k| < 1, got {self.k}")
-        s = np.linspace(-10.0, 10.0, 401)
+        s = map_samples()
         vals = np.asarray([float(self.speed_map(si)) for si in s])
         if not np.all(np.isfinite(vals)) or np.any(vals <= 0):
             raise ScenarioError("speed map must be positive and finite")

@@ -345,6 +345,23 @@ def test_cli_run_closes_two_strongly_or_weakly_coupled_flux_ends(tmp_path, capsy
     assert "status=ok" in out and err.startswith("wrote ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flux,gamma", [(7777.7, 0.5), (3.3e4, 1.0), (123456.7, 2.0),
+                                        (2e5, 1.0)])
+def test_cli_run_inverts_a_level_no_float_meets_to_1e_12(tmp_path, capsys, flux, gamma):
+    # the boundary law's floats near the flux sup are spaced wider than the
+    # inversion's 1e-12 exit; its bisection once ran out of steps and
+    # ended in a RuntimeError traceback, exit 1
+    doc = load_config("parabolic_demo")
+    doc["scenario"].update(flux_data={"kind": "constant", "value": flux},
+                           boundary_reaction={"kind": "cubic", "gamma": gamma})
+    doc["solver"]["t_end"] = 0.01
+    cfg = tmp_path / "large_flux.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    out, err = capsys.readouterr()
+    assert out.endswith("status=ok\n") and err.startswith("wrote ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("bc_tol", [0.0, -1e-10, math.nan, math.inf])
 def test_cli_run_rejects_bad_bc_tol(tmp_path, capsys, bc_tol):
     doc = load_config("parabolic_demo")
@@ -388,8 +405,16 @@ def _no_solver(monkeypatch):
      "config error: energy: recirculation gain zero leaves the rate unconstrained"),
     ("wave_demo", lambda doc: doc["energy"].update(rate=0.0),
      "config error: energy.rate: the wave functional needs a positive weight rate"),
+    # 4*(p/eps)**p once raised OverflowError after the solve, a traceback and exit 1
+    ("wave_demo", lambda doc: doc["energy"].update(p=1000.0, eps=0.5),
+     "config error: energy: the forcing slack 4*(p/eps)**p overflows the floats at "
+     "p = 1000.0, eps = 0.5"),
+    ("wave_demo", lambda doc: doc["energy"].update(p=2.0, eps=1e-300),
+     "config error: energy: the forcing slack 4*(p/eps)**p overflows the floats at "
+     "p = 2.0, eps = 1e-300"),
 ], ids=["transport_liss_energy", "wave_energy_eps", "wave_check_eps", "energy_p",
-        "parabolic_energy_c0", "transport_rate", "transport_k", "wave_rate"])
+        "parabolic_energy_c0", "transport_rate", "transport_k", "wave_rate",
+        "wave_slack_p", "wave_slack_eps"])
 def test_cli_run_post_solve_errors_exit_2(tmp_path, capsys, monkeypatch, demo, edit, message):
     # these once failed after the solve, as energy and check errors; now
     # build_plan refuses them and no solver runs

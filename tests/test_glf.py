@@ -220,33 +220,50 @@ def test_wave_energy_vanishes_on_the_steady_state(c):
 
 
 def test_invert_cube_root():
-    x = invert_monotone(lambda v: v**3, 8.0, 0.0, 10.0, 1e-10)
+    x = invert_monotone(lambda v: v**3, 8.0)
     assert abs(x - 2.0) < 1e-9
 
 
 def test_invert_identity():
-    assert invert_monotone(lambda v: v, 0.7, -1.0, 1.0, 1e-10) == pytest.approx(0.7, abs=1e-10)
+    assert invert_monotone(lambda v: v, 0.7) == pytest.approx(0.7, abs=1e-12)
 
 
 def test_invert_cubic_reaction_values():
     # v + v^3 = 2 has the exact root 1; v + 2v^3 = 2 does not.
-    x1 = invert_monotone(cubic(1.0), 2.0, 0.0, 10.0, 1e-10)
+    x1 = invert_monotone(cubic(1.0), 2.0)
     assert abs(x1 - 1.0) < 1e-9
-    x2 = invert_monotone(cubic(2.0), 2.0, 0.0, 10.0, 1e-10)
+    x2 = invert_monotone(cubic(2.0), 2.0)
     assert x2 == pytest.approx(0.835122348481, abs=1e-9)
-
-
-def test_invert_bracket_error():
-    with pytest.raises(ValueError, match="outside"):
-        invert_monotone(lambda v: v * v, 100.0, 0.0, 3.0, 1e-10)
 
 
 def test_invert_round_trip_random(rng):
     f = cubic(0.7)
     for _ in range(100):
         y = rng.uniform(0.0, float(f(50.0)))
-        x = invert_monotone(f, y, 0.0, 50.0, 1e-10)
+        x = invert_monotone(f, y)
         assert abs(float(f(x)) - y) <= 2e-10
+
+
+def test_invert_zero_target_and_refusals():
+    assert invert_monotone(cubic(1.0), 0.0) == 0.0
+    with pytest.raises(ValueError, match="nonnegative"):
+        invert_monotone(cubic(1.0), -1.0)
+    with pytest.raises(ValueError, match="grows too slowly"):
+        invert_monotone(math.log1p, 1e3)
+
+
+@pytest.mark.parametrize("y, gamma", [(7777.7, 0.5), (3.3e4, 1.0), (123456.7, 2.0),
+                                      (2e5, 1.0)])
+def test_invert_stops_on_adjacent_floats_at_or_above_the_root(y, gamma):
+    # f's floats near y are spaced wider than the 1e-12 exit, so bisection
+    # closes the bracket to adjacent floats: the upper one is returned, the
+    # least float where f reaches y
+    def f(v):
+        return v + gamma * v**3
+
+    x = invert_monotone(f, y)
+    assert abs(f(x) - y) > 1e-12
+    assert f(x) >= y > f(np.nextafter(x, 0.0))
 
 
 # ---------------------------------------------------------------------------

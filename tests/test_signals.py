@@ -58,28 +58,21 @@ def test_signal_vectorized_matches_scalar():
 
 
 def test_sup_window_constant():
-    assert sup_window(TimeSignal.constant(-0.7), 0.0, 5.0) == 0.7
+    assert sup_window(TimeSignal.constant(-0.7), 5.0) == 0.7
 
 
 def test_sup_window_sinusoid_hits_peak():
     sig = TimeSignal.sinusoid(0.3, 1.0)
     # window contains the quarter-period peak
-    assert sup_window(sig, 0.0, 1.0) == pytest.approx(0.3, abs=1e-8)
+    assert sup_window(sig, 1.0) == pytest.approx(0.3, abs=1e-8)
     # window strictly before the peak: endpoint value wins
-    assert sup_window(sig, 0.0, 0.1) == pytest.approx(
+    assert sup_window(sig, 0.1) == pytest.approx(
         0.3 * math.sin(2.0 * math.pi * 0.1), abs=1e-8)
-
-
-def test_sup_window_degenerate_window_rejected():
-    sig = TimeSignal.sinusoid(2.0, 1.0, offset=1.0)
-    with pytest.raises(ValueError):
-        sup_window(sig, 0.25, 0.25)
 
 
 def test_sup_window_exp_decay_left_endpoint():
     sig = TimeSignal.exp_decay(4.0, 2.0)
-    assert sup_window(sig, 0.5, 3.0) == pytest.approx(4.0 * math.exp(-1.0),
-                                                      rel=1e-9)
+    assert sup_window(sig, 3.0) == 4.0
 
 
 def test_signal_range_is_exact():
@@ -98,21 +91,74 @@ def test_signal_range_is_exact():
 def test_sup_window_polynomial_is_exact():
     # 4t - 4t^2 peaks at 1.0 at t = 0.5; sampling found 0.99999994 here
     sig = TimeSignal.polynomial(0.0, 4.0, -4.0)
-    assert sup_window(sig, 0.0, 1.0) == 1.0
-    assert sup_window(sig, 0.0, 0.9) == 1.0
+    assert sup_window(sig, 1.0) == 1.0
+    assert sup_window(sig, 0.9) == 1.0
     # a cubic with interior extrema at t = 1 and t = 3 on [0, 4]
     cubic = TimeSignal.polynomial(0.0, 3.0, -2.0, 1.0 / 3.0)
-    assert sup_window(cubic, 0.0, 2.0) == pytest.approx(4.0 / 3.0, rel=1e-14)
+    assert sup_window(cubic, 2.0) == pytest.approx(4.0 / 3.0, rel=1e-14)
 
 
 def test_sup_window_negative_frequency_hits_peak():
     # sin(-2 pi t) reaches -1 at t = 0.25 inside [0, 1]
-    assert sup_window(TimeSignal.sinusoid(1.0, -1.0), 0.0, 1.0) == 1.0
+    assert sup_window(TimeSignal.sinusoid(1.0, -1.0), 1.0) == 1.0
 
 
 def test_sup_window_rejects_reversed():
-    with pytest.raises(ValueError):
-        sup_window(TimeSignal.constant(1.0), 1.0, 0.5)
+    with pytest.raises(ValueError, match="need window ends t >= 0"):
+        sup_window(TimeSignal.constant(1.0), -0.5)
+    with pytest.raises(ValueError, match="need window ends t >= 0"):
+        signal_range(TimeSignal.constant(1.0), [])
+
+
+# one of each kind, with interior extrema where the kind has them
+RANGE_SIGNALS = {
+    "constant": TimeSignal.constant(-0.3),
+    "sinusoid": TimeSignal.sinusoid(0.8, 1.3, phase=0.4, offset=0.1),
+    "sinusoid_negative_frequency": TimeSignal.sinusoid(1.1, -0.9, phase=2.0),
+    "sinusoid_zero_amplitude": TimeSignal.sinusoid(0.0, 2.0, offset=-0.5),
+    "exp_decay": TimeSignal.exp_decay(-1.5, 0.7, offset=0.4),
+    # 3t - 2t^2 + t^3/3 has interior extrema at t = 1 and t = 3
+    "polynomial": TimeSignal.polynomial(0.0, 3.0, -2.0, 1.0 / 3.0),
+}
+RANGE_ENDS = np.array([0.0, 0.05, 0.4, 0.4, 1.0, 1.7, 2.5, 3.0, 3.9])
+
+
+@pytest.mark.parametrize("name", sorted(RANGE_SIGNALS))
+def test_signal_range_of_an_array_has_the_bits_of_each_end(name):
+    sig = RANGE_SIGNALS[name]
+    lo, hi = signal_range(sig, RANGE_ENDS)
+    assert lo.shape == hi.shape == RANGE_ENDS.shape
+    for e, lo_e, hi_e in zip(RANGE_ENDS.tolist(), lo, hi):
+        assert signal_range(sig, e) == (lo_e, hi_e)
+    assert np.all(np.diff(lo) <= 0.0) and np.all(np.diff(hi) >= 0.0)
+
+
+@pytest.mark.parametrize("name", sorted(RANGE_SIGNALS))
+def test_signal_range_brackets_a_dense_sample_and_is_attained(name):
+    sig = RANGE_SIGNALS[name]
+    for e in RANGE_ENDS[1:].tolist():
+        lo, hi = signal_range(sig, e)
+        dense = sig(np.linspace(0.0, e, 20001))
+        assert lo <= dense.min() and dense.max() <= hi
+        # both are values of the signal in [0, e]: the sample point nearest
+        # an interior extremum misses it by at most max|sig''| * step**2 / 8
+        step = e / 20000
+        assert dense.min() - lo <= 50.0 * step**2 + 1e-12
+        assert hi - dense.max() <= 50.0 * step**2 + 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(RANGE_SIGNALS))
+def test_sup_field_is_the_larger_magnitude_of_the_range(name):
+    y = np.linspace(0.0, 1.0, 33)
+    for fld in (SpaceTimeField.from_signal(RANGE_SIGNALS[name]),
+                SpaceTimeField.separable(profile_affine(-0.5, 1.5), RANGE_SIGNALS[name])):
+        lo, hi = fld.bind(y).range(RANGE_ENDS)
+        sups = sup_field(fld, y, RANGE_ENDS)
+        assert np.array_equal(sups, np.maximum(np.abs(lo), np.abs(hi)))
+        assert not np.any(np.signbit(sups))
+    assert np.array_equal(sup_window(RANGE_SIGNALS[name], RANGE_ENDS),
+                          sup_field(SpaceTimeField.from_signal(RANGE_SIGNALS[name]), None,
+                                    RANGE_ENDS))
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +196,7 @@ def test_sup_field_uniform_matches_sup_window():
     sig = TimeSignal.sinusoid(0.3, 2.0, offset=0.1)
     fld = SpaceTimeField.from_signal(sig)
     y = np.linspace(0.0, 1.0, 33)
-    assert sup_field(fld, y, 0.0, 1.0) == pytest.approx(
-        sup_window(sig, 0.0, 1.0), rel=1e-9)
+    assert sup_field(fld, y, 1.0) == sup_window(sig, 1.0)
 
 
 def test_sup_field_separable_shortcut_matches_bruteforce():
@@ -159,23 +204,26 @@ def test_sup_field_separable_shortcut_matches_bruteforce():
     sig = TimeSignal.sinusoid(1.0, 1.0, offset=0.2)
     fld = SpaceTimeField.separable(prof, sig)
     y = np.linspace(0.0, 1.0, 65)
-    exact = sup_field(fld, y, 0.0, 2.0)
+    exact = sup_field(fld, y, 2.0)
     dense = max(float(np.max(np.abs(fld(y, t)))) for t in np.linspace(0.0, 2.0, 4001))
     assert exact >= dense
     assert exact - dense <= 1e-4
 
 
-def test_inf_field_is_the_least_product_of_extremes():
+def test_field_range_is_the_extreme_products_of_extremes():
     sig = TimeSignal.sinusoid(1.0, 0.5, offset=0.3)
     y = np.linspace(0.0, 1.0, 33)
-    # uniform: the signal's own minimum over [0, 1.5]
-    assert SpaceTimeField.from_signal(sig).bind(y).inf(1.5) == signal_range(sig, 1.5)[0]
-    # the profile spans [-0.5, 1] and the signal [-0.7, 1.3]: 1 * -0.7 or -0.5 * 1.3
+    # uniform: the signal's own range over [0, 1.5]
+    assert SpaceTimeField.from_signal(sig).bind(y).range(1.5) == signal_range(sig, 1.5)
+    # the profile spans [-0.5, 1] and the signal [-0.7, 1.3]: the least of
+    # 1 * -0.7 and -0.5 * 1.3, the largest of 1 * 1.3 and -0.5 * -0.7
     fld = SpaceTimeField.separable(profile_affine(-0.5, 1.5), sig)
-    low = fld.bind(y).inf(1.5)
+    low, high = fld.bind(y).range(1.5)
     assert low == pytest.approx(-0.7, rel=1e-12)
-    dense = min(float(np.min(fld(y, t))) for t in np.linspace(0.0, 1.5, 3001))
-    assert low <= dense <= low + 1e-5
+    assert high == pytest.approx(1.3, rel=1e-12)
+    values = np.array([fld(y, t) for t in np.linspace(0.0, 1.5, 3001)])
+    assert low <= values.min() <= low + 1e-5
+    assert high - 1e-5 <= values.max() <= high
 
 
 # ---------------------------------------------------------------------------
