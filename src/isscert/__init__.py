@@ -11,7 +11,7 @@ from .certify import (CheckReport, IssBound, bound_heat_classical,
                       bound_wave_m, bound_wave_r_eps, check_trajectory,
                       prepare_bound)
 from .config import ConfigError, RunPlan, build_plan, load_config, load_plan
-from .fields import Grid1D, Grid2D, Trajectory, lq_norm
+from .fields import AXES, Grid, Trajectory, lq_norm
 from .glf import (GlfSeries, GlfSpec, dissipation_rate, dissipation_report,
                   glf_for_parabolic, glf_for_transport, glf_for_wave,
                   invert_monotone, local_speed_floor, series,

@@ -23,13 +23,12 @@ import yaml
 from .certify import BOUNDS, admit_check
 from .glf import dissipation_rate, glf_for_parabolic, glf_for_transport, glf_for_wave
 from .scenarios import bundled_config_text, bundled_names
-from .signals import (SpaceTimeField, TimeSignal, profile2d_sinprod,
-                      profile_affine, profile_bump, profile_constant,
-                      profile_poly, profile_sin, profile_sum)
-from .fields import Grid1D, Grid2D
+from .signals import (SpaceTimeField, TimeSignal, profile_affine,
+                      profile_bump, profile_constant, profile_poly,
+                      profile_sin, profile_sinprod, profile_sum)
+from .fields import AXES, Grid, edge_names, grid_keys
 from .solvers import (ParabolicScenario, SolverConfig, TransportScenario,
                       WaveScenario)
-from .solvers.parabolic import EDGES
 
 __all__ = ["ConfigError", "RunPlan", "load_config", "build_plan", "load_plan"]
 
@@ -136,8 +135,11 @@ _LEAVES = {
                 "sin": (profile_sin, ("amplitude", "mode")),
                 "bump": (profile_bump, ("amplitude", "center", "halfwidth")),
                 "poly": (profile_poly, ("coeffs",))},
-    "2D profile": {"sum": (profile_sum, ("terms",)), "constant": (profile_constant, ("value",)),
-                   "sinprod": (profile2d_sinprod, ("amplitude", "mode_x", "mode_y"))},
+    # the profiles of a domain of dim axes, "<dim>D profile", from two axes on
+    **{f"{dim}D profile": {
+        "sum": (profile_sum, ("terms",)), "constant": (profile_constant, ("value",)),
+        "sinprod": (profile_sinprod, ("amplitude", *(f"mode_{x}" for *_, x in AXES[:dim])))}
+       for dim in range(2, len(AXES) + 1)},
     "field": {"constant": (SpaceTimeField.constant, ("value",)),
               "uniform": (SpaceTimeField.from_signal, ("signal",)),
               "separable": (SpaceTimeField.separable, ("profile", "signal"))},
@@ -147,7 +149,8 @@ _LEAVES = {
               "reciprocal": (_reciprocal_speed, ("scale",))},
 }
 # optional keys and their defaults; every other number is required
-_DEFAULTS = {"mode": 1, "mode_x": 1, "mode_y": 1, "phase": 0.0, "offset": 0.0, "scale": 1.0}
+_DEFAULTS = {"mode": 1, **{f"mode_{x}": 1 for *_, x in AXES}, "phase": 0.0, "offset": 0.0,
+             "scale": 1.0}
 
 
 def _at_path(build):
@@ -164,9 +167,9 @@ def _at_path(build):
 
 @_at_path
 def _leaf(spec, path, family, dim=1):
-    """The object a leaf spec of a family describes; dim picks 2D profiles."""
-    if family == "profile" and dim == 2:
-        family = "2D profile"
+    """The object a leaf spec of a family describes; dim picks the profiles."""
+    if family == "profile" and dim > 1:
+        family = f"{dim}D profile"
     kind = _get(_expect_mapping(spec, path), "kind", path)
     if not isinstance(kind, str) or kind not in _LEAVES[family]:
         raise ConfigError(f"{path}.kind", f"unknown {family} kind {kind!r}")
@@ -211,7 +214,7 @@ def _edge_list(doc, key, path, dim):
     if not isinstance(edges, list):
         raise ConfigError(f"{path}.{key}", "expected a list of edge names")
     for e in edges:
-        if e not in EDGES[dim]:
+        if e not in edge_names(dim):
             raise ConfigError(f"{path}.{key}", f"unknown edge {e!r} for dim={dim}")
     return frozenset(edges)
 
@@ -222,8 +225,10 @@ def _build_parabolic(doc, path, name):
                "flux_data", "dirichlet_edges", "flux_edges", "initial")
     _reject_unknown(doc, allowed, path)
     dim = _integer(doc, "dim", path, 1)
-    if dim not in (1, 2):
-        raise ConfigError(f"{path}.dim", f"dim must be 1 or 2, got {dim}")
+    try:  # the leaves below read the axes of dim
+        edge_names(dim)
+    except ValueError as exc:
+        raise ConfigError(f"{path}.dim", str(exc)) from None
     return ParabolicScenario(
         dim=dim,
         a=_leaf_at(doc, "diffusion", path, "field", dim),
@@ -272,18 +277,15 @@ def _build_wave(doc, path, name):
 @_at_path
 def _build_grid(doc, path, pde, scenario):
     doc = _expect_mapping(doc, path)
-    if "nx" in doc or "ny" in doc:
-        _reject_unknown(doc, ("nx", "ny"), path)
-        if getattr(scenario, "dim", 1) != 2:
-            raise ConfigError(path, "an nx/ny grid needs a dim=2 scenario")
-        return Grid2D(_integer(doc, "nx", path, None), _integer(doc, "ny", path, None))
-    _reject_unknown(doc, ("n", "layout"), path)
+    # the scenario's axes name the grid keys; transport and wave have one
+    keys = grid_keys(getattr(scenario, "dim", 1))
+    _reject_unknown(doc, (*keys, "layout"), path)
     # the transport scheme is cell-centered, the other two node-centered
     layout = "cell" if pde == "transport" else "node"
     if _get(doc, "layout", path, required=False, default=layout) != layout:
         raise ConfigError(f"{path}.layout", f"{pde} runs need layout {layout}, "
                                             f"got {doc['layout']!r}")
-    return Grid1D(_integer(doc, "n", path, None), layout)
+    return Grid(*(_integer(doc, key, path, None) for key in keys), layout=layout)
 
 
 @_at_path
@@ -433,8 +435,6 @@ def build_plan(doc: dict) -> RunPlan:
     except ValueError as exc:
         raise ConfigError("scenario", str(exc)) from exc
     grid = _build_grid(_get(doc, "grid", "<config>"), "grid", pde, scenario)
-    if pde == "parabolic" and scenario.dim == 2 and not isinstance(grid, Grid2D):
-        raise ConfigError("grid", "a dim=2 scenario needs an nx/ny grid")
     solver = _build_solver(_get(doc, "solver", "<config>"), "solver", pde)
     energy = _build_energy(doc.get("energy"), "energy", pde, scenario)
     checks = _build_checks(doc.get("checks"), "checks", pde, scenario, grid, solver.t_end)

@@ -1,9 +1,10 @@
-"""Grids on the unit interval and unit square, Lq norms, and the
-trajectory record produced by the solvers.
+"""The grid on the unit cube [0, 1]^N, the axis table that names its edges
+and keys, Lq norms, and the trajectory record produced by the solvers.
 
-Node-centered layouts carry n+1 points including both endpoints and
-integrate with composite trapezoid; cell-centered layouts carry n cell
-midpoints and integrate with the midpoint rule.  Both quadratures are
+Node-centered layouts carry n+1 points per axis including both endpoints
+and integrate with the composite trapezoid, axis by axis; the cell-centered
+layout carries the interval's n cell midpoints and integrates with the
+midpoint rule.  Both quadratures are
 second order, which is what the certification tolerances assume.
 """
 
@@ -13,7 +14,6 @@ import errno
 import math
 import os
 import signal
-from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 
@@ -21,12 +21,11 @@ import numpy as np
 import yaml
 
 __all__ = [
-    "Grid1D",
-    "Grid2D",
+    "AXES",
+    "Grid",
     "Trajectory",
     "lq_norm",
     "trapezoid_1d",
-    "trapezoid_2d",
 ]
 
 _MIN_CELLS = 8
@@ -41,73 +40,74 @@ _BLOCK = 64  # stamps per call of Trajectory.blockwise
 _FORK_ROWS = 20_000
 
 
-@dataclass(frozen=True)
-class Grid1D:
-    """Uniform grid on [0, 1] with n cells.
+# One row per axis of the unit cube [0, 1]^N, in axis order: its (low, high)
+# boundary edge names and its letter, which names the axis's grid key
+# n<letter> and sinprod mode key mode_<letter>.  The interval is the one-axis
+# case, with the grid key n; its profiles have no mode keys.
+AXES = (("left", "right", "x"), ("bottom", "top", "y"), ("front", "back", "z"))
 
-    layout "node" exposes the n+1 nodes including both endpoints; layout
-    "cell" exposes the n cell midpoints.
+
+def edge_names(dim) -> tuple:
+    """The boundary edge names of a domain with dim axes, (low, high) per
+    axis; a dim the table has no rows for is refused."""
+    if dim not in range(1, len(AXES) + 1):
+        raise ValueError(f"dim must be 1 to {len(AXES)}, got {dim}")
+    return tuple(edge for lo, hi, _ in AXES[:dim] for edge in (lo, hi))
+
+
+def grid_keys(dim) -> tuple:
+    """The grid keys of a domain with dim axes: n on the interval, else n<letter> per axis."""
+    return ("n",) if dim == 1 else tuple("n" + x for *_, x in AXES[:dim])
+
+
+class Grid:
+    """Uniform grid on the unit cube [0, 1]^N with cells[k] cells along axis k.
+
+    Layout "node" carries the cells[k] + 1 nodes of each axis, both ends
+    included, as a tensor grid; layout "cell", on the interval only,
+    carries the n cell midpoints.  shape is the shape of one state array,
+    steps the step of each axis, and each cell count also reads as the
+    attribute of its grid key (:func:`grid_keys`): grid.n on the interval,
+    grid.nx, grid.ny, ... on more axes.
     """
 
-    n: int
-    layout: str = "node"
-
-    def __post_init__(self):
-        if self.n < _MIN_CELLS:
-            raise ValueError(f"need at least {_MIN_CELLS} cells, got {self.n}")
-        if self.layout not in ("node", "cell"):
-            raise ValueError(f"unknown layout {self.layout!r}")
+    def __init__(self, *cells, layout="node"):
+        edge_names(len(cells))
+        if min(cells) < _MIN_CELLS:
+            raise ValueError(f"need at least {_MIN_CELLS} cells, got {min(cells)}")
+        if layout not in ("node", "cell") or (layout == "cell" and len(cells) > 1):
+            raise ValueError(f"unknown layout {layout!r} for {len(cells)} axes")
+        self.cells, self.layout, self.dim = cells, layout, len(cells)
+        self.steps = tuple(1.0 / n for n in cells)
+        self.shape = tuple(n + (layout == "node") for n in cells)
+        self.npoints = math.prod(self.shape)
+        self.__dict__.update(zip(grid_keys(self.dim), cells))
 
     @property
     def h(self) -> float:
+        """The interval's step."""
         return 1.0 / self.n
 
-    @property
-    def npoints(self) -> int:
-        return self.n + 1 if self.layout == "node" else self.n
-
-    def points(self) -> np.ndarray:
-        if self.layout == "node":
-            return np.linspace(0.0, 1.0, self.n + 1)
-        return (np.arange(self.n) + 0.5) * self.h
-
-
-@dataclass(frozen=True)
-class Grid2D:
-    """Node-centered tensor grid on the unit square with nx by ny cells."""
-
-    nx: int
-    ny: int
-
-    def __post_init__(self):
-        if self.nx < _MIN_CELLS or self.ny < _MIN_CELLS:
-            raise ValueError(f"need at least {_MIN_CELLS} cells per direction")
-
-    @property
-    def hx(self) -> float:
-        return 1.0 / self.nx
-
-    @property
-    def hy(self) -> float:
-        return 1.0 / self.ny
+    def coords(self) -> list:
+        """Each axis's coordinates: its nodes, or the interval's cell midpoints."""
+        if self.layout == "cell":
+            return [(np.arange(self.n) + 0.5) * self.h]
+        return [np.linspace(0.0, 1.0, n + 1) for n in self.cells]
 
     def points(self):
-        """Coordinate meshes (X, Y), indexed [ix, iy]."""
-        x = np.linspace(0.0, 1.0, self.nx + 1)
-        y = np.linspace(0.0, 1.0, self.ny + 1)
-        return np.meshgrid(x, y, indexing="ij")
+        """The interval's points, or the coordinate meshes (X, Y, ...) indexed [ix, iy, ...]."""
+        coords = self.coords()
+        return coords[0] if self.dim == 1 else np.meshgrid(*coords, indexing="ij")
+
+    def edge(self, name) -> tuple:
+        """Index of the nodes on the named boundary edge."""
+        k, high = divmod(edge_names(self.dim).index(name), 2)
+        return (slice(None),) * k + (-high,)
 
 
 def scalar_or_array(out):
     """A float for a 0-d result, else the array: one value per stacked state."""
     return float(out) if np.ndim(out) == 0 else out
-
-
-def point_shape(grid) -> tuple:
-    """Shape of one state array on the grid."""
-    if isinstance(grid, Grid2D):
-        return (grid.nx + 1, grid.ny + 1)
-    return (grid.npoints,)
 
 
 def trapezoid_1d(values, h):
@@ -116,23 +116,28 @@ def trapezoid_1d(values, h):
     return scalar_or_array(h * (values.sum(axis=-1) - 0.5 * (values[..., 0] + values[..., -1])))
 
 
-def trapezoid_2d(values, hx, hy):
-    """Tensor trapezoid over the last two axes; a stack gives one per state."""
-    values = np.asarray(values, dtype=float)
-    if values.ndim > 2:
-        return np.asarray([trapezoid_2d(v, hx, hy) for v in values])
-    wx = np.ones(values.shape[0]); wx[0] = wx[-1] = 0.5
-    wy = np.ones(values.shape[1]); wy[0] = wy[-1] = 0.5
-    return float(hx * hy * (wx @ values @ wy))
-
-
 def integrate(values, grid):
-    """The grid's native second-order quadrature, per state of a stack."""
-    if isinstance(grid, Grid2D):
-        return trapezoid_2d(values, grid.hx, grid.hy)
-    if grid.layout == "node":
+    """The grid's native second-order quadrature, per state of a stack.
+
+    Cells take the midpoint rule and the interval's nodes
+    :func:`trapezoid_1d`.  On more axes each state is contracted with each
+    axis's trapezoid weights in turn, first axis first, and scaled by the
+    product of the steps, so a state gives the same bits alone or stacked.
+    """
+    if grid.layout == "cell":
+        return scalar_or_array(grid.h * np.sum(values, axis=-1))
+    if grid.dim == 1:
         return trapezoid_1d(values, grid.h)
-    return scalar_or_array(grid.h * np.sum(values, axis=-1))
+    values = np.asarray(values, dtype=float)
+    weights = [np.ones(m) for m in grid.shape]
+    for w in weights:
+        w[0] = w[-1] = 0.5
+    scale, out = math.prod(grid.steps), []
+    for v in values.reshape(-1, *grid.shape):
+        for w in weights[:-1]:
+            v = (w @ v.reshape(w.size, -1)).reshape(v.shape[1:])
+        out.append(scale * (weights[-1] @ v))
+    return scalar_or_array(np.reshape(out, values.shape[:-grid.dim]))
 
 
 def lq_norm(values, q, grid):
@@ -144,7 +149,7 @@ def lq_norm(values, q, grid):
     |w|**q; q = inf is the max norm.
     """
     values = np.asarray(values, dtype=float)
-    shape = point_shape(grid)
+    shape = grid.shape
     if values.shape[-len(shape):] != shape:
         raise ValueError(f"values shape {values.shape} does not match grid")
     if q == math.inf or q == "inf":
@@ -212,7 +217,7 @@ class Trajectory:
     live in ``counters``, apart from ``meta``, so the sidecar does not
     depend on them.
 
-    Storage: ``times`` plus one C-contiguous (capacity, *point_shape(grid))
+    Storage: ``times`` plus one C-contiguous (capacity, *grid.shape)
     float array per state name; its first ``len(self)`` rows are the stamps.
     ``append`` copies into the next row, doubling the capacity when full;
     a solver that knows its stamp count sizes the record once with
@@ -229,7 +234,7 @@ class Trajectory:
         self.counters = {}
         self._n = 0
         self._times = np.empty(0)
-        self._data = {k: np.empty((0, *point_shape(grid))) for k in self.names}
+        self._data = {k: np.empty((0, *grid.shape)) for k in self.names}
 
     def reserve(self, rows: int):
         """Make the capacity at least rows stamps, exactly rows if it grows."""
@@ -290,8 +295,8 @@ class Trajectory:
         """trajectory[_<name>].csv, one long-format CSV per state name, plus
         the metadata sidecar trajectory_meta.yaml.
 
-        Columns are (t, y, value) in one dimension and (t, y1, y2, value)
-        on the square, each number the repr of a Python float.  Returns the
+        Columns are (t, y, value) on the interval and (t, y1, ..., yN,
+        value) on N axes, each number the repr of a Python float.  Returns the
         list of paths written.
 
         The rows, numbered (name, stamp) in file order, go to disk in one
@@ -305,13 +310,14 @@ class Trajectory:
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        pts = self.grid.points()
-        coords = [float_cells(c) for c in (pts if isinstance(self.grid, Grid2D) else [pts])]
-        header = "t,y1,y2,value\n" if len(coords) == 2 else "t,y,value\n"
+        pts, dim = self.grid.points(), self.grid.dim
+        coords = [float_cells(c) for c in (pts if dim > 1 else [pts])]
+        names = ["y"] if dim == 1 else [f"y{k}" for k in range(1, dim + 1)]
+        header = f"t,{','.join(names)},value\n"
         suffixes = [""] if len(self.names) == 1 else [f"_{name}" for name in self.names]
         paths = [directory / f"trajectory{s}.csv" for s in suffixes]
         stamps = len(self.names) * self._n  # (name, stamp) pairs in file order
-        if _two_writers(stamps * math.prod(point_shape(self.grid))):
+        if _two_writers(stamps * self.grid.npoints):
             self._write_halves(paths, header, coords, stamps // 2)
         else:
             self._write_stamps(paths, header, coords, 0, stamps)

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import Grid2D, Trajectory, integrate, lq_norm, write_table
+from .fields import Trajectory, integrate, lq_norm, write_table
 from .signals import sup_field, sup_window
 from .solvers.common import ScenarioError
 from .trunc import TruncationPair, gronwall_envelope_at
@@ -96,7 +96,7 @@ def weighted_energy(values, grid, pair, rate=0.0, weight_sign=0, shift_sign=1,
     """integral of exp(weight_sign * rate * y) * G(shift_sign * v - level).
 
     Node layouts integrate by composite trapezoid, cell layouts by
-    midpoint; on the square only the unweighted case is defined.  A stack
+    midpoint; on more than one axis only the unweighted case is defined.  A stack
     of states gives one energy each, bitwise equal to the single-state call.
     """
     values = np.asarray(values, dtype=float)
@@ -108,7 +108,7 @@ def weighted_energy(values, grid, pair, rate=0.0, weight_sign=0, shift_sign=1,
         raise ValueError("level must be nonnegative")
     integrand = pair.G(shift_sign * values - level)
     if weight_sign != 0:
-        if isinstance(grid, Grid2D):
+        if grid.dim > 1:
             raise ValueError("exponential weights are one-dimensional")
         integrand = np.exp(weight_sign * rate * grid.points()) * integrand
     return integrate(integrand, grid)
@@ -196,14 +196,11 @@ def dissipation_report(traj: Trajectory, spec: GlfSpec, decay_rate: float,
 
 
 def _edge_nodes(grid, edges):
-    """The grid's own nodes on the named boundary edges."""
-    if not isinstance(grid, Grid2D):
-        return np.asarray([0.0 if e == "left" else 1.0 for e in sorted(edges)])
-    X, Y = grid.points()
-    cut = {"left": np.s_[0, :], "right": np.s_[-1, :],
-           "bottom": np.s_[:, 0], "top": np.s_[:, -1]}
-    return (np.concatenate([X[cut[e]] for e in sorted(edges)]),
-            np.concatenate([Y[cut[e]] for e in sorted(edges)]))
+    """The grid's own nodes on the named boundary edges, as points()."""
+    pts = grid.points()
+    cut = [np.concatenate([np.ravel(c[grid.edge(e)]) for e in sorted(edges)])
+           for c in (pts if grid.dim > 1 else [pts])]
+    return cut[0] if grid.dim == 1 else tuple(cut)
 
 
 def running_sups(scn, grid, times) -> dict:

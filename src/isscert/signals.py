@@ -39,7 +39,7 @@ __all__ = [
     "profile_bump",
     "profile_poly",
     "profile_sum",
-    "profile2d_sinprod",
+    "profile_sinprod",
 ]
 
 SIGNAL_KINDS = ("constant", "sinusoid", "exp_decay", "polynomial")
@@ -171,8 +171,8 @@ class SpaceTimeField:
     """The field profile(y) * signal(t) on the spatial domain crossed with
     the time axis; no profile means the field is spatially uniform.
 
-    ``profile(y)`` must broadcast: in one dimension ``y`` is an array of
-    points, in two dimensions a tuple of coordinate meshes.
+    ``profile(y)`` must broadcast: on the interval ``y`` is an array of
+    points, on more axes a tuple of coordinate meshes, one per axis.
     """
 
     def __init__(self, signal: TimeSignal, profile: Optional[Callable] = None):
@@ -260,7 +260,7 @@ def sup_field(fld: SpaceTimeField, space, t1):
 # spatial profiles (initial data and separable forcing shapes)
 
 def profile_constant(value):
-    """The constant profile, on the interval or the square."""
+    """The constant profile, on any number of axes."""
     value = float(value)
     return lambda y: _uniform(y, value)
 
@@ -304,13 +304,17 @@ def profile_sum(*profiles):
     return total
 
 
-def profile2d_sinprod(amplitude, mode_x=1, mode_y=1):
+def profile_sinprod(amplitude, mode_x=1, mode_y=1, mode_z=None):
+    """amplitude * sin(mode_x pi x) * sin(mode_y pi y) on the square, times
+    sin(mode_z pi z) on the cube when mode_z is given; the factors are
+    multiplied in axis order."""
     amplitude = float(amplitude)
-    mx, my = int(mode_x), int(mode_y)
+    modes = [int(m) for m in (mode_x, mode_y, mode_z) if m is not None]
 
-    def prof(xy):
-        x, y = xy
-        return amplitude * np.sin(mx * np.pi * np.asarray(x, dtype=float)) * \
-            np.sin(my * np.pi * np.asarray(y, dtype=float))
+    def prof(coords):
+        out = amplitude
+        for m, x in zip(modes, coords, strict=True):
+            out = out * np.sin(m * np.pi * np.asarray(x, dtype=float))
+        return out
 
     return prof

@@ -2,16 +2,17 @@
 
     u_t = div(a grad u) - c*phi(u) + f(y, t)
 
-on the unit interval or unit square, with Dirichlet data u = d1 on one part
-of the boundary and the nonlinear flux law
+on the unit cube [0, 1]^N (N = 1, 2, 3, the axes of
+:data:`~isscert.fields.AXES`), with Dirichlet data u = d1 on one part of
+the boundary and the nonlinear flux law
 
     a du/dnu = -varphi(u) + d2        (nu the outward normal)
 
-on the rest.  Diffusion is implicit (backward Euler in one dimension,
-dimension-split backward Euler on the square); reaction and forcing are
-explicit.  Every implicit step solves stacks of grid lines: the one line
-of the interval, or all lines of a sweep on the square, stacked with zero
-couplings into one tridiagonal band.  The interior unknowns of a line are
+on the rest.  Diffusion is implicit, one backward-Euler sweep per axis
+(a Lie split; the interval's one sweep is plain backward Euler); reaction
+and forcing are explicit, in the first sweep.  Every sweep solves the
+stack of its grid lines, the interval's one line or all lines along an
+axis, with zero couplings in one tridiagonal band.  The interior unknowns of a line are
 affine in its end values, so the balance at each flux end becomes a
 strictly increasing scalar equation with a guaranteed bracket, closed by
 bisection in one closure, :func:`_solve_lines`.  With two flux ends, the
@@ -24,7 +25,7 @@ stack height: one line on Python floats end to end, more lines in
 lockstep on arrays, with the same expansion, midpoints and exits, so a
 line gives the same bits alone or in a stack for any law that gives a
 float the bits an array gives elementwise.
-:func:`solve_parabolic` supplies the step of either dimension to the time
+:func:`solve_parabolic` supplies the step of any dimension to the time
 loop all steppers share, :func:`~isscert.solvers.common.march`.  It binds
 every field to its points once per solve
 (:meth:`~isscert.signals.SpaceTimeField.bind`): a on the faces, c and f
@@ -47,15 +48,12 @@ from typing import Callable
 
 import numpy as np
 
-from ..fields import Grid1D, Grid2D, Trajectory
+from ..fields import AXES, Trajectory, edge_names, grid_keys
 from ..signals import SpaceTimeField
 from .common import (MAP_INTERVALS, MAP_REACH, ScenarioError, SolverConfig,
                      SolverDivergedError, check_finite, march)
 
 __all__ = ["ParabolicScenario", "solve_parabolic"]
-
-# boundary edge names by dimension
-EDGES = {1: ("left", "right"), 2: ("left", "right", "bottom", "top")}
 
 _SIGN_TOL = 1e-12
 _SLOPE_TOL = 1e-8
@@ -79,9 +77,11 @@ def _lapack():
 class ParabolicScenario:
     """Problem data for the reaction-diffusion class.
 
-    gamma1 (Dirichlet) and gamma2 (flux) partition the boundary edge
-    names of the dimension, :data:`EDGES`; the grid carries no edge
-    labels, so this partition is the only one.  The maps must satisfy
+    dim is the number of axes, 1 to 3.  gamma1 (Dirichlet) and gamma2
+    (flux) partition the boundary edge names of those axes, (low, high)
+    per axis from :data:`~isscert.fields.AXES`: left/right, bottom/top,
+    front/back.  The grid carries no edge labels, so this partition is
+    the only one.  The maps must satisfy
     the structural sign and monotonicity conditions checked by
     :meth:`validate`, which samples them at 401 points of [-10, 10];
     :func:`solve_parabolic` checks them again at that spacing on [-R, R]
@@ -122,13 +122,14 @@ class ParabolicScenario:
             if not isinstance(getattr(self, name), SpaceTimeField):
                 raise ScenarioError(f"{name} must be a SpaceTimeField, "
                                     f"got {type(getattr(self, name)).__name__}")
-        if self.dim not in (1, 2):
-            raise ScenarioError(f"dim must be 1 or 2, got {self.dim}")
+        try:
+            edges = set(edge_names(self.dim))
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from None
         if not self.a0 > 0:
             raise ScenarioError("diffusion floor a0 must be positive")
         if self.c0 < 0:
             raise ScenarioError("reaction floor c0 must be nonnegative")
-        edges = set(EDGES[self.dim])
         if not self.gamma1.isdisjoint(self.gamma2):
             raise ScenarioError("gamma1 and gamma2 overlap")
         if self.gamma1 | self.gamma2 != edges:
@@ -191,15 +192,11 @@ def solve_parabolic(scn: ParabolicScenario, grid, cfg: SolverConfig) -> Trajecto
     scn.validate()
     if cfg.dt is None:
         raise ValueError("the parabolic stepper needs an explicit dt")
-    if scn.dim == 1:
-        if not isinstance(grid, Grid1D) or grid.layout != "node":
-            raise ValueError("one-dimensional runs need a node-centered Grid1D")
-        pts, a_faces, bands, meta, implicit = _setup_1d(scn, grid, cfg)
-    else:
-        if not isinstance(grid, Grid2D):
-            raise ValueError("two-dimensional runs need a Grid2D")
-        pts, a_faces, bands, meta, implicit = _setup_2d(scn, grid, cfg)
+    if grid.layout != "node" or grid.dim != scn.dim:
+        raise ValueError(f"a run of dim {scn.dim} needs a node-centered grid of {scn.dim} axes")
+    a_faces, bands, meta, implicit = _setup(scn, grid, cfg)
     # every field is bound to its points once: a step evaluates signals only
+    pts = grid.points()
     c_n, f_n = scn.c.bind(pts), scn.f.bind(pts)
     _check_floors(scn, a_faces, c_n, cfg.t_end)
 
@@ -231,73 +228,58 @@ def solve_parabolic(scn: ParabolicScenario, grid, cfg: SolverConfig) -> Trajecto
     return traj
 
 
-def _bind_edges(scn, *edges):
-    """(kind, value at t) of each (edge, coord); coord may hold arrays of
-    points, whose data fields are bound once here."""
-    return [("dirichlet", scn.d1.bind(coord)) if edge in scn.gamma1
-            else ("flux", scn.d2.bind(coord)) for edge, coord in edges]
+def _setup(scn, grid, cfg):
+    """Diffusion bound on each sweep's faces, each sweep's band, meta entries
+    and implicit step: one backward-Euler sweep per axis, the first carrying
+    the explicit source and the rest pure diffusion, a Lie split (on the
+    interval the one sweep is the step).
 
-
-def _at(bcs, tn):
-    """The (kind, values) boundary specs of bound edges at time tn."""
-    return [(kind, value(tn)) for kind, value in bcs]
-
-
-def _setup_1d(scn, grid, cfg):
-    """Nodes, diffusion bound on the faces, the line's :class:`_Band`,
-    meta entries and implicit step of a run on the interval."""
-    y = grid.points()
-    a_f = scn.a.bind(0.5 * (y[:-1] + y[1:]))
-    bcs = _bind_edges(scn, ("left", 0.0), ("right", 1.0))
-    band = _Band()
-
-    def implicit(w, src, dt, tn):
-        return _solve_lines(band, w[None, :], grid.h, dt, a_f(tn)[None, :], src[None, :],
-                            *_at(bcs, tn), scn.boundary_reaction, cfg.bc_tol)[0]
-
-    meta = {"scheme": "semi-implicit diffusion, explicit reaction", "dim": 1, "n": grid.n}
-    return y, [a_f], [band], meta, implicit
-
-
-def _setup_2d(scn, grid, cfg):
-    """Nodes, diffusion bound on each sweep's faces, each sweep's band,
-    meta entries and dimension-split implicit step on the square."""
-    X, Y = grid.points()
-    xs, ys = X[:, 0], Y[0, :]
-    xf, yf = 0.5 * (xs[:-1] + xs[1:]), 0.5 * (ys[:-1] + ys[1:])
-
-    # the x-sweep solves the rows off Dirichlet bottom/top edges, the
-    # y-sweep the columns off Dirichlet left/right edges; each line's face
-    # points form one row of the sweep's face meshes
-    ny, nx = grid.ny, grid.nx
-    rows = slice(1 if "bottom" in scn.gamma1 else 0, ny if "top" in scn.gamma1 else ny + 1)
-    cols = slice(1 if "left" in scn.gamma1 else 0, nx if "right" in scn.gamma1 else nx + 1)
-    y_rows, x_cols = ys[rows], xs[cols]
-    x_faces = np.broadcast_arrays(xf[None, :], y_rows[:, None])
-    y_faces = np.broadcast_arrays(x_cols[:, None], yf[None, :])
-    zero_src = np.zeros((x_cols.size, ny + 1))
-    d1_n, a_x, a_y = scn.d1.bind((X, Y)), scn.a.bind(x_faces), scn.a.bind(y_faces)
-    x_bcs = _bind_edges(scn, ("left", (0.0, y_rows)), ("right", (1.0, y_rows)))
-    y_bcs = _bind_edges(scn, ("bottom", (x_cols, 0.0)), ("top", (x_cols, 1.0)))
-    x_band, y_band = _Band(), _Band()
+    The sweep along axis k solves the lines along k off the Dirichlet faces
+    of the other axes, stacked in C order of those axes' nodes as (lines,
+    nodes along k).  It binds a on the faces, one row per line, and the
+    end data on the lines' end points, which hold axis k's coordinate as
+    the scalar 0 or 1.  Every node a sweep leaves out takes the Dirichlet
+    data.
+    """
+    coords, g1 = grid.coords(), scn.gamma1
+    keep = [slice(int(lo in g1), x.size - int(hi in g1)) for (lo, hi, _), x in zip(AXES, coords)]
+    sweeps = []
+    for k, ((lo, hi, _), x) in enumerate(zip(AXES, coords)):
+        sel = (*keep[:k], slice(None), *keep[k + 1:])
+        lines = [c[s] for c, s in zip(coords, sel)]
+        lines[k] = 0.5 * (x[:-1] + x[1:])
+        faces = [np.moveaxis(m, k, -1).reshape(-1, x.size - 1)
+                 for m in np.broadcast_arrays(*np.ix_(*lines))]
+        ends = [(edge, _points([at if j == k else f[:, 0] for j, f in enumerate(faces)]))
+                for edge, at in ((lo, 0.0), (hi, 1.0))]
+        bcs = [("dirichlet", scn.d1.bind(p)) if edge in g1 else ("flux", scn.d2.bind(p))
+               for edge, p in ends]
+        sweeps.append((sel, _Band(), grid.steps[k], scn.a.bind(_points(faces)), bcs,
+                       np.zeros((len(faces[0]), x.size))))
+    d1_n = scn.d1.bind(grid.points())
 
     def implicit(w, src, dt, tn):
         dvals = d1_n(tn)
-        # sweep along x: rows carry the full explicit source
-        w_star = dvals.copy()
-        w_star[:, rows] = _solve_lines(
-            x_band, w[:, rows].T, grid.hx, dt, a_x(tn), src[:, rows].T, *_at(x_bcs, tn),
-            scn.boundary_reaction, cfg.bc_tol).T
-        # sweep along y: pure diffusion correction
-        w_new = dvals.copy()
-        w_new[cols, :] = _solve_lines(
-            y_band, w_star[cols, :], grid.hy, dt, a_y(tn), zero_src, *_at(y_bcs, tn),
-            scn.boundary_reaction, cfg.bc_tol)
-        return w_new
+        for k, (sel, band, h, a_k, bcs, zero) in enumerate(sweeps):
+            moved = np.moveaxis(w[sel], k, -1)
+            stack = moved.reshape(-1, moved.shape[-1])
+            lines = _solve_lines(
+                band, stack, h, dt, a_k(tn),
+                np.moveaxis(src[sel], k, -1).reshape(stack.shape) if k == 0 else zero,
+                *[(kind, value(tn)) for kind, value in bcs], scn.boundary_reaction, cfg.bc_tol)
+            w = dvals.copy()
+            w[sel] = np.moveaxis(lines.reshape(moved.shape), -1, k)
+        return w
 
-    meta = {"scheme": "dimension-split semi-implicit diffusion, explicit reaction",
-            "dim": 2, "nx": nx, "ny": ny}
-    return (X, Y), [a_x, a_y], [x_band, y_band], meta, implicit
+    meta = {"scheme": "dimension-split " * (grid.dim > 1)
+            + "semi-implicit diffusion, explicit reaction",
+            "dim": grid.dim, **dict(zip(grid_keys(grid.dim), grid.cells))}
+    return [sweep[3] for sweep in sweeps], [sweep[1] for sweep in sweeps], meta, implicit
+
+
+def _points(coords):
+    """Points as fields bind them: one array on the interval, else a tuple."""
+    return coords[0] if len(coords) == 1 else tuple(coords)
 
 
 @dataclass

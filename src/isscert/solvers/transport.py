@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..fields import Grid1D, Trajectory
+from ..fields import Grid, Trajectory
 from ..signals import TimeSignal
 from .common import (AssumptionViolationError, ScenarioError, SolverConfig,
                      capped_dt, map_samples, march)
@@ -76,7 +76,7 @@ class TransportScenario:
                 raise ScenarioError("assumption 'decreasing' needs speed(s) >= speed(|s|)")
 
 
-def solve_transport(scn: TransportScenario, grid: Grid1D, cfg: SolverConfig) -> Trajectory:
+def solve_transport(scn: TransportScenario, grid: Grid, cfg: SolverConfig) -> Trajectory:
     """March to cfg.t_end with first-order upwind fluxes on cell averages.
 
     The inflow value k*rho(1, t) + d(t) uses the current outflow cell and
@@ -87,8 +87,8 @@ def solve_transport(scn: TransportScenario, grid: Grid1D, cfg: SolverConfig) -> 
     declared speed_floor (with validate's slack).
     """
     scn.validate()
-    if not isinstance(grid, Grid1D) or grid.layout != "cell":
-        raise ValueError("transport runs need a cell-centered Grid1D")
+    if grid.layout != "cell":
+        raise ValueError("transport runs need a cell-centered Grid")
     h = grid.h
     masses = []
 

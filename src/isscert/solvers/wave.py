@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..fields import Grid1D, Trajectory
+from ..fields import Grid, Trajectory
 from ..signals import SpaceTimeField, TimeSignal
 from .common import ScenarioError, SolverConfig, capped_dt, march
 
@@ -72,7 +72,7 @@ def reconstruct_wave_state(plus, minus, c):
     return 0.5 * (plus + minus), (plus - minus) / (2.0 * c)
 
 
-def solve_wave(scn: WaveScenario, grid: Grid1D, cfg: SolverConfig) -> Trajectory:
+def solve_wave(scn: WaveScenario, grid: Grid, cfg: SolverConfig) -> Trajectory:
     """March the characteristic pair to cfg.t_end with upwind differences.
 
     The initial slope is the second-order gradient of w0 (centered
@@ -80,8 +80,8 @@ def solve_wave(scn: WaveScenario, grid: Grid1D, cfg: SolverConfig) -> Trajectory
     plus[-1] == c*d(t) and minus[0] == -plus[0] exactly.
     """
     scn.validate()
-    if not isinstance(grid, Grid1D) or grid.layout != "node":
-        raise ValueError("wave runs need a node-centered Grid1D")
+    if grid.layout != "node" or grid.dim != 1:
+        raise ValueError("wave runs need a node-centered Grid on the interval")
     c = scn.c
     h = grid.h
     y = grid.points()

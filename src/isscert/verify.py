@@ -16,7 +16,7 @@ import numpy as np
 from . import cli  # run_plan, read at call time
 from .certify import BOUNDS, bound_parabolic_q, bound_transport_q, bound_wave_m
 from .config import build_plan, load_config, load_plan
-from .fields import Grid1D
+from .fields import Grid
 from .solvers import SolverConfig
 from .solvers.wave import reconstruct_wave_state
 from .trunc import (TruncationPair, gronwall_envelope_at, property_sides,
@@ -151,7 +151,7 @@ def verify_parabolic(seed: int = 42):
     max_res = []
     scales = []
     for n in (100, 200, 400):
-        grid = Grid1D(n, layout="node")
+        grid = Grid(n, layout="node")
         dt = horizon / n
         cfg = SolverConfig(t_end=horizon, dt=dt, output_stride=1)
         report = cli.run_plan(replace(demo, grid=grid, solver=cfg, checks=[])).energy

@@ -15,7 +15,7 @@ import pytest
 from isscert.certify import (bound_parabolic_q, bound_transport_q,
                              bound_wave_m, check_trajectory, prepare_bound)
 from isscert.config import load_plan
-from isscert.fields import Grid1D
+from isscert.fields import Grid
 from isscert.glf import (dissipation_rate, dissipation_report,
                          glf_for_parabolic, glf_for_transport,
                          local_speed_floor, series)
@@ -89,7 +89,7 @@ def test_criterion_4_parabolic_energy_and_bounds():
     horizon = 0.2
     max_res, scales = [], []
     for n in (100, 200, 400):
-        grid = Grid1D(n, layout="node")
+        grid = Grid(n, layout="node")
         dt = horizon / n
         rtraj = solve_parabolic(demo.scenario, grid,
                                 SolverConfig(t_end=horizon, dt=dt,
@@ -169,7 +169,7 @@ def test_criterion_6_transport_local_gate():
     reject_scn = TransportScenario(
         speed_map=lambda s: 1.0 / (1.0 + np.abs(s)), assumption="decreasing",
         k=0.5, d=TimeSignal.constant(0.2), rho0=profile_constant(1.3))
-    rtraj = solve_transport(reject_scn, Grid1D(64, layout="cell"),
+    rtraj = solve_transport(reject_scn, Grid(64, layout="cell"),
                             SolverConfig(t_end=0.05, cfl_sigma=0.9))
     rejected = prepare_bound("transport_liss", rtraj, reject_scn, 2.0,
                              {"R0": 1.0})

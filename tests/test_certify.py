@@ -12,7 +12,7 @@ from isscert.certify import (CheckReport, _state_norms, bound_heat_classical,
                              prepare_bound)
 from isscert.cli import run_plan
 from isscert.config import build_plan, load_config
-from isscert.fields import Grid1D, Grid2D, Trajectory, lq_norm
+from isscert.fields import Grid, Trajectory, lq_norm
 from isscert.glf import glf_for_parabolic, local_speed_floor, running_sups
 from isscert.signals import (SpaceTimeField, TimeSignal, profile_bump,
                              profile_constant, profile_sum, profile_sin)
@@ -106,7 +106,7 @@ def test_heat_classical_frozen_values():
 
 
 def test_running_sup_signal_causal():
-    grid = Grid1D(32, layout="cell")
+    grid = Grid(32, layout="cell")
     sig = TimeSignal.exp_decay(2.0, 3.0)
     times = np.array([0.0, 0.5, 1.0, 2.0])
     out = running_sups(make_transport_uniform(d=sig), grid, times)["d"]
@@ -123,7 +123,7 @@ def test_running_sup_field_nondecreasing():
     times = np.linspace(0.0, 2.0, 9)
     scn = WaveScenario(c=1.0, f=fld, d=TimeSignal.constant(0.0),
                        w0=profile_constant(0.0), v0=profile_constant(0.0))
-    out = running_sups(scn, Grid1D(32, layout="node"), times)["f"]
+    out = running_sups(scn, Grid(32, layout="node"), times)["f"]
     assert np.all(np.diff(out) >= -1e-15)
     assert out[-1] == pytest.approx(1.0, rel=1e-4)
 
@@ -131,7 +131,7 @@ def test_running_sup_field_nondecreasing():
 def test_running_sup_of_a_parabola_is_exact():
     # 4t - 4t^2 peaks at 1.0 between the stamps 0.3 and 0.7
     scn = make_transport_uniform(d=TimeSignal.polynomial(0.0, 4.0, -4.0))
-    out = running_sups(scn, Grid1D(32, layout="cell"), [0.0, 0.3, 0.7, 1.0])["d"]
+    out = running_sups(scn, Grid(32, layout="cell"), [0.0, 0.3, 0.7, 1.0])["d"]
     np.testing.assert_allclose(out, [0.0, 0.84, 1.0, 1.0], rtol=1e-15)
     assert out[2] == out[3] == 1.0
     assert np.all(np.diff(out) >= 0.0)
@@ -147,7 +147,7 @@ def test_running_sups_take_2d_edges_on_the_grid_nodes():
         reaction=lambda v: v, boundary_reaction=lambda v: v,
         f=ZERO, d1=edge, d2=ZERO, w0=profile_constant(0.0),
         gamma1=("left",), gamma2=("right", "bottom", "top"))
-    grid = Grid2D(8, 12)
+    grid = Grid(8, 12)
     sups = running_sups(scn, grid, [0.0, 0.5])
     assert sups["d1"][-1] == pytest.approx(1.0, rel=1e-12)
     np.testing.assert_array_equal(sups["d2"], [0.0, 0.0])
@@ -161,7 +161,7 @@ def test_bare_callable_field_is_refused(pde, name):
     def bare(y, t):
         return np.full(np.shape(y), 1.0)
 
-    grid = Grid1D(16, layout="node")
+    grid = Grid(16, layout="node")
     cfg = SolverConfig(t_end=0.05, dt=0.01)
     if pde == "parabolic":
         scn, solve = make_parabolic_demo(), solve_parabolic
@@ -183,7 +183,7 @@ def test_energy_and_check_share_the_truncation_level():
         d1=SpaceTimeField.from_signal(TimeSignal.sinusoid(0.1, 0.7)),
         d2=SpaceTimeField.from_signal(TimeSignal.polynomial(0.1, 0.5, -0.4)),
         w0=profile_sin(1.0), gamma1=("left",), gamma2=("right",))
-    grid = Grid1D(40, layout="node")
+    grid = Grid(40, layout="node")
     cfg = SolverConfig(t_end=1.2, dt=0.01, output_stride=7)
     traj = solve_parabolic(scn, grid, cfg)
     spec = glf_for_parabolic(scn, traj, 2.0)
@@ -234,7 +234,7 @@ def make_transport_uniform(**over):
 
 def test_parabolic_check_positive_margins():
     scn = make_parabolic_demo()
-    grid = Grid1D(64, layout="node")
+    grid = Grid(64, layout="node")
     dt = 0.005
     traj = solve_parabolic(scn, grid, SolverConfig(t_end=0.3, dt=dt))
     bound = prepare_bound("parabolic_q", traj, scn, 2.0)
@@ -247,7 +247,7 @@ def test_parabolic_check_positive_margins():
 
 def test_parabolic_bound_needs_damping_floor():
     scn = make_parabolic_demo()
-    grid = Grid1D(64, layout="node")
+    grid = Grid(64, layout="node")
     traj = solve_parabolic(scn, grid, SolverConfig(t_end=0.05, dt=0.005))
     bare = ParabolicScenario(
         dim=1, a=ONE, a0=1.0, c=ZERO, c0=0.0,
@@ -260,7 +260,7 @@ def test_parabolic_bound_needs_damping_floor():
 
 def test_transport_q_check_positive_margins():
     scn = make_transport_uniform()
-    traj = solve_transport(scn, Grid1D(64, layout="cell"),
+    traj = solve_transport(scn, Grid(64, layout="cell"),
                            SolverConfig(t_end=2.0, cfl_sigma=0.9,
                                         output_stride=5))
     bound = prepare_bound("transport_q", traj, scn, 2.0)
@@ -271,7 +271,7 @@ def test_transport_q_check_positive_margins():
 
 def test_transport_p_requires_matching_norm():
     scn = make_transport_uniform()
-    traj = solve_transport(scn, Grid1D(32, layout="cell"),
+    traj = solve_transport(scn, Grid(32, layout="cell"),
                            SolverConfig(t_end=0.5, cfl_sigma=0.9))
     bound = prepare_bound("transport_p", traj, scn, 3.0, params={"p": 2.0})
     assert bound.params["r"] == pytest.approx(3.0 * math.log(2.0), rel=1e-12)
@@ -281,7 +281,7 @@ def test_transport_p_requires_matching_norm():
 
 def test_transport_routes_need_uniform_assumption():
     scn = make_transport_uniform(assumption="decreasing", speed_floor=None)
-    traj = solve_transport(scn, Grid1D(32, layout="cell"),
+    traj = solve_transport(scn, Grid(32, layout="cell"),
                            SolverConfig(t_end=0.2, cfl_sigma=0.9))
     with pytest.raises(ValueError):
         prepare_bound("transport_q", traj, scn, 2.0)
@@ -289,7 +289,7 @@ def test_transport_routes_need_uniform_assumption():
 
 def test_small_gain_warning():
     scn = make_transport_uniform(k=0.02)
-    traj = solve_transport(scn, Grid1D(32, layout="cell"),
+    traj = solve_transport(scn, Grid(32, layout="cell"),
                            SolverConfig(t_end=0.2, cfl_sigma=0.9))
     bound = prepare_bound("transport_q", traj, scn, 2.0)
     assert any("ill conditioned" in w for w in bound.warnings)
@@ -306,7 +306,7 @@ def make_transport_local(d_value=0.05, amplitude=0.1):
 
 def test_liss_gate_accepts_small_data():
     scn = make_transport_local()
-    traj = solve_transport(scn, Grid1D(64, layout="cell"),
+    traj = solve_transport(scn, Grid(64, layout="cell"),
                            SolverConfig(t_end=1.0, cfl_sigma=0.9,
                                         output_stride=5))
     bound = prepare_bound("transport_liss", traj, scn, 2.0,
@@ -319,7 +319,7 @@ def test_liss_gate_accepts_small_data():
 
 def test_liss_gate_rejects_large_radius_budget():
     scn = make_transport_local()
-    traj = solve_transport(scn, Grid1D(32, layout="cell"),
+    traj = solve_transport(scn, Grid(32, layout="cell"),
                            SolverConfig(t_end=0.5, cfl_sigma=0.9))
     bound = prepare_bound("transport_liss", traj, scn, 2.0,
                           params={"R0": 0.01})
@@ -331,7 +331,7 @@ def test_liss_gate_rejects_large_radius_budget():
 
 def test_liss_gate_refuses_a_run_whose_mass_left_the_range():
     scn = make_transport_local()
-    traj = solve_transport(scn, Grid1D(32, layout="cell"),
+    traj = solve_transport(scn, Grid(32, layout="cell"),
                            SolverConfig(t_end=0.5, cfl_sigma=0.9))
     _, mass_range = local_speed_floor(scn, 1.0)
     assert traj.counters["max_abs_mass"] <= mass_range
@@ -344,7 +344,7 @@ def test_liss_gate_refuses_a_run_whose_mass_left_the_range():
 
 def test_liss_variant_validation():
     scn = make_transport_local()
-    traj = solve_transport(scn, Grid1D(32, layout="cell"),
+    traj = solve_transport(scn, Grid(32, layout="cell"),
                            SolverConfig(t_end=0.2, cfl_sigma=0.9))
     with pytest.raises(ValueError):
         prepare_bound("transport_liss", traj, scn, 2.0,
@@ -355,7 +355,7 @@ def test_wave_m_check_positive_margins():
     scn = WaveScenario(c=1.0, f=ZERO, d=TimeSignal.constant(0.0),
                        w0=lambda y: np.zeros_like(np.asarray(y, dtype=float)),
                        v0=profile_bump(1.0, 0.5, 0.2))
-    traj = solve_wave(scn, Grid1D(64, layout="node"),
+    traj = solve_wave(scn, Grid(64, layout="node"),
                       SolverConfig(t_end=1.0, cfl_sigma=0.9,
                                    output_stride=5))
     bound = prepare_bound("wave_m", traj, scn, 2.0, params={"m": 1.0})
@@ -367,7 +367,7 @@ def test_wave_m_check_positive_margins():
 def test_heat_baseline_warns_about_reaction():
     scn = make_parabolic_demo()
     scn.d1 = ZERO  # the heat baseline needs Dirichlet zero
-    grid = Grid1D(32, layout="node")
+    grid = Grid(32, layout="node")
     traj = solve_parabolic(scn, grid, SolverConfig(t_end=0.05, dt=0.005))
     bound = prepare_bound("heat_clm", traj, scn, 2.0, {"eps": 1.0})
     assert any("reaction floor" in w for w in bound.warnings)
@@ -385,7 +385,7 @@ def test_heat_baseline_warns_about_reaction():
 def test_heat_baseline_refuses_other_equations(edit, message):
     scn = make_parabolic_demo()
     scn.d1 = ZERO
-    grid, cfg = Grid1D(32, layout="node"), SolverConfig(t_end=0.05, dt=0.005)
+    grid, cfg = Grid(32, layout="node"), SolverConfig(t_end=0.05, dt=0.005)
     assert prepare_bound("heat_clm", solve_parabolic(scn, grid, cfg), scn, 2.0, {"eps": 1.0})
     for name, value in edit.items():
         setattr(scn, name, value)
@@ -395,7 +395,7 @@ def test_heat_baseline_refuses_other_equations(edit, message):
 
 def test_unknown_bound_kind():
     scn = make_transport_uniform()
-    traj = solve_transport(scn, Grid1D(32, layout="cell"),
+    traj = solve_transport(scn, Grid(32, layout="cell"),
                            SolverConfig(t_end=0.2, cfl_sigma=0.9))
     with pytest.raises(ValueError):
         prepare_bound("elliptic_q", traj, scn, 2.0)
@@ -411,7 +411,7 @@ def test_unknown_bound_kind():
 def test_check_trajectory_rejects_non_finite_tol(tol):
     # margins < -tol is never true for these, so every violation would hide
     scn = make_transport_uniform()
-    traj = solve_transport(scn, Grid1D(32, layout="cell"),
+    traj = solve_transport(scn, Grid(32, layout="cell"),
                            SolverConfig(t_end=0.2, cfl_sigma=0.9))
     bound = prepare_bound("transport_q", traj, scn, 2.0)
     with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
@@ -462,14 +462,14 @@ def test_report_csv_schema(tmp_path):
 
 def _solved(pde):
     if pde == "parabolic":
-        return solve_parabolic(make_parabolic_demo(), Grid1D(48, layout="node"),
+        return solve_parabolic(make_parabolic_demo(), Grid(48, layout="node"),
                                SolverConfig(t_end=0.7, dt=0.005))
     if pde == "transport":
-        return solve_transport(make_transport_uniform(), Grid1D(40, layout="cell"),
+        return solve_transport(make_transport_uniform(), Grid(40, layout="cell"),
                                SolverConfig(t_end=2.0, cfl_sigma=0.9))
     scn = WaveScenario(c=2.0, f=ONE, d=TimeSignal.constant(0.3),
                        w0=profile_constant(0.0), v0=profile_bump(1.0, 0.5, 0.2))
-    return solve_wave(scn, Grid1D(48, layout="node"),
+    return solve_wave(scn, Grid(48, layout="node"),
                       SolverConfig(t_end=1.5, cfl_sigma=0.9))
 
 
@@ -501,7 +501,7 @@ def test_report_csv_matches_row_reference(tmp_path):
 
 @pytest.mark.parametrize("q", [2.0, math.inf])
 def test_state_norms_of_empty_trajectory(q):
-    grid = Grid1D(8, layout="node")
+    grid = Grid(8, layout="node")
     assert _state_norms(Trajectory("parabolic", grid), q).shape == (0,)
     wave = Trajectory("wave", grid, names=("plus", "minus"), meta={"c": 1.0})
     assert _state_norms(wave, q).shape == (0,)

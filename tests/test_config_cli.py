@@ -14,7 +14,7 @@ from isscert import cli
 from isscert.certify import BOUNDS, check_trajectory, prepare_bound
 from isscert.cli import main
 from isscert.config import _LEAVES, ConfigError, _leaf, build_plan, load_config, load_plan
-from isscert.fields import Grid1D, Grid2D
+from isscert.fields import Grid
 from isscert.scenarios import bundled_names
 
 EXPECTED_PDE = {
@@ -64,7 +64,7 @@ def test_demo_checks_parse_inf_norm():
     assert kinds == ["parabolic_q"] * 3
     qs = [c["q"] for c in plan.checks]
     assert qs == [2.0, 4.0, math.inf]
-    assert isinstance(plan.grid, Grid1D)
+    assert isinstance(plan.grid, Grid) and plan.grid.dim == 1
 
 
 @pytest.mark.parametrize("q", ["inf", math.inf], ids=["string", "float"])
@@ -76,7 +76,37 @@ def test_check_q_accepts_both_infinities(q):
 def test_2d_demo_uses_square_grid():
     plan = load_plan("parabolic_2d_demo")
     assert plan.scenario.dim == 2
-    assert isinstance(plan.grid, Grid2D)
+    assert isinstance(plan.grid, Grid) and plan.grid.dim == 2
+
+
+def test_cube_config_builds_a_three_axis_grid():
+    plan = build_plan(_cube_config())
+    assert plan.scenario.dim == plan.grid.dim == 3
+    assert (plan.grid.nx, plan.grid.ny, plan.grid.nz) == plan.grid.cells == (8, 8, 8)
+
+
+# the axis table names each dimension's edges, grid keys and sinprod modes;
+# a key for an axis the run does not have is refused at its dotted path
+@pytest.mark.parametrize("demo,location,value,message", [
+    ("parabolic_demo", "scenario.dim", 4, "scenario.dim: dim must be 1 to 3, got 4"),
+    ("parabolic_demo", "scenario.dim", 0, "scenario.dim: dim must be 1 to 3, got 0"),
+    ("parabolic_demo", "grid", {"nx": 200}, "grid.nx: unknown key"),
+    ("parabolic_2d_demo", "grid", {"n": 24}, "grid.n: unknown key"),
+    ("parabolic_2d_demo", "grid", {"nx": 24, "ny": 24, "nz": 24}, "grid.nz: unknown key"),
+    ("parabolic_2d_demo", "grid", {"nx": 24}, "grid.ny: missing required key"),
+    ("cube", "grid", {"nx": 8, "ny": 8}, "grid.nz: missing required key"),
+    ("transport_global", "grid", {"nx": 64, "ny": 64}, "grid.nx: unknown key"),
+    ("parabolic_2d_demo", "scenario.flux_edges", ["bottom", "front"],
+     "scenario.flux_edges: unknown edge 'front' for dim=2"),
+    ("parabolic_2d_demo", "scenario.initial",
+     {"kind": "sinprod", "amplitude": 1.0, "mode_z": 1}, "scenario.initial.mode_z: unknown key"),
+    ("cube", "scenario.flux_edges", ["bottom"],
+     "scenario: boundary labels must cover ['back', 'bottom', 'front', 'left', 'right', 'top'] "
+     "exactly"),
+])
+def test_axis_table_refuses_what_the_dimension_lacks(demo, location, value, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        build_plan(_edited(demo, location, value))
 
 
 def test_unknown_key_carries_dotted_path():
@@ -515,10 +545,19 @@ def test_cli_run_refuses_a_check_before_the_solve(tmp_path, capsys, monkeypatch,
     assert str(err.value) == refusal.split(": ", 1)[1]
 
 
+def _cube_config():
+    """parabolic_2d_demo on the unit cube: a three-axis config."""
+    doc = load_config("parabolic_2d_demo")
+    doc["scenario"].update(dim=3, dirichlet_edges=["left", "right", "front", "back"])
+    doc["scenario"]["initial"]["terms"][1]["mode_z"] = 2
+    doc["grid"] = {"nx": 8, "ny": 8, "nz": 8}
+    return doc
+
+
 def _edited(demo, location, value):
-    """A bundled config with the entry at a dotted location replaced, or
-    removed when value is None."""
-    doc = load_config(demo)
+    """A bundled config (or "cube", :func:`_cube_config`) with the entry at a
+    dotted location replaced, or removed when value is None."""
+    doc = _cube_config() if demo == "cube" else load_config(demo)
     *parents, key = location.split(".")
     node = doc
     for part in parents:
@@ -597,17 +636,18 @@ def test_integer_keys_reject_fractions(demo, location, value, path):
 FAMILY_AT = {"signal": ("transport_global", "scenario.boundary_data"),
              "profile": ("parabolic_demo", "scenario.initial"),
              "2D profile": ("parabolic_2d_demo", "scenario.initial"),
+             "3D profile": ("cube", "scenario.initial"),
              "field": ("parabolic_demo", "scenario.forcing"),
              "map": ("parabolic_demo", "scenario.reaction"),
              "speed": ("transport_global", "scenario.speed")}
 # the optional leaf keys and their documented defaults
-LEAF_DEFAULTS = {"mode": 1, "mode_x": 1, "mode_y": 1, "phase": 0.0, "offset": 0.0,
-                 "scale": 1.0}
+LEAF_DEFAULTS = {"mode": 1, "mode_x": 1, "mode_y": 1, "mode_z": 1, "phase": 0.0,
+                 "offset": 0.0, "scale": 1.0}
 # a valid value for each key name that is not a plain number; numbers get 0.5
 LEAF_VALUES = {"coeffs": [0.1, 0.2], "terms": [{"kind": "constant", "value": 0.1}],
                "signal": {"kind": "constant", "value": 0.1},
                "profile": {"kind": "constant", "value": 1.0},
-               "mode": 2, "mode_x": 2, "mode_y": 3}
+               "mode": 2, "mode_x": 2, "mode_y": 3, "mode_z": 4}
 LEAF_KEYS = [(family, kind, key) for family, kinds in _LEAVES.items()
              for kind, (_, keys) in kinds.items() for key in keys]
 
@@ -624,6 +664,8 @@ def _leaf_values(obj, family):
         return np.array(obj.params)
     if family == "2D profile":
         return obj((y, y[::-1]))
+    if family == "3D profile":
+        return obj((y, y[::-1], y ** 2))
     return obj(y)
 
 
@@ -640,11 +682,11 @@ def test_leaf_without_a_required_key_names_it(family, kind, key):
 @pytest.mark.parametrize("family,kind,key", [c for c in LEAF_KEYS if c[2] in LEAF_DEFAULTS],
                          ids=lambda v: str(v).replace(" ", "_"))
 def test_leaf_optional_key_defaults_to_its_written_value(family, kind, key):
-    dim = 2 if family == "2D profile" else 1
+    dim = {"2D profile": 2, "3D profile": 3}.get(family, 1)
     spec = _leaf_spec(family, kind)
     omitted = {k: v for k, v in spec.items() if k != key}
     written = {**spec, key: LEAF_DEFAULTS[key]}
-    args = ("leaf", "profile" if dim == 2 else family, dim)
+    args = ("leaf", "profile" if dim > 1 else family, dim)
     assert np.array_equal(_leaf_values(_leaf(omitted, *args), family),
                           _leaf_values(_leaf(written, *args), family))
     # the key is read: its sample value builds another object

@@ -10,12 +10,12 @@ import pytest
 import yaml
 
 from isscert import fields
-from isscert.fields import (_FORK_ROWS, Grid1D, Grid2D, Trajectory, csv_rows, float_cells,
-                            lq_norm, point_shape, trapezoid_1d, trapezoid_2d)
+from isscert.fields import (_FORK_ROWS, Grid, Trajectory, csv_rows, float_cells,
+                            integrate, lq_norm, trapezoid_1d)
 
 
 def test_grid1d_node_layout():
-    g = Grid1D(10, layout="node")
+    g = Grid(10, layout="node")
     assert g.h == pytest.approx(0.1, rel=1e-15)
     assert g.npoints == 11
     pts = g.points()
@@ -24,7 +24,7 @@ def test_grid1d_node_layout():
 
 
 def test_grid1d_cell_layout():
-    g = Grid1D(8, layout="cell")
+    g = Grid(8, layout="cell")
     assert g.npoints == 8
     pts = g.points()
     assert pts[0] == pytest.approx(g.h / 2.0)
@@ -33,18 +33,18 @@ def test_grid1d_cell_layout():
 
 def test_grid1d_validation():
     with pytest.raises(ValueError):
-        Grid1D(4)
+        Grid(4)
     with pytest.raises(ValueError):
-        Grid1D(16, layout="staggered")
+        Grid(16, layout="staggered")
 
 
 def test_grid2d_geometry():
-    g = Grid2D(8, 12)
-    assert g.hx == pytest.approx(0.125)
+    g = Grid(8, 12)
+    assert g.steps[0] == pytest.approx(0.125)
     X, Y = g.points()
     assert X.shape == (9, 13)
     with pytest.raises(ValueError):
-        Grid2D(8, 4)
+        Grid(8, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -52,35 +52,35 @@ def test_grid2d_geometry():
 
 
 def test_lq_norm_constant():
-    g = Grid1D(16, layout="node")
+    g = Grid(16, layout="node")
     ones = np.ones(g.npoints)
     assert lq_norm(ones, 2.0, g) == pytest.approx(1.0, rel=1e-14)
     assert lq_norm(3.0 * ones, 4.0, g) == pytest.approx(3.0, rel=1e-14)
 
 
 def test_lq_norm_inf_is_max():
-    g = Grid1D(8, layout="node")
+    g = Grid(8, layout="node")
     vals = np.array([0.0, 1.0, -5.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     assert lq_norm(vals, math.inf, g) == 5.0
 
 
 def test_lq_norm_sine():
     # L2 of sin(pi y) on [0,1] is 1/sqrt(2); trapezoid is second order
-    g = Grid1D(200, layout="node")
+    g = Grid(200, layout="node")
     vals = np.sin(np.pi * g.points())
     assert lq_norm(vals, 2.0, g) == pytest.approx(1.0 / math.sqrt(2.0),
                                                   abs=1e-4)
 
 
 def test_lq_norm_cell_quadrature():
-    g = Grid1D(64, layout="cell")
+    g = Grid(64, layout="cell")
     vals = np.ones(g.npoints)
     # midpoint rule is exact on constants
     assert lq_norm(vals, 2.0, g) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_lq_norm_validation():
-    g = Grid1D(8, layout="node")
+    g = Grid(8, layout="node")
     with pytest.raises(ValueError):
         lq_norm(np.ones(9), 1.5, g)
     with pytest.raises(ValueError):
@@ -88,7 +88,7 @@ def test_lq_norm_validation():
 
 
 def test_lq_norm_2d():
-    g = Grid2D(8, 8)
+    g = Grid(8, 8)
     vals = np.full((9, 9), 1.5)
     assert lq_norm(vals, 2.0, g) == pytest.approx(1.5, rel=1e-14)
 
@@ -98,7 +98,7 @@ def test_lq_norm_2d():
 
 
 def test_trajectory_append_and_state():
-    g = Grid1D(8, layout="node")
+    g = Grid(8, layout="node")
     traj = Trajectory("parabolic", g)
     traj.append(0.0, u=np.zeros(9))
     traj.append(0.1, u=np.ones(9))
@@ -109,7 +109,7 @@ def test_trajectory_append_and_state():
 
 
 def test_trajectory_wave_names():
-    g = Grid1D(8, layout="node")
+    g = Grid(8, layout="node")
     traj = Trajectory("wave", g, names=("plus", "minus"))
     traj.append(0.0, plus=np.ones(9), minus=np.zeros(9))
     np.testing.assert_array_equal(traj.state(0, "minus"), np.zeros(9))
@@ -117,11 +117,11 @@ def test_trajectory_wave_names():
 
 def test_trajectory_rejects_unknown_class():
     with pytest.raises(ValueError):
-        Trajectory("elliptic", Grid1D(8))
+        Trajectory("elliptic", Grid(8))
 
 
 def test_trajectory_write_csv(tmp_path):
-    g = Grid1D(8, layout="node")
+    g = Grid(8, layout="node")
     traj = Trajectory("parabolic", g, meta={"scheme": "test",
                                             "dt": np.float64(0.25)})
     traj.append(0.0, u=np.linspace(0.0, 1.0, 9))
@@ -142,7 +142,7 @@ def test_trajectory_write_csv(tmp_path):
 
 
 def test_trajectory_grows_past_doubling_boundaries():
-    g = Grid1D(8, layout="node")
+    g = Grid(8, layout="node")
     traj = Trajectory("wave", g, names=("plus", "minus"))
     src = np.empty(9)
     for i in range(150):
@@ -159,7 +159,7 @@ def test_trajectory_grows_past_doubling_boundaries():
 
 
 def test_trajectory_reserve_sizes_the_record_once():
-    g = Grid1D(8, layout="node")
+    g = Grid(8, layout="node")
     traj = Trajectory("wave", g, names=("plus", "minus"))
     traj.reserve(5)
     buffers = [traj._times, *traj._data.values()]
@@ -178,7 +178,7 @@ def test_trajectory_reserve_sizes_the_record_once():
 
 
 def test_blockwise_concatenates_runs_of_stamps():
-    g = Grid1D(8, layout="node")
+    g = Grid(8, layout="node")
     traj = Trajectory("wave", g, names=("plus", "minus"))
     for i in range(150):
         traj.append(0.5 * i, plus=np.full(9, i), minus=np.full(9, -i))
@@ -196,13 +196,13 @@ def test_blockwise_concatenates_runs_of_stamps():
 
 
 def test_blockwise_on_empty_trajectory():
-    traj = Trajectory("parabolic", Grid1D(8, layout="node"))
+    traj = Trajectory("parabolic", Grid(8, layout="node"))
     out = traj.blockwise(lambda t, s: {"t": t.copy(), "n": lq_norm(s["u"], 2, traj.grid)})
     assert out["t"].shape == (0,) and out["n"].shape == (0,)
 
 
 def test_trajectory_append_validation():
-    g = Grid1D(8, layout="node")
+    g = Grid(8, layout="node")
     traj = Trajectory("parabolic", g)
     with pytest.raises(ValueError):
         traj.append(0.0, u=np.zeros(8))
@@ -223,14 +223,15 @@ def test_trajectory_append_validation():
 # stacked states give bitwise the per-state results
 
 GRIDS = {
-    "node": Grid1D(40, layout="node"),
-    "cell": Grid1D(33, layout="cell"),
-    "square": Grid2D(9, 12),
+    "node": Grid(40, layout="node"),
+    "cell": Grid(33, layout="cell"),
+    "square": Grid(9, 12),
+    "cube": Grid(8, 9, 10),
 }
 
 
 def _stack(grid, stamps=23, seed=0):
-    shape = (grid.nx + 1, grid.ny + 1) if isinstance(grid, Grid2D) else (grid.npoints,)
+    shape = grid.shape
     return np.random.default_rng(seed).standard_normal((stamps, *shape)) * 3.0
 
 
@@ -250,9 +251,30 @@ def test_trapezoids_stack_match_per_state():
     rows = _stack(GRIDS["node"])
     assert np.array_equal(trapezoid_1d(rows, 0.025),
                           [trapezoid_1d(r, 0.025) for r in rows])
-    sheets = _stack(GRIDS["square"])
-    assert np.array_equal(trapezoid_2d(sheets, 0.1, 0.2),
-                          [trapezoid_2d(s, 0.1, 0.2) for s in sheets])
+    for grid in (GRIDS["square"], GRIDS["cube"]):
+        sheets = _stack(grid)
+        assert np.array_equal(integrate(sheets, grid), [integrate(s, grid) for s in sheets])
+        assert type(integrate(sheets[0], grid)) is float
+
+
+def _tensor_trapezoid_2d(v, hx, hy):
+    """The square's trapezoid as the tensor form hx*hy*(wx @ V @ wy)."""
+    wx = np.ones(v.shape[0]); wx[0] = wx[-1] = 0.5
+    wy = np.ones(v.shape[1]); wy[0] = wy[-1] = 0.5
+    return float(hx * hy * (wx @ v @ wy))
+
+
+@pytest.mark.parametrize("cells", [(8, 8), (9, 12), (20, 16), (33, 64)])
+def test_square_quadrature_is_the_tensor_form_bitwise(cells):
+    grid = Grid(*cells)
+    hx, hy = grid.steps
+    rng = np.random.default_rng(sum(cells))
+    for _ in range(300):
+        v = rng.standard_normal(grid.shape) * 10.0 ** rng.integers(-8, 9)
+        assert integrate(v, grid) == _tensor_trapezoid_2d(v, hx, hy)
+    stack = rng.uniform(0.0, 5.0, (40, *grid.shape)) ** 3
+    assert np.array_equal(integrate(stack, grid),
+                          [_tensor_trapezoid_2d(v, hx, hy) for v in stack])
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +286,7 @@ ODD_VALUES = [0.1 + 0.2, -0.0, 5e-324, 1e16, 1.0 / 3.0]
 def _reference_csv(traj, name):
     """Row-by-row formatting of one state name, the writer's definition."""
     times = [float(t) for t in traj.times]
-    if isinstance(traj.grid, Grid2D):
+    if traj.grid.dim == 2:
         lines = ["t,y1,y2,value\n"]
         X, Y = traj.grid.points()
         for i, t in enumerate(times):
@@ -283,7 +305,7 @@ def _reference_csv(traj, name):
 
 def _forked_stamps(grid, names, parity):
     """The least stamp count of the given parity whose CSV has _FORK_ROWS rows."""
-    stamps = -(-_FORK_ROWS // (math.prod(point_shape(grid)) * len(names)))
+    stamps = -(-_FORK_ROWS // (grid.npoints * len(names)))
     return stamps + (stamps % 2 != parity)
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from isscert.fields import Grid1D, Grid2D, Trajectory
+from isscert.fields import Grid, Trajectory
 from isscert.glf import (GlfSeries, GlfSpec, components,
                          default_transport_rate, dissipation_rate,
                          dissipation_report, glf_for_parabolic,
@@ -20,7 +20,7 @@ from isscert.trunc import TruncationPair
 
 ONE = SpaceTimeField.constant(1.0)
 ZERO = SpaceTimeField.constant(0.0)
-GRID = Grid1D(16, layout="node")
+GRID = Grid(16, layout="node")
 
 
 def cubic(gamma):
@@ -73,7 +73,7 @@ def make_wave(**over):
 
 
 def test_weighted_energy_constant_exact():
-    grid = Grid1D(64, layout="node")
+    grid = Grid(64, layout="node")
     pair = TruncationPair(2.0)
     u = 2.0 * np.ones(grid.npoints)
     # G(2 - 1) = 1/3 over the unit interval
@@ -82,7 +82,7 @@ def test_weighted_energy_constant_exact():
 
 
 def test_weighted_energy_exponential_weight():
-    grid = Grid1D(512, layout="node")
+    grid = Grid(512, layout="node")
     pair = TruncationPair(2.0)
     u = 2.0 * np.ones(grid.npoints)
     r = 1.5
@@ -92,7 +92,7 @@ def test_weighted_energy_exponential_weight():
 
 
 def test_weighted_energy_zero_inside_band():
-    grid = Grid1D(32, layout="node")
+    grid = Grid(32, layout="node")
     pair = TruncationPair(2.0)
     u = 0.9 * np.sin(3.0 * grid.points())
     assert weighted_energy(u, grid, pair, level=1.0) == 0.0
@@ -100,7 +100,7 @@ def test_weighted_energy_zero_inside_band():
 
 
 def test_weighted_energy_decreasing_in_level():
-    grid = Grid1D(64, layout="node")
+    grid = Grid(64, layout="node")
     pair = TruncationPair(2.0)
     u = 3.0 * np.ones(grid.npoints)
     vals = [weighted_energy(u, grid, pair, level=m) for m in (0.0, 1.0, 2.0)]
@@ -108,7 +108,7 @@ def test_weighted_energy_decreasing_in_level():
 
 
 def test_weighted_energy_homogeneous_scaling():
-    grid = Grid1D(64, layout="node")
+    grid = Grid(64, layout="node")
     p = 3.0
     pair = TruncationPair(p)
     rng = np.random.default_rng(7)
@@ -119,7 +119,7 @@ def test_weighted_energy_homogeneous_scaling():
 
 
 def test_weighted_energy_validation():
-    grid = Grid1D(16, layout="node")
+    grid = Grid(16, layout="node")
     pair = TruncationPair(2.0)
     u = np.ones(grid.npoints)
     with pytest.raises(ValueError):
@@ -128,7 +128,7 @@ def test_weighted_energy_validation():
         weighted_energy(u, grid, pair, shift_sign=0)
     with pytest.raises(ValueError):
         weighted_energy(u, grid, pair, level=-1.0)
-    g2 = Grid2D(8, 8)
+    g2 = Grid(8, 8)
     u2 = np.ones((9, 9))
     with pytest.raises(ValueError):
         weighted_energy(u2, g2, pair, rate=1.0, weight_sign=1)
@@ -139,7 +139,7 @@ def test_weighted_energy_validation():
 
 
 def test_evaluate_vanishes_inside_band():
-    grid = Grid1D(32, layout="node")
+    grid = Grid(32, layout="node")
     spec = GlfSpec("parabolic", 2.0, level=1.0)
     u = np.linspace(-1.0, 1.0, grid.npoints)
     assert evaluate({"u": u}, grid, spec) == 0.0
@@ -148,7 +148,7 @@ def test_evaluate_vanishes_inside_band():
 
 
 def test_evaluate_wave_needs_both_families_trapped():
-    grid = Grid1D(32, layout="node")
+    grid = Grid(32, layout="node")
     spec = GlfSpec("wave", 2.0, r=1.0, level=1.0, eps=0.5)
     inside = 0.5 * np.ones(grid.npoints)
     outside = 2.0 * np.ones(grid.npoints)
@@ -211,7 +211,7 @@ def test_wave_energy_vanishes_on_the_steady_state(c):
     d = 0.4
     scn = WaveScenario(c=c, f=ZERO, d=TimeSignal.constant(d),
                        w0=profile_affine(0.0, d), v0=profile_constant(0.0))
-    traj = solve_wave(scn, Grid1D(100, layout="node"), SolverConfig(t_end=2.0, cfl_sigma=0.9))
+    traj = solve_wave(scn, Grid(100, layout="node"), SolverConfig(t_end=2.0, cfl_sigma=0.9))
     spec = glf_for_wave(scn, traj, 2.0, rate=1.0)
     rep = dissipation_report(traj, spec, dissipation_rate(spec, scn),
                              wave_forcing_slack(traj, spec, scn.f))
@@ -330,7 +330,7 @@ def test_local_speed_floor():
 
 
 def _flat_trajectory(value=0.0, stamps=5):
-    grid = Grid1D(16, layout="node")
+    grid = Grid(16, layout="node")
     traj = Trajectory("parabolic", grid)
     for i in range(stamps):
         traj.append(0.1 * i, u=value * np.ones(grid.npoints))
@@ -394,7 +394,7 @@ def test_series_csv_schema(tmp_path):
 
 
 def _wave_trajectory(stamps=3):
-    grid = Grid1D(64, layout="node")
+    grid = Grid(64, layout="node")
     traj = Trajectory("wave", grid, names=("plus", "minus"))
     z = np.zeros(grid.npoints)
     for i in range(stamps):
@@ -447,7 +447,7 @@ def test_wave_forcing_slack_tracks_stamp_times():
 
 def _random_trajectory(pde, grid, names=("u",), stamps=150, seed=3):
     rng = np.random.default_rng(seed)
-    shape = (grid.nx + 1, grid.ny + 1) if isinstance(grid, Grid2D) else (grid.npoints,)
+    shape = grid.shape
     traj = Trajectory(pde, grid, names=names)
     for i in range(stamps):
         traj.append(0.05 * i, **{k: 2.0 * rng.standard_normal(shape) for k in names})
@@ -455,14 +455,14 @@ def _random_trajectory(pde, grid, names=("u",), stamps=150, seed=3):
 
 
 BATCH_CASES = {
-    "parabolic_1d": (lambda: _random_trajectory("parabolic", Grid1D(50, layout="node")),
+    "parabolic_1d": (lambda: _random_trajectory("parabolic", Grid(50, layout="node")),
                      GlfSpec("parabolic", 2.0, level=0.5)),
     "parabolic_2d": (lambda: _random_trajectory(
-        "parabolic", Grid2D(10, 13)),
+        "parabolic", Grid(10, 13)),
         GlfSpec("parabolic", 3.0, level=0.25)),
-    "transport": (lambda: _random_trajectory("transport", Grid1D(41, layout="cell")),
+    "transport": (lambda: _random_trajectory("transport", Grid(41, layout="cell")),
                   GlfSpec("transport", 2.0, r=1.3, level=0.5)),
-    "wave": (lambda: _random_trajectory("wave", Grid1D(48, layout="node"),
+    "wave": (lambda: _random_trajectory("wave", Grid(48, layout="node"),
                                         names=("plus", "minus")),
              GlfSpec("wave", 2.5, r=1.0, level=0.3, eps=1.0)),
 }
@@ -505,7 +505,7 @@ def test_glf_csv_matches_row_reference(tmp_path):
 
 
 def test_series_and_wave_slack_of_empty_trajectory():
-    grid = Grid1D(8, layout="node")
+    grid = Grid(8, layout="node")
     values, comps = series(Trajectory("parabolic", grid), GlfSpec("parabolic", 2.0, level=1.0))
     assert values.shape == (0,) and all(v.shape == (0,) for v in comps.values())
     wave = Trajectory("wave", grid, names=("plus", "minus"))

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from isscert.config import _LEAVES, _leaf
-from isscert.fields import Grid1D, Grid2D
+from isscert.fields import Grid
 from isscert.signals import (SpaceTimeField, TimeSignal, profile_affine,
                              profile_bump, profile_constant, profile_poly,
-                             profile_sin, profile_sum, profile2d_sinprod,
+                             profile_sin, profile_sum, profile_sinprod,
                              signal_range, sup_field, sup_window)
 
 
@@ -255,7 +255,7 @@ def test_profile_2d():
     X, Y = np.meshgrid(np.linspace(0, 1, 5), np.linspace(0, 1, 5),
                        indexing="ij")
     np.testing.assert_array_equal(const((X, Y)), np.full((5, 5), 0.7))
-    sp = profile2d_sinprod(2.0, mode_x=1, mode_y=1)
+    sp = profile_sinprod(2.0, mode_x=1, mode_y=1)
     assert sp((np.array([[0.5]]), np.array([[0.5]])))[0, 0] == pytest.approx(
         2.0, rel=1e-12)
 
@@ -284,9 +284,9 @@ def stepper_point_sets(dim):
     """Point sets of each kind the steppers bind fields to: nodes, faces
     and boundary points or edges."""
     if dim == 1:
-        y = Grid1D(16).points()
+        y = Grid(16).points()
         return [y, 0.5 * (y[:-1] + y[1:]), 0.0, 1.0]
-    X, Y = Grid2D(8, 10).points()
+    X, Y = Grid(8, 10).points()
     xs, ys = X[:, 0], Y[0, :]
     xf = 0.5 * (xs[:-1] + xs[1:])
     return [(X, Y), np.broadcast_arrays(xf[None, :], ys[1:-1, None]),

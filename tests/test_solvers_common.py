@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from isscert.config import load_plan
-from isscert.fields import Grid1D, Trajectory
+from isscert.fields import Grid, Trajectory
 from isscert.solvers import (SolverConfig, SolverDivergedError, solve_parabolic,
                              solve_transport, solve_wave)
 from isscert.solvers.common import march
@@ -80,7 +80,7 @@ def test_wave_demo_records_every_step_without_slack():
 def spiky_march(spikes, stride):
     """march on a 9-point record whose state at step k has spikes[k] (1 by
     default) at one node, dt 0.1 up to t = 1."""
-    traj = Trajectory("parabolic", Grid1D(8))
+    traj = Trajectory("parabolic", Grid(8))
 
     def advance(t, dt_max, state, step):
         w = np.zeros(9)

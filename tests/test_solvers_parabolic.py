@@ -6,6 +6,7 @@ checked against structural invariants (equilibria, energy decay, sup
 bounds) instead.
 """
 
+import math
 import re
 import sys
 from dataclasses import replace
@@ -13,15 +14,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isscert.solvers.parabolic as parabolic
+from isscert.cli import main
 from isscert.config import load_plan
-from isscert.fields import Grid1D, Grid2D, lq_norm
+from isscert.fields import Grid, lq_norm
 from isscert.signals import (SpaceTimeField, TimeSignal, profile_bump,
-                             profile_constant, profile_sin, profile_sum,
-                             profile2d_sinprod)
+                             profile_constant, profile_sin, profile_sinprod,
+                             profile_sum)
 from isscert.solvers import (ParabolicScenario, ScenarioError, SolverConfig,
                              SolverDivergedError, solve_parabolic)
 from isscert.solvers.parabolic import (_Band, _bisect_lockstep, _bisect_scalar,
@@ -49,7 +52,7 @@ def make_scenario(**over):
 
 def test_zero_equilibrium_preserved():
     scn = make_scenario(w0=profile_constant(0.0))
-    traj = solve_parabolic(scn, Grid1D(32, layout="node"),
+    traj = solve_parabolic(scn, Grid(32, layout="node"),
                            SolverConfig(t_end=0.5, dt=0.01))
     for i in range(len(traj)):
         assert np.max(np.abs(traj.state(i))) == 0.0
@@ -57,7 +60,7 @@ def test_zero_equilibrium_preserved():
 
 def test_l2_nonincreasing_without_disturbances():
     scn = make_scenario()
-    grid = Grid1D(64, layout="node")
+    grid = Grid(64, layout="node")
     traj = solve_parabolic(scn, grid, SolverConfig(t_end=0.5, dt=0.005))
     norms = [lq_norm(traj.state(i), 2.0, grid) for i in range(len(traj))]
     assert all(b <= a + 1e-13 for a, b in zip(norms, norms[1:]))
@@ -67,7 +70,7 @@ def test_l2_nonincreasing_without_disturbances():
 def test_l2_strictly_decreasing_linear_bump():
     # pure decay scenario: every step must lose energy
     scn = make_scenario(w0=profile_sin(1.0, mode=1))
-    grid = Grid1D(64, layout="node")
+    grid = Grid(64, layout="node")
     traj = solve_parabolic(scn, grid, SolverConfig(t_end=0.3, dt=0.005))
     norms = [lq_norm(traj.state(i), 2.0, grid) for i in range(len(traj))]
     assert all(b < a for a, b in zip(norms, norms[1:]))
@@ -81,7 +84,7 @@ def test_sup_norm_bound_constant_disturbances():
         d1=SpaceTimeField.constant(0.2),
         d2=SpaceTimeField.constant(0.3),
         w0=profile_sum(profile_constant(0.2), profile_sin(3.0, mode=1)))
-    grid = Grid1D(100, layout="node")
+    grid = Grid(100, layout="node")
     traj = solve_parabolic(scn, grid, SolverConfig(t_end=1.0, dt=0.004))
     w0_sup = np.max(np.abs(traj.state(0)))
     limit = 8.0 * 1.0 + 4.0 * w0_sup
@@ -91,7 +94,7 @@ def test_sup_norm_bound_constant_disturbances():
 
 def test_dirichlet_nodes_pinned():
     scn = make_scenario(d1=SpaceTimeField.constant(0.2))
-    grid = Grid1D(32, layout="node")
+    grid = Grid(32, layout="node")
     traj = solve_parabolic(scn, grid, SolverConfig(t_end=0.2, dt=0.01))
     for i in range(1, len(traj)):
         assert traj.state(i)[0] == 0.2
@@ -100,7 +103,7 @@ def test_dirichlet_nodes_pinned():
 def test_flux_condition_satisfied_at_final_state():
     # a*dw/dnu + varphi(w) = d2 at y=1; check with a one-sided difference
     scn = make_scenario(d2=SpaceTimeField.constant(0.3))
-    grid = Grid1D(200, layout="node")
+    grid = Grid(200, layout="node")
     traj = solve_parabolic(scn, grid, SolverConfig(t_end=0.5, dt=0.002))
     w = traj.state(-1)
     flux = (w[-1] - w[-2]) / grid.h
@@ -115,7 +118,7 @@ def test_second_order_convergence_to_heat_oracle():
     t_end = 0.05
     errs = []
     for n in (20, 40):
-        grid = Grid1D(n, layout="node")
+        grid = Grid(n, layout="node")
         dt = t_end * grid.h * grid.h
         traj = solve_parabolic(scn, grid,
                                SolverConfig(t_end=t_end, dt=dt,
@@ -128,7 +131,7 @@ def test_second_order_convergence_to_heat_oracle():
 def test_large_dt_remains_stable():
     # implicit diffusion: dt far above the explicit limit must not blow up
     scn = make_scenario(w0=profile_sin(1.0, mode=3))
-    grid = Grid1D(100, layout="node")
+    grid = Grid(100, layout="node")
     traj = solve_parabolic(scn, grid, SolverConfig(t_end=1.0, dt=0.05))
     assert np.all(np.isfinite(traj.state(-1)))
     assert np.max(np.abs(traj.state(-1))) < 1.0
@@ -139,13 +142,13 @@ def test_divergence_reported_with_step():
                         w0=profile_constant(0.0),
                         f=SpaceTimeField.constant(1e150))
     with pytest.raises(SolverDivergedError):
-        solve_parabolic(scn, Grid1D(16, layout="node"),
+        solve_parabolic(scn, Grid(16, layout="node"),
                         SolverConfig(t_end=1.0, dt=0.5))
 
 
 def test_scenario_validation_errors():
-    with pytest.raises(ScenarioError):
-        make_scenario(dim=3).validate()
+    with pytest.raises(ScenarioError, match="^dim must be 1 to 3, got 4$"):
+        make_scenario(dim=4).validate()
     with pytest.raises(ScenarioError):
         make_scenario(a0=0.0).validate()
     with pytest.raises(ScenarioError):
@@ -202,9 +205,9 @@ def _dipping(amplitude):
 def test_floor_check_is_exact_for_uniform_fields(dim, coef, low):
     over = {coef: SpaceTimeField.from_signal(_dipping(low - 1.0))}
     if dim == 2:
-        over.update(dim=2, w0=profile2d_sinprod(1.0),
+        over.update(dim=2, w0=profile_sinprod(1.0),
                     gamma1=("left", "right"), gamma2=("bottom", "top"))
-    grid = Grid1D(16, layout="node") if dim == 1 else Grid2D(8, 8)
+    grid = Grid(16, layout="node") if dim == 1 else Grid(8, 8)
     cfg = SolverConfig(t_end=1.0, dt=0.01)
     scn = make_scenario(**over)
     scn.validate()
@@ -221,7 +224,7 @@ def test_floor_check_separable_uses_profile_and_signal_extremes():
     # range [0.75, 1]; the least product is 0.75
     ramp = SpaceTimeField.separable(lambda y: 1.0 + np.asarray(y, dtype=float),
                                     TimeSignal.polynomial(1.0, -0.25))
-    grid = Grid1D(16, layout="node")
+    grid = Grid(16, layout="node")
     with pytest.raises(ScenarioError, match=r"drops below c0 = 0.8 \(down to 0.75\)"):
         solve_parabolic(make_scenario(c=ramp, c0=0.8), grid, SolverConfig(t_end=1.0, dt=0.1))
     solve_parabolic(make_scenario(c=ramp, c0=0.75), grid, SolverConfig(t_end=1.0, dt=0.1))
@@ -237,13 +240,13 @@ def test_floor_check_separable_uses_profile_and_signal_extremes():
 
 def test_missing_dt_rejected():
     with pytest.raises(ValueError):
-        solve_parabolic(make_scenario(), Grid1D(16, layout="node"),
+        solve_parabolic(make_scenario(), Grid(16, layout="node"),
                         SolverConfig(t_end=0.1, cfl_sigma=0.9))
 
 
 def test_cell_grid_rejected():
     with pytest.raises(ValueError):
-        solve_parabolic(make_scenario(), Grid1D(16, layout="cell"),
+        solve_parabolic(make_scenario(), Grid(16, layout="cell"),
                         SolverConfig(t_end=0.1, dt=0.01))
 
 
@@ -252,7 +255,7 @@ def test_cell_grid_rejected():
 
 
 def test_2d_zero_equilibrium():
-    grid = Grid2D(10, 10)
+    grid = Grid(10, 10)
     scn = make_scenario(dim=2, w0=lambda pts: np.zeros_like(pts[0]),
                         gamma1=("left", "right"), gamma2=("bottom", "top"))
     traj = solve_parabolic(scn, grid, SolverConfig(t_end=0.1, dt=0.01))
@@ -260,8 +263,8 @@ def test_2d_zero_equilibrium():
 
 
 def test_2d_l2_nonincreasing():
-    grid = Grid2D(12, 12)
-    scn = make_scenario(dim=2, w0=profile2d_sinprod(1.0),
+    grid = Grid(12, 12)
+    scn = make_scenario(dim=2, w0=profile_sinprod(1.0),
                         gamma1=("left", "right"), gamma2=("bottom", "top"))
     traj = solve_parabolic(scn, grid, SolverConfig(t_end=0.1, dt=0.005))
     norms = [lq_norm(traj.state(i), 2.0, grid) for i in range(len(traj))]
@@ -712,7 +715,7 @@ def per_line_2d(scn, grid, cfg):
                     or (iy == grid.ny and "top" in scn.gamma1)):
                 af = np.asarray(scn.a((xf, np.full(grid.nx, y)), tn), dtype=float)
                 w_star[:, iy] = solve_one_line(
-                    w[:, iy], grid.hx, dt, af, src[:, iy],
+                    w[:, iy], grid.steps[0], dt, af, src[:, iy],
                     bc_spec(scn, "left", (0.0, y), tn), bc_spec(scn, "right", (1.0, y), tn),
                     scn.boundary_reaction, cfg.bc_tol)
         for ix, x in enumerate(xs):
@@ -720,7 +723,7 @@ def per_line_2d(scn, grid, cfg):
                     or (ix == grid.nx and "right" in scn.gamma1)):
                 af = np.asarray(scn.a((np.full(grid.ny, x), yf), tn), dtype=float)
                 w_new[ix, :] = solve_one_line(
-                    w_star[ix, :], grid.hy, dt, af, np.zeros(grid.ny + 1),
+                    w_star[ix, :], grid.steps[1], dt, af, np.zeros(grid.ny + 1),
                     bc_spec(scn, "bottom", (x, 0.0), tn), bc_spec(scn, "top", (x, 1.0), tn),
                     scn.boundary_reaction, cfg.bc_tol)
         w, t = w_new, tn
@@ -734,7 +737,7 @@ def per_line_2d(scn, grid, cfg):
 def test_2d_batched_sweeps_match_per_line_oracle(flux_edges):
     gamma2 = frozenset(flux_edges)
     gamma1 = frozenset({"left", "right", "bottom", "top"}) - gamma2
-    grid = Grid2D(10, 12)
+    grid = Grid(10, 12)
     wavy = TimeSignal.sinusoid(1.0, 1.3, 0.4, offset=0.5)
     scn = make_scenario(
         dim=2, gamma1=gamma1, gamma2=gamma2,
@@ -750,7 +753,7 @@ def test_2d_batched_sweeps_match_per_line_oracle(flux_edges):
         d2=SpaceTimeField.separable(
             lambda p: 0.3 * np.sin(2.0 * np.asarray(p[0]) - np.asarray(p[1]) + 0.4),
             TimeSignal.polynomial(1.0, 3.0)),
-        w0=profile_sum(lambda xy: np.full(np.shape(xy[0]), 0.3), profile2d_sinprod(2.0)))
+        w0=profile_sum(lambda xy: np.full(np.shape(xy[0]), 0.3), profile_sinprod(2.0)))
     cfg = SolverConfig(t_end=0.05, dt=0.01)
     traj = solve_parabolic(scn, grid, cfg)
     oracle = per_line_2d(scn, grid, cfg)
@@ -808,7 +811,7 @@ def test_one_line_steps_match_row_0_of_a_lockstep_stack(kinds, law):
     gamma2 = tuple(e for e, k in zip(("left", "right"), kinds) if k == "flux")
     scn = varying_1d(gamma1=gamma1, gamma2=gamma2, reaction=cubic(0.5),
                      boundary_reaction=(lambda v: v) if law == "identity" else cubic(1.2))
-    grid, cfg = Grid1D(24, layout="node"), SolverConfig(t_end=0.1, dt=0.004)
+    grid, cfg = Grid(24, layout="node"), SolverConfig(t_end=0.1, dt=0.004)
     traj = solve_parabolic(scn, grid, cfg)
     oracle = per_step_1d(scn, grid, cfg, partner=lambda w: w[::-1] - 0.3)
     assert len(traj) == len(oracle)
@@ -834,13 +837,14 @@ def test_profiles_are_evaluated_once_per_point_set_per_solve():
         fields = {name: SpaceTimeField.separable(spied(name, profile_constant(0.5)), sig)
                   for name in ("a", "c", "f", "d1", "d2")}
         scn = make_scenario(**fields, a0=0.4, c0=0.4)
-        solve_parabolic(scn, Grid1D(16, layout="node"), SolverConfig(t_end=0.01 * steps, dt=0.01))
+        solve_parabolic(scn, Grid(16, layout="node"), SolverConfig(t_end=0.01 * steps, dt=0.01))
         return {(name, pts): calls.count((name, pts)) for name, pts in set(calls)}
 
     few, many = counts(3), counts(30)
     assert few == many
-    # a on the faces; c and f on the nodes; d1 at the left end, d2 at the right
-    assert sorted(name for name, _ in many) == ["a", "c", "d1", "d2", "f"]
+    # a on the faces; c, f and d1 on the nodes (d1 for the nodes a sweep
+    # leaves out); d1 at the left end, d2 at the right
+    assert sorted(name for name, _ in many) == ["a", "c", "d1", "d1", "d2", "f"]
     assert set(many.values()) == {1}
 
 
@@ -867,7 +871,7 @@ def test_maps_are_checked_again_over_the_range_the_run_reached(which, message):
     scn = make_scenario(**{which: kinked(0.5 if which == "reaction" else -0.5)},
                         w0=profile_sin(20.0, mode=1))
     scn.validate()
-    grid, cfg = Grid1D(32, layout="node"), SolverConfig(t_end=0.02, dt=0.01)
+    grid, cfg = Grid(32, layout="node"), SolverConfig(t_end=0.02, dt=0.01)
     with pytest.raises(ScenarioError, match=rf"^{message} on \[-20, 20\], the range the run reached$"):
         solve_parabolic(scn, grid, cfg)
     # within [-10, 10] the same laws pass
@@ -878,11 +882,11 @@ def test_monotone_laws_pass_the_range_check_far_out():
     # the config's laws hold everywhere; the slope is the secant over the
     # float step, so a state of 5e4 does not fail the identity's slope
     scn = make_scenario(w0=profile_sin(5e4, mode=1), boundary_reaction=cubic(0.5))
-    traj = solve_parabolic(scn, Grid1D(16, layout="node"), SolverConfig(t_end=0.02, dt=0.01))
+    traj = solve_parabolic(scn, Grid(16, layout="node"), SolverConfig(t_end=0.02, dt=0.01))
     assert traj.counters["max_abs"]["u"] == pytest.approx(5e4)
     with pytest.raises(ScenarioError, match=r"^the maps are checked up to \|u\| = 1e\+06, "
                                             r"but the run reached 2e\+06$"):
-        solve_parabolic(replace(scn, w0=profile_sin(2e6, mode=1)), Grid1D(16, layout="node"),
+        solve_parabolic(replace(scn, w0=profile_sin(2e6, mode=1)), Grid(16, layout="node"),
                         SolverConfig(t_end=0.02, dt=0.01))
 
 
@@ -971,7 +975,7 @@ def test_non_finite_band_on_refactoring_is_a_divergence():
                         gamma1=("left", "right"), gamma2=())
     with np.errstate(over="ignore"), pytest.raises(
             SolverDivergedError, match=rf"^solver diverged at step 2, t = 0.5 \({NONFINITE}\)$"):
-        solve_parabolic(scn, Grid1D(32, layout="node"), SolverConfig(t_end=0.5, dt=0.25))
+        solve_parabolic(scn, Grid(32, layout="node"), SolverConfig(t_end=0.5, dt=0.25))
 
 
 def test_non_finite_right_hand_side_on_a_cached_band_is_a_divergence():
@@ -982,7 +986,7 @@ def test_non_finite_right_hand_side_on_a_cached_band_is_a_divergence():
                         gamma1=("left", "right"), gamma2=())
     with np.errstate(over="ignore"), pytest.raises(
             SolverDivergedError, match=rf"^solver diverged at step 2, t = 2.0 \({NONFINITE}\)$"):
-        solve_parabolic(scn, Grid1D(32, layout="node"), SolverConfig(t_end=2.0, dt=1.0))
+        solve_parabolic(scn, Grid(32, layout="node"), SolverConfig(t_end=2.0, dt=1.0))
 
 
 @pytest.mark.parametrize("t_end, dt, steps, factorizations", [
@@ -991,7 +995,7 @@ def test_non_finite_right_hand_side_on_a_cached_band_is_a_divergence():
 ])
 def test_a_constant_operator_is_factored_once_per_dt(t_end, dt, steps, factorizations):
     scn = make_scenario(d2=SpaceTimeField.constant(0.3))
-    traj = solve_parabolic(scn, Grid1D(32, layout="node"), SolverConfig(t_end=t_end, dt=dt))
+    traj = solve_parabolic(scn, Grid(32, layout="node"), SolverConfig(t_end=t_end, dt=dt))
     assert traj.counters["steps"] == steps
     assert traj.counters["band_factorizations"] == factorizations
     assert not {"steps", "band_factorizations"} & traj.meta.keys()
@@ -1000,13 +1004,88 @@ def test_a_constant_operator_is_factored_once_per_dt(t_end, dt, steps, factoriza
 def test_a_time_varying_diffusion_is_factored_every_step():
     scn = make_scenario(a=SpaceTimeField.from_signal(TimeSignal.sinusoid(0.2, 1.0, offset=1.0)),
                         a0=0.8, d2=SpaceTimeField.constant(0.3))
-    traj = solve_parabolic(scn, Grid1D(32, layout="node"), SolverConfig(t_end=0.2, dt=0.01))
+    traj = solve_parabolic(scn, Grid(32, layout="node"), SolverConfig(t_end=0.2, dt=0.01))
     assert traj.counters["steps"] == traj.counters["band_factorizations"] == 20
 
 
 def test_each_2d_sweep_factors_its_band_once():
-    scn = make_scenario(dim=2, w0=profile2d_sinprod(1.0), d2=SpaceTimeField.constant(0.3),
+    scn = make_scenario(dim=2, w0=profile_sinprod(1.0), d2=SpaceTimeField.constant(0.3),
                         gamma1=("left", "right"), gamma2=("bottom", "top"))
-    traj = solve_parabolic(scn, Grid2D(8, 8), SolverConfig(t_end=0.25, dt=2.0**-6))
+    traj = solve_parabolic(scn, Grid(8, 8), SolverConfig(t_end=0.25, dt=2.0**-6))
     assert traj.counters["steps"] == 16
     assert traj.counters["band_factorizations"] == 2
+
+
+# ---------------------------------------------------------------------------
+# three axes: a config, no solver branch of its own
+
+CUBE = """
+name: cube_mode
+pde: parabolic
+scenario:
+  dim: 3
+  diffusion: {kind: constant, value: 1.0}
+  diffusion_floor: 1.0
+  damping: {kind: constant, value: 2.0}
+  damping_floor: 2.0
+  reaction: {kind: identity}
+  boundary_reaction: {kind: identity}
+  forcing: {kind: constant, value: 0.0}
+  dirichlet_data: {kind: constant, value: 0.0}
+  flux_data: {kind: constant, value: 0.0}
+  dirichlet_edges: [left, right, bottom, top, front, back]
+  flux_edges: []
+  initial: {kind: sinprod, amplitude: 1.0, mode_x: 1, mode_y: 1, mode_z: 1}
+grid: {nx: 10, ny: 10, nz: 10}
+solver: {t_end: 0.05, dt: 0.001, output_stride: 10}
+energy: {p: 2.0}
+checks:
+  - {kind: parabolic_q, q: 2}
+  - {kind: parabolic_q, q: inf}
+"""
+
+
+def test_cube_run_decays_as_the_separable_dirichlet_mode(tmp_path, capsys):
+    # u = exp(-(3 pi^2 + c) t) sin(pi x) sin(pi y) sin(pi z) solves u_t =
+    # lap u - c u with zero Dirichlet data on every face
+    config = tmp_path / "cube.yaml"
+    config.write_text(CUBE)
+    assert main(["run", str(config), "--out", str(tmp_path)]) == 0
+    report = capsys.readouterr().out
+    assert report.count("check kind=parabolic_q") == 2
+    assert report.count("violations=0 ") == 2 and report.endswith("status=ok\n")
+    out = tmp_path / "cube_mode"
+    with open(out / "trajectory.csv") as fh:
+        assert fh.readline() == "t,y1,y2,y3,value\n"
+        rows = np.loadtxt(fh, delimiter=",").reshape(6, 11, 11, 11, 5)
+    times, u = rows[:, 0, 0, 0, 0], rows[..., 4]
+    assert np.array_equal(rows[0, ..., 1:4], np.stack(np.meshgrid(
+        *[np.linspace(0.0, 1.0, 11)] * 3, indexing="ij"), axis=-1))
+    meta = yaml.safe_load((out / "trajectory_meta.yaml").read_text())
+    assert {k: meta[k] for k in ("dim", "nx", "ny", "nz")} == {"dim": 3, "nx": 10, "ny": 10, "nz": 10}
+
+    # the grid mode is an eigenvector of each sweep: the explicit reaction
+    # multiplies it by 1 - c dt and each of the three implicit sweeps divides
+    # it by 1 + dt lam_h, lam_h = (4/h^2) sin^2(pi h/2), so each step
+    # multiplies it by exactly F; each step rounds at a few ulps, so after s
+    # steps the states stay within 4 s eps of F^s u_0 (14 eps measured at s = 50)
+    h, dt, c = 0.1, 0.001, 2.0
+    lam_h = 4.0 / h**2 * math.sin(math.pi * h / 2.0) ** 2
+    factor = (1.0 - c * dt) / (1.0 + dt * lam_h) ** 3
+    inner = (slice(1, -1),) * 3
+    for i in range(1, 6):
+        steps = 10 * i
+        assert times[i] == pytest.approx(steps * dt, rel=1e-12)
+        assert np.all(u[i][0] == 0.0) and np.all(u[i][:, :, -1] == 0.0)
+        assert np.max(np.abs(u[i][inner] - factor**steps * u[0][inner])) \
+            <= 4 * steps * np.finfo(float).eps * np.max(np.abs(u[0]))
+
+    # so the discrete rate -ln(F)/dt is within O(h^2 + dt) of 3 pi^2 + c:
+    # pi^2 (1 - pi^2 h^2/12) <= lam_h <= pi^2 and y - y^2/2 <= ln(1 + y) <= y
+    # bound the sweeps' part below by 3 pi^2 - pi^4 h^2/4 - 3 pi^4 dt/2 and
+    # above by 3 pi^2; -ln(1 - c dt)/dt lies in [c, c/(1 - c dt)]
+    rate = -math.log(u[5][5, 5, 5] / u[0][5, 5, 5]) / times[5]
+    assert rate == pytest.approx(-math.log(factor) / dt, rel=1e-12)
+    exact = 3.0 * math.pi**2 + c
+    assert -(math.pi**4 * h**2 / 4.0 + 1.5 * math.pi**4 * dt) <= rate - exact \
+        <= c * c * dt / (1.0 - c * dt)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from isscert.fields import Grid1D, lq_norm
+from isscert.fields import Grid, lq_norm
 from isscert.signals import TimeSignal, profile_bump, profile_constant
 from isscert.solvers import (AssumptionViolationError, ScenarioError,
                              SolverConfig, SolverDivergedError, TransportScenario,
@@ -20,7 +20,7 @@ def make_scenario(**over):
 
 def test_zero_equilibrium():
     scn = make_scenario()
-    traj = solve_transport(scn, Grid1D(32, layout="cell"),
+    traj = solve_transport(scn, Grid(32, layout="cell"),
                            SolverConfig(t_end=1.0, cfl_sigma=0.9))
     for i in range(len(traj)):
         assert np.max(np.abs(traj.state(i))) == 0.0
@@ -30,7 +30,7 @@ def test_steady_state_preserved():
     # rho = 1 is a fixed point of the boundary feedback when d = (1-k)
     scn = make_scenario(rho0=profile_constant(1.0),
                         d=TimeSignal.constant(0.5))
-    traj = solve_transport(scn, Grid1D(128, layout="cell"),
+    traj = solve_transport(scn, Grid(128, layout="cell"),
                            SolverConfig(t_end=8.0, cfl_sigma=0.9,
                                         output_stride=100))
     assert traj.meta["steps"] >= 1000
@@ -40,7 +40,7 @@ def test_steady_state_preserved():
 
 def test_cfl_bound_holds_exactly():
     scn = make_scenario(rho0=profile_bump(1.0, 0.4, 0.2))
-    grid = Grid1D(64, layout="cell")
+    grid = Grid(64, layout="cell")
     sigma = 0.77
     traj = solve_transport(scn, grid, SolverConfig(t_end=1.0,
                                                    cfl_sigma=sigma))
@@ -55,7 +55,7 @@ def test_first_order_convergence_to_shifted_profile():
     scn = make_scenario(rho0=bump)
     errs = []
     for n in (64, 128):
-        grid = Grid1D(n, layout="cell")
+        grid = Grid(n, layout="cell")
         traj = solve_transport(scn, grid,
                                SolverConfig(t_end=0.25, cfl_sigma=0.5,
                                             output_stride=10 ** 9))
@@ -70,7 +70,7 @@ def test_l2_decay_estimate_recirculating_bump():
     # |rho(t)|_2 <= (2/k) |rho0|_2 k^(t/2) with no disturbance
     k = 0.5
     scn = make_scenario(k=k, rho0=profile_bump(1.0, 0.4, 0.2))
-    grid = Grid1D(128, layout="cell")
+    grid = Grid(128, layout="cell")
     traj = solve_transport(scn, grid, SolverConfig(t_end=4.0, cfl_sigma=0.9,
                                                    output_stride=5))
     rho0_norm = lq_norm(traj.state(0), 2.0, grid)
@@ -87,12 +87,12 @@ def test_mass_dependent_speed_slows_run():
                          assumption="decreasing", speed_floor=None,
                          rho0=profile_constant(1.0),
                          d=TimeSignal.constant(0.5))
-    traj = solve_transport(slow, Grid1D(64, layout="cell"),
+    traj = solve_transport(slow, Grid(64, layout="cell"),
                            SolverConfig(t_end=0.5, cfl_sigma=0.9))
     # speed 1/(1+W) with W ~ 1 means dt ~ 2x the unit-speed step
     fast = make_scenario(rho0=profile_constant(1.0),
                          d=TimeSignal.constant(0.5))
-    traj_fast = solve_transport(fast, Grid1D(64, layout="cell"),
+    traj_fast = solve_transport(fast, Grid(64, layout="cell"),
                                 SolverConfig(t_end=0.5, cfl_sigma=0.9))
     assert traj.meta["steps"] < traj_fast.meta["steps"]
 
@@ -100,7 +100,7 @@ def test_mass_dependent_speed_slows_run():
 def test_max_abs_mass_covers_every_state():
     # the mass grows from 0.2 towards d/(1 - k) = 1; every state is recorded
     scn = make_scenario(k=0.5, rho0=profile_constant(0.2), d=TimeSignal.constant(0.5))
-    grid = Grid1D(32, layout="cell")
+    grid = Grid(32, layout="cell")
     traj = solve_transport(scn, grid, SolverConfig(t_end=1.5, cfl_sigma=0.9))
     masses = [abs(grid.h * traj.state(i).sum()) for i in range(len(traj))]
     assert traj.counters["max_abs_mass"] == max(masses) > 0.2
@@ -115,7 +115,7 @@ def test_speed_collapse_raises():
                         rho0=profile_constant(1.0),
                         d=TimeSignal.constant(8.0))
     with pytest.raises(AssumptionViolationError):
-        solve_transport(scn, Grid1D(32, layout="cell"),
+        solve_transport(scn, Grid(32, layout="cell"),
                         SolverConfig(t_end=10.0, cfl_sigma=0.9))
 
 
@@ -125,7 +125,7 @@ def test_non_finite_boundary_value_diverges_at_its_step():
     # past t = 0.0355 and is finite at 0.03
     scn = make_scenario(d=TimeSignal.exp_decay(1.0, -20000.0))
     with pytest.raises(SolverDivergedError) as exc, np.errstate(over="ignore"):
-        solve_transport(scn, Grid1D(20, layout="cell"),
+        solve_transport(scn, Grid(20, layout="cell"),
                         SolverConfig(t_end=1.0, dt=0.01))
     assert exc.value.step == 5
     assert exc.value.t == pytest.approx(0.05, rel=1e-12)
@@ -145,5 +145,5 @@ def test_scenario_validation():
 
 def test_node_grid_rejected():
     with pytest.raises(ValueError):
-        solve_transport(make_scenario(), Grid1D(32, layout="node"),
+        solve_transport(make_scenario(), Grid(32, layout="node"),
                         SolverConfig(t_end=0.1, cfl_sigma=0.9))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from isscert.fields import Grid1D
+from isscert.fields import Grid
 from isscert.signals import SpaceTimeField, TimeSignal, profile_bump
 from isscert.solvers import (ScenarioError, SolverConfig, SolverDivergedError,
                              WaveScenario, reconstruct_wave_state, solve_wave)
@@ -20,7 +20,7 @@ def make_scenario(**over):
 
 
 def test_zero_equilibrium():
-    traj = solve_wave(make_scenario(), Grid1D(32, layout="node"),
+    traj = solve_wave(make_scenario(), Grid(32, layout="node"),
                       SolverConfig(t_end=1.0, cfl_sigma=0.9))
     for i in range(len(traj)):
         assert np.max(np.abs(traj.state(i, "plus"))) == 0.0
@@ -31,7 +31,7 @@ def test_boundary_closures_bitwise():
     scn = make_scenario(c=2.0,
                         d=TimeSignal.sinusoid(0.4, 3.0, 0.0, 0.1),
                         v0=profile_bump(1.0, 0.5, 0.2))
-    traj = solve_wave(scn, Grid1D(64, layout="node"),
+    traj = solve_wave(scn, Grid(64, layout="node"),
                       SolverConfig(t_end=1.5, cfl_sigma=0.9,
                                    output_stride=1))
     for i in range(len(traj)):
@@ -46,7 +46,7 @@ def test_damping_law_recovered_from_reconstruction():
     # with c*k = 1 the recorded pair turns the boundary assignment into
     # w_y(1, t) = -k * w_t(1, t) + d(t)
     scn = make_scenario(c=2.0, d=TimeSignal.constant(0.4))
-    traj = solve_wave(scn, Grid1D(64, layout="node"),
+    traj = solve_wave(scn, Grid(64, layout="node"),
                       SolverConfig(t_end=2.0, cfl_sigma=0.9,
                                    output_stride=1))
     for i in range(len(traj)):
@@ -61,7 +61,7 @@ def test_finite_time_absorption(c):
     # undisturbed runs die out once both characteristic families have
     # crossed the domain and left through the damped end
     scn = make_scenario(c=c, v0=profile_bump(1.0, 0.5, 0.2))
-    grid = Grid1D(128, layout="node")
+    grid = Grid(128, layout="node")
     t_end = 2.0 / c + 0.2
     traj = solve_wave(scn, grid, SolverConfig(t_end=t_end, cfl_sigma=0.9))
     w_t, w_y = reconstruct_wave_state(traj.state(-1, "plus"),
@@ -73,7 +73,7 @@ def test_incompatible_initial_data_projected():
     # v0(1) = 1 disagrees with d(0) = 0; the stored stamp must already
     # sit on the closures
     scn = make_scenario(v0=lambda y: np.ones_like(np.asarray(y, dtype=float)))
-    traj = solve_wave(scn, Grid1D(32, layout="node"),
+    traj = solve_wave(scn, Grid(32, layout="node"),
                       SolverConfig(t_end=0.1, cfl_sigma=0.9))
     assert traj.state(0, "plus")[-1] == 0.0
     assert traj.state(0, "minus")[0] == -traj.state(0, "plus")[0]
@@ -118,7 +118,7 @@ def test_gain_tied_to_speed():
 
 
 def test_cfl_bound_holds():
-    grid = Grid1D(64, layout="node")
+    grid = Grid(64, layout="node")
     sigma = 0.8
     traj = solve_wave(make_scenario(c=3.0, v0=profile_bump(1.0, 0.5, 0.2)),
                       grid, SolverConfig(t_end=0.5, cfl_sigma=sigma,
@@ -138,7 +138,7 @@ def test_non_finite_data_diverges_at_its_step(where, step):
     data = ({"f": SpaceTimeField.from_signal(blowup)} if where == "forcing"
             else {"d": blowup})
     with pytest.raises(SolverDivergedError) as exc, np.errstate(over="ignore"):
-        solve_wave(make_scenario(**data), Grid1D(20, layout="node"),
+        solve_wave(make_scenario(**data), Grid(20, layout="node"),
                    SolverConfig(t_end=1.0, dt=0.01))
     assert exc.value.step == step
     assert exc.value.t == pytest.approx(0.01 * step, rel=1e-12)
@@ -146,5 +146,5 @@ def test_non_finite_data_diverges_at_its_step(where, step):
 
 def test_cell_grid_rejected():
     with pytest.raises(ValueError):
-        solve_wave(make_scenario(), Grid1D(32, layout="cell"),
+        solve_wave(make_scenario(), Grid(32, layout="cell"),
                    SolverConfig(t_end=0.1, cfl_sigma=0.9))
