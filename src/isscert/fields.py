@@ -99,11 +99,6 @@ class Grid:
         coords = self.coords()
         return coords[0] if self.dim == 1 else np.meshgrid(*coords, indexing="ij")
 
-    def edge(self, name) -> tuple:
-        """Index of the nodes on the named boundary edge."""
-        k, high = divmod(edge_names(self.dim).index(name), 2)
-        return (slice(None),) * k + (-high,)
-
 
 def scalar_or_array(out):
     """A float for a 0-d result, else the array: one value per stacked state."""
@@ -129,9 +124,7 @@ def integrate(values, grid):
     if grid.dim == 1:
         return trapezoid_1d(values, grid.h)
     values = np.asarray(values, dtype=float)
-    weights = [np.ones(m) for m in grid.shape]
-    for w in weights:
-        w[0] = w[-1] = 0.5
+    weights = [np.r_[0.5, np.ones(m - 2), 0.5] for m in grid.shape]
     scale, out = math.prod(grid.steps), []
     for v in values.reshape(-1, *grid.shape):
         for w in weights[:-1]:

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import Trajectory, integrate, lq_norm, write_table
+from .fields import Trajectory, edge_names, integrate, lq_norm, write_table
 from .signals import sup_field, sup_window
 from .solvers.common import ScenarioError
 from .trunc import TruncationPair, gronwall_envelope_at
@@ -184,6 +184,10 @@ def dissipation_report(traj: Trajectory, spec: GlfSpec, decay_rate: float,
     residuals = ((vhat[1:] - vhat[:-1]) / dts
                  + decay_rate * vhat[:-1]
                  - slack_arr[:-1])
+    for name, values in (("Vhat", vhat), ("slack", slack_arr), ("residual", residuals)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"the {name} series leaves the floats at p = {spec.p:g}, "
+                             f"weight rate {spec.r:g}, decay rate {decay_rate:g}")
     envelope = gronwall_envelope_at(times, np.full_like(vhat, -decay_rate),
                                     slack_arr, vhat[0])
     return GlfSeries(times=times, vhat=vhat, components=comps,
@@ -196,9 +200,10 @@ def dissipation_report(traj: Trajectory, spec: GlfSpec, decay_rate: float,
 
 
 def _edge_nodes(grid, edges):
-    """The grid's own nodes on the named boundary edges, as points()."""
-    pts = grid.points()
-    cut = [np.concatenate([np.ravel(c[grid.edge(e)]) for e in sorted(edges)])
+    """The grid's own nodes on the named boundary edges, as points() gives them:
+    edge 2k + high of :func:`edge_names` is the low (0) or high (1) face of axis k."""
+    pts, faces = grid.points(), [divmod(edge_names(grid.dim).index(e), 2) for e in sorted(edges)]
+    cut = [np.concatenate([np.ravel(np.take(c, -high, axis=k)) for k, high in faces])
            for c in (pts if grid.dim > 1 else [pts])]
     return cut[0] if grid.dim == 1 else tuple(cut)
 
@@ -334,6 +339,8 @@ def glf_for_wave(scn, traj: Optional[Trajectory], p: float, rate: float,
     r = float(rate)
     if not r > 0:
         raise ParamError("rate", "the wave functional needs a positive weight rate")
+    if r > np.log(np.finfo(float).max):
+        raise ParamError("rate", f"the weight exp(rate*y) overflows the floats at rate = {r:g}")
     eps = 0.5 * scn.c * r if eps is None else float(eps)
     if not scn.c * r - eps > 0:
         raise ParamError(None, f"need c*r - eps > 0, got c*r = {scn.c * r}, eps = {eps}")

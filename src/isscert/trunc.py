@@ -161,7 +161,7 @@ def gronwall_envelope_at(times, phi, psi, eta0):
     where I(s, t) is the integral of phi over (s, t), every integral taken
     by composite trapezoid on the given lattice.  Any eta with
     eta' <= phi*eta + psi and eta(0) <= eta0 stays below env up to
-    quadrature error.
+    quadrature error.  An envelope past the floats is a ValueError.
     """
     t = _as_finite(times, "times")
     phi = _as_finite(phi, "phi")
@@ -174,5 +174,8 @@ def gronwall_envelope_at(times, phi, psi, eta0):
         raise ValueError("times must be strictly increasing")
     big_phi = _cumtrapz(phi, t)
     inner = _cumtrapz(np.exp(-big_phi) * psi, t)
-    return np.exp(big_phi) * (float(eta0) + inner)
+    env = np.exp(big_phi) * (float(eta0) + inner)
+    if not np.isfinite(env).all():
+        raise ValueError(f"the Gronwall envelope leaves the floats by t = {t[-1]:g}")
+    return env
 

@@ -442,9 +442,15 @@ def _no_solver(monkeypatch):
     ("wave_demo", lambda doc: doc["energy"].update(p=2.0, eps=1e-300),
      "config error: energy: the forcing slack 4*(p/eps)**p overflows the floats at "
      "p = 2.0, eps = 1e-300"),
+    # exp(rate) on [0, 1] once overflowed after the solve, with numpy's warnings
+    # and "energy error: psi must be finite"
+    ("wave_demo", lambda doc: doc["energy"].update(p=2.0, rate=1000.0, eps=None),
+     "config error: energy.rate: the weight exp(rate*y) overflows the floats at rate = 1000"),
+    ("wave_demo", lambda doc: doc["energy"].update(p=2.0, rate=710.0, eps=1.0),
+     "config error: energy.rate: the weight exp(rate*y) overflows the floats at rate = 710"),
 ], ids=["transport_liss_energy", "wave_energy_eps", "wave_check_eps", "energy_p",
         "parabolic_energy_c0", "transport_rate", "transport_k", "wave_rate",
-        "wave_slack_p", "wave_slack_eps"])
+        "wave_slack_p", "wave_slack_eps", "wave_weight_1000", "wave_weight_710"])
 def test_cli_run_post_solve_errors_exit_2(tmp_path, capsys, monkeypatch, demo, edit, message):
     # these once failed after the solve, as energy and check errors; now
     # build_plan refuses them and no solver runs
@@ -457,6 +463,36 @@ def test_cli_run_post_solve_errors_exit_2(tmp_path, capsys, monkeypatch, demo, e
     err = capsys.readouterr().err
     assert err.startswith(message) and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("demo,edits,message", [
+    # the envelope exp(-599 t) * integral of exp(599 s) * slack overflows; this
+    # run once exited 0 with status=ok, max_envelope_excess=nan and three
+    # numpy warnings
+    ("wave_demo", {"energy": {"p": 2.0, "rate": 300.0}},
+     "energy error: the Gronwall envelope leaves the floats by t = 3"),
+    ("parabolic_demo", {"energy": {"p": 400.0}, "checks": [],
+                        "scenario.initial": {"kind": "constant", "value": 30.0}},
+     "energy error: the Vhat series leaves the floats at p = 400, weight rate 0, "
+     "decay rate 401"),
+], ids=["wave_envelope", "parabolic_vhat"])
+def test_cli_run_energy_past_the_floats_exits_2(tmp_path, capsys, recwarn, demo, edits,
+                                                message):
+    doc = load_config(demo)
+    for location, value in edits.items():
+        *parents, key = location.split(".")
+        functools.reduce(dict.__getitem__, parents, doc)[key] = value
+    cfg = tmp_path / "energy.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not recwarn.list
+    assert not (tmp_path / "out").exists()
+
+
+def test_wave_weight_rate_up_to_the_float_limit_builds():
+    plan = build_plan(_edited("wave_demo", "energy", {"p": 2.0, "rate": 709.0, "eps": 1.0}))
+    assert plan.energy == {"p": 2.0, "rate": 709.0, "eps": 1.0}
 
 
 def test_cli_run_energy_route_without_p_exits_2(tmp_path, capsys):
