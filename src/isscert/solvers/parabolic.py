@@ -245,36 +245,38 @@ def _setup(scn, grid, cfg):
     keep = [slice(int(lo in g1), x.size - int(hi in g1)) for (lo, hi, _), x in zip(AXES, coords)]
     sweeps = []
     for k, ((lo, hi, _), x) in enumerate(zip(AXES, coords)):
-        sel = (*keep[:k], slice(None), *keep[k + 1:])
-        lines = [c[s] for c, s in zip(coords, sel)]
-        lines[k] = 0.5 * (x[:-1] + x[1:])
-        faces = [np.moveaxis(m, k, -1).reshape(-1, x.size - 1)
+        # the axes with axis k last, and the nodes the sweep solves in that order
+        order = (*range(k), *range(k + 1, grid.dim), k)
+        sel = (*(keep[j] for j in order[:-1]), slice(None))
+        lines = [c[keep[j]] if j != k else 0.5 * (x[:-1] + x[1:]) for j, c in enumerate(coords)]
+        faces = [m.transpose(order).reshape(-1, x.size - 1)
                  for m in np.broadcast_arrays(*np.ix_(*lines))]
         ends = [(edge, _points([at if j == k else f[:, 0] for j, f in enumerate(faces)]))
                 for edge, at in ((lo, 0.0), (hi, 1.0))]
         bcs = [("dirichlet", scn.d1.bind(p)) if edge in g1 else ("flux", scn.d2.bind(p))
                for edge, p in ends]
-        sweeps.append((sel, _Band(), grid.steps[k], scn.a.bind(_points(faces)), bcs,
+        sweeps.append((order, sel, _Band(), grid.steps[k], scn.a.bind(_points(faces)), bcs,
                        np.zeros((len(faces[0]), x.size))))
-    d1_n = scn.d1.bind(grid.points())
+    # the nodes a sweep leaves out, on the other axes' Dirichlet faces, take the data
+    d1_n = scn.d1.bind(grid.points()) if grid.dim > 1 and g1 else None
 
     def implicit(w, src, dt, tn):
-        dvals = d1_n(tn)
-        for k, (sel, band, h, a_k, bcs, zero) in enumerate(sweeps):
-            moved = np.moveaxis(w[sel], k, -1)
+        dvals = None if d1_n is None else d1_n(tn)
+        for k, (order, sel, band, h, a_k, bcs, zero) in enumerate(sweeps):
+            moved = w.transpose(order)[sel]
             stack = moved.reshape(-1, moved.shape[-1])
             lines = _solve_lines(
                 band, stack, h, dt, a_k(tn),
-                np.moveaxis(src[sel], k, -1).reshape(stack.shape) if k == 0 else zero,
+                src.transpose(order)[sel].reshape(stack.shape) if k == 0 else zero,
                 *[(kind, value(tn)) for kind, value in bcs], scn.boundary_reaction, cfg.bc_tol)
-            w = dvals.copy()
-            w[sel] = np.moveaxis(lines.reshape(moved.shape), -1, k)
+            w = np.empty(grid.shape) if dvals is None else dvals.copy()
+            w.transpose(order)[sel] = lines.reshape(moved.shape)
         return w
 
     meta = {"scheme": "dimension-split " * (grid.dim > 1)
             + "semi-implicit diffusion, explicit reaction",
             "dim": grid.dim, **dict(zip(grid_keys(grid.dim), grid.cells))}
-    return [sweep[3] for sweep in sweeps], [sweep[1] for sweep in sweeps], meta, implicit
+    return [sweep[4] for sweep in sweeps], [sweep[2] for sweep in sweeps], meta, implicit
 
 
 def _points(coords):

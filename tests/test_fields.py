@@ -47,6 +47,20 @@ def test_grid2d_geometry():
         Grid(8, 4)
 
 
+def test_grid_axes_read_by_their_grid_keys():
+    line, square, cube = Grid(10), Grid(8, 12), Grid(8, 9, 10)
+    assert (line.n, line.shape, line.dim) == (10, (11,), 1)
+    assert (square.nx, square.ny, square.shape) == (8, 12, (9, 13))
+    assert (cube.nx, cube.ny, cube.nz, cube.shape, cube.npoints) == (8, 9, 10, (9, 10, 11), 990)
+    assert cube.steps == (0.125, 1.0 / 9.0, 0.1)
+    assert not hasattr(line, "nx") and not hasattr(square, "n") and not hasattr(square, "nz")
+    X, Y, Z = cube.points()
+    assert X.shape == (9, 10, 11) and Z[0, 0, -1] == 1.0 and Y[0, 9, 0] == 1.0
+    for cells, layout in [((), "node"), ((8, 8, 8, 8), "node"), ((8, 8), "cell"), ((8, 4, 8), "node")]:
+        with pytest.raises(ValueError):
+            Grid(*cells, layout=layout)
+
+
 # ---------------------------------------------------------------------------
 # norms
 

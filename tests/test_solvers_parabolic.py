@@ -250,6 +250,13 @@ def test_cell_grid_rejected():
                         SolverConfig(t_end=0.1, dt=0.01))
 
 
+def test_grid_of_another_dimension_rejected():
+    scn = make_scenario(dim=2, gamma1=("left", "right"), gamma2=("bottom", "top"))
+    for grid in (Grid(16), Grid(8, 8, 8)):
+        with pytest.raises(ValueError, match="^a run of dim 2 needs a node-centered grid"):
+            solve_parabolic(scn, grid, SolverConfig(t_end=0.1, dt=0.01))
+
+
 # ---------------------------------------------------------------------------
 # two space dimensions
 
@@ -842,9 +849,8 @@ def test_profiles_are_evaluated_once_per_point_set_per_solve():
 
     few, many = counts(3), counts(30)
     assert few == many
-    # a on the faces; c, f and d1 on the nodes (d1 for the nodes a sweep
-    # leaves out); d1 at the left end, d2 at the right
-    assert sorted(name for name, _ in many) == ["a", "c", "d1", "d1", "d2", "f"]
+    # a on the faces; c and f on the nodes; d1 at the left end, d2 at the right
+    assert sorted(name for name, _ in many) == ["a", "c", "d1", "d2", "f"]
     assert set(many.values()) == {1}
 
 
