@@ -96,8 +96,9 @@ def weighted_energy(values, grid, pair, rate=0.0, weight_sign=0, shift_sign=1,
     """integral of exp(weight_sign * rate * y) * G(shift_sign * v - level).
 
     Node layouts integrate by composite trapezoid, cell layouts by
-    midpoint; on more than one axis only the unweighted case is defined.  A stack
-    of states gives one energy each, bitwise equal to the single-state call.
+    midpoint; on more than one axis only the unweighted case is defined.
+    A stack of states gives one energy each, bitwise equal to the
+    single-state call.
     """
     values = np.asarray(values, dtype=float)
     if weight_sign not in (-1, 0, 1):
@@ -202,7 +203,8 @@ def dissipation_report(traj: Trajectory, spec: GlfSpec, decay_rate: float,
 def _edge_nodes(grid, edges):
     """The grid's own nodes on the named boundary edges, as points() gives them:
     edge 2k + high of :func:`edge_names` is the low (0) or high (1) face of axis k."""
-    pts, faces = grid.points(), [divmod(edge_names(grid.dim).index(e), 2) for e in sorted(edges)]
+    pts = grid.points()
+    faces = [divmod(edge_names(grid.dim).index(e), 2) for e in sorted(edges)]
     cut = [np.concatenate([np.ravel(np.take(c, -high, axis=k)) for k, high in faces])
            for c in (pts if grid.dim > 1 else [pts])]
     return cut[0] if grid.dim == 1 else tuple(cut)

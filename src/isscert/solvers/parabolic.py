@@ -12,19 +12,19 @@ on the rest.  Diffusion is implicit, one backward-Euler sweep per axis
 (a Lie split; the interval's one sweep is plain backward Euler); reaction
 and forcing are explicit, in the first sweep.  Every sweep solves the
 stack of its grid lines, the interval's one line or all lines along an
-axis, with zero couplings in one tridiagonal band.  The interior unknowns of a line are
-affine in its end values, so the balance at each flux end becomes a
-strictly increasing scalar equation with a guaranteed bracket, closed by
-bisection in one closure, :func:`_solve_lines`.  With two flux ends, the
-high end's balance is affine in the low end's value, so solving it for
-that value (clipped to the finite floats where the coupling underflows)
-leaves one increasing equation in the high end's value: one bisection
-gives the high end, the low end's own closure there the low end.  The
-closure runs on two data layouts chosen by the
-stack height: one line on Python floats end to end, more lines in
-lockstep on arrays, with the same expansion, midpoints and exits, so a
-line gives the same bits alone or in a stack for any law that gives a
-float the bits an array gives elementwise.
+axis, with zero couplings in one tridiagonal band.  The interior unknowns
+of a line are affine in its end values, so the balance at each flux end
+becomes a strictly increasing scalar equation with a guaranteed bracket,
+closed by bisection in one closure, :func:`_solve_lines`.  With two flux
+ends, the high end's balance is affine in the low end's value, so solving
+it for that value (clipped to the finite floats where the coupling
+underflows) leaves one increasing equation in the high end's value: one
+bisection gives the high end, the low end's own closure there the low
+end.  The closure runs on two data layouts chosen by the stack height:
+one line on Python floats end to end, more lines in lockstep on arrays,
+with the same expansion, midpoints and exits, so a line gives the same
+bits alone or in a stack for any law that gives a float the bits an
+array gives elementwise.
 :func:`solve_parabolic` supplies the step of any dimension to the time
 loop all steppers share, :func:`~isscert.solvers.common.march`.  It binds
 every field to its points once per solve

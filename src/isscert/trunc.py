@@ -174,8 +174,5 @@ def gronwall_envelope_at(times, phi, psi, eta0):
         raise ValueError("times must be strictly increasing")
     big_phi = _cumtrapz(phi, t)
     inner = _cumtrapz(np.exp(-big_phi) * psi, t)
-    env = np.exp(big_phi) * (float(eta0) + inner)
-    if not np.isfinite(env).all():
-        raise ValueError(f"the Gronwall envelope leaves the floats by t = {t[-1]:g}")
-    return env
+    return _as_finite(np.exp(big_phi) * (float(eta0) + inner), "the Gronwall envelope")
 

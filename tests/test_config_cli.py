@@ -470,7 +470,7 @@ def test_cli_run_post_solve_errors_exit_2(tmp_path, capsys, monkeypatch, demo, e
     # run once exited 0 with status=ok, max_envelope_excess=nan and three
     # numpy warnings
     ("wave_demo", {"energy": {"p": 2.0, "rate": 300.0}},
-     "energy error: the Gronwall envelope leaves the floats by t = 3"),
+     "energy error: the Gronwall envelope must be finite"),
     ("parabolic_demo", {"energy": {"p": 400.0}, "checks": [],
                         "scenario.initial": {"kind": "constant", "value": 30.0}},
      "energy error: the Vhat series leaves the floats at p = 400, weight rate 0, "
