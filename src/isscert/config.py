@@ -149,8 +149,8 @@ _LEAVES = {
               "reciprocal": (_reciprocal_speed, ("scale",))},
 }
 # optional keys and their defaults; every other number is required
-_DEFAULTS = {"mode": 1, **{f"mode_{x}": 1 for *_, x in AXES}, "phase": 0.0, "offset": 0.0,
-             "scale": 1.0}
+_DEFAULTS = {"mode": 1, "phase": 0.0, "offset": 0.0, "scale": 1.0,
+             **{f"mode_{x}": 1 for *_, x in AXES}}
 
 
 def _at_path(build):

@@ -4,8 +4,8 @@ and keys, Lq norms, and the trajectory record produced by the solvers.
 Node-centered layouts carry n+1 points per axis including both endpoints
 and integrate with the composite trapezoid, axis by axis; the cell-centered
 layout carries the interval's n cell midpoints and integrates with the
-midpoint rule.  Both quadratures are
-second order, which is what the certification tolerances assume.
+midpoint rule.  Both quadratures are second order, which is what the
+certification tolerances assume.
 """
 
 from __future__ import annotations

@@ -248,9 +248,10 @@ def _setup(scn, grid, cfg):
         # the axes with axis k last, and the nodes the sweep solves in that order
         order = (*range(k), *range(k + 1, grid.dim), k)
         sel = (*(keep[j] for j in order[:-1]), slice(None))
-        lines = [c[keep[j]] if j != k else 0.5 * (x[:-1] + x[1:]) for j, c in enumerate(coords)]
+        face_coords = [c[keep[j]] if j != k else 0.5 * (x[:-1] + x[1:])
+                       for j, c in enumerate(coords)]
         faces = [m.transpose(order).reshape(-1, x.size - 1)
-                 for m in np.broadcast_arrays(*np.ix_(*lines))]
+                 for m in np.broadcast_arrays(*np.ix_(*face_coords))]
         ends = [(edge, _points([at if j == k else f[:, 0] for j, f in enumerate(faces)]))
                 for edge, at in ((lo, 0.0), (hi, 1.0))]
         bcs = [("dirichlet", scn.d1.bind(p)) if edge in g1 else ("flux", scn.d2.bind(p))
@@ -273,7 +274,7 @@ def _setup(scn, grid, cfg):
             w.transpose(order)[sel] = lines.reshape(moved.shape)
         return w
 
-    meta = {"scheme": "dimension-split " * (grid.dim > 1)
+    meta = {"scheme": ("dimension-split " if grid.dim > 1 else "")
             + "semi-implicit diffusion, explicit reaction",
             "dim": grid.dim, **dict(zip(grid_keys(grid.dim), grid.cells))}
     return [sweep[4] for sweep in sweeps], [sweep[2] for sweep in sweeps], meta, implicit
