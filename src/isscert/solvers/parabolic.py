@@ -193,7 +193,7 @@ def solve_parabolic(scn: ParabolicScenario, grid, cfg: SolverConfig) -> Trajecto
     if cfg.dt is None:
         raise ValueError("the parabolic stepper needs an explicit dt")
     if grid.layout != "node" or grid.dim != scn.dim:
-        raise ValueError(f"a run of dim {scn.dim} needs a node-centered grid of {scn.dim} axes")
+        raise ValueError(f"dim {scn.dim} runs need a node-centered grid of dim {scn.dim}")
     a_faces, bands, meta, implicit = _setup(scn, grid, cfg)
     # every field is bound to its points once: a step evaluates signals only
     pts = grid.points()

@@ -444,7 +444,7 @@ def _no_solver(monkeypatch):
      "p = 2.0, eps = 1e-300"),
     # exp(rate) on [0, 1] once overflowed after the solve, with numpy's warnings
     # and "energy error: psi must be finite"
-    ("wave_demo", lambda doc: doc["energy"].update(p=2.0, rate=1000.0, eps=None),
+    ("wave_demo", lambda doc: doc["energy"].update(p=2.0, rate=1000.0),
      "config error: energy.rate: the weight exp(rate*y) overflows the floats at rate = 1000"),
     ("wave_demo", lambda doc: doc["energy"].update(p=2.0, rate=710.0, eps=1.0),
      "config error: energy.rate: the weight exp(rate*y) overflows the floats at rate = 710"),

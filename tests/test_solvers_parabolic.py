@@ -253,7 +253,7 @@ def test_cell_grid_rejected():
 def test_grid_of_another_dimension_rejected():
     scn = make_scenario(dim=2, gamma1=("left", "right"), gamma2=("bottom", "top"))
     for grid in (Grid(16), Grid(8, 8, 8)):
-        with pytest.raises(ValueError, match="^a run of dim 2 needs a node-centered grid"):
+        with pytest.raises(ValueError, match="^dim 2 runs need a node-centered grid of dim 2$"):
             solve_parabolic(scn, grid, SolverConfig(t_end=0.1, dt=0.01))
 
 
