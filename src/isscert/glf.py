@@ -174,7 +174,8 @@ def dissipation_report(traj: Trajectory, spec: GlfSpec, decay_rate: float,
 
     slack is an optional per-stamp array (defaults to zero).  Residuals
     use the forward difference on each recorded interval; the envelope is
-    the Gronwall comparison curve started at the first stamp.
+    the Gronwall comparison curve started at the first stamp.  A series
+    that leaves the floats is a ValueError.
     """
     times = traj.times
     vhat, comps = series(traj, spec)
