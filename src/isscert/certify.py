@@ -433,6 +433,10 @@ def check_trajectory(traj: Trajectory, q, bound: IssBound, tol: float) -> CheckR
     times = traj.times
     lhs = _state_norms(traj, q)
     rhs = np.asarray(BOUNDS[bound.kind].evaluate(bound, q, times), dtype=float)
+    # a NaN margin counts no violation, so a series past the floats certifies nothing
+    for name, vals in (("norm", lhs), ("bound", rhs)):
+        if not np.isfinite(vals).all():
+            raise ValueError(f"the {name} at q={_fmt_q(q)} is not finite")
     applicable = bound.gate is not False
     return CheckReport(kind=bound.kind, q=q, times=times, lhs=lhs, rhs=rhs,
                        tol=tol, params=dict(bound.params), applicable=applicable,

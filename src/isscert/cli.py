@@ -74,6 +74,8 @@ class RunResult:
     reports: list
 
 
+# the stages' own finiteness checks decide every outcome; numpy need not warn
+@np.errstate(all="ignore")
 def run_plan(plan) -> RunResult:
     """Solve a plan, evaluate its energy, and prepare and check every bound.
 
@@ -88,16 +90,14 @@ def run_plan(plan) -> RunResult:
         raise RunError(f"solver error: {exc}") from exc
     stage, spec, erep, bounds, reports = "energy", None, None, [], []
     try:
-        # dissipation_report refuses an energy past the floats; numpy need not warn
-        with np.errstate(over="ignore", invalid="ignore"):
-            if plan.energy:
-                build = {"parabolic": glf_for_parabolic, "transport": glf_for_transport,
-                         "wave": glf_for_wave}[plan.pde]
-                spec = build(plan.scenario, traj, **plan.energy)
-                slack = (wave_forcing_slack(traj, spec, plan.scenario.f) if plan.pde == "wave"
-                         else None)
-                erep = dissipation_report(traj, spec, dissipation_rate(spec, plan.scenario),
-                                          slack)
+        if plan.energy:
+            build = {"parabolic": glf_for_parabolic, "transport": glf_for_transport,
+                     "wave": glf_for_wave}[plan.pde]
+            spec = build(plan.scenario, traj, **plan.energy)
+            slack = (wave_forcing_slack(traj, spec, plan.scenario.f) if plan.pde == "wave"
+                     else None)
+            erep = dissipation_report(traj, spec, dissipation_rate(spec, plan.scenario),
+                                      slack)
         stage = "check"
         for entry in plan.checks:
             bounds.append(prepare_bound(entry["kind"], traj, plan.scenario, entry["q"],

@@ -87,7 +87,8 @@ def _reject_unknown(doc, allowed, path):
 
 
 # ---------------------------------------------------------------------------
-# leaves: time signals, profiles, fields, monotone maps, speed maps
+# leaves (time signals, profiles, fields, monotone maps, speed maps) and
+# scenario sections
 
 # the monotone maps are plain arithmetic: a float in gives a float out, with
 # the bits an array gives elementwise, so both flux closure kernels read the
@@ -124,7 +125,7 @@ def _reciprocal_speed(scale):
 
 
 # each family's kinds: (constructor, the keys besides "kind" in its argument
-# order); _leaf reads a key by its name alone
+# order); _read reads a key by its name alone
 _LEAVES = {
     "signal": {"constant": (TimeSignal.constant, ("value",)),
                "sinusoid": (TimeSignal.sinusoid, ("amplitude", "frequency", "phase", "offset")),
@@ -149,8 +150,30 @@ _LEAVES = {
               "reciprocal": (_reciprocal_speed, ("scale",))},
 }
 # optional keys and their defaults; every other number is required
-_DEFAULTS = {"mode": 1, "phase": 0.0, "offset": 0.0, "scale": 1.0,
-             **{f"mode_{x}": 1 for *_, x in AXES}}
+_DEFAULTS = {"mode": 1, "phase": 0.0, "offset": 0.0, "scale": 1.0, "dim": 1,
+             "speed_floor": None, **{f"mode_{x}": 1 for *_, x in AXES}}
+# the leaf family of each key that holds a leaf; terms are of their leaf's family
+_FAMILIES = {"signal": "signal", "boundary_data": "signal", "speed": "speed",
+             "reaction": "map", "boundary_reaction": "map",
+             **dict.fromkeys(("profile", "initial", "initial_displacement",
+                              "initial_velocity"), "profile"),
+             **dict.fromkeys(("diffusion", "damping", "forcing", "dirichlet_data",
+                              "flux_data"), "field")}
+# each class's scenario type and its keys, in reading order, with the
+# attribute each sets; the label is the run's name
+_SCENARIOS = {
+    "parabolic": (ParabolicScenario, {
+        "dim": "dim", "diffusion": "a", "diffusion_floor": "a0", "damping": "c",
+        "damping_floor": "c0", "reaction": "reaction", "boundary_reaction": "boundary_reaction",
+        "forcing": "f", "dirichlet_data": "d1", "flux_data": "d2", "initial": "w0",
+        "dirichlet_edges": "gamma1", "flux_edges": "gamma2"}),
+    "transport": (TransportScenario, {
+        "speed_floor": "speed_floor", "speed": "speed_map", "assumption": "assumption",
+        "k": "k", "boundary_data": "d", "initial": "rho0"}),
+    "wave": (WaveScenario, {
+        "boundary_data": "d", "c": "c", "forcing": "f", "initial_displacement": "w0",
+        "initial_velocity": "v0"}),
+}
 
 
 def _at_path(build):
@@ -175,103 +198,59 @@ def _leaf(spec, path, family, dim=1):
         raise ConfigError(f"{path}.kind", f"unknown {family} kind {kind!r}")
     make, keys = _LEAVES[family][kind]
     _reject_unknown(spec, ("kind",) + keys, path)
-    args = []
+    args = _read(spec, path, keys, family, dim)
+    # a sum takes its terms, a polynomial its coefficients, as its arguments
+    return make(*(args[0] if keys in (("terms",), ("coeffs",)) else args))
+
+
+def _read(doc, path, keys, family, dim):
+    """The value of each key of doc, in order, read by what its name says:
+    a leaf of the key's family, a leaf family's terms, a list of numbers,
+    a count (dim, whose axes the keys after it read, and mode*), edge
+    names (*_edges), text (assumption), or a number."""
+    out = []
     for key in keys:
-        if key == "terms":
-            terms = _get(spec, key, path)
+        if key in _FAMILIES:
+            out.append(_leaf(_get(doc, key, path), f"{path}.{key}", _FAMILIES[key], dim))
+        elif key == "terms":
+            terms = _get(doc, key, path)
             if not isinstance(terms, list) or not terms:
                 raise ConfigError(f"{path}.terms", "expected a nonempty list")
-            args += [_leaf(t, f"{path}.terms[{i}]", family, dim) for i, t in enumerate(terms)]
+            out.append([_leaf(t, f"{path}.terms[{i}]", family, dim) for i, t in enumerate(terms)])
         elif key == "coeffs":
-            coeffs = _get(spec, key, path)
+            coeffs = _get(doc, key, path)
             if not (isinstance(coeffs, list) and coeffs and all(
                     isinstance(c, (int, float)) and not isinstance(c, bool) for c in coeffs)):
                 raise ConfigError(f"{path}.coeffs", "expected a nonempty list of numbers")
-            args += [_finite(c, f"{path}.coeffs") for c in coeffs]
-        elif key in ("signal", "profile"):
-            args.append(_leaf_at(spec, key, path, key, dim))
-        elif key.startswith("mode"):
-            args.append(_integer(spec, key, path, _DEFAULTS[key]))
+            out.append([_finite(c, f"{path}.coeffs") for c in coeffs])
+        elif key == "dim" or key.startswith("mode"):
+            out.append(_integer(doc, key, path, _DEFAULTS[key]))
+            if key == "dim":
+                dim = out[-1]
+                try:  # the keys after it read the axes of dim
+                    edge_names(dim)
+                except ValueError as exc:
+                    raise ConfigError(f"{path}.dim", str(exc)) from None
+        elif key.endswith("_edges"):
+            edges = _get(doc, key, path, required=False)
+            if edges is None:
+                edges = []
+            if not isinstance(edges, list):
+                raise ConfigError(f"{path}.{key}", "expected a list of edge names")
+            for e in edges:
+                if e not in edge_names(dim):
+                    raise ConfigError(f"{path}.{key}", f"unknown edge {e!r} for dim={dim}")
+            out.append(frozenset(edges))
+        elif key == "assumption":
+            out.append(_get(doc, key, path))
         else:
-            args.append(_number(spec, key, path, required=key not in _DEFAULTS,
-                                default=_DEFAULTS.get(key)))
-    return make(*args)
-
-
-def _leaf_at(doc, key, path, family, dim=1):
-    """The leaf of a family under a required key."""
-    return _leaf(_get(doc, key, path), f"{path}.{key}", family, dim)
+            out.append(_number(doc, key, path, required=key not in _DEFAULTS,
+                               default=_DEFAULTS.get(key)))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # section builders
-
-
-def _edge_list(doc, key, path, dim):
-    edges = _get(doc, key, path, required=False, default=[])
-    if edges is None:
-        edges = []
-    if not isinstance(edges, list):
-        raise ConfigError(f"{path}.{key}", "expected a list of edge names")
-    for e in edges:
-        if e not in edge_names(dim):
-            raise ConfigError(f"{path}.{key}", f"unknown edge {e!r} for dim={dim}")
-    return frozenset(edges)
-
-
-def _build_parabolic(doc, path, name):
-    allowed = ("dim", "diffusion", "diffusion_floor", "damping", "damping_floor",
-               "reaction", "boundary_reaction", "forcing", "dirichlet_data",
-               "flux_data", "dirichlet_edges", "flux_edges", "initial")
-    _reject_unknown(doc, allowed, path)
-    dim = _integer(doc, "dim", path, 1)
-    try:  # the leaves below read the axes of dim
-        edge_names(dim)
-    except ValueError as exc:
-        raise ConfigError(f"{path}.dim", str(exc)) from None
-    return ParabolicScenario(
-        dim=dim,
-        a=_leaf_at(doc, "diffusion", path, "field", dim),
-        a0=_number(doc, "diffusion_floor", path),
-        c=_leaf_at(doc, "damping", path, "field", dim),
-        c0=_number(doc, "damping_floor", path),
-        reaction=_leaf_at(doc, "reaction", path, "map"),
-        boundary_reaction=_leaf_at(doc, "boundary_reaction", path, "map"),
-        f=_leaf_at(doc, "forcing", path, "field", dim),
-        d1=_leaf_at(doc, "dirichlet_data", path, "field", dim),
-        d2=_leaf_at(doc, "flux_data", path, "field", dim),
-        w0=_leaf_at(doc, "initial", path, "profile", dim),
-        gamma1=_edge_list(doc, "dirichlet_edges", path, dim),
-        gamma2=_edge_list(doc, "flux_edges", path, dim),
-        label=name)
-
-
-def _build_transport(doc, path, name):
-    allowed = ("assumption", "speed", "speed_floor", "k", "boundary_data", "initial")
-    _reject_unknown(doc, allowed, path)
-    floor = _number(doc, "speed_floor", path, required=False, default=None)
-    return TransportScenario(
-        speed_map=_leaf_at(doc, "speed", path, "speed"),
-        assumption=_get(doc, "assumption", path),
-        k=_number(doc, "k", path),
-        d=_leaf_at(doc, "boundary_data", path, "signal"),
-        rho0=_leaf_at(doc, "initial", path, "profile"),
-        speed_floor=floor,
-        label=name)
-
-
-def _build_wave(doc, path, name):
-    allowed = ("c", "forcing", "boundary_data", "initial_displacement",
-               "initial_velocity")
-    _reject_unknown(doc, allowed, path)
-    d_sig = _leaf_at(doc, "boundary_data", path, "signal")
-    return WaveScenario(
-        c=_number(doc, "c", path),
-        f=_leaf_at(doc, "forcing", path, "field"),
-        d=d_sig,
-        w0=_leaf_at(doc, "initial_displacement", path, "profile"),
-        v0=_leaf_at(doc, "initial_velocity", path, "profile"),
-        label=name)
 
 
 @_at_path
@@ -410,6 +389,8 @@ def load_config(source) -> dict:
     return _expect_mapping(doc, "<config>")
 
 
+# the admit steps' own finiteness checks decide every refusal; numpy need not warn
+@np.errstate(all="ignore")
 def build_plan(doc: dict) -> RunPlan:
     """Validate a config document and construct the run objects."""
     doc = _expect_mapping(doc, "<config>")
@@ -421,15 +402,13 @@ def build_plan(doc: dict) -> RunPlan:
         raise ConfigError("<config>.name", f"expected a directory name, got {name!r}")
     description = _get(doc, "description", "<config>", required=False, default="")
     pde = _get(doc, "pde", "<config>")
-    if pde not in ("parabolic", "transport", "wave"):
+    if not isinstance(pde, str) or pde not in _SCENARIOS:
         raise ConfigError("<config>.pde", f"unknown pde class {pde!r}")
+    make, keys = _SCENARIOS[pde]
     sdoc = _expect_mapping(_get(doc, "scenario", "<config>"), "scenario")
-    if pde == "parabolic":
-        scenario = _build_parabolic(sdoc, "scenario", name)
-    elif pde == "transport":
-        scenario = _build_transport(sdoc, "scenario", name)
-    else:
-        scenario = _build_wave(sdoc, "scenario", name)
+    _reject_unknown(sdoc, keys, "scenario")
+    scenario = make(**dict(zip(keys.values(), _read(sdoc, "scenario", keys, None, 1))),
+                    label=name)
     try:
         scenario.validate()
     except ValueError as exc:

@@ -124,9 +124,11 @@ def _power_sum(coeffs, x):
 
 
 def _critical_times(sig: TimeSignal, horizon: float) -> list:
-    """Times inside [0, horizon] where the signal can peak: sinusoid crests
-    and troughs, and the real parts of the roots of a polynomial's
-    derivative (extra candidates never widen the range).  Constant and
+    """Times inside [0, horizon] where the signal can peak: a sinusoid's
+    first crest and first trough, and the real parts of the roots of a
+    polynomial's derivative (extra candidates never widen the range).
+    Every later crest or trough repeats offset +- |amplitude|, or rounds
+    inside it, so it cannot widen the running range.  Constant and
     exp_decay signals are monotone, so they have none."""
     if sig.kind == "sinusoid":
         amp, freq, phase, _ = sig.params
@@ -136,8 +138,9 @@ def _critical_times(sig: TimeSignal, horizon: float) -> list:
         w = 2.0 * math.pi * freq
         k_a, k_b = sorted(((phase - math.pi / 2.0) / math.pi,
                            (w * horizon + phase - math.pi / 2.0) / math.pi))
-        return [(math.pi / 2.0 + k * math.pi - phase) / w
-                for k in range(math.ceil(k_a), math.floor(k_b) + 1)]
+        ks = range(math.ceil(k_a), math.floor(k_b) + 1)
+        # the times fall as k rises when the frequency is negative
+        return [(math.pi / 2.0 + k * math.pi - phase) / w for k in (ks[:2] if w > 0 else ks[-2:])]
     if sig.kind == "polynomial":
         roots = np.polynomial.Polynomial(sig.params).deriv().trim().roots()
         return [t for t in roots.real.tolist() if 0.0 < t < horizon]

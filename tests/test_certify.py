@@ -1,6 +1,7 @@
 """Tests for the closed-form decay bounds and trajectory checks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -416,6 +417,21 @@ def test_check_trajectory_rejects_non_finite_tol(tol):
     bound = prepare_bound("transport_q", traj, scn, 2.0)
     with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
         check_trajectory(traj, 2.0, bound, tol)
+
+
+@pytest.mark.parametrize("amplitude,q,init_norm,name", [
+    (30.0, 700.0, None, "norm"), (1.0, 2.0, math.inf, "bound")])
+def test_check_trajectory_refuses_a_series_past_the_floats(amplitude, q, init_norm, name):
+    # 30**700 overflows; NaN margins would count no violation
+    scn = make_transport_uniform(rho0=profile_bump(amplitude, 0.4, 0.2))
+    traj = solve_transport(scn, Grid(32, layout="cell"),
+                           SolverConfig(t_end=0.2, cfl_sigma=0.9))
+    with np.errstate(all="ignore"):
+        bound = prepare_bound("transport_q", traj, scn, q)
+        if init_norm is not None:
+            bound = replace(bound, init_norm=init_norm)
+        with pytest.raises(ValueError, match=f"^the {name} at q={q!r} is not finite$"):
+            check_trajectory(traj, q, bound, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,44 @@
+"""A run that fails or passes says so in one stderr line, with no numpy
+warning before it."""
+
+import functools
+
+import pytest
+import yaml
+
+from isscert.cli import main
+from isscert.config import load_config
+
+
+@pytest.mark.parametrize("demo,edits,code,message", [
+    # |u|^700 overflows, so the norm and its bound were both inf: the NaN
+    # margins once certified status=ok with violations=0
+    ("parabolic_demo", {"checks": [{"kind": "parabolic_q", "q": 700.0, "tol": 0.0}]}, 2,
+     "check error: the norm at q=700.0 is not finite"),
+    # each of these once printed numpy RuntimeWarnings before its line
+    ("heat_clm_demo", {"scenario.dirichlet_data": {"kind": "uniform", "signal": {
+        "kind": "exp_decay", "amplitude": 1.0e-300, "rate": -800.0}}}, 2,
+     "config error: checks[0].kind: heat_clm needs Dirichlet data identically 0"),
+    ("parabolic_demo", {"scenario.diffusion": {"kind": "uniform", "signal": {
+        "kind": "exp_decay", "amplitude": 1.0, "rate": -800.0, "offset": 1.0}}}, 2,
+     "solver error: solver diverged at step 441, t = 0.8820000000000007 "
+     "(non-finite diffusion band or right-hand side)"),
+    ("wave_demo", {"scenario.boundary_data": {"kind": "exp_decay", "amplitude": 1.0e-300,
+                                              "rate": -800.0}}, 2,
+     "solver error: solver diverged at step 395, t = 0.8887499999999929"),
+    ("transport_global", {"scenario.initial": {"kind": "bump", "amplitude": 1.0,
+                                               "center": 0.5, "halfwidth": 1.0e-310}}, 0,
+     "wrote {out}"),
+], ids=["norm_past_the_floats", "heat_data_overflow", "diffusion_overflow",
+        "wave_data_overflow", "subnormal_bump"])
+def test_cli_run_prints_one_line_and_no_numpy_warning(tmp_path, capsys, recwarn, demo, edits,
+                                                       code, message):
+    doc = load_config(demo)
+    for location, value in edits.items():
+        *parents, key = location.split(".")
+        functools.reduce(dict.__getitem__, parents, doc)[key] = value
+    cfg = tmp_path / "probe.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err == message.format(out=tmp_path / "out" / demo) + "\n"
+    assert not recwarn.list

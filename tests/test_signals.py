@@ -11,6 +11,7 @@ from isscert.signals import (SpaceTimeField, TimeSignal, profile_affine,
                              profile_bump, profile_constant, profile_poly,
                              profile_sin, profile_sum, profile_sinprod,
                              signal_range, sup_field, sup_window)
+from isscert.signals import _critical_times
 
 
 def test_signal_validation():
@@ -131,6 +132,39 @@ def test_signal_range_of_an_array_has_the_bits_of_each_end(name):
     for e, lo_e, hi_e in zip(RANGE_ENDS.tolist(), lo, hi):
         assert signal_range(sig, e) == (lo_e, hi_e)
     assert np.all(np.diff(lo) <= 0.0) and np.all(np.diff(hi) >= 0.0)
+
+
+@pytest.mark.parametrize("frequency", [1.0e4, -1.0e4])
+def test_sinusoid_candidates_do_not_grow_with_frequency(frequency):
+    # every crest and trough in [0, 2] would be 40 000 candidates
+    assert len(_critical_times(TimeSignal.sinusoid(0.1, frequency, 0.3), 2.0)) == 2
+
+
+def _range_over_every_crest(sig, ends):
+    """signal_range with every crest and trough in the window as a candidate."""
+    amp, freq, phase, _ = sig.params
+    horizon = float(ends.max())
+    w = 2.0 * math.pi * freq
+    k_a, k_b = sorted(((phase - math.pi / 2.0) / math.pi,
+                       (w * horizon + phase - math.pi / 2.0) / math.pi))
+    crests = [(math.pi / 2.0 + k * math.pi - phase) / w
+              for k in range(math.ceil(k_a), math.floor(k_b) + 1)] if amp else []
+    cand = np.concatenate(([0.0, horizon], crests, ends[(ends > 0.0) & (ends < horizon)]))
+    order = np.argsort(cand, kind="stable")
+    vals = sig._eval(cand)[order]
+    at = np.searchsorted(cand[order], ends, side="right") - 1
+    return np.minimum.accumulate(vals)[at], np.maximum.accumulate(vals)[at]
+
+
+def test_sinusoid_range_has_the_bits_of_every_crest():
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        freq = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, 3.0)
+        sig = TimeSignal.sinusoid(rng.uniform(-2.0, 2.0), freq, rng.uniform(-7.0, 7.0),
+                                  rng.uniform(-1.0, 1.0))
+        ends = np.sort(rng.uniform(0.0, 10.0 ** rng.uniform(-2.0, 1.0), 9))
+        for got, want in zip(signal_range(sig, ends), _range_over_every_crest(sig, ends)):
+            assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("name", sorted(RANGE_SIGNALS))
