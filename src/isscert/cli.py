@@ -24,10 +24,10 @@ import yaml
 
 from . import verify  # verify reads run_plan back through this module
 from .certify import check_trajectory, prepare_bound
-from .config import ConfigError, load_plan
+from .config import ConfigError, load_config, load_plan
 from .glf import (dissipation_rate, dissipation_report, glf_for_parabolic,
                   glf_for_transport, glf_for_wave, wave_forcing_slack)
-from .scenarios import scenario_lines
+from .scenarios import bundled_names
 from .solvers import (AssumptionViolationError, ScenarioError,
                       SolverDivergedError, solve_parabolic, solve_transport,
                       solve_wave)
@@ -135,6 +135,7 @@ def cmd_run(args) -> int:
     status = ("violations" if violations else
               "not-applicable" if any(not r.applicable for r in reports) else "ok")
 
+    # the pure emitter: libyaml's folds long quoted strings elsewhere, moving report bytes
     text = "\n".join(
         [f"run name={plan.name}", f"pde={plan.pde}", "--- config",
          yaml.safe_dump(plan.doc, sort_keys=True, default_flow_style=False).rstrip(),
@@ -175,8 +176,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_list(args) -> int:
-    for line in scenario_lines():
-        print(line)
+    for name in bundled_names():
+        print(f"{name}: {load_config(name)['description']}")
     return 0
 
 

@@ -32,6 +32,9 @@ from .solvers import (ParabolicScenario, SolverConfig, TransportScenario,
 
 __all__ = ["ConfigError", "RunPlan", "load_config", "build_plan", "load_plan"]
 
+# libyaml when PyYAML was built with it; the pure parser otherwise
+_CSafeLoader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 class ConfigError(ValueError):
     """Invalid configuration; the message starts with the dotted key path."""
@@ -379,13 +382,18 @@ def load_config(source) -> dict:
         except OSError as exc:
             raise ConfigError(str(source), f"cannot read: {exc.strerror}") from exc
     try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        # one line: the problem and its place, not the parser's context
-        mark = getattr(exc, "problem_mark", None)
-        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-        problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
-        raise ConfigError(str(source), f"invalid YAML: {problem}{where}") from exc
+        doc = yaml.load(text, Loader=_CSafeLoader)
+    except yaml.YAMLError:
+        # libyaml refuses some YAML that PyYAML reads, and words its errors
+        # otherwise: PyYAML decides, with its document or its message
+        try:
+            doc = yaml.safe_load(text)
+        except yaml.YAMLError as exc:
+            # one line: the problem and its place, not the parser's context
+            mark = getattr(exc, "problem_mark", None)
+            where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+            problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
+            raise ConfigError(str(source), f"invalid YAML: {problem}{where}") from exc
     return _expect_mapping(doc, "<config>")
 
 

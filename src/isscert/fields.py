@@ -318,6 +318,7 @@ class Trajectory:
         # solvers may stash numpy scalars in meta; yaml wants plain types
         clean = {k: (v.item() if isinstance(v, np.generic) else v)
                  for k, v in self.meta.items()}
+        # the pure emitter: libyaml's folds long quoted strings elsewhere
         with open(meta_path, "w") as fh:
             yaml.safe_dump(clean, fh, sort_keys=True, default_flow_style=False)
         return [*paths, meta_path]

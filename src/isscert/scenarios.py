@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from importlib import resources
 
-import yaml
-
 _CONFIGS = resources.files("isscert.configs")
 
 
@@ -26,8 +24,3 @@ def bundled_config_text(name: str) -> str:
         known = ", ".join(bundled_names())
         raise KeyError(f"unknown scenario {name!r}; bundled scenarios: {known}")
     return _CONFIGS.joinpath(f"{name}.yaml").read_text()
-
-
-def scenario_lines() -> list:
-    return [f"{name}: {yaml.safe_load(bundled_config_text(name))['description']}"
-            for name in bundled_names()]

@@ -1,0 +1,33 @@
+"""``tools/bench.py`` counts a pair as won in each metric's own sense."""
+
+import importlib.util
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1] / "tools" / "bench.py"
+
+
+def _load_bench():
+    spec = importlib.util.spec_from_file_location("tools_bench", BENCH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _run(pair, side, rate, p50):
+    return {"workload": "w", "side": side, "pair": pair, "trace": 0, "failed": 0,
+            "digests_match": True, "metrics": {"certs_per_s": rate, "cert_s_p50": p50}}
+
+
+def test_summary_counts_wins_by_the_metric_sense():
+    bench = _load_bench()
+    runs = [_run(0, "parent", 10.0, 0.10), _run(0, "change", 11.0, 0.09),
+            _run(1, "change", 12.0, 0.12), _run(1, "parent", 12.0, 0.11),
+            _run(2, "parent", 9.0, 0.10), _run(2, "change", 8.0, 0.08),
+            _run(3, "parent", 9.0, 0.10)]  # an unfinished pair is left out
+    row = bench.summarize(runs, {"certs_per_s": "higher", "cert_s_p50": "lower"})["w"]
+    assert row["pairs"] == 3 and row["failed"] == 0 and row["digests_differ"] == 0
+    rate, p50 = row["certs_per_s"], row["cert_s_p50"]
+    assert rate["change_better"] == 1  # a tie counts for neither side
+    assert p50["change_better"] == 2
+    assert (rate["parent"]["median"], rate["change"]["median"]) == (10.0, 11.0)
+    assert abs(rate["median_change"] - 0.1) < 1e-12

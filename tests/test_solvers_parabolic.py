@@ -686,6 +686,18 @@ def test_cross_factors_that_underflow_give_finite_ends():
     assert end_errors(stack, exact) <= BC_TOL
 
 
+def test_lockstep_clip_has_the_bits_of_np_clip():
+    fmax = sys.float_info.max
+    rs = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324]
+    betas = [0.0, 1e-320, 1e-10, 1.0]
+    r, beta = (np.array(g).ravel() for g in np.meshgrid(rs, betas))
+    with np.errstate(all="ignore"):
+        got = parabolic._clip_lockstep(r, beta)
+        want = np.clip(np.where(beta == 0.0, np.copysign(fmax, r), r / beta), -fmax, fmax)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 # ---------------------------------------------------------------------------
 # batched 2-D stepper against one line solve at a time
 
