@@ -63,13 +63,12 @@ def git(*args) -> str:
 def export(sha: str, work: Path) -> Path:
     """The tree of commit sha, unpacked under work/sha."""
     tree = work / sha
-    if not (tree / "perfbench" / "run.py").is_file():
-        shutil.rmtree(tree, ignore_errors=True)
-        tree.mkdir(parents=True)
-        data = subprocess.run(["git", "archive", "--format=tar", sha], cwd=ROOT,
-                              check=True, capture_output=True).stdout
-        with tarfile.open(fileobj=io.BytesIO(data)) as tar:
-            tar.extractall(tree, filter="data")
+    shutil.rmtree(tree, ignore_errors=True)
+    tree.mkdir(parents=True)
+    data = subprocess.run(["git", "archive", "--format=tar", sha], cwd=ROOT,
+                          check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(data)) as tar:
+        tar.extractall(tree, filter="data")
     return tree
 
 
@@ -85,6 +84,8 @@ def perfbench(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
                            f"{proc.stderr.strip()[-500:]}")
     result = json.loads(lines[-1])
     info = json.loads(next(ln for ln in lines if ln.startswith("info "))[5:])
+    # run.py checked that isscert came from this tree; keep the path inside it
+    info["isscert_file"] = Path(info["isscert_file"]).relative_to(tree).as_posix()
     return {"correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
             "metrics": {name: m["value"] for name, m in result["metrics"].items()},
