@@ -445,7 +445,7 @@ def _clip_scalar(r, beta):
 def _clip_lockstep(r, beta):
     """:func:`_clip_scalar` on arrays."""
     x = np.where(beta == 0.0, np.copysign(_FLOAT_MAX, r), r / beta)
-    return np.minimum(np.maximum(x, -_FLOAT_MAX), _FLOAT_MAX)  # np.clip is slower
+    return np.minimum(np.maximum(x, -_FLOAT_MAX), _FLOAT_MAX)
 
 
 def _close_line(h, dt, w_old, src, base, resp, af, data, varphi, bc_tol):

@@ -65,13 +65,10 @@ def test_a_text_only_libyaml_refuses_gives_the_pure_document(tmp_path):
 
 
 def test_a_doubly_refused_text_reports_the_pure_message(tmp_path):
-    # libyaml words this otherwise and marks the backslash, not the 'q'
     text = 'name: x\ndescription: "tab\\q"\npde: wave\n'
     if yaml.__with_libyaml__:
-        with pytest.raises(yaml.YAMLError) as fast:
+        with pytest.raises(yaml.YAMLError):
             yaml.load(text, Loader=yaml.CSafeLoader)
-        assert (fast.value.problem, fast.value.problem_mark.column) == (
-            "found unknown escape character", 17)
     with pytest.raises(yaml.YAMLError) as pure:
         yaml.safe_load(text)
     mark = pure.value.problem_mark

@@ -2,26 +2,27 @@
 
 Usage (from the repository root):
 
-    python3 tools/bench.py --out BENCH_23.json [--change REV] [--parent REV]
-        [--seed 11] [--seconds 8] [--claim parabolic_2d_flux] [--claim-pairs 10]
-        [--other-pairs 1] [--wall-repeats 3]
+    python3 tools/bench.py --out BENCH_23.json [--change REV]
 
-Both commits are exported with ``git archive`` under ``.bench_build/`` and
-run the ``perfbench/run.py`` of their own tree, in alternation, the side
-that goes first switching from pair to pair:
+``--change`` (default HEAD) names the commit measured, and its first
+parent is the baseline.  Both commits are exported with ``git archive``
+under ``.bench_build/`` and run the ``perfbench/run.py`` of their own
+tree, in alternation, the side that goes first switching from pair to
+pair, at seed 11 and 8 s a run:
 
-- ``--claim-pairs`` pairs of ``--trace 0`` runs on the claimed workload,
-  and ``--other-pairs`` pairs on every other workload in BENCHMARK.json;
-- one ``--trace 1`` run of the change on the claimed workload, for the
-  per-layer metrics (``config.load_plan_s`` among them);
+- ten pairs of ``--trace 0`` runs on ``parabolic_2d_flux``, and three on
+  every other workload in BENCHMARK.json;
+- two pairs of ``--trace 1`` runs on ``parabolic_2d_flux``, for the
+  per-layer metrics (``config.load_plan_s`` among them) of both sides;
 - the wall time of ``isscert run NAME`` for every bundled scenario, and
-  of ``isscert verify all``, each in a fresh interpreter, ``--wall-repeats``
+  of ``isscert verify all``, each in a fresh interpreter, three
   alternating times a side, with the host-speed probe taken before each.
 
 The file holds the two commits, the host, the versions, every run's
-metrics and raw info line, every wall time and a per-workload summary:
-each side's median and quartiles and the pairs the change won.  A pair
-whose two runs wrote different report digests is recorded as such.
+metrics and raw info line, every wall time and a summary per workload and
+trace setting: each side's median and quartiles and the pairs the change
+won.  A pair whose two runs wrote different report digests is recorded as
+such.
 """
 
 from __future__ import annotations
@@ -53,6 +54,13 @@ import hostspeed  # noqa: E402
 
 RUN_TIMEOUT_S = 600
 WALL_TIMEOUT_S = 120
+SEED = 11
+SECONDS = 8.0
+CLAIM = "parabolic_2d_flux"
+CLAIM_PAIRS = 10
+OTHER_PAIRS = 3
+TRACED_PAIRS = 2
+WALL_REPEATS = 3
 
 
 def git(*args) -> str:
@@ -113,14 +121,15 @@ def quartiles(values) -> dict:
     return {"median": statistics.median(ordered), "q1": q[0], "q3": q[2], "n": len(ordered)}
 
 
-def summarize(runs: list, better: dict) -> dict:
-    """Per workload and end-to-end metric: each side's median and quartiles,
-    and in how many pairs the change read better (ties count for neither)."""
+def summarize(runs: list, better: dict, trace: int = 0) -> dict:
+    """Per workload and metric of the runs at this trace setting: each side's
+    median and quartiles, and in how many pairs the change read better (ties
+    count for neither)."""
     out = {}
-    for workload in dict.fromkeys(r["workload"] for r in runs if r["trace"] == 0):
+    for workload in dict.fromkeys(r["workload"] for r in runs if r["trace"] == trace):
         pairs = {}
         for r in runs:
-            if r["workload"] == workload and r["trace"] == 0:
+            if r["workload"] == workload and r["trace"] == trace:
                 pairs.setdefault(r["pair"], {})[r["side"]] = r
         done = [p for p in pairs.values() if {"parent", "change"} <= p.keys()]
         row = {"pairs": len(done),
@@ -146,15 +155,8 @@ def same_digests(a: dict, b: dict) -> bool:
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="file to write, e.g. BENCH_23.json")
-    parser.add_argument("--change", default="HEAD", help="commit measured (default HEAD)")
-    parser.add_argument("--parent", default=None, help="baseline commit (default CHANGE^)")
-    parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--seconds", type=float, default=8.0)
-    parser.add_argument("--claim", default="parabolic_2d_flux",
-                        help="workload of the claimed gain")
-    parser.add_argument("--claim-pairs", type=int, default=10)
-    parser.add_argument("--other-pairs", type=int, default=1)
-    parser.add_argument("--wall-repeats", type=int, default=3)
+    parser.add_argument("--change", default="HEAD",
+                        help="commit measured against its first parent (default HEAD)")
     return parser.parse_args(argv)
 
 
@@ -162,39 +164,33 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
-    if args.claim not in workloads:
-        raise SystemExit(f"unknown workload {args.claim!r}; choose from {', '.join(workloads)}")
     change = git("rev-parse", f"{args.change}^{{commit}}")
-    parent = git("rev-parse", f"{args.parent or change + '^'}^{{commit}}")
+    parent = git("rev-parse", f"{change}^")
     work = ROOT / ".bench_build"
     trees = {"parent": export(parent, work), "change": export(change, work)}
     try:
         runs = []
-        schedule = [args.claim] * args.claim_pairs + [
-            w for w in workloads if w != args.claim for _ in range(args.other_pairs)]
-        for i, workload in enumerate(schedule):
+        schedule = [(CLAIM, 0)] * CLAIM_PAIRS + [
+            (w, 0) for w in workloads if w != CLAIM for _ in range(OTHER_PAIRS)] + [
+            (CLAIM, 1)] * TRACED_PAIRS
+        for i, (workload, trace) in enumerate(schedule):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {}
             for side in order:
-                print(f"pair {i}: {workload} {side}", file=sys.stderr, flush=True)
-                pair[side] = {"workload": workload, "side": side, "pair": i, "trace": 0,
+                print(f"pair {i}: {workload} trace {trace} {side}", file=sys.stderr, flush=True)
+                pair[side] = {"workload": workload, "side": side, "pair": i, "trace": trace,
                               "first": order[0],
-                              **perfbench(trees[side], workload, args.seed, args.seconds, 0)}
+                              **perfbench(trees[side], workload, SEED, SECONDS, trace)}
             match = same_digests(pair["parent"].pop("digests"), pair["change"].pop("digests"))
             for side in order:
                 runs.append({**pair[side], "digests_match": match})
-        print(f"traced: {args.claim} change", file=sys.stderr, flush=True)
-        traced = perfbench(trees["change"], args.claim, args.seed, args.seconds, 1)
-        traced.pop("digests")
-        runs.append({"workload": args.claim, "side": "change", "pair": None, "trace": 1,
-                     **traced})
 
         commands = [["run", name] for name in sorted(
             p.stem for p in (trees["change"] / "src" / "isscert" / "configs").glob("*.yaml"))]
-        commands.append(["verify", "all", "--seed", str(args.seed)])
+        commands.append(["verify", "all", "--seed", str(SEED)])
         walls = []
         for argv_ in commands:
-            for k in range(args.wall_repeats):
+            for k in range(WALL_REPEATS):
                 for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
                     walls.append({"command": " ".join(argv_), "side": side,
                                   **wall(trees[side], argv_)})
@@ -207,6 +203,7 @@ def main(argv=None) -> int:
             pass
 
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    layers = {m["name"]: m["better"] for m in spec["per_layer"]}
     wall_summary = {}
     for argv_ in commands:
         cmd = " ".join(argv_)
@@ -227,10 +224,11 @@ def main(argv=None) -> int:
         "versions": {"python": sys.version.split()[0], "numpy": numpy.__version__,
                      "scipy": scipy.__version__, "pyyaml": yaml.__version__,
                      "libyaml": yaml.__with_libyaml__},
-        "settings": {"seed": args.seed, "seconds": args.seconds, "claim": args.claim,
-                     "claim_pairs": args.claim_pairs, "other_pairs": args.other_pairs,
-                     "wall_repeats": args.wall_repeats},
+        "settings": {"seed": SEED, "seconds": SECONDS, "claim": CLAIM,
+                     "claim_pairs": CLAIM_PAIRS, "other_pairs": OTHER_PAIRS,
+                     "traced_pairs": TRACED_PAIRS, "wall_repeats": WALL_REPEATS},
         "summary": summarize(runs, better),
+        "traced_summary": summarize(runs, layers, trace=1),
         "wall_summary": wall_summary,
         "runs": runs,
         "walls": walls,
