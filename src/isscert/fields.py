@@ -14,7 +14,7 @@ import errno
 import math
 import os
 import signal
-from itertools import repeat
+from itertools import product, repeat
 from pathlib import Path
 
 import numpy as np
@@ -34,9 +34,12 @@ _BLOCK = 64  # stamps per call of Trajectory.blockwise
 # Trajectory.write_csv forks a second writer from this many CSV rows on.  The
 # child's half must save at least twice the fork.  On a 2-CPU x86-64 host with
 # numpy and scipy loaded (Python 3.11, about 60 MB resident) a no-op fork plus
-# waitpid took 3.0-6.6 ms (medians 3.8 and 4.6 in two runs of 30), and a 1-D
-# row cost 0.81-0.95 us to format and write on transport data, about 1.5 us on
-# parabolic data.  rows/2 * row >= 2 * fork then holds from 10 000-21 600 rows.
+# waitpid took 3.0-6.6 ms (medians 3.8 and 4.6 in two runs of 30).  A row
+# formats one value on any number of axes, its point's coordinate cells being
+# formatted once per write: it cost 0.81-0.95 us to format and write on 1-D
+# transport data, and 0.66-1.30 us (medians 0.76-1.30 in six runs of 30
+# writes) on a 65x65 parabolic run.  rows/2 * row >= 2 * fork then holds from
+# 11 700-24 200 rows at the medians.
 _FORK_ROWS = 20_000
 
 
@@ -289,8 +292,9 @@ class Trajectory:
         the metadata sidecar trajectory_meta.yaml.
 
         Columns are (t, y, value) on the interval and (t, y1, ..., yN,
-        value) on N axes, each number the repr of a Python float.  Returns the
-        list of paths written.
+        value) on N axes, each number the repr of a Python float.  The
+        coordinate cells are each axis's reprs, joined per point in C order
+        (last axis fastest).  Returns the list of paths written.
 
         The rows, numbered (name, stamp) in file order, go to disk in one
         of two ways with the same bytes.  With at least two usable CPUs and
@@ -303,8 +307,9 @@ class Trajectory:
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        pts, dim = self.grid.points(), self.grid.dim
-        coords = [float_cells(c) for c in (pts if dim > 1 else [pts])]
+        dim = self.grid.dim
+        # each axis formatted once; product yields the points in C order
+        coords = list(map(",".join, product(*map(float_cells, self.grid.coords()))))
         names = ["y"] if dim == 1 else [f"y{k}" for k in range(1, dim + 1)]
         header = f"t,{','.join(names)},value\n"
         suffixes = [""] if len(self.names) == 1 else [f"_{name}" for name in self.names]
@@ -337,7 +342,7 @@ class Trajectory:
                 if a == 0:
                     fh.write(header)
                 for t, row in zip(float_cells(self.times[a:b]), self.states(name)[a:b]):
-                    fh.write(csv_rows(repeat(t), *coords, float_cells(row)))
+                    fh.write(csv_rows(repeat(t), coords, float_cells(row)))
 
     def _write_halves(self, paths, header, coords, half):
         """(name, stamp) pairs 0..half-1 here, the rest in a forked child.

@@ -298,22 +298,17 @@ ODD_VALUES = [0.1 + 0.2, -0.0, 5e-324, 1e16, 1.0 / 3.0]
 
 
 def _reference_csv(traj, name):
-    """Row-by-row formatting of one state name, the writer's definition."""
-    times = [float(t) for t in traj.times]
-    if traj.grid.dim == 2:
-        lines = ["t,y1,y2,value\n"]
-        X, Y = traj.grid.points()
-        for i, t in enumerate(times):
-            vals = traj.state(i, name)
-            for ix in range(vals.shape[0]):
-                for iy in range(vals.shape[1]):
-                    lines.append(f"{t!r},{float(X[ix, iy])!r},"
-                                 f"{float(Y[ix, iy])!r},{float(vals[ix, iy])!r}\n")
-    else:
-        lines = ["t,y,value\n"]
-        for i, t in enumerate(times):
-            for y, v in zip(traj.grid.points(), traj.state(i, name)):
-                lines.append(f"{t!r},{float(y)!r},{float(v)!r}\n")
+    """Row-by-row formatting of one state name, the writer's definition: the
+    coordinates of each point read off the grid.points() meshes."""
+    grid = traj.grid
+    meshes = [grid.points()] if grid.dim == 1 else grid.points()
+    axes = ["y"] if grid.dim == 1 else [f"y{k}" for k in range(1, grid.dim + 1)]
+    lines = [f"t,{','.join(axes)},value\n"]
+    for i, t in enumerate(traj.times):
+        vals = traj.state(i, name)
+        for idx in np.ndindex(grid.shape):
+            cells = [float(t), *(float(m[idx]) for m in meshes), float(vals[idx])]
+            lines.append(",".join(map(repr, cells)) + "\n")
     return "".join(lines)
 
 
@@ -356,11 +351,15 @@ def two_cpus(monkeypatch):
     ("node", ("plus", "minus"), None),
     ("node", ("u",), 1), ("node", ("u",), 0), ("node", ("plus", "minus"), 1),
     ("square", ("u",), 1),
+    ("cube", ("u",), None), ("cube", ("u",), 1),
 ])
 def test_write_csv_matches_row_reference(tmp_path, two_cpus, layout, names, parity):
-    # parity None: 40 stamps, one writer; else the least odd or even stamp
-    # count from _FORK_ROWS rows on, split between two
-    stamps = 40 if parity is None else _forked_stamps(GRIDS[layout], names, parity)
+    # parity None: 40 stamps, or fewer where 40 reach _FORK_ROWS rows, one
+    # writer; else the least odd or even stamp count from _FORK_ROWS rows on,
+    # split between two
+    grid = GRIDS[layout]
+    stamps = (min(40, (_FORK_ROWS - 1) // (grid.npoints * len(names))) if parity is None
+              else _forked_stamps(grid, names, parity))
     traj = _odd_trajectory(layout, names, stamps)
     paths = traj.write_csv(tmp_path)
     assert len(two_cpus) == (parity is not None)
