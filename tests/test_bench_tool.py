@@ -1,4 +1,5 @@
-"""``tools/bench.py`` counts a pair as won in each metric's own sense."""
+"""``tools/bench.py`` counts a pair as won in each metric's own sense, and its
+output digest covers every byte and path of a run's files."""
 
 import importlib.util
 from pathlib import Path
@@ -31,3 +32,24 @@ def test_summary_counts_wins_by_the_metric_sense():
     assert p50["change_better"] == 2
     assert (rate["parent"]["median"], rate["change"]["median"]) == (10.0, 11.0)
     assert abs(rate["median_change"] - 0.1) < 1e-12
+
+
+def _tree(root, files):
+    for name, data in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+    return root
+
+
+def test_output_digest_covers_every_byte_and_path(tmp_path):
+    bench = _load_bench()
+    files = {"run/trajectory.csv": b"t,y1,y2,value\n0.0,0.0,0.0,1.0\n",
+             "run/report.txt": b"status=certified\n", "verify_all.txt": b"ok\n"}
+    digest = bench.tree_sha256(_tree(tmp_path / "a", files))
+    assert bench.tree_sha256(_tree(tmp_path / "b", files)) == digest
+    changed = dict(files, **{"run/trajectory.csv": files["run/trajectory.csv"][:-2] + b"2\n"})
+    assert bench.tree_sha256(_tree(tmp_path / "c", changed)) != digest
+    renamed = {("run/trajectory_u.csv" if k == "run/trajectory.csv" else k): v
+               for k, v in files.items()}
+    assert bench.tree_sha256(_tree(tmp_path / "d", renamed)) != digest

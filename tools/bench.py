@@ -14,9 +14,13 @@ pair, at seed 11 and 8 s a run:
   every other workload in BENCHMARK.json;
 - two pairs of ``--trace 1`` runs on ``parabolic_2d_flux``, for the
   per-layer metrics (``config.load_plan_s`` among them) of both sides;
-- the wall time of ``isscert run NAME`` for every bundled scenario, and
-  of ``isscert verify all``, each in a fresh interpreter, three
-  alternating times a side, with the host-speed probe taken before each.
+- the wall time of ``isscert run NAME`` for every bundled scenario, of
+  ``isscert verify all``, and of ``python -c "import isscert.cli"`` as
+  the import layer, each in a fresh interpreter, three alternating times a
+  side, with the host-speed probe taken before each.  Each wall run
+  starts in an empty directory and writes its outputs there; the digests
+  of its stdout and of every file it left there are recorded, so equal
+  digests on both sides show equal output bytes, CSVs included.
 
 The file holds the two commits, the host, the versions, every run's
 metrics and raw info line, every wall time and a summary per workload and
@@ -100,19 +104,33 @@ def perfbench(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
             "digests": info.pop("digests"), "info": info}
 
 
-def wall(tree: Path, argv: list) -> dict:
-    """Wall seconds of one ``python -m isscert ARGV`` in a fresh interpreter."""
+def tree_sha256(directory: Path) -> str:
+    """SHA-256 over every file under directory: its path relative to
+    directory and the SHA-256 of its bytes, in sorted path order."""
+    files = {p.relative_to(directory).as_posix(): p for p in directory.rglob("*") if p.is_file()}
+    digest = hashlib.sha256()
+    for name in sorted(files):
+        digest.update(f"{name}\0{hashlib.sha256(files[name].read_bytes()).hexdigest()}\0".encode())
+    return digest.hexdigest()
+
+
+def wall(tree: Path, args: list) -> dict:
+    """Wall seconds of one ``python ARGS`` in a fresh interpreter started in an
+    empty directory, with the digests of its stdout and of every file it left
+    in that directory."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0")
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     with tempfile.TemporaryDirectory(prefix="isscert-bench-") as out:
         probe = hostspeed.probe()
         t0 = time.perf_counter()
-        proc = subprocess.run([sys.executable, "-m", "isscert", *argv, "--out", out],
-                              cwd=out, env=env, capture_output=True, timeout=WALL_TIMEOUT_S)
+        proc = subprocess.run([sys.executable, *args], cwd=out, env=env,
+                              capture_output=True, timeout=WALL_TIMEOUT_S)
         elapsed = time.perf_counter() - t0
+        outputs = tree_sha256(Path(out))
     return {"wall_s": elapsed, "probe_s": probe, "exit": proc.returncode,
-            "stdout_sha256": hashlib.sha256(proc.stdout).hexdigest()}
+            "stdout_sha256": hashlib.sha256(proc.stdout).hexdigest(),
+            "outputs_sha256": outputs}
 
 
 def quartiles(values) -> dict:
@@ -185,15 +203,16 @@ def main(argv=None) -> int:
             for side in order:
                 runs.append({**pair[side], "digests_match": match})
 
-        commands = [["run", name] for name in sorted(
+        argvs = [["run", name] for name in sorted(
             p.stem for p in (trees["change"] / "src" / "isscert" / "configs").glob("*.yaml"))]
-        commands.append(["verify", "all", "--seed", str(SEED)])
+        argvs.append(["verify", "all", "--seed", str(SEED)])
+        commands = {" ".join(a): ["-m", "isscert", *a, "--out", "."] for a in argvs}
+        commands["import isscert.cli"] = ["-c", "import isscert.cli"]
         walls = []
-        for argv_ in commands:
+        for cmd, args_ in commands.items():
             for k in range(WALL_REPEATS):
                 for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
-                    walls.append({"command": " ".join(argv_), "side": side,
-                                  **wall(trees[side], argv_)})
+                    walls.append({"command": cmd, "side": side, **wall(trees[side], args_)})
     finally:
         for tree in trees.values():
             shutil.rmtree(tree, ignore_errors=True)
@@ -205,14 +224,14 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     layers = {m["name"]: m["better"] for m in spec["per_layer"]}
     wall_summary = {}
-    for argv_ in commands:
-        cmd = " ".join(argv_)
+    for cmd in commands:
         mine = [w for w in walls if w["command"] == cmd]
         wall_summary[cmd] = {
             **{side: quartiles([w["wall_s"] for w in mine if w["side"] == side])
                for side in ("parent", "change")},
             "exits": sorted({w["exit"] for w in mine}),
-            "same_stdout": len({w["stdout_sha256"] for w in mine}) == 1}
+            "same_stdout": len({w["stdout_sha256"] for w in mine}) == 1,
+            "same_outputs": len({w["outputs_sha256"] for w in mine}) == 1}
     report = {
         "command": shlex.join(["python3", "tools/bench.py", *(argv or sys.argv[1:])]),
         "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
