@@ -308,7 +308,6 @@ class Trajectory:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         dim = self.grid.dim
-        # each axis formatted once; product yields the points in C order
         coords = list(map(",".join, product(*map(float_cells, self.grid.coords()))))
         names = ["y"] if dim == 1 else [f"y{k}" for k in range(1, dim + 1)]
         header = f"t,{','.join(names)},value\n"
