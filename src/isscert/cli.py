@@ -24,10 +24,9 @@ import yaml
 
 from . import verify  # verify reads run_plan back through this module
 from .certify import check_trajectory, prepare_bound
-from .config import ConfigError, load_config, load_plan
+from .config import ConfigError, bundled_names, load_config, load_plan
 from .glf import (dissipation_rate, dissipation_report, glf_for_parabolic,
                   glf_for_transport, glf_for_wave, wave_forcing_slack)
-from .scenarios import bundled_names
 from .solvers import (AssumptionViolationError, ScenarioError,
                       SolverDivergedError, solve_parabolic, solve_transport,
                       solve_wave)

@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field as dc_field
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,6 @@ import yaml
 
 from .certify import BOUNDS, admit_check
 from .glf import dissipation_rate, glf_for_parabolic, glf_for_transport, glf_for_wave
-from .scenarios import bundled_config_text, bundled_names
 from .signals import (SpaceTimeField, TimeSignal, profile_affine,
                       profile_bump, profile_constant, profile_poly,
                       profile_sin, profile_sinprod, profile_sum)
@@ -30,10 +30,13 @@ from .fields import AXES, Grid, edge_names, grid_keys
 from .solvers import (ParabolicScenario, SolverConfig, TransportScenario,
                       WaveScenario)
 
-__all__ = ["ConfigError", "RunPlan", "load_config", "build_plan", "load_plan"]
+__all__ = ["ConfigError", "RunPlan", "bundled_names", "load_config", "build_plan", "load_plan"]
 
 # libyaml when PyYAML was built with it; the pure parser otherwise
 _CSafeLoader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+# each YAML file shipped here is a bundled scenario, named after its file
+_BUNDLED = resources.files("isscert.configs")
 
 
 class ConfigError(ValueError):
@@ -355,7 +358,6 @@ class RunPlan:
     """Everything a run needs, built from one config document."""
 
     name: str
-    description: str
     pde: str
     scenario: object
     grid: object
@@ -365,11 +367,17 @@ class RunPlan:
     doc: dict = dc_field(default_factory=dict)
 
 
+def bundled_names() -> list:
+    """Sorted names of the bundled scenario configurations."""
+    return sorted(p.name.removesuffix(".yaml") for p in _BUNDLED.iterdir()
+                  if p.name.endswith(".yaml"))
+
+
 def load_config(source) -> dict:
     """Parse a YAML config from a path, or a bundled scenario name."""
     bundled = bundled_names()
     if isinstance(source, str) and source in bundled:
-        text = bundled_config_text(source)
+        text = _BUNDLED.joinpath(f"{source}.yaml").read_text()
     else:
         path = Path(source)
         if not path.exists():
@@ -408,7 +416,6 @@ def build_plan(doc: dict) -> RunPlan:
     # the run writes under <out>/<name>, so name must be one directory
     if not isinstance(name, str) or name in ("", ".", "..") or {os.sep, os.altsep} & set(name):
         raise ConfigError("<config>.name", f"expected a directory name, got {name!r}")
-    description = _get(doc, "description", "<config>", required=False, default="")
     pde = _get(doc, "pde", "<config>")
     if not isinstance(pde, str) or pde not in _SCENARIOS:
         raise ConfigError("<config>.pde", f"unknown pde class {pde!r}")
@@ -425,8 +432,8 @@ def build_plan(doc: dict) -> RunPlan:
     solver = _build_solver(_get(doc, "solver", "<config>"), "solver", pde)
     energy = _build_energy(doc.get("energy"), "energy", pde, scenario)
     checks = _build_checks(doc.get("checks"), "checks", pde, scenario, grid, solver.t_end)
-    return RunPlan(name=name, description=description, pde=pde, scenario=scenario,
-                   grid=grid, solver=solver, energy=energy, checks=checks, doc=doc)
+    return RunPlan(name=name, pde=pde, scenario=scenario, grid=grid, solver=solver,
+                   energy=energy, checks=checks, doc=doc)
 
 
 def load_plan(source) -> RunPlan:

@@ -1,5 +1,6 @@
-"""``tools/bench.py`` counts a pair as won in each metric's own sense, and its
-output digest covers every byte and path of a run's files."""
+"""``tools/bench.py`` counts a pair as won in each metric's own sense, marks a
+metric resolved only where its runs can tell a change of the metric's bound,
+and its output digest covers every byte and path of a run's files."""
 
 import importlib.util
 from pathlib import Path
@@ -32,6 +33,23 @@ def test_summary_counts_wins_by_the_metric_sense():
     assert p50["change_better"] == 2
     assert (rate["parent"]["median"], rate["change"]["median"]) == (10.0, 11.0)
     assert abs(rate["median_change"] - 0.1) < 1e-12
+
+
+def test_a_metric_is_resolved_by_a_tight_parent_or_a_clean_separation():
+    bench = _load_bench()
+    # certs_per_s: the parent's quartiles spread 30 % of its median, and the
+    # sides overlap; cert_s_p50: as wide, but every change run is faster
+    rates = [(8.0, 12.0), (10.0, 9.0), (12.0, 11.0), (10.0, 10.0)]
+    p50s = [(0.08, 0.07), (0.10, 0.06), (0.12, 0.05), (0.10, 0.07)]
+    runs = [run for i, ((rate_p, rate_c), (p50_p, p50_c)) in enumerate(zip(rates, p50s))
+            for run in (_run(i, "parent", rate_p, p50_p), _run(i, "change", rate_c, p50_c))]
+    better = {"certs_per_s": "higher", "cert_s_p50": "lower"}
+    wide = bench.summarize(runs, better, bounds={"certs_per_s": 0.2, "cert_s_p50": 0.2})["w"]
+    assert wide["certs_per_s"]["resolved"] is False
+    assert wide["cert_s_p50"]["resolved"] is True
+    tight = bench.summarize(runs, better, bounds={"certs_per_s": 0.5})["w"]
+    assert tight["certs_per_s"]["resolved"] is True
+    assert "resolved" not in tight["cert_s_p50"]  # no bound, no verdict
 
 
 def _tree(root, files):

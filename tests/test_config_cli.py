@@ -13,9 +13,9 @@ import yaml
 from isscert import cli
 from isscert.certify import BOUNDS, check_trajectory, prepare_bound
 from isscert.cli import main
-from isscert.config import _LEAVES, ConfigError, _leaf, build_plan, load_config, load_plan
+from isscert.config import (_LEAVES, ConfigError, _leaf, build_plan, bundled_names, load_config,
+                            load_plan)
 from isscert.fields import Grid
-from isscert.scenarios import bundled_names
 
 EXPECTED_PDE = {
     "heat_clm_demo": "parabolic",

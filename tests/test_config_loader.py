@@ -11,6 +11,7 @@ scalar, ``?`` inside a flow plain scalar); those documents go on to
 """
 
 import importlib.util
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -18,8 +19,7 @@ import yaml
 
 from isscert import config
 from isscert.cli import main
-from isscert.config import ConfigError, load_config
-from isscert.scenarios import bundled_config_text, bundled_names
+from isscert.config import ConfigError, bundled_names, load_config
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 RUN_WORKLOADS = ("parabolic_2d_flux", "parabolic_1d_mixed", "dense_record_1d")
@@ -33,6 +33,10 @@ def _workloads():
     return module
 
 
+def _bundled_text(name):
+    return resources.files("isscert.configs").joinpath(f"{name}.yaml").read_text()
+
+
 def _same_document(text):
     # repr tells 1 from 1.0 and True, and keeps key order
     fast = yaml.load(text, Loader=config._CSafeLoader)
@@ -42,8 +46,15 @@ def _same_document(text):
 
 @pytest.mark.parametrize("name", bundled_names())
 def test_both_parsers_read_a_bundled_config_alike(name):
-    doc = _same_document(bundled_config_text(name))
+    doc = _same_document(_bundled_text(name))
     assert repr(load_config(name)) == repr(doc)
+
+
+def test_a_bundled_name_wins_over_a_file_of_that_name(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "heat_clm_demo").write_text("name: impostor\n")
+    assert load_config("./heat_clm_demo") == {"name": "impostor"}
+    assert load_config("heat_clm_demo") == yaml.safe_load(_bundled_text("heat_clm_demo"))
 
 
 @pytest.mark.parametrize("workload", RUN_WORKLOADS)
@@ -83,7 +94,7 @@ def test_a_doubly_refused_text_reports_the_pure_message(tmp_path):
 
 @LIBYAML
 def test_a_tab_inside_a_plain_description_runs(tmp_path, capsys):
-    text = bundled_config_text("transport_steady").replace(
+    text = _bundled_text("transport_steady").replace(
         "description: recirculating transport", "description: seeded\trun of transport")
     with pytest.raises(yaml.YAMLError):
         yaml.safe_load(text)
@@ -95,8 +106,7 @@ def test_a_tab_inside_a_plain_description_runs(tmp_path, capsys):
 
 @LIBYAML
 def test_a_question_mark_inside_a_flow_scalar_reaches_validation(tmp_path, capsys):
-    text = bundled_config_text("transport_steady").replace("{kind: transport_q,",
-                                                           "{kind: a?b,")
+    text = _bundled_text("transport_steady").replace("{kind: transport_q,", "{kind: a?b,")
     with pytest.raises(yaml.YAMLError):
         yaml.safe_load(text)
     cfg = tmp_path / "queried.yaml"

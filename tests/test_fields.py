@@ -312,6 +312,17 @@ def _reference_csv(traj, name):
     return "".join(lines)
 
 
+def _assert_matches_reference(path, traj, name):
+    """Compare line lists, and on a mismatch report only the first differing
+    line: pytest's diff of two whole CSV texts can take minutes."""
+    got, want = path.read_text().split("\n"), _reference_csv(traj, name).split("\n")
+    if got != want:
+        i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                 min(len(got), len(want)))
+        assert got[i:i + 1] == want[i:i + 1], \
+            f"line {i} differs first ({len(got)} lines, {len(want)} expected)"
+
+
 def _forked_stamps(grid, names, parity):
     """The least stamp count of the given parity whose CSV has _FORK_ROWS rows."""
     stamps = -(-_FORK_ROWS // (grid.npoints * len(names)))
@@ -364,7 +375,7 @@ def test_write_csv_matches_row_reference(tmp_path, two_cpus, layout, names, pari
     paths = traj.write_csv(tmp_path)
     assert len(two_cpus) == (parity is not None)
     for name, path in zip(names, paths):
-        assert path.read_text() == _reference_csv(traj, name)
+        _assert_matches_reference(path, traj, name)
     _assert_no_part_and_no_child(tmp_path)
 
 
@@ -383,7 +394,7 @@ def test_small_outputs_never_fork(tmp_path, monkeypatch, rows, cpus):
     stamps = _forked_stamps(grid, ("u",), 1) - (2 if rows == "below" else 0)
     assert (stamps * grid.npoints >= _FORK_ROWS) == (rows == "above")
     traj = _odd_trajectory("node", ("u",), stamps)
-    assert traj.write_csv(tmp_path)[0].read_text() == _reference_csv(traj, "u")
+    _assert_matches_reference(traj.write_csv(tmp_path)[0], traj, "u")
 
 
 def test_forked_writer_failure_names_the_file(tmp_path, two_cpus, monkeypatch):

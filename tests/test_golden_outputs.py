@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from isscert.cli import main
-from isscert.scenarios import bundled_names
+from isscert.config import bundled_names
 
 GOLDEN = Path(__file__).parent / "data" / "golden_sha256.txt"
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -10,10 +10,9 @@ under ``.bench_build/`` and run the ``perfbench/run.py`` of their own
 tree, in alternation, the side that goes first switching from pair to
 pair, at seed 11 and 8 s a run:
 
-- ten pairs of ``--trace 0`` runs on ``parabolic_2d_flux``, and three on
-  every other workload in BENCHMARK.json;
-- two pairs of ``--trace 1`` runs on ``parabolic_2d_flux``, for the
-  per-layer metrics (``config.load_plan_s`` among them) of both sides;
+- ten pairs of ``--trace 0`` runs on every workload in BENCHMARK.json;
+- two pairs of ``--trace 1`` runs on every workload, for the per-layer
+  metrics (``config.load_plan_s`` among them) of both sides;
 - the wall time of ``isscert run NAME`` for every bundled scenario, of
   ``isscert verify all``, and of ``python -c "import isscert.cli"`` as
   the import layer, each in a fresh interpreter, three alternating times a
@@ -25,8 +24,10 @@ pair, at seed 11 and 8 s a run:
 The file holds the two commits, the host, the versions, every run's
 metrics and raw info line, every wall time and a summary per workload and
 trace setting: each side's median and quartiles and the pairs the change
-won.  A pair whose two runs wrote different report digests is recorded as
-such.
+won.  An end-to-end metric is marked resolved when the parent's quartile
+spread, over its median, is within the metric's BENCHMARK.json bound, or
+when every change run reads better than every parent run.  A pair whose
+two runs wrote different report digests is recorded as such.
 """
 
 from __future__ import annotations
@@ -60,9 +61,7 @@ RUN_TIMEOUT_S = 600
 WALL_TIMEOUT_S = 120
 SEED = 11
 SECONDS = 8.0
-CLAIM = "parabolic_2d_flux"
-CLAIM_PAIRS = 10
-OTHER_PAIRS = 3
+PAIRS = 10
 TRACED_PAIRS = 2
 WALL_REPEATS = 3
 
@@ -139,10 +138,12 @@ def quartiles(values) -> dict:
     return {"median": statistics.median(ordered), "q1": q[0], "q3": q[2], "n": len(ordered)}
 
 
-def summarize(runs: list, better: dict, trace: int = 0) -> dict:
+def summarize(runs: list, better: dict, trace: int = 0, bounds: dict | None = None) -> dict:
     """Per workload and metric of the runs at this trace setting: each side's
     median and quartiles, and in how many pairs the change read better (ties
-    count for neither)."""
+    count for neither).  A metric with a bound is resolved when the parent's
+    quartile spread is within bound times its median, or when every change
+    run reads better than every parent run."""
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs if r["trace"] == trace):
         pairs = {}
@@ -161,6 +162,11 @@ def summarize(runs: list, better: dict, trace: int = 0) -> dict:
             row[name] = {"parent": parent, "change": change, "change_better": wins,
                          "median_change": change["median"] / parent["median"] - 1.0
                          if parent["median"] else None}
+            if bounds and name in bounds:
+                row[name]["resolved"] = (
+                    parent["q3"] - parent["q1"] <= bounds[name] * abs(parent["median"])
+                    or min(sign * c for c in sides["change"])
+                    > max(sign * p for p in sides["parent"]))
         out[workload] = row
     return out
 
@@ -188,9 +194,8 @@ def main(argv=None) -> int:
     trees = {"parent": export(parent, work), "change": export(change, work)}
     try:
         runs = []
-        schedule = [(CLAIM, 0)] * CLAIM_PAIRS + [
-            (w, 0) for w in workloads if w != CLAIM for _ in range(OTHER_PAIRS)] + [
-            (CLAIM, 1)] * TRACED_PAIRS
+        schedule = [(w, trace) for trace, pairs in ((0, PAIRS), (1, TRACED_PAIRS))
+                    for w in workloads for _ in range(pairs)]
         for i, (workload, trace) in enumerate(schedule):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {}
@@ -222,6 +227,7 @@ def main(argv=None) -> int:
             pass
 
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     layers = {m["name"]: m["better"] for m in spec["per_layer"]}
     wall_summary = {}
     for cmd in commands:
@@ -243,10 +249,9 @@ def main(argv=None) -> int:
         "versions": {"python": sys.version.split()[0], "numpy": numpy.__version__,
                      "scipy": scipy.__version__, "pyyaml": yaml.__version__,
                      "libyaml": yaml.__with_libyaml__},
-        "settings": {"seed": SEED, "seconds": SECONDS, "claim": CLAIM,
-                     "claim_pairs": CLAIM_PAIRS, "other_pairs": OTHER_PAIRS,
+        "settings": {"seed": SEED, "seconds": SECONDS, "pairs": PAIRS,
                      "traced_pairs": TRACED_PAIRS, "wall_repeats": WALL_REPEATS},
-        "summary": summarize(runs, better),
+        "summary": summarize(runs, better, bounds=bounds),
         "traced_summary": summarize(runs, layers, trace=1),
         "wall_summary": wall_summary,
         "runs": runs,
