@@ -11,9 +11,9 @@ switch off wherever the state sits below the truncation level, which is
 what makes them useful for certifying input-to-state decay: disturbances
 move the level, not the energy.
 
-G obeys a small algebra of pointwise inequalities, numbered G1 through G8
-(see :func:`property_sides` for the exact statements).  The certification
-suite checks them numerically; everything downstream leans on them.
+G obeys pointwise facts numbered G1 through G8.  :func:`property_sides`
+states the inequalities G4-G8; ``verify.verify_trunc`` checks those, and
+G1-G3 and scaling directly.  Everything downstream leans on them.
 
 The module also carries the two workhorse scalar facts used by every decay
 argument in this package: Young's product inequality with a free splitting
