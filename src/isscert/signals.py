@@ -5,7 +5,9 @@ polynomial) on t >= 0.  Its extremes over [0, e] are exact: they lie at 0,
 at e or at one of the kind's critical times (sinusoid crests and troughs,
 real roots of a polynomial's derivative).  :func:`signal_range` is the one
 place they are taken; one call returns the running (min, max) over a whole
-array of window ends, so each is monotone in the end.
+array of window ends, so each is monotone in the end.  A signal called
+at a Python float, as steppers call it once a step, takes the array
+evaluation's operations on floats, with the bits of the array path.
 
 A space-time field is a time signal times an optional spatial profile,
 f(y, t) = profile(y) * signal(t); without a profile it is spatially
@@ -15,7 +17,8 @@ products of the profile's extremes there and the signal's
 (:func:`sup_field`), so every one is exact.  A field bound to fixed points
 (:class:`BoundField`) holds its profile's values there, so a stepper that
 binds its fields once per solve evaluates only their signals at each step,
-with the bits of evaluating the field anew.
+with the bits of evaluating the field anew; a field whose signal is
+constant is evaluated once, at bind.
 """
 
 from __future__ import annotations
@@ -103,11 +106,16 @@ class TimeSignal:
     def __call__(self, t):
         if isinstance(t, float):
             # fields call this once per step: a float skips the array
-            # checks, and a constant is its parameter, which is what the
-            # array evaluation gives
+            # checks.  A constant is its parameter.  A sinusoid or an
+            # exp_decay evaluates on the float itself, the same operations
+            # with np.sin or np.exp for the transcendental, so the bits are
+            # the array evaluation's; a polynomial's powers stay on arrays,
+            # where numpy's power and Python's differ in the last bit
             if t < 0:
                 raise ValueError("signals are defined for t >= 0")
-            return self.params[0] if self.kind == "constant" else float(self._eval(np.asarray(t)))
+            if self.kind == "constant":
+                return self.params[0]
+            return float(self._eval(np.asarray(t) if self.kind == "polynomial" else t))
         t_arr = np.asarray(t, dtype=float)
         if (t_arr < 0).any():
             raise ValueError("signals are defined for t >= 0")
@@ -210,19 +218,29 @@ class BoundField:
     ``bound(t)`` has the bits of ``fld(y, t)``, a float when y is one point
     and else an array of y's shape, but the profile was evaluated on y
     once, by :meth:`SpaceTimeField.bind`: a call evaluates the signal and
-    forms the same product.  Steppers bind every field once per solve.
+    forms the same product.  A constant signal's field does not change
+    with t, so it is evaluated once, at bind, and every call (t < 0 still
+    raises) returns that one value, an array read-only.  Steppers bind
+    every field once per solve.
     """
 
-    __slots__ = ("signal", "values", "shape")
+    __slots__ = ("signal", "values", "shape", "fixed")
 
     def __init__(self, fld: SpaceTimeField, y):
         self.signal = fld.signal
         # the profile's values as it returns them; None when uniform
         self.values = None if fld.profile is None else fld.profile(y)
         self.shape = _shape(y) if self.values is None else np.shape(self.values)
+        self.fixed = None
+        if self.signal.kind == "constant":
+            self.fixed = self(0.0)
+            if self.shape:
+                self.fixed.flags.writeable = False
 
     def __call__(self, t):
         value = self.signal(float(t))
+        if self.fixed is not None:
+            return self.fixed
         if self.values is None:
             return np.full(self.shape, value) if self.shape else value
         out = self.values * value

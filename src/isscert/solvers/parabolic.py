@@ -30,12 +30,14 @@ loop all steppers share, :func:`~isscert.solvers.common.march`.  It binds
 every field to its points once per solve
 (:meth:`~isscert.signals.SpaceTimeField.bind`): a on the faces, c and f
 on the nodes, d1 and d2 on the boundary points, so a step evaluates the
-fields' time signals only.  Each sweep factors its band once per operator
-(LAPACK gttrf), with the unit responses of its flux ends, and a step
-solves one right-hand side (gttrs); a new h, dt or diffusivity, such as a
-time-varying a or a shorter last step, refactors.  A run whose states
-reach beyond the range :meth:`ParabolicScenario.validate` samples has its
-maps checked again over the range it reached.
+fields' time signals only, and a field of a constant signal not at all.
+Each sweep factors its band once per operator (LAPACK gttrf), with the
+unit responses of its flux ends, and a step solves one right-hand side
+(gttrs); a new h, dt or diffusivity, such as a time-varying a or a
+shorter last step, refactors.  A closure's residual is one expression
+per end layout, with no loop over the ends' response terms.  A run whose
+states reach beyond the range :meth:`ParabolicScenario.validate` samples
+has its maps checked again over the range it reached.
 """
 
 from __future__ import annotations
@@ -342,8 +344,9 @@ def _line_responses(band, w_old, h, dt, af, src, bc_lo, bc_hi):
     key = (h, dt, kinds, af.shape, af.tobytes())
     if band.key != key:
         band.factor(key, h, dt, af, kinds)
-    rhs = np.empty((n_lines, m))
-    rhs[:, 1:m - 1] = w_old[:, 1:m - 1] + dt * src[:, 1:m - 1]
+    # w_old + dt*src in two passes over one C-ordered array, end columns set after
+    rhs = np.multiply(dt, src, order="C")
+    rhs += w_old
     for i, (kind, value) in ((0, bc_lo), (m - 1, bc_hi)):
         rhs[:, i] = value if kind == "dirichlet" else 0.0
     if not np.isfinite(rhs).all():
@@ -374,7 +377,8 @@ def _solve_lines(band, w_old, h, dt, af, src, bc_lo, bc_hi, varphi, bc_tol):
     close = _close_line if w_old.shape[0] == 1 else _close_stack
     ends = close(h, dt, w_old, src, base, resp, af, {"lo": bc_lo[1], "hi": bc_hi[1]},
                  varphi, bc_tol)
-    w = base.copy()
+    # base is this call's own array, and the closure no longer reads it
+    w = base
     for end, r in resp.items():
         w += ends[end] * r
     if bc_lo[0] == "dirichlet":
@@ -386,25 +390,37 @@ def _solve_lines(band, w_old, h, dt, af, src, bc_lo, bc_hi, varphi, bc_tol):
 
 def _end_factors(end, pick, h, w_old, src, base, resp, af, d2):
     """The factors of end's balance that stay fixed through its closures:
-    w_i, src_i, base_k, c_d2, c_face and the (own, r_k) terms of the flux
-    responses, read through pick(array, column) and the end's data d2."""
+    w_i, src_i, base_k, c_d2, c_face and the responses r_lo and r_hi of
+    the low and high flux ends at its inner neighbour (None for a
+    Dirichlet end), read through pick(array, column) and the end's data d2."""
     m = w_old.shape[1]
     # node, inner neighbour and face of the end
     i, k, f = (0, 1, 0) if end == "lo" else (m - 1, m - 2, m - 2)
+    r_lo, r_hi = (pick(resp[e], k) if e in resp else None for e in ("lo", "hi"))
     return (pick(w_old, i), pick(src, i), pick(base, k), (2.0 / h) * d2,
-            (2.0 / h**2) * pick(af, f), [(e == end, pick(r, k)) for e, r in resp.items()])
+            (2.0 / h**2) * pick(af, f), r_lo, r_hi)
 
 
-def _residual(dt, c_phi, law, w_i, src_i, base_k, c_d2, c_face, terms):
-    """The balance of an end with factors :func:`_end_factors`, as a
-    function of its value b and the other flux end's value, if any."""
-    def residual(b, other=0.0):
-        val = base_k
-        for own, r_k in terms:
-            val = val + (b if own else other) * r_k
-        return ((b - w_i) / dt + c_phi * law(b) - c_d2
-                + c_face * (b - val) - src_i)
+def _residual(end, dt, c_phi, law, w_i, src_i, base_k, c_d2, c_face, r_lo, r_hi):
+    """The balance of end with factors :func:`_end_factors`, as a function
+    of its value b and the other flux end's value, if any.  The inner
+    node's value adds b's and the other value's response terms to base_k
+    in the order lo, hi; the high end's keeps other*r_lo at other = 0.0,
+    which sets the sign of a zero sum."""
+    if r_lo is None or r_hi is None:
+        r_k = r_hi if r_lo is None else r_lo
 
+        def residual(b, other=0.0):
+            return ((b - w_i) / dt + c_phi * law(b) - c_d2
+                    + c_face * (b - (base_k + b * r_k)) - src_i)
+    elif end == "lo":
+        def residual(b, other=0.0):
+            return ((b - w_i) / dt + c_phi * law(b) - c_d2
+                    + c_face * (b - (base_k + b * r_lo + other * r_hi)) - src_i)
+    else:
+        def residual(b, other=0.0):
+            return ((b - w_i) / dt + c_phi * law(b) - c_d2
+                    + c_face * (b - (base_k + other * r_lo + b * r_hi)) - src_i)
     return residual
 
 
@@ -424,13 +440,13 @@ def _close(bisect, clip, dt, c_phi, law, factors):
     x(y), which amplifies errors by s/beta.  The clip keeps F at +-inf,
     never NaN, where beta underflows.
     """
-    res = {end: _residual(dt, c_phi, law, *fac) for end, fac in factors.items()}
+    res = {end: _residual(end, dt, c_phi, law, *fac) for end, fac in factors.items()}
     if len(res) == 1:
         ((end, residual),) = res.items()
         return {end: bisect(residual, factors[end][0])}
     lo, hi = res["lo"], res["hi"]
-    w_hi, *_, c_face, terms = factors["hi"]
-    beta = c_face * next(r_k for own, r_k in terms if not own)
+    w_hi, *_, c_face, r_lo, _ = factors["hi"]
+    beta = c_face * r_lo
     y = bisect(lambda y: lo(clip(hi(y), beta), y), w_hi)
     return {"lo": bisect(lambda x: lo(x, y), factors["lo"][0]), "hi": y}
 

@@ -1,9 +1,13 @@
 """``tools/bench.py`` counts a pair as won in each metric's own sense, marks a
 metric resolved only where its runs can tell a change of the metric's bound,
-and its output digest covers every byte and path of a run's files."""
+its output digest covers every byte and path of a run's files, and its
+grid-size sweep solves copies of the bundled configs at each grid size."""
 
 import importlib.util
+import statistics
 from pathlib import Path
+
+from isscert.config import load_plan
 
 BENCH = Path(__file__).resolve().parents[1] / "tools" / "bench.py"
 
@@ -71,3 +75,16 @@ def test_output_digest_covers_every_byte_and_path(tmp_path):
     renamed = {("run/trajectory_u.csv" if k == "run/trajectory.csv" else k): v
                for k, v in files.items()}
     assert bench.tree_sha256(_tree(tmp_path / "d", renamed)) != digest
+
+
+def test_sweep_solves_each_bundled_config_at_each_grid_size(tmp_path):
+    bench = _load_bench()
+    root = BENCH.parents[1]
+    paths = bench.sweep_configs(root, tmp_path)
+    assert list(paths) == [(name, n) for name, sizes in bench.SWEEP.items() for n in sizes]
+    for (name, n), path in paths.items():
+        plan = load_plan(str(path))
+        assert plan.name == name and plan.grid.cells == (n,) * plan.grid.dim
+    point = bench.sweep_point(root, paths["parabolic_demo", 16], solves=2)
+    assert (point["steps"], point["points"]) == (750, 17) and len(point["solve_s"]) == 2
+    assert point["point_step_s"] == statistics.median(point["solve_s"]) / (750 * 17) > 0

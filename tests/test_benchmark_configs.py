@@ -1,5 +1,5 @@
-"""The benchmark's run workloads certify cleanly, and the parabolic rounds
-keep their bytes.
+"""The benchmark's run workloads certify cleanly, and their rounds keep
+their bytes.
 
 ``perfbench/workloads.py`` draws the configs the benchmark runs, and the
 benchmark counts a run that exits nonzero or ends with another status as
@@ -7,11 +7,12 @@ a failed operation.  This test writes one seed-11 round of each run
 workload and runs every config through the public entry point.
 
 ``data/benchmark_round_sha256.txt`` holds, in ``sha256sum`` format, the
-SHA-256 of every file those runs write for ``parabolic_1d_mixed`` and
-``parabolic_2d_flux``, under ``<workload>/``: the golden list covers only
-the bundled demos' corner of parameter space, and these rounds reach flux
-ends on 1-D lines of 160-240 points and 2-D stacks of 32-64 lines.
-``dense_record_1d`` (transport and wave) is not pinned.  The list was
+SHA-256 of every file those runs write, under ``<workload>/``: the golden
+list covers only the bundled demos' corner of parameter space.  The
+parabolic rounds reach flux ends on 1-D lines of 160-240 points and 2-D
+stacks of 32-64 lines; the ``dense_record_1d`` round (transport and wave,
+every step recorded) evaluates its time signals at every step, through
+the boundary data d(t) and separable forcing.  The list was
 recorded with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1; another
 toolchain may round a float differently, and then this test reports the
 files whose hash moved.
@@ -27,7 +28,7 @@ from isscert.cli import main
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 ROUND_SHA256 = Path(__file__).parent / "data" / "benchmark_round_sha256.txt"
-PINNED = ("parabolic_2d_flux", "parabolic_1d_mixed")
+PINNED = ("parabolic_2d_flux", "parabolic_1d_mixed", "dense_record_1d")
 
 
 def _load_workloads():

@@ -335,13 +335,32 @@ def stepper_times(dt=0.002, steps=60):
     return times
 
 
-@pytest.mark.parametrize("signal_kind", sorted(_LEAVES["signal"]))
-def test_signal_float_path_matches_array_evaluation(signal_kind):
-    sig = leaf("signal", signal_kind)
-    times = stepper_times()
-    for t, arr in zip(times, sig(np.array(times))):
-        assert type(sig(t)) is float
-        assert sig(t) == arr
+def bits(x):
+    """The IEEE bits of a float or float array, so -0.0 differs from 0.0."""
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+# signals outside the config leaves' corner: negative frequencies, phases
+# past 2*pi, and decay rates large enough to underflow or growing
+FLOAT_PATH_SIGNALS = [
+    TimeSignal.sinusoid(1.3, -1.7, 0.4, 0.1),
+    TimeSignal.sinusoid(-2.5, 123.4, -7.0, 0.3),
+    TimeSignal.sinusoid(0.7, -0.013, 0.0, -1e-3),
+    TimeSignal.exp_decay(1.3, 250.0, 0.1),
+    TimeSignal.exp_decay(-0.7, 1e4, -0.2),
+    TimeSignal.exp_decay(0.5, -0.01, 0.0),
+]
+
+
+@pytest.mark.parametrize("sig", [leaf("signal", kind) for kind in sorted(_LEAVES["signal"])]
+                         + FLOAT_PATH_SIGNALS, ids=lambda sig: f"{sig.kind}{sig.params}")
+def test_signal_float_path_matches_array_evaluation(sig):
+    # a stepper's accumulated times, and times up to 1e4 where the phase's
+    # rounding is coarse
+    times = stepper_times() + np.geomspace(1e-6, 1e4, 400).tolist() + [-0.0]
+    got = [sig(t) for t in times]
+    assert all(type(v) is float for v in got)
+    assert np.array_equal(bits(got), bits(sig(np.array(times))))
 
 
 @pytest.mark.parametrize("signal_kind", sorted(_LEAVES["signal"]))
@@ -371,3 +390,35 @@ def test_bound_field_is_profile_times_signal(signal_kind, dim, profile_kind):
             else:
                 assert got.dtype == float and np.array_equal(got, want)
             assert np.array_equal(fld(y, t), got)
+
+
+@pytest.mark.parametrize("dim,profile_kind",
+                         [(1, None)] + [(1, k) for k in sorted(_LEAVES["profile"])]
+                         + [(2, k) for k in sorted(_LEAVES["2D profile"])])
+def test_constant_bound_field_is_evaluated_once_and_read_only(dim, profile_kind):
+    # a constant signal's field is the same at every t: bind evaluates it
+    # once, and every call returns that value, with the bits of the
+    # definition and of a field bound anew
+    sig = TimeSignal.constant(-0.35)
+    if profile_kind is None:
+        fld = SpaceTimeField.from_signal(sig)
+    else:
+        fld = SpaceTimeField.separable(
+            leaf("2D profile" if dim == 2 else "profile", profile_kind, dim), sig)
+    for y in stepper_point_sets(dim):
+        bound = fld.bind(y)
+        first = bound(0.0)
+        for t in stepper_times() + [1e4]:
+            got = bound(t)
+            want = (np.full(np.broadcast(*y).shape if isinstance(y, tuple) else np.shape(y),
+                            -0.35) if fld.profile is None else fld.profile(y) * -0.35)
+            assert np.array_equal(bits(got), bits(want))
+            assert np.array_equal(bits(got), bits(fld(y, t)))
+            if np.ndim(want) == 0:
+                assert type(got) is float
+            else:
+                assert got is first and not got.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    got[...] = 0.0
+        with pytest.raises(ValueError, match="t >= 0"):
+            bound(-1e-3)

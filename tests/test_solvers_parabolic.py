@@ -698,6 +698,64 @@ def test_lockstep_clip_has_the_bits_of_np_clip():
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def loop_residual(end, dt, c_phi, law, w_i, src_i, base_k, c_d2, c_face, r_lo, r_hi):
+    """An end's balance with the inner node's value summed in a loop over
+    the flux ends' response terms, lo then hi: the form the closure's
+    residual must match bit for bit."""
+    terms = [(e == end, r) for e, r in (("lo", r_lo), ("hi", r_hi)) if r is not None]
+
+    def residual(b, other=0.0):
+        val = base_k
+        for own, r_k in terms:
+            val = val + (b if own else other) * r_k
+        return ((b - w_i) / dt + c_phi * law(b) - c_d2
+                + c_face * (b - val) - src_i)
+
+    return residual
+
+
+def residual_factors(rng, n):
+    """w_i, src_i, base_k, c_d2, c_face, r_lo, r_hi, b and other: n random
+    draws over twelve decades and both signs, some of them signed zeros,
+    then every combination of signed zeros with responses of either sign."""
+    draws = rng.choice([-1.0, 1.0], (9, n)) * 10.0 ** rng.uniform(-6.0, 6.0, (9, n))
+    zero = rng.random((9, n)) < 0.15
+    draws[zero] = np.copysign(0.0, draws[zero])
+    zeros = [0.0, -0.0]
+    grid = np.meshgrid(zeros, zeros, zeros, zeros, [1.0, -0.0], [0.25, -0.25, -0.0],
+                       [0.5, -0.5, 0.0], zeros, zeros, indexing="ij")
+    return np.concatenate([draws, np.array([g.ravel() for g in grid])], axis=1)
+
+
+@pytest.mark.parametrize("end,ends", [("lo", ("lo",)), ("hi", ("hi",)),
+                                      ("lo", ("lo", "hi")), ("hi", ("lo", "hi"))])
+def test_closure_residual_has_the_bits_of_the_loop(end, ends):
+    # the residual's inner-node sum is unrolled: base_k + b*r_lo + other*r_hi
+    # at the low end, base_k + other*r_lo + b*r_hi at the high end, the
+    # latter keeping 0.0*r_lo at other = 0.0, which can set a zero's sign
+    w_i, src_i, base_k, c_d2, c_face, r_lo, r_hi, b, other = residual_factors(
+        np.random.default_rng(26), 3000)
+    r_lo, r_hi = (r if e in ends else None for e, r in (("lo", r_lo), ("hi", r_hi)))
+    factors = (w_i, src_i, base_k, c_d2, c_face, r_lo, r_hi)
+
+    def bits(x):
+        return np.asarray(x, dtype=float).view(np.uint64)
+
+    for law in (lambda v: v, cubic(3.0)):
+        # the lockstep layout on arrays
+        got, want = (form(end, 0.002, 400.0, law, *factors)
+                     for form in (parabolic._residual, loop_residual))
+        assert np.array_equal(bits(got(b)), bits(want(b)))
+        assert np.array_equal(bits(got(b, other)), bits(want(b, other)))
+        # the float layout, on every 7th entry
+        for j in range(0, b.size, 7):
+            one = [None if f is None else f[j].item() for f in factors]
+            got, want = (form(end, 0.002, 400.0, lambda v: float(law(v)), *one)
+                         for form in (parabolic._residual, loop_residual))
+            for call in ((b[j].item(),), (b[j].item(), other[j].item())):
+                assert type(got(*call)) is float and bits(got(*call)) == bits(want(*call))
+
+
 # ---------------------------------------------------------------------------
 # batched 2-D stepper against one line solve at a time
 

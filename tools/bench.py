@@ -19,11 +19,19 @@ pair, at seed 11 and 8 s a run:
   side, with the host-speed probe taken before each.  Each wall run
   starts in an empty directory and writes its outputs there; the digests
   of its stdout and of every file it left there are recorded, so equal
-  digests on both sides show equal output bytes, CSVs included.
+  digests on both sides show equal output bytes, CSVs included;
+- a grid-size sweep: solve seconds per point-step (one grid node through
+  one step) of ``parabolic_demo`` at n = 16 to 256 cells and of
+  ``parabolic_2d_demo`` at n = 16 to 64 cells an axis.  Both sides solve
+  the same copies of the bundled configs, written with that grid, each in
+  a fresh interpreter, three alternating times a side; a point is the
+  median of five solves after an untimed one, so imports and first
+  factorisations stay out of it.
 
 The file holds the two commits, the host, the versions, every run's
-metrics and raw info line, every wall time and a summary per workload and
-trace setting: each side's median and quartiles and the pairs the change
+metrics and raw info line, every wall time and sweep point, and a summary
+per workload and trace setting, wall command and sweep point: each side's
+median and quartiles and the pairs the change
 won.  An end-to-end metric is marked resolved when the parent's quartile
 spread, over its median, is within the metric's BENCHMARK.json bound, or
 when every change run reads better than every parent run.  A pair whose
@@ -64,6 +72,24 @@ SECONDS = 8.0
 PAIRS = 10
 TRACED_PAIRS = 2
 WALL_REPEATS = 3
+# the bundled configs swept, with their cells an axis, and the solves timed a point
+SWEEP = {"parabolic_demo": (16, 32, 64, 128, 256), "parabolic_2d_demo": (16, 32, 64)}
+SWEEP_SOLVES = 5
+
+_SWEEP_SNIPPET = """\
+import json, sys, time
+from isscert.config import load_plan
+from isscert.solvers import solve_parabolic
+plan = load_plan(sys.argv[1])
+solve_parabolic(plan.scenario, plan.grid, plan.solver)
+times = []
+for _ in range(int(sys.argv[2])):
+    t0 = time.perf_counter()
+    traj = solve_parabolic(plan.scenario, plan.grid, plan.solver)
+    times.append(time.perf_counter() - t0)
+print(json.dumps({"solve_s": times, "steps": traj.counters["steps"],
+                  "points": plan.grid.npoints}))
+"""
 
 
 def git(*args) -> str:
@@ -113,13 +139,19 @@ def tree_sha256(directory: Path) -> str:
     return digest.hexdigest()
 
 
+def tree_env(tree: Path) -> dict:
+    """The environment of a fresh interpreter that imports isscert from tree."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0")
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    return env
+
+
 def wall(tree: Path, args: list) -> dict:
     """Wall seconds of one ``python ARGS`` in a fresh interpreter started in an
     empty directory, with the digests of its stdout and of every file it left
     in that directory."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
+    env = tree_env(tree)
     with tempfile.TemporaryDirectory(prefix="isscert-bench-") as out:
         probe = hostspeed.probe()
         t0 = time.perf_counter()
@@ -130,6 +162,34 @@ def wall(tree: Path, args: list) -> dict:
     return {"wall_s": elapsed, "probe_s": probe, "exit": proc.returncode,
             "stdout_sha256": hashlib.sha256(proc.stdout).hexdigest(),
             "outputs_sha256": outputs}
+
+
+def sweep_configs(tree: Path, directory: Path) -> dict:
+    """{(name, n): path} of a copy of each swept bundled config of tree,
+    written under directory with n cells along every axis of its grid."""
+    paths = {}
+    for name, sizes in SWEEP.items():
+        doc = yaml.safe_load((tree / "src" / "isscert" / "configs" / f"{name}.yaml").read_text())
+        for n in sizes:
+            doc["grid"] = {key: value if key == "layout" else n
+                           for key, value in doc["grid"].items()}
+            paths[name, n] = directory / f"{name}_n{n}.yaml"
+            paths[name, n].write_text(yaml.safe_dump(doc, sort_keys=False))
+    return paths
+
+
+def sweep_point(tree: Path, config: Path, solves: int = SWEEP_SOLVES) -> dict:
+    """Solve seconds per point-step of config in a fresh interpreter that
+    imports isscert from tree: the median of solves timed solves after an
+    untimed one, with the steps, the grid points and the host-speed probe."""
+    probe = hostspeed.probe()
+    proc = subprocess.run([sys.executable, "-c", _SWEEP_SNIPPET, str(config), str(solves)],
+                          env=tree_env(tree), capture_output=True, text=True,
+                          timeout=WALL_TIMEOUT_S, check=True)
+    res = json.loads(proc.stdout.splitlines()[-1])
+    return {"point_step_s": statistics.median(res["solve_s"]) / (res["steps"] * res["points"]),
+            "solve_s": res["solve_s"], "steps": res["steps"], "points": res["points"],
+            "probe_s": probe}
 
 
 def quartiles(values) -> dict:
@@ -218,6 +278,15 @@ def main(argv=None) -> int:
             for k in range(WALL_REPEATS):
                 for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
                     walls.append({"command": cmd, "side": side, **wall(trees[side], args_)})
+
+        sweep = []
+        with tempfile.TemporaryDirectory(prefix="isscert-sweep-") as configs:
+            for (name, n), config in sweep_configs(trees["change"], Path(configs)).items():
+                for k in range(WALL_REPEATS):
+                    for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+                        print(f"sweep: {name} n={n} {side}", file=sys.stderr, flush=True)
+                        sweep.append({"config": name, "n": n, "side": side,
+                                      **sweep_point(trees[side], config)})
     finally:
         for tree in trees.values():
             shutil.rmtree(tree, ignore_errors=True)
@@ -238,6 +307,13 @@ def main(argv=None) -> int:
             "exits": sorted({w["exit"] for w in mine}),
             "same_stdout": len({w["stdout_sha256"] for w in mine}) == 1,
             "same_outputs": len({w["outputs_sha256"] for w in mine}) == 1}
+    sweep_summary = {}
+    for name, n in dict.fromkeys((p["config"], p["n"]) for p in sweep):
+        mine = [p for p in sweep if (p["config"], p["n"]) == (name, n)]
+        sweep_summary[f"{name} n={n}"] = {
+            "steps": mine[0]["steps"], "points": mine[0]["points"],
+            **{side: quartiles([p["point_step_s"] for p in mine if p["side"] == side])
+               for side in ("parent", "change")}}
     report = {
         "command": shlex.join(["python3", "tools/bench.py", *(argv or sys.argv[1:])]),
         "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -250,12 +326,16 @@ def main(argv=None) -> int:
                      "scipy": scipy.__version__, "pyyaml": yaml.__version__,
                      "libyaml": yaml.__with_libyaml__},
         "settings": {"seed": SEED, "seconds": SECONDS, "pairs": PAIRS,
-                     "traced_pairs": TRACED_PAIRS, "wall_repeats": WALL_REPEATS},
+                     "traced_pairs": TRACED_PAIRS, "wall_repeats": WALL_REPEATS,
+                     "sweep": {name: list(sizes) for name, sizes in SWEEP.items()},
+                     "sweep_solves": SWEEP_SOLVES},
         "summary": summarize(runs, better, bounds=bounds),
         "traced_summary": summarize(runs, layers, trace=1),
         "wall_summary": wall_summary,
+        "sweep_summary": sweep_summary,
         "runs": runs,
         "walls": walls,
+        "sweep": sweep,
     }
     Path(args.out).write_text(json.dumps(report, indent=1, sort_keys=False) + "\n")
     print(f"wrote {args.out}", file=sys.stderr)
