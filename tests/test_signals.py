@@ -342,19 +342,19 @@ def bits(x):
 
 # signals outside the config leaves' corner: negative frequencies, phases
 # past 2*pi, and decay rates large enough to underflow or growing
-FLOAT_PATH_SIGNALS = [
-    TimeSignal.sinusoid(1.3, -1.7, 0.4, 0.1),
-    TimeSignal.sinusoid(-2.5, 123.4, -7.0, 0.3),
-    TimeSignal.sinusoid(0.7, -0.013, 0.0, -1e-3),
-    TimeSignal.exp_decay(1.3, 250.0, 0.1),
-    TimeSignal.exp_decay(-0.7, 1e4, -0.2),
-    TimeSignal.exp_decay(0.5, -0.01, 0.0),
-]
+FLOAT_PATH_SIGNALS = {
+    "sinusoid_negative_frequency": TimeSignal.sinusoid(1.3, -1.7, 0.4, 0.1),
+    "sinusoid_fast": TimeSignal.sinusoid(-2.5, 123.4, -7.0, 0.3),
+    "sinusoid_slow_negative_frequency": TimeSignal.sinusoid(0.7, -0.013, 0.0, -1e-3),
+    "exp_decay_fast": TimeSignal.exp_decay(1.3, 250.0, 0.1),
+    "exp_decay_underflowing": TimeSignal.exp_decay(-0.7, 1e4, -0.2),
+    "exp_decay_growing": TimeSignal.exp_decay(0.5, -0.01, 0.0),
+}
 
 
-@pytest.mark.parametrize("sig", [leaf("signal", kind) for kind in sorted(_LEAVES["signal"])]
-                         + FLOAT_PATH_SIGNALS, ids=lambda sig: f"{sig.kind}{sig.params}")
-def test_signal_float_path_matches_array_evaluation(sig):
+@pytest.mark.parametrize("signal_kind", sorted(_LEAVES["signal"]) + list(FLOAT_PATH_SIGNALS))
+def test_signal_float_path_matches_array_evaluation(signal_kind):
+    sig = FLOAT_PATH_SIGNALS.get(signal_kind) or leaf("signal", signal_kind)
     # a stepper's accumulated times, and times up to 1e4 where the phase's
     # rounding is coarse
     times = stepper_times() + np.geomspace(1e-6, 1e4, 400).tolist() + [-0.0]

@@ -31,11 +31,11 @@ pair, at seed 11 and 8 s a run:
 The file holds the two commits, the host, the versions, every run's
 metrics and raw info line, every wall time and sweep point, and a summary
 per workload and trace setting, wall command and sweep point: each side's
-median and quartiles and the pairs the change
-won.  An end-to-end metric is marked resolved when the parent's quartile
-spread, over its median, is within the metric's BENCHMARK.json bound, or
-when every change run reads better than every parent run.  A pair whose
-two runs wrote different report digests is recorded as such.
+median and quartiles, and for the runs the pairs the change won.  An
+end-to-end metric is marked resolved when the parent's quartile spread,
+over its median, is within the metric's BENCHMARK.json bound, or when
+every change run reads better than every parent run.  A pair whose two
+runs wrote different report digests is recorded as such.
 """
 
 from __future__ import annotations
