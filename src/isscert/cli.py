@@ -25,6 +25,7 @@ import yaml
 from . import verify  # verify reads run_plan back through this module
 from .certify import check_trajectory, prepare_bound
 from .config import ConfigError, bundled_names, load_config, load_plan
+from .fields import csv_stream
 from .glf import (dissipation_rate, dissipation_report, glf_for_parabolic,
                   glf_for_transport, glf_for_wave, wave_forcing_slack)
 from .solvers import (AssumptionViolationError, ScenarioError,
@@ -108,17 +109,49 @@ def run_plan(plan) -> RunResult:
 
 
 def cmd_run(args) -> int:
+    """Solve the plan, check it, write its outputs under --out and echo the
+    report; exit 0 on status ok or not-applicable, 1 on violations, 2 on a
+    config, solver, energy, check or output error.
+
+    Everything that can fail runs before the output directory exists.  A
+    trajectory of at least _FORK_ROWS CSV rows on two CPUs streams its
+    stamps to a second CSV writer process during the solve
+    (:func:`~isscert.fields.csv_stream`), which this waits for after
+    report.txt.  Every outcome, an exception included, leaves that process
+    reaped and no .part file behind.
+    """
     try:
         plan = load_plan(args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    # everything that can fail runs before the output directory exists
-    try:
-        res = run_plan(plan)
-    except RunError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    out = _out_root(args.out) / plan.name
+    with csv_stream() as wait_for_csv:
+        try:
+            res = run_plan(plan)
+        except RunError as exc:
+            print(exc, file=sys.stderr)
+            return 2
+        text, violations = _report(plan, res)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            res.traj.write_csv(out)
+            if res.energy is not None:
+                res.energy.to_csv(out / "glf.csv")
+            for i, (entry, rep) in enumerate(zip(plan.checks, res.reports)):
+                rep.to_csv(out / f"check{i:02d}_{entry['kind']}_q{verify._qtag(entry['q'])}.csv")
+            (out / "report.txt").write_text(text)
+            wait_for_csv()
+        except OSError as exc:
+            return _output_error(exc, out)
+    sys.stdout.write(text)
+    print(f"wrote {out}", file=sys.stderr)
+    return 1 if violations else 0
+
+
+def _report(plan, res) -> tuple:
+    """The text of report.txt for a run of plan with result res, and the
+    number of violations its checks found."""
     traj, spec, erep, reports = res.traj, res.spec, res.energy, res.reports
     results = [f"stamps={len(traj)} t_end={verify._fmt(traj.times[-1])}"]
     if erep is not None:
@@ -139,20 +172,7 @@ def cmd_run(args) -> int:
         [f"run name={plan.name}", f"pde={plan.pde}", "--- config",
          yaml.safe_dump(plan.doc, sort_keys=True, default_flow_style=False).rstrip(),
          "--- results", *results, f"status={status}"]) + "\n"
-    out = _out_root(args.out) / plan.name
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        traj.write_csv(out)
-        if erep is not None:
-            erep.to_csv(out / "glf.csv")
-        for i, (entry, rep) in enumerate(zip(plan.checks, reports)):
-            rep.to_csv(out / f"check{i:02d}_{entry['kind']}_q{verify._qtag(entry['q'])}.csv")
-        (out / "report.txt").write_text(text)
-    except OSError as exc:
-        return _output_error(exc, out)
-    sys.stdout.write(text)
-    print(f"wrote {out}", file=sys.stderr)
-    return 1 if violations else 0
+    return text, violations
 
 
 def cmd_verify(args) -> int:

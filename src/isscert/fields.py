@@ -10,10 +10,14 @@ certification tolerances assume.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import errno
 import math
+import mmap
 import os
 import signal
+import struct
 from itertools import product, repeat
 from pathlib import Path
 
@@ -24,6 +28,7 @@ __all__ = [
     "AXES",
     "Grid",
     "Trajectory",
+    "csv_stream",
     "lq_norm",
     "trapezoid_1d",
 ]
@@ -31,15 +36,22 @@ __all__ = [
 _MIN_CELLS = 8
 _BLOCK = 64  # stamps per call of Trajectory.blockwise
 
-# Trajectory.write_csv forks a second writer from this many CSV rows on.  The
-# child's half must save at least twice the fork.  On a 2-CPU x86-64 host with
-# numpy and scipy loaded (Python 3.11, about 60 MB resident) a no-op fork plus
-# waitpid took 3.0-6.6 ms (medians 3.8 and 4.6 in two runs of 30).  A row
-# formats one value on any number of axes, its point's coordinate cells being
-# formatted once per write: it cost 0.81-0.95 us to format and write on 1-D
-# transport data, and 0.66-1.30 us (medians 0.76-1.30 in six runs of 30
-# writes) on a 65x65 parabolic run.  rows/2 * row >= 2 * fork then holds from
-# 11 700-24 200 rows at the medians.
+# A record forks its second CSV writer (_CsvWriter) from this many CSV rows on.
+# The rows the child formats must save at least twice what the fork costs
+# this process.  On a 2-CPU x86-64 host with numpy, scipy and isscert.cli
+# loaded (Python 3.11, 58 MB resident) a no-op fork plus waitpid took
+# 3.3-6.3 ms (median 3.6 in 30).  After the fork, this process's first pass
+# over its heap pays copy-on-write faults (a 1-D append loop took 13-14 us a
+# stamp against 7 us before the fork), and streaming sends each stamp with
+# one pipe write (median 2.4 us on 1-D n = 200).  A row formats one value on
+# any number of axes, its point's coordinate cells being formatted once:
+# 1.20-1.26 us a row on 1-D n = 200 and 256 and on 64x64 states.  The child
+# saves this process between half the rows (a writer started at write time,
+# or one that formatted nothing during the solve) and all of them, so
+# rows/2 * row >= 2 * fork holds from 12 000 rows at the medians.  The
+# 2-D benchmark runs have 3 300-12 700 rows, and forking every run cut their
+# throughput by 11-23 % in three 6 s benchmark pairs, so the bar stays above
+# them.
 _FORK_ROWS = 20_000
 
 
@@ -171,6 +183,17 @@ def csv_rows(*columns) -> str:
     return text + "\n" if text else ""
 
 
+def _stamp_rows(t, coords, state) -> str:
+    """The CSV rows of one state array at the float time t: the only row
+    formatter, with coords the joined coordinate cells of each point."""
+    return csv_rows(repeat(repr(t)), coords, float_cells(state))
+
+
+def _coord_cells(grid) -> list:
+    """Each point's coordinate cells, joined, in C order (last axis fastest)."""
+    return list(map(",".join, product(*map(float_cells, grid.coords()))))
+
+
 def _two_writers(rows) -> bool:
     """Whether a CSV of rows rows is written by two processes."""
     return (rows >= _FORK_ROWS and hasattr(os, "sched_getaffinity")
@@ -217,7 +240,10 @@ class Trajectory:
     float array per state name; its first ``len(self)`` rows are the stamps.
     ``append`` copies into the next row, doubling the capacity when full;
     a solver that knows its stamp count sizes the record once with
-    ``reserve``.
+    ``reserve``.  Inside :func:`csv_stream`, a record known to reach
+    _FORK_ROWS CSV rows, by its reserved stamps or by those appended,
+    starts its second CSV writer then and streams every later stamp to it
+    (see :meth:`write_csv`).
     """
 
     def __init__(self, pde_class: str, grid, names=("u",), meta=None):
@@ -231,9 +257,15 @@ class Trajectory:
         self._n = 0
         self._times = np.empty(0)
         self._data = {k: np.empty((0, *grid.shape)) for k in self.names}
+        self._writer = None  # the second CSV writer, once streamed to
 
     def reserve(self, rows: int):
-        """Make the capacity at least rows stamps, exactly rows if it grows."""
+        """Make the capacity at least rows stamps, exactly rows if it grows;
+        the stamps a solver reserves are the ones it will append."""
+        self._grow(rows)
+        self._stream(rows)
+
+    def _grow(self, rows):
         if rows <= self._times.size:
             return
         n = self._n
@@ -243,6 +275,15 @@ class Trajectory:
             self._data[k] = np.empty((rows, *old.shape[1:]))
             self._data[k][:n] = old[:n]
 
+    def _stream(self, stamps):
+        """Start the second CSV writer inside a csv_stream once the record is
+        known to hold stamps stamps, if that makes _FORK_ROWS CSV rows."""
+        writers = _STREAM.get()
+        if (writers is not None and self._writer is None
+                and _two_writers(stamps * len(self.names) * self.grid.npoints)):
+            self._writer = _CsvWriter(self)
+            writers.append(self._writer)
+
     def append(self, t: float, **arrays):
         if set(arrays) != set(self.names):
             raise ValueError(f"expected arrays {self.names}, got {tuple(arrays)}")
@@ -250,13 +291,17 @@ class Trajectory:
         if n and not t > self._times[n - 1]:
             raise ValueError("time stamps must increase")
         if n == self._times.size:
-            self.reserve(max(16, 2 * n))
+            self._grow(max(16, 2 * n))
         for k, v in arrays.items():
             if np.shape(v) != self._data[k].shape[1:] or not np.isfinite(v).all():
                 raise ValueError(f"state {k!r} must be finite of shape {self._data[k].shape[1:]}")
             self._data[k][n] = v
         self._times[n] = float(t)
         self._n = n + 1
+        if self._writer is None:
+            self._stream(n + 1)
+        else:
+            self._writer.feed()
 
     def __len__(self):
         return self._n
@@ -296,28 +341,34 @@ class Trajectory:
         coordinate cells are each axis's reprs, joined per point in C order
         (last axis fastest).  Returns the list of paths written.
 
-        The rows, numbered (name, stamp) in file order, go to disk in one
-        of two ways with the same bytes.  With at least two usable CPUs and
-        at least _FORK_ROWS rows, one forked child writes the second half
-        of the stamps while this process writes the first: for a wave run
-        the child takes trajectory_minus.csv; where the half falls inside
-        one file, the child writes its stamps to <file>.part, which is
-        appended to the file and removed.  Otherwise one process writes
-        every row.  Both ways call the same row writer.
+        The rows go to disk in one of two ways with the same bytes.  With at
+        least two usable CPUs and at least _FORK_ROWS rows, a second writer
+        process (:class:`_CsvWriter`) writes the stamps before a split and
+        this process the rest, to <file>.part, appended to the file once
+        the second writer has succeeded and removed in every case; a
+        failure of the second writer raises an OSError naming the file it
+        failed on.  A record streamed inside :func:`csv_stream` already has
+        that writer, which has formatted stamps during the solve, and the
+        wait for it is left to the function the block yields: when this
+        returns, each file holds its header and possibly part of its rows.
+        Any other record starts the writer here, with every stamp, and
+        waits for it before returning.  Otherwise one process writes every
+        row.  Every way formats rows with the same function.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        dim = self.grid.dim
-        coords = list(map(",".join, product(*map(float_cells, self.grid.coords()))))
-        names = ["y"] if dim == 1 else [f"y{k}" for k in range(1, dim + 1)]
-        header = f"t,{','.join(names)},value\n"
-        suffixes = [""] if len(self.names) == 1 else [f"_{name}" for name in self.names]
-        paths = [directory / f"trajectory{s}.csv" for s in suffixes]
-        stamps = len(self.names) * self._n  # (name, stamp) pairs in file order
-        if _two_writers(stamps * self.grid.npoints):
-            self._write_halves(paths, header, coords, stamps // 2)
+        paths = self._csv_paths(directory)
+        axes = ["y"] if self.grid.dim == 1 else [f"y{k}" for k in range(1, self.grid.dim + 1)]
+        header = f"t,{','.join(axes)},value\n"
+        writer, self._writer = self._writer, None
+        if writer is not None:
+            writer.commit(paths, header)
+        elif _two_writers(self._n * len(self.names) * self.grid.npoints):
+            writer = _CsvWriter(self)
+            writer.commit(paths, header)
+            writer.finish()
         else:
-            self._write_stamps(paths, header, coords, 0, stamps)
+            self._write_stamps(paths, header, 0)
         meta_path = directory / "trajectory_meta.yaml"
         # solvers may stash numpy scalars in meta; yaml wants plain types
         clean = {k: (v.item() if isinstance(v, np.generic) else v)
@@ -327,53 +378,234 @@ class Trajectory:
             yaml.safe_dump(clean, fh, sort_keys=True, default_flow_style=False)
         return [*paths, meta_path]
 
-    def _write_stamps(self, paths, header, coords, lo, hi):
-        """Rows of the (name, stamp) pairs numbered lo..hi-1 in file order: a
-        file's rows from stamp 0 on go to the file after its header, rows
-        from a later stamp to <file>.part.  A record with no stamps gets the
-        headers alone.  The only CSV row formatter."""
-        n = self._n
-        for i, (name, path) in enumerate(zip(self.names, paths)):
-            a, b = max(lo - i * n, 0), min(hi - i * n, n)
-            if a >= b and n:
-                continue
-            with open(path if a == 0 else _part(path), "w") as fh:
-                if a == 0:
-                    fh.write(header)
-                for t, row in zip(float_cells(self.times[a:b]), self.states(name)[a:b]):
-                    fh.write(csv_rows(repeat(t), coords, float_cells(row)))
+    def _csv_paths(self, directory) -> list:
+        suffixes = [""] if len(self.names) == 1 else [f"_{name}" for name in self.names]
+        return [Path(directory) / f"trajectory{s}.csv" for s in suffixes]
 
-    def _write_halves(self, paths, header, coords, half):
-        """(name, stamp) pairs 0..half-1 here, the rest in a forked child.
-        The child's failure names the file it starts in; if it starts inside
-        that file, its .part is appended once the child succeeds and removed
-        in every case."""
-        first = paths[half // self._n]
-        inner = half % self._n != 0
-        pid = os.fork()
-        if pid == 0:
+    def _write_stamps(self, paths, header, lo):
+        """The rows of stamps lo on of every file: from stamp 0 to the file
+        after its header, from a later stamp to <file>.part.  The
+        one-process writer, and this process's share of two."""
+        coords = _coord_cells(self.grid)
+        for name, path in zip(self.names, paths):
+            with open(path if lo == 0 else _part(path), "w") as fh:
+                if lo == 0:
+                    fh.write(header)
+                for t, state in zip(self.times[lo:].tolist(), self.states(name)[lo:]):
+                    fh.write(_stamp_rows(t, coords, state))
+
+
+# The csv_stream block a record is recorded in: the list of the writers
+# started in it, or None outside every block.
+_STREAM = contextvars.ContextVar("isscert_csv_stream", default=None)
+
+
+@contextlib.contextmanager
+def csv_stream():
+    """A block in which a record known to reach _FORK_ROWS CSV rows starts
+    its second CSV writer while it is still being recorded (see
+    :class:`Trajectory`), so the writer formats stamps alongside the solve.
+
+    The block yields a function that waits for every writer started in it
+    and appends each one's .part files, raising the OSError of a writer
+    that failed; call it after :meth:`Trajectory.write_csv` and whatever
+    else the outputs need.  Leaving the block, in every way, stops and
+    reaps each writer not waited for and removes its .part files; a writer
+    never committed by write_csv has written nothing.
+    """
+    writers = []
+    token = _STREAM.set(writers)
+
+    def wait():
+        for writer in writers:
+            writer.finish()
+
+    try:
+        yield wait
+    finally:
+        _STREAM.reset(token)
+        for writer in writers:
+            writer.abort()
+
+
+# The shared counters of a _CsvWriter: the stamps its child has formatted,
+# the split stamp (_NO_SPLIT until the commit) and the index of the file
+# the child works on.
+_DONE, _SPLIT, _FILE = range(3)
+_NO_SPLIT = 1 << 62
+# a message's head: the stamp's index and time, or -1 and 0.0 for the commit
+_HEAD = struct.Struct("<qd")
+_PIPE_BYTES = 1 << 20
+
+
+class _CsvWriter:
+    """The second CSV writer of a record: a forked child process.
+
+    The child inherits the stamps recorded when it starts and gets each
+    later one from :meth:`feed` over a pipe, as its index, time and state
+    bytes.  It formats every stamp it has, in order, into memory, and
+    counts them in an array shared with this process.  :meth:`commit`
+    splits the stamps still unformatted in half: this process creates each
+    file with its header and writes the stamps from the split on to
+    <file>.part, while the child appends the stamps before the split to
+    each file.  :meth:`finish` waits for the child and appends the .part
+    files.  The child writes nothing before the commit, and on end of file
+    before it exits without writing.
+    """
+
+    def __init__(self, traj):
+        self.traj, self.paths, self.split = traj, None, None
+        self.sent, self.rest = len(traj), b""  # stamps the child has; unsent bytes
+        self.shared = np.frombuffer(mmap.mmap(-1, 24), dtype=np.int64)
+        self.shared[:] = (0, _NO_SPLIT, 0)
+        rfd, self.fd = os.pipe()
+        try:
+            self.pid = os.fork()
+        except BaseException:
+            os.close(rfd)
+            os.close(self.fd)
+            raise
+        if self.pid == 0:
             code = 255
             try:
-                self._write_stamps(paths, header, coords, half, len(paths) * self._n)
-                code = 0
+                os.close(self.fd)
+                code = self._serve(rfd)
             except OSError as exc:
                 code = exc.errno if 0 < (exc.errno or 0) < 255 else 255
             finally:
                 os._exit(code)
+        os.close(rfd)
+        os.set_blocking(self.fd, False)
+        import fcntl
+        if hasattr(fcntl, "F_SETPIPE_SZ"):
+            # room for every stamp of the dense runs, so the commit rarely waits
+            with contextlib.suppress(OSError):
+                fcntl.fcntl(self.fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+
+    def feed(self, upto=None):
+        """Send the child the stamps it lacks before stamp upto, every stamp
+        recorded by default, as far as the pipe takes them: without waiting
+        until the commit makes the pipe blocking.  Once the child has ended,
+        send nothing (:meth:`finish` reports how it ended)."""
+        traj = self.traj
+        upto = len(traj) if upto is None else upto
         try:
-            try:
-                self._write_stamps(paths, header, coords, 0, half)
-            except BaseException:
-                os.kill(pid, signal.SIGKILL)
-                raise
-            finally:
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            while self.fd >= 0 and (self.rest or self.sent < upto):
+                if not self.rest:
+                    i, self.sent = self.sent, self.sent + 1
+                    self.rest = memoryview(b"".join(
+                        [_HEAD.pack(i, traj._times[i]), *(traj._data[k][i] for k in traj.names)]))
+                self.rest = self.rest[os.write(self.fd, self.rest):]
+        except BlockingIOError:
+            pass
+        except BrokenPipeError:
+            self._close()
+
+    def _close(self):
+        if self.fd >= 0:
+            os.close(self.fd)
+            self.fd = -1
+
+    def _formatted(self) -> int:
+        """The stamps the child has formatted so far."""
+        return int(self.shared[_DONE])
+
+    def commit(self, paths, header):
+        """Split the stamps the child has not formatted in half, create each
+        of paths with its header, send the child the stamps before the split
+        that it lacks and the commit, and write the rest to <file>.part."""
+        try:
+            n = len(self.traj)
+            done = self._formatted()
+            self.split = done + (n - done + 1) // 2
+            self.shared[_SPLIT] = self.split
+            self.paths = paths
+            for path in paths:
+                with open(path, "w") as fh:
+                    fh.write(header)
+            if self.fd >= 0:
+                os.set_blocking(self.fd, True)
+            self.feed(self.split)
+            # the commit, sent after every stamp before the split
+            self.rest = memoryview(_HEAD.pack(-1, 0.0) + os.fsencode(paths[0].parent))
+            self.feed(0)
+            self._close()
+            if self.split < n:
+                self.traj._write_stamps(paths, header, self.split)
+        except BaseException:
+            self.abort()
+            raise
+
+    def _serve(self, rfd) -> int:
+        """The child's work, returning its exit code: format every stamp
+        before the split, then append them to the files in the directory the
+        commit names.  End of file before the commit ends it with 0."""
+        traj, shared = self.traj, self.shared
+        coords, texts = _coord_cells(traj.grid), [[] for _ in traj.names]
+
+        def put(t, states):
+            for j, (text, state) in enumerate(zip(texts, states)):
+                shared[_FILE] = j
+                text.append(_stamp_rows(t, coords, state))
+            shared[_DONE] = len(texts[0])
+
+        for i in range(self.sent):
+            if i >= shared[_SPLIT]:
+                break
+            put(float(traj._times[i]), [traj._data[k][i] for k in traj.names])
+        shape = (len(traj.names), *traj.grid.shape)
+        size = 8 * math.prod(shape)
+        with open(rfd, "rb") as pipe:
+            while True:
+                head = pipe.read(_HEAD.size)
+                if len(head) < _HEAD.size:
+                    return 0
+                i, t = _HEAD.unpack(head)
+                if i < 0:
+                    break
+                body = pipe.read(size)
+                if len(body) < size:
+                    return 0
+                if i < shared[_SPLIT]:
+                    put(t, np.frombuffer(body).reshape(shape))
+            directory = os.fsdecode(pipe.read())
+        split = int(shared[_SPLIT])
+        for j, (path, text) in enumerate(zip(traj._csv_paths(directory), texts)):
+            shared[_FILE] = j
+            with open(path, "a") as fh:
+                fh.writelines(text[:split])
+        return 0
+
+    def finish(self):
+        """Wait for the child and append each .part to its file.  A child
+        that failed raises an OSError naming the file it worked on; the
+        .part files are removed in every case.  An uncommitted writer is
+        aborted."""
+        if self.paths is None:
+            return self.abort()
+        try:
+            code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+            self.pid = None
+            failed = str(self.paths[self.shared[_FILE]])
             if 0 < code < 255:
-                raise OSError(code, os.strerror(code), str(first))
+                raise OSError(code, os.strerror(code), failed)
             if code:
-                raise OSError(errno.EIO, f"the second CSV writer ended with status {code}", str(first))
-            if inner:
-                _append_part(first)
+                raise OSError(errno.EIO, f"the second CSV writer ended with status {code}", failed)
+            if self.split < len(self.traj):
+                for path in self.paths:
+                    _append_part(path)
         finally:
-            if inner:
-                _part(first).unlink(missing_ok=True)
+            self.abort()
+
+    def abort(self):
+        """Close the pipe, stop and reap the child if it is still there, and
+        remove the .part files."""
+        self._close()
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        for path in self.paths or ():
+            _part(path).unlink(missing_ok=True)
+        if self.traj._writer is self:
+            self.traj._writer = None

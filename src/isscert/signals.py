@@ -242,7 +242,12 @@ class BoundField:
         if self.fixed is not None:
             return self.fixed
         if self.values is None:
-            return np.full(self.shape, value) if self.shape else value
+            if not self.shape:
+                return value
+            # empty and fill: np.full's dtype inference costs as much again
+            out = np.empty(self.shape)
+            out.fill(value)
+            return out
         out = self.values * value
         return np.asarray(out, dtype=float) if self.shape else float(out)
 

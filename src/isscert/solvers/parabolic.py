@@ -201,11 +201,14 @@ def solve_parabolic(scn: ParabolicScenario, grid, cfg: SolverConfig) -> Trajecto
     pts = grid.points()
     c_n, f_n = scn.c.bind(pts), scn.f.bind(pts)
     _check_floors(scn, a_faces, c_n, cfg.t_end)
+    # a constant c is negated once, not every step (negation is exact)
+    minus_c = None if c_n.fixed is None else -c_n.fixed
 
     def advance(t, dt, state, step):
         (w,) = state
         tn = t + dt
-        src = -c_n(t) * np.asarray(scn.reaction(w), dtype=float) + f_n(t)
+        src = ((-c_n(t) if minus_c is None else minus_c)
+               * np.asarray(scn.reaction(w), dtype=float) + f_n(t))
         check_finite(src, step, tn, "non-finite explicit source")
         try:
             return dt, (implicit(w, src, dt, tn),)
@@ -291,9 +294,11 @@ def _points(coords):
 class _Band:
     """One sweep's memo of its last factored diffusion band: the key it was
     factored under, gttrf's factors lu, the read-only unit responses resp
-    of its flux ends, and the number of factorisations so far."""
+    of its flux ends, the number of factorisations so far, and af, the
+    diffusivity array of the key when it is read-only and owns its data."""
 
     key: tuple = None
+    af: np.ndarray = None
     lu: list = None
     resp: dict = None
     factorizations: int = 0
@@ -341,9 +346,13 @@ def _line_responses(band, w_old, h, dt, af, src, bc_lo, bc_hi):
     """
     n_lines, m = w_old.shape
     kinds = (bc_lo[0], bc_hi[0])
-    key = (h, dt, kinds, af.shape, af.tobytes())
-    if band.key != key:
-        band.factor(key, h, dt, af, kinds)
+    # a constant diffusivity is the same read-only array every step, so its
+    # bits are only read when another array comes
+    if af is not band.af or band.key[:3] != (h, dt, kinds):
+        key = (h, dt, kinds, af.shape, af.tobytes())
+        if band.key != key:
+            band.factor(key, h, dt, af, kinds)
+        band.af = None if af.flags.writeable or not af.flags.owndata else af
     # w_old + dt*src in two passes over one C-ordered array, end columns set after
     rhs = np.multiply(dt, src, order="C")
     rhs += w_old
@@ -473,9 +482,14 @@ def _close_line(h, dt, w_old, src, base, resp, af, data, varphi, bc_tol):
     runs in lockstep, on the float layout.
     """
     factors = {end: _end_factors(end, np.ndarray.item, h, w_old, src, base, resp, af,
-                                 np.asarray(data[end], dtype=float).item()) for end in resp}
+                                 _float(data[end])) for end in resp}
     return _close(lambda res, center: _bisect_scalar(res, center, bc_tol), _clip_scalar,
                   dt, 2.0 / h, varphi, factors)
+
+
+def _float(value) -> float:
+    """A boundary value as a Python float; a fixed value already is one."""
+    return value if type(value) is float else np.asarray(value, dtype=float).item()
 
 
 def _close_stack(h, dt, w_old, src, base, resp, af, data, varphi, bc_tol):

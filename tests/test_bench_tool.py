@@ -4,6 +4,7 @@ its output digest covers every byte and path of a run's files, and its
 grid-size sweep solves copies of the bundled configs at each grid size."""
 
 import importlib.util
+import os
 import statistics
 from pathlib import Path
 
@@ -88,3 +89,24 @@ def test_sweep_solves_each_bundled_config_at_each_grid_size(tmp_path):
     point = bench.sweep_point(root, paths["parabolic_demo", 16], solves=2)
     assert (point["steps"], point["points"]) == (750, 17) and len(point["solve_s"]) == 2
     assert point["point_step_s"] == statistics.median(point["solve_s"]) / (750 * 17) > 0
+
+
+def test_wall_peak_covers_the_processes_a_command_forks():
+    bench = _load_bench()
+    root = BENCH.parents[1]
+    # a child that holds 40 MB more than its parent ever does, reaped before the parent exits
+    forks = "import os\npid = os.fork()\nif pid == 0:\n    b = b'x' * (40 << 20)\n    os._exit(0)\nos.waitpid(pid, 0)\n"
+    forked, alone = bench.wall(root, ["-c", forks]), bench.wall(root, ["-c", "pass"])
+    assert forked["exit"] == alone["exit"] == 0
+    assert forked["peak_rss_mb"] > alone["peak_rss_mb"] + 30
+
+
+def test_memory_reports_the_run_and_its_csv_writer():
+    bench = _load_bench()
+    root = BENCH.parents[1]
+    # wave_demo's CSVs have 107 736 rows, so a two-CPU host forks their writer
+    forked = bench.memory(root, ["run", "wave_demo"])
+    serial = bench.memory(root, ["run", "transport_steady"])
+    assert forked["exit"] == serial["exit"] == 0
+    assert forked["run_mb"] > 0 and serial["writer_mb"] == 0
+    assert (forked["writer_mb"] > 0) == (len(os.sched_getaffinity(0)) >= 2)

@@ -1,5 +1,6 @@
 """Tests for configuration loading and the command line interface."""
 
+import errno
 import functools
 import math
 import os
@@ -10,12 +11,12 @@ import numpy as np
 import pytest
 import yaml
 
-from isscert import cli
+from isscert import cli, fields
 from isscert.certify import BOUNDS, check_trajectory, prepare_bound
 from isscert.cli import main
 from isscert.config import (_LEAVES, ConfigError, _leaf, build_plan, bundled_names, load_config,
                             load_plan)
-from isscert.fields import Grid
+from isscert.fields import Grid, Trajectory
 
 EXPECTED_PDE = {
     "heat_clm_demo": "parabolic",
@@ -944,8 +945,9 @@ def test_cli_verify_checks_the_output_root_before_the_suite(tmp_path, capsys, mo
                                          ({0, 1}, "trajectory_minus.csv")],
                          ids=["serial", "forked-parent", "forked-child"])
 def test_cli_run_output_error_exits_2(tmp_path, capsys, monkeypatch, cpus, taken):
-    # wave_demo's CSVs have 107 736 rows: with two CPUs the parent writes
-    # trajectory_plus.csv and a forked child trajectory_minus.csv
+    # wave_demo's CSVs have 107 736 rows: with two CPUs a forked writer
+    # formats stamps during the solve, and the commit creates both files
+    # before the writer appends to them (a failing writer is the next test)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
     target = tmp_path / "wave_demo" / taken
     target.mkdir(parents=True)
@@ -956,6 +958,92 @@ def test_cli_run_output_error_exits_2(tmp_path, capsys, monkeypatch, cpus, taken
     assert not list(target.parent.glob("*.part"))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def counted_forks(monkeypatch):
+    """Report two usable CPUs and count the forks a run makes."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def _assert_no_writer_left(directory):
+    assert not list(directory.rglob("*.part"))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_cli_run_writer_failure_exits_2(tmp_path, capsys, monkeypatch, counted_forks):
+    # the forked writer formats each stamp's plus rows, then its minus rows,
+    # and fails on the first minus rows, during the solve; the run reports
+    # it on that file once the outputs are written
+    parent, rows, calls = os.getpid(), fields.csv_rows, []
+
+    def child_disk_full_on_minus(*columns):
+        if os.getpid() != parent:
+            calls.append(columns)
+            if len(calls) == 2:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return rows(*columns)
+
+    monkeypatch.setattr(fields, "csv_rows", child_disk_full_on_minus)
+    assert main(["run", "wave_demo", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    target = tmp_path / "wave_demo" / "trajectory_minus.csv"
+    assert captured.err == f"output error: {target}: No space left on device\n"
+    assert captured.out == ""
+    assert counted_forks == [1]
+    _assert_no_writer_left(tmp_path)
+
+
+@pytest.mark.parametrize("demo,edits,message", [
+    ("wave_demo", {"energy": {"p": 2.0, "rate": 300.0}},
+     "energy error: the Gronwall envelope must be finite"),
+    ("parabolic_demo", {"checks": [{"kind": "parabolic_q", "q": 700.0, "tol": 0.0}]},
+     "check error: the norm at q=700.0 is not finite"),
+], ids=["wave_envelope", "norm_past_the_floats"])
+def test_cli_run_failing_after_the_writer_started_leaves_nothing(
+        tmp_path, capsys, counted_forks, demo, edits, message):
+    # both records stream to a writer from their first stamp; the failure
+    # comes after the solve, before the commit
+    doc = load_config(demo)
+    doc.update(edits)
+    cfg = tmp_path / "late_error.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert counted_forks == [1]
+    assert not (tmp_path / "out").exists()
+    _assert_no_writer_left(tmp_path)
+
+
+def test_cli_run_interrupted_mid_solve_leaves_nothing(tmp_path, monkeypatch, counted_forks):
+    append, stamps = Trajectory.append, []
+
+    def interrupted_append(self, t, **arrays):
+        stamps.append(t)
+        if len(self) == 100:
+            raise KeyboardInterrupt
+        append(self, t, **arrays)
+
+    monkeypatch.setattr(Trajectory, "append", interrupted_append)
+    with pytest.raises(KeyboardInterrupt):
+        main(["run", "parabolic_demo", "--out", str(tmp_path / "out")])
+    assert len(stamps) == 101 and counted_forks == [1]
+    assert not (tmp_path / "out").exists()
+    _assert_no_writer_left(tmp_path)
+
+
+def test_cli_verify_never_forks(tmp_path, capsys, monkeypatch):
+    def no_fork():
+        raise AssertionError("verify forked")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert main(["verify", "all", "--seed", "0", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.endswith("failed=0 total=60\n")
 
 
 def test_cli_verify_report_write_error_exits_2(tmp_path, capsys):

@@ -297,9 +297,21 @@ def test_square_quadrature_is_the_tensor_form_bitwise(cells):
 ODD_VALUES = [0.1 + 0.2, -0.0, 5e-324, 1e16, 1.0 / 3.0]
 
 
+_REFERENCES = {}
+
+
 def _reference_csv(traj, name):
     """Row-by-row formatting of one state name, the writer's definition: the
-    coordinates of each point read off the grid.points() meshes."""
+    coordinates of each point read off the grid.points() meshes.  Kept per
+    grid and record bytes, since many cases write the same records."""
+    grid = traj.grid
+    key = (grid.cells, grid.layout, traj.times.tobytes(), traj.states(name).tobytes())
+    if key not in _REFERENCES:
+        _REFERENCES[key] = _row_by_row(traj, name)
+    return _REFERENCES[key]
+
+
+def _row_by_row(traj, name):
     grid = traj.grid
     meshes = [grid.points()] if grid.dim == 1 else grid.points()
     axes = ["y"] if grid.dim == 1 else [f"y{k}" for k in range(1, grid.dim + 1)]
@@ -329,11 +341,14 @@ def _forked_stamps(grid, names, parity):
     return stamps + (stamps % 2 != parity)
 
 
-def _odd_trajectory(layout, names, stamps):
-    """A record whose values and stamps include the hardest reprs."""
+def _odd_trajectory(layout, names, stamps, reserve=False):
+    """A record whose values and stamps include the hardest reprs, its
+    stamps reserved first if reserve."""
     grid = GRIDS[layout]
     pde = "wave" if len(names) == 2 else "parabolic"
     traj = Trajectory(pde, grid, names=names)
+    if reserve:
+        traj.reserve(stamps)
     values = _stack(grid, stamps=stamps)
     values.flat[:len(ODD_VALUES)] = ODD_VALUES
     times = [0.0, 5e-324, 0.1 + 0.2, 1.0 / 3.0, 1e16] + [1e16 + 2.0 * k for k in range(1, stamps - 4)]
@@ -395,6 +410,13 @@ def test_small_outputs_never_fork(tmp_path, monkeypatch, rows, cpus):
     assert (stamps * grid.npoints >= _FORK_ROWS) == (rows == "above")
     traj = _odd_trajectory("node", ("u",), stamps)
     _assert_matches_reference(traj.write_csv(tmp_path)[0], traj, "u")
+    # nor does a record streamed from its first stamp or from the last
+    for reserve in (True, False):
+        with fields.csv_stream() as wait:
+            traj = _odd_trajectory("node", ("u",), stamps, reserve)
+            path = traj.write_csv(tmp_path / f"stream{reserve}")[0]
+            wait()
+        _assert_matches_reference(path, traj, "u")
 
 
 def test_forked_writer_failure_names_the_file(tmp_path, two_cpus, monkeypatch):
@@ -432,6 +454,141 @@ def test_a_failing_parent_kills_and_reaps_the_writer(tmp_path, two_cpus, monkeyp
     with pytest.raises(OSError, match="parent fails"):
         traj.write_csv(tmp_path)
     assert time.monotonic() - start < 30.0 and seen == [True]
+    _assert_no_part_and_no_child(tmp_path)
+
+
+# records written by two processes, as (layout, names), and their ids
+TWO_WRITER_RECORDS = [("node", ("u",)), ("cell", ("u",)), ("node", ("plus", "minus")),
+                      ("square", ("u",)), ("cube", ("u",))]
+RECORD_IDS = ["node", "cell", "wave", "square", "cube"]
+
+
+def _streamed_stamps(layout, names):
+    """Stamps past the least with _FORK_ROWS rows, so a record that starts its
+    writer once its rows get there streams stamps to it."""
+    return _forked_stamps(GRIDS[layout], names, 1) + 8
+
+
+def _write_with_writer_started(directory, layout, names, start):
+    """A record of _streamed_stamps and the paths its CSVs went to, its second
+    writer started at the first stamp (by reserve, in a csv_stream), mid-run
+    (by the stamps appended, in a csv_stream) or at write time."""
+    stamps = _streamed_stamps(layout, names)
+    if start == "write-time":
+        traj = _odd_trajectory(layout, names, stamps)
+        return traj, traj.write_csv(directory)
+    with fields.csv_stream() as wait:
+        traj = _odd_trajectory(layout, names, stamps, reserve=start == "first-stamp")
+        paths = traj.write_csv(directory)
+        wait()
+    return traj, paths
+
+
+@pytest.mark.parametrize("progress", [None, "none", "half", "all"],
+                         ids=["child", "forced-0", "forced-middle", "forced-all"])
+@pytest.mark.parametrize("start", ["first-stamp", "mid-run", "write-time"])
+@pytest.mark.parametrize("layout,names", TWO_WRITER_RECORDS, ids=RECORD_IDS)
+def test_two_writers_match_the_reference_wherever_they_split(tmp_path, two_cpus, monkeypatch,
+                                                             layout, names, start, progress):
+    # the writer starts at the first stamp, at the stamp whose rows reach
+    # _FORK_ROWS, or at write time with every stamp; the split halves what
+    # the child has not formatted, so forcing the progress it reports to
+    # none, half or every stamp moves the split from half the stamps to none
+    # left for this process
+    starts, splits = [], []
+    init, commit = fields._CsvWriter.__init__, fields._CsvWriter.commit
+    monkeypatch.setattr(fields._CsvWriter, "__init__",
+                        lambda self, traj: starts.append(len(traj)) or init(self, traj))
+    monkeypatch.setattr(fields._CsvWriter, "commit",
+                        lambda self, *args: commit(self, *args) or splits.append(self.split))
+    def claimed(self):
+        if progress == "none":
+            # the child has formatted every stamp, past the split, yet claims none
+            deadline = time.monotonic() + 10.0
+            while self.shared[fields._DONE] < len(self.traj) and time.monotonic() < deadline:
+                time.sleep(1e-3)
+        return {"none": 0, "half": len(self.traj) // 2, "all": len(self.traj)}[progress]
+
+    if progress is not None:
+        monkeypatch.setattr(fields._CsvWriter, "_formatted", claimed)
+    traj, paths = _write_with_writer_started(tmp_path, layout, names, start)
+    n = len(traj)
+    first = {"first-stamp": 0, "mid-run": _forked_stamps(GRIDS[layout], names, 1) - 1,
+             "write-time": n}[start]
+    # the odd count's least reaches the rows, or the one before it does
+    assert len(two_cpus) == 1 and starts[0] in (first, first + 1) and len(starts) == 1
+    if progress is not None:
+        done = {"none": 0, "half": n // 2, "all": n}[progress]
+        assert splits == [done + (n - done + 1) // 2]
+    for name, path in zip(names, paths):
+        _assert_matches_reference(path, traj, name)
+    _assert_no_part_and_no_child(tmp_path)
+
+
+def test_stamps_a_full_pipe_held_back_go_at_the_commit(tmp_path, two_cpus, monkeypatch):
+    # a pipe of one page and a child slowed down: the stamps before the split
+    # that the pipe did not take during the solve are sent at the commit
+    parent, rows, behind = os.getpid(), fields.csv_rows, []
+
+    def slow_child(*columns):
+        if os.getpid() != parent:
+            time.sleep(1e-3)
+        return rows(*columns)
+
+    def commit_counting_unsent(self, *args):
+        behind.append(self._formatted() + (len(self.traj) - self._formatted() + 1) // 2
+                      - self.sent)
+        commit(self, *args)
+
+    commit = fields._CsvWriter.commit
+    monkeypatch.setattr(fields, "_PIPE_BYTES", 4096)
+    monkeypatch.setattr(fields, "csv_rows", slow_child)
+    monkeypatch.setattr(fields._CsvWriter, "commit", commit_counting_unsent)
+    traj, paths = _write_with_writer_started(tmp_path, "node", ("plus", "minus"), "first-stamp")
+    assert len(two_cpus) == 1 and behind[0] > 0
+    for name, path in zip(("plus", "minus"), paths):
+        _assert_matches_reference(path, traj, name)
+    _assert_no_part_and_no_child(tmp_path)
+
+
+def test_a_streamed_writer_failure_names_its_file(tmp_path, two_cpus, monkeypatch):
+    # the child formats each stamp's plus rows, then its minus rows, and
+    # fails on the first minus rows; it then takes no more stamps, and the
+    # wait reports its error on that file
+    parent, rows, calls = os.getpid(), fields.csv_rows, []
+
+    def child_disk_full_on_minus(*columns):
+        if os.getpid() != parent:
+            calls.append(columns)
+            if len(calls) == 2:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return rows(*columns)
+
+    monkeypatch.setattr(fields, "csv_rows", child_disk_full_on_minus)
+    names = ("plus", "minus")
+    with fields.csv_stream() as wait:
+        traj = _odd_trajectory("node", names, _streamed_stamps("node", names), reserve=True)
+        traj.write_csv(tmp_path)
+        with pytest.raises(OSError) as info:
+            wait()
+    assert (info.value.errno, info.value.filename) == (
+        errno.ENOSPC, str(tmp_path / "trajectory_minus.csv"))
+    assert len(two_cpus) == 1
+    _assert_no_part_and_no_child(tmp_path)
+
+
+@pytest.mark.parametrize("committed", [False, True], ids=["before-commit", "after-commit"])
+def test_leaving_a_csv_stream_reaps_its_writer(tmp_path, two_cpus, committed):
+    # an exception inside the block, before or after write_csv's commit
+    with pytest.raises(KeyboardInterrupt):
+        with fields.csv_stream():
+            traj = _odd_trajectory("node", ("u",), _streamed_stamps("node", ("u",)), True)
+            if committed:
+                traj.write_csv(tmp_path)
+            raise KeyboardInterrupt
+    assert len(two_cpus) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        ["trajectory.csv", "trajectory_meta.yaml"] if committed else [])
     _assert_no_part_and_no_child(tmp_path)
 
 

@@ -40,10 +40,12 @@ def test_outputs_match_recorded_hashes(tmp_path, capsys):
     assert actual == expected
 
 
-@pytest.mark.parametrize("name", ["wave_demo", "transport_global"])
+@pytest.mark.parametrize("name", ["wave_demo", "transport_global", "parabolic_demo"])
 def test_a_forking_run_through_the_entry_point(tmp_path, name):
-    # both CSVs have more than 100 000 rows, so on two CPUs a forked child
-    # writes half of them; it must leave no duplicated buffer and no warning
+    # each CSV has 50 000 rows or more, so on two CPUs a forked writer formats
+    # stamps during the solve (from its first stamp where the solver reserves
+    # them, as wave_demo and parabolic_demo do) and writes part of them; it
+    # must leave no duplicated buffer and no warning
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-m", "isscert", "run", name, "--out", str(tmp_path)],

@@ -19,7 +19,15 @@ pair, at seed 11 and 8 s a run:
   side, with the host-speed probe taken before each.  Each wall run
   starts in an empty directory and writes its outputs there; the digests
   of its stdout and of every file it left there are recorded, so equal
-  digests on both sides show equal output bytes, CSVs included;
+  digests on both sides show equal output bytes, CSVs included.  Each
+  wall run also records its peak resident set over its process tree
+  (``os.wait4`` in a small launcher process): the largest peak of the
+  interpreter and of every process it forked and reaped, the CSV writer
+  included;
+- the memory of each ``isscert run NAME``, in a fresh interpreter that
+  calls ``isscert.cli.main`` itself, once a side: its own peak resident
+  set and that of the largest process it forked and reaped, the CSV
+  writer, which counts the pages it shares with the run copy-on-write;
 - a grid-size sweep: solve seconds per point-step (one grid node through
   one step) of ``parabolic_demo`` at n = 16 to 256 cells and of
   ``parabolic_2d_demo`` at n = 16 to 64 cells an axis.  Both sides solve
@@ -75,6 +83,41 @@ WALL_REPEATS = 3
 # the bundled configs swept, with their cells an axis, and the solves timed a point
 SWEEP = {"parabolic_demo": (16, 32, 64, 128, 256), "parabolic_2d_demo": (16, 32, 64)}
 SWEEP_SOLVES = 5
+
+# Starts python with the arguments after its first two, in a process forked
+# from this small interpreter rather than from the bench: a process's peak
+# resident set counts the image it was forked from, so a command started
+# from the bench (numpy and scipy loaded) could never read below the bench's
+# own.  It writes the wall seconds, the exit code and the peak over the
+# command's process tree from wait4 to the file its first argument names,
+# and kills the command after its second argument's seconds.
+_LAUNCHER = """\
+import json, os, signal, sys, time
+t0 = time.perf_counter()
+pid = os.fork()
+if pid == 0:
+    try:
+        os.execv(sys.executable, [sys.executable, *sys.argv[3:]])
+    finally:
+        os._exit(127)
+signal.signal(signal.SIGALRM, lambda *_: os.kill(pid, signal.SIGKILL))
+signal.alarm(int(sys.argv[2]))
+_, status, usage = os.wait4(pid, 0)
+elapsed = time.perf_counter() - t0
+with open(sys.argv[1], "w") as fh:
+    json.dump({"wall_s": elapsed, "exit": os.waitstatus_to_exitcode(status),
+               "peak_rss_mb": usage.ru_maxrss / 1024}, fh)
+"""
+
+_MEMORY_SNIPPET = """\
+import contextlib, io, json, resource, sys
+from isscert.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main(sys.argv[1:])
+peak = {who: resource.getrusage(getattr(resource, "RUSAGE_" + who.upper())).ru_maxrss / 1024
+        for who in ("self", "children")}
+print(json.dumps({"exit": code, "run_mb": peak["self"], "writer_mb": peak["children"]}))
+"""
 
 _SWEEP_SNIPPET = """\
 import json, sys, time
@@ -147,21 +190,40 @@ def tree_env(tree: Path) -> dict:
     return env
 
 
+def _launch(tree: Path, args: list, cwd) -> tuple:
+    """Run ``python ARGS`` in cwd from _LAUNCHER; return its wall seconds, exit
+    code and peak resident set in MB as a dict, and its stdout bytes."""
+    with (tempfile.TemporaryDirectory(prefix="isscert-launch-") as meta,
+          tempfile.TemporaryFile() as stdout):
+        result = Path(meta) / "result.json"
+        subprocess.run([sys.executable, "-c", _LAUNCHER, str(result), str(WALL_TIMEOUT_S),
+                        *args], cwd=cwd, env=tree_env(tree), stdout=stdout,
+                       stderr=subprocess.DEVNULL, check=True)
+        stdout.seek(0)
+        return json.loads(result.read_text()), stdout.read()
+
+
 def wall(tree: Path, args: list) -> dict:
     """Wall seconds of one ``python ARGS`` in a fresh interpreter started in an
     empty directory, with the digests of its stdout and of every file it left
-    in that directory."""
-    env = tree_env(tree)
+    in that directory, and the peak resident set in MB of its process tree:
+    the largest peak of the interpreter and of the processes it reaped."""
     with tempfile.TemporaryDirectory(prefix="isscert-bench-") as out:
         probe = hostspeed.probe()
-        t0 = time.perf_counter()
-        proc = subprocess.run([sys.executable, *args], cwd=out, env=env,
-                              capture_output=True, timeout=WALL_TIMEOUT_S)
-        elapsed = time.perf_counter() - t0
+        result, stdout = _launch(tree, args, out)
         outputs = tree_sha256(Path(out))
-    return {"wall_s": elapsed, "probe_s": probe, "exit": proc.returncode,
-            "stdout_sha256": hashlib.sha256(proc.stdout).hexdigest(),
+    return {**result, "probe_s": probe, "stdout_sha256": hashlib.sha256(stdout).hexdigest(),
             "outputs_sha256": outputs}
+
+
+def memory(tree: Path, argv: list) -> dict:
+    """Peak resident sets in MB of ``isscert.cli.main(argv)`` in a fresh
+    interpreter started in an empty directory: run_mb, the interpreter's
+    own, and writer_mb, the largest of the processes it forked and reaped
+    (0 when it forked none), with its exit code."""
+    with tempfile.TemporaryDirectory(prefix="isscert-bench-") as out:
+        _, stdout = _launch(tree, ["-c", _MEMORY_SNIPPET, *argv, "--out", out], out)
+    return json.loads(stdout.decode().splitlines()[-1])
 
 
 def sweep_configs(tree: Path, directory: Path) -> dict:
@@ -278,6 +340,12 @@ def main(argv=None) -> int:
             for k in range(WALL_REPEATS):
                 for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
                     walls.append({"command": cmd, "side": side, **wall(trees[side], args_)})
+        memories = []
+        for k, argv_ in enumerate(a for a in argvs if a[0] == "run"):
+            for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+                print(f"memory: {' '.join(argv_)} {side}", file=sys.stderr, flush=True)
+                memories.append({"command": " ".join(argv_), "side": side,
+                                 **memory(trees[side], argv_)})
 
         sweep = []
         with tempfile.TemporaryDirectory(prefix="isscert-sweep-") as configs:
@@ -306,7 +374,14 @@ def main(argv=None) -> int:
                for side in ("parent", "change")},
             "exits": sorted({w["exit"] for w in mine}),
             "same_stdout": len({w["stdout_sha256"] for w in mine}) == 1,
-            "same_outputs": len({w["outputs_sha256"] for w in mine}) == 1}
+            "same_outputs": len({w["outputs_sha256"] for w in mine}) == 1,
+            "peak_rss_mb": {side: quartiles([w["peak_rss_mb"] for w in mine
+                                             if w["side"] == side])
+                            for side in ("parent", "change")}}
+    memory_summary = {m["command"]: {} for m in memories}
+    for m in memories:
+        memory_summary[m["command"]][m["side"]] = {"run_mb": m["run_mb"],
+                                                   "writer_mb": m["writer_mb"]}
     sweep_summary = {}
     for name, n in dict.fromkeys((p["config"], p["n"]) for p in sweep):
         mine = [p for p in sweep if (p["config"], p["n"]) == (name, n)]
@@ -332,9 +407,11 @@ def main(argv=None) -> int:
         "summary": summarize(runs, better, bounds=bounds),
         "traced_summary": summarize(runs, layers, trace=1),
         "wall_summary": wall_summary,
+        "memory_summary": memory_summary,
         "sweep_summary": sweep_summary,
         "runs": runs,
         "walls": walls,
+        "memories": memories,
         "sweep": sweep,
     }
     Path(args.out).write_text(json.dumps(report, indent=1, sort_keys=False) + "\n")
