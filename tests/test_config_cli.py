@@ -1003,19 +1003,42 @@ def test_cli_run_writer_failure_exits_2(tmp_path, capsys, monkeypatch, counted_f
      "energy error: the Gronwall envelope must be finite"),
     ("parabolic_demo", {"checks": [{"kind": "parabolic_q", "q": 700.0, "tol": 0.0}]},
      "check error: the norm at q=700.0 is not finite"),
-], ids=["wave_envelope", "norm_past_the_floats"])
+    ("parabolic_demo", {"scenario.diffusion": {"kind": "uniform", "signal": {
+        "kind": "exp_decay", "amplitude": 1.0, "rate": -800.0, "offset": 1.0}}},
+     "solver error: solver diverged at step 441, t = 0.8820000000000007 "
+     "(non-finite diffusion band or right-hand side)"),
+], ids=["wave_envelope", "norm_past_the_floats", "diffusion_overflow"])
 def test_cli_run_failing_after_the_writer_started_leaves_nothing(
         tmp_path, capsys, counted_forks, demo, edits, message):
-    # both records stream to a writer from their first stamp; the failure
-    # comes after the solve, before the commit
+    # every record streams to a writer from its first stamp; the failure
+    # comes in the solve or after it, before the commit
     doc = load_config(demo)
-    doc.update(edits)
+    for location, value in edits.items():
+        *parents, key = location.split(".")
+        functools.reduce(dict.__getitem__, parents, doc)[key] = value
     cfg = tmp_path / "late_error.yaml"
     cfg.write_text(yaml.safe_dump(doc))
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == message + "\n"
     assert counted_forks == [1]
     assert not (tmp_path / "out").exists()
+    _assert_no_writer_left(tmp_path)
+
+
+def test_cli_run_with_violations_leaves_no_writer(tmp_path, capsys, monkeypatch, counted_forks):
+    # every stamp violates (the bound is lowered below the norm), so the run
+    # exits 1 after writing and waiting for the writer
+    check = cli.check_trajectory
+
+    def violated(*args):
+        rep = check(*args)
+        rep.rhs = rep.lhs - 1.0
+        return rep
+
+    monkeypatch.setattr(cli, "check_trajectory", violated)
+    assert main(["run", "parabolic_demo", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().out.endswith("status=violations\n")
+    assert counted_forks == [1]
     _assert_no_writer_left(tmp_path)
 
 
