@@ -24,7 +24,15 @@ end.  The closure runs on two data layouts chosen by the stack height:
 one line on Python floats end to end, more lines in lockstep on arrays,
 with the same expansion, midpoints and exits, so a line gives the same
 bits alone or in a stack for any law that gives a float the bits an
-array gives elementwise.
+array gives elementwise.  What stays fixed through a closure is formed
+once: the high end's balance at the low end's value 0.0 holds
+base_k + 0.0*r_lo as one constant, the low end's at the high end's
+value y holds y*r_hi as one term, and the clip knows whether any cross
+factor is 0.  The lockstep layout passes its scalars as 0-d arrays,
+which numpy combines with an array faster than Python floats, and runs
+a bisection's first rounds without the live mask: as many as the
+brackets' least width and largest end show that no line can end in,
+given bc_tol and the midpoints' rounding (:func:`_sure_rounds`).
 :func:`solve_parabolic` supplies the step of any dimension to the time
 loop all steppers share, :func:`~isscert.solvers.common.march`.  It binds
 every field to its points once per solve
@@ -66,6 +74,18 @@ _MAP_BLOCK, _MAP_REACH_MAX = 4000, 1e6
 # x(y) of a line with two flux ends is clipped to the finite floats
 _FLOAT_MAX = sys.float_info.max
 _NONFINITE = "non-finite diffusion band or right-hand side"
+
+
+def _constant(value):
+    """value as a read-only 0-d array: numpy combines one with an array in
+    about half the time it takes for a Python float."""
+    out = np.array(float(value))
+    out.flags.writeable = False
+    return out
+
+
+# the lockstep layout's scalars
+_HALF, _ZERO, _MAX, _LOWEST = map(_constant, (0.5, 0.0, _FLOAT_MAX, -_FLOAT_MAX))
 
 
 @cache
@@ -410,34 +430,45 @@ def _end_factors(end, pick, h, w_old, src, base, resp, af, d2):
             (2.0 / h**2) * pick(af, f), r_lo, r_hi)
 
 
-def _residual(end, dt, c_phi, law, w_i, src_i, base_k, c_d2, c_face, r_lo, r_hi):
+def _residual(end, dt, c_phi, law, w_i, src_i, base_k, c_d2, c_face, r_lo, r_hi,
+              fixed=0.0):
     """The balance of end with factors :func:`_end_factors`, as a function
-    of its value b and the other flux end's value, if any.  The inner
-    node's value adds b's and the other value's response terms to base_k
-    in the order lo, hi; the high end's keeps other*r_lo at other = 0.0,
-    which sets the sign of a zero sum."""
+    residual(b, other=None) of its value b and the other flux end's value,
+    if any, which is fixed when other is None.  The inner node's value adds
+    b's and the other value's response terms to base_k in the order lo,
+    hi; the high end's keeps other*r_lo at other = 0.0, which sets the sign
+    of a zero sum.  The fixed value's term is formed once: at the high end
+    it follows base_k, so base_k + fixed*r_lo is one constant, and at the
+    low end it comes last, so fixed*r_hi is added as a term of its own."""
     if r_lo is None or r_hi is None:
         r_k = r_hi if r_lo is None else r_lo
 
-        def residual(b, other=0.0):
+        def residual(b, other=None):
             return ((b - w_i) / dt + c_phi * law(b) - c_d2
                     + c_face * (b - (base_k + b * r_k)) - src_i)
     elif end == "lo":
-        def residual(b, other=0.0):
+        term = fixed * r_hi
+
+        def residual(b, other=None):
+            t = term if other is None else other * r_hi
             return ((b - w_i) / dt + c_phi * law(b) - c_d2
-                    + c_face * (b - (base_k + b * r_lo + other * r_hi)) - src_i)
+                    + c_face * (b - (base_k + b * r_lo + t)) - src_i)
     else:
-        def residual(b, other=0.0):
+        start = base_k + fixed * r_lo
+
+        def residual(b, other=None):
+            k = start if other is None else base_k + other * r_lo
             return ((b - w_i) / dt + c_phi * law(b) - c_d2
-                    + c_face * (b - (base_k + other * r_lo + b * r_hi)) - src_i)
+                    + c_face * (b - (k + b * r_hi)) - src_i)
     return residual
 
 
 def _close(bisect, clip, dt, c_phi, law, factors):
     """The values {end: b} of the flux ends with factors {end: factors}
     (:func:`_end_factors`), closed by bisect(residual, center) from each
-    end's old value; clip(r, beta) is the layout's r/beta, clipped to the
-    finite floats and of r's sign where beta = 0.
+    end's old value; clip(beta) is the layout's map r -> r/beta, clipped to
+    the finite floats and of r's sign where beta = 0, built once per
+    closure.
 
     With two flux ends, the high end's balance is affine in the low end's
     value x, R_hi(y; x) = R_hi(y; 0) - beta*x with beta >= 0 its cross
@@ -447,30 +478,38 @@ def _close(bisect, clip, dt, c_phi, law, factors):
     over own slopes), which the diffusion band guarantees.  One bisection
     of F gives y; x comes from the low end's own closure at y, not from
     x(y), which amplifies errors by s/beta.  The clip keeps F at +-inf,
-    never NaN, where beta underflows.
+    never NaN, where beta underflows.  R_hi(y; 0) and the low end's
+    balance at y have the other value's term formed once
+    (:func:`_residual`).
     """
-    res = {end: _residual(end, dt, c_phi, law, *fac) for end, fac in factors.items()}
-    if len(res) == 1:
-        ((end, residual),) = res.items()
-        return {end: bisect(residual, factors[end][0])}
-    lo, hi = res["lo"], res["hi"]
+    if len(factors) == 1:
+        ((end, fac),) = factors.items()
+        return {end: bisect(_residual(end, dt, c_phi, law, *fac), fac[0])}
+    lo, hi = (_residual(end, dt, c_phi, law, *factors[end]) for end in ("lo", "hi"))
     w_hi, *_, c_face, r_lo, _ = factors["hi"]
-    beta = c_face * r_lo
-    y = bisect(lambda y: lo(clip(hi(y), beta), y), w_hi)
-    return {"lo": bisect(lambda x: lo(x, y), factors["lo"][0]), "hi": y}
+    x_of = clip(c_face * r_lo)
+    y = bisect(lambda y: lo(x_of(hi(y)), y), w_hi)
+    at_y = _residual("lo", dt, c_phi, law, *factors["lo"], fixed=y)
+    return {"lo": bisect(at_y, factors["lo"][0]), "hi": y}
 
 
-def _clip_scalar(r, beta):
-    """r/beta as a Python float, clipped to the finite floats; of r's sign
-    when beta = 0."""
-    x = float(r) / beta if beta else math.copysign(_FLOAT_MAX, r)
-    return min(max(x, -_FLOAT_MAX), _FLOAT_MAX)
+def _clip_scalar(beta):
+    """r -> r/beta as a Python float, clipped to the finite floats; of r's
+    sign when beta = 0."""
+    if beta:
+        return lambda r: min(max(float(r) / beta, -_FLOAT_MAX), _FLOAT_MAX)
+    return lambda r: math.copysign(_FLOAT_MAX, r)
 
 
-def _clip_lockstep(r, beta):
-    """:func:`_clip_scalar` on arrays."""
-    x = np.where(beta == 0.0, np.copysign(_FLOAT_MAX, r), r / beta)
-    return np.minimum(np.maximum(x, -_FLOAT_MAX), _FLOAT_MAX)
+def _clip_lockstep(beta):
+    """:func:`_clip_scalar` on arrays.  Whether any beta is 0 is decided
+    once: where none is, the map is r/beta clipped with minimum and
+    maximum, with no where."""
+    zero = beta == _ZERO
+    if zero.any():
+        return lambda r: np.minimum(np.maximum(
+            np.where(zero, np.copysign(_MAX, r), r / beta), _LOWEST), _MAX)
+    return lambda r: np.minimum(np.maximum(r / beta, _LOWEST), _MAX)
 
 
 def _close_line(h, dt, w_old, src, base, resp, af, data, varphi, bc_tol):
@@ -503,7 +542,7 @@ def _close_stack(h, dt, w_old, src, base, resp, af, data, varphi, bc_tol):
     # x(y) and the balances past it overflow where a cross factor underflows
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ends = _close(lambda res, center: _bisect_lockstep(res, center, bc_tol),
-                      _clip_lockstep, dt, 2.0 / h, varphi, factors)
+                      _clip_lockstep, _constant(dt), _constant(2.0 / h), varphi, factors)
     return {end: b[:, None] for end, b in ends.items()}
 
 
@@ -549,7 +588,7 @@ def _expand_lockstep(res, center, side):
     x = center - span if side == "low" else center + span
     for _ in range(80):
         r = res(x)
-        stop = (r <= 0.0) if side == "low" else (r >= 0.0)
+        stop = (r <= _ZERO) if side == "low" else (r >= _ZERO)
         if stop.all():
             return x
         span *= 2.0  # only the spans of lines still growing are used
@@ -557,23 +596,55 @@ def _expand_lockstep(res, center, side):
     raise RuntimeError(f"flux boundary bracket expansion failed ({side} side)")
 
 
+def _sure_rounds(lo, hi, bc_tol):
+    """The number J of bisection rounds from the brackets [lo, hi] in which
+    no line's loop can end: J = floor(log2(W / (4 max(bc_tol, 4u)))).
+
+    W is the least width, M the largest |end|, and u = max(M 2^-53,
+    2^-1074) bounds a midpoint's rounding error, so a round halves each
+    width up to u and after k rounds a width is at least W/2^k - 2u.  With
+    T = max(bc_tol, 4u), W/2^J >= 4T, so after each of rounds 1 to J a
+    width is at least 4T - 2u > bc_tol, and each midpoint lies more than u
+    inside its bracket, strictly between its ends.  J is 0 where the floor
+    is not positive, and where M >= 2^1022, so that lo + hi cannot
+    overflow.
+    """
+    top = max(float(np.abs(lo).max()), float(np.abs(hi).max()))
+    if not top < 2.0**1022:
+        return 0
+    ratio = float((hi - lo).min()) / (4.0 * max(bc_tol, 4.0 * max(top * 2.0**-53, 2.0**-1074)))
+    # floor(log2(ratio)) without the rounding of log2: frexp's exponent less one
+    return math.frexp(ratio)[1] - 1 if ratio >= 2.0 else 0
+
+
 def _bisect_lockstep(res, center, bc_tol):
     """_bisect_scalar, one entry per line, on arrays.
 
     res is evaluated on every line each round; a line whose loop has
-    ended keeps its bracket, so its extra evaluations change nothing.
+    ended keeps its bracket, so its extra evaluations change nothing.  The
+    first :func:`_sure_rounds` rounds, in which no line's loop can end, run
+    without the live mask, its adjacency and width tests and its any().  A
+    line that meets an exact root m there has lo = hi = m, and 0.5*(m + m)
+    is m again, where the residual is again exactly 0, so the unmasked
+    rounds keep it; a NaN residual moves hi in both loops.
     """
     lo = _expand_lockstep(res, center, "low")
     hi = _expand_lockstep(res, center, "high")
-    live = hi - lo > bc_tol
+    for _ in range(_sure_rounds(lo, hi, bc_tol)):
+        mid = _HALF * (lo + hi)
+        r = res(mid)
+        np.copyto(lo, mid, where=r <= _ZERO)
+        np.copyto(hi, mid, where=~(r < _ZERO))
+    tol = _constant(bc_tol)
+    live = hi - lo > tol
     while live.any():
-        mid = 0.5 * (lo + hi)
+        mid = _HALF * (lo + hi)
         # adjacent floats wider apart than bc_tol end a line's loop
         live &= (lo < mid) & (mid < hi)
         r = res(mid)
         # an exact root (equilibria land here) moves both ends onto mid,
         # which ends its loop and keeps it bitwise; NaN moves hi
-        np.copyto(lo, mid, where=live & (r <= 0.0))
-        np.copyto(hi, mid, where=live & ~(r < 0.0))
-        live &= hi - lo > bc_tol
-    return np.where(lo == hi, lo, 0.5 * (lo + hi))
+        np.copyto(lo, mid, where=live & (r <= _ZERO))
+        np.copyto(hi, mid, where=live & ~(r < _ZERO))
+        live &= hi - lo > tol
+    return np.where(lo == hi, lo, _HALF * (lo + hi))

@@ -89,6 +89,25 @@ def test_sweep_solves_each_bundled_config_at_each_grid_size(tmp_path):
     point = bench.sweep_point(root, paths["parabolic_demo", 16], solves=2)
     assert (point["steps"], point["points"]) == (750, 17) and len(point["solve_s"]) == 2
     assert point["point_step_s"] == statistics.median(point["solve_s"]) / (750 * 17) > 0
+    assert point["point_step_min_s"] == min(point["solve_s"]) / (750 * 17) > 0
+
+
+def test_sweep_summary_puts_the_least_solve_beside_the_median():
+    bench = _load_bench()
+    # each side's medians straddle the host's two speeds, its least solves do not
+    points = [{"config": "c", "n": 16, "side": side, "steps": 10, "points": 17,
+               "point_step_s": median, "point_step_min_s": least}
+              for side, median, least in (("parent", 3.0, 1.0), ("change", 2.0, 0.9),
+                                          ("change", 4.0, 0.8), ("parent", 5.0, 1.2),
+                                          ("parent", 4.0, 1.1), ("change", 3.0, 0.7))]
+    summary = bench.summarize_sweep(points + [{**p, "n": 32} for p in points[:2]])
+    assert list(summary) == ["c n=16", "c n=32"]
+    row = summary["c n=16"]
+    assert (row["steps"], row["points"]) == (10, 17)
+    assert (row["parent"]["median"], row["change"]["median"]) == (4.0, 3.0)
+    least = row["point_step_min_s"]
+    assert (least["parent"]["median"], least["change"]["median"]) == (1.1, 0.8)
+    assert least["parent"]["n"] == least["change"]["n"] == 3
 
 
 def test_wall_peak_covers_the_processes_a_command_forks():

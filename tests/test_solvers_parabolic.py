@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import isscert.solvers.parabolic as parabolic
 from isscert.cli import main
 from isscert.config import load_plan
-from isscert.fields import Grid, lq_norm
+from isscert.fields import Grid, edge_names, lq_norm
 from isscert.signals import (SpaceTimeField, TimeSignal, profile_bump,
                              profile_constant, profile_sin, profile_sinprod,
                              profile_sum)
@@ -689,13 +689,14 @@ def test_cross_factors_that_underflow_give_finite_ends():
 def test_lockstep_clip_has_the_bits_of_np_clip():
     fmax = sys.float_info.max
     rs = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324]
-    betas = [0.0, 1e-320, 1e-10, 1.0]
-    r, beta = (np.array(g).ravel() for g in np.meshgrid(rs, betas))
-    with np.errstate(all="ignore"):
-        got = parabolic._clip_lockstep(r, beta)
-        want = np.clip(np.where(beta == 0.0, np.copysign(fmax, r), r / beta), -fmax, fmax)
-    assert np.array_equal(got, want, equal_nan=True)
-    assert np.array_equal(np.signbit(got), np.signbit(want))
+    # with and without a zero beta: the map without one skips the where
+    for betas in ([0.0, 1e-320, 1e-10, 1.0], [1e-320, 1e-10, 1.0]):
+        r, beta = (np.array(g).ravel() for g in np.meshgrid(rs, betas))
+        with np.errstate(all="ignore"):
+            got = parabolic._clip_lockstep(beta)(r)
+            want = np.clip(np.where(beta == 0.0, np.copysign(fmax, r), r / beta), -fmax, fmax)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def loop_residual(end, dt, c_phi, law, w_i, src_i, base_k, c_d2, c_face, r_lo, r_hi):
@@ -754,6 +755,218 @@ def test_closure_residual_has_the_bits_of_the_loop(end, ends):
                          for form in (parabolic._residual, loop_residual))
             for call in ((b[j].item(),), (b[j].item(), other[j].item())):
                 assert type(got(*call)) is float and bits(got(*call)) == bits(want(*call))
+
+
+@pytest.mark.parametrize("end", ["lo", "hi"])
+def test_closure_residual_at_a_fixed_other_has_the_bits_of_the_loop(end):
+    # the other end's value fixed when the residual is built: its term is
+    # formed once, base_k + fixed*r_lo at the high end, fixed*r_hi added
+    # last at the low end, and a value passed at the call still wins
+    w_i, src_i, base_k, c_d2, c_face, r_lo, r_hi, b, other = residual_factors(
+        np.random.default_rng(28), 3000)
+    factors = (w_i, src_i, base_k, c_d2, c_face, r_lo, r_hi)
+    fixed = other[::-1].copy()
+
+    def bits(x):
+        return np.asarray(x, dtype=float).view(np.uint64)
+
+    for law in (lambda v: v, cubic(3.0)):
+        got = parabolic._residual(end, 0.002, 400.0, law, *factors, fixed=fixed)
+        want = loop_residual(end, 0.002, 400.0, law, *factors)
+        assert np.array_equal(bits(got(b)), bits(want(b, fixed)))
+        assert np.array_equal(bits(got(b, other)), bits(want(b, other)))
+        for j in range(0, b.size, 7):
+            one = [f[j].item() for f in factors]
+            got = parabolic._residual(end, 0.002, 400.0, lambda v: float(law(v)), *one,
+                                      fixed=fixed[j].item())
+            want = loop_residual(end, 0.002, 400.0, lambda v: float(law(v)), *one)
+            assert bits(got(b[j].item())) == bits(want(b[j].item(), fixed[j].item()))
+
+
+# ---------------------------------------------------------------------------
+# the lockstep kernel against the one before it: unmasked early rounds and
+# per-closure constants, the same bits
+
+
+def same_bits(a, b):
+    """Whether two float arrays hold the same bits, signed zeros and NaNs
+    included."""
+    a, b = (np.asarray(x, dtype=float) for x in (a, b))
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def reference_bisect_lockstep(res, center, bc_tol, all_live=None):
+    """The lockstep bisection with every round masked, as it was before its
+    first rounds ran unmasked: the kernel must give its bits.  all_live,
+    if given, records for each round whether every line was still live
+    there or had met an exact root."""
+    lo = parabolic._expand_lockstep(res, center, "low")
+    hi = parabolic._expand_lockstep(res, center, "high")
+    live = hi - lo > bc_tol
+    while live.any():
+        mid = 0.5 * (lo + hi)
+        live &= (lo < mid) & (mid < hi)
+        if all_live is not None:
+            all_live.append(bool((live | (lo == hi)).all()))
+        r = res(mid)
+        np.copyto(lo, mid, where=live & (r <= 0.0))
+        np.copyto(hi, mid, where=live & ~(r < 0.0))
+        live &= hi - lo > bc_tol
+    return np.where(lo == hi, lo, 0.5 * (lo + hi))
+
+
+def reference_close_stack(h, dt, w_old, src, base, resp, af, data, varphi, bc_tol):
+    """The lockstep closure before its constants were built once per
+    closure: :func:`loop_residual` at every call, the where clip at every
+    call, Python float scalars and :func:`reference_bisect_lockstep`."""
+    n_lines = w_old.shape[0]
+    factors = {end: parabolic._end_factors(end, lambda a, j: a[:, j], h, w_old, src, base, resp,
+                                           af, np.broadcast_to(data[end], n_lines))
+               for end in resp}
+    fmax = sys.float_info.max
+
+    def bisect(res, center):
+        return reference_bisect_lockstep(res, center, bc_tol)
+
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        res = {end: loop_residual(end, dt, 2.0 / h, varphi, *fac) for end, fac in factors.items()}
+        if len(res) == 1:
+            ((end, residual),) = res.items()
+            ends = {end: bisect(residual, factors[end][0])}
+        else:
+            lo, hi = res["lo"], res["hi"]
+            w_hi, *_, c_face, r_lo, _ = factors["hi"]
+            beta = c_face * r_lo
+
+            def clip(r):
+                x = np.where(beta == 0.0, np.copysign(fmax, r), r / beta)
+                return np.minimum(np.maximum(x, -fmax), fmax)
+
+            y = bisect(lambda y: lo(clip(hi(y)), y), w_hi)
+            ends = {"lo": bisect(lambda x: lo(x, y), factors["lo"][0]), "hi": y}
+    return {end: b[:, None] for end, b in ends.items()}
+
+
+def line_residual(p):
+    """s*(b - root), plus g*b*b*b where p has g, NaN within band of root:
+    one increasing residual per entry of the arrays in p, and on a line's
+    size-1 slice the same bits as a float function."""
+    root, s, g, band = p["root"], p["s"], p.get("g"), p["band"]
+
+    def res(b):
+        r = s * (b - root) if g is None else s * (b - root) + g * (b * b * b)
+        return np.where(np.abs(b - root) < band, np.nan, r)
+
+    return res
+
+
+# each case's sizes of roots and centers, log-uniform: from 1e-3 to 2^60 the
+# adjacent-float exits fire at the top; ends reach 2^1022, past which no
+# round runs unmasked, in "top" and stay below it in "below_top"; the
+# subnormal roots are bisected to adjacent floats
+KERNEL_CASES = {"unit": (1e-3, 1.0), "big": (2.0**50, 2.0**60), "wide": (1e-3, 2.0**60),
+                "below_top": (2.0**1010, 2.0**1019), "top": (2.0**1020, 2.0**1023),
+                "subnormal": (1e-320, 1e-300), "exact": (1e-3, 1.0), "nan": (1e-3, 1.0)}
+# dyadic roots the bisection from [-1, 1] meets in its first rounds
+EXACT_ROOTS = (0.0, 0.5, -0.25, 0.375, -0.125, 0.0625)
+
+
+def kernel_stack(rng, case, n=16):
+    """The parameters of n residuals of :func:`line_residual` for one case,
+    and their centers."""
+    low, high = np.log10(KERNEL_CASES[case])
+
+    def sizes():
+        return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(low, high, n)
+
+    root, center = sizes(), sizes()
+    s = 10.0 ** rng.uniform(-2.0, 2.0, n)
+    # the cubic term on about half the lines, where no cube overflows
+    g = np.where(rng.random(n) < 0.5, 0.0, 10.0 ** rng.uniform(-3.0, 1.0, n))
+    band = np.zeros(n)
+    if case == "exact":
+        # equilibria beside lines that are not
+        k = np.arange(0, n, 2)
+        root[k], center[k], s[k], g[k] = np.resize(EXACT_ROOTS, k.size), 0.0, 1.0, 0.0
+    if case == "nan":
+        k = np.arange(0, n, 3)
+        g[k], band[k] = 0.0, 1e-3 * np.abs(root[k])
+    p = {"root": root, "s": s, "band": band}
+    return (p if high > 20 else {**p, "g": g}), center
+
+
+@pytest.mark.parametrize("case,bc_tol", [
+    *((case, tol) for case in KERNEL_CASES if case != "subnormal"
+      for tol in (1e-14, 1e-10, 1e-3)),
+    ("subnormal", 5e-324)])
+def test_lockstep_kernel_has_the_bits_of_the_masked_loop(case, bc_tol):
+    rng = np.random.default_rng([28, *map(ord, case), int(-math.log10(bc_tol))])
+    rounds = []
+    for _ in range(4):
+        p, center = kernel_stack(rng, case)
+        res, all_live = line_residual(p), []
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            want = reference_bisect_lockstep(res, center, bc_tol, all_live)
+            got = _bisect_lockstep(res, center, bc_tol)
+            lo, hi = (parabolic._expand_lockstep(res, center, side) for side in ("low", "high"))
+            per_line = [_bisect_scalar(lambda b, one=line_residual(
+                {k: v[j:j + 1] for k, v in p.items()}): float(one(np.array([b]))[0]),
+                center[j].item(), bc_tol) for j in range(center.size)]
+        assert same_bits(got, want) and same_bits(got, per_line)
+        # the reference loop kept every line live through the unmasked rounds
+        rounds.append(parabolic._sure_rounds(lo, hi, bc_tol))
+        assert rounds[-1] <= (all_live + [False]).index(False)
+        if case == "exact":
+            assert set(EXACT_ROOTS) <= set(got.tolist())
+    # each case reaches the side of the bound it is there for: none past
+    # 2^1022, few or none where magnitudes mix, else most of the bisection
+    if case in ("top", "wide"):
+        assert (all if case == "top" else any)(r == 0 for r in rounds)
+    else:
+        assert min(rounds) >= 8
+
+
+@pytest.mark.parametrize("lo,hi,bc_tol,rounds", [
+    # W/4T = 2/4e-3 = 500, 2/4e-10 = 5e9 and 2/4e-14 = 5e13 against bc_tol
+    ([-1.0], [1.0], 1e-3, 8), ([-1.0], [1.0], 1e-10, 32), ([-1.0, -3.0], [1.0, 5.0], 1e-14, 45),
+    # T = 4u = 4 * 2^61 * 2^-53 = 2^10 above bc_tol: 3 * 2^60 / 2^12 = 3 * 2^48
+    ([-2.0**60], [2.0**61], 1e-10, 49),
+    # W/4T exactly 2, and just below it
+    ([0.0], [2.0**-7], 2.0**-10, 1), ([0.0], [2.0**-7 * (1 - 2.0**-52)], 2.0**-10, 0),
+    # M just below 2^1022, and at it
+    ([-2.0**1021], [np.nextafter(2.0**1022, 0.0)], 1e-10, 49), ([-2.0**1021], [2.0**1022], 1e-10, 0),
+    # u = M 2^-53 = 2^-1053, and the subnormal floor u = 2^-1074 where M 2^-53 underflows
+    ([0.0], [2.0**-1000], 5e-324, 49), ([0.0], [2.0**-1060], 5e-324, 10),
+    ([-5e-324], [5e-324], 1e-14, 0), ([np.nan], [1.0], 1e-10, 0), ([-np.inf], [1.0], 1e-10, 0)])
+def test_sure_rounds_follow_the_bound(lo, hi, bc_tol, rounds):
+    # J = floor(log2(W / (4 max(bc_tol, 4u)))), u = max(M 2^-53, 2^-1074)
+    with np.errstate(invalid="ignore"):
+        assert parabolic._sure_rounds(np.array(lo), np.array(hi), bc_tol) == rounds
+
+
+@pytest.mark.parametrize("kinds", FLUX_KINDS)
+@pytest.mark.parametrize("bc_tol", [1e-14, 1e-10, 1e-3])
+def test_stack_closures_have_the_bits_of_the_reference(monkeypatch, kinds, bc_tol):
+    # the cubic law at gamma = 100; 2000 intervals at dt = 1e-7 give cross
+    # factors of 0.0 on some lines, the random lines none
+    varphi = cubic(100.0)
+    rng = np.random.default_rng(28)
+    cases = [coupled_lines(2000, [1.0, 16.0, 18.0], n_lines=3, dt=1e-7, seed=3)]
+    for lam in (1e-2, 1.0, 1e2):
+        w_old, af, src, ends = random_lines(rng, n_lines=9)
+        cases.append((w_old, 1.0 / 11, lam / 121, af, src, ends))
+    for w_old, h, dt, af, src, ends in cases:
+        bcs = [(kind, end) for kind, end in zip(kinds, ends)]
+        # the steep law overflows far out in the bracket expansions
+        with np.errstate(over="ignore"):
+            got = _solve_lines(_Band(), w_old, h, dt, af, src, *bcs, varphi, bc_tol)
+            with monkeypatch.context() as patch:
+                patch.setattr(parabolic, "_close_stack", reference_close_stack)
+                want = _solve_lines(_Band(), w_old, h, dt, af, src, *bcs, varphi, bc_tol)
+            per_line = [solve_one_line(w_old[j], h, dt, af[j], src[j],
+                                       *[(k, e[j]) for k, e in bcs], varphi, bc_tol)
+                        for j in range(w_old.shape[0])]
+        assert same_bits(got, want) and same_bits(got, per_line)
 
 
 # ---------------------------------------------------------------------------
@@ -837,6 +1050,39 @@ def test_2d_batched_sweeps_match_per_line_oracle(flux_edges):
     assert len(traj) == len(oracle)
     for i, expected in enumerate(oracle):
         assert np.array_equal(traj.state(i), expected)
+
+
+def close_line_by_line(h, dt, w_old, src, base, resp, af, data, varphi, bc_tol):
+    """:func:`parabolic._close_stack` as one :func:`parabolic._close_line`
+    per line."""
+    n_lines = w_old.shape[0]
+    rows = [parabolic._close_line(
+        h, dt, w_old[j:j + 1], src[j:j + 1], base[j:j + 1],
+        {end: r[j:j + 1] for end, r in resp.items()}, af[j:j + 1],
+        {end: np.broadcast_to(v, n_lines)[j] for end, v in data.items()}, varphi, bc_tol)
+        for j in range(n_lines)]
+    return {end: np.array([[row[end]] for row in rows]) for end in resp}
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_whole_solves_close_stacks_as_line_by_line(monkeypatch, dim):
+    # flux on both ends of every axis with the cubic law, so every sweep
+    # closes stacks of lines with two flux ends
+    scn = make_scenario(
+        dim=dim, gamma1=(), gamma2=edge_names(dim), reaction=cubic(0.5),
+        boundary_reaction=cubic(1.2),
+        f=SpaceTimeField.from_signal(TimeSignal.sinusoid(1.0, 1.3, 0.4, offset=0.5)),
+        d2=SpaceTimeField.separable(
+            lambda p: 0.3 * np.sin(2.0 * np.asarray(p[0]) - np.asarray(p[-1]) + 0.4),
+            TimeSignal.polynomial(1.0, 3.0)),
+        w0=profile_sum(profile_constant(0.3), profile_sinprod(2.0, 1, 2, 1 if dim == 3 else None)))
+    grid, cfg = Grid(*(10, 12, 8)[:dim]), SolverConfig(t_end=0.05, dt=0.01)
+    shipped = solve_parabolic(scn, grid, cfg)
+    monkeypatch.setattr(parabolic, "_close_stack", close_line_by_line)
+    by_line = solve_parabolic(scn, grid, cfg)
+    assert len(shipped) == len(by_line) == 6
+    for i in range(len(shipped)):
+        assert same_bits(shipped.state(i), by_line.state(i))
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,10 @@ pair, at seed 11 and 8 s a run:
   the same copies of the bundled configs, written with that grid, each in
   a fresh interpreter, three alternating times a side; a point is the
   median of five solves after an untimed one, so imports and first
-  factorisations stay out of it.
+  factorisations stay out of it.  A point also records the least of its
+  five (``point_step_min_s``), summarised beside the median: the host
+  runs at two speeds, and the least solve is the one least likely to
+  straddle a change between them.
 
 The file holds the two commits, the host, the versions, every run's
 metrics and raw info line, every wall time and sweep point, and a summary
@@ -242,14 +245,17 @@ def sweep_configs(tree: Path, directory: Path) -> dict:
 
 def sweep_point(tree: Path, config: Path, solves: int = SWEEP_SOLVES) -> dict:
     """Solve seconds per point-step of config in a fresh interpreter that
-    imports isscert from tree: the median of solves timed solves after an
-    untimed one, with the steps, the grid points and the host-speed probe."""
+    imports isscert from tree: the median and the least of solves timed
+    solves after an untimed one, with the steps, the grid points and the
+    host-speed probe."""
     probe = hostspeed.probe()
     proc = subprocess.run([sys.executable, "-c", _SWEEP_SNIPPET, str(config), str(solves)],
                           env=tree_env(tree), capture_output=True, text=True,
                           timeout=WALL_TIMEOUT_S, check=True)
     res = json.loads(proc.stdout.splitlines()[-1])
-    return {"point_step_s": statistics.median(res["solve_s"]) / (res["steps"] * res["points"]),
+    point_steps = res["steps"] * res["points"]
+    return {"point_step_s": statistics.median(res["solve_s"]) / point_steps,
+            "point_step_min_s": min(res["solve_s"]) / point_steps,
             "solve_s": res["solve_s"], "steps": res["steps"], "points": res["points"],
             "probe_s": probe}
 
@@ -290,6 +296,23 @@ def summarize(runs: list, better: dict, trace: int = 0, bounds: dict | None = No
                     or min(sign * c for c in sides["change"])
                     > max(sign * p for p in sides["parent"]))
         out[workload] = row
+    return out
+
+
+def summarize_sweep(sweep: list) -> dict:
+    """Per swept config and grid size: its steps and points, each side's
+    median and quartiles of point_step_s, and beside them those of
+    point_step_min_s."""
+    out = {}
+    for name, n in dict.fromkeys((p["config"], p["n"]) for p in sweep):
+        mine = [p for p in sweep if (p["config"], p["n"]) == (name, n)]
+        out[f"{name} n={n}"] = {
+            "steps": mine[0]["steps"], "points": mine[0]["points"],
+            **{side: quartiles([p["point_step_s"] for p in mine if p["side"] == side])
+               for side in ("parent", "change")},
+            "point_step_min_s": {
+                side: quartiles([p["point_step_min_s"] for p in mine if p["side"] == side])
+                for side in ("parent", "change")}}
     return out
 
 
@@ -382,13 +405,6 @@ def main(argv=None) -> int:
     for m in memories:
         memory_summary[m["command"]][m["side"]] = {"run_mb": m["run_mb"],
                                                    "writer_mb": m["writer_mb"]}
-    sweep_summary = {}
-    for name, n in dict.fromkeys((p["config"], p["n"]) for p in sweep):
-        mine = [p for p in sweep if (p["config"], p["n"]) == (name, n)]
-        sweep_summary[f"{name} n={n}"] = {
-            "steps": mine[0]["steps"], "points": mine[0]["points"],
-            **{side: quartiles([p["point_step_s"] for p in mine if p["side"] == side])
-               for side in ("parent", "change")}}
     report = {
         "command": shlex.join(["python3", "tools/bench.py", *(argv or sys.argv[1:])]),
         "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -408,7 +424,7 @@ def main(argv=None) -> int:
         "traced_summary": summarize(runs, layers, trace=1),
         "wall_summary": wall_summary,
         "memory_summary": memory_summary,
-        "sweep_summary": sweep_summary,
+        "sweep_summary": summarize_sweep(sweep),
         "runs": runs,
         "walls": walls,
         "memories": memories,
