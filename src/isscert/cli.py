@@ -113,12 +113,13 @@ def cmd_run(args) -> int:
     report; exit 0 on status ok or not-applicable, 1 on violations, 2 on a
     config, solver, energy, check or output error.
 
-    Everything that can fail runs before the output directory exists.  A
-    trajectory of at least _FORK_ROWS CSV rows on two CPUs streams its
-    stamps to a second CSV writer process during the solve
-    (:func:`~isscert.fields.csv_stream`), which this waits for after
-    report.txt.  Every outcome, an exception included, leaves that process
-    reaped and no .part file behind.
+    Everything that can fail runs before the output directory exists.  The
+    run is recorded inside :func:`~isscert.fields.csv_stream`, the one way
+    a trajectory's CSV gets a second writer process: one of at least
+    _FORK_ROWS CSV rows on two CPUs streams its stamps to it during the
+    solve, and this waits for it after report.txt.  Every outcome, an
+    exception included, leaves that process reaped and no .part file
+    behind.
     """
     try:
         plan = load_plan(args.config)

@@ -36,7 +36,7 @@ __all__ = [
 _MIN_CELLS = 8
 _BLOCK = 64  # stamps per call of Trajectory.blockwise
 
-# A record forks its second CSV writer (_CsvWriter) from this many CSV rows on.
+# A streamed record forks its second CSV writer (_CsvWriter) from this many CSV rows on.
 # The rows the child formats must save at least twice what the fork costs
 # this process.  On a 2-CPU x86-64 host with numpy, scipy and isscert.cli
 # loaded (Python 3.11, 58 MB resident) a no-op fork plus waitpid took
@@ -46,8 +46,8 @@ _BLOCK = 64  # stamps per call of Trajectory.blockwise
 # one pipe write (median 2.4 us on 1-D n = 200).  A row formats one value on
 # any number of axes, its point's coordinate cells being formatted once:
 # 1.20-1.26 us a row on 1-D n = 200 and 256 and on 64x64 states.  The child
-# saves this process between half the rows (a writer started at write time,
-# or one that formatted nothing during the solve) and all of them, so
+# saves this process between half the rows (a writer that formatted nothing
+# during the solve) and all of them, so
 # rows/2 * row >= 2 * fork holds from 12 000 rows at the medians.  The
 # 2-D benchmark runs have 3 300-12 700 rows, and forking every run cut their
 # throughput by 11-23 % in three 6 s benchmark pairs, so the bar stays above
@@ -155,21 +155,36 @@ def lq_norm(values, q, grid):
     stack gives one norm per state, bitwise equal to the single-state
     call.  Finite q uses the grid's native second-order quadrature of
     |w|**q; q = inf is the max norm.
+
+    A state whose s**q, s = max|w|, leaves (2**-900, 2**900) takes the
+    norm of w/s times s, so at no q does a finite state's norm read inf,
+    or 0 unless it lies below the floats (subnormal values, say).  Every
+    other state is left unscaled and keeps its bits; its terms that
+    underflow are each below 2**-1074 against an integral of at least
+    2**-900 times the least quadrature weight.
     """
     values = np.asarray(values, dtype=float)
     shape = grid.shape
     if values.shape[-len(shape):] != shape:
         raise ValueError(f"values shape {values.shape} does not match grid")
+    mags = np.abs(values)
+    peak = np.max(mags, axis=tuple(range(-len(shape), 0)))
     if q == math.inf or q == "inf":
-        return scalar_or_array(np.max(np.abs(values), axis=tuple(range(-len(shape), 0))))
+        return scalar_or_array(peak)
     q = float(q)
     if not q >= 2.0:
         raise ValueError(f"q must lie in [2, inf], got {q}")
-    integral = integrate(np.abs(values) ** q, grid)
+    # s**q leaves (2**-900, 2**900) where s leaves (lo, hi)
+    lo, hi, scale = 2.0 ** (-900.0 / q), 2.0 ** (900.0 / q), 1.0
+    if peak.size and not (lo < peak.min() and peak.max() < hi):
+        scale = np.where(((peak <= lo) | (peak >= hi)) & (peak > 0.0) & (peak < math.inf),
+                         peak, 1.0)
+        mags = mags / scale.reshape(scale.shape + (1,) * len(shape))
+    integral = integrate(mags ** q, grid)
     if np.ndim(integral) == 0:
-        return float(integral) ** (1.0 / q)
+        return float(scale) * float(integral) ** (1.0 / q)
     # Python's float power per state: numpy's array power can differ by an ulp
-    return np.asarray([x ** (1.0 / q) for x in integral.tolist()])
+    return scale * np.asarray([x ** (1.0 / q) for x in integral.tolist()])
 
 
 def float_cells(values) -> list:
@@ -192,12 +207,6 @@ def _stamp_rows(t, coords, state) -> str:
 def _coord_cells(grid) -> list:
     """Each point's coordinate cells, joined, in C order (last axis fastest)."""
     return list(map(",".join, product(*map(float_cells, grid.coords()))))
-
-
-def _two_writers(rows) -> bool:
-    """Whether a CSV of rows rows is written by two processes."""
-    return (rows >= _FORK_ROWS and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2)
 
 
 def _part(path) -> Path:
@@ -240,10 +249,10 @@ class Trajectory:
     float array per state name; its first ``len(self)`` rows are the stamps.
     ``append`` copies into the next row, doubling the capacity when full;
     a solver that knows its stamp count sizes the record once with
-    ``reserve``.  Inside :func:`csv_stream`, a record known to reach
-    _FORK_ROWS CSV rows, by its reserved stamps or by those appended,
-    starts its second CSV writer then and streams every later stamp to it
-    (see :meth:`write_csv`).
+    ``reserve``.  Only inside :func:`csv_stream` does a record get a
+    second CSV writer process: one known to reach _FORK_ROWS CSV rows, by
+    its reserved stamps or by those appended, starts it then and streams
+    every later stamp to it (see :meth:`write_csv`).
     """
 
     def __init__(self, pde_class: str, grid, names=("u",), meta=None):
@@ -277,10 +286,12 @@ class Trajectory:
 
     def _stream(self, stamps):
         """Start the second CSV writer inside a csv_stream once the record is
-        known to hold stamps stamps, if that makes _FORK_ROWS CSV rows."""
+        known to hold stamps stamps, if that makes _FORK_ROWS CSV rows and
+        this process may use two CPUs."""
         writers = _STREAM.get()
         if (writers is not None and self._writer is None
-                and _two_writers(stamps * len(self.names) * self.grid.npoints)):
+                and stamps * len(self.names) * self.grid.npoints >= _FORK_ROWS
+                and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2):
             self._writer = _CsvWriter(self)
             writers.append(self._writer)
 
@@ -341,19 +352,14 @@ class Trajectory:
         coordinate cells are each axis's reprs, joined per point in C order
         (last axis fastest).  Returns the list of paths written.
 
-        The rows go to disk in one of two ways with the same bytes.  With at
-        least two usable CPUs and at least _FORK_ROWS rows, a second writer
-        process (:class:`_CsvWriter`) writes the stamps before a split and
-        this process the rest, to <file>.part, appended to the file once
-        the second writer has succeeded and removed in every case; a
-        failure of the second writer raises an OSError naming the file it
-        failed on.  A record streamed inside :func:`csv_stream` already has
-        that writer, which has formatted stamps during the solve, and the
-        wait for it is left to the function the block yields: when this
-        returns, each file holds its header and possibly part of its rows.
-        Any other record starts the writer here, with every stamp, and
-        waits for it before returning.  Otherwise one process writes every
-        row.  Every way formats rows with the same function.
+        This process writes every row, unless the record was streamed
+        inside :func:`csv_stream` and so already has a second writer
+        process (:class:`_CsvWriter`), which has formatted stamps during
+        the solve.  Then that writer writes the stamps before a split and
+        this process the rest, to <file>.part, and the wait for the writer
+        is left to the function the block yields: when this returns, each
+        file holds its header and possibly part of its rows.  Both ways
+        format rows with the same function and give the same bytes.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
@@ -363,10 +369,6 @@ class Trajectory:
         writer, self._writer = self._writer, None
         if writer is not None:
             writer.commit(paths, header)
-        elif _two_writers(self._n * len(self.names) * self.grid.npoints):
-            writer = _CsvWriter(self)
-            writer.commit(paths, header)
-            writer.finish()
         else:
             self._write_stamps(paths, header, 0)
         meta_path = directory / "trajectory_meta.yaml"
@@ -405,6 +407,8 @@ def csv_stream():
     """A block in which a record known to reach _FORK_ROWS CSV rows starts
     its second CSV writer while it is still being recorded (see
     :class:`Trajectory`), so the writer formats stamps alongside the solve.
+    This is the only way a record's CSV gets a second process; outside
+    every block :meth:`Trajectory.write_csv` writes in this one.
 
     The block yields a function that waits for every writer started in it
     and appends each one's .part files, raising the OSError of a writer
@@ -487,6 +491,10 @@ class _CsvWriter:
         recorded by default, as far as the pipe takes them: without waiting
         until the commit makes the pipe blocking.  Once the child has ended,
         send nothing (:meth:`finish` reports how it ended)."""
+        # A blocking write here would stall the solve whenever the child
+        # falls behind: transport_global fills the 1 MiB pipe and holds
+        # stamps back 178 times, and a blocking feed slowed that run from
+        # 93.6 to 115.8 ms in-process.
         traj = self.traj
         upto = len(traj) if upto is None else upto
         try:

@@ -1,7 +1,8 @@
 """``tools/bench.py`` counts a pair as won in each metric's own sense, marks a
 metric resolved only where its runs can tell a change of the metric's bound,
-its output digest covers every byte and path of a run's files, and its
-grid-size sweep solves copies of the bundled configs at each grid size."""
+reads each side's src line count from its runs, its output digest covers
+every byte and path of a run's files, and its grid-size sweep solves copies
+of the bundled configs at each grid size."""
 
 import importlib.util
 import os
@@ -38,6 +39,14 @@ def test_summary_counts_wins_by_the_metric_sense():
     assert p50["change_better"] == 2
     assert (rate["parent"]["median"], rate["change"]["median"]) == (10.0, 11.0)
     assert abs(rate["median_change"] - 0.1) < 1e-12
+
+
+def test_src_lines_are_read_per_side_from_the_runs():
+    bench = _load_bench()
+    runs = [{**_run(i, side, 10.0, 0.1), "info": {"repo.src_lines": lines}}
+            for i, (side, lines) in enumerate([("change", 4040), ("parent", 4052),
+                                               ("parent", 4052), ("change", 4040)])]
+    assert bench.src_lines(runs) == {"parent": 4052, "change": 4040}
 
 
 def test_a_metric_is_resolved_by_a_tight_parent_or_a_clean_separation():

@@ -419,19 +419,57 @@ def test_check_trajectory_rejects_non_finite_tol(tol):
         check_trajectory(traj, 2.0, bound, tol)
 
 
-@pytest.mark.parametrize("amplitude,q,init_norm,name", [
-    (30.0, 700.0, None, "norm"), (1.0, 2.0, math.inf, "bound")])
-def test_check_trajectory_refuses_a_series_past_the_floats(amplitude, q, init_norm, name):
-    # 30**700 overflows; NaN margins would count no violation
+def _bump_run(amplitude):
     scn = make_transport_uniform(rho0=profile_bump(amplitude, 0.4, 0.2))
-    traj = solve_transport(scn, Grid(32, layout="cell"),
-                           SolverConfig(t_end=0.2, cfl_sigma=0.9))
-    with np.errstate(all="ignore"):
-        bound = prepare_bound("transport_q", traj, scn, q)
-        if init_norm is not None:
-            bound = replace(bound, init_norm=init_norm)
-        with pytest.raises(ValueError, match=f"^the {name} at q={q!r} is not finite$"):
-            check_trajectory(traj, q, bound, 0.0)
+    return scn, solve_transport(scn, Grid(32, layout="cell"),
+                                SolverConfig(t_end=0.2, cfl_sigma=0.9))
+
+
+def test_check_trajectory_refuses_a_bound_past_the_floats():
+    # NaN margins would count no violation
+    scn, traj = _bump_run(1.0)
+    bound = replace(prepare_bound("transport_q", traj, scn, 2.0), init_norm=math.inf)
+    with pytest.raises(ValueError, match=r"^the bound at q=2\.0 is not finite$"):
+        check_trajectory(traj, 2.0, bound, 0.0)
+
+
+def test_check_trajectory_checks_a_norm_past_the_floats(recwarn):
+    # 30**700 overflows, and the norm and its bound once read inf and were
+    # refused; the norm now lies between the q = 2 norm and the max
+    scn, traj = _bump_run(30.0)
+    rep = check_trajectory(traj, 700.0, prepare_bound("transport_q", traj, scn, 700.0), 0.0)
+    assert np.isfinite(rep.rhs).all() and rep.violations == 0
+    assert (_state_norms(traj, 2.0) < rep.lhs).all()
+    assert (rep.lhs <= _state_norms(traj, math.inf)).all()
+    assert not recwarn.list
+
+
+def test_transport_q_at_q_400_certifies_the_true_norm():
+    # |0.1|**400 underflows: the norm and its bound once read 0 at every
+    # stamp, and the run certified status=ok at a margin of 0
+    doc = load_config("transport_global")
+    doc["scenario"]["initial"] = {"kind": "constant", "value": 0.1}
+    doc["grid"]["n"] = 128
+    doc["solver"]["cfl_sigma"] = 0.9
+    doc["energy"] = None
+    doc["checks"] = [{"kind": "transport_q", "q": 400.0, "tol": 0.0}]
+    rep, = run_plan(build_plan(doc)).reports
+    assert rep.lhs[0] == pytest.approx(0.1, rel=1e-12)
+    assert rep.violations == 0 and rep.min_margin > 0.1
+
+
+@pytest.mark.parametrize("demo,check", [
+    ("parabolic_demo", {"kind": "parabolic_q"}), ("parabolic_2d_demo", {"kind": "parabolic_q"}),
+    ("transport_global", {"kind": "transport_q"}), ("wave_demo", {"kind": "wave_m", "m": 1.0}),
+])
+def test_a_q_uniform_margin_at_large_q_nears_the_max_norm_margin(demo, check):
+    # the q-norm tends to the max norm, so the margins of a bound uniform
+    # in q do too; at q = 1e5 the norms once underflowed to 0
+    doc = load_config(demo)
+    doc["energy"] = None
+    doc["checks"] = [{**check, "q": q, "tol": 0.0} for q in (1e5, "inf")]
+    large, top = (rep.min_margin for rep in run_plan(build_plan(doc)).reports)
+    assert abs(large - top) <= 1e-3
 
 
 # ---------------------------------------------------------------------------

@@ -1001,13 +1001,14 @@ def test_cli_run_writer_failure_exits_2(tmp_path, capsys, monkeypatch, counted_f
 @pytest.mark.parametrize("demo,edits,message", [
     ("wave_demo", {"energy": {"p": 2.0, "rate": 300.0}},
      "energy error: the Gronwall envelope must be finite"),
-    ("parabolic_demo", {"checks": [{"kind": "parabolic_q", "q": 700.0, "tol": 0.0}]},
-     "check error: the norm at q=700.0 is not finite"),
+    # 8 e^{4m/c} = 8 e^{708.5} leaves the floats, a finite norm does not
+    ("wave_demo", {"checks": [{"kind": "wave_m", "q": 2, "m": 354.25, "tol": 0.0}]},
+     "check error: the bound at q=2.0 is not finite"),
     ("parabolic_demo", {"scenario.diffusion": {"kind": "uniform", "signal": {
         "kind": "exp_decay", "amplitude": 1.0, "rate": -800.0, "offset": 1.0}}},
      "solver error: solver diverged at step 441, t = 0.8820000000000007 "
      "(non-finite diffusion band or right-hand side)"),
-], ids=["wave_envelope", "norm_past_the_floats", "diffusion_overflow"])
+], ids=["wave_envelope", "bound_past_the_floats", "diffusion_overflow"])
 def test_cli_run_failing_after_the_writer_started_leaves_nothing(
         tmp_path, capsys, counted_forks, demo, edits, message):
     # every record streams to a writer from its first stamp; the failure

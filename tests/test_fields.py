@@ -8,6 +8,9 @@ import time
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from isscert import fields
 from isscert.fields import (_FORK_ROWS, Grid, Trajectory, csv_rows, float_cells,
@@ -105,6 +108,34 @@ def test_lq_norm_2d():
     g = Grid(8, 8)
     vals = np.full((9, 9), 1.5)
     assert lq_norm(vals, 2.0, g) == pytest.approx(1.5, rel=1e-14)
+
+
+@pytest.mark.parametrize("c", [1e-300, 0.1, 3.2, 1e300])
+@pytest.mark.parametrize("layout", ["node", "cell", "square"])
+def test_lq_norm_of_a_constant_is_its_size_at_every_q(layout, c):
+    # c**q leaves the floats from q = 2 (1e-300, 1e300) or q = 300 (0.1) or
+    # 600 (3.2) on; 0.1 once read 0.0 at q = 400
+    grid = GRIDS[layout]
+    for sign in (1.0, -1.0):
+        for q in (2.0, 3.0, 300.0, 400.0, 700.0, 1e3, 1e4, 1e5, 1e6):
+            assert abs(lq_norm(np.full(grid.shape, sign * c), q, grid) - c) <= 4 * math.ulp(c)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.data())
+def test_lq_norm_is_nondecreasing_in_q_up_to_the_max(data):
+    # the power-mean inequality: the quadrature weights are positive and sum
+    # to 1 on the unit cube; a relative 1e-12, or a few subnormal steps,
+    # allow for the rounding of each norm
+    grid = GRIDS[data.draw(st.sampled_from(["node", "cell", "square"]))]
+    values = (data.draw(hnp.arrays(float, grid.shape, elements=st.floats(-1.0, 1.0)))
+              * 10.0 ** data.draw(st.integers(-300, 300)))
+    qs = sorted(data.draw(st.lists(st.floats(2.0, 1e6), min_size=3, max_size=3)))
+    norms = [lq_norm(values, q, grid) for q in qs] + [lq_norm(values, math.inf, grid)]
+    assert all(lo <= hi * (1 + 1e-12) + 2e-323 for lo, hi in zip(norms, norms[1:]))
+    # a norm reads 0 only for a zero state or one whose norm is below the
+    # floats, such as a state of subnormal values
+    assert min(norms) > 0 or norms[-1] < 1e-300
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +366,11 @@ def _assert_matches_reference(path, traj, name):
             f"line {i} differs first ({len(got)} lines, {len(want)} expected)"
 
 
-def _forked_stamps(grid, names, parity):
-    """The least stamp count of the given parity whose CSV has _FORK_ROWS rows."""
+def _forked_stamps(grid, names, parity=None):
+    """The least stamp count, of the given parity if any, whose CSV has
+    _FORK_ROWS rows."""
     stamps = -(-_FORK_ROWS // (grid.npoints * len(names)))
-    return stamps + (stamps % 2 != parity)
+    return stamps + (parity is not None and stamps % 2 != parity)
 
 
 def _odd_trajectory(layout, names, stamps, reserve=False):
@@ -365,7 +397,7 @@ def _assert_no_part_and_no_child(directory):
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    """Report two usable CPUs and count the forks write_csv makes."""
+    """Report two usable CPUs and count the forks made."""
     forks, fork = [], os.fork
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
@@ -380,23 +412,24 @@ def two_cpus(monkeypatch):
     ("cube", ("u",), None), ("cube", ("u",), 1),
 ])
 def test_write_csv_matches_row_reference(tmp_path, two_cpus, layout, names, parity):
-    # parity None: 40 stamps, or fewer where 40 reach _FORK_ROWS rows, one
-    # writer; else the least odd or even stamp count from _FORK_ROWS rows on,
-    # split between two
+    # parity None: 40 stamps, or fewer where 40 reach _FORK_ROWS rows; else
+    # the least odd or even stamp count from _FORK_ROWS rows on.  Outside a
+    # csv_stream this process writes every row, on two CPUs too.
     grid = GRIDS[layout]
     stamps = (min(40, (_FORK_ROWS - 1) // (grid.npoints * len(names))) if parity is None
               else _forked_stamps(grid, names, parity))
     traj = _odd_trajectory(layout, names, stamps)
     paths = traj.write_csv(tmp_path)
-    assert len(two_cpus) == (parity is not None)
+    assert not two_cpus
     for name, path in zip(names, paths):
         _assert_matches_reference(path, traj, name)
     _assert_no_part_and_no_child(tmp_path)
 
 
-@pytest.mark.parametrize("rows, cpus", [("below", {0, 1}), ("above", {0}), ("above", None)],
-                         ids=["few-rows", "one-cpu", "no-affinity"])
-def test_small_outputs_never_fork(tmp_path, monkeypatch, rows, cpus):
+@pytest.mark.parametrize("rows, cpus, streamed", [
+    ("below", {0, 1}, True), ("above", {0}, True), ("above", None, True), ("above", {0, 1}, False),
+], ids=["few-rows", "one-cpu", "no-affinity", "no-stream"])
+def test_small_outputs_never_fork(tmp_path, monkeypatch, rows, cpus, streamed):
     def no_fork():
         raise AssertionError("write_csv forked")
 
@@ -410,30 +443,14 @@ def test_small_outputs_never_fork(tmp_path, monkeypatch, rows, cpus):
     assert (stamps * grid.npoints >= _FORK_ROWS) == (rows == "above")
     traj = _odd_trajectory("node", ("u",), stamps)
     _assert_matches_reference(traj.write_csv(tmp_path)[0], traj, "u")
-    # nor does a record streamed from its first stamp or from the last
-    for reserve in (True, False):
+    # nor does a record streamed from its first stamp or from the last,
+    # which would fork on two CPUs past _FORK_ROWS rows
+    for reserve in (True, False) if streamed else ():
         with fields.csv_stream() as wait:
             traj = _odd_trajectory("node", ("u",), stamps, reserve)
             path = traj.write_csv(tmp_path / f"stream{reserve}")[0]
             wait()
         _assert_matches_reference(path, traj, "u")
-
-
-def test_forked_writer_failure_names_the_file(tmp_path, two_cpus, monkeypatch):
-    parent, rows = os.getpid(), fields.csv_rows
-
-    def child_disk_full(*columns):
-        if os.getpid() != parent:
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        return rows(*columns)
-
-    monkeypatch.setattr(fields, "csv_rows", child_disk_full)
-    traj = _odd_trajectory("node", ("u",), _forked_stamps(GRIDS["node"], ("u",), 1))
-    with pytest.raises(OSError) as info:
-        traj.write_csv(tmp_path)
-    assert (info.value.errno, info.value.filename) == (errno.ENOSPC, str(tmp_path / "trajectory.csv"))
-    assert len(two_cpus) == 1
-    _assert_no_part_and_no_child(tmp_path)
 
 
 def test_a_failing_parent_kills_and_reaps_the_writer(tmp_path, two_cpus, monkeypatch):
@@ -449,11 +466,12 @@ def test_a_failing_parent_kills_and_reaps_the_writer(tmp_path, two_cpus, monkeyp
         raise OSError(errno.EIO, "parent fails once the child writes its part")
 
     monkeypatch.setattr(fields, "csv_rows", stuck_child_failing_parent)
-    traj = _odd_trajectory("node", ("u",), _forked_stamps(GRIDS["node"], ("u",), 0))
     start = time.monotonic()
-    with pytest.raises(OSError, match="parent fails"):
-        traj.write_csv(tmp_path)
-    assert time.monotonic() - start < 30.0 and seen == [True]
+    with fields.csv_stream():
+        traj = _odd_trajectory("node", ("u",), _forked_stamps(GRIDS["node"], ("u",), 0), True)
+        with pytest.raises(OSError, match="parent fails"):
+            traj.write_csv(tmp_path)
+    assert time.monotonic() - start < 30.0 and seen == [True] and len(two_cpus) == 1
     _assert_no_part_and_no_child(tmp_path)
 
 
@@ -470,13 +488,12 @@ def _streamed_stamps(layout, names):
 
 
 def _write_with_writer_started(directory, layout, names, start):
-    """A record of _streamed_stamps and the paths its CSVs went to, its second
-    writer started at the first stamp (by reserve, in a csv_stream), mid-run
-    (by the stamps appended, in a csv_stream) or at write time."""
-    stamps = _streamed_stamps(layout, names)
-    if start == "write-time":
-        traj = _odd_trajectory(layout, names, stamps)
-        return traj, traj.write_csv(directory)
+    """A record and the paths its CSVs went to, streamed inside a
+    csv_stream: of _streamed_stamps with its second writer started at the
+    first stamp (by reserve) or mid-run (by the stamps appended), or of the
+    least stamps with _FORK_ROWS rows, the last of which starts it."""
+    stamps = (_forked_stamps(GRIDS[layout], names) if start == "last-stamp"
+              else _streamed_stamps(layout, names))
     with fields.csv_stream() as wait:
         traj = _odd_trajectory(layout, names, stamps, reserve=start == "first-stamp")
         paths = traj.write_csv(directory)
@@ -486,12 +503,13 @@ def _write_with_writer_started(directory, layout, names, start):
 
 @pytest.mark.parametrize("progress", [None, "none", "half", "all"],
                          ids=["child", "forced-0", "forced-middle", "forced-all"])
-@pytest.mark.parametrize("start", ["first-stamp", "mid-run", "write-time"])
+@pytest.mark.parametrize("start", ["first-stamp", "mid-run", "last-stamp"])
 @pytest.mark.parametrize("layout,names", TWO_WRITER_RECORDS, ids=RECORD_IDS)
 def test_two_writers_match_the_reference_wherever_they_split(tmp_path, two_cpus, monkeypatch,
                                                              layout, names, start, progress):
-    # the writer starts at the first stamp, at the stamp whose rows reach
-    # _FORK_ROWS, or at write time with every stamp; the split halves what
+    # the writer starts at the first stamp, or at the stamp whose rows reach
+    # _FORK_ROWS, mid-run or as the last one, when the child inherits every
+    # stamp and none goes over the pipe; the split halves what
     # the child has not formatted, so forcing the progress it reports to
     # none, half or every stamp moves the split from half the stamps to none
     # left for this process
@@ -514,7 +532,7 @@ def test_two_writers_match_the_reference_wherever_they_split(tmp_path, two_cpus,
     traj, paths = _write_with_writer_started(tmp_path, layout, names, start)
     n = len(traj)
     first = {"first-stamp": 0, "mid-run": _forked_stamps(GRIDS[layout], names, 1) - 1,
-             "write-time": n}[start]
+             "last-stamp": n}[start]
     # the odd count's least reaches the rows, or the one before it does
     assert len(two_cpus) == 1 and starts[0] in (first, first + 1) and len(starts) == 1
     if progress is not None:
@@ -551,28 +569,31 @@ def test_stamps_a_full_pipe_held_back_go_at_the_commit(tmp_path, two_cpus, monke
     _assert_no_part_and_no_child(tmp_path)
 
 
-def test_a_streamed_writer_failure_names_its_file(tmp_path, two_cpus, monkeypatch):
+@pytest.mark.parametrize("names, failing, file", [
+    (("plus", "minus"), 2, "trajectory_minus.csv"), (("u",), 1, "trajectory.csv"),
+], ids=["wave-minus", "one-name"])
+def test_a_streamed_writer_failure_names_its_file(tmp_path, two_cpus, monkeypatch,
+                                                  names, failing, file):
     # the child formats each stamp's plus rows, then its minus rows, and
-    # fails on the first minus rows; it then takes no more stamps, and the
-    # wait reports its error on that file
+    # fails on the first minus rows, or on the first rows of a one-name
+    # record; it then takes no more stamps, and the wait reports its error
+    # on that file
     parent, rows, calls = os.getpid(), fields.csv_rows, []
 
-    def child_disk_full_on_minus(*columns):
+    def child_disk_full(*columns):
         if os.getpid() != parent:
             calls.append(columns)
-            if len(calls) == 2:
+            if len(calls) == failing:
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
         return rows(*columns)
 
-    monkeypatch.setattr(fields, "csv_rows", child_disk_full_on_minus)
-    names = ("plus", "minus")
+    monkeypatch.setattr(fields, "csv_rows", child_disk_full)
     with fields.csv_stream() as wait:
         traj = _odd_trajectory("node", names, _streamed_stamps("node", names), reserve=True)
         traj.write_csv(tmp_path)
         with pytest.raises(OSError) as info:
             wait()
-    assert (info.value.errno, info.value.filename) == (
-        errno.ENOSPC, str(tmp_path / "trajectory_minus.csv"))
+    assert (info.value.errno, info.value.filename) == (errno.ENOSPC, str(tmp_path / file))
     assert len(two_cpus) == 1
     _assert_no_part_and_no_child(tmp_path)
 

@@ -39,14 +39,15 @@ pair, at seed 11 and 8 s a run:
   runs at two speeds, and the least solve is the one least likely to
   straddle a change between them.
 
-The file holds the two commits, the host, the versions, every run's
-metrics and raw info line, every wall time and sweep point, and a summary
-per workload and trace setting, wall command and sweep point: each side's
-median and quartiles, and for the runs the pairs the change won.  An
-end-to-end metric is marked resolved when the parent's quartile spread,
-over its median, is within the metric's BENCHMARK.json bound, or when
-every change run reads better than every parent run.  A pair whose two
-runs wrote different report digests is recorded as such.
+The file holds the two commits, each side's lines of ``src/**/*.py``
+(``src_lines``), the host, the versions, every run's metrics and raw info
+line, every wall time and sweep point, and a summary per workload and
+trace setting, wall command and sweep point: each side's median and
+quartiles, and for the runs the pairs the change won.  An end-to-end
+metric is marked resolved when the parent's quartile spread, over its
+median, is within the metric's BENCHMARK.json bound, or when every change
+run reads better than every parent run.  A pair whose two runs wrote
+different report digests is recorded as such.
 """
 
 from __future__ import annotations
@@ -316,6 +317,13 @@ def summarize_sweep(sweep: list) -> dict:
     return out
 
 
+def src_lines(runs: list) -> dict:
+    """Each side's lines of src/**/*.py, as its first run reports them
+    (repo.src_lines): every run of a side counts the same exported tree."""
+    return {side: next(r["info"]["repo.src_lines"] for r in runs if r["side"] == side)
+            for side in ("parent", "change")}
+
+
 def same_digests(a: dict, b: dict) -> bool:
     """Whether every operation both runs checked wrote the same report."""
     return all(a[name] == b[name] for name in a.keys() & b.keys())
@@ -410,6 +418,7 @@ def main(argv=None) -> int:
         "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "parent": parent,
         "change": change,
+        "src_lines": src_lines(runs),
         "host": {"nproc": os.cpu_count(), "cpus_usable": len(os.sched_getaffinity(0)),
                  "machine": platform.machine(),
                  "probe_reference_s": hostspeed.REFERENCE_S},
