@@ -101,33 +101,43 @@ def _reject_unknown(doc, allowed, path):
 # same law values
 
 
+def _facts(law, **facts):
+    """law, with its kind's facts as attributes, which the scenarios read
+    instead of sampling the law.  A map is v -> slope*v + gamma*v**3 with
+    slope > 0 and gamma >= 0: odd, of the sign of v and nondecreasing, of
+    least slope slope.  A speed is even and nonincreasing in |s|, so its
+    sup is its value at 0, sup."""
+    law.__dict__.update(facts)
+    return law
+
+
 def _identity():
-    return lambda v: v + 0.0
+    return _facts(lambda v: v + 0.0, slope=1.0, gamma=0.0)
 
 
 def _linear(slope):
     if not slope > 0:
         raise ValueError("slope must be positive")
-    return lambda v: slope * v
+    return _facts(lambda v: slope * v, slope=slope, gamma=0.0)
 
 
 def _cubic(gamma):
     """v + gamma*v**3, elementwise."""
     if not gamma >= 0:
         raise ValueError("gamma must be nonnegative")
-    return lambda v: v * (1.0 + gamma * (v * v))
+    return _facts(lambda v: v * (1.0 + gamma * (v * v)), slope=1.0, gamma=gamma)
 
 
 def _constant_speed(value):
     if value <= 0:
         raise ValueError("speed must be positive")
-    return lambda s: value
+    return _facts(lambda s: value, sup=value)
 
 
 def _reciprocal_speed(scale):
     if scale < 0:
         raise ValueError("scale must be nonnegative")
-    return lambda s: 1.0 / (1.0 + scale * np.abs(s))
+    return _facts(lambda s: 1.0 / (1.0 + scale * np.abs(s)), sup=1.0)
 
 
 # each family's kinds: (constructor, the keys besides "kind" in its argument

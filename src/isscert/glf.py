@@ -398,8 +398,10 @@ def local_speed_floor(scn, radius: float):
 
     For a scenario under the "decreasing" assumption and initial data plus
     disturbance bounded by ``radius``, the total mass stays within
-    ``2 * radius * max(1/|k|, 1/(1-|k|))`` in magnitude, so the speed never
-    drops below the map's value there.  Returns (floor, mass_range).
+    ``2 * radius * max(1/|k|, 1/(1-|k|))`` in magnitude.  Every speed kind
+    is even and nonincreasing in |s| (:class:`~isscert.solvers.TransportScenario`),
+    so speed(mass_range) is exactly the least speed on that range, of every
+    float mass in it too.  Returns (floor, mass_range).
     """
     if scn.assumption != "decreasing":
         raise ScenarioError("local speed floors need the 'decreasing' assumption")

@@ -28,15 +28,6 @@ class AssumptionViolationError(RuntimeError):
     """A runtime quantity left the range an assumption guarantees."""
 
 
-# validation samples the scenario maps at the MAP_INTERVALS + 1 evenly
-# spaced states of [-MAP_REACH, MAP_REACH]
-MAP_REACH, MAP_INTERVALS = 10.0, 400
-
-
-def map_samples():
-    return np.linspace(-MAP_REACH, MAP_REACH, MAP_INTERVALS + 1)
-
-
 @dataclass
 class SolverConfig:
     """Time-stepping controls shared by all solvers.

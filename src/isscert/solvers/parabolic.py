@@ -43,9 +43,7 @@ Each sweep factors its band once per operator (LAPACK gttrf), with the
 unit responses of its flux ends, and a step solves one right-hand side
 (gttrs); a new h, dt or diffusivity, such as a time-varying a or a
 shorter last step, refactors.  A closure's residual is one expression
-per end layout, with no loop over the ends' response terms.  A run whose
-states reach beyond the range :meth:`ParabolicScenario.validate` samples
-has its maps checked again over the range it reached.
+per end layout, with no loop over the ends' response terms.
 """
 
 from __future__ import annotations
@@ -60,16 +58,11 @@ import numpy as np
 
 from ..fields import AXES, Trajectory, edge_names, grid_keys
 from ..signals import SpaceTimeField
-from .common import (MAP_INTERVALS, MAP_REACH, ScenarioError, SolverConfig,
-                     SolverDivergedError, check_finite, march)
+from .common import ScenarioError, SolverConfig, SolverDivergedError, check_finite, march
 
 __all__ = ["ParabolicScenario", "solve_parabolic"]
 
 _SIGN_TOL = 1e-12
-_SLOPE_TOL = 1e-8
-# a run that reaches beyond common's map lattice is checked again at its
-# spacing, _MAP_BLOCK intervals at a time, up to states of _MAP_REACH_MAX
-_MAP_BLOCK, _MAP_REACH_MAX = 4000, 1e6
 
 # x(y) of a line with two flux ends is clipped to the finite floats
 _FLOAT_MAX = sys.float_info.max
@@ -103,15 +96,13 @@ class ParabolicScenario:
     (flux) partition the boundary edge names of those axes, (low, high)
     per axis from :data:`~isscert.fields.AXES`: left/right, bottom/top,
     front/back.  The grid carries no edge labels, so this partition is
-    the only one.  The maps must satisfy
-    the structural sign and monotonicity conditions checked by
-    :meth:`validate`, which samples them at 401 points of [-10, 10];
-    :func:`solve_parabolic` checks them again at that spacing on [-R, R]
-    when the run reaches a state magnitude R above 10.  A
-    flux law (boundary_reaction) must be nondecreasing everywhere, not
-    only there, for the flux closure's bracket to hold the root.  The
-    config-built laws are monotone; a law passed through the Python API
-    is the caller's to check.
+    the only one.  The maps are the config's map kinds, v -> slope*v +
+    gamma*v**3 with slope and gamma as attributes, which :meth:`validate`
+    reads, refusing any other callable.  Such a map is odd, and it is of
+    the sign of v and nondecreasing on every state exactly when slope >= 0
+    and gamma >= 0.  The flux law (boundary_reaction) needs that for the
+    flux closure's bracket to hold the root; the reaction needs its least
+    slope, slope, to be at least one as well.
 
     a, c, f, d1 and d2 are SpaceTimeFields, so their infs and sups are
     exact; :meth:`validate` refuses any other callable.  a0 and c0 are
@@ -156,40 +147,16 @@ class ParabolicScenario:
             raise ScenarioError("gamma1 and gamma2 overlap")
         if self.gamma1 | self.gamma2 != edges:
             raise ScenarioError(f"boundary labels must cover {sorted(edges)} exactly")
-        self._check_maps()
-
-    def _check_maps(self, reach=MAP_REACH):
-        """The conditions on the maps, sampled on [-reach, reach] at a
-        spacing of at most 0.05 (401 points on validate's [-10, 10]), in
-        blocks of at most _MAP_BLOCK intervals that share their ends."""
-        intervals = math.ceil(reach * (MAP_INTERVALS / MAP_REACH))
-        blocks = -(-intervals // _MAP_BLOCK)
-        edges = np.linspace(-reach, reach, blocks + 1)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            self._check_block(np.linspace(lo, hi, -(-intervals // blocks) + 1))
-
-    def _check_block(self, v):
-        phi = np.asarray(self.reaction(v), dtype=float)
-        if np.any(phi * v < -_SIGN_TOL):
-            raise ScenarioError("reaction must satisfy phi(v)*v >= 0")
-        pos = v[v >= 0]
-        if pos.size and np.any(np.asarray(self.reaction(-pos))
-                               > -np.asarray(self.reaction(pos)) + _SIGN_TOL):
-            raise ScenarioError("reaction must satisfy phi(-v) <= -phi(v) for v >= 0")
-        # the secant over the float step taken, which far from 0 is not dv
-        x = v + 1e-4
-        slope = (np.asarray(self.reaction(x)) - phi) / (x - v)
-        if np.any(slope < 1.0 - _SLOPE_TOL):
-            raise ScenarioError("reaction slope must be at least one")
-        bphi = np.asarray(self.boundary_reaction(v), dtype=float)
-        if np.any(bphi * v < -_SIGN_TOL):
-            raise ScenarioError("boundary reaction must satisfy varphi(v)*v >= 0")
-        if pos.size and np.any(np.asarray(self.boundary_reaction(-pos))
-                               > -np.asarray(self.boundary_reaction(pos)) + _SIGN_TOL):
-            raise ScenarioError("boundary reaction must satisfy varphi(-v) <= -varphi(v)")
-        # the flux closure's bracket rests on this
-        if np.any(np.diff(bphi) < -_SIGN_TOL):
-            raise ScenarioError("boundary reaction must be nondecreasing")
+        for what, law, least in (("reaction", self.reaction, 1.0),
+                                 ("boundary reaction", self.boundary_reaction, 0.0)):
+            # getattr, not isinstance: a wrapper that forwards attributes passes
+            slope, gamma = (getattr(law, fact, None) for fact in ("slope", "gamma"))
+            if slope is None or gamma is None:
+                raise ScenarioError(f"{what} must be an identity, linear or cubic map, "
+                                    f"got {type(law).__name__}")
+            if not (slope >= least and gamma >= 0):
+                raise ScenarioError("reaction slope must be at least one" if least
+                                    else "boundary reaction must be nondecreasing")
 
 
 def _check_floors(scn, a_faces, c_nodes, t_end):
@@ -207,9 +174,9 @@ def _check_floors(scn, a_faces, c_nodes, t_end):
 def solve_parabolic(scn: ParabolicScenario, grid, cfg: SolverConfig) -> Trajectory:
     """March the scenario to cfg.t_end and record every stride-th state.
 
-    The maps are checked again over [-R, R] when the run reaches a state
-    magnitude R above the 10 that :meth:`ParabolicScenario.validate`
-    covers.
+    :meth:`ParabolicScenario.validate` decides the maps' conditions on
+    every state by their kinds' facts, so no range the run reaches is
+    checked again.
     """
     scn.validate()
     if cfg.dt is None:
@@ -240,16 +207,6 @@ def solve_parabolic(scn: ParabolicScenario, grid, cfg: SolverConfig) -> Trajecto
     march(traj, cfg, (np.asarray(scn.w0(pts), dtype=float),), advance,
           step_dt=lambda dt_max: dt_max)
     traj.counters["band_factorizations"] = sum(band.factorizations for band in bands)
-    reach = traj.counters["max_abs"]["u"]
-    if reach > _MAP_REACH_MAX:
-        raise ScenarioError(f"the maps are checked up to |u| = {_MAP_REACH_MAX:g}, "
-                            f"but the run reached {reach:g}")
-    if reach > MAP_REACH:
-        try:
-            scn._check_maps(reach)
-        except ScenarioError as exc:
-            raise ScenarioError(f"{exc} on [-{reach:g}, {reach:g}], "
-                                "the range the run reached") from None
     return traj
 
 

@@ -14,6 +14,7 @@ import pytest
 
 from isscert.certify import (bound_parabolic_q, bound_transport_q,
                              bound_wave_m, check_trajectory, prepare_bound)
+from isscert.config import _reciprocal_speed as reciprocal_speed
 from isscert.config import load_plan
 from isscert.fields import Grid
 from isscert.glf import (dissipation_rate, dissipation_report,
@@ -167,7 +168,7 @@ def test_criterion_6_transport_local_gate():
     accept_sum = accepted.init_norm + float(np.max(accepted.series["sup_d"]))
 
     reject_scn = TransportScenario(
-        speed_map=lambda s: 1.0 / (1.0 + np.abs(s)), assumption="decreasing",
+        speed_map=reciprocal_speed(1.0), assumption="decreasing",
         k=0.5, d=TimeSignal.constant(0.2), rho0=profile_constant(1.3))
     rtraj = solve_transport(reject_scn, Grid(64, layout="cell"),
                             SolverConfig(t_end=0.05, cfl_sigma=0.9))

@@ -12,6 +12,10 @@ from isscert.certify import (CheckReport, _state_norms, bound_heat_classical,
                              bound_wave_r_eps, check_trajectory,
                              prepare_bound)
 from isscert.cli import run_plan
+from isscert.config import _constant_speed as constant_speed
+from isscert.config import _identity as identity
+from isscert.config import _linear as linear
+from isscert.config import _reciprocal_speed as reciprocal_speed
 from isscert.config import build_plan, load_config
 from isscert.fields import Grid, Trajectory, lq_norm
 from isscert.glf import glf_for_parabolic, local_speed_floor, running_sups
@@ -145,7 +149,7 @@ def test_running_sups_take_2d_edges_on_the_grid_nodes():
                                     TimeSignal.constant(1.0))
     scn = ParabolicScenario(
         dim=2, a=ONE, a0=1.0, c=ONE, c0=1.0,
-        reaction=lambda v: v, boundary_reaction=lambda v: v,
+        reaction=identity(), boundary_reaction=identity(),
         f=ZERO, d1=edge, d2=ZERO, w0=profile_constant(0.0),
         gamma1=("left",), gamma2=("right", "bottom", "top"))
     grid = Grid(8, 12)
@@ -179,7 +183,7 @@ def test_energy_and_check_share_the_truncation_level():
     wave = TimeSignal.sinusoid(0.3, 1.3, phase=0.4, offset=0.1)
     scn = ParabolicScenario(
         dim=1, a=ONE, a0=1.0, c=ONE, c0=1.0,
-        reaction=lambda v: v, boundary_reaction=lambda v: v,
+        reaction=identity(), boundary_reaction=identity(),
         f=SpaceTimeField.separable(profile_sin(0.8, 2), wave),
         d1=SpaceTimeField.from_signal(TimeSignal.sinusoid(0.1, 0.7)),
         d2=SpaceTimeField.from_signal(TimeSignal.polynomial(0.1, 0.5, -0.4)),
@@ -218,7 +222,7 @@ def test_energy_level_is_read_at_the_last_stamp():
 def make_parabolic_demo():
     return ParabolicScenario(
         dim=1, a=ONE, a0=1.0, c=ONE, c0=1.0,
-        reaction=lambda v: v, boundary_reaction=lambda v: v,
+        reaction=identity(), boundary_reaction=identity(),
         f=SpaceTimeField.constant(0.5),
         d1=SpaceTimeField.constant(0.2), d2=SpaceTimeField.constant(0.3),
         w0=profile_sum(profile_constant(0.2), profile_sin(3.0)),
@@ -226,7 +230,7 @@ def make_parabolic_demo():
 
 
 def make_transport_uniform(**over):
-    base = dict(speed_map=lambda w: 1.0, assumption="uniform", k=0.5,
+    base = dict(speed_map=constant_speed(1.0), assumption="uniform", k=0.5,
                 d=TimeSignal.constant(0.25), rho0=profile_bump(1.0, 0.4, 0.2),
                 speed_floor=1.0)
     base.update(over)
@@ -252,7 +256,7 @@ def test_parabolic_bound_needs_damping_floor():
     traj = solve_parabolic(scn, grid, SolverConfig(t_end=0.05, dt=0.005))
     bare = ParabolicScenario(
         dim=1, a=ONE, a0=1.0, c=ZERO, c0=0.0,
-        reaction=lambda v: v, boundary_reaction=lambda v: v,
+        reaction=identity(), boundary_reaction=identity(),
         f=ZERO, d1=ZERO, d2=ZERO, w0=profile_sin(1.0),
         gamma1=("left",), gamma2=("right",))
     with pytest.raises(ValueError):
@@ -300,7 +304,7 @@ def test_small_gain_warning():
 
 def make_transport_local(d_value=0.05, amplitude=0.1):
     return TransportScenario(
-        speed_map=lambda w: 1.0 / (1.0 + abs(w)), assumption="decreasing",
+        speed_map=reciprocal_speed(1.0), assumption="decreasing",
         k=0.5, d=TimeSignal.constant(d_value),
         rho0=profile_bump(amplitude, 0.4, 0.2), speed_floor=None)
 
@@ -382,7 +386,7 @@ def test_heat_baseline_warns_about_reaction():
      "one Dirichlet end and one flux end"),
     ({"d1": SpaceTimeField.constant(0.2)}, "Dirichlet data identically 0"),
     ({"a": SpaceTimeField.constant(2.0)}, "diffusion identically 1"),
-    ({"boundary_reaction": lambda v: 2.0 * v}, "the identity flux law")])
+    ({"boundary_reaction": linear(2.0)}, "the identity flux law")])
 def test_heat_baseline_refuses_other_equations(edit, message):
     scn = make_parabolic_demo()
     scn.d1 = ZERO

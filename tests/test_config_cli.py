@@ -547,6 +547,10 @@ _REFUSALS = [
      "checks[0].q: norm exponent must lie in [2, inf], got 1.0"),
     ("parabolic_demo", {"kind": "parabolic_q", "q": 2, "tol": -1},
      "checks[0].tol: tol must be finite and nonnegative, got -1.0"),
+    # 8 e^{4m/c} = 8 e^{708.5} rounds to inf, which once passed as inf*0 = NaN
+    # and failed after the full solve
+    ("wave_demo", {"kind": "wave_m", "q": 2, "m": 354.25},
+     "checks[0]: the bound overflows the floats: it is not finite at zero norms"),
 ]
 
 
@@ -789,10 +793,15 @@ def test_integer_keys_accept_integral_floats():
      "scenario.speed: scale must be nonnegative"),
     ("parabolic_demo", "scenario.initial", {"kind": "poly", "coeffs": [0.1, math.nan]},
      "scenario.initial.coeffs: expected a finite number, got nan"),
+    ("parabolic_demo", "scenario.reaction", {"kind": "linear", "slope": 0.5},
+     "scenario: reaction slope must be at least one"),
+    ("transport_global", "scenario.speed_floor", 1.5,
+     "scenario: speed map drops below its declared floor"),
 ], ids=["grid_n", "bump_halfwidth", "map_slope", "poly_coeffs", "nan_signal",
         "transport_node_layout", "parabolic_without_dt", "unhashable_check_kind",
         "nan_tol", "inf_slope", "huge_int", "zero_slope", "negative_gamma", "power_map",
-        "huge_q", "nan_q", "zero_speed", "negative_speed_scale", "nan_coeffs"])
+        "huge_q", "nan_q", "zero_speed", "negative_speed_scale", "nan_coeffs",
+        "sub_unit_reaction_slope", "floor_above_the_speed"])
 def test_cli_run_build_errors_exit_2(tmp_path, capsys, demo, location, value, message):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(yaml.safe_dump(_edited(demo, location, value)))
@@ -817,8 +826,8 @@ def test_cli_run_coefficient_below_floor_exits_2(tmp_path, capsys):
 
 
 def test_cli_run_speed_below_uniform_floor_exits_2(tmp_path, capsys):
-    # 1/(1 + |s|) stays above the floor on validate's lattice |s| <= 10,
-    # but the run starts at total mass 200
+    # the floor lies below the sup 1 = speed(0) of 1/(1 + |s|), so the
+    # config builds, but the run starts at total mass 200
     doc = load_config("transport_global")
     doc["scenario"].update(speed={"kind": "reciprocal", "scale": 1.0},
                            speed_floor=0.0909090909,
@@ -835,6 +844,17 @@ def test_cli_run_speed_below_uniform_floor_exits_2(tmp_path, capsys):
         "solver error: speed 0.004975124378109453 at total mass 200.0 drops below "
         "the declared floor 0.0909090909 (t = 0.0)\n")
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_far_out_certifies(tmp_path, capsys):
+    # the identity maps hold on every state: a sine of amplitude 2e6 once
+    # exited 2, past the largest range the maps were sampled on
+    doc = load_config("parabolic_demo")
+    doc["scenario"]["initial"]["terms"][1]["amplitude"] = 2e6
+    cfg = tmp_path / "far.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.endswith("status=ok\n")
 
 
 @pytest.mark.parametrize("floor", [5.0, 0.2])
@@ -1001,8 +1021,11 @@ def test_cli_run_writer_failure_exits_2(tmp_path, capsys, monkeypatch, counted_f
 @pytest.mark.parametrize("demo,edits,message", [
     ("wave_demo", {"energy": {"p": 2.0, "rate": 300.0}},
      "energy error: the Gronwall envelope must be finite"),
-    # 8 e^{4m/c} = 8 e^{708.5} leaves the floats, a finite norm does not
-    ("wave_demo", {"checks": [{"kind": "wave_m", "q": 2, "m": 354.25, "tol": 0.0}]},
+    # 8 e^{4m/c} = 8 e^{700} is finite, and so is the bound at zero norms;
+    # times the initial norm of a velocity of amplitude 8e4 it leaves the floats
+    ("wave_demo", {"checks": [{"kind": "wave_m", "q": 2, "m": 350.0, "tol": 0.0}],
+                   "scenario.initial_velocity": {"kind": "bump", "amplitude": 8e4,
+                                                 "center": 0.4, "halfwidth": 0.2}},
      "check error: the bound at q=2.0 is not finite"),
     ("parabolic_demo", {"scenario.diffusion": {"kind": "uniform", "signal": {
         "kind": "exp_decay", "amplitude": 1.0, "rate": -800.0, "offset": 1.0}}},

@@ -5,6 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from isscert.config import _constant_speed as constant_speed
+from isscert.config import _cubic as cubic
+from isscert.config import _identity as identity
+from isscert.config import _reciprocal_speed as reciprocal_speed
 from isscert.fields import Grid, Trajectory
 from isscert.glf import (GlfSeries, GlfSpec, components,
                          default_transport_rate, dissipation_rate,
@@ -21,11 +25,6 @@ from isscert.trunc import TruncationPair
 ONE = SpaceTimeField.constant(1.0)
 ZERO = SpaceTimeField.constant(0.0)
 GRID = Grid(16, layout="node")
-
-
-def cubic(gamma):
-    """v -> v + gamma*v**3."""
-    return lambda v: np.asarray(v, dtype=float) * (1.0 + gamma * np.asarray(v, dtype=float) ** 2)
 
 
 def evaluate(state, grid, spec):
@@ -54,7 +53,7 @@ def make_parabolic(**over):
 
 
 def make_transport(**over):
-    base = dict(speed_map=lambda w: 1.0, assumption="decreasing", k=0.5,
+    base = dict(speed_map=constant_speed(1.0), assumption="decreasing", k=0.5,
                 d=TimeSignal.constant(0.75), rho0=profile_constant(0.0),
                 speed_floor=None)
     base.update(over)
@@ -175,7 +174,7 @@ def test_spec_validation():
 
 
 def test_level_parabolic_identity_reactions():
-    scn = make_parabolic(reaction=lambda v: v, boundary_reaction=lambda v: v,
+    scn = make_parabolic(reaction=identity(), boundary_reaction=identity(),
                          f=SpaceTimeField.constant(0.5),
                          d1=SpaceTimeField.constant(0.2),
                          d2=SpaceTimeField.constant(0.3),
@@ -312,7 +311,7 @@ def test_dissipation_rate_per_class():
 
 
 def test_local_speed_floor():
-    scn = make_transport(speed_map=lambda w: 1.0 / (1.0 + abs(w)),
+    scn = make_transport(speed_map=reciprocal_speed(1.0),
                          d=TimeSignal.constant(0.0))
     floor, mass_range = local_speed_floor(scn, 1.0)
     assert mass_range == 4.0

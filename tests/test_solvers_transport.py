@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from isscert.config import _constant_speed as constant_speed
+from isscert.config import _reciprocal_speed as reciprocal_speed
 from isscert.fields import Grid, lq_norm
 from isscert.signals import TimeSignal, profile_bump, profile_constant
 from isscert.solvers import (AssumptionViolationError, ScenarioError,
@@ -11,7 +13,7 @@ from isscert.solvers import (AssumptionViolationError, ScenarioError,
 
 
 def make_scenario(**over):
-    base = dict(speed_map=lambda w: 1.0, assumption="uniform", k=0.5,
+    base = dict(speed_map=constant_speed(1.0), assumption="uniform", k=0.5,
                 d=TimeSignal.constant(0.0), rho0=profile_constant(0.0),
                 speed_floor=1.0)
     base.update(over)
@@ -83,7 +85,7 @@ def test_l2_decay_estimate_recirculating_bump():
 def test_mass_dependent_speed_slows_run():
     # decreasing speed map: heavier state moves slower, so fewer steps
     # reach t_end than with unit speed at the same sigma
-    slow = make_scenario(speed_map=lambda w: 1.0 / (1.0 + abs(w)),
+    slow = make_scenario(speed_map=reciprocal_speed(1.0),
                          assumption="decreasing", speed_floor=None,
                          rho0=profile_constant(1.0),
                          d=TimeSignal.constant(0.5))
@@ -108,13 +110,16 @@ def test_max_abs_mass_covers_every_state():
 
 
 def test_speed_collapse_raises():
-    # map is positive on the validation lattice but the sustained inflow
-    # pushes total mass past the zero crossing at 11
-    scn = make_scenario(speed_map=lambda w: 11.0 - w,
+    # 1/(1 + scale*|W|) is positive at every real mass, but its float value
+    # is 0 once scale*|W| overflows, as 1e308*2 does at the initial mass
+    scn = make_scenario(speed_map=reciprocal_speed(1e308),
                         assumption="decreasing", speed_floor=None,
-                        rho0=profile_constant(1.0),
+                        rho0=profile_constant(2.0),
                         d=TimeSignal.constant(8.0))
-    with pytest.raises(AssumptionViolationError):
+    scn.validate()
+    with pytest.raises(AssumptionViolationError,
+                       match=r"^speed 0\.0 at total mass 2\.0 is not positive \(t = 0\.0\)$"), \
+            np.errstate(over="ignore"):
         solve_transport(scn, Grid(32, layout="cell"),
                         SolverConfig(t_end=10.0, cfl_sigma=0.9))
 
@@ -141,6 +146,24 @@ def test_scenario_validation():
     # a bare callable d would solve to the end and fail in the bound's sup
     with pytest.raises(ScenarioError, match="d must be a TimeSignal, got function"):
         make_scenario(d=lambda t: 0.1).validate()
+
+
+def test_validate_decides_the_speed_by_its_kind():
+    # every speed kind is even and nonincreasing in |s|, so its sup is
+    # speed(0), and a plain callable carries no kind
+    with pytest.raises(ScenarioError, match="^speed map must be a constant or reciprocal "
+                                            "speed, got function$"):
+        make_scenario(speed_map=lambda w: 1.0).validate()
+    # "uniform" refuses at config time only a floor above the sup; the
+    # speed at each mass the run reaches is checked at its step
+    make_scenario(speed_map=reciprocal_speed(1.0), speed_floor=1.0).validate()
+    with pytest.raises(ScenarioError, match="^speed map drops below its declared floor$"):
+        make_scenario(speed_map=reciprocal_speed(1.0), speed_floor=1.5).validate()
+    with pytest.raises(ScenarioError, match="^speed map drops below its declared floor$"):
+        make_scenario(speed_map=constant_speed(2.0), speed_floor=3.0).validate()
+    for scale in (0.0, 1.0, 1e308):
+        make_scenario(speed_map=reciprocal_speed(scale), assumption="decreasing",
+                      speed_floor=None).validate()
 
 
 def test_node_grid_rejected():
