@@ -14,8 +14,7 @@ import pytest
 
 from isscert.certify import (bound_parabolic_q, bound_transport_q,
                              bound_wave_m, check_trajectory, prepare_bound)
-from isscert.config import _reciprocal_speed as reciprocal_speed
-from isscert.config import load_plan
+from isscert.config import _reciprocal_speed as reciprocal_speed, load_plan
 from isscert.fields import Grid
 from isscert.glf import (dissipation_rate, dissipation_report,
                          glf_for_parabolic, glf_for_transport,

@@ -12,11 +12,9 @@ from isscert.certify import (CheckReport, _state_norms, bound_heat_classical,
                              bound_wave_r_eps, check_trajectory,
                              prepare_bound)
 from isscert.cli import run_plan
-from isscert.config import _constant_speed as constant_speed
-from isscert.config import _identity as identity
-from isscert.config import _linear as linear
-from isscert.config import _reciprocal_speed as reciprocal_speed
-from isscert.config import build_plan, load_config
+from isscert.config import (_constant_speed as constant_speed, _identity as identity,
+                            _linear as linear, _reciprocal_speed as reciprocal_speed,
+                            build_plan, load_config)
 from isscert.fields import Grid, Trajectory, lq_norm
 from isscert.glf import glf_for_parabolic, local_speed_floor, running_sups
 from isscert.signals import (SpaceTimeField, TimeSignal, profile_bump,

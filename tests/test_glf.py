@@ -5,10 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from isscert.config import _constant_speed as constant_speed
-from isscert.config import _cubic as cubic
-from isscert.config import _identity as identity
-from isscert.config import _reciprocal_speed as reciprocal_speed
+from isscert.config import (_constant_speed as constant_speed, _cubic as cubic,
+                            _identity as identity, _reciprocal_speed as reciprocal_speed)
 from isscert.fields import Grid, Trajectory
 from isscert.glf import (GlfSeries, GlfSpec, components,
                          default_transport_rate, dissipation_rate,

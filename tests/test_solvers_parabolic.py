@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 
 import isscert.solvers.parabolic as parabolic
 from isscert.cli import main
-from isscert.config import _cubic as cubic
-from isscert.config import _facts, _identity as identity, _linear as linear, load_plan
+from isscert.config import (_cubic as cubic, _facts, _identity as identity,
+                            _linear as linear, load_plan)
 from isscert.fields import Grid, edge_names, lq_norm
 from isscert.signals import (SpaceTimeField, TimeSignal, profile_bump,
                              profile_constant, profile_sin, profile_sinprod,

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from isscert.config import _constant_speed as constant_speed
-from isscert.config import _reciprocal_speed as reciprocal_speed
+from isscert.config import (_constant_speed as constant_speed,
+                            _reciprocal_speed as reciprocal_speed)
 from isscert.fields import Grid, lq_norm
 from isscert.signals import TimeSignal, profile_bump, profile_constant
 from isscert.solvers import (AssumptionViolationError, ScenarioError,
