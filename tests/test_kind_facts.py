@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from isscert.config import _LEAVES
 
-# the arguments of the kinds, over the ranges a config may give them
+# the arguments of the kinds, over a wide part of the ranges a config accepts
 ARGS = {"slope": st.floats(2.0**-30, 2.0**600), "gamma": st.floats(0.0, 2.0**600),
         "value": st.floats(2.0**-1000, 2.0**1000),
         "scale": st.floats(0.0, sys.float_info.max)}

@@ -486,8 +486,8 @@ def dipping_law(v):
 
 @pytest.mark.parametrize("kinds", FLUX_KINDS)
 def test_kernels_agree_on_a_law_that_dips_between_samples(kinds):
-    # no sample lattice passes the law: validate refuses it as a callable
-    # without a kind; the kernels still agree on it
+    # validate refuses it, as any callable without a kind; the kernels
+    # still agree on it
     with pytest.raises(ScenarioError, match="^boundary reaction must be an identity, linear "
                                             "or cubic map, got function$"):
         make_scenario(boundary_reaction=dipping_law).validate()
