@@ -28,7 +28,7 @@ from .config import ConfigError, bundled_names, load_config, load_plan
 from .fields import csv_stream
 from .glf import (dissipation_rate, dissipation_report, glf_for_parabolic,
                   glf_for_transport, glf_for_wave, wave_forcing_slack)
-from .solvers import (AssumptionViolationError, ScenarioError,
+from .solvers import (AssumptionViolationError, RecordSizeError, ScenarioError,
                       SolverDivergedError, solve_parabolic, solve_transport,
                       solve_wave)
 
@@ -86,7 +86,7 @@ def run_plan(plan) -> RunResult:
              "wave": solve_wave}[plan.pde]
     try:
         traj = solve(plan.scenario, plan.grid, plan.solver)
-    except (ScenarioError, SolverDivergedError, AssumptionViolationError) as exc:
+    except (ScenarioError, SolverDivergedError, AssumptionViolationError, RecordSizeError) as exc:
         raise RunError(f"solver error: {exc}") from exc
     stage, spec, erep, bounds, reports = "energy", None, None, [], []
     try:
@@ -115,9 +115,9 @@ def cmd_run(args) -> int:
 
     Everything that can fail runs before the output directory exists.  The
     run is recorded inside :func:`~isscert.fields.csv_stream`, the one way
-    a trajectory's CSV gets a second writer process: one of at least
-    _FORK_ROWS CSV rows on two CPUs streams its stamps to it during the
-    solve, and this waits for it after report.txt.  Every outcome, an
+    a trajectory's CSV gets a second writer process: a record reserved at
+    _FORK_ROWS CSV rows or more on two CPUs starts it before its first
+    stamp, and this waits for it after report.txt.  Every outcome, an
     exception included, leaves that process reaped and no .part file
     behind.
     """

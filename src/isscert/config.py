@@ -122,9 +122,11 @@ def _linear(slope):
 
 
 def _cubic(gamma):
-    """v + gamma*v**3, elementwise."""
+    """v + gamma*v**3, elementwise; 1.0*v at gamma 0, finite where v*v is not."""
     if not gamma >= 0:
         raise ValueError("gamma must be nonnegative")
+    if gamma == 0:
+        return _linear(1.0)
     return _facts(lambda v: v * (1.0 + gamma * (v * v)), slope=1.0, gamma=gamma)
 
 

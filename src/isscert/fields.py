@@ -36,7 +36,7 @@ __all__ = [
 _MIN_CELLS = 8
 _BLOCK = 64  # stamps per call of Trajectory.blockwise
 
-# A streamed record forks its second CSV writer (_CsvWriter) from this many CSV rows on.
+# A record reserved at this many CSV rows in a csv_stream forks its second writer.
 # The rows the child formats must save at least twice what the fork costs
 # this process.  On a 2-CPU x86-64 host with numpy, scipy and isscert.cli
 # loaded (Python 3.11, 58 MB resident) a no-op fork plus waitpid took
@@ -248,11 +248,11 @@ class Trajectory:
     Storage: ``times`` plus one C-contiguous (capacity, *grid.shape)
     float array per state name; its first ``len(self)`` rows are the stamps.
     ``append`` copies into the next row, doubling the capacity when full;
-    a solver that knows its stamp count sizes the record once with
+    every solver sizes the record once, before its first stamp, with
     ``reserve``.  Only inside :func:`csv_stream` does a record get a
-    second CSV writer process: one known to reach _FORK_ROWS CSV rows, by
-    its reserved stamps or by those appended, starts it then and streams
-    every later stamp to it (see :meth:`write_csv`).
+    second CSV writer process: one whose reserved stamps make _FORK_ROWS
+    CSV rows starts it at ``reserve``, and ``append`` streams every stamp
+    to it (see :meth:`write_csv`).
     """
 
     def __init__(self, pde_class: str, grid, names=("u",), meta=None):
@@ -270,9 +270,17 @@ class Trajectory:
 
     def reserve(self, rows: int):
         """Make the capacity at least rows stamps, exactly rows if it grows;
-        the stamps a solver reserves are the ones it will append."""
+        the stamps a solver reserves bound the ones it will append.  The one
+        place a second CSV writer starts (see :func:`csv_stream`), and is sent
+        any stamps already recorded."""
         self._grow(rows)
-        self._stream(rows)
+        writers = _STREAM.get()
+        if (writers is not None and self._writer is None
+                and rows * len(self.names) * self.grid.npoints >= _FORK_ROWS
+                and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2):
+            self._writer = _CsvWriter(self)
+            writers.append(self._writer)
+            self._writer.feed()
 
     def _grow(self, rows):
         if rows <= self._times.size:
@@ -283,17 +291,6 @@ class Trajectory:
         for k, old in self._data.items():
             self._data[k] = np.empty((rows, *old.shape[1:]))
             self._data[k][:n] = old[:n]
-
-    def _stream(self, stamps):
-        """Start the second CSV writer inside a csv_stream once the record is
-        known to hold stamps stamps, if that makes _FORK_ROWS CSV rows and
-        this process may use two CPUs."""
-        writers = _STREAM.get()
-        if (writers is not None and self._writer is None
-                and stamps * len(self.names) * self.grid.npoints >= _FORK_ROWS
-                and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2):
-            self._writer = _CsvWriter(self)
-            writers.append(self._writer)
 
     def append(self, t: float, **arrays):
         if set(arrays) != set(self.names):
@@ -309,9 +306,7 @@ class Trajectory:
             self._data[k][n] = v
         self._times[n] = float(t)
         self._n = n + 1
-        if self._writer is None:
-            self._stream(n + 1)
-        else:
+        if self._writer is not None:
             self._writer.feed()
 
     def __len__(self):
@@ -352,7 +347,7 @@ class Trajectory:
         coordinate cells are each axis's reprs, joined per point in C order
         (last axis fastest).  Returns the list of paths written.
 
-        This process writes every row, unless the record was streamed
+        This process writes every row, unless the record was reserved
         inside :func:`csv_stream` and so already has a second writer
         process (:class:`_CsvWriter`), which has formatted stamps during
         the solve.  Then that writer writes the stamps before a split and
@@ -404,10 +399,9 @@ _STREAM = contextvars.ContextVar("isscert_csv_stream", default=None)
 
 @contextlib.contextmanager
 def csv_stream():
-    """A block in which a record known to reach _FORK_ROWS CSV rows starts
-    its second CSV writer while it is still being recorded (see
-    :class:`Trajectory`), so the writer formats stamps alongside the solve.
-    This is the only way a record's CSV gets a second process; outside
+    """A block in which a record reserved at _FORK_ROWS CSV rows or more, on
+    two CPUs, starts its second CSV writer (see :class:`Trajectory`), so
+    the writer formats stamps alongside the solve.  This is the only way a record's CSV gets a second process; outside
     every block :meth:`Trajectory.write_csv` writes in this one.
 
     The block yields a function that waits for every writer started in it
@@ -445,9 +439,9 @@ _PIPE_BYTES = 1 << 20
 class _CsvWriter:
     """The second CSV writer of a record: a forked child process.
 
-    The child inherits the stamps recorded when it starts and gets each
-    later one from :meth:`feed` over a pipe, as its index, time and state
-    bytes.  It formats every stamp it has, in order, into memory, and
+    The child gets every stamp of the record from :meth:`feed` over a
+    pipe, as its index, time and state bytes.  It formats every stamp it
+    has, in order, into memory, and
     counts them in an array shared with this process.  :meth:`commit`
     splits the stamps still unformatted in half: this process creates each
     file with its header and writes the stamps from the split on to
@@ -459,7 +453,7 @@ class _CsvWriter:
 
     def __init__(self, traj):
         self.traj, self.paths, self.split = traj, None, None
-        self.sent, self.rest = len(traj), b""  # stamps the child has; unsent bytes
+        self.sent, self.rest = 0, b""  # stamps sent to the child; unsent bytes
         self.shared = np.frombuffer(mmap.mmap(-1, 24), dtype=np.int64)
         self.shared[:] = (0, _NO_SPLIT, 0)
         rfd, self.fd = os.pipe()
@@ -550,17 +544,6 @@ class _CsvWriter:
         commit names.  End of file before the commit ends it with 0."""
         traj, shared = self.traj, self.shared
         coords, texts = _coord_cells(traj.grid), [[] for _ in traj.names]
-
-        def put(t, states):
-            for j, (text, state) in enumerate(zip(texts, states)):
-                shared[_FILE] = j
-                text.append(_stamp_rows(t, coords, state))
-            shared[_DONE] = len(texts[0])
-
-        for i in range(self.sent):
-            if i >= shared[_SPLIT]:
-                break
-            put(float(traj._times[i]), [traj._data[k][i] for k in traj.names])
         shape = (len(traj.names), *traj.grid.shape)
         size = 8 * math.prod(shape)
         with open(rfd, "rb") as pipe:
@@ -575,7 +558,11 @@ class _CsvWriter:
                 if len(body) < size:
                     return 0
                 if i < shared[_SPLIT]:
-                    put(t, np.frombuffer(body).reshape(shape))
+                    states = np.frombuffer(body).reshape(shape)
+                    for j, (text, state) in enumerate(zip(texts, states)):
+                        shared[_FILE] = j
+                        text.append(_stamp_rows(t, coords, state))
+                    shared[_DONE] = len(texts[0])
             directory = os.fsdecode(pipe.read())
         split = int(shared[_SPLIT])
         for j, (path, text) in enumerate(zip(traj._csv_paths(directory), texts)):

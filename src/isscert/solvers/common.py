@@ -28,6 +28,10 @@ class AssumptionViolationError(RuntimeError):
     """A runtime quantity left the range an assumption guarantees."""
 
 
+class RecordSizeError(RuntimeError):
+    """The record of a run's stamps cannot be allocated before its solve."""
+
+
 @dataclass
 class SolverConfig:
     """Time-stepping controls shared by all solvers.
@@ -82,26 +86,28 @@ def _steps(cfg, take):
         yield step, t, t >= t_stop
 
 
-def march(traj, cfg, state, advance, step_dt=None):
+def march(traj, cfg, state, advance, dt_min):
     """Run the time loop of a solve from t = 0 to cfg.t_end into traj.
 
     state is the tuple of initial arrays, one per name of traj.names.
     advance(t, dt_max, state, step) takes step number step from t and
     returns (dt, new state) with dt <= dt_max, where dt_max is the time
     left, capped at cfg.dt when given; its exceptions pass through
-    unchanged.  step_dt(dt_max), when given, is the dt that advance takes
-    whatever the state, so the steps are known before the run and traj is
-    sized to the stamps it will hold.  Every state must be finite
-    (SolverDivergedError(step, t) otherwise); the largest magnitude each
-    state reaches over all steps goes to traj.counters["max_abs"], by
-    name, and the number of steps to traj.counters["steps"].  Records
-    t = 0, every output_stride-th step and the last step; returns the list
-    of accepted dt.
+    unchanged.  dt_min is the least dt advance takes before its last step,
+    so traj is sized before the run for ceil(t_end/dt_min) steps plus the
+    short one rounding can add (RecordSizeError if it cannot be).  Every
+    state must be finite (SolverDivergedError(step, t) otherwise); the
+    largest magnitude each state reaches over all steps goes to
+    traj.counters["max_abs"], by name, and the number of steps to
+    traj.counters["steps"].  Records t = 0, every output_stride-th step
+    and the last step; returns the list of accepted dt.
     """
     stride = cfg.output_stride
-    if step_dt is not None:
-        steps = sum(1 for _ in _steps(cfg, lambda t, dt_max, step: step_dt(dt_max)))
-        traj.reserve(1 + -(-steps // stride))
+    try:
+        traj.reserve(1 + -(-(math.ceil(cfg.t_end / dt_min) + 1) // stride))
+    except (MemoryError, ValueError, ArithmeticError) as exc:
+        raise RecordSizeError(f"no record holds the steps of dt {dt_min:.4g} up to "
+                              f"t = {cfg.t_end:g} ({exc})") from exc
     reach = dict.fromkeys(traj.names, 0.0)
 
     def reached(state, step, t):

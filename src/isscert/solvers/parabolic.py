@@ -204,8 +204,7 @@ def solve_parabolic(scn: ParabolicScenario, grid, cfg: SolverConfig) -> Trajecto
 
     traj = Trajectory("parabolic", grid, meta={
         **meta, "dt": cfg.dt, "t_end": cfg.t_end, "scenario": scn.label})
-    march(traj, cfg, (np.asarray(scn.w0(pts), dtype=float),), advance,
-          step_dt=lambda dt_max: dt_max)
+    march(traj, cfg, (np.asarray(scn.w0(pts), dtype=float),), advance, cfg.dt)
     traj.counters["band_factorizations"] = sum(band.factorizations for band in bands)
     return traj
 

@@ -113,7 +113,9 @@ def solve_transport(scn: TransportScenario, grid: Grid, cfg: SolverConfig) -> Tr
         "n": grid.n, "cfl_sigma": cfg.cfl_sigma, "t_end": cfg.t_end,
         "scenario": scn.label,
     })
-    dts = march(traj, cfg, (np.asarray(scn.rho0(grid.points()), dtype=float),), advance)
+    # no speed exceeds the sup, so no step but the last is shorter than at it
+    dt_min = capped_dt(cfg.dt or np.inf, scn.speed_map.sup, h, cfg.cfl_sigma)
+    dts = march(traj, cfg, (np.asarray(scn.rho0(grid.points()), dtype=float),), advance, dt_min)
     traj.meta.update(dt_min=min(dts), dt_max=max(dts), steps=len(dts))
     traj.counters["max_abs_mass"] = max(max(masses), abs(h * float(traj.state(-1).sum())))
     return traj

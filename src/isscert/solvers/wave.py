@@ -95,12 +95,9 @@ def solve_wave(scn: WaveScenario, grid: Grid, cfg: SolverConfig) -> Trajectory:
 
     f_y = scn.f.bind(y)
 
-    def step_dt(dt_max):
-        return capped_dt(dt_max, c, h, cfg.cfl_sigma)
-
     def advance(t, dt_max, state, step):
         plus, minus = state
-        dt = step_dt(dt_max)
+        dt = capped_dt(dt_max, c, h, cfg.cfl_sigma)
         nu = c * dt / h
         fvals = f_y(t)
         plus_new = plus.copy()
@@ -116,5 +113,6 @@ def solve_wave(scn: WaveScenario, grid: Grid, cfg: SolverConfig) -> Trajectory:
         "n": grid.n, "cfl_sigma": cfg.cfl_sigma, "c": c, "t_end": cfg.t_end,
         "scenario": scn.label,
     })
-    traj.meta["steps"] = len(march(traj, cfg, (plus, minus), advance, step_dt))
+    dt_min = capped_dt(cfg.dt or np.inf, c, h, cfg.cfl_sigma)
+    traj.meta["steps"] = len(march(traj, cfg, (plus, minus), advance, dt_min))
     return traj

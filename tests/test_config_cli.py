@@ -5,7 +5,11 @@ import functools
 import math
 import os
 import re
+import subprocess
+import sys
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,8 @@ from isscert.cli import main
 from isscert.config import (_LEAVES, ConfigError, _leaf, build_plan, bundled_names, load_config,
                             load_plan)
 from isscert.fields import Grid, Trajectory
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 EXPECTED_PDE = {
     "heat_clm_demo": "parabolic",
@@ -855,6 +861,51 @@ def test_cli_run_far_out_certifies(tmp_path, capsys):
     cfg.write_text(yaml.safe_dump(doc))
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
     assert capsys.readouterr().out.endswith("status=ok\n")
+
+
+def test_cli_run_cubic_0_past_the_squares_solves(tmp_path, capsys):
+    # cubic(0) once computed v*(1 + 0*v*v), which is 0*inf = NaN once v*v
+    # overflows, and stopped a sine of amplitude 2e155 at step 1 on a
+    # non-finite explicit source
+    doc = load_config("parabolic_demo")
+    doc["scenario"]["reaction"] = {"kind": "cubic", "gamma": 0}
+    doc["scenario"]["initial"]["terms"][1]["amplitude"] = 2e155
+    del doc["energy"]
+    doc["checks"] = []
+    cfg = tmp_path / "cubic0.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.endswith("stamps=251 t_end=1.500000000000e+00\nstatus=ok\n")
+
+
+# Records beyond the 128 TiB x86-64 address space, so no test allocates one,
+# and step counts past the floats: numpy refuses the first three with
+# MemoryError, the next with ValueError, and math.ceil the last with
+# OverflowError.
+UNALLOCATABLE = [("parabolic_demo", "dt", 1.0e-15), ("wave_demo", "cfl_sigma", 1.0e-12),
+                 ("transport_global", "cfl_sigma", 1.0e-9), ("parabolic_demo", "dt", 1.0e-300),
+                 ("parabolic_demo", "dt", 1.0e-320)]
+
+
+@pytest.mark.parametrize("demo,key,value", UNALLOCATABLE)
+def test_cli_run_an_unallocatable_record_exits_2_before_its_solve(tmp_path, demo, key, value):
+    # the record is sized in closed form before the first step, so these
+    # runs stop at once; they once hung counting their steps, or died with
+    # a MemoryError traceback
+    doc = load_config(demo)
+    doc["solver"][key] = value
+    cfg = tmp_path / "huge.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "isscert", "run", str(cfg), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
+    assert time.monotonic() - start < 30.0
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("solver error: no record holds the steps of dt ")
+    assert proc.stderr.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("floor", [5.0, 0.2])

@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from isscert import fields
+from isscert.config import load_plan
 from isscert.fields import (_FORK_ROWS, Grid, Trajectory, csv_rows, float_cells,
                             integrate, lq_norm, trapezoid_1d)
+from isscert.solvers import solve_transport
 
 
 def test_grid1d_node_layout():
@@ -373,19 +375,22 @@ def _forked_stamps(grid, names, parity=None):
     return stamps + (parity is not None and stamps % 2 != parity)
 
 
-def _odd_trajectory(layout, names, stamps, reserve=False):
+def _odd_trajectory(layout, names, stamps, reserve_at=None):
     """A record whose values and stamps include the hardest reprs, its
-    stamps reserved first if reserve."""
+    stamps reserved after reserve_at of them are appended (0: before the
+    first, as a solver does; None: never)."""
     grid = GRIDS[layout]
     pde = "wave" if len(names) == 2 else "parabolic"
     traj = Trajectory(pde, grid, names=names)
-    if reserve:
-        traj.reserve(stamps)
     values = _stack(grid, stamps=stamps)
     values.flat[:len(ODD_VALUES)] = ODD_VALUES
     times = [0.0, 5e-324, 0.1 + 0.2, 1.0 / 3.0, 1e16] + [1e16 + 2.0 * k for k in range(1, stamps - 4)]
-    for t, vals in zip(times, values):
+    for i, (t, vals) in enumerate(zip(times, values)):
+        if i == reserve_at:
+            traj.reserve(stamps)
         traj.append(t, **{k: (-1) ** j * vals for j, k in enumerate(names)})
+    if reserve_at == stamps:
+        traj.reserve(stamps)
     return traj
 
 
@@ -443,12 +448,12 @@ def test_small_outputs_never_fork(tmp_path, monkeypatch, rows, cpus, streamed):
     assert (stamps * grid.npoints >= _FORK_ROWS) == (rows == "above")
     traj = _odd_trajectory("node", ("u",), stamps)
     _assert_matches_reference(traj.write_csv(tmp_path)[0], traj, "u")
-    # nor does a record streamed from its first stamp or from the last,
-    # which would fork on two CPUs past _FORK_ROWS rows
-    for reserve in (True, False) if streamed else ():
+    # nor does a record reserved in a csv_stream before its first stamp or
+    # after its last, which would fork on two CPUs past _FORK_ROWS rows
+    for at in (0, stamps) if streamed else ():
         with fields.csv_stream() as wait:
-            traj = _odd_trajectory("node", ("u",), stamps, reserve)
-            path = traj.write_csv(tmp_path / f"stream{reserve}")[0]
+            traj = _odd_trajectory("node", ("u",), stamps, at)
+            path = traj.write_csv(tmp_path / f"stream{at}")[0]
             wait()
         _assert_matches_reference(path, traj, "u")
 
@@ -468,7 +473,7 @@ def test_a_failing_parent_kills_and_reaps_the_writer(tmp_path, two_cpus, monkeyp
     monkeypatch.setattr(fields, "csv_rows", stuck_child_failing_parent)
     start = time.monotonic()
     with fields.csv_stream():
-        traj = _odd_trajectory("node", ("u",), _forked_stamps(GRIDS["node"], ("u",), 0), True)
+        traj = _odd_trajectory("node", ("u",), _forked_stamps(GRIDS["node"], ("u",), 0), 0)
         with pytest.raises(OSError, match="parent fails"):
             traj.write_csv(tmp_path)
     assert time.monotonic() - start < 30.0 and seen == [True] and len(two_cpus) == 1
@@ -482,20 +487,27 @@ RECORD_IDS = ["node", "cell", "wave", "square", "cube"]
 
 
 def _streamed_stamps(layout, names):
-    """Stamps past the least with _FORK_ROWS rows, so a record that starts its
-    writer once its rows get there streams stamps to it."""
+    """Stamps past the least with _FORK_ROWS rows, so a record reserved
+    mid-run streams stamps to its writer after the reserve too."""
     return _forked_stamps(GRIDS[layout], names, 1) + 8
 
 
+def _writer_start(layout, names, start):
+    """The stamps recorded when the second writer starts: none (reserved
+    before the first stamp), those before mid-run, or every stamp of the
+    least count with _FORK_ROWS rows (reserved after the last)."""
+    return {"first-stamp": 0, "mid-run": _forked_stamps(GRIDS[layout], names, 1) - 1,
+            "last-stamp": _forked_stamps(GRIDS[layout], names)}[start]
+
+
 def _write_with_writer_started(directory, layout, names, start):
-    """A record and the paths its CSVs went to, streamed inside a
-    csv_stream: of _streamed_stamps with its second writer started at the
-    first stamp (by reserve) or mid-run (by the stamps appended), or of the
-    least stamps with _FORK_ROWS rows, the last of which starts it."""
-    stamps = (_forked_stamps(GRIDS[layout], names) if start == "last-stamp"
-              else _streamed_stamps(layout, names))
+    """A record and the paths its CSVs went to, reserved inside a
+    csv_stream at _writer_start: of _streamed_stamps, or of the least
+    stamps with _FORK_ROWS rows where it is reserved after the last."""
+    at = _writer_start(layout, names, start)
+    stamps = at if start == "last-stamp" else _streamed_stamps(layout, names)
     with fields.csv_stream() as wait:
-        traj = _odd_trajectory(layout, names, stamps, reserve=start == "first-stamp")
+        traj = _odd_trajectory(layout, names, stamps, at)
         paths = traj.write_csv(directory)
         wait()
     return traj, paths
@@ -507,12 +519,12 @@ def _write_with_writer_started(directory, layout, names, start):
 @pytest.mark.parametrize("layout,names", TWO_WRITER_RECORDS, ids=RECORD_IDS)
 def test_two_writers_match_the_reference_wherever_they_split(tmp_path, two_cpus, monkeypatch,
                                                              layout, names, start, progress):
-    # the writer starts at the first stamp, or at the stamp whose rows reach
-    # _FORK_ROWS, mid-run or as the last one, when the child inherits every
-    # stamp and none goes over the pipe; the split halves what
-    # the child has not formatted, so forcing the progress it reports to
-    # none, half or every stamp moves the split from half the stamps to none
-    # left for this process
+    # the record is reserved, and its writer started, before the first
+    # stamp, mid-run or after the last stamp; the stamps recorded before
+    # then go over the pipe at the reserve.  The split
+    # halves what the child has not formatted, so forcing the progress it
+    # reports to none, half or every stamp moves the split from half the
+    # stamps to none left for this process
     starts, splits = [], []
     init, commit = fields._CsvWriter.__init__, fields._CsvWriter.commit
     monkeypatch.setattr(fields._CsvWriter, "__init__",
@@ -531,16 +543,29 @@ def test_two_writers_match_the_reference_wherever_they_split(tmp_path, two_cpus,
         monkeypatch.setattr(fields._CsvWriter, "_formatted", claimed)
     traj, paths = _write_with_writer_started(tmp_path, layout, names, start)
     n = len(traj)
-    first = {"first-stamp": 0, "mid-run": _forked_stamps(GRIDS[layout], names, 1) - 1,
-             "last-stamp": n}[start]
-    # the odd count's least reaches the rows, or the one before it does
-    assert len(two_cpus) == 1 and starts[0] in (first, first + 1) and len(starts) == 1
+    assert len(two_cpus) == 1 and starts == [_writer_start(layout, names, start)]
     if progress is not None:
         done = {"none": 0, "half": n // 2, "all": n}[progress]
         assert splits == [done + (n - done + 1) // 2]
     for name, path in zip(names, paths):
         _assert_matches_reference(path, traj, name)
     _assert_no_part_and_no_child(tmp_path)
+
+
+def test_a_streamed_transport_run_starts_its_writer_before_its_first_stamp(two_cpus, monkeypatch):
+    # transport_global's record is sized by the step at its speed's sup, so
+    # its writer starts at the reserve, as parabolic and wave runs do, not
+    # once the stamps appended make _FORK_ROWS rows
+    starts, init = [], fields._CsvWriter.__init__
+    monkeypatch.setattr(fields._CsvWriter, "__init__",
+                        lambda self, traj: starts.append(len(traj)) or init(self, traj))
+    plan = load_plan("transport_global")
+    with fields.csv_stream():
+        traj = solve_transport(plan.scenario, plan.grid, plan.solver)
+    assert len(traj) * plan.grid.npoints >= _FORK_ROWS
+    assert starts == [0] and len(two_cpus) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_stamps_a_full_pipe_held_back_go_at_the_commit(tmp_path, two_cpus, monkeypatch):
@@ -589,7 +614,7 @@ def test_a_streamed_writer_failure_names_its_file(tmp_path, two_cpus, monkeypatc
 
     monkeypatch.setattr(fields, "csv_rows", child_disk_full)
     with fields.csv_stream() as wait:
-        traj = _odd_trajectory("node", names, _streamed_stamps("node", names), reserve=True)
+        traj = _odd_trajectory("node", names, _streamed_stamps("node", names), 0)
         traj.write_csv(tmp_path)
         with pytest.raises(OSError) as info:
             wait()
@@ -603,7 +628,7 @@ def test_leaving_a_csv_stream_reaps_its_writer(tmp_path, two_cpus, committed):
     # an exception inside the block, before or after write_csv's commit
     with pytest.raises(KeyboardInterrupt):
         with fields.csv_stream():
-            traj = _odd_trajectory("node", ("u",), _streamed_stamps("node", ("u",)), True)
+            traj = _odd_trajectory("node", ("u",), _streamed_stamps("node", ("u",)), 0)
             if committed:
                 traj.write_csv(tmp_path)
             raise KeyboardInterrupt

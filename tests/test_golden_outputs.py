@@ -42,10 +42,10 @@ def test_outputs_match_recorded_hashes(tmp_path, capsys):
 
 @pytest.mark.parametrize("name", ["wave_demo", "transport_global", "parabolic_demo"])
 def test_a_forking_run_through_the_entry_point(tmp_path, name):
-    # each CSV has 50 000 rows or more, so on two CPUs a forked writer formats
-    # stamps during the solve (from its first stamp where the solver reserves
-    # them, as wave_demo and parabolic_demo do) and writes part of them; it
-    # must leave no duplicated buffer and no warning
+    # each CSV has 50 000 rows or more, so on two CPUs a forked writer,
+    # started where the solver reserves the record before its first stamp,
+    # formats stamps during the solve and writes part of them; it must leave
+    # no duplicated buffer and no warning
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-m", "isscert", "run", name, "--out", str(tmp_path)],

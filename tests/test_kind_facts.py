@@ -21,7 +21,7 @@ ARGS = {"slope": st.floats(2.0**-30, 2.0**600), "gamma": st.floats(0.0, 2.0**600
         "value": st.floats(2.0**-1000, 2.0**1000),
         "scale": st.floats(0.0, sys.float_info.max)}
 # states out to where v*v overflows: the cubic's results overflow to inf
-# well inside this range, but past it cubic(0) gives 0*inf = NaN
+# well inside this range; cubic(0) is checked on every float below
 STATES = st.floats(-(2.0**511), 2.0**511)
 MASSES = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -75,6 +75,19 @@ def test_map_kinds_have_their_declared_values_and_least_slope(law, u, v):
         rise = Fraction(fv) - Fraction(fu)
         assert rise >= Fraction(law.slope) * (Fraction(v) - Fraction(u)) \
             - REL * (abs(Fraction(fu)) + abs(Fraction(fv))) - 2 * ABS
+
+
+@FAST
+@given(v=st.floats(allow_nan=False))
+def test_cubic_0_keeps_the_cubic_bits_and_stays_finite_past_them(v):
+    # v*(1.0 + 0.0*(v*v)) once gave 0*inf = NaN past where v*v overflows
+    law = _LEAVES["map"]["cubic"][0](0.0)
+    state = np.array([v, -v])
+    got = law(state)
+    assert got.tobytes() == state.tobytes() and np.float64(law(v)).tobytes() == state[:1].tobytes()
+    if abs(v) <= 2.0**511:
+        assert got.tobytes() == (state * (1.0 + 0.0 * (state * state))).tobytes()
+    assert (law.slope, law.gamma) == (1.0, 0.0)
 
 
 @FAST

@@ -5,10 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from isscert.config import load_plan
+from isscert.config import bundled_names, load_plan
 from isscert.fields import Grid, Trajectory
 from isscert.solvers import (SolverConfig, SolverDivergedError, solve_parabolic,
                              solve_transport, solve_wave)
+from isscert.solvers import common
 from isscert.solvers.common import march
 
 # bundled demos cut to short horizons whose last step is a partial one
@@ -56,25 +57,50 @@ def test_cfl_sigma_defaults_to_0_9():
 @pytest.mark.parametrize("stride", [1, 3, 10**6])
 def test_fixed_step_runs_size_their_record_exactly(pde, stride):
     # the parabolic dt and the constant wave speed fix every step before
-    # the run; transport steps follow the mass, so its record doubles
+    # the run, so ceil(t_end/dt) steps, plus the one short step rounding can
+    # add, size the record to its stamps or one more; transport steps follow
+    # the mass, bounded below by the step at the speed's sup
     solver, demo, t_end = LOOP_CASES[pde]
     plan = load_plan(demo)
     traj = solver(plan.scenario, plan.grid,
                   replace(plan.solver, t_end=t_end, output_stride=stride))
     rows = {traj._times.size, *(a.shape[0] for a in traj._data.values())}
+    assert len(rows) == 1
     if pde == "transport":
-        assert len(rows) == 1 and rows.pop() >= len(traj)
+        assert rows.pop() >= len(traj)
     else:
-        assert rows == {len(traj)}
+        assert rows.pop() in (len(traj), len(traj) + 1)
+
+
+SOLVERS = {"parabolic": solve_parabolic, "transport": solve_transport, "wave": solve_wave}
+
+
+@pytest.mark.parametrize("name", bundled_names())
+def test_every_bundled_solve_sizes_its_record_in_closed_form_and_steps_once(name, monkeypatch):
+    # a fixed dt, a constant wave speed or a constant transport speed make
+    # every step but the last dt_min long, so the record holds the stamps or
+    # one more (the short step rounding can add); transport_liss's speed
+    # follows the mass and only exceeds the sup's step
+    loops, steps = [], common._steps
+    monkeypatch.setattr(common, "_steps", lambda *args: loops.append(1) or steps(*args))
+    plan = load_plan(name)
+    traj = SOLVERS[plan.pde](plan.scenario, plan.grid, plan.solver)
+    assert loops == [1]
+    rows = {traj._times.size, *(a.shape[0] for a in traj._data.values())}
+    assert len(rows) == 1
+    if name == "transport_liss":
+        assert rows.pop() >= len(traj)
+    else:
+        assert rows.pop() in (len(traj), len(traj) + 1)
 
 
 def test_wave_demo_records_every_step_without_slack():
     # the wave run of `verify wave` records 1335 stamps, which doubling
-    # held in 2048 rows
+    # held in 2048 rows; the closed-form size holds them, or one more
     plan = load_plan("wave_demo")
     traj = solve_wave(plan.scenario, plan.grid, replace(plan.solver, output_stride=1))
     assert len(traj) == 1335
-    assert traj._times.size == traj._data["plus"].shape[0] == 1335
+    assert traj._times.size == traj._data["plus"].shape[0] in (1335, 1336)
 
 
 def spiky_march(spikes, stride):
@@ -88,14 +114,15 @@ def spiky_march(spikes, stride):
         return dt_max, (w,)
 
     march(traj, SolverConfig(t_end=1.0, dt=0.1, output_stride=stride),
-          (np.full(9, 0.5),), advance, step_dt=lambda dt_max: dt_max)
+          (np.full(9, 0.5),), advance, dt_min=0.1)
     return traj
 
 
 def test_march_records_the_largest_magnitude_over_every_step():
     # the spike at step 3 falls between the recorded stamps 0, 5 and 10
     traj = spiky_march({3: -7.5}, stride=5)
-    assert len(traj) == traj._times.size == 3
+    # 3 stamps, in a record sized for them or one more
+    assert len(traj) == 3 and traj._times.size in (3, 4)
     assert np.abs(traj.states()).max() == 1.0
     assert traj.counters["max_abs"] == {"u": 7.5}
     assert traj.counters["steps"] == 10
