@@ -36,7 +36,7 @@ __all__ = [
 _MIN_CELLS = 8
 _BLOCK = 64  # stamps per call of Trajectory.blockwise
 
-# A record reserved at this many CSV rows in a csv_stream forks its second writer.
+# A record reserved at this many CSV rows in a csv_stream forks its _CsvWriter.
 # The rows the child formats must save at least twice what the fork costs
 # this process.  On a 2-CPU x86-64 host with numpy, scipy and isscert.cli
 # loaded (Python 3.11, 58 MB resident) a no-op fork plus waitpid took
@@ -401,8 +401,8 @@ _STREAM = contextvars.ContextVar("isscert_csv_stream", default=None)
 def csv_stream():
     """A block in which a record reserved at _FORK_ROWS CSV rows or more, on
     two CPUs, starts its second CSV writer (see :class:`Trajectory`), so
-    the writer formats stamps alongside the solve.  This is the only way a record's CSV gets a second process; outside
-    every block :meth:`Trajectory.write_csv` writes in this one.
+    the writer formats stamps alongside the solve: the only second CSV
+    process, since outside every block :meth:`Trajectory.write_csv` writes in one.
 
     The block yields a function that waits for every writer started in it
     and appends each one's .part files, raising the OSError of a writer

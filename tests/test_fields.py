@@ -521,10 +521,10 @@ def test_two_writers_match_the_reference_wherever_they_split(tmp_path, two_cpus,
                                                              layout, names, start, progress):
     # the record is reserved, and its writer started, before the first
     # stamp, mid-run or after the last stamp; the stamps recorded before
-    # then go over the pipe at the reserve.  The split
-    # halves what the child has not formatted, so forcing the progress it
-    # reports to none, half or every stamp moves the split from half the
-    # stamps to none left for this process
+    # then go over the pipe at the reserve.  The split halves what the
+    # child has not formatted, so forcing the progress it reports to none,
+    # half or every stamp moves the split from half the stamps to none left
+    # for this process
     starts, splits = [], []
     init, commit = fields._CsvWriter.__init__, fields._CsvWriter.commit
     monkeypatch.setattr(fields._CsvWriter, "__init__",
