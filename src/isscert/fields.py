@@ -38,9 +38,11 @@ _BLOCK = 64  # stamps per call of Trajectory.blockwise
 
 # A record reserved at this many CSV rows in a csv_stream forks its _CsvWriter.
 # The rows the child formats must save at least twice what the fork costs
-# this process.  On a 2-CPU x86-64 host with numpy, scipy and isscert.cli
-# loaded (Python 3.11, 58 MB resident) a no-op fork plus waitpid took
-# 3.3-6.3 ms (median 3.6 in 30).  After the fork, this process's first pass
+# this process.  On a 2-CPU x86-64 host with numpy, isscert.cli and the
+# parabolic step's LAPACK extension loaded (Python 3.11, 36 MB resident,
+# after a parabolic_demo run) a no-op fork plus waitpid took 2.2-4.2 ms
+# (medians 2.4-2.6 in 30, three processes; with all of scipy.linalg loaded,
+# 60 MB, 3.6-8.0 ms).  After the fork, this process's first pass
 # over its heap pays copy-on-write faults (a 1-D append loop took 13-14 us a
 # stamp against 7 us before the fork), and streaming sends each stamp with
 # one pipe write (median 2.4 us on 1-D n = 200).  A row formats one value on
@@ -48,10 +50,10 @@ _BLOCK = 64  # stamps per call of Trajectory.blockwise
 # 1.20-1.26 us a row on 1-D n = 200 and 256 and on 64x64 states.  The child
 # saves this process between half the rows (a writer that formatted nothing
 # during the solve) and all of them, so
-# rows/2 * row >= 2 * fork holds from 12 000 rows at the medians.  The
+# rows/2 * row >= 2 * fork holds from about 8 000 rows at the medians.  The
 # 2-D benchmark runs have 3 300-12 700 rows, and forking every run cut their
-# throughput by 11-23 % in three 6 s benchmark pairs, so the bar stays above
-# them.
+# throughput by 11-23 % in three 6 s benchmark pairs (measured with all of
+# scipy.linalg loaded), so the bar stays above them.
 _FORK_ROWS = 20_000
 
 

@@ -83,7 +83,26 @@ _HALF, _ZERO, _MAX, _LOWEST = map(_constant, (0.5, 0.0, _FLOAT_MAX, -_FLOAT_MAX)
 
 @cache
 def _lapack():
-    """LAPACK's gttrf and gttrs; scipy is imported on the first factorisation."""
+    """LAPACK's float64 gttrf and gttrs, loaded on the first factorisation.
+
+    They come from scipy's Fortran LAPACK extension, ``linalg/_flapack``,
+    loaded from its file alone: the scipy and scipy.linalg packages are
+    neither imported nor entered in sys.modules, so a later import of
+    scipy.linalg gets the full package and the same routines.  Where the
+    file is not found, scipy.linalg's get_lapack_funcs supplies them.
+    """
+    import importlib.machinery
+    import importlib.util
+    import os
+    spec = importlib.util.find_spec("scipy")
+    for root in spec.submodule_search_locations if spec else ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader("scipy.linalg._flapack", path)
+                flapack = importlib.util.module_from_spec(importlib.util.spec_from_loader(loader.name, loader))
+                loader.exec_module(flapack)
+                return flapack.dgttrf, flapack.dgttrs
     from scipy.linalg import get_lapack_funcs
     return get_lapack_funcs(("gttrf", "gttrs"), (np.zeros(1),))
 

@@ -1,6 +1,7 @@
 """Every name a src module imports is used in that module, and every
-private top-level name src defines is read somewhere in src.  scipy is
-loaded only when a parabolic run steps.
+private top-level name src defines is read somewhere in src.  Only a
+parabolic run's steps load anything of scipy: LAPACK's tridiagonal pair,
+from its extension file alone, without the scipy or scipy.linalg package.
 
 Package ``__init__`` modules exist to re-export, so the import check skips
 them.  An import statement carrying ``# noqa`` is kept on purpose (for
@@ -88,13 +89,18 @@ def test_src_private_names_are_referenced():
 
 
 def test_scipy_loads_only_when_a_parabolic_run_steps(tmp_path):
-    # importing scipy.linalg is about half of a cold start, and only the
-    # parabolic step's tridiagonal solve needs it
+    # importing scipy.linalg took about half of a cold start; the parabolic
+    # step's tridiagonal solve needs only its LAPACK pair, and no other run
+    # needs anything of scipy
     code = ("import sys, isscert, isscert.cli\n"
+            "from isscert.solvers.parabolic import _lapack\n"
             f"assert isscert.cli.main(['run', 'transport_steady', '--out', {str(tmp_path)!r}]) == 0\n"
-            "assert 'scipy.linalg' not in sys.modules\n"
+            "assert _lapack.cache_info().currsize == 0\n"
+            "assert not any(m.startswith('scipy') for m in sys.modules)\n"
             f"assert isscert.cli.main(['run', 'parabolic_demo', '--out', {str(tmp_path)!r}]) == 0\n"
-            "assert 'scipy.linalg' in sys.modules\n")
+            "assert _lapack.cache_info().currsize == 1\n"
+            "assert [repr(f) for f in _lapack()] == ['<fortran function dgttrf>', '<fortran function dgttrs>']\n"
+            "assert 'scipy' not in sys.modules and 'scipy.linalg' not in sys.modules\n")
     path = os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))
     subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
                    env={**os.environ, "PYTHONPATH": path})

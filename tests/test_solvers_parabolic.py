@@ -1274,6 +1274,53 @@ def test_line_responses_match_gtsv_bitwise(lam_a, n_lines, kinds):
     assert np.any(ipiv != np.arange(1, ipiv.size + 1)) == (lam_a > 1)
 
 
+@pytest.mark.parametrize("missing", ["spec", "file"])
+def test_lapack_extension_and_scipy_linalg_give_the_same_bits(monkeypatch, missing):
+    import importlib.machinery
+    import importlib.util
+
+    import scipy.linalg
+    rng = np.random.default_rng(17)
+    n = 200
+    dl, du = rng.uniform(-1.0, 1.0, size=(2, n - 1))
+    d = rng.uniform(2.5, 3.5, size=n)  # strictly diagonally dominant
+    b = rng.normal(size=(n, 3))
+    parabolic._lapack.cache_clear()
+    pairs = parabolic._lapack(), scipy.linalg.get_lapack_funcs(("gttrf", "gttrs"), (np.zeros(1),))
+    outs = []
+    for gttrf, gttrs in pairs:
+        lu = gttrf(dl, d, du)
+        outs.append((lu, gttrs(*lu[:-1], b)[0]))
+    (lu, x), (want_lu, want_x) = outs
+    assert lu[-1] == want_lu[-1] == 0
+    assert all(np.array_equal(f, g) for f, g in zip(lu, want_lu))
+    assert np.array_equal(x, want_x)
+
+    # with the extension file not found, a solve falls back to scipy.linalg
+    plan = load_plan("parabolic_demo")
+    fast = solve_parabolic(plan.scenario, plan.grid, plan.solver)
+    fallbacks = []
+
+    def get_lapack_funcs(*args):
+        fallbacks.append(args)
+        return pairs[1]
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", get_lapack_funcs)
+    if missing == "spec":
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+    else:
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+    parabolic._lapack.cache_clear()
+    try:
+        slow = solve_parabolic(plan.scenario, plan.grid, plan.solver)
+    finally:
+        monkeypatch.undo()
+        parabolic._lapack.cache_clear()
+    assert len(fallbacks) == 1
+    assert np.array_equal(slow.times, fast.times)
+    assert np.array_equal(slow.states("u"), fast.states("u"))
+
+
 def test_band_checks_survive_the_cache():
     rng = np.random.default_rng(16)
     w_old, af, src, ends = random_lines(rng)
