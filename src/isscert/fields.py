@@ -41,8 +41,8 @@ _BLOCK = 64  # stamps per call of Trajectory.blockwise
 # this process.  On a 2-CPU x86-64 host with numpy, isscert.cli and the
 # parabolic step's LAPACK extension loaded (Python 3.11, 36 MB resident,
 # after a parabolic_demo run) a no-op fork plus waitpid took 2.2-4.2 ms
-# (medians 2.4-2.6 in 30, three processes; with all of scipy.linalg loaded,
-# 60 MB, 3.6-8.0 ms).  After the fork, this process's first pass
+# (medians 2.4-2.6 in 30, three processes; 60 MB with all of scipy.linalg:
+# 2.2-8.0 ms, medians 2.3-3.7).  After the fork, this process's first pass
 # over its heap pays copy-on-write faults (a 1-D append loop took 13-14 us a
 # stamp against 7 us before the fork), and streaming sends each stamp with
 # one pipe write (median 2.4 us on 1-D n = 200).  A row formats one value on
