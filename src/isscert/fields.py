@@ -17,7 +17,6 @@ import math
 import mmap
 import os
 import signal
-import struct
 from itertools import product, repeat
 from pathlib import Path
 
@@ -42,15 +41,15 @@ _BLOCK = 64  # stamps per call of Trajectory.blockwise
 # parabolic step's LAPACK extension loaded (Python 3.11, 36 MB resident,
 # after a parabolic_demo run) a no-op fork plus waitpid took 2.2-4.2 ms
 # (medians 2.4-2.6 in 30, three processes; 60 MB with all of scipy.linalg:
-# 2.2-8.0 ms, medians 2.3-3.7).  After the fork, this process's first pass
-# over its heap pays copy-on-write faults (a 1-D append loop took 13-14 us a
-# stamp against 7 us before the fork), and streaming sends each stamp with
-# one pipe write (median 2.4 us on 1-D n = 200).  A row formats one value on
-# any number of axes, its point's coordinate cells being formatted once:
-# 1.20-1.26 us a row on 1-D n = 200 and 256 and on 64x64 states.  The child
-# saves this process between half the rows (a writer that formatted nothing
-# during the solve) and all of them, so
-# rows/2 * row >= 2 * fork holds from about 8 000 rows at the medians.  The
+# 2.2-8.0 ms, medians 2.3-3.7).  After the fork an append pays copy-on-write
+# faults and sends an 8-byte stamp count, 2.6 us a stamp in all (Xeon, 1-D
+# n = 200, medians of 15 runs of 2 000 appends: 6.8-7.0 us against 4.2-4.4,
+# the count 1.2).  A row formats one value on any number of axes, its
+# point's coordinate cells being formatted once: 1.20-1.26 us a row on 1-D
+# n = 200 and 256 and on 64x64 states.  The child saves this process between
+# half the rows (a writer that formatted nothing during the solve) and all
+# of them, so rows/2 * row >= 2 * (fork + 2.6 us * stamps) holds from about
+# 8 400 rows (42 stamps) on 1-D n = 200, and at 20 000 from 15 points.  The
 # 2-D benchmark runs have 3 300-12 700 rows, and forking every run cut their
 # throughput by 11-23 % in three 6 s benchmark pairs (measured with all of
 # scipy.linalg loaded), so the bar stays above them.
@@ -247,14 +246,14 @@ class Trajectory:
     live in ``counters``, apart from ``meta``, so the sidecar does not
     depend on them.
 
-    Storage: ``times`` plus one C-contiguous (capacity, *grid.shape)
-    float array per state name; its first ``len(self)`` rows are the stamps.
-    ``append`` copies into the next row, doubling the capacity when full;
-    every solver sizes the record once, before its first stamp, with
-    ``reserve``.  Only inside :func:`csv_stream` does a record get a
-    second CSV writer process: one whose reserved stamps make _FORK_ROWS
-    CSV rows starts it at ``reserve``, and ``append`` streams every stamp
-    to it (see :meth:`write_csv`).
+    Storage: one flat buffer, viewed as ``times`` and one C-contiguous
+    (capacity, *grid.shape) array per name; their first ``len(self)`` rows
+    are the stamps.  ``append`` copies into the next row, doubling the
+    capacity when full; every solver sizes the record once, before its first
+    stamp, with ``reserve``.  Only inside :func:`csv_stream` does a record
+    get a second CSV writer process: one whose reserved stamps make
+    _FORK_ROWS CSV rows is shared with it at ``reserve``, never grows again,
+    and is sent each stamp count by ``append`` (see :meth:`write_csv`).
     """
 
     def __init__(self, pde_class: str, grid, names=("u",), meta=None):
@@ -268,31 +267,46 @@ class Trajectory:
         self._n = 0
         self._times = np.empty(0)
         self._data = {k: np.empty((0, *grid.shape)) for k in self.names}
+        self._mapping = None  # the shared mmap the record lies in, once streamed
         self._writer = None  # the second CSV writer, once streamed to
 
     def reserve(self, rows: int):
         """Make the capacity at least rows stamps, exactly rows if it grows;
         the stamps a solver reserves bound the ones it will append.  The one
-        place a second CSV writer starts (see :func:`csv_stream`), and is sent
-        any stamps already recorded."""
-        self._grow(rows)
+        place a second CSV writer starts (see :func:`csv_stream`): the record,
+        with any stamps already recorded, moves into a mapping shared with
+        the writer, and is sent their count."""
         writers = _STREAM.get()
-        if (writers is not None and self._writer is None
-                and rows * len(self.names) * self.grid.npoints >= _FORK_ROWS
-                and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2):
+        stream = (writers is not None and self._writer is None
+                  and rows * len(self.names) * self.grid.npoints >= _FORK_ROWS
+                  and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2)
+        self._grow(max(rows, self._n), shared=stream)
+        if stream:
             self._writer = _CsvWriter(self)
             writers.append(self._writer)
             self._writer.feed()
 
-    def _grow(self, rows):
-        if rows <= self._times.size:
+    def _grow(self, rows, shared=False):
+        """Lay the record out in one new buffer of rows stamps, keeping those
+        recorded, past the capacity or to share it with a writer forked after
+        this; a streamed record never moves, as its writer reads it in place."""
+        if rows <= self._times.size and not shared:
             return
-        n = self._n
-        times, self._times = self._times, np.empty(rows)
+        if self._writer is not None:
+            raise ValueError(f"a streamed record holds at most its {self._times.size} "
+                             "reserved stamps")
+        size = rows * (1 + len(self.names) * self.grid.npoints)
+        try:
+            self._mapping = mmap.mmap(-1, 8 * size) if shared else None
+        except OSError as exc:  # ENOMEM, the MemoryError of np.empty
+            raise MemoryError(str(exc)) from exc
+        flat = np.empty(size) if self._mapping is None else np.frombuffer(self._mapping)
+        n, times, self._times = self._n, self._times, flat[:rows]
         self._times[:n] = times[:n]
-        for k, old in self._data.items():
-            self._data[k] = np.empty((rows, *old.shape[1:]))
-            self._data[k][:n] = old[:n]
+        blocks = flat[rows:].reshape(len(self.names), rows, *self.grid.shape)
+        for k, block in zip(self.names, blocks):
+            block[:n] = self._data[k][:n]
+            self._data[k] = block
 
     def append(self, t: float, **arrays):
         if set(arrays) != set(self.names):
@@ -433,29 +447,30 @@ def csv_stream():
 # the child works on.
 _DONE, _SPLIT, _FILE = range(3)
 _NO_SPLIT = 1 << 62
-# a message's head: the stamp's index and time, or -1 and 0.0 for the commit
-_HEAD = struct.Struct("<qd")
-_PIPE_BYTES = 1 << 20
+
+
+def _count(n) -> bytes:
+    """A stamp count as the pipe carries it: 8 bytes, below PIPE_BUF."""
+    return n.to_bytes(8, "little", signed=True)
 
 
 class _CsvWriter:
     """The second CSV writer of a record: a forked child process.
 
-    The child gets every stamp of the record from :meth:`feed` over a
-    pipe, as its index, time and state bytes.  It formats every stamp it
-    has, in order, into memory, and
-    counts them in an array shared with this process.  :meth:`commit`
-    splits the stamps still unformatted in half: this process creates each
-    file with its header and writes the stamps from the split on to
-    <file>.part, while the child appends the stamps before the split to
-    each file.  :meth:`finish` waits for the child and appends the .part
+    The child reads each stamp in the record's shared mapping, once
+    :meth:`feed` has sent, over a pipe whose write orders the stores before
+    it, a stamp count that includes it.  It formats the stamps, in order,
+    into memory, and counts them in an array shared with this process.
+    :meth:`commit` splits the stamps still unformatted in half: this process
+    creates each file with its header and writes the stamps from the split
+    on to <file>.part, while the child appends the stamps before the split
+    to each file.  :meth:`finish` waits for the child and appends the .part
     files.  The child writes nothing before the commit, and on end of file
     before it exits without writing.
     """
 
     def __init__(self, traj):
         self.traj, self.paths, self.split = traj, None, None
-        self.sent, self.rest = 0, b""  # stamps sent to the child; unsent bytes
         self.shared = np.frombuffer(mmap.mmap(-1, 24), dtype=np.int64)
         self.shared[:] = (0, _NO_SPLIT, 0)
         rfd, self.fd = os.pipe()
@@ -476,30 +491,16 @@ class _CsvWriter:
                 os._exit(code)
         os.close(rfd)
         os.set_blocking(self.fd, False)
-        import fcntl
-        if hasattr(fcntl, "F_SETPIPE_SZ"):
-            # room for every stamp of the dense runs, so the commit rarely waits
-            with contextlib.suppress(OSError):
-                fcntl.fcntl(self.fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
 
-    def feed(self, upto=None):
-        """Send the child the stamps it lacks before stamp upto, every stamp
-        recorded by default, as far as the pipe takes them: without waiting
-        until the commit makes the pipe blocking.  Once the child has ended,
-        send nothing (:meth:`finish` reports how it ended)."""
-        # A blocking write here would stall the solve whenever the child
-        # falls behind: transport_global fills the 1 MiB pipe and holds
-        # stamps back 178 times, and a blocking feed slowed that run from
-        # 93.6 to 115.8 ms in-process.
-        traj = self.traj
-        upto = len(traj) if upto is None else upto
+    def feed(self, data=None):
+        """Send the child data, the count of stamps recorded by default: until
+        the commit makes the pipe blocking, a count a full pipe refuses is
+        dropped, as a later one replaces it.  Once the child has ended, send
+        nothing (:meth:`finish` reports how it ended)."""
+        data = _count(len(self.traj)) if data is None else data
         try:
-            while self.fd >= 0 and (self.rest or self.sent < upto):
-                if not self.rest:
-                    i, self.sent = self.sent, self.sent + 1
-                    self.rest = memoryview(b"".join(
-                        [_HEAD.pack(i, traj._times[i]), *(traj._data[k][i] for k in traj.names)]))
-                self.rest = self.rest[os.write(self.fd, self.rest):]
+            while self.fd >= 0 and data:
+                data = data[os.write(self.fd, data):]
         except BlockingIOError:
             pass
         except BrokenPipeError:
@@ -516,8 +517,8 @@ class _CsvWriter:
 
     def commit(self, paths, header):
         """Split the stamps the child has not formatted in half, create each
-        of paths with its header, send the child the stamps before the split
-        that it lacks and the commit, and write the rest to <file>.part."""
+        of paths with its header, send the child the split count and the
+        commit, and write the rest to <file>.part."""
         try:
             n = len(self.traj)
             done = self._formatted()
@@ -529,10 +530,8 @@ class _CsvWriter:
                     fh.write(header)
             if self.fd >= 0:
                 os.set_blocking(self.fd, True)
-            self.feed(self.split)
-            # the commit, sent after every stamp before the split
-            self.rest = memoryview(_HEAD.pack(-1, 0.0) + os.fsencode(paths[0].parent))
-            self.feed(0)
+            # the commit: the count -1 and the directory
+            self.feed(_count(self.split) + _count(-1) + os.fsencode(paths[0].parent))
             self._close()
             if self.split < n:
                 self.traj._write_stamps(paths, header, self.split)
@@ -542,29 +541,28 @@ class _CsvWriter:
 
     def _serve(self, rfd) -> int:
         """The child's work, returning its exit code: format every stamp
-        before the split, then append them to the files in the directory the
-        commit names.  End of file before the commit ends it with 0."""
+        before the split as the counts make it available, then append them
+        to the files in the directory the commit names.  End of file before
+        the commit ends it with 0."""
         traj, shared = self.traj, self.shared
         coords, texts = _coord_cells(traj.grid), [[] for _ in traj.names]
-        shape = (len(traj.names), *traj.grid.shape)
-        size = 8 * math.prod(shape)
         with open(rfd, "rb") as pipe:
             while True:
-                head = pipe.read(_HEAD.size)
-                if len(head) < _HEAD.size:
+                head = pipe.read(8)
+                if len(head) < 8:
                     return 0
-                i, t = _HEAD.unpack(head)
-                if i < 0:
+                count = int.from_bytes(head, "little", signed=True)
+                if count < 0:
                     break
-                body = pipe.read(size)
-                if len(body) < size:
-                    return 0
-                if i < shared[_SPLIT]:
-                    states = np.frombuffer(body).reshape(shape)
-                    for j, (text, state) in enumerate(zip(texts, states)):
+                for i in range(len(texts[0]), min(count, int(shared[_SPLIT]))):
+                    # a float's repr, which an np.float64's is not
+                    t = traj._times[i].item()
+                    for j, (text, name) in enumerate(zip(texts, traj.names)):
                         shared[_FILE] = j
-                        text.append(_stamp_rows(t, coords, state))
+                        text.append(_stamp_rows(t, coords, traj._data[name][i]))
                     shared[_DONE] = len(texts[0])
+                    # drop the pages read from this process's peak; the record keeps them
+                    traj._mapping.madvise(mmap.MADV_DONTNEED)
             directory = os.fsdecode(pipe.read())
         split = int(shared[_SPLIT])
         for j, (path, text) in enumerate(zip(traj._csv_paths(directory), texts)):

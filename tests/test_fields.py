@@ -375,10 +375,10 @@ def _forked_stamps(grid, names, parity=None):
     return stamps + (parity is not None and stamps % 2 != parity)
 
 
-def _odd_trajectory(layout, names, stamps, reserve_at=None):
+def _odd_trajectory(layout, names, stamps, reserve_at=None, reserved=None):
     """A record whose values and stamps include the hardest reprs, its
-    stamps reserved after reserve_at of them are appended (0: before the
-    first, as a solver does; None: never)."""
+    stamps, or reserved stamps if given, reserved after reserve_at of them
+    are appended (0: before the first, as a solver does; None: never)."""
     grid = GRIDS[layout]
     pde = "wave" if len(names) == 2 else "parabolic"
     traj = Trajectory(pde, grid, names=names)
@@ -387,7 +387,7 @@ def _odd_trajectory(layout, names, stamps, reserve_at=None):
     times = [0.0, 5e-324, 0.1 + 0.2, 1.0 / 3.0, 1e16] + [1e16 + 2.0 * k for k in range(1, stamps - 4)]
     for i, (t, vals) in enumerate(zip(times, values)):
         if i == reserve_at:
-            traj.reserve(stamps)
+            traj.reserve(reserved or stamps)
         traj.append(t, **{k: (-1) ** j * vals for j, k in enumerate(names)})
     if reserve_at == stamps:
         traj.reserve(stamps)
@@ -568,29 +568,58 @@ def test_a_streamed_transport_run_starts_its_writer_before_its_first_stamp(two_c
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_stamps_a_full_pipe_held_back_go_at_the_commit(tmp_path, two_cpus, monkeypatch):
-    # a pipe of one page and a child slowed down: the stamps before the split
-    # that the pipe did not take during the solve are sent at the commit
-    parent, rows, behind = os.getpid(), fields.csv_rows, []
+def test_stamps_whose_counts_the_pipe_refused_go_at_the_commit(tmp_path, two_cpus, monkeypatch):
+    # a pipe that takes no count during the solve: the child learns of the
+    # stamps before the split from the commit alone, and still formats them
+    parent, write, refused = os.getpid(), os.write, []
 
-    def slow_child(*columns):
-        if os.getpid() != parent:
-            time.sleep(1e-3)
-        return rows(*columns)
+    def full_pipe(fd, data):
+        if os.getpid() == parent and not os.get_blocking(fd):
+            refused.append(len(data))
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return write(fd, data)
 
-    def commit_counting_unsent(self, *args):
-        behind.append(self._formatted() + (len(self.traj) - self._formatted() + 1) // 2
-                      - self.sent)
-        commit(self, *args)
-
-    commit = fields._CsvWriter.commit
-    monkeypatch.setattr(fields, "_PIPE_BYTES", 4096)
-    monkeypatch.setattr(fields, "csv_rows", slow_child)
-    monkeypatch.setattr(fields._CsvWriter, "commit", commit_counting_unsent)
+    monkeypatch.setattr(os, "write", full_pipe)
     traj, paths = _write_with_writer_started(tmp_path, "node", ("plus", "minus"), "first-stamp")
-    assert len(two_cpus) == 1 and behind[0] > 0
+    # the count at the reserve and one an append
+    assert len(two_cpus) == 1 and refused == [8] * (len(traj) + 1)
     for name, path in zip(("plus", "minus"), paths):
         _assert_matches_reference(path, traj, name)
+    _assert_no_part_and_no_child(tmp_path)
+
+
+@pytest.mark.parametrize("layout,names", TWO_WRITER_RECORDS, ids=RECORD_IDS)
+def test_the_pipe_carries_stamp_counts_not_states(tmp_path, two_cpus, monkeypatch,
+                                                  layout, names):
+    # the child reads each stamp from the shared record, so every write to
+    # it before the commit is one 8-byte stamp count: the reserve's and one
+    # an append
+    parent, write, sizes, commit = os.getpid(), os.write, [], fields._CsvWriter.commit
+
+    def counted(fd, data):
+        if os.getpid() == parent:
+            sizes.append(len(data))
+        return write(fd, data)
+
+    monkeypatch.setattr(os, "write", counted)
+    monkeypatch.setattr(fields._CsvWriter, "commit",
+                        lambda self, *args: sizes.append("commit") or commit(self, *args))
+    traj, paths = _write_with_writer_started(tmp_path, layout, names, "first-stamp")
+    assert len(two_cpus) == 1 and sizes.index("commit") == len(traj) + 1
+    assert set(sizes[:len(traj) + 1]) == {8}
+    for name, path in zip(names, paths):
+        _assert_matches_reference(path, traj, name)
+    _assert_no_part_and_no_child(tmp_path)
+
+
+def test_a_streamed_record_never_grows_past_its_reserve(tmp_path, two_cpus):
+    # its writer reads the record in place, so a record that outgrew its
+    # reserve would move its stamps where the writer never looks
+    reserved = _forked_stamps(GRIDS["node"], ("u",))
+    with pytest.raises(ValueError, match=f"its {reserved} reserved stamps"):
+        with fields.csv_stream():
+            _odd_trajectory("node", ("u",), _streamed_stamps("node", ("u",)), 0, reserved)
+    assert len(two_cpus) == 1
     _assert_no_part_and_no_child(tmp_path)
 
 
