@@ -38,12 +38,11 @@ class SolverConfig:
 
     dt is mandatory for the parabolic stepper.  The hyperbolic steppers
     choose dt per step from cfl_sigma in (0, 1], 0.9 by default, and cap
-    it at dt when both are given.  bc_tol, finite and positive, is the
-    bracket width at which each flux-boundary bisection of the parabolic
-    stepper stops (it also stops once the bracket ends are adjacent
-    floats), so it bounds the error of each flux end's value, on a line
-    with two flux ends too.  Every output_stride-th step is recorded, plus
-    the initial and final states.
+    it at dt when both are given.  bc_tol, finite and positive, bounds the
+    error of each flux end's value in the parabolic stepper, on a line
+    with two flux ends too: a closure stops on a proven bound at most
+    bc_tol, or where the rounding of its balance allows no better.  Every
+    output_stride-th step is recorded, plus the initial and final states.
     """
 
     t_end: float

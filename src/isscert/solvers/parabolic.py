@@ -13,26 +13,13 @@ on the rest.  Diffusion is implicit, one backward-Euler sweep per axis
 and forcing are explicit, in the first sweep.  Every sweep solves the
 stack of its grid lines, the interval's one line or all lines along an
 axis, with zero couplings in one tridiagonal band.  The interior unknowns
-of a line are affine in its end values, so the balance at each flux end
-becomes a strictly increasing scalar equation with a guaranteed bracket,
-closed by bisection in one closure, :func:`_solve_lines`.  With two flux
-ends, the high end's balance is affine in the low end's value, so solving
-it for that value (clipped to the finite floats where the coupling
-underflows) leaves one increasing equation in the high end's value: one
-bisection gives the high end, the low end's own closure there the low
-end.  The closure runs on two data layouts chosen by the stack height:
-one line on Python floats end to end, more lines in lockstep on arrays,
-with the same expansion, midpoints and exits, so a line gives the same
-bits alone or in a stack for any law that gives a float the bits an
-array gives elementwise.  What stays fixed through a closure is formed
-once: the high end's balance at the low end's value 0.0 holds
-base_k + 0.0*r_lo as one constant, the low end's at the high end's
-value y holds y*r_hi as one term, and the clip knows whether any cross
-factor is 0.  The lockstep layout passes its scalars as 0-d arrays,
-which numpy combines with an array faster than Python floats, and runs
-a bisection's first rounds without the live mask: as many as the
-brackets' least width and largest end show that no line can end in,
-given bc_tol and the midpoints' rounding (:func:`_sure_rounds`).
+of a line are affine in its end values, so by the flux law's facts
+(slope and gamma) the balance at a flux end is a cubic in its value,
+less a multiple of the other end's value where that is a flux end too.
+One closure, :func:`_close`, solves it: a linear law in closed form, a
+cubic one by Newton's method from a closed-form start, each end
+stopping on a proven bound on its error.  One line runs on Python
+floats, more in lockstep on arrays, with the same bits.
 :func:`solve_parabolic` supplies the step of any dimension to the time
 loop all steppers share, :func:`~isscert.solvers.common.march`.  It binds
 every field to its points once per solve
@@ -42,14 +29,12 @@ fields' time signals only, and a field of a constant signal not at all.
 Each sweep factors its band once per operator (LAPACK gttrf), with the
 unit responses of its flux ends, and a step solves one right-hand side
 (gttrs); a new h, dt or diffusivity, such as a time-varying a or a
-shorter last step, refactors.  A closure's residual is one expression
-per end layout, with no loop over the ends' response terms.
+shorter last step, refactors.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable
@@ -63,9 +48,6 @@ from .common import ScenarioError, SolverConfig, SolverDivergedError, check_fini
 __all__ = ["ParabolicScenario", "solve_parabolic"]
 
 _SIGN_TOL = 1e-12
-
-# x(y) of a line with two flux ends is clipped to the finite floats
-_FLOAT_MAX = sys.float_info.max
 _NONFINITE = "non-finite diffusion band or right-hand side"
 
 
@@ -75,10 +57,6 @@ def _constant(value):
     out = np.array(float(value))
     out.flags.writeable = False
     return out
-
-
-# the lockstep layout's scalars
-_HALF, _ZERO, _MAX, _LOWEST = map(_constant, (0.5, 0.0, _FLOAT_MAX, -_FLOAT_MAX))
 
 
 @cache
@@ -120,7 +98,7 @@ class ParabolicScenario:
     reads, refusing any other callable.  Such a map is odd, and it is of
     the sign of v and nondecreasing on every state exactly when slope >= 0
     and gamma >= 0.  The flux law (boundary_reaction) needs that for the
-    flux closure's bracket to hold the root; the reaction needs its least
+    flux closure, which reads both facts; the reaction needs its least
     slope, slope, to be at least one as well.
 
     a, c, f, d1 and d2 are SpaceTimeFields, so their infs and sups are
@@ -225,6 +203,9 @@ def solve_parabolic(scn: ParabolicScenario, grid, cfg: SolverConfig) -> Trajecto
         **meta, "dt": cfg.dt, "t_end": cfg.t_end, "scenario": scn.label})
     march(traj, cfg, (np.asarray(scn.w0(pts), dtype=float),), advance, cfg.dt)
     traj.counters["band_factorizations"] = sum(band.factorizations for band in bands)
+    traj.counters["closures"] = sum(band.closures for band in bands)
+    traj.counters["flux_law_calls"] = sum(band.law_calls for band in bands)
+    traj.counters["closure_error"] = max(band.closure_error for band in bands)
     return traj
 
 
@@ -290,13 +271,17 @@ class _Band:
     """One sweep's memo of its last factored diffusion band: the key it was
     factored under, gttrf's factors lu, the read-only unit responses resp
     of its flux ends, the number of factorisations so far, and af, the
-    diffusivity array of the key when it is read-only and owns its data."""
+    diffusivity array of the key when it is read-only and owns its data;
+    and the sweep's closures, law calls and largest error bound so far."""
 
     key: tuple = None
     af: np.ndarray = None
     lu: list = None
     resp: dict = None
     factorizations: int = 0
+    closures: int = 0
+    law_calls: int = 0
+    closure_error: float = 0.0
 
     def factor(self, key, h, dt, af, kinds):
         """Factor the band of faces af under key; solve the ends' unit responses."""
@@ -368,19 +353,17 @@ def _solve_lines(band, w_old, h, dt, af, src, bc_lo, bc_hi, varphi, bc_tol):
 
         (b - w)/dt + (2/h) varphi(b) - (2/h) d2 + (2/h^2) a (b - inner) - src
 
-    is strictly increasing in its end value b and is closed by bisection,
-    :func:`_close`; a line with two flux ends runs two.  One line runs
-    :func:`_close_line`, on Python floats from its factors to its end
-    values; a larger stack runs :func:`_close_stack` in lockstep on arrays.
-    Both take the same decisions, so a line gives the same bits alone or in
-    a stack.
+    is closed by :func:`_close_lines`; band counts the closures (a flux
+    end of a line each), law calls and the largest error bound at exit.
     """
     base, resp = _line_responses(band, w_old, h, dt, af, src, bc_lo, bc_hi)
     if not resp:
         return base
-    close = _close_line if w_old.shape[0] == 1 else _close_stack
-    ends = close(h, dt, w_old, src, base, resp, af, {"lo": bc_lo[1], "hi": bc_hi[1]},
-                 varphi, bc_tol)
+    ends, err, calls = _close_lines(h, dt, w_old, src, base, resp, af,
+                                    {"lo": bc_lo[1], "hi": bc_hi[1]}, varphi, bc_tol)
+    band.closures += w_old.shape[0] * len(resp)
+    band.law_calls += calls
+    band.closure_error = max(band.closure_error, err)
     # base is this call's own array, and the closure no longer reads it
     w = base
     for end, r in resp.items():
@@ -405,221 +388,237 @@ def _end_factors(end, pick, h, w_old, src, base, resp, af, d2):
             (2.0 / h**2) * pick(af, f), r_lo, r_hi)
 
 
-def _residual(end, dt, c_phi, law, w_i, src_i, base_k, c_d2, c_face, r_lo, r_hi,
-              fixed=0.0):
+def _residual(end, dt, c_phi, law, w_i, src_i, base_k, c_d2, c_face, r_lo, r_hi):
     """The balance of end with factors :func:`_end_factors`, as a function
-    residual(b, other=None) of its value b and the other flux end's value,
-    if any, which is fixed when other is None.  The inner node's value adds
-    b's and the other value's response terms to base_k in the order lo,
-    hi; the high end's keeps other*r_lo at other = 0.0, which sets the sign
-    of a zero sum.  The fixed value's term is formed once: at the high end
-    it follows base_k, so base_k + fixed*r_lo is one constant, and at the
-    low end it comes last, so fixed*r_hi is added as a term of its own."""
+    residual(b, other=0.0) of its value b and the other flux end's value,
+    if any.  The inner node's value adds b's and the other value's
+    response terms to base_k in the order lo, hi; the high end's keeps
+    other*r_lo at other = 0.0, which sets the sign of a zero sum."""
     if r_lo is None or r_hi is None:
         r_k = r_hi if r_lo is None else r_lo
 
-        def residual(b, other=None):
+        def residual(b, other=0.0):
             return ((b - w_i) / dt + c_phi * law(b) - c_d2
                     + c_face * (b - (base_k + b * r_k)) - src_i)
     elif end == "lo":
-        term = fixed * r_hi
-
-        def residual(b, other=None):
-            t = term if other is None else other * r_hi
+        def residual(b, other=0.0):
             return ((b - w_i) / dt + c_phi * law(b) - c_d2
-                    + c_face * (b - (base_k + b * r_lo + t)) - src_i)
+                    + c_face * (b - (base_k + b * r_lo + other * r_hi)) - src_i)
     else:
-        start = base_k + fixed * r_lo
-
-        def residual(b, other=None):
-            k = start if other is None else base_k + other * r_lo
+        def residual(b, other=0.0):
             return ((b - w_i) / dt + c_phi * law(b) - c_d2
-                    + c_face * (b - (k + b * r_hi)) - src_i)
+                    + c_face * (b - (base_k + other * r_lo + b * r_hi)) - src_i)
     return residual
 
 
-def _close(bisect, clip, dt, c_phi, law, factors):
+def _close(lay, dt, c_phi, law, factors, tol):
     """The values {end: b} of the flux ends with factors {end: factors}
-    (:func:`_end_factors`), closed by bisect(residual, center) from each
-    end's old value; clip(beta) is the layout's map r -> r/beta, clipped to
-    the finite floats and of r's sign where beta = 0, built once per
-    closure.
-
-    With two flux ends, the high end's balance is affine in the low end's
-    value x, R_hi(y; x) = R_hi(y; 0) - beta*x with beta >= 0 its cross
-    factor (c_face times the low end's response r_k), so x(y) =
-    R_hi(y; 0)/beta zeroes it.  F(y) = R_lo(x(y); y) is strictly
-    increasing while rho = beta_lo*beta_hi/(s_lo*s_hi) < 1 (cross factors
-    over own slopes), which the diffusion band guarantees.  One bisection
-    of F gives y; x comes from the low end's own closure at y, not from
-    x(y), which amplifies errors by s/beta.  The clip keeps F at +-inf,
-    never NaN, where beta underflows.  R_hi(y; 0) and the low end's
-    balance at y have the other value's term formed once
-    (:func:`_residual`).
+    (:func:`_end_factors`) on the layout lay, the error bounds at exit and
+    the law's calls, counted per line.  An end's balance (:func:`_residual`)
+    is R(b) = m*b + k*b^3 - C - beta*y, y the other flux end's value: m =
+    1/dt + c_face*(1 - r_own) + c_phi*slope > 0, k = c_phi*gamma >= 0,
+    beta = c_face*r_other >= 0 and C = -R(0).  L = [[m_lo, -beta_lo], [-beta_hi, m_hi]] is an M-matrix
+    (beta + 1/dt <= m), and R(z) - R(z*) = (L + D)(z - z*), D diagonal and
+    D >= 3/4 k diag(z^2), so |z - z*| <= (L + 3/4 k diag(z^2))^-1 |R(z)|
+    (|R(b)|/(m + 3/4 k b^2) for one end): a line stops where that is at
+    most tol.  A linear law closes as C/m or L^-1 C.  A cubic one runs
+    Newton, one end from above |b*| on R's convex side (:func:`_one_end`),
+    two from L^-1 C clipped to each end's cube-root bound, and past
+    _NEWTON_ROUNDS rounds or a non-finite point by :func:`_nested`.  A line
+    also stops where its point would not move, or where each |R| is within
+    nu, 16 units of roundoff of the magnitudes of its terms, which bounds
+    the rounding of the computed balance and adds nu/m to the bound.  A NaN balance raises RuntimeError.
     """
-    if len(factors) == 1:
-        ((end, fac),) = factors.items()
-        return {end: bisect(_residual(end, dt, c_phi, law, *fac), fac[0])}
-    lo, hi = (_residual(end, dt, c_phi, law, *factors[end]) for end in ("lo", "hi"))
-    w_hi, *_, c_face, r_lo, _ = factors["hi"]
-    x_of = clip(c_face * r_lo)
-    y = bisect(lambda y: lo(x_of(hi(y)), y), w_hi)
-    at_y = _residual("lo", dt, c_phi, law, *factors["lo"], fixed=y)
-    return {"lo": bisect(at_y, factors["lo"][0]), "hi": y}
+    res = {end: _residual(end, dt, c_phi, law, *fac) for end, fac in factors.items()}
+    k, calls, m, beta, nu, c = c_phi * law.gamma, len(res) * lay.lines, {}, {}, {}, {}
+    for end, (*_, c_face, r_lo, r_hi) in factors.items():
+        own, other = (r_lo, r_hi) if end == "lo" else (r_hi, r_lo)
+        m[end] = 1.0 / dt + c_face * (1.0 - own) + c_phi * law.slope
+        beta[end] = 0.0 if other is None else abs(c_face * other)
+        c[end] = 0.0 - res[end](lay.zero, lay.zero)
+        if not lay.all(lay.finite(c[end])):
+            raise RuntimeError(_NONFINITE_BALANCE)
+    if len(res) == 1 and not law.gamma:
+        return {end: c[end] / m[end] for end in res}, 0.0, calls
+    for end, (w_i, src_i, base_k, c_d2, c_face, r_lo, r_hi) in factors.items():
+        nu[end] = (lambda b, y=0.0, n=[_ROUNDING * v for v in (
+            abs(w_i) / dt + abs(c_d2) + c_face * abs(base_k) + abs(src_i),
+            1.0 / dt + c_phi * law.slope + c_face * (1.0 + abs(r_lo if end == "lo" else r_hi)),
+            k, beta[end])]: n[0] + abs(b) * (n[1] + n[2] * (b * b)) + n[3] * abs(y))
+    if len(res) == 1:
+        ((end, r),) = res.items()
+        b, err, more = _one_end(lay, r, m[end], k, c[end], tol, nu[end])
+        return {end: b}, err, calls + more
+    (lo, hi), (m_lo, m_hi), (b_lo, b_hi), (c_lo, c_hi) = (
+        (d["lo"], d["hi"]) for d in (res, m, beta, c))
+    det = m_lo * m_hi - b_lo * b_hi
+    x, y = (m_hi * c_lo + b_lo * c_hi) / det, (m_lo * c_hi + b_hi * c_lo) / det
+    if not law.gamma:
+        return {"lo": x, "hi": y}, 0.0, calls
+    # |z*| <= B = L^-1 |C|, so k*|x*|^3 <= |C_lo| + beta_lo*B_y = m_lo*B_x
+    a_lo, a_hi = abs(c_lo), abs(c_hi)
+    top = (lay.cbrt_above(m_lo * ((m_hi * a_lo + b_lo * a_hi) / det) / k),
+           lay.cbrt_above(m_hi * ((b_hi * a_lo + m_lo * a_hi) / det) / k))
+    start = tuple(lay.minimum(lay.maximum(v, -t), t) for v, t in zip((x, y), top))
+
+    def round_(z):
+        x, y = z
+        r_lo, r_hi = lo(x, y), hi(y, x)
+        if lay.any((r_lo != r_lo) | (r_hi != r_hi)):
+            raise RuntimeError(_NONFINITE_BALANCE)
+        a_lo, a_hi, xx, yy = abs(r_lo), abs(r_hi), x * x, y * y
+        q_lo, q_hi = m_lo + k * (0.75 * xx), m_hi + k * (0.75 * yy)
+        q = q_lo * q_hi - b_lo * b_hi
+        err = lay.maximum((q_hi * a_lo + b_lo * a_hi) / q, (b_hi * a_lo + q_lo * a_hi) / q)
+        # the Newton step, by the Jacobian L + 3k diag(z^2)
+        j_lo, j_hi = m_lo + k * (3.0 * xx), m_hi + k * (3.0 * yy)
+        j = j_lo * j_hi - b_lo * b_hi
+        nx, ny = x - (j_hi * r_lo + b_lo * r_hi) / j, y - (b_hi * r_lo + j_lo * r_hi) / j
+        need = ((err > tol) & ((nx != x) | (ny != y))
+                & ((a_lo > nu["lo"](x, y)) | (a_hi > nu["hi"](y, x))))
+        return err, (nx, ny), need & lay.finite(nx) & lay.finite(ny), need
+
+    (x, y), err, need, rounds = _run(lay, round_, start, _NEWTON_ROUNDS)
+    calls += 2 * rounds * lay.lines
+    if lay.lines == 1 and need:
+        x, y, err, more = _nested(lo, hi, m_lo, m_hi, b_lo, b_hi, k, c_lo, c_hi, det, nu,
+                                  start[1], tol)
+        calls += more
+    elif lay.lines > 1:
+        # such a line closes on floats from its start: the same rounds, then _nested
+        for j in np.flatnonzero(need):
+            line = {end: tuple(None if f is None else f[j].item() for f in fac)
+                    for end, fac in factors.items()}
+            ends, err[j], more = _close(_Floats, dt.item(), c_phi.item(), law, line, tol)
+            x[j], y[j], calls = ends["lo"], ends["hi"], calls + more
+    return {"lo": x, "hi": y}, err, calls
 
 
-def _clip_scalar(beta):
-    """r -> r/beta as a Python float, clipped to the finite floats; of r's
-    sign when beta = 0."""
-    if beta:
-        return lambda r: min(max(float(r) / beta, -_FLOAT_MAX), _FLOAT_MAX)
-    return lambda r: math.copysign(_FLOAT_MAX, r)
+_NEWTON_ROUNDS = 24
+_NONFINITE_BALANCE = "non-finite flux boundary balance"
+_ROUNDING = 2.0**-49
 
 
-def _clip_lockstep(beta):
-    """:func:`_clip_scalar` on arrays.  Whether any beta is 0 is decided
-    once: where none is, the map is r/beta clipped with minimum and
-    maximum, with no where."""
-    zero = beta == _ZERO
-    if zero.any():
-        return lambda r: np.minimum(np.maximum(
-            np.where(zero, np.copysign(_MAX, r), r / beta), _LOWEST), _MAX)
-    return lambda r: np.minimum(np.maximum(r / beta, _LOWEST), _MAX)
+def _one_end(lay, res, m, k, c, tol, nu):
+    """The root of res(b) = m*b + k*b^3 - c, k > 0, its bound and the law's
+    calls: Newton from sign(c)*min(|c|/m, cbrt(|c|/k)), bracketed by 0 and
+    twice that."""
+    start = lay.copysign(lay.minimum(abs(c) / m, lay.cbrt_above(abs(c) / k)), c)
+    (b,), err, _, rounds = _run(lay, _newton_round(
+        lay, res, lambda b, bb: (m + k * (3.0 * bb), m + k * (0.75 * bb)),
+        lay.minimum(start + start, 0.0), lay.maximum(start + start, 0.0), tol, nu), (start,))
+    return b, err, rounds * lay.lines
 
 
-def _close_line(h, dt, w_old, src, base, resp, af, data, varphi, bc_tol):
-    """The values {end: b} of one line's flux ends, as floats.
+def _newton_round(lay, res, rates, lo, hi, tol, nu):
+    """A round of Newton on the increasing res in the bracket lo, hi of its
+    root, which res(b) moves onto b by its sign; a point not inside it is
+    its midpoint.  rates(b, b*b) is res'(b) and least, a floor of res's
+    secant slopes from b: the bound is |res(b)|/least.  A line also stops
+    where |res(b)| <= nu(b), where it would not move or at adjacent floats."""
+    def round_(z):
+        nonlocal lo, hi
+        (b,) = z
+        r = res(b)
+        if lay.any(r != r):
+            raise RuntimeError(_NONFINITE_BALANCE)
+        slope, least = rates(b, b * b)
+        err = abs(r) / least
+        lo, hi = lay.where(r < 0.0, b, lo), lay.where(r > 0.0, b, hi)
+        step = b - r / slope
+        nxt = lay.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
+        go = (err > tol) & (abs(r) > nu(b)) & (step != b) & (lo < nxt) & (nxt < hi)
+        return err, (nxt,), go, go
+    return round_
 
-    The line's factors and its boundary data (a scalar or a size-1 array)
-    are read as Python floats once, and the flux law sees floats.  Each
-    closure is :func:`_bisect_scalar`, the bisection :func:`_close_stack`
-    runs in lockstep, on the float layout.
-    """
-    factors = {end: _end_factors(end, np.ndarray.item, h, w_old, src, base, resp, af,
-                                 _float(data[end])) for end in resp}
-    return _close(lambda res, center: _bisect_scalar(res, center, bc_tol), _clip_scalar,
-                  dt, 2.0 / h, varphi, factors)
+
+def _run(lay, round_, z, cap=None):
+    """round_(z) -> (error bound, next z, go on, needs to move) from z until
+    no line goes on, or for cap rounds: each line's last z, bound and need,
+    and the rounds.  A stopped line keeps its z, and repeats its round."""
+    live, rounds = True, 0
+    while True:
+        err, new, go, need = round_(z)
+        rounds += 1
+        live = live & go
+        if not lay.any(live) or rounds == cap:
+            return z, err, need, rounds
+        z = lay.keep(z, new, live)
 
 
-def _float(value) -> float:
-    """A boundary value as a Python float; a fixed value already is one."""
-    return value if type(value) is float else np.asarray(value, dtype=float).item()
+def _nested(lo, hi, m_lo, m_hi, b_lo, b_hi, k, c_lo, c_hi, det, nu, y, tol):
+    """x, y, the error bound and the law's calls of two flux ends on floats:
+    Newton on G(y) = R_hi(y; x(y)) from y in |y| <= 2*(m_lo*|C_hi| +
+    beta_hi*|C_lo|)/det, x(y) the low end's own closure (bound e_x).
+    G' >= det/m_lo, so |y - y*| <= e_y = (|G| + beta_hi*e_x)*m_lo/det and
+    |x - x*| <= e_x + (beta_lo/m_lo)*e_y."""
+    at = {"calls": 0}
+
+    def g(y):
+        x, e_x, calls = _one_end(_Floats, lambda b: lo(b, y), m_lo, k, 0.0 - lo(0.0, y), 0.0,
+                                 lambda b: nu["lo"](b, y))
+        at.update(x=x, e_x=e_x, calls=at["calls"] + calls + 2)
+        return hi(y, x)
+
+    least, reach = det / m_lo, 2.0 * (m_lo * abs(c_hi) + b_hi * abs(c_lo)) / det
+    (y,), e_g, _, _ = _run(_Floats, _newton_round(
+        _Floats, g, lambda y, yy: (m_hi + k * (3.0 * yy) - b_hi * b_lo / (
+            m_lo + k * (3.0 * (at["x"] * at["x"]))), least), -reach, reach,
+        0.5 * tol, lambda y: nu["hi"](y, at["x"])), (y,))
+    e_y = e_g + b_hi * at["e_x"] / least
+    return at["x"], y, max(e_y, at["e_x"] + b_lo / m_lo * e_y), at["calls"]
 
 
-def _close_stack(h, dt, w_old, src, base, resp, af, data, varphi, bc_tol):
-    """:func:`_close_line` for each line of a stack, in lockstep on arrays:
-    the end values as (lines, 1) columns.  Each closure is
-    :func:`_bisect_lockstep`, the bisection of :func:`_bisect_scalar` on
-    arrays."""
+def _cbrt_above(x, t):
+    """Two Newton steps on t^3 = x from t = 2^ceil(e/3) <= 2 cbrt(x), x =
+    f*2^e, 1/2 <= f < 1: means of t, t and x/t^2, so at least cbrt(x)."""
+    for _ in range(2):
+        t = (t + t + x / (t * t)) / 3.0
+    return t
+
+
+class _Floats:
+    """The float layout: one line on Python floats, whose stops are exits."""
+
+    lines, zero, where = 1, 0.0, staticmethod(lambda cond, a, b: a if cond else b)
+    any = all = staticmethod(bool)
+    finite, copysign, minimum, maximum = map(staticmethod, (math.isfinite, math.copysign, min, max))
+    cbrt_above = staticmethod(lambda x: x if x == math.inf else _cbrt_above(
+        x, math.ldexp(1.0, -(-math.frexp(x)[1] // 3))))
+    keep = staticmethod(lambda z, new, live: new if live else z)
+
+
+class _Lockstep:
+    """A stack of lines on arrays, one entry per line, branches as masks."""
+
+    where, any, all, finite, copysign, minimum, maximum = map(staticmethod, (
+        np.where, np.any, np.all, np.isfinite, np.copysign, np.minimum, np.maximum))
+    cbrt_above = staticmethod(lambda x: np.where(np.isinf(x), x, _cbrt_above(
+        x, np.ldexp(1.0, -(-np.frexp(x)[1] // 3)))))
+
+    def __init__(self, lines):
+        self.lines, self.zero = lines, np.zeros(lines)
+
+    @staticmethod
+    def keep(z, new, live):
+        for old, value in zip(z, new):
+            np.copyto(old, value, where=live)
+        return z
+
+
+def _close_lines(h, dt, w_old, src, base, resp, af, data, varphi, bc_tol):
+    """:func:`_close` on a stack, with its largest bound: one line on floats
+    (its factors and boundary data, a scalar or a size-1 array, read once,
+    so the law sees floats), more in lockstep, each end as a column."""
     n_lines = w_old.shape[0]
+    if n_lines == 1:
+        return _close(_Floats, dt, 2.0 / h, varphi, {end: _end_factors(
+            end, np.ndarray.item, h, w_old, src, base, resp, af, data[end] if type(data[end]) is float
+            else np.asarray(data[end], dtype=float).item()) for end in resp}, bc_tol)
     factors = {end: _end_factors(end, lambda a, j: a[:, j], h, w_old, src, base, resp, af,
                                  np.broadcast_to(data[end], n_lines)) for end in resp}
-    # x(y) and the balances past it overflow where a cross factor underflows
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ends = _close(lambda res, center: _bisect_lockstep(res, center, bc_tol),
-                      _clip_lockstep, _constant(dt), _constant(2.0 / h), varphi, factors)
-    return {end: b[:, None] for end, b in ends.items()}
-
-
-def _expand_scalar(res, center, side):
-    """Bracket end for the increasing scalar res: step outward from
-    center, doubling the span, until res changes sign."""
-    span = max(1.0, abs(center))
-    for _ in range(80):
-        x = center - span if side == "low" else center + span
-        r = res(x)
-        if (r <= 0.0) if side == "low" else (r >= 0.0):
-            return x
-        span *= 2.0
-    raise RuntimeError(f"flux boundary bracket expansion failed ({side} side)")
-
-
-def _bisect_scalar(res, center, bc_tol):
-    """Root of the increasing scalar res, bisected down to bc_tol: the
-    bracket from :func:`_expand_scalar`, then every midpoint evaluated,
-    as :func:`_bisect_lockstep` does for each line of a stack."""
-    lo = _expand_scalar(res, center, "low")
-    hi = _expand_scalar(res, center, "high")
-    while hi - lo > bc_tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            # adjacent floats wider apart than bc_tol
-            break
-        r = res(mid)
-        if r == 0.0:
-            # exact root (equilibria land here); keep it bitwise
-            return mid
-        if r <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _expand_lockstep(res, center, side):
-    """_expand_scalar, one entry per line: each line's bracket end, a line
-    that has stopped keeping its point."""
-    span = np.maximum(1.0, np.abs(center))
-    x = center - span if side == "low" else center + span
-    for _ in range(80):
-        r = res(x)
-        stop = (r <= _ZERO) if side == "low" else (r >= _ZERO)
-        if stop.all():
-            return x
-        span *= 2.0  # only the spans of lines still growing are used
-        x = np.where(stop, x, center - span if side == "low" else center + span)
-    raise RuntimeError(f"flux boundary bracket expansion failed ({side} side)")
-
-
-def _sure_rounds(lo, hi, bc_tol):
-    """The number J of bisection rounds from the brackets [lo, hi] in which
-    no line's loop can end: J = floor(log2(W / (4 max(bc_tol, 4u)))).
-
-    W is the least width, M the largest |end|, and u = max(M 2^-53,
-    2^-1074) bounds a midpoint's rounding error, so a round halves each
-    width up to u and after k rounds a width is at least W/2^k - 2u.  With
-    T = max(bc_tol, 4u), W/2^J >= 4T, so after each of rounds 1 to J a
-    width is at least 4T - 2u > bc_tol, and each midpoint lies more than u
-    inside its bracket, strictly between its ends.  J is 0 where the floor
-    is not positive, and where M >= 2^1022, so that lo + hi cannot
-    overflow.
-    """
-    top = max(float(np.abs(lo).max()), float(np.abs(hi).max()))
-    if not top < 2.0**1022:
-        return 0
-    ratio = float((hi - lo).min()) / (4.0 * max(bc_tol, 4.0 * max(top * 2.0**-53, 2.0**-1074)))
-    # floor(log2(ratio)) without the rounding of log2: frexp's exponent less one
-    return math.frexp(ratio)[1] - 1 if ratio >= 2.0 else 0
-
-
-def _bisect_lockstep(res, center, bc_tol):
-    """_bisect_scalar, one entry per line, on arrays.
-
-    res is evaluated on every line each round; a line whose loop has
-    ended keeps its bracket, so its extra evaluations change nothing.  The
-    first :func:`_sure_rounds` rounds, in which no line's loop can end, run
-    without the live mask, its adjacency and width tests and its any().  A
-    line that meets an exact root m there has lo = hi = m, and 0.5*(m + m)
-    is m again, where the residual is again exactly 0, so the unmasked
-    rounds keep it; a NaN residual moves hi in both loops.
-    """
-    lo = _expand_lockstep(res, center, "low")
-    hi = _expand_lockstep(res, center, "high")
-    for _ in range(_sure_rounds(lo, hi, bc_tol)):
-        mid = _HALF * (lo + hi)
-        r = res(mid)
-        np.copyto(lo, mid, where=r <= _ZERO)
-        np.copyto(hi, mid, where=~(r < _ZERO))
-    tol = _constant(bc_tol)
-    live = hi - lo > tol
-    while live.any():
-        mid = _HALF * (lo + hi)
-        # adjacent floats wider apart than bc_tol end a line's loop
-        live &= (lo < mid) & (mid < hi)
-        r = res(mid)
-        # an exact root (equilibria land here) moves both ends onto mid,
-        # which ends its loop and keeps it bitwise; NaN moves hi
-        np.copyto(lo, mid, where=live & (r <= _ZERO))
-        np.copyto(hi, mid, where=live & ~(r < _ZERO))
-        live &= hi - lo > tol
-    return np.where(lo == hi, lo, _HALF * (lo + hi))
+    # a law that overflows far out gives an infinite balance, and inf/inf a NaN step
+    with np.errstate(over="ignore", invalid="ignore"):
+        ends, err, calls = _close(_Lockstep(n_lines), _constant(dt), _constant(2.0 / h),
+                                  varphi, factors, bc_tol)
+    return {end: b[:, None] for end, b in ends.items()}, float(np.max(err)), calls

@@ -20,11 +20,14 @@ files whose hash moved.
 
 import hashlib
 import importlib.util
+import statistics
 from pathlib import Path
 
 import pytest
 
 from isscert.cli import main
+from isscert.config import load_plan
+from isscert.solvers import solve_parabolic
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 ROUND_SHA256 = Path(__file__).parent / "data" / "benchmark_round_sha256.txt"
@@ -63,3 +66,19 @@ def test_one_round_of_each_run_workload_is_ok(tmp_path, capsys, workload):
                         for line in ROUND_SHA256.read_text().splitlines()
                         if line.split()[1].startswith(f"{workload}/"))
         assert actual == expected
+
+
+@pytest.mark.parametrize("workload", ["parabolic_2d_flux", "parabolic_1d_mixed"])
+def test_flux_closures_take_few_law_calls(tmp_path, workload):
+    # the perf guard of the flux closure, by count rather than time: over
+    # one seed-11 round, the median law calls per flux end and closure are
+    # at most 6 (bisection took about 37)
+    workloads = _load_workloads()
+    ops = workloads.generate(workload, 11)[:workloads.round_length(workload)]
+    ratios = []
+    for op in workloads.write_configs(ops, tmp_path / "configs"):
+        plan = load_plan(op["config"])
+        counters = solve_parabolic(plan.scenario, plan.grid, plan.solver).counters
+        assert counters["closure_error"] <= plan.solver.bc_tol, op["name"]
+        ratios.append(counters["flux_law_calls"] / counters["closures"])
+    assert len(ratios) == len(ops) and statistics.median(ratios) <= 6.0

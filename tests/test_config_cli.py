@@ -1080,8 +1080,8 @@ def test_cli_run_writer_failure_exits_2(tmp_path, capsys, monkeypatch, counted_f
      "check error: the bound at q=2.0 is not finite"),
     ("parabolic_demo", {"scenario.diffusion": {"kind": "uniform", "signal": {
         "kind": "exp_decay", "amplitude": 1.0, "rate": -800.0, "offset": 1.0}}},
-     "solver error: solver diverged at step 441, t = 0.8820000000000007 "
-     "(non-finite diffusion band or right-hand side)"),
+     "solver error: solver diverged at step 437, t = 0.8740000000000007 "
+     "(non-finite flux boundary balance)"),
 ], ids=["wave_envelope", "bound_past_the_floats", "diffusion_overflow"])
 def test_cli_run_failing_after_the_writer_started_leaves_nothing(
         tmp_path, capsys, counted_forks, demo, edits, message):

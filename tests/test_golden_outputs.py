@@ -112,10 +112,10 @@ checks:
 
 # recorded with the toolchain of the golden list
 PROFILED_2D_SHA256 = {
-    "check00_parabolic_q_q2.csv": "94f037302e4a6b850596fae67fcb97fa75b33f57c50b566d9853c9878396ee19",
+    "check00_parabolic_q_q2.csv": "cda1a67faa173723b58a64652d22023f22d68cab44067d531c469905553ed318",
     "glf.csv": "408f7abfc35c2b8f6ab84e1b8e6a86901f41051aaa6a2ea57d95443704c2aa7e",
     "report.txt": "317ef5e2bd622b7114474e0270ef272a8bdc61507c747c5414ab393ac4ab0251",
-    "trajectory.csv": "cef0f2958a1bb1d6fedc3e600b87741cb141fcc5ae5831632bb17ea86c4bb981",
+    "trajectory.csv": "7e5ab411346ab9da4352e614df5f340826973c2333dc57d9a9ae45cb1c4b0e7d",
     "trajectory_meta.yaml": "df766643bbd3cd0c1940ce8ca61685128e9c12e30bcd4eb8a1e19bb50388237d",
 }
 

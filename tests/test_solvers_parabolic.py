@@ -22,18 +22,18 @@ from hypothesis import strategies as st
 import isscert.solvers.parabolic as parabolic
 from isscert.cli import main
 from isscert.config import (_cubic as cubic, _facts, _identity as identity,
-                            _linear as linear, load_plan)
-from isscert.fields import Grid, edge_names, lq_norm
+                            _linear as linear, bundled_names, load_plan)
+from isscert.fields import AXES, Grid, edge_names, lq_norm
 from isscert.signals import (SpaceTimeField, TimeSignal, profile_bump,
                              profile_constant, profile_sin, profile_sinprod,
                              profile_sum)
 from isscert.solvers import (ParabolicScenario, ScenarioError, SolverConfig,
                              SolverDivergedError, solve_parabolic)
-from isscert.solvers.parabolic import (_Band, _bisect_lockstep, _bisect_scalar,
-                                       _line_responses, _solve_lines)
+from isscert.solvers.parabolic import _Band, _line_responses, _solve_lines
 
 ZERO = SpaceTimeField.constant(0.0)
 ONE = SpaceTimeField.constant(1.0)
+NONFINITE_BALANCE = "non-finite flux boundary balance"
 
 
 def make_scenario(**over):
@@ -309,8 +309,8 @@ def test_2d_l2_nonincreasing():
 
 
 # ---------------------------------------------------------------------------
-# one closure, two bisection kernels: a stack of lines (lockstep on arrays)
-# is bitwise equal to one solve per line (Python floats)
+# one closure, two layouts: a stack of lines (lockstep on arrays) is
+# bitwise equal to one solve per line (Python floats)
 
 KINDS = ("dirichlet", "flux")
 
@@ -366,72 +366,6 @@ def test_float_kernel_matches_lockstep_across_laws_and_steps(kinds, gamma, lam):
     assert np.array_equal(batched, per_line)
 
 
-@pytest.mark.parametrize("root", [0.0, 0.5, -0.375, 3.0 / 1024, 12345.0 / 2**30,
-                                  -2.0**-33, 1.0 / 3.0])
-def test_float_kernel_keeps_exact_roots(root):
-    # a dyadic root is a midpoint of the bisection from [-1, 1], where the
-    # residual b - root is exactly zero
-    got = _bisect_scalar(lambda b: b - root, 0.0, 1e-10)
-    want = _bisect_lockstep(lambda b: b - root, np.array([0.0]), 1e-10)[0]
-    assert got == want
-    if root != 1.0 / 3.0:
-        assert got == root
-
-
-@pytest.mark.parametrize("root", [0.1234567, -0.7, 0.5 + 2.0**-20])
-def test_float_kernel_margin_covers_a_noisy_residual(root):
-    # a residual of slope 1 whose float values carry noise up to 1e-9 is
-    # not monotone within 2e-9 of its root, 20 bc_tol wide; both kernels
-    # take the same turns there
-    noise = 1e-9
-
-    def res(b):
-        return (b - root) + noise * ((hash(b) % 2001) - 1000) / 1000.0
-
-    got = _bisect_scalar(res, 0.0, 1e-10)
-    want = _bisect_lockstep(lambda b: np.array([res(float(v)) for v in b]),
-                            np.array([0.0]), 1e-10)[0]
-    assert got == want
-
-
-def test_float_kernel_without_a_located_bracket_evaluates_every_midpoint():
-    # NaN residuals near the root: a NaN moves hi in both kernels
-    def res(b):
-        return np.where(np.abs(b - 0.3) < 1e-3, np.nan, b - 0.3)
-
-    got = _bisect_scalar(lambda b: float(res(b)), 0.0, 1e-10)
-    assert got == _bisect_lockstep(res, np.array([0.0]), 1e-10)[0]
-
-
-def bisection_counts(monkeypatch):
-    """Counts the closures each kernel runs."""
-    seen = {"scalar": 0, "lockstep": 0}
-    kernels = {"scalar": parabolic._bisect_scalar, "lockstep": parabolic._bisect_lockstep}
-
-    def counted(layout):
-        def bisect(res, center, bc_tol):
-            seen[layout] += 1
-            return kernels[layout](res, center, bc_tol)
-        return bisect
-
-    for layout in kernels:
-        monkeypatch.setattr(parabolic, f"_bisect_{layout}", counted(layout))
-    return seen
-
-
-def test_solve_lines_coupled_lines_stop_on_their_own(monkeypatch):
-    # the coupling of the two flux ends spans four decades over the lines;
-    # each line closes with two bisections, alone or in a stack
-    seen = bisection_counts(monkeypatch)
-    rng = np.random.default_rng(3)
-    w_old, af, src, ends = random_lines(rng, n_lines=9, m=6)
-    af *= np.logspace(-2, 2, 9)[:, None]
-    batched, per_line = solve_both(w_old, af, src, ("flux", "flux"), ends,
-                                   h=0.2, dt=0.02, varphi=cubic(0.8))
-    assert np.array_equal(batched, per_line)
-    assert seen == {"scalar": 2 * 9, "lockstep": 2}
-
-
 def test_solve_lines_exact_root_equilibrium():
     # equilibrium lines close on an exact root in round 0, beside lines
     # that do not
@@ -457,8 +391,7 @@ def test_solve_lines_stops_on_adjacent_floats():
     w_old, af, src, ends = random_lines(rng)
     w_old += 6e5
     for kinds in (("dirichlet", "flux"), ("flux", "flux")):
-        batched, per_line = solve_both(w_old, af, src, kinds, ends,
-                                       varphi=lambda v: v)
+        batched, per_line = solve_both(w_old, af, src, kinds, ends, varphi=identity())
         assert np.all(np.isfinite(batched))
         assert np.array_equal(batched, per_line)
 
@@ -478,27 +411,6 @@ def test_float_kernel_matches_lockstep_on_random_lines(seed, kinds, scale, gamma
     assert np.array_equal(batched, per_line)
 
 
-def dipping_law(v):
-    """Odd, of the sign of v and rising at the 401 points of [-10, 10],
-    each on a crest of the cosine, but falling between them."""
-    return v * (1.5 + np.cos(40.0 * np.pi * v))
-
-
-@pytest.mark.parametrize("kinds", FLUX_KINDS)
-def test_kernels_agree_on_a_law_that_dips_between_samples(kinds):
-    # validate refuses it, as any callable without a kind; the kernels
-    # still agree on it
-    with pytest.raises(ScenarioError, match="^boundary reaction must be an identity, linear "
-                                            "or cubic map, got function$"):
-        make_scenario(boundary_reaction=dipping_law).validate()
-    rng = np.random.default_rng(10)
-    for scale in (1e-3, 0.1, 1.0, 50.0):
-        for _ in range(5):
-            w_old, af, src, ends = random_lines(rng, scale=scale)
-            batched, per_line = solve_both(w_old, af, src, kinds, ends, varphi=dipping_law)
-            assert np.array_equal(batched, per_line)
-
-
 def test_flux_law_sees_floats_on_one_line_and_arrays_on_a_stack():
     rng = np.random.default_rng(7)
     w_old, af, src, ends = random_lines(rng)
@@ -506,6 +418,7 @@ def test_flux_law_sees_floats_on_one_line_and_arrays_on_a_stack():
     for rows, want in ((slice(0, 1), float), (slice(None), np.ndarray)):
         seen = set()
 
+        @functools.wraps(varphi)  # with the law's kind facts
         def recorded(v):
             seen.add(type(v))
             return varphi(v)
@@ -519,12 +432,12 @@ def test_solve_lines_nan_residual_raises():
     rng = np.random.default_rng(6)
     w_old, af, src, ends = random_lines(rng)
     ends[1][3] = np.nan
-    varphi = cubic(0.8)
-    for kind in ("dirichlet", "flux"):
-        with pytest.raises(RuntimeError, match="bracket expansion failed"):
-            _solve_lines(_Band(), w_old, 0.1, 0.01, af, src, (kind, ends[0]),
-                         ("flux", ends[1]), varphi, 1e-10)
-    with pytest.raises(RuntimeError, match="bracket expansion failed"):
+    for varphi in (cubic(0.8), identity()):
+        for kind in ("dirichlet", "flux"):
+            with pytest.raises(RuntimeError, match=f"^{NONFINITE_BALANCE}$"):
+                _solve_lines(_Band(), w_old, 0.1, 0.01, af, src, (kind, ends[0]),
+                             ("flux", ends[1]), varphi, 1e-10)
+    with pytest.raises(RuntimeError, match=f"^{NONFINITE_BALANCE}$"):
         solve_one_line(w_old[3], 0.1, 0.01, af[3], src[3], ("dirichlet", ends[0][3]),
                        ("flux", ends[1][3]), varphi, 1e-10)
     src[2, 5] = np.inf
@@ -542,27 +455,30 @@ def test_strongly_coupled_closures_match_scalar_solves():
     assert np.array_equal(batched, per_line)
 
 
+@pytest.mark.parametrize("kinds", FLUX_KINDS)
 @pytest.mark.parametrize("n_lines", [1, 7])
-def test_law_turning_nan_partway_through_a_closure_raises(n_lines):
-    # the law turns NaN in the rounds of the first bisection, after its
-    # expansions, so the second bisection's expansion cannot stop
+def test_law_turning_nan_partway_through_a_closure_raises(n_lines, kinds):
+    # the law turns NaN in the Newton rounds, after the balance at 0
     rng = np.random.default_rng(6)
     w_old, af, src, ends = random_lines(rng, n_lines=n_lines)
     varphi, calls = cubic(0.8), []
 
+    @functools.wraps(varphi)
     def law(v):
         calls.append(v)
-        return np.full(np.shape(v), np.nan) if len(calls) > 20 else varphi(v)
+        return np.full(np.shape(v), np.nan) if len(calls) > 2 else varphi(v)
 
-    with pytest.raises(RuntimeError, match="bracket expansion failed"):
-        _solve_lines(_Band(), w_old, 0.1, 0.01, af, src, ("flux", ends[0]), ("flux", ends[1]),
-                     law, 1e-10)
-    assert len(calls) > 100
+    with pytest.raises(RuntimeError, match=f"^{NONFINITE_BALANCE}$"):
+        _solve_lines(_Band(), w_old, 0.1, 0.01, af, src, (kinds[0], ends[0]),
+                     (kinds[1], ends[1]), law, 1e-10)
+    # the balances at 0, then the next call, which is NaN, and the other
+    # end's in its round
+    assert len(calls) == 2 + kinds.count("flux")
 
 
 def test_2d_closure_stacked_law_calls():
-    # the parabolic_2d_demo solve: each stack of lines with two flux ends
-    # runs two lockstep bisections, the first calling the law twice a round
+    # the parabolic_2d_demo solve: its identity law closes each stack of
+    # lines with two flux ends in closed form, from the balances at 0
     plan = load_plan("parabolic_2d_demo")
     law, calls = plan.scenario.boundary_reaction, []
 
@@ -572,8 +488,10 @@ def test_2d_closure_stacked_law_calls():
         return law(v)
 
     scn = replace(plan.scenario, boundary_reaction=counted)
-    solve_parabolic(scn, plan.grid, plan.solver)
-    assert len(calls) <= 8328
+    traj = solve_parabolic(scn, plan.grid, plan.solver)
+    # two calls a step, one for each end of the one sweep with flux ends
+    assert calls == [1] * (2 * traj.counters["steps"])
+    assert traj.counters["flux_law_calls"] == traj.counters["closures"] == 3450
 
 
 # ---------------------------------------------------------------------------
@@ -629,17 +547,18 @@ def end_errors(w, exact):
 
 def test_two_flux_ends_match_the_exact_linear_solve():
     # rho -> 1 as a*dt grows past the line length squared; sweeping the two
-    # end closures missed bc_tol from a*dt = 1 and gave up from a*dt = 10
-    identity = lambda v: v  # noqa: E731
+    # end closures missed bc_tol from a*dt = 1 and gave up from a*dt = 10;
+    # the identity law closes by one 2x2 solve
+    law = identity()
     worst, top_rho = 0.0, 0.0
     for a_dt in A_DT:
         for n in (8, 32, 200):
             w_old, h, dt, af, src, ends = coupled_lines(n, a_dt / 0.01, seed=n)
             exact, rhos = exact_linear_ends(w_old, h, dt, af, src, ends)
             stack = _solve_lines(_Band(), w_old, h, dt, af, src, ("flux", ends[0]),
-                                 ("flux", ends[1]), identity, BC_TOL)
+                                 ("flux", ends[1]), law, BC_TOL)
             alone = solve_one_line(w_old[0], h, dt, af[0], src[0], ("flux", ends[0][0]),
-                                   ("flux", ends[1][0]), identity, BC_TOL)
+                                   ("flux", ends[1][0]), law, BC_TOL)
             worst = max(worst, end_errors(stack, exact), end_errors(alone[None], exact[:1]))
             top_rho = max(top_rho, *rhos)
     assert worst <= BC_TOL
@@ -692,45 +611,32 @@ def test_two_flux_ends_match_a_nested_bisection_on_a_cubic_law(gamma):
     assert np.abs(np.array([w[[0, -1]] for w in alone]) - want[firsts]).max() <= BC_TOL
 
 
-def test_cross_factors_that_underflow_give_finite_ends():
+@pytest.mark.parametrize("gamma", [0.0, 100.0])
+def test_cross_factors_that_underflow_give_finite_ends(gamma):
     # 2000 intervals, dt = 1e-7: a unit value at one end reaches the other
     # end's inner node as 0.0 at a = 1, as 0.0 one way and a subnormal the
-    # other at a = 16, and as a subnormal both ways at a = 18, where
-    # x(y) = R_hi(y; 0)/beta overflows and is clipped
+    # other at a = 16, and as a subnormal both ways at a = 18, where an
+    # end value read off the other end's balance would overflow
     w_old, h, dt, af, src, ends = coupled_lines(2000, [1.0, 16.0, 18.0], n_lines=3,
                                                 dt=1e-7, seed=3)
     fac = balance_factors(w_old, h, dt, af, src, ends)
     betas = np.array([fac["lo"][1], fac["hi"][1]])
     assert not betas[:, 0].any() and betas[:, 1].tolist().count(0.0) == 1
     assert 0.0 < betas[:, 2].max() < 1e-300
-    seen = []
-
-    def recorded(v):
-        seen.append(np.max(np.abs(v)))
-        return v
-
+    varphi = cubic(gamma)
     stack = _solve_lines(_Band(), w_old, h, dt, af, src, ("flux", ends[0]), ("flux", ends[1]),
-                         recorded, BC_TOL)
-    assert np.all(np.isfinite(stack)) and sys.float_info.max in seen
+                         varphi, BC_TOL)
+    assert np.all(np.isfinite(stack))
     for j in range(3):
         alone = solve_one_line(w_old[j], h, dt, af[j], src[j], ("flux", ends[0][j]),
-                               ("flux", ends[1][j]), recorded, BC_TOL)
+                               ("flux", ends[1][j]), varphi, BC_TOL)
         assert np.array_equal(alone, stack[j])
-    exact, _ = exact_linear_ends(w_old, h, dt, af, src, ends)
+    if gamma == 0.0:
+        exact, _ = exact_linear_ends(w_old, h, dt, af, src, ends)
+    else:
+        fac = balance_factors(w_old, h, dt, af, src, ends)
+        exact = exact_cubic_ends(fac, 2.0 / h, gamma)
     assert end_errors(stack, exact) <= BC_TOL
-
-
-def test_lockstep_clip_has_the_bits_of_np_clip():
-    fmax = sys.float_info.max
-    rs = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324]
-    # with and without a zero beta: the map without one skips the where
-    for betas in ([0.0, 1e-320, 1e-10, 1.0], [1e-320, 1e-10, 1.0]):
-        r, beta = (np.array(g).ravel() for g in np.meshgrid(rs, betas))
-        with np.errstate(all="ignore"):
-            got = parabolic._clip_lockstep(beta)(r)
-            want = np.clip(np.where(beta == 0.0, np.copysign(fmax, r), r / beta), -fmax, fmax)
-        assert np.array_equal(got, want, equal_nan=True)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def loop_residual(end, dt, c_phi, law, w_i, src_i, base_k, c_d2, c_face, r_lo, r_hi):
@@ -791,35 +697,9 @@ def test_closure_residual_has_the_bits_of_the_loop(end, ends):
                 assert type(got(*call)) is float and bits(got(*call)) == bits(want(*call))
 
 
-@pytest.mark.parametrize("end", ["lo", "hi"])
-def test_closure_residual_at_a_fixed_other_has_the_bits_of_the_loop(end):
-    # the other end's value fixed when the residual is built: its term is
-    # formed once, base_k + fixed*r_lo at the high end, fixed*r_hi added
-    # last at the low end, and a value passed at the call still wins
-    w_i, src_i, base_k, c_d2, c_face, r_lo, r_hi, b, other = residual_factors(
-        np.random.default_rng(28), 3000)
-    factors = (w_i, src_i, base_k, c_d2, c_face, r_lo, r_hi)
-    fixed = other[::-1].copy()
-
-    def bits(x):
-        return np.asarray(x, dtype=float).view(np.uint64)
-
-    for law in (lambda v: v, cubic(3.0)):
-        got = parabolic._residual(end, 0.002, 400.0, law, *factors, fixed=fixed)
-        want = loop_residual(end, 0.002, 400.0, law, *factors)
-        assert np.array_equal(bits(got(b)), bits(want(b, fixed)))
-        assert np.array_equal(bits(got(b, other)), bits(want(b, other)))
-        for j in range(0, b.size, 7):
-            one = [f[j].item() for f in factors]
-            got = parabolic._residual(end, 0.002, 400.0, lambda v: float(law(v)), *one,
-                                      fixed=fixed[j].item())
-            want = loop_residual(end, 0.002, 400.0, lambda v: float(law(v)), *one)
-            assert bits(got(b[j].item())) == bits(want(b[j].item(), fixed[j].item()))
-
-
 # ---------------------------------------------------------------------------
-# the lockstep kernel against the one before it: unmasked early rounds and
-# per-closure constants, the same bits
+# the Newton closure against exact roots, and against the bisection it
+# replaced
 
 
 def same_bits(a, b):
@@ -829,19 +709,205 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def reference_bisect_lockstep(res, center, bc_tol, all_live=None):
-    """The lockstep bisection with every round masked, as it was before its
-    first rounds ran unmasked: the kernel must give its bits.  all_live,
-    if given, records for each round whether every line was still live
-    there or had met an exact root."""
-    lo = parabolic._expand_lockstep(res, center, "low")
-    hi = parabolic._expand_lockstep(res, center, "high")
+def exact_root(f, reach, halvings=160):
+    """The root of the increasing f on [-reach, reach] in fractions, to
+    within reach*2^-halvings: bisection on dyadic midpoints."""
+    lo, hi = Fraction(-reach), Fraction(reach)
+    assert f(lo) < 0 < f(hi)
+    for _ in range(halvings):
+        mid = (lo + hi) / 2
+        if f(mid) <= 0:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def exact_cubic_ends(fac, c_phi, gamma):
+    """The end values of the law v + gamma*v**3 for lines of two flux ends
+    with factors fac (:func:`balance_factors`), in fractions: the high
+    end's balance gives x as a rational function of y where beta_hi != 0,
+    leaving one increasing equation in y."""
+    g3 = Fraction(gamma)
+    lines = []
+    for j in range(len(c_phi) if np.ndim(c_phi) else fac["lo"][0].shape[0]):
+        c = Fraction(float(np.broadcast_to(c_phi, fac["lo"][0].shape)[j]))
+        (s_lo, b_lo, g_lo), (s_hi, b_hi, g_hi) = (
+            [Fraction(float(v[j])) for v in fac[end]] for end in ("lo", "hi"))
+
+        def law(v):
+            return c * (v + g3 * v * v * v)
+
+        reach = 4 * (abs(g_lo) + abs(g_hi) + 1) * max(1, 1 / s_lo, 1 / s_hi)
+        if b_hi == 0:
+            y = exact_root(lambda y: s_hi * y + law(y) - g_hi, reach)
+        else:
+            y = exact_root(lambda y: s_lo * ((s_hi * y + law(y) - g_hi) / b_hi)
+                           + law((s_hi * y + law(y) - g_hi) / b_hi) - b_lo * y - g_lo, reach)
+        x = exact_root(lambda x: s_lo * x + law(x) - b_lo * y - g_lo, reach)
+        lines.append((x, y))
+    return lines
+
+
+def one_end_factors(w_old, h, dt, af, src, bc_lo, bc_hi):
+    """(s, g) per line of the balance s*b + (2/h)*varphi(b) - g at the high
+    flux end of lines whose low end is Dirichlet."""
+    base, resp = _line_responses(_Band(), w_old, h, dt, af, src, bc_lo, bc_hi)
+    c_face = (2.0 / h**2) * af[:, -1]
+    g = w_old[:, -1] / dt + (2.0 / h) * bc_hi[1] + c_face * base[:, -2] + src[:, -1]
+    return 1.0 / dt + c_face * (1.0 - resp["hi"][:, -2]), g
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1e-3, 100.0, 1e3])
+@pytest.mark.parametrize("lam", [1e-2, 1.0, 1e3])
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
+def test_one_flux_end_is_within_its_bound_of_the_exact_root(gamma, lam, scale):
+    # the root of s*b + c_phi*(b + gamma*b^3) - g in fractions; a closure's
+    # end is within bc_tol of it, or, where the balance's terms are so large
+    # that its rounding exceeds bc_tol, within that rounding (16 units of
+    # roundoff of the terms' magnitudes, over the least slope)
+    rng = np.random.default_rng([int(gamma), int(lam * 100), int(scale)])
+    w_old, af, src, ends = random_lines(rng, n_lines=6, scale=scale)
+    ends *= scale
+    h = 1.0 / 11
+    dt = lam * h * h
+    bcs = ("dirichlet", ends[0]), ("flux", ends[1])
+    band = _Band()
+    stack = _solve_lines(band, w_old, h, dt, af, src, *bcs, cubic(gamma), BC_TOL)
+    s, g = one_end_factors(w_old, h, dt, af, src, *bcs)
+    c_phi = 2.0 / h
+    for j in range(6):
+        alone = solve_one_line(w_old[j], h, dt, af[j], src[j], *[(k, e[j]) for k, e in bcs],
+                               cubic(gamma), BC_TOL)
+        assert same_bits(alone, stack[j])
+        sj, gj = Fraction(float(s[j])), Fraction(float(g[j]))
+        root = exact_root(lambda b: sj * b + c_phi * (b + Fraction(gamma) * b**3) - gj,
+                          abs(gj) / sj + 1)
+        b = stack[j, -1]
+        terms = abs(b) * (1 / dt + c_phi * (1 + gamma * b * b)) + abs(g[j]) + 2 * abs(b) / (h * h)
+        allowance = BC_TOL + 2.0**-48 * terms / s[j]
+        assert abs(Fraction(float(b)) - root) <= allowance
+    assert band.closures == 6 and band.closure_error <= max(BC_TOL, 2.0**-48 * scale * 1e4)
+    # a linear law closes in one call, a cubic one here within eight
+    assert band.law_calls <= (1 if gamma == 0.0 else 8) * 6
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1e-3, 100.0, 1e3])
+@pytest.mark.parametrize("lam", [1e-2, 1.0, 1e3])
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
+def test_two_flux_ends_are_within_their_bound_of_the_exact_roots(gamma, lam, scale):
+    # the 2x2 Newton against the exact roots of the two balances; a line's
+    # bound L^-1 |R| is proven for every point, so the ends are within it,
+    # up to the rounding of the balances at a large scale
+    rng = np.random.default_rng([int(gamma), int(lam * 100), int(scale), 2])
+    w_old, af, src, ends = random_lines(rng, n_lines=4, scale=scale)
+    ends *= scale
+    h = 1.0 / 11
+    dt = lam * h * h
+    band = _Band()
+    stack = _solve_lines(band, w_old, h, dt, af, src, ("flux", ends[0]), ("flux", ends[1]),
+                         cubic(gamma), BC_TOL)
+    for j in range(4):
+        alone = solve_one_line(w_old[j], h, dt, af[j], src[j], ("flux", ends[0][j]),
+                               ("flux", ends[1][j]), cubic(gamma), BC_TOL)
+        assert same_bits(alone, stack[j])
+    fac = balance_factors(w_old, h, dt, af, src, ends)
+    exact = exact_cubic_ends(fac, np.full(4, 2.0 / h), gamma)
+    top = float(np.abs(stack[:, [0, -1]]).max()) + scale
+    assert end_errors(stack, exact) <= BC_TOL + 2.0**-40 * top
+    assert band.closures == 8
+    assert band.closure_error <= max(BC_TOL, 2.0**-40 * top)
+
+
+@pytest.mark.parametrize("kinds", FLUX_KINDS)
+@pytest.mark.parametrize("gamma", [0.0, 0.8, 1e3])
+def test_a_tolerance_below_the_floats_ends_at_the_rounding(kinds, gamma):
+    # bc_tol = 1e-300 is below every reachable bound: each line stops where
+    # its residual is rounding or its point no longer moves
+    rng = np.random.default_rng(30)
+    w_old, af, src, ends = random_lines(rng, n_lines=5)
+    bcs = (kinds[0], ends[0]), (kinds[1], ends[1])
+    band = _Band()
+    stack = _solve_lines(band, w_old, 1.0 / 11, 0.01, af, src, *bcs, cubic(gamma), 1e-300)
+    loose = _solve_lines(_Band(), w_old, 1.0 / 11, 0.01, af, src, *bcs, cubic(gamma), 1e-10)
+    assert np.abs(stack - loose).max() <= 1e-10
+    assert band.closure_error <= 1e-14
+    for j in range(5):
+        alone = solve_one_line(w_old[j], 1.0 / 11, 0.01, af[j], src[j],
+                               *[(k, e[j]) for k, e in bcs], cubic(gamma), 1e-300)
+        assert same_bits(alone, stack[j])
+
+
+def test_coupled_lines_stop_on_their_own():
+    # the coupling of the two flux ends spans four decades over the lines;
+    # each line stops on its own bound, alone or in a stack
+    rng = np.random.default_rng(3)
+    w_old, af, src, ends = random_lines(rng, n_lines=9, m=6)
+    af *= np.logspace(-2, 2, 9)[:, None]
+    batched, per_line = solve_both(w_old, af, src, ("flux", "flux"), ends,
+                                   h=0.2, dt=0.02, varphi=cubic(0.8))
+    assert np.array_equal(batched, per_line)
+    band = _Band()
+    _solve_lines(band, w_old, 0.2, 0.02, af, src, ("flux", ends[0]), ("flux", ends[1]),
+                 cubic(0.8), 1e-10)
+    assert band.closures == 18 and band.closure_error <= 1e-10
+
+
+@pytest.mark.parametrize("gamma", [1.0, 100.0])
+def test_two_flux_ends_past_the_newton_rounds_close_nested(monkeypatch, gamma):
+    # with one Newton round allowed, every line that has not stopped closes
+    # by Newton on the high end's balance, the low end closed at each high
+    # value, on floats; in a stack, such a line is closed alone
+    monkeypatch.setattr(parabolic, "_NEWTON_ROUNDS", 1)
+    nested = []
+    real = parabolic._nested
+
+    def counted(*args):
+        nested.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(parabolic, "_nested", counted)
+    cases = [coupled_lines(n, a_dt / 0.01, n_lines=3, seed=n + 4) for a_dt in (1e-2, 1.0, 1e3)
+             for n in (8, 200)]
+    for w_old, h, dt, af, src, ends in cases:
+        band = _Band()
+        stack = _solve_lines(band, w_old, h, dt, af, src, ("flux", ends[0]), ("flux", ends[1]),
+                             cubic(gamma), BC_TOL)
+        for j in range(3):
+            alone = solve_one_line(w_old[j], h, dt, af[j], src[j], ("flux", ends[0][j]),
+                                   ("flux", ends[1][j]), cubic(gamma), BC_TOL)
+            assert same_bits(alone, stack[j])
+        exact = exact_cubic_ends(balance_factors(w_old, h, dt, af, src, ends),
+                                 np.full(3, 2.0 / h), gamma)
+        assert end_errors(stack, exact) <= BC_TOL
+        assert band.closure_error <= BC_TOL
+    assert len(nested) >= 2 * len(cases)
+
+
+def expand_lockstep(res, center, side):
+    """Each line's bracket end for the increasing res: step outward from
+    center, doubling the span, until res changes sign."""
+    span = np.maximum(1.0, np.abs(center))
+    x = center - span if side == "low" else center + span
+    for _ in range(80):
+        r = res(x)
+        stop = (r <= 0.0) if side == "low" else (r >= 0.0)
+        if stop.all():
+            return x
+        span *= 2.0
+        x = np.where(stop, x, center - span if side == "low" else center + span)
+    raise RuntimeError(f"flux boundary bracket expansion failed ({side} side)")
+
+
+def reference_bisect_lockstep(res, center, bc_tol):
+    """The lockstep bisection the Newton closure replaced: every line
+    bisected to bc_tol or adjacent floats, an exact root kept."""
+    lo = expand_lockstep(res, center, "low")
+    hi = expand_lockstep(res, center, "high")
     live = hi - lo > bc_tol
     while live.any():
         mid = 0.5 * (lo + hi)
         live &= (lo < mid) & (mid < hi)
-        if all_live is not None:
-            all_live.append(bool((live | (lo == hi)).all()))
         r = res(mid)
         np.copyto(lo, mid, where=live & (r <= 0.0))
         np.copyto(hi, mid, where=live & ~(r < 0.0))
@@ -850,9 +916,11 @@ def reference_bisect_lockstep(res, center, bc_tol, all_live=None):
 
 
 def reference_close_stack(h, dt, w_old, src, base, resp, af, data, varphi, bc_tol):
-    """The lockstep closure before its constants were built once per
-    closure: :func:`loop_residual` at every call, the where clip at every
-    call, Python float scalars and :func:`reference_bisect_lockstep`."""
+    """The bisection closure the Newton closure replaced, on arrays (a
+    line as a one-line stack): each end bisected from its old value; two
+    flux ends by bisection of y on the low end's balance at x(y) =
+    R_hi(y; 0)/beta, clipped to the finite floats, and x by the low end's
+    own bisection at y."""
     n_lines = w_old.shape[0]
     factors = {end: parabolic._end_factors(end, lambda a, j: a[:, j], h, w_old, src, base, resp,
                                            af, np.broadcast_to(data[end], n_lines))
@@ -878,129 +946,67 @@ def reference_close_stack(h, dt, w_old, src, base, resp, af, data, varphi, bc_to
 
             y = bisect(lambda y: lo(clip(hi(y)), y), w_hi)
             ends = {"lo": bisect(lambda x: lo(x, y), factors["lo"][0]), "hi": y}
-    return {end: b[:, None] for end, b in ends.items()}
+    return {end: b[:, None] for end, b in ends.items()}, 0.0, 0
 
 
-def line_residual(p):
-    """s*(b - root), plus g*b*b*b where p has g, NaN within band of root:
-    one increasing residual per entry of the arrays in p, and on a line's
-    size-1 slice the same bits as a float function."""
-    root, s, g, band = p["root"], p["s"], p.get("g"), p["band"]
-
-    def res(b):
-        r = s * (b - root) if g is None else s * (b - root) + g * (b * b * b)
-        return np.where(np.abs(b - root) < band, np.nan, r)
-
-    return res
+def drift_cases():
+    """Every bundled parabolic scenario, and each with a cubic flux law."""
+    for name in bundled_names():
+        plan = load_plan(name)
+        if plan.pde == "parabolic":
+            yield name, plan
+            yield f"{name}+cubic", replace(plan, scenario=replace(
+                plan.scenario, boundary_reaction=cubic(1.0)))
 
 
-# each case's sizes of roots and centers, log-uniform: from 1e-3 to 2^60 the
-# adjacent-float exits fire at the top; ends reach 2^1022, past which no
-# round runs unmasked, in "top" and stay below it in "below_top"; the
-# subnormal roots are bisected to adjacent floats
-KERNEL_CASES = {"unit": (1e-3, 1.0), "big": (2.0**50, 2.0**60), "wide": (1e-3, 2.0**60),
-                "below_top": (2.0**1010, 2.0**1019), "top": (2.0**1020, 2.0**1023),
-                "subnormal": (1e-320, 1e-300), "exact": (1e-3, 1.0), "nan": (1e-3, 1.0)}
-# dyadic roots the bisection from [-1, 1] meets in its first rounds
-EXACT_ROOTS = (0.0, 0.5, -0.25, 0.375, -0.125, 0.0625)
+@pytest.mark.parametrize("name,plan", list(drift_cases()), ids=lambda v: v if isinstance(v, str) else "")
+def test_newton_runs_stay_within_the_closure_bound_of_the_bisection(monkeypatch, name, plan):
+    # both closures put each end within bc_tol of its balance's root, so a
+    # closure's two end values differ by at most 2*bc_tol, plus the
+    # rounding of a balance of the run's magnitude; the line solve passes
+    # end values on with weights in [0, 1] summing to at most 1, and the
+    # backward-Euler step, its flux ends included, does not expand
+    # differences in the sup norm, nor does the explicit reaction while
+    # dt*c*varphi' <= 2.  So the states differ by at most that per
+    # closing sweep, summed over the run's steps.
+    cfg = replace(plan.solver, bc_tol=1e-14)
+    scn, grid = plan.scenario, plan.grid
+    new = solve_parabolic(scn, grid, cfg)
+    with monkeypatch.context() as patch:
+        patch.setattr(parabolic, "_close_lines", reference_close_stack)
+        old = solve_parabolic(scn, grid, cfg)
+    reach = new.counters["max_abs"]["u"]
+    c_top = float(scn.c.bind(grid.points()).range(cfg.t_end)[1])
+    law = scn.reaction
+    assert cfg.dt * c_top * (law.slope + 3.0 * law.gamma * reach**2) <= 2.0
+    sweeps = sum(1 for (lo, hi, _) in AXES[:scn.dim] if {lo, hi} & scn.gamma2)
+    per_closure = 2.0 * cfg.bc_tol + 2.0**-40 * max(reach, 1.0)
+    bound = new.counters["steps"] * sweeps * per_closure
+    drift = float(np.abs(new.states("u") - old.states("u")).max())
+    assert np.array_equal(new.times, old.times)
+    assert drift <= bound
+    # within bc_tol, or the rounding of the balance at a bc_tol this small
+    assert new.counters["closure_error"] <= per_closure / 2.0
 
 
-def kernel_stack(rng, case, n=16):
-    """The parameters of n residuals of :func:`line_residual` for one case,
-    and their centers."""
-    low, high = np.log10(KERNEL_CASES[case])
-
-    def sizes():
-        return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(low, high, n)
-
-    root, center = sizes(), sizes()
-    s = 10.0 ** rng.uniform(-2.0, 2.0, n)
-    # the cubic term on about half the lines, where no cube overflows
-    g = np.where(rng.random(n) < 0.5, 0.0, 10.0 ** rng.uniform(-3.0, 1.0, n))
-    band = np.zeros(n)
-    if case == "exact":
-        # equilibria beside lines that are not
-        k = np.arange(0, n, 2)
-        root[k], center[k], s[k], g[k] = np.resize(EXACT_ROOTS, k.size), 0.0, 1.0, 0.0
-    if case == "nan":
-        k = np.arange(0, n, 3)
-        g[k], band[k] = 0.0, 1e-3 * np.abs(root[k])
-    p = {"root": root, "s": s, "band": band}
-    return (p if high > 20 else {**p, "g": g}), center
-
-
-@pytest.mark.parametrize("case,bc_tol", [
-    *((case, tol) for case in KERNEL_CASES if case != "subnormal"
-      for tol in (1e-14, 1e-10, 1e-3)),
-    ("subnormal", 5e-324)])
-def test_lockstep_kernel_has_the_bits_of_the_masked_loop(case, bc_tol):
-    rng = np.random.default_rng([28, *map(ord, case), int(-math.log10(bc_tol))])
-    rounds = []
-    for _ in range(4):
-        p, center = kernel_stack(rng, case)
-        res, all_live = line_residual(p), []
-        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            want = reference_bisect_lockstep(res, center, bc_tol, all_live)
-            got = _bisect_lockstep(res, center, bc_tol)
-            lo, hi = (parabolic._expand_lockstep(res, center, side) for side in ("low", "high"))
-            per_line = [_bisect_scalar(lambda b, one=line_residual(
-                {k: v[j:j + 1] for k, v in p.items()}): float(one(np.array([b]))[0]),
-                center[j].item(), bc_tol) for j in range(center.size)]
-        assert same_bits(got, want) and same_bits(got, per_line)
-        # the reference loop kept every line live through the unmasked rounds
-        rounds.append(parabolic._sure_rounds(lo, hi, bc_tol))
-        assert rounds[-1] <= (all_live + [False]).index(False)
-        if case == "exact":
-            assert set(EXACT_ROOTS) <= set(got.tolist())
-    # each case reaches the side of the bound it is there for: none past
-    # 2^1022, few or none where magnitudes mix, else most of the bisection
-    if case in ("top", "wide"):
-        assert (all if case == "top" else any)(r == 0 for r in rounds)
-    else:
-        assert min(rounds) >= 8
-
-
-@pytest.mark.parametrize("lo,hi,bc_tol,rounds", [
-    # W/4T = 2/4e-3 = 500, 2/4e-10 = 5e9 and 2/4e-14 = 5e13 against bc_tol
-    ([-1.0], [1.0], 1e-3, 8), ([-1.0], [1.0], 1e-10, 32), ([-1.0, -3.0], [1.0, 5.0], 1e-14, 45),
-    # T = 4u = 4 * 2^61 * 2^-53 = 2^10 above bc_tol: 3 * 2^60 / 2^12 = 3 * 2^48
-    ([-2.0**60], [2.0**61], 1e-10, 49),
-    # W/4T exactly 2, and just below it
-    ([0.0], [2.0**-7], 2.0**-10, 1), ([0.0], [2.0**-7 * (1 - 2.0**-52)], 2.0**-10, 0),
-    # M just below 2^1022, and at it
-    ([-2.0**1021], [np.nextafter(2.0**1022, 0.0)], 1e-10, 49), ([-2.0**1021], [2.0**1022], 1e-10, 0),
-    # u = M 2^-53 = 2^-1053, and the subnormal floor u = 2^-1074 where M 2^-53 underflows
-    ([0.0], [2.0**-1000], 5e-324, 49), ([0.0], [2.0**-1060], 5e-324, 10),
-    ([-5e-324], [5e-324], 1e-14, 0), ([np.nan], [1.0], 1e-10, 0), ([-np.inf], [1.0], 1e-10, 0)])
-def test_sure_rounds_follow_the_bound(lo, hi, bc_tol, rounds):
-    # J = floor(log2(W / (4 max(bc_tol, 4u)))), u = max(M 2^-53, 2^-1074)
-    with np.errstate(invalid="ignore"):
-        assert parabolic._sure_rounds(np.array(lo), np.array(hi), bc_tol) == rounds
-
-
-@pytest.mark.parametrize("kinds", FLUX_KINDS)
-@pytest.mark.parametrize("bc_tol", [1e-14, 1e-10, 1e-3])
-def test_stack_closures_have_the_bits_of_the_reference(monkeypatch, kinds, bc_tol):
-    # the cubic law at gamma = 100; 2000 intervals at dt = 1e-7 give cross
-    # factors of 0.0 on some lines, the random lines none
-    varphi = cubic(100.0)
-    rng = np.random.default_rng(28)
-    cases = [coupled_lines(2000, [1.0, 16.0, 18.0], n_lines=3, dt=1e-7, seed=3)]
-    for lam in (1e-2, 1.0, 1e2):
-        w_old, af, src, ends = random_lines(rng, n_lines=9)
-        cases.append((w_old, 1.0 / 11, lam / 121, af, src, ends))
-    for w_old, h, dt, af, src, ends in cases:
-        bcs = [(kind, end) for kind, end in zip(kinds, ends)]
-        # the steep law overflows far out in the bracket expansions
-        with np.errstate(over="ignore"):
-            got = _solve_lines(_Band(), w_old, h, dt, af, src, *bcs, varphi, bc_tol)
-            with monkeypatch.context() as patch:
-                patch.setattr(parabolic, "_close_stack", reference_close_stack)
-                want = _solve_lines(_Band(), w_old, h, dt, af, src, *bcs, varphi, bc_tol)
-            per_line = [solve_one_line(w_old[j], h, dt, af[j], src[j],
-                                       *[(k, e[j]) for k, e in bcs], varphi, bc_tol)
-                        for j in range(w_old.shape[0])]
-        assert same_bits(got, want) and same_bits(got, per_line)
+@pytest.mark.parametrize("name", [name for name in bundled_names()
+                                  if load_plan(name).pde == "parabolic"])
+def test_bundled_runs_count_their_closures(name):
+    # one closure per flux end of a line a step; every error bound at exit
+    # within bc_tol
+    plan = load_plan(name)
+    traj = solve_parabolic(plan.scenario, plan.grid, plan.solver)
+    counters = traj.counters
+    scn, grid = plan.scenario, plan.grid
+    ends = 0
+    for k, (lo, hi, _) in enumerate(AXES[:scn.dim]):
+        lines = math.prod(n + 1 - sum(e in scn.gamma1 for e in AXES[j][:2])
+                          for j, n in enumerate(grid.cells) if j != k)
+        ends += lines * len({lo, hi} & scn.gamma2)
+    assert counters["closures"] == ends * counters["steps"] > 0
+    assert counters["closure_error"] <= plan.solver.bc_tol
+    # the bundled laws are linear: one call per closure
+    assert counters["flux_law_calls"] == counters["closures"]
 
 
 # ---------------------------------------------------------------------------
@@ -1086,16 +1092,20 @@ def test_2d_batched_sweeps_match_per_line_oracle(flux_edges):
         assert np.array_equal(traj.state(i), expected)
 
 
+CLOSE_LINES = parabolic._close_lines
+
+
 def close_line_by_line(h, dt, w_old, src, base, resp, af, data, varphi, bc_tol):
-    """:func:`parabolic._close_stack` as one :func:`parabolic._close_line`
-    per line."""
+    """:func:`parabolic._close_lines` of a stack as one call per line, each
+    on the float layout."""
     n_lines = w_old.shape[0]
-    rows = [parabolic._close_line(
+    rows = [CLOSE_LINES(
         h, dt, w_old[j:j + 1], src[j:j + 1], base[j:j + 1],
         {end: r[j:j + 1] for end, r in resp.items()}, af[j:j + 1],
         {end: np.broadcast_to(v, n_lines)[j] for end, v in data.items()}, varphi, bc_tol)
         for j in range(n_lines)]
-    return {end: np.array([[row[end]] for row in rows]) for end in resp}
+    return ({end: np.array([[row[0][end]] for row in rows]) for end in resp},
+            max(row[1] for row in rows), sum(row[2] for row in rows))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -1112,7 +1122,7 @@ def test_whole_solves_close_stacks_as_line_by_line(monkeypatch, dim):
         w0=profile_sum(profile_constant(0.3), profile_sinprod(2.0, 1, 2, 1 if dim == 3 else None)))
     grid, cfg = Grid(*(10, 12, 8)[:dim]), SolverConfig(t_end=0.05, dt=0.01)
     shipped = solve_parabolic(scn, grid, cfg)
-    monkeypatch.setattr(parabolic, "_close_stack", close_line_by_line)
+    monkeypatch.setattr(parabolic, "_close_lines", close_line_by_line)
     by_line = solve_parabolic(scn, grid, cfg)
     assert len(shipped) == len(by_line) == 6
     for i in range(len(shipped)):
