@@ -730,8 +730,9 @@ def exact_cubic_ends(fac, c_phi, gamma):
     leaving one increasing equation in y."""
     g3 = Fraction(gamma)
     lines = []
-    for j in range(len(c_phi) if np.ndim(c_phi) else fac["lo"][0].shape[0]):
-        c = Fraction(float(np.broadcast_to(c_phi, fac["lo"][0].shape)[j]))
+    c_phi = np.broadcast_to(c_phi, fac["lo"][0].shape)
+    for j in range(c_phi.size):
+        c = Fraction(float(c_phi[j]))
         (s_lo, b_lo, g_lo), (s_hi, b_hi, g_hi) = (
             [Fraction(float(v[j])) for v in fac[end]] for end in ("lo", "hi"))
 
@@ -949,18 +950,12 @@ def reference_close_stack(h, dt, w_old, src, base, resp, af, data, varphi, bc_to
     return {end: b[:, None] for end, b in ends.items()}, 0.0, 0
 
 
-def drift_cases():
-    """Every bundled parabolic scenario, and each with a cubic flux law."""
-    for name in bundled_names():
-        plan = load_plan(name)
-        if plan.pde == "parabolic":
-            yield name, plan
-            yield f"{name}+cubic", replace(plan, scenario=replace(
-                plan.scenario, boundary_reaction=cubic(1.0)))
+PARABOLIC_BUNDLED = [name for name in bundled_names() if load_plan(name).pde == "parabolic"]
 
 
-@pytest.mark.parametrize("name,plan", list(drift_cases()), ids=lambda v: v if isinstance(v, str) else "")
-def test_newton_runs_stay_within_the_closure_bound_of_the_bisection(monkeypatch, name, plan):
+@pytest.mark.parametrize("name", PARABOLIC_BUNDLED)
+@pytest.mark.parametrize("flux_law", ["bundled", "cubic"])
+def test_newton_runs_stay_within_the_closure_bound_of_the_bisection(monkeypatch, name, flux_law):
     # both closures put each end within bc_tol of its balance's root, so a
     # closure's two end values differ by at most 2*bc_tol, plus the
     # rounding of a balance of the run's magnitude; the line solve passes
@@ -969,8 +964,10 @@ def test_newton_runs_stay_within_the_closure_bound_of_the_bisection(monkeypatch,
     # differences in the sup norm, nor does the explicit reaction while
     # dt*c*varphi' <= 2.  So the states differ by at most that per
     # closing sweep, summed over the run's steps.
-    cfg = replace(plan.solver, bc_tol=1e-14)
-    scn, grid = plan.scenario, plan.grid
+    plan = load_plan(name)
+    cfg, scn, grid = replace(plan.solver, bc_tol=1e-14), plan.scenario, plan.grid
+    if flux_law == "cubic":
+        scn = replace(scn, boundary_reaction=cubic(1.0))
     new = solve_parabolic(scn, grid, cfg)
     with monkeypatch.context() as patch:
         patch.setattr(parabolic, "_close_lines", reference_close_stack)
@@ -989,8 +986,7 @@ def test_newton_runs_stay_within_the_closure_bound_of_the_bisection(monkeypatch,
     assert new.counters["closure_error"] <= per_closure / 2.0
 
 
-@pytest.mark.parametrize("name", [name for name in bundled_names()
-                                  if load_plan(name).pde == "parabolic"])
+@pytest.mark.parametrize("name", PARABOLIC_BUNDLED)
 def test_bundled_runs_count_their_closures(name):
     # one closure per flux end of a line a step; every error bound at exit
     # within bc_tol
