@@ -248,12 +248,15 @@ class Trajectory:
 
     Storage: one flat buffer, viewed as ``times`` and one C-contiguous
     (capacity, *grid.shape) array per name; their first ``len(self)`` rows
-    are the stamps.  ``append`` copies into the next row, doubling the
-    capacity when full; every solver sizes the record once, before its first
-    stamp, with ``reserve``.  Only inside :func:`csv_stream` does a record
-    get a second CSV writer process: one whose reserved stamps make
-    _FORK_ROWS CSV rows is shared with it at ``reserve``, never grows again,
-    and is sent each stamp count by ``append`` (see :meth:`write_csv`).
+    are the stamps.  ``append`` checks each state's shape and finiteness;
+    ``_record``, which :func:`~isscert.solvers.common.march` calls with
+    states it has checked, checks that t increases and copies into the
+    next row, doubling the capacity when full.  Every solver sizes the
+    record once, before its first stamp, with ``reserve``.  Only inside
+    :func:`csv_stream` does a record get a second CSV writer process: one
+    whose reserved stamps make _FORK_ROWS CSV rows is shared with it at
+    ``reserve``, never grows again, and is sent each stamp count by
+    ``_record`` (see :meth:`write_csv`).
     """
 
     def __init__(self, pde_class: str, grid, names=("u",), meta=None):
@@ -311,14 +314,19 @@ class Trajectory:
     def append(self, t: float, **arrays):
         if set(arrays) != set(self.names):
             raise ValueError(f"expected arrays {self.names}, got {tuple(arrays)}")
+        for k, v in arrays.items():
+            if np.shape(v) != self._data[k].shape[1:] or not np.isfinite(v).all():
+                raise ValueError(f"state {k!r} must be finite of shape {self._data[k].shape[1:]}")
+        self._record(t, [arrays[k] for k in self.names])
+
+    def _record(self, t, states):
+        """Record stamp t of states, one per name in order, checked by the caller."""
         n = self._n
         if n and not t > self._times[n - 1]:
             raise ValueError("time stamps must increase")
         if n == self._times.size:
             self._grow(max(16, 2 * n))
-        for k, v in arrays.items():
-            if np.shape(v) != self._data[k].shape[1:] or not np.isfinite(v).all():
-                raise ValueError(f"state {k!r} must be finite of shape {self._data[k].shape[1:]}")
+        for k, v in zip(self.names, states):
             self._data[k][n] = v
         self._times[n] = float(t)
         self._n = n + 1

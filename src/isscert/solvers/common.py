@@ -99,7 +99,7 @@ def march(traj, cfg, state, advance, dt_min):
     largest magnitude each state reaches over all steps goes to
     traj.counters["max_abs"], by name, and the number of steps to
     traj.counters["steps"].  Records t = 0, every output_stride-th step
-    and the last step; returns the list of accepted dt.
+    and the last step, unchecked by traj; returns the accepted dt.
     """
     stride = cfg.output_stride
     try:
@@ -119,7 +119,7 @@ def march(traj, cfg, state, advance, dt_min):
             reach[name] = max(reach[name], top)
 
     reached(state, 0, 0.0)
-    traj.append(0.0, **dict(zip(traj.names, state)))
+    traj._record(0.0, state)
     dts = []
 
     def take(t, dt_max, step):
@@ -131,7 +131,7 @@ def march(traj, cfg, state, advance, dt_min):
     for step, t, last in _steps(cfg, take):
         reached(state, step, t)
         if step % stride == 0 or last:
-            traj.append(t, **dict(zip(traj.names, state)))
+            traj._record(t, state)
     traj.counters["max_abs"], traj.counters["steps"] = reach, len(dts)
     return dts
 

@@ -27,9 +27,10 @@ every field to its points once per solve
 on the nodes, d1 and d2 on the boundary points, so a step evaluates the
 fields' time signals only, and a field of a constant signal not at all.
 Each sweep factors its band once per operator (LAPACK gttrf), with the
-unit responses of its flux ends, and a step solves one right-hand side
-(gttrs); a new h, dt or diffusivity, such as a time-varying a or a
-shorter last step, refactors.
+unit responses of its flux ends and, at its first closure, the closure's
+constants (:class:`_Bound`); a step solves one right-hand side (gttrs)
+and closes from each end's state.  A new h, dt or diffusivity, such as a
+time-varying a or a shorter last step, refactors and rebinds.
 """
 
 from __future__ import annotations
@@ -201,7 +202,9 @@ def solve_parabolic(scn: ParabolicScenario, grid, cfg: SolverConfig) -> Trajecto
 
     traj = Trajectory("parabolic", grid, meta={
         **meta, "dt": cfg.dt, "t_end": cfg.t_end, "scenario": scn.label})
-    march(traj, cfg, (np.asarray(scn.w0(pts), dtype=float),), advance, cfg.dt)
+    # a diverging state overflows: the step's own finiteness checks report it
+    with np.errstate(over="ignore", invalid="ignore"):
+        march(traj, cfg, (np.asarray(scn.w0(pts), dtype=float),), advance, cfg.dt)
     traj.counters["band_factorizations"] = sum(band.factorizations for band in bands)
     traj.counters["closures"] = sum(band.closures for band in bands)
     traj.counters["flux_law_calls"] = sum(band.law_calls for band in bands)
@@ -251,8 +254,11 @@ def _setup(scn, grid, cfg):
                 band, stack, h, dt, a_k(tn),
                 src.transpose(order)[sel].reshape(stack.shape) if k == 0 else zero,
                 *[(kind, value(tn)) for kind, value in bcs], scn.boundary_reaction, cfg.bc_tol)
-            w = np.empty(grid.shape) if dvals is None else dvals.copy()
-            w.transpose(order)[sel] = lines.reshape(moved.shape)
+            if dvals is None and k == grid.dim - 1:  # every node, in C order: no copy
+                w = lines.reshape(grid.shape)
+            else:
+                w = np.empty(grid.shape) if dvals is None else dvals.copy()
+                w.transpose(order)[sel] = lines.reshape(moved.shape)
         return w
 
     meta = {"scheme": ("dimension-split " if grid.dim > 1 else "")
@@ -272,12 +278,14 @@ class _Band:
     factored under, gttrf's factors lu, the read-only unit responses resp
     of its flux ends, the number of factorisations so far, and af, the
     diffusivity array of the key when it is read-only and owns its data;
-    and the sweep's closures, law calls and largest error bound so far."""
+    bound, its closure constants (:class:`_Bound`, None until the first
+    closure); and the sweep's closures, law calls and largest error bound."""
 
     key: tuple = None
     af: np.ndarray = None
     lu: list = None
     resp: dict = None
+    bound: _Bound = None
     factorizations: int = 0
     closures: int = 0
     law_calls: int = 0
@@ -306,7 +314,7 @@ class _Band:
         unit[0, :, 0] = unit[1, :, m - 1] = 1.0
         x = gttrs(*lu, unit.reshape(2, -1).T, overwrite_b=True)[0].T.reshape(2, n_lines, m)
         x.flags.writeable = False
-        self.key, self.lu, self.resp = key, lu, {
+        self.key, self.lu, self.bound, self.resp = key, lu, None, {
             end: x[j] for j, (end, kind) in enumerate(zip(("lo", "hi"), kinds)) if kind == "flux"}
         self.factorizations += 1
 
@@ -359,7 +367,7 @@ def _solve_lines(band, w_old, h, dt, af, src, bc_lo, bc_hi, varphi, bc_tol):
     base, resp = _line_responses(band, w_old, h, dt, af, src, bc_lo, bc_hi)
     if not resp:
         return base
-    ends, err, calls = _close_lines(h, dt, w_old, src, base, resp, af,
+    ends, err, calls = _close_lines(band, h, dt, w_old, src, base, af,
                                     {"lo": bc_lo[1], "hi": bc_hi[1]}, varphi, bc_tol)
     band.closures += w_old.shape[0] * len(resp)
     band.law_calls += calls
@@ -375,21 +383,8 @@ def _solve_lines(band, w_old, h, dt, af, src, bc_lo, bc_hi, varphi, bc_tol):
     return w
 
 
-def _end_factors(end, pick, h, w_old, src, base, resp, af, d2):
-    """The factors of end's balance that stay fixed through its closures:
-    w_i, src_i, base_k, c_d2, c_face and the responses r_lo and r_hi of
-    the low and high flux ends at its inner neighbour (None for a
-    Dirichlet end), read through pick(array, column) and the end's data d2."""
-    m = w_old.shape[1]
-    # node, inner neighbour and face of the end
-    i, k, f = (0, 1, 0) if end == "lo" else (m - 1, m - 2, m - 2)
-    r_lo, r_hi = (pick(resp[e], k) if e in resp else None for e in ("lo", "hi"))
-    return (pick(w_old, i), pick(src, i), pick(base, k), (2.0 / h) * d2,
-            (2.0 / h**2) * pick(af, f), r_lo, r_hi)
-
-
 def _residual(end, dt, c_phi, law, w_i, src_i, base_k, c_d2, c_face, r_lo, r_hi):
-    """The balance of end with factors :func:`_end_factors`, as a function
+    """The balance of end (:func:`_close`, :class:`_Bound`), as a function
     residual(b, other=0.0) of its value b and the other flux end's value,
     if any.  The inner node's value adds b's and the other value's
     response terms to base_k in the order lo, hi; the high end's keeps
@@ -411,13 +406,15 @@ def _residual(end, dt, c_phi, law, w_i, src_i, base_k, c_d2, c_face, r_lo, r_hi)
     return residual
 
 
-def _close(lay, dt, c_phi, law, factors, tol):
-    """The values {end: b} of the flux ends with factors {end: factors}
-    (:func:`_end_factors`) on the layout lay, the error bounds at exit and
-    the law's calls, counted per line.  An end's balance (:func:`_residual`)
-    is R(b) = m*b + k*b^3 - C - beta*y, y the other flux end's value: m =
-    1/dt + c_face*(1 - r_own) + c_phi*slope > 0, k = c_phi*gamma >= 0,
-    beta = c_face*r_other >= 0 and C = -R(0).  L = [[m_lo, -beta_lo], [-beta_hi, m_hi]] is an M-matrix
+def _close(bound, law, states, tol):
+    """The values {end: b} of the flux ends with states {end: (w_i, src_i,
+    base_k, c_d2)}, each end's old and source values at its node, the base
+    solution at its inner neighbour and (2/h) d2, under the constants bound
+    (:class:`_Bound`); the error bounds at exit and the law's calls, counted
+    per line.  An end's balance (:func:`_residual`) is R(b) = m*b + k*b^3 -
+    C - beta*y, y the other flux end's value: m = 1/dt + c_face*(1 - r_own)
+    + c_phi*slope > 0, k = c_phi*gamma >= 0, beta = c_face*r_other >= 0 and
+    C = -R(0).  L = [[m_lo, -beta_lo], [-beta_hi, m_hi]] is an M-matrix
     (beta + 1/dt <= m), and R(z) - R(z*) = (L + D)(z - z*), D diagonal and
     D >= 3/4 k diag(z^2), so |z - z*| <= (L + 3/4 k diag(z^2))^-1 |R(z)|
     (|R(b)|/(m + 3/4 k b^2) for one end): a line stops where that is at
@@ -426,35 +423,29 @@ def _close(lay, dt, c_phi, law, factors, tol):
     two from L^-1 C clipped to each end's cube-root bound, and past
     _NEWTON_ROUNDS rounds or a non-finite point by :func:`_nested`.  A line
     also stops where its point would not move, or where each |R| is within
-    nu, 16 units of roundoff of the magnitudes of its terms, which bounds
-    the rounding of the computed balance and adds nu/m to the bound.  A NaN balance raises RuntimeError.
+    nu (:meth:`_Bound.rounding`), which bounds the rounding of the computed
+    balance and adds nu/m to the bound.  A NaN balance raises RuntimeError.
     """
-    res = {end: _residual(end, dt, c_phi, law, *fac) for end, fac in factors.items()}
-    k, calls, m, beta, nu, c = c_phi * law.gamma, len(res) * lay.lines, {}, {}, {}, {}
-    for end, (*_, c_face, r_lo, r_hi) in factors.items():
-        own, other = (r_lo, r_hi) if end == "lo" else (r_hi, r_lo)
-        m[end] = 1.0 / dt + c_face * (1.0 - own) + c_phi * law.slope
-        beta[end] = 0.0 if other is None else abs(c_face * other)
+    lay, dt, c_phi, k, det = bound.lay, bound.dt, bound.c_phi, bound.k, bound.det
+    calls, res, c = len(states) * lay.lines, {}, {}
+    for end, (w_i, src_i, base_k, c_d2) in states.items():
+        c_face, r_lo, r_hi, m, _, _, _, _ = bound.ends[end]
+        res[end] = _residual(end, dt, c_phi, law, w_i, src_i, base_k, c_d2, c_face, r_lo, r_hi)
         c[end] = 0.0 - res[end](lay.zero, lay.zero)
         if not lay.all(lay.finite(c[end])):
             raise RuntimeError(_NONFINITE_BALANCE)
-    if len(res) == 1 and not law.gamma:
-        return {end: c[end] / m[end] for end in res}, 0.0, calls
-    for end, (w_i, src_i, base_k, c_d2, c_face, r_lo, r_hi) in factors.items():
-        nu[end] = (lambda b, y=0.0, n=[_ROUNDING * v for v in (
-            abs(w_i) / dt + abs(c_d2) + c_face * abs(base_k) + abs(src_i),
-            1.0 / dt + c_phi * law.slope + c_face * (1.0 + abs(r_lo if end == "lo" else r_hi)),
-            k, beta[end])]: n[0] + abs(b) * (n[1] + n[2] * (b * b)) + n[3] * abs(y))
     if len(res) == 1:
         ((end, r),) = res.items()
-        b, err, more = _one_end(lay, r, m[end], k, c[end], tol, nu[end])
+        if not law.gamma:
+            return {end: c[end] / m}, 0.0, calls
+        b, err, more = _one_end(lay, r, m, k, c[end], tol, bound.rounding(end, *states[end]))
         return {end: b}, err, calls + more
-    (lo, hi), (m_lo, m_hi), (b_lo, b_hi), (c_lo, c_hi) = (
-        (d["lo"], d["hi"]) for d in (res, m, beta, c))
-    det = m_lo * m_hi - b_lo * b_hi
+    (lo, hi), (c_lo, c_hi) = (res["lo"], res["hi"]), (c["lo"], c["hi"])
+    (*_, m_lo, b_lo, _, _, _), (*_, m_hi, b_hi, _, _, _) = bound.ends["lo"], bound.ends["hi"]
     x, y = (m_hi * c_lo + b_lo * c_hi) / det, (m_lo * c_hi + b_hi * c_lo) / det
     if not law.gamma:
         return {"lo": x, "hi": y}, 0.0, calls
+    nu = {end: bound.rounding(end, *state) for end, state in states.items()}
     # |z*| <= B = L^-1 |C|, so k*|x*|^3 <= |C_lo| + beta_lo*B_y = m_lo*B_x
     a_lo, a_hi = abs(c_lo), abs(c_hi)
     top = (lay.cbrt_above(m_lo * ((m_hi * a_lo + b_lo * a_hi) / det) / k),
@@ -487,9 +478,10 @@ def _close(lay, dt, c_phi, law, factors, tol):
     elif lay.lines > 1:
         # such a line closes on floats from its start: the same rounds, then _nested
         for j in np.flatnonzero(need):
-            line = {end: tuple(None if f is None else f[j].item() for f in fac)
-                    for end, fac in factors.items()}
-            ends, err[j], more = _close(_Floats, dt.item(), c_phi.item(), law, line, tol)
+            one = _Bound(_Floats, dt.item(), c_phi.item(), law, {e: tuple(
+                None if f is None else f[j].item() for f in bound.ends[e][:3]) for e in states})
+            ends, err[j], more = _close(one, law, {end: tuple(f[j].item() for f in state)
+                                                   for end, state in states.items()}, tol)
             x[j], y[j], calls = ends["lo"], ends["hi"], calls + more
     return {"lo": x, "hi": y}, err, calls
 
@@ -497,6 +489,36 @@ def _close(lay, dt, c_phi, law, factors, tol):
 _NEWTON_ROUNDS = 24
 _NONFINITE_BALANCE = "non-finite flux boundary balance"
 _ROUNDING = 2.0**-49
+
+
+class _Bound:
+    """The constants of :func:`_close` for flux ends with faces {end: (c_face,
+    r_lo, r_hi)}, c_face = (2/h^2) a on its face and r_lo, r_hi the flux
+    ends' unit responses at its inner neighbour (None if Dirichlet), under
+    a law of facts (slope, gamma) on lay with its dt and c_phi = 2/h: ends
+    {end: (c_face, r_lo, r_hi, m, beta, n1, n2, n3)}, n1 to n3 nu's state-free
+    coefficients (:meth:`rounding`), and det for two flux ends, else None."""
+
+    def __init__(self, lay, dt, c_phi, law, faces):
+        k, ends = c_phi * law.gamma, {}
+        self.facts, self.lay, self.dt, self.c_phi, self.k, self.ends, self.det = (
+            (law.slope, law.gamma), lay, dt, c_phi, k, ends, None)
+        for end, (c_face, r_lo, r_hi) in faces.items():
+            own, other = (r_lo, r_hi) if end == "lo" else (r_hi, r_lo)
+            m = 1.0 / dt + c_face * (1.0 - own) + c_phi * law.slope
+            beta = 0.0 if other is None else abs(c_face * other)
+            ends[end] = (c_face, r_lo, r_hi, m, beta, *(_ROUNDING * v for v in (
+                1.0 / dt + c_phi * law.slope + c_face * (1.0 + abs(own)), k, beta)))
+        if len(ends) == 2:
+            (*_, m_lo, b_lo, _, _, _), (*_, m_hi, b_hi, _, _, _) = ends["lo"], ends["hi"]
+            self.det = m_lo * m_hi - b_lo * b_hi
+
+    def rounding(self, end, w_i, src_i, base_k, c_d2):
+        """nu(b, y) of end with state w_i, src_i, base_k and c_d2: 16 units of
+        roundoff of its balance's terms at its value b and the other's y."""
+        c_face, *_, n1, n2, n3 = self.ends[end]
+        n0 = _ROUNDING * (abs(w_i) / self.dt + abs(c_d2) + c_face * abs(base_k) + abs(src_i))
+        return lambda b, y=0.0: n0 + abs(b) * (n1 + n2 * (b * b)) + n3 * abs(y)
 
 
 def _one_end(lay, res, m, k, c, tol, nu):
@@ -586,6 +608,8 @@ class _Floats:
     cbrt_above = staticmethod(lambda x: x if x == math.inf else _cbrt_above(
         x, math.ldexp(1.0, -(-math.frexp(x)[1] // 3))))
     keep = staticmethod(lambda z, new, live: new if live else z)
+    scalar, pick = staticmethod(lambda x: x), staticmethod(np.ndarray.item)
+    data = staticmethod(lambda d, n: d if type(d) is float else np.asarray(d, dtype=float).item())
 
 
 class _Lockstep:
@@ -595,6 +619,7 @@ class _Lockstep:
         np.where, np.any, np.all, np.isfinite, np.copysign, np.minimum, np.maximum))
     cbrt_above = staticmethod(lambda x: np.where(np.isinf(x), x, _cbrt_above(
         x, np.ldexp(1.0, -(-np.frexp(x)[1] // 3)))))
+    scalar, pick, data = map(staticmethod, (_constant, lambda a, j: a[:, j], np.broadcast_to))
 
     def __init__(self, lines):
         self.lines, self.zero = lines, np.zeros(lines)
@@ -606,19 +631,26 @@ class _Lockstep:
         return z
 
 
-def _close_lines(h, dt, w_old, src, base, resp, af, data, varphi, bc_tol):
+def _close_lines(band, h, dt, w_old, src, base, af, data, varphi, bc_tol):
     """:func:`_close` on a stack, with its largest bound: one line on floats
     (its factors and boundary data, a scalar or a size-1 array, read once,
-    so the law sees floats), more in lockstep, each end as a column."""
-    n_lines = w_old.shape[0]
-    if n_lines == 1:
-        return _close(_Floats, dt, 2.0 / h, varphi, {end: _end_factors(
-            end, np.ndarray.item, h, w_old, src, base, resp, af, data[end] if type(data[end]) is float
-            else np.asarray(data[end], dtype=float).item()) for end in resp}, bc_tol)
-    factors = {end: _end_factors(end, lambda a, j: a[:, j], h, w_old, src, base, resp, af,
-                                 np.broadcast_to(data[end], n_lines)) for end in resp}
+    so the law sees floats), more in lockstep, each end as a column; band's
+    constants bound anew after a factorisation or under other law facts."""
+    (n_lines, m), resp, bound = w_old.shape, band.resp, band.bound
+    if bound is None or bound.facts != (varphi.slope, varphi.gamma):
+        lay = _Floats if n_lines == 1 else _Lockstep(n_lines)
+        bound = band.bound = _Bound(lay, lay.scalar(dt), lay.scalar(2.0 / h), varphi, {
+            end: ((2.0 / h**2) * lay.pick(af, 0 if end == "lo" else m - 2),
+                  *(lay.pick(resp[e], 1 if end == "lo" else m - 2) if e in resp else None
+                    for e in ("lo", "hi"))) for end in resp})
+    lay, states = bound.lay, {}
+    for end in resp:
+        i, k = (0, 1) if end == "lo" else (m - 1, m - 2)
+        states[end] = (lay.pick(w_old, i), lay.pick(src, i), lay.pick(base, k),
+                       (2.0 / h) * lay.data(data[end], n_lines))
+    if lay is _Floats:
+        return _close(bound, varphi, states, bc_tol)
     # a law that overflows far out gives an infinite balance, and inf/inf a NaN step
     with np.errstate(over="ignore", invalid="ignore"):
-        ends, err, calls = _close(_Lockstep(n_lines), _constant(dt), _constant(2.0 / h),
-                                  varphi, factors, bc_tol)
+        ends, err, calls = _close(bound, varphi, states, bc_tol)
     return {end: b[:, None] for end, b in ends.items()}, float(np.max(err)), calls

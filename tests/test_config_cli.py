@@ -1118,15 +1118,16 @@ def test_cli_run_with_violations_leaves_no_writer(tmp_path, capsys, monkeypatch,
 
 
 def test_cli_run_interrupted_mid_solve_leaves_nothing(tmp_path, monkeypatch, counted_forks):
-    append, stamps = Trajectory.append, []
+    # the time loop records through _record, the states checked already
+    record, stamps = Trajectory._record, []
 
-    def interrupted_append(self, t, **arrays):
+    def interrupted_record(self, t, states):
         stamps.append(t)
         if len(self) == 100:
             raise KeyboardInterrupt
-        append(self, t, **arrays)
+        record(self, t, states)
 
-    monkeypatch.setattr(Trajectory, "append", interrupted_append)
+    monkeypatch.setattr(Trajectory, "_record", interrupted_record)
     with pytest.raises(KeyboardInterrupt):
         main(["run", "parabolic_demo", "--out", str(tmp_path / "out")])
     assert len(stamps) == 101 and counted_forks == [1]

@@ -10,6 +10,7 @@ import functools
 import math
 import re
 import sys
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -135,12 +136,15 @@ def test_large_dt_remains_stable():
 
 
 def test_divergence_reported_with_step():
+    # the step's own finiteness checks report the overflow, numpy does not
     scn = make_scenario(reaction=cubic(1.0),
                         w0=profile_constant(0.0),
                         f=SpaceTimeField.constant(1e150))
-    with pytest.raises(SolverDivergedError):
-        solve_parabolic(scn, Grid(16, layout="node"),
-                        SolverConfig(t_end=1.0, dt=0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SolverDivergedError):
+            solve_parabolic(scn, Grid(16, layout="node"),
+                            SolverConfig(t_end=1.0, dt=0.5))
 
 
 def test_scenario_validation_errors():
@@ -885,6 +889,27 @@ def test_two_flux_ends_past_the_newton_rounds_close_nested(monkeypatch, gamma):
     assert len(nested) >= 2 * len(cases)
 
 
+@pytest.mark.parametrize("n_lines", [1, 7])
+@pytest.mark.parametrize("kinds", [("dirichlet", "flux"), ("flux", "flux")])
+@pytest.mark.parametrize("gamma", [0.0, 100.0])
+def test_a_band_rebinds_its_closure_constants_when_refactored(n_lines, kinds, gamma):
+    # a sweep's closure constants are bound per factorisation and law
+    # facts: a band that closed under another dt, another af or both, or
+    # under a law of other facts, closes the next stack as a fresh band
+    rng = np.random.default_rng(38 + n_lines)
+    w_old, af, src, ends = random_lines(rng, n_lines=n_lines)
+    h, dt, law = 1.0 / 11, 0.01, cubic(gamma)
+    bcs = [(kind, ends[j]) for j, kind in enumerate(kinds)]
+    fresh = _solve_lines(_Band(), w_old, h, dt, af, src, *bcs, law, BC_TOL)
+    for stale_dt, stale_af, stale_law in ((2.0 * dt, af, law), (dt, 1.5 * af, law),
+                                          (0.5 * dt, 0.5 * af, law), (dt, af, cubic(gamma + 3.0))):
+        band = _Band()
+        _solve_lines(band, w_old, h, stale_dt, stale_af, src, *bcs, stale_law, BC_TOL)
+        again = _solve_lines(band, w_old, h, dt, af, src, *bcs, law, BC_TOL)
+        assert band.factorizations == (1 if stale_law is not law else 2)
+        assert np.array_equal(again, fresh) and same_bits(again, fresh)
+
+
 def expand_lockstep(res, center, side):
     """Each line's bracket end for the increasing res: step outward from
     center, doubling the span, until res changes sign."""
@@ -916,16 +941,20 @@ def reference_bisect_lockstep(res, center, bc_tol):
     return np.where(lo == hi, lo, 0.5 * (lo + hi))
 
 
-def reference_close_stack(h, dt, w_old, src, base, resp, af, data, varphi, bc_tol):
+def reference_close_stack(band, h, dt, w_old, src, base, af, data, varphi, bc_tol):
     """The bisection closure the Newton closure replaced, on arrays (a
     line as a one-line stack): each end bisected from its old value; two
     flux ends by bisection of y on the low end's balance at x(y) =
     R_hi(y; 0)/beta, clipped to the finite floats, and x by the low end's
     own bisection at y."""
-    n_lines = w_old.shape[0]
-    factors = {end: parabolic._end_factors(end, lambda a, j: a[:, j], h, w_old, src, base, resp,
-                                           af, np.broadcast_to(data[end], n_lines))
-               for end in resp}
+    (n_lines, m), resp = w_old.shape, band.resp
+    factors = {}
+    for end in resp:
+        # node, inner neighbour and face of the end
+        i, k, f = (0, 1, 0) if end == "lo" else (m - 1, m - 2, m - 2)
+        factors[end] = (w_old[:, i], src[:, i], base[:, k],
+                        (2.0 / h) * np.broadcast_to(data[end], n_lines), (2.0 / h**2) * af[:, f],
+                        *(resp[e][:, k] if e in resp else None for e in ("lo", "hi")))
     fmax = sys.float_info.max
 
     def bisect(res, center):
@@ -1091,16 +1120,16 @@ def test_2d_batched_sweeps_match_per_line_oracle(flux_edges):
 CLOSE_LINES = parabolic._close_lines
 
 
-def close_line_by_line(h, dt, w_old, src, base, resp, af, data, varphi, bc_tol):
+def close_line_by_line(band, h, dt, w_old, src, base, af, data, varphi, bc_tol):
     """:func:`parabolic._close_lines` of a stack as one call per line, each
-    on the float layout."""
+    on the float layout, with a band of that line's responses alone."""
     n_lines = w_old.shape[0]
     rows = [CLOSE_LINES(
-        h, dt, w_old[j:j + 1], src[j:j + 1], base[j:j + 1],
-        {end: r[j:j + 1] for end, r in resp.items()}, af[j:j + 1],
+        _Band(resp={end: r[j:j + 1] for end, r in band.resp.items()}), h, dt,
+        w_old[j:j + 1], src[j:j + 1], base[j:j + 1], af[j:j + 1],
         {end: np.broadcast_to(v, n_lines)[j] for end, v in data.items()}, varphi, bc_tol)
         for j in range(n_lines)]
-    return ({end: np.array([[row[0][end]] for row in rows]) for end in resp},
+    return ({end: np.array([[row[0][end]] for row in rows]) for end in band.resp},
             max(row[1] for row in rows), sum(row[2] for row in rows))
 
 
