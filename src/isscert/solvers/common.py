@@ -41,8 +41,9 @@ class SolverConfig:
     it at dt when both are given.  bc_tol, finite and positive, bounds the
     error of each flux end's value in the parabolic stepper, on a line
     with two flux ends too: a closure stops on a proven bound at most
-    bc_tol, or where the rounding of its balance allows no better.  Every
-    output_stride-th step is recorded, plus the initial and final states.
+    bc_tol, or where the rounding of its balance allows no better.  The
+    time loop, :func:`march`, records every output_stride-th step, plus
+    the initial and final states, and counts the steps and their dt range.
     """
 
     t_end: float
@@ -64,76 +65,48 @@ class SolverConfig:
             raise ValueError("output_stride must be at least 1")
 
 
-def check_finite(values, step, t, detail=""):
-    if not np.isfinite(values).all():
-        raise SolverDivergedError(step, t, detail)
-
-
-def _steps(cfg, take):
-    """The time loop from t = 0 to cfg.t_end, and its stop rule.
-
-    take(t, dt_max, step) takes step number step from t and returns its
-    dt <= dt_max, where dt_max is the time left, capped at cfg.dt when
-    given.  Yields (step, t, last) after each step.
-    """
-    t_stop = cfg.t_end - 1e-12 * cfg.t_end
-    t, step = 0.0, 0
-    while t < t_stop:
-        rest = cfg.t_end - t
-        step += 1
-        t += take(t, rest if cfg.dt is None else min(cfg.dt, rest), step)
-        yield step, t, t >= t_stop
-
-
 def march(traj, cfg, state, advance, dt_min):
     """Run the time loop of a solve from t = 0 to cfg.t_end into traj.
 
     state is the tuple of initial arrays, one per name of traj.names.
-    advance(t, dt_max, state, step) takes step number step from t and
-    returns (dt, new state) with dt <= dt_max, where dt_max is the time
-    left, capped at cfg.dt when given; its exceptions pass through
-    unchanged.  dt_min is the least dt advance takes before its last step,
-    so traj is sized before the run for ceil(t_end/dt_min) steps plus the
-    short one rounding can add (RecordSizeError if it cannot be).  Every
-    state must be finite (SolverDivergedError(step, t) otherwise); the
-    largest magnitude each state reaches over all steps goes to
-    traj.counters["max_abs"], by name, and the number of steps to
-    traj.counters["steps"].  Records t = 0, every output_stride-th step
-    and the last step, unchecked by traj; returns the accepted dt.
+    Step number step adds to t the dt of advance(t, dt_max, state, step),
+    which returns (dt, new state), dt <= dt_max, the time left capped at
+    cfg.dt when given, and passes its exceptions through.  The loop stops
+    once t is within 1e-12*t_end of t_end.  dt_min, the least dt before
+    the last step, sizes traj for ceil(t_end/dt_min) steps plus the short
+    one rounding can add (RecordSizeError if it cannot be).  Every state
+    must be finite (SolverDivergedError(step, t) otherwise).  Records t =
+    0, every output_stride-th step and the last, unchecked by traj, and
+    sets traj.counters "steps", "dt_min" and "dt_max" (the last step
+    included) and "max_abs", each state's largest magnitude by name.
     """
-    stride = cfg.output_stride
+    t_end, stride = cfg.t_end, cfg.output_stride
+    t_stop = t_end - 1e-12 * t_end
     try:
-        traj.reserve(1 + -(-(math.ceil(cfg.t_end / dt_min) + 1) // stride))
+        traj.reserve(1 + -(-(math.ceil(t_end / dt_min) + 1) // stride))
     except (MemoryError, ValueError, ArithmeticError) as exc:
         raise RecordSizeError(f"no record holds the steps of dt {dt_min:.4g} up to "
-                              f"t = {cfg.t_end:g} ({exc})") from exc
-    reach = dict.fromkeys(traj.names, 0.0)
-
-    def reached(state, step, t):
-        for name, values in zip(traj.names, state):
-            # one reduction checks finiteness (NaN and inf survive it) and
-            # gives the magnitude
+                              f"t = {t_end:g} ({exc})") from exc
+    t, step, least, most, reach = 0.0, 0, math.inf, 0.0, [0.0] * len(traj.names)
+    while True:
+        for i, values in enumerate(state):
+            # one reduction checks finiteness (NaN and inf survive it) and the magnitude
             top = float(np.abs(values).max())
             if not top < math.inf:
                 raise SolverDivergedError(step, t)
-            reach[name] = max(reach[name], top)
-
-    reached(state, 0, 0.0)
-    traj._record(0.0, state)
-    dts = []
-
-    def take(t, dt_max, step):
-        nonlocal state
-        dt, state = advance(t, dt_max, state, step)
-        dts.append(dt)
-        return dt
-
-    for step, t, last in _steps(cfg, take):
-        reached(state, step, t)
-        if step % stride == 0 or last:
+            reach[i] = max(reach[i], top)
+        last = t >= t_stop
+        if last or step % stride == 0:
             traj._record(t, state)
-    traj.counters["max_abs"], traj.counters["steps"] = reach, len(dts)
-    return dts
+        if last:
+            break
+        rest = t_end - t
+        step += 1
+        dt, state = advance(t, rest if cfg.dt is None else min(cfg.dt, rest), state, step)
+        t += dt
+        least, most = min(least, dt), max(most, dt)
+    traj.counters.update(steps=step, dt_min=least, dt_max=most,
+                         max_abs=dict(zip(traj.names, reach)))
 
 
 def capped_dt(raw_dt, speed, h, sigma):

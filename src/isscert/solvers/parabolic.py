@@ -44,12 +44,11 @@ import numpy as np
 
 from ..fields import AXES, Trajectory, edge_names, grid_keys
 from ..signals import SpaceTimeField
-from .common import ScenarioError, SolverConfig, SolverDivergedError, check_finite, march
+from .common import ScenarioError, SolverConfig, SolverDivergedError, march
 
 __all__ = ["ParabolicScenario", "solve_parabolic"]
 
 _SIGN_TOL = 1e-12
-_NONFINITE = "non-finite diffusion band or right-hand side"
 
 
 def _constant(value):
@@ -194,7 +193,6 @@ def solve_parabolic(scn: ParabolicScenario, grid, cfg: SolverConfig) -> Trajecto
         tn = t + dt
         src = ((-c_n(t) if minus_c is None else minus_c)
                * np.asarray(scn.reaction(w), dtype=float) + f_n(t))
-        check_finite(src, step, tn, "non-finite explicit source")
         try:
             return dt, (implicit(w, src, dt, tn),)
         except (RuntimeError, np.linalg.LinAlgError) as exc:
@@ -202,7 +200,8 @@ def solve_parabolic(scn: ParabolicScenario, grid, cfg: SolverConfig) -> Trajecto
 
     traj = Trajectory("parabolic", grid, meta={
         **meta, "dt": cfg.dt, "t_end": cfg.t_end, "scenario": scn.label})
-    # a diverging state overflows: the step's own finiteness checks report it
+    # a diverging state overflows, and a law far out gives an infinite balance and
+    # inf/inf a NaN step: the band's, the closure's and march's checks report them
     with np.errstate(over="ignore", invalid="ignore"):
         march(traj, cfg, (np.asarray(scn.w0(pts), dtype=float),), advance, cfg.dt)
     traj.counters["band_factorizations"] = sum(band.factorizations for band in bands)
@@ -301,7 +300,7 @@ class _Band:
         ab[0, :, 2:] = -lam * af[:, 1:]
         ab[2, :, :m - 2] = -lam * af[:, :-1]
         if not np.isfinite(ab).all():
-            raise RuntimeError(_NONFINITE)
+            raise RuntimeError("non-finite diffusion band")
         # the diagonals of banded storage, on arrays owned here
         ab = ab.reshape(3, n_lines * m)
         gttrf, gttrs = _lapack()
@@ -330,7 +329,8 @@ def _line_responses(band, w_old, h, dt, af, src, bc_lo, bc_hi):
     caching the ends' unit responses then.  A step solves one right-hand
     side.  Returns the (lines, m) solution with every flux end held at
     zero, and {end: read-only response to a unit value there} for each
-    flux end, "lo" and/or "hi".
+    flux end, "lo" and/or "hi".  A non-finite band or right-hand side
+    raises RuntimeError; the latter is a step's one check of its input.
     """
     n_lines, m = w_old.shape
     kinds = (bc_lo[0], bc_hi[0])
@@ -347,7 +347,7 @@ def _line_responses(band, w_old, h, dt, af, src, bc_lo, bc_hi):
     for i, (kind, value) in ((0, bc_lo), (m - 1, bc_hi)):
         rhs[:, i] = value if kind == "dirichlet" else 0.0
     if not np.isfinite(rhs).all():
-        raise RuntimeError(_NONFINITE)
+        raise RuntimeError("non-finite explicit source or boundary data")
     base = _lapack()[1](*band.lu, rhs.reshape(-1, 1), overwrite_b=True)[0]
     return base.reshape(n_lines, m), band.resp
 
@@ -650,7 +650,5 @@ def _close_lines(band, h, dt, w_old, src, base, af, data, varphi, bc_tol):
                        (2.0 / h) * lay.data(data[end], n_lines))
     if lay is _Floats:
         return _close(bound, varphi, states, bc_tol)
-    # a law that overflows far out gives an infinite balance, and inf/inf a NaN step
-    with np.errstate(over="ignore", invalid="ignore"):
-        ends, err, calls = _close(bound, varphi, states, bc_tol)
+    ends, err, calls = _close(bound, varphi, states, bc_tol)
     return {end: b[:, None] for end, b in ends.items()}, float(np.max(err)), calls

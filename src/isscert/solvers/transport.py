@@ -88,12 +88,13 @@ def solve_transport(scn: TransportScenario, grid: Grid, cfg: SolverConfig) -> Tr
     if grid.layout != "cell":
         raise ValueError("transport runs need a cell-centered Grid")
     h = grid.h
-    masses = []
+    top_mass = 0.0
 
     def advance(t, dt_max, state, step):
+        nonlocal top_mass
         (rho,) = state
         mass = h * float(rho.sum())
-        masses.append(abs(mass))
+        top_mass = max(top_mass, abs(mass))
         speed = float(scn.speed_map(mass))
         if not (np.isfinite(speed) and speed > 0):
             raise AssumptionViolationError(
@@ -115,7 +116,7 @@ def solve_transport(scn: TransportScenario, grid: Grid, cfg: SolverConfig) -> Tr
     })
     # no speed exceeds the sup, so no step but the last is shorter than at it
     dt_min = capped_dt(cfg.dt or np.inf, scn.speed_map.sup, h, cfg.cfl_sigma)
-    dts = march(traj, cfg, (np.asarray(scn.rho0(grid.points()), dtype=float),), advance, dt_min)
-    traj.meta.update(dt_min=min(dts), dt_max=max(dts), steps=len(dts))
-    traj.counters["max_abs_mass"] = max(max(masses), abs(h * float(traj.state(-1).sum())))
+    march(traj, cfg, (np.asarray(scn.rho0(grid.points()), dtype=float),), advance, dt_min)
+    traj.meta.update((key, traj.counters[key]) for key in ("dt_min", "dt_max", "steps"))
+    traj.counters["max_abs_mass"] = max(top_mass, abs(h * float(traj.state(-1).sum())))
     return traj

@@ -114,5 +114,6 @@ def solve_wave(scn: WaveScenario, grid: Grid, cfg: SolverConfig) -> Trajectory:
         "scenario": scn.label,
     })
     dt_min = capped_dt(cfg.dt or np.inf, c, h, cfg.cfl_sigma)
-    traj.meta["steps"] = len(march(traj, cfg, (plus, minus), advance, dt_min))
+    march(traj, cfg, (plus, minus), advance, dt_min)
+    traj.meta["steps"] = traj.counters["steps"]
     return traj

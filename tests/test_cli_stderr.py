@@ -2,6 +2,10 @@
 warning before it."""
 
 import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -43,3 +47,25 @@ def test_cli_run_prints_one_line_and_no_numpy_warning(tmp_path, capsys, recwarn,
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == code
     assert capsys.readouterr().err == message.format(out=tmp_path / "out" / demo) + "\n"
     assert not recwarn.list
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("argv", [["run", "parabolic_demo"], ["verify", "trunc"],
+                                  ["list-scenarios"]], ids=lambda argv: argv[0])
+def test_a_closed_stdout_is_one_output_error_and_exit_2(tmp_path, argv):
+    # the read end closes before the command starts, so its first write to
+    # stdout, or the flush, fails; this once gave a traceback and exit 1
+    # ("violations")
+    read, write = os.pipe()
+    os.close(read)
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "isscert", *argv], cwd=tmp_path,
+                              stdout=write, stderr=subprocess.PIPE, text=True, timeout=300,
+                              env={**os.environ, "PYTHONPATH": path,
+                                   "ISSCERT_OUT": str(tmp_path / "out")})
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (2, "output error: stdout: Broken pipe\n")

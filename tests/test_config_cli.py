@@ -345,7 +345,6 @@ def _diverging_demo(tmp_path, demo="parabolic_demo", **scenario):
     return cfg
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("demo", ["parabolic_demo", "parabolic_2d_demo"])
 def test_cli_run_diverging_flux_closure_exits_2(tmp_path, capsys, demo):
     cfg = _diverging_demo(tmp_path, demo)
@@ -354,7 +353,6 @@ def test_cli_run_diverging_flux_closure_exits_2(tmp_path, capsys, demo):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_cli_run_non_finite_source_exits_2(tmp_path, capsys):
     cfg = _diverging_demo(tmp_path, dirichlet_edges=["left", "right"], flux_edges=[])
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2

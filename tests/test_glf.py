@@ -8,7 +8,7 @@ import pytest
 from isscert.config import (_constant_speed as constant_speed, _cubic as cubic,
                             _identity as identity, _reciprocal_speed as reciprocal_speed)
 from isscert.fields import Grid, Trajectory
-from isscert.glf import (GlfSeries, GlfSpec, components,
+from isscert.glf import (GlfSpec, components,
                          default_transport_rate, dissipation_rate,
                          dissipation_report, glf_for_parabolic,
                          glf_for_transport, glf_for_wave, invert_monotone,

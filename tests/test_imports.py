@@ -1,7 +1,8 @@
-"""Every name a src module imports is used in that module, and every
-private top-level name src defines is read somewhere in src.  Only a
-parabolic run's steps load anything of scipy: LAPACK's tridiagonal pair,
-from its extension file alone, without the scipy or scipy.linalg package.
+"""Every name a module of src, tests or tools imports is used in that
+module, and every private top-level name src defines is read somewhere
+in src.  Only a parabolic run's steps load anything of scipy: LAPACK's
+tridiagonal pair, from its extension file alone, without the scipy or
+scipy.linalg package.
 
 Package ``__init__`` modules exist to re-export, so the import check skips
 them.  An import statement carrying ``# noqa`` is kept on purpose (for
@@ -16,8 +17,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "isscert"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "isscert"
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+OTHER_MODULES = sorted(p for tree in ("tests", "tools") for p in (ROOT / tree).rglob("*.py")
+                       if p.name != "__init__.py")
 
 
 def unused_imports(source: str) -> list:
@@ -46,6 +50,11 @@ def test_checker_sees_unused_and_noqa():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
 def test_src_module_imports_only_what_it_uses(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", OTHER_MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_test_and_tool_module_imports_only_what_it_uses(path):
     assert unused_imports(path.read_text()) == []
 
 

@@ -1,5 +1,6 @@
 """Tests for the time loop and configuration shared by all steppers."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,6 @@ from isscert.config import bundled_names, load_plan
 from isscert.fields import Grid, Trajectory
 from isscert.solvers import (SolverConfig, SolverDivergedError, solve_parabolic,
                              solve_transport, solve_wave)
-from isscert.solvers import common
 from isscert.solvers.common import march
 
 # bundled demos cut to short horizons whose last step is a partial one
@@ -81,8 +81,9 @@ def test_every_bundled_solve_sizes_its_record_in_closed_form_and_steps_once(name
     # every step but the last dt_min long, so the record holds the stamps or
     # one more (the short step rounding can add); transport_liss's speed
     # follows the mass and only exceeds the sup's step
-    loops, steps = [], common._steps
-    monkeypatch.setattr(common, "_steps", lambda *args: loops.append(1) or steps(*args))
+    loops, reserve = [], Trajectory.reserve
+    monkeypatch.setattr(Trajectory, "reserve",
+                        lambda *args: loops.append(1) or reserve(*args))
     plan = load_plan(name)
     traj = SOLVERS[plan.pde](plan.scenario, plan.grid, plan.solver)
     assert loops == [1]
@@ -92,6 +93,28 @@ def test_every_bundled_solve_sizes_its_record_in_closed_form_and_steps_once(name
         assert rows.pop() >= len(traj)
     else:
         assert rows.pop() in (len(traj), len(traj) + 1)
+
+
+@pytest.mark.parametrize("name", bundled_names())
+def test_every_bundled_run_counts_its_steps_and_dt_range(name):
+    plan = load_plan(name)
+    traj = SOLVERS[plan.pde](plan.scenario, plan.grid, plan.solver)
+    counters, stride = traj.counters, plan.solver.output_stride
+    steps = counters["steps"]
+    assert len(traj) == 1 + -(-steps // stride)
+    assert 0 < counters["dt_min"] <= counters["dt_max"]
+    assert counters["dt_max"] <= (plan.solver.dt or math.inf)
+    # transport and wave meta carry the counters' values; parabolic meta none
+    kept = {"parabolic": (), "transport": ("dt_min", "dt_max", "steps"),
+            "wave": ("steps",)}[plan.pde]
+    assert {key: traj.meta[key] for key in kept} == {key: counters[key] for key in kept}
+    assert not {"dt_min", "dt_max", "steps"}.difference(kept) & traj.meta.keys()
+    if name == "heat_clm_demo":
+        # repeated addition ends t within the stop slack of t_end: no step is cut
+        assert counters["dt_min"] == counters["dt_max"] == 0.001
+    if name == "parabolic_demo":
+        # repeated addition leaves a sliver past the stop slack: a short last step
+        assert counters["dt_min"] < 0.002 == counters["dt_max"]
 
 
 def test_wave_demo_records_every_step_without_slack():
@@ -126,6 +149,7 @@ def test_march_records_the_largest_magnitude_over_every_step():
     assert np.abs(traj.states()).max() == 1.0
     assert traj.counters["max_abs"] == {"u": 7.5}
     assert traj.counters["steps"] == 10
+    assert traj.counters["dt_min"] == traj.counters["dt_max"] == 0.1
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -1258,7 +1258,8 @@ def test_a_run_far_out_solves():
 # ---------------------------------------------------------------------------
 # the diffusion band: factored once per operator, solved once per step
 
-NONFINITE = "non-finite diffusion band or right-hand side"
+NONFINITE_BAND = "non-finite diffusion band"
+NONFINITE_RHS = "non-finite explicit source or boundary data"
 
 
 def gtsv_responses(w_old, h, dt, af, src, kinds, ends):
@@ -1368,12 +1369,12 @@ def test_band_checks_survive_the_cache():
     # a NaN source on the cached band
     bad_src = src.copy()
     bad_src[2, 5] = np.nan
-    with pytest.raises(RuntimeError, match=NONFINITE):
+    with pytest.raises(RuntimeError, match=f"^{NONFINITE_RHS}$"):
         _line_responses(band, w_old, 0.1, 0.01, af, bad_src, *bcs)
     # an infinite face diffusivity when the band is refactored
     bad_af = af.copy()
     bad_af[3, 4] = np.inf
-    with pytest.raises(RuntimeError, match=NONFINITE):
+    with pytest.raises(RuntimeError, match=f"^{NONFINITE_BAND}$"):
         _line_responses(band, w_old, 0.1, 0.01, bad_af, src, *bcs)
     # the memo keeps its last good factorisation
     assert band.factorizations == 1
@@ -1386,7 +1387,7 @@ def test_non_finite_band_on_refactoring_is_a_divergence():
     scn = make_scenario(a=SpaceTimeField.from_signal(TimeSignal.exp_decay(1.0, -1500.0)),
                         gamma1=("left", "right"), gamma2=())
     with np.errstate(over="ignore"), pytest.raises(
-            SolverDivergedError, match=rf"^solver diverged at step 2, t = 0.5 \({NONFINITE}\)$"):
+            SolverDivergedError, match=rf"^solver diverged at step 2, t = 0.5 \({NONFINITE_BAND}\)$"):
         solve_parabolic(scn, Grid(32, layout="node"), SolverConfig(t_end=0.5, dt=0.25))
 
 
@@ -1397,7 +1398,7 @@ def test_non_finite_right_hand_side_on_a_cached_band_is_a_divergence():
                         f=SpaceTimeField.constant(1e308), w0=profile_constant(0.0),
                         gamma1=("left", "right"), gamma2=())
     with np.errstate(over="ignore"), pytest.raises(
-            SolverDivergedError, match=rf"^solver diverged at step 2, t = 2.0 \({NONFINITE}\)$"):
+            SolverDivergedError, match=rf"^solver diverged at step 2, t = 2.0 \({NONFINITE_RHS}\)$"):
         solve_parabolic(scn, Grid(32, layout="node"), SolverConfig(t_end=2.0, dt=1.0))
 
 

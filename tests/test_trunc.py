@@ -4,8 +4,6 @@ The gap properties G4-G8 are checked on seeded random samples; the
 identities are checked to near machine precision.
 """
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
