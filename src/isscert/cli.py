@@ -50,6 +50,18 @@ def _output_error(exc, path) -> int:
     return 2
 
 
+def _stdout(text) -> int:
+    """Write and flush text to stdout: 0, or 2 on an OSError (a closed pipe, a
+    full device), reported, with stdout then on os.devnull for exit's flush."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _output_error(exc, "stdout")
+    return 0
+
+
 def _seed(text) -> int:
     """A nonnegative integer, as numpy's seeding needs."""
     if not text.isdecimal():
@@ -145,7 +157,8 @@ def cmd_run(args) -> int:
             wait_for_csv()
         except OSError as exc:
             return _output_error(exc, out)
-    sys.stdout.write(text)
+    if _stdout(text):
+        return 2
     print(f"wrote {out}", file=sys.stderr)
     return 1 if violations else 0
 
@@ -190,15 +203,15 @@ def cmd_verify(args) -> int:
         path.write_text(text)
     except OSError as exc:
         return _output_error(exc, path)
-    sys.stdout.write(text)
+    if _stdout(text):
+        return 2
     print(f"wrote {path}", file=sys.stderr)
     return 0 if all(ln.passed for ln in lines) else 1
 
 
 def cmd_list(args) -> int:
-    for name in bundled_names():
-        print(f"{name}: {load_config(name)['description']}")
-    return 0
+    return _stdout("".join(f"{name}: {load_config(name)['description']}\n"
+                           for name in bundled_names()))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -226,14 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        code = args.fn(args)
-        sys.stdout.flush()
-    except BrokenPipeError as exc:
-        # stdout's reader has gone: the flush at exit must not fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return _output_error(exc, "stdout")
-    return code
+    return args.fn(args)
 
 
 if __name__ == "__main__":

@@ -152,11 +152,9 @@ class GlfSeries:
 
     times: np.ndarray
     vhat: np.ndarray
-    components: dict
     residuals: np.ndarray
     envelope: np.ndarray
     decay_rate: float
-    slack: np.ndarray
 
     @property
     def max_residual(self) -> float:
@@ -178,23 +176,19 @@ def dissipation_report(traj: Trajectory, spec: GlfSpec, decay_rate: float,
     that leaves the floats is a ValueError.
     """
     times = traj.times
-    vhat, comps = series(traj, spec)
+    vhat, _ = series(traj, spec)
     slack_arr = np.zeros_like(vhat) if slack is None else np.asarray(slack, dtype=float)
     if slack_arr.shape != vhat.shape:
         raise ValueError("slack must align with the trajectory stamps")
-    dts = np.diff(times)
-    residuals = ((vhat[1:] - vhat[:-1]) / dts
-                 + decay_rate * vhat[:-1]
+    residuals = ((vhat[1:] - vhat[:-1]) / np.diff(times) + decay_rate * vhat[:-1]
                  - slack_arr[:-1])
     for name, values in (("Vhat", vhat), ("slack", slack_arr), ("residual", residuals)):
         if not np.isfinite(values).all():
             raise ValueError(f"the {name} series leaves the floats at p = {spec.p:g}, "
                              f"weight rate {spec.r:g}, decay rate {decay_rate:g}")
-    envelope = gronwall_envelope_at(times, np.full_like(vhat, -decay_rate),
-                                    slack_arr, vhat[0])
-    return GlfSeries(times=times, vhat=vhat, components=comps,
-                     residuals=residuals, envelope=envelope,
-                     decay_rate=decay_rate, slack=slack_arr)
+    envelope = gronwall_envelope_at(times, decay_rate, slack_arr, vhat[0])
+    return GlfSeries(times=times, vhat=vhat, residuals=residuals, envelope=envelope,
+                     decay_rate=decay_rate)
 
 
 # ---------------------------------------------------------------------------

@@ -41,9 +41,8 @@ class SolverConfig:
     it at dt when both are given.  bc_tol, finite and positive, bounds the
     error of each flux end's value in the parabolic stepper, on a line
     with two flux ends too: a closure stops on a proven bound at most
-    bc_tol, or where the rounding of its balance allows no better.  The
-    time loop, :func:`march`, records every output_stride-th step, plus
-    the initial and final states, and counts the steps and their dt range.
+    bc_tol, or where the rounding of its balance allows no better.
+    :func:`march` records every output_stride-th step.
     """
 
     t_end: float
@@ -65,29 +64,42 @@ class SolverConfig:
             raise ValueError("output_stride must be at least 1")
 
 
-def march(traj, cfg, state, advance, dt_min):
+def march(traj, cfg, state, advance, dt_min, equal=True):
     """Run the time loop of a solve from t = 0 to cfg.t_end into traj.
 
-    state is the tuple of initial arrays, one per name of traj.names.
-    Step number step adds to t the dt of advance(t, dt_max, state, step),
-    which returns (dt, new state), dt <= dt_max, the time left capped at
-    cfg.dt when given, and passes its exceptions through.  The loop stops
-    once t is within 1e-12*t_end of t_end.  dt_min, the least dt before
-    the last step, sizes traj for ceil(t_end/dt_min) steps plus the short
-    one rounding can add (RecordSizeError if it cannot be).  Every state
-    must be finite (SolverDivergedError(step, t) otherwise).  Records t =
-    0, every output_stride-th step and the last, unchecked by traj, and
-    sets traj.counters "steps", "dt_min" and "dt_max" (the last step
-    included) and "max_abs", each state's largest magnitude by name.
+    state is the tuple of initial arrays, one per name of traj.names. Step
+    number step calls advance(t, dt_max, state, step, clock), which returns
+    (dt, new state), dt <= dt_max, and passes its exceptions through;
+    clock(dt), where advance reads end-of-step data, is the stamp of a step
+    of dt: t_b + j*dt rounded once on a run of equal steps from stamp t_b
+    (fl(k*dt) at a fixed dt), and t_end from t_end - 4 ulp(t_end) on, which
+    ends the loop.  If t_end = K*dt in decimals, dt, t_end and fl(K*dt) each
+    round by a relative u = 2**-53 at most, so fl(K*dt) lies within 3
+    ulp(t_end) of t_end.  dt_max is the time left, or dt_min if that is less
+    than 4 ulp(t_end) short of it, capped at cfg.dt.  traj holds
+    ceil(t_end/dt_min) steps (RecordSizeError if it cannot): with equal,
+    each step but the last is dt_min (parabolic, wave), and M =
+    ceil(fl(t_end/dt_min)) gives fl(M*dt_min) >= t_end*(1 - 2u), so no run
+    takes more; transport's stamps can lag the sum of its dts, so its record
+    holds one step more.  A non-finite state is a SolverDivergedError(step,
+    t).  Records t = 0, every output_stride-th step and the last, unchecked
+    by traj, and sets traj.counters "steps", "dt_min" and "dt_max" (the last
+    step included) and "max_abs", each state's largest magnitude by name.
     """
-    t_end, stride = cfg.t_end, cfg.output_stride
-    t_stop = t_end - 1e-12 * t_end
+    t_end, stride, near = cfg.t_end, cfg.output_stride, 4.0 * math.ulp(cfg.t_end)
     try:
-        traj.reserve(1 + -(-(math.ceil(t_end / dt_min) + 1) // stride))
+        traj.reserve(1 + -(-(math.ceil(t_end / dt_min) + (not equal)) // stride))
     except (MemoryError, ValueError, ArithmeticError) as exc:
         raise RecordSizeError(f"no record holds the steps of dt {dt_min:.4g} up to "
                               f"t = {t_end:g} ({exc})") from exc
     t, step, least, most, reach = 0.0, 0, math.inf, 0.0, [0.0] * len(traj.names)
+    run_dt, base, unit, den, j = None, 0, 0, 1, 0  # stamp j of the run: (base + j*unit)/den
+
+    def clock(dt):
+        end = (t + dt if dt != run_dt else (base + (j + 1) * unit) / den if base
+               else (j + 1) * dt)
+        return t_end if end >= t_end - near else end
+
     while True:
         for i, values in enumerate(state):
             # one reduction checks finiteness (NaN and inf survive it) and the magnitude
@@ -95,15 +107,17 @@ def march(traj, cfg, state, advance, dt_min):
             if not top < math.inf:
                 raise SolverDivergedError(step, t)
             reach[i] = max(reach[i], top)
-        last = t >= t_stop
-        if last or step % stride == 0:
+        if t == t_end or step % stride == 0:
             traj._record(t, state)
-        if last:
+        if t == t_end:
             break
-        rest = t_end - t
-        step += 1
-        dt, state = advance(t, rest if cfg.dt is None else min(cfg.dt, rest), state, step)
-        t += dt
+        rest, step = t_end - t, step + 1
+        dt_max = min(cfg.dt or math.inf, max(rest, dt_min) if rest >= dt_min - near else rest)
+        dt, state = advance(t, dt_max, state, step, clock)
+        if dt != run_dt:
+            (tb, db), (dn, dd) = t.as_integer_ratio(), dt.as_integer_ratio()
+            run_dt, base, unit, den, j = dt, tb * dd, dn * db, db * dd, 0
+        t, j = clock(dt), j + 1
         least, most = min(least, dt), max(most, dt)
     traj.counters.update(steps=step, dt_min=least, dt_max=most,
                          max_abs=dict(zip(traj.names, reach)))

@@ -188,9 +188,9 @@ def solve_parabolic(scn: ParabolicScenario, grid, cfg: SolverConfig) -> Trajecto
     # a constant c is negated once, not every step (negation is exact)
     minus_c = None if c_n.fixed is None else -c_n.fixed
 
-    def advance(t, dt, state, step):
+    def advance(t, dt, state, step, clock):
         (w,) = state
-        tn = t + dt
+        tn = clock(dt)
         src = ((-c_n(t) if minus_c is None else minus_c)
                * np.asarray(scn.reaction(w), dtype=float) + f_n(t))
         try:

@@ -90,7 +90,7 @@ def solve_transport(scn: TransportScenario, grid: Grid, cfg: SolverConfig) -> Tr
     h = grid.h
     top_mass = 0.0
 
-    def advance(t, dt_max, state, step):
+    def advance(t, dt_max, state, step, clock):
         nonlocal top_mass
         (rho,) = state
         mass = h * float(rho.sum())
@@ -116,7 +116,8 @@ def solve_transport(scn: TransportScenario, grid: Grid, cfg: SolverConfig) -> Tr
     })
     # no speed exceeds the sup, so no step but the last is shorter than at it
     dt_min = capped_dt(cfg.dt or np.inf, scn.speed_map.sup, h, cfg.cfl_sigma)
-    march(traj, cfg, (np.asarray(scn.rho0(grid.points()), dtype=float),), advance, dt_min)
+    march(traj, cfg, (np.asarray(scn.rho0(grid.points()), dtype=float),), advance, dt_min,
+          equal=False)
     traj.meta.update((key, traj.counters[key]) for key in ("dt_min", "dt_max", "steps"))
     traj.counters["max_abs_mass"] = max(top_mass, abs(h * float(traj.state(-1).sum())))
     return traj

@@ -95,14 +95,14 @@ def solve_wave(scn: WaveScenario, grid: Grid, cfg: SolverConfig) -> Trajectory:
 
     f_y = scn.f.bind(y)
 
-    def advance(t, dt_max, state, step):
+    def advance(t, dt_max, state, step, clock):
         plus, minus = state
         dt = capped_dt(dt_max, c, h, cfg.cfl_sigma)
         nu = c * dt / h
         fvals = f_y(t)
         plus_new = plus.copy()
         plus_new[:-1] += nu * (plus[1:] - plus[:-1]) + dt * fvals[:-1]
-        plus_new[-1] = c * float(scn.d(t + dt))
+        plus_new[-1] = c * float(scn.d(clock(dt)))
         minus_new = minus.copy()
         minus_new[1:] += -nu * (minus[1:] - minus[:-1]) + dt * fvals[1:]
         minus_new[0] = -plus_new[0]

@@ -18,11 +18,12 @@ G1-G3 and scaling directly.  Everything downstream leans on them.
 The module also carries the two workhorse scalar facts used by every decay
 argument in this package: Young's product inequality with a free splitting
 parameter, and the Gronwall upper envelope for linear differential
-inequalities, evaluated with composite-trapezoid quadrature.
+inequalities, a composite trapezoid rule carried one interval at a time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,29 +91,25 @@ def property_sides(pair, prop_id, args):
     if prop_id not in GAP_PROPERTY_IDS:
         raise ValueError(f"unknown property id {prop_id!r}")
     if len(args) != GAP_PROPERTY_IDS[prop_id]:
-        raise ValueError(
-            f"{prop_id} takes {GAP_PROPERTY_IDS[prop_id]} arguments, got {len(args)}"
-        )
+        raise ValueError(f"{prop_id} takes {GAP_PROPERTY_IDS[prop_id]} arguments, got {len(args)}")
     G, g, p = pair.G, pair.g, pair.p
+    names = ("s", "tau", "m" if prop_id == "G7" else "eps")
+    s, tau, *third = (_as_finite(a, n) for a, n in zip(args, names))
     if prop_id == "G4":
-        s, tau = (_as_finite(a, n) for a, n in zip(args, ("s", "tau")))
         return G(s), G(s + tau) + G(s - tau)
     if prop_id == "G5":
-        s, tau = (_as_finite(a, n) for a, n in zip(args, ("s", "tau")))
         return G(np.abs(s) + tau), G(s + tau) + G(-s + tau)
     if prop_id == "G6":
-        s, tau = (_as_finite(a, n) for a, n in zip(args, ("s", "tau")))
         return G(s + tau), 2.0**p * (G(s) + G(tau))
     if prop_id == "G7":
-        s, tau, m = (_as_finite(a, n) for a, n in zip(args, ("s", "tau", "m")))
+        (m,) = third
         if np.any(m < 0):
             raise ValueError("G7 requires m >= 0")
         rhs = 2.0**p * (
             G(s + tau - m) + G(s - tau - m) + G(-s + tau - m) + G(-s - tau - m)
         ) + 2.0**p * G(m)
         return G(np.abs(s)), rhs
-    # G8
-    s, tau, eps = (_as_finite(a, n) for a, n in zip(args, ("s", "tau", "eps")))
+    (eps,) = third  # G8
     if np.any(eps <= 0):
         raise ValueError("G8 requires eps > 0")
     return g(s) * tau, eps * G(s) + (p / eps) ** p * G(tau)
@@ -142,37 +139,27 @@ def young_epsilon_gap(r_exp, q_exp, a, b, eps):
     return _scalar_or_array(eps * a**r + c_eps * b**q - a * b)
 
 
-def _cumtrapz(y, x):
-    # cumulative composite trapezoid with a leading zero
-    out = np.empty_like(y)
-    out[0] = 0.0
-    np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x), out=out[1:])
-    return out
-
-
-def gronwall_envelope_at(times, phi, psi, eta0):
-    """Gronwall envelope on an arbitrary increasing time lattice.
-
-    Returns the array
-
-        env(t_i) = exp(I(0, t_i)) * eta0
-                   + integral over (0, t_i) of exp(I(s, t_i)) * psi(s) ds,
-
-    where I(s, t) is the integral of phi over (s, t), every integral taken
-    by composite trapezoid on the given lattice.  Any eta with
-    eta' <= phi*eta + psi and eta(0) <= eta0 stays below env up to
-    quadrature error.  An envelope past the floats is a ValueError.
+def gronwall_envelope_at(times, rate, psi, eta0):
+    """Gronwall envelope on an increasing time lattice: env(t_0) = eta0 and
+    env(t_{i+1}) = a_i*env(t_i) + (dt_i/2)*(a_i*psi(t_i) + psi(t_{i+1})),
+    dt_i = t_{i+1} - t_i and a_i = exp(-rate*dt_i), on Python floats: the
+    composite trapezoid rule for e^{-rate*t}*eta0 + integral over (0, t) of
+    e^{-rate*(t-s)}*psi(s) ds.  Any eta with eta' <= -rate*eta + psi and
+    eta(0) <= eta0 stays below env up to quadrature error.  At rate >= 0 no
+    a_i exceeds 1, so no term grows past the envelope; an envelope past the
+    floats is a ValueError.
     """
     t = _as_finite(times, "times")
-    phi = _as_finite(phi, "phi")
     psi = _as_finite(psi, "psi")
-    if t.ndim != 1 or t.shape != phi.shape or t.shape != psi.shape:
-        raise ValueError("times, phi, psi must be 1-d arrays of equal length")
-    if t.size < 1:
-        raise ValueError("need at least one time stamp")
+    if t.ndim != 1 or t.shape != psi.shape or t.size < 1:
+        raise ValueError("times and psi must be nonempty 1-d arrays of equal length")
     if np.any(np.diff(t) <= 0):
         raise ValueError("times must be strictly increasing")
-    big_phi = _cumtrapz(phi, t)
-    inner = _cumtrapz(np.exp(-big_phi) * psi, t)
-    return _as_finite(np.exp(big_phi) * (float(eta0) + inner), "the Gronwall envelope")
-
+    ts, ps, out, rate = t.tolist(), psi.tolist(), [float(eta0)], float(rate)
+    try:
+        for t0, t1, p0, p1 in zip(ts, ts[1:], ps, ps[1:]):
+            a = math.exp(-rate * (t1 - t0))
+            out.append(a * out[-1] + 0.5 * (t1 - t0) * (a * p0 + p1))
+    except OverflowError:  # a growth factor past the floats
+        out.append(math.inf)
+    return _as_finite(out, "the Gronwall envelope")

@@ -196,9 +196,10 @@ def test_energy_and_check_share_the_truncation_level():
 
 
 def test_energy_level_is_read_at_the_last_stamp():
-    # 2000 steps of 0.001 sum to just short of t_end = 2, so the run's
-    # last stamp is not t_end; the forcing and the Dirichlet data still rise
-    # there, and sup|d1| enters the level as it is
+    # the run's last stamp is t_end = 2 to the bit, after 2000 steps of
+    # 0.001 (repeated addition once ended just short of it); the forcing and
+    # the Dirichlet data still rise there, and sup|d1| enters the level as
+    # it is
     doc = load_config("parabolic_demo")
     doc["grid"]["n"] = 20
     doc["solver"] = {"t_end": 2.0, "dt": 0.001, "output_stride": 50}
@@ -207,7 +208,7 @@ def test_energy_level_is_read_at_the_last_stamp():
             "kind": "polynomial", "coeffs": coeffs}}
     plan = build_plan(doc)
     res = run_plan(plan)
-    assert res.traj.times[-1] < plan.solver.t_end
+    assert res.traj.times[-1] == plan.solver.t_end
     assert len(res.bounds) == len(plan.checks) == 3
     for bound in res.bounds:
         assert res.spec.level == bound.series["level"][-1]

@@ -26,11 +26,11 @@ from isscert.config import load_config
      "config error: checks[0].kind: heat_clm needs Dirichlet data identically 0"),
     ("parabolic_demo", {"scenario.diffusion": {"kind": "uniform", "signal": {
         "kind": "exp_decay", "amplitude": 1.0, "rate": -800.0, "offset": 1.0}}}, 2,
-     "solver error: solver diverged at step 437, t = 0.8740000000000007 "
+     "solver error: solver diverged at step 437, t = 0.874 "
      "(non-finite flux boundary balance)"),
     ("wave_demo", {"scenario.boundary_data": {"kind": "exp_decay", "amplitude": 1.0e-300,
                                               "rate": -800.0}}, 2,
-     "solver error: solver diverged at step 395, t = 0.8887499999999929"),
+     "solver error: solver diverged at step 395, t = 0.8887499999999999"),
     ("transport_global", {"scenario.initial": {"kind": "bump", "amplitude": 1.0,
                                                "center": 0.5, "halfwidth": 1.0e-310}}, 0,
      "wrote {out}"),
@@ -69,3 +69,18 @@ def test_a_closed_stdout_is_one_output_error_and_exit_2(tmp_path, argv):
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (2, "output error: stdout: Broken pipe\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("argv", [["run", "parabolic_demo"], ["verify", "trunc"],
+                                  ["list-scenarios"]], ids=lambda argv: argv[0])
+def test_a_full_stdout_is_one_output_error_and_exit_2(tmp_path, argv):
+    # every write to /dev/full fails with ENOSPC, at the latest when stdout
+    # is flushed; this once gave an OSError traceback and exit 1
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "isscert", *argv], cwd=tmp_path,
+                              stdout=full, stderr=subprocess.PIPE, text=True, timeout=300,
+                              env={**os.environ, "PYTHONPATH": path,
+                                   "ISSCERT_OUT": str(tmp_path / "out")})
+    assert (proc.returncode, proc.stderr) == (2, "output error: stdout: No space left on device\n")

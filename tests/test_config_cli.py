@@ -471,11 +471,14 @@ def test_cli_run_post_solve_errors_exit_2(tmp_path, capsys, monkeypatch, demo, e
 
 
 @pytest.mark.parametrize("demo,edits,message", [
-    # the envelope exp(-599 t) * integral of exp(599 s) * slack overflows; this
-    # run once exited 0 with status=ok, max_envelope_excess=nan and three
+    # the forcing slack 4*(p/eps)**p * E_plus(|f|) is 1.6e201 times a weighted
+    # energy of order e^300/300 and overflows; at eps = 1 this run's envelope
+    # exp(-599 t) * integral of exp(599 s) * slack once overflowed, and before
+    # that it exited 0 with status=ok, max_envelope_excess=nan and three
     # numpy warnings
-    ("wave_demo", {"energy": {"p": 2.0, "rate": 300.0}},
-     "energy error: the Gronwall envelope must be finite"),
+    ("wave_demo", {"energy": {"p": 2.0, "rate": 300.0, "eps": 1e-100}},
+     "energy error: the slack series leaves the floats at p = 2, weight rate 300, "
+     "decay rate 600"),
     ("parabolic_demo", {"energy": {"p": 400.0}, "checks": [],
                         "scenario.initial": {"kind": "constant", "value": 30.0}},
      "energy error: the Vhat series leaves the floats at p = 400, weight rate 0, "
@@ -493,6 +496,28 @@ def test_cli_run_energy_past_the_floats_exits_2(tmp_path, capsys, recwarn, demo,
     assert capsys.readouterr().err == message + "\n"
     assert not recwarn.list
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("rate", [200.0, 300.0, 700.0])
+def test_cli_run_wave_energy_at_steep_weights_keeps_a_finite_envelope(tmp_path, capsys,
+                                                                       recwarn, rate):
+    # the decay rate c*rate/2 reaches 700, and exp(decay rate * t) leaves the
+    # floats within t_end = 3: a form that multiplies exp(Phi) by exp(-Phi)
+    # refused these runs ("the Gronwall envelope must be finite"), though
+    # the envelope stays bounded; the recurrence keeps every factor at most 1
+    doc = load_config("wave_demo")
+    doc["energy"] = {"p": 2.0, "rate": rate}
+    cfg = tmp_path / "steep.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert not recwarn.list
+    out = tmp_path / "out" / "wave_demo"
+    envelope = np.loadtxt(out / "glf.csv", delimiter=",", skiprows=1, usecols=3)
+    assert envelope.size > 2 and np.isfinite(envelope).all()
+    energy = next(line for line in (out / "report.txt").read_text().splitlines()
+                  if line.startswith("energy p="))
+    assert float(energy.rsplit("max_envelope_excess=", 1)[1]) <= 0.0
 
 
 def test_wave_weight_rate_up_to_the_float_limit_builds():
@@ -1068,8 +1093,9 @@ def test_cli_run_writer_failure_exits_2(tmp_path, capsys, monkeypatch, counted_f
 
 
 @pytest.mark.parametrize("demo,edits,message", [
-    ("wave_demo", {"energy": {"p": 2.0, "rate": 300.0}},
-     "energy error: the Gronwall envelope must be finite"),
+    ("wave_demo", {"energy": {"p": 2.0, "rate": 300.0, "eps": 1e-100}},
+     "energy error: the slack series leaves the floats at p = 2, weight rate 300, "
+     "decay rate 600"),
     # 8 e^{4m/c} = 8 e^{700} is finite, and so is the bound at zero norms;
     # times the initial norm of a velocity of amplitude 8e4 it leaves the floats
     ("wave_demo", {"checks": [{"kind": "wave_m", "q": 2, "m": 350.0, "tol": 0.0}],
@@ -1078,7 +1104,7 @@ def test_cli_run_writer_failure_exits_2(tmp_path, capsys, monkeypatch, counted_f
      "check error: the bound at q=2.0 is not finite"),
     ("parabolic_demo", {"scenario.diffusion": {"kind": "uniform", "signal": {
         "kind": "exp_decay", "amplitude": 1.0, "rate": -800.0, "offset": 1.0}}},
-     "solver error: solver diverged at step 437, t = 0.8740000000000007 "
+     "solver error: solver diverged at step 437, t = 0.874 "
      "(non-finite flux boundary balance)"),
 ], ids=["wave_envelope", "bound_past_the_floats", "diffusion_overflow"])
 def test_cli_run_failing_after_the_writer_started_leaves_nothing(

@@ -112,10 +112,10 @@ checks:
 
 # recorded with the toolchain of the golden list
 PROFILED_2D_SHA256 = {
-    "check00_parabolic_q_q2.csv": "cda1a67faa173723b58a64652d22023f22d68cab44067d531c469905553ed318",
-    "glf.csv": "408f7abfc35c2b8f6ab84e1b8e6a86901f41051aaa6a2ea57d95443704c2aa7e",
+    "check00_parabolic_q_q2.csv": "9b25e177dcfa73bde4d13da060253a2c2d13ce40229c8b79e86859189d3161e4",
+    "glf.csv": "b204d515c87b54c748035907f70ac6a21efe38f55ec8cdff08deedf03ce4cafb",
     "report.txt": "317ef5e2bd622b7114474e0270ef272a8bdc61507c747c5414ab393ac4ab0251",
-    "trajectory.csv": "7e5ab411346ab9da4352e614df5f340826973c2333dc57d9a9ae45cb1c4b0e7d",
+    "trajectory.csv": "689852467d6edd38520e0cbf408a8ee1ffed2d050ab1c970da99b48bdf73218d",
     "trajectory_meta.yaml": "df766643bbd3cd0c1940ce8ca61685128e9c12e30bcd4eb8a1e19bb50388237d",
 }
 

@@ -3,7 +3,10 @@
 ``perfbench/tracing.py`` replaces functions by name on ``isscert``'s
 modules, so renaming one of them in ``src`` breaks traced benchmark runs.
 These tests install the hooks, run traced parabolic, wave and transport
-runs, and undo them.
+runs, and undo them.  A parabolic trajectory's meta carries no step
+count, so the benchmark replays the time loop (``parabolic_steps``) for
+``solvers.steps``; a test checks that replay against the solver's own
+count.
 """
 
 import importlib.util
@@ -17,17 +20,24 @@ import isscert.fields
 import isscert.glf
 import isscert.verify
 from isscert.cli import main
+from isscert.config import bundled_names, load_plan
+from isscert.solvers import solve_parabolic
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+WORKLOADS = TRACING.with_name("workloads.py")
 PATCHED = (isscert.certify, isscert.cli, isscert.glf, isscert.verify,
            isscert.fields.Trajectory)
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_tracing():
+    return _load("perfbench_tracing", TRACING)
 
 
 def test_tracing_hooks_install_and_undo():
@@ -110,3 +120,22 @@ def test_traced_verify_all_matches_untraced(tmp_path, capsys):
     solves = [span for span in tracer.spans if span[0] == "solvers.solve"]
     assert {suite(span) for span in solves} == {
         "verify.suite.parabolic", "verify.suite.transport", "verify.suite.wave"}
+
+
+def test_the_benchmark_replays_every_parabolic_step_count(tmp_path):
+    # every bundled parabolic demo and every config of one seed-11 round of
+    # the parabolic workloads: parabolic_steps, which solvers.steps counts,
+    # must agree with the time loop; on these runs t_end is a whole number
+    # of steps, so none is cut and each sweep factors its band once
+    tracing, workloads = _load_tracing(), _load("perfbench_workloads", WORKLOADS)
+    plans = [plan for plan in map(load_plan, bundled_names()) if plan.pde == "parabolic"]
+    for workload in ("parabolic_2d_flux", "parabolic_1d_mixed"):
+        ops = workloads.generate(workload, 11)[:workloads.round_length(workload)]
+        plans += [load_plan(op["config"])
+                  for op in workloads.write_configs(ops, tmp_path / workload)]
+    assert len(plans) == 13
+    for plan in plans:
+        counters = solve_parabolic(plan.scenario, plan.grid, plan.solver).counters
+        cfg = plan.solver
+        assert counters["steps"] == tracing.parabolic_steps(cfg.t_end, cfg.dt), plan.name
+        assert counters["band_factorizations"] == plan.grid.dim, plan.name

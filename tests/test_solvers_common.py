@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ def test_loop_records_start_every_stride_th_step_and_the_last(pde):
     else:
         assert every.meta["steps"] == steps
     assert every.times[0] == 0.0
-    assert abs(every.times[-1] - t_end) <= 1e-12 * t_end
+    assert every.times[-1] == t_end
     for stride in (2, 5, steps, 10 * steps):
         traj = solve(stride)
         kept = [k for k in range(steps + 1) if k % stride == 0 or k == steps]
@@ -56,10 +57,10 @@ def test_cfl_sigma_defaults_to_0_9():
 @pytest.mark.parametrize("pde", sorted(LOOP_CASES))
 @pytest.mark.parametrize("stride", [1, 3, 10**6])
 def test_fixed_step_runs_size_their_record_exactly(pde, stride):
-    # the parabolic dt and the constant wave speed fix every step before
-    # the run, so ceil(t_end/dt) steps, plus the one short step rounding can
-    # add, size the record to its stamps or one more; transport steps follow
-    # the mass, bounded below by the step at the speed's sup
+    # the parabolic dt and the constant wave speed fix every step but the
+    # last before the run, so ceil(t_end/dt) steps size the record to its
+    # stamps; transport steps follow the mass, bounded below by the step at
+    # the speed's sup
     solver, demo, t_end = LOOP_CASES[pde]
     plan = load_plan(demo)
     traj = solver(plan.scenario, plan.grid,
@@ -69,7 +70,7 @@ def test_fixed_step_runs_size_their_record_exactly(pde, stride):
     if pde == "transport":
         assert rows.pop() >= len(traj)
     else:
-        assert rows.pop() in (len(traj), len(traj) + 1)
+        assert rows.pop() == len(traj)
 
 
 SOLVERS = {"parabolic": solve_parabolic, "transport": solve_transport, "wave": solve_wave}
@@ -77,10 +78,10 @@ SOLVERS = {"parabolic": solve_parabolic, "transport": solve_transport, "wave": s
 
 @pytest.mark.parametrize("name", bundled_names())
 def test_every_bundled_solve_sizes_its_record_in_closed_form_and_steps_once(name, monkeypatch):
-    # a fixed dt, a constant wave speed or a constant transport speed make
-    # every step but the last dt_min long, so the record holds the stamps or
-    # one more (the short step rounding can add); transport_liss's speed
-    # follows the mass and only exceeds the sup's step
+    # a fixed dt or a constant wave speed make every step but the last
+    # dt_min long, so the record holds the stamps; transport keeps one slot
+    # more, and transport_liss's speed follows the mass and only exceeds
+    # the sup's step
     loops, reserve = [], Trajectory.reserve
     monkeypatch.setattr(Trajectory, "reserve",
                         lambda *args: loops.append(1) or reserve(*args))
@@ -92,7 +93,7 @@ def test_every_bundled_solve_sizes_its_record_in_closed_form_and_steps_once(name
     if name == "transport_liss":
         assert rows.pop() >= len(traj)
     else:
-        assert rows.pop() in (len(traj), len(traj) + 1)
+        assert rows.pop() == len(traj) + (plan.pde == "transport")
 
 
 @pytest.mark.parametrize("name", bundled_names())
@@ -109,21 +110,22 @@ def test_every_bundled_run_counts_its_steps_and_dt_range(name):
             "wave": ("steps",)}[plan.pde]
     assert {key: traj.meta[key] for key in kept} == {key: counters[key] for key in kept}
     assert not {"dt_min", "dt_max", "steps"}.difference(kept) & traj.meta.keys()
-    if name == "heat_clm_demo":
-        # repeated addition ends t within the stop slack of t_end: no step is cut
-        assert counters["dt_min"] == counters["dt_max"] == 0.001
-    if name == "parabolic_demo":
-        # repeated addition leaves a sliver past the stop slack: a short last step
-        assert counters["dt_min"] < 0.002 == counters["dt_max"]
+    # every run's last stamp is t_end, to the bit
+    assert traj.times[-1] == plan.solver.t_end
+    if plan.pde == "parabolic":
+        # t_end is a whole number of steps: none is cut, so each sweep
+        # factors its band once
+        assert counters["dt_min"] == counters["dt_max"] == plan.solver.dt
+        assert counters["band_factorizations"] == plan.grid.dim
 
 
 def test_wave_demo_records_every_step_without_slack():
     # the wave run of `verify wave` records 1335 stamps, which doubling
-    # held in 2048 rows; the closed-form size holds them, or one more
+    # held in 2048 rows; the closed-form size holds them exactly
     plan = load_plan("wave_demo")
     traj = solve_wave(plan.scenario, plan.grid, replace(plan.solver, output_stride=1))
     assert len(traj) == 1335
-    assert traj._times.size == traj._data["plus"].shape[0] in (1335, 1336)
+    assert traj._times.size == traj._data["plus"].shape[0] == 1335
 
 
 def spiky_march(spikes, stride):
@@ -131,7 +133,7 @@ def spiky_march(spikes, stride):
     default) at one node, dt 0.1 up to t = 1."""
     traj = Trajectory("parabolic", Grid(8))
 
-    def advance(t, dt_max, state, step):
+    def advance(t, dt_max, state, step, clock):
         w = np.zeros(9)
         w[4] = spikes.get(step, 1.0)
         return dt_max, (w,)
@@ -144,8 +146,8 @@ def spiky_march(spikes, stride):
 def test_march_records_the_largest_magnitude_over_every_step():
     # the spike at step 3 falls between the recorded stamps 0, 5 and 10
     traj = spiky_march({3: -7.5}, stride=5)
-    # 3 stamps, in a record sized for them or one more
-    assert len(traj) == 3 and traj._times.size in (3, 4)
+    # 3 stamps, in a record sized for them
+    assert len(traj) == 3 and traj._times.size == 3
     assert np.abs(traj.states()).max() == 1.0
     assert traj.counters["max_abs"] == {"u": 7.5}
     assert traj.counters["steps"] == 10
@@ -157,3 +159,71 @@ def test_march_reports_a_non_finite_state_at_its_step(bad):
     with pytest.raises(SolverDivergedError, match=r"^solver diverged at step 4, t = 0.4$") as info:
         spiky_march({4: bad}, stride=5)
     assert info.value.step == 4
+
+
+def clocked_march(t_end, dt, cut=None):
+    """A march of zero states from t = 0 to t_end at dt (cut(step, dt_max),
+    if given, picks a step's dt); the record and each step's (t, dt_max,
+    dt, clock(dt))."""
+    traj, seen = Trajectory("parabolic", Grid(8)), []
+
+    def advance(t, dt_max, state, step, clock):
+        dt = dt_max if cut is None else cut(step, dt_max)
+        seen.append((t, dt_max, dt, clock(dt)))
+        return dt, state
+
+    march(traj, SolverConfig(t_end=t_end, dt=dt), (np.zeros(9),), advance, dt_min=dt)
+    return traj, seen
+
+
+@pytest.mark.parametrize("t_end,dt", [(2.0, 0.001), (1.5, 0.002), (0.3, 0.004),
+                                      (1.0, 0.1), (7.03125, 0.00703125), (3.0, 0.00225)])
+def test_a_fixed_dt_run_stamps_k_dt_rounded_once_and_ends_at_t_end(t_end, dt):
+    # k*dt is a product of floats rounded once; the last stamp is t_end to
+    # the bit, and only a step the time left cuts by more than 4 ulp(t_end)
+    # is shorter than dt
+    traj, seen = clocked_march(t_end, dt)
+    k = np.arange(len(traj))
+    assert np.array_equal(traj.times[:-1], k[:-1] * dt)
+    assert traj.times[-1] == t_end
+    assert [end for *_, end in seen] == list(traj.times[1:])
+    dts = [dt_step for _, _, dt_step, _ in seen]
+    assert dts[:-1] == [dt] * (len(dts) - 1)
+    near = 4 * math.ulp(t_end)
+    assert dts[-1] == dt if t_end - traj.times[-2] >= dt - near else t_end - traj.times[-2]
+    assert len(traj) - 1 == math.ceil(t_end / dt) == traj._times.size - 1
+
+
+def test_a_step_within_the_rounding_bound_of_t_end_keeps_its_dt():
+    # ten additions of 0.1 leave 0.9999999999999999, and the old stop rule
+    # cut or skipped the last step; 10*0.1 rounds to 1.0, and the step that
+    # starts at 9*0.1, 0.09999999999999998 short of t_end, keeps dt = 0.1
+    traj, seen = clocked_march(1.0, 0.1)
+    t9, dt_max, dt, end = seen[-1]
+    assert (t9, 1.0 - t9) == (0.9, 0.09999999999999998)
+    assert (dt_max, dt, end) == (0.1, 0.1, 1.0)
+    assert traj.counters["steps"] == 10
+    assert traj.counters["dt_min"] == traj.counters["dt_max"] == 0.1
+
+
+def test_a_short_last_step_takes_the_time_left_and_lands_on_t_end():
+    # 0.25 is no whole number of 0.1-steps: the third step takes the time
+    # left, 0.04999999999999999, a new run of one step, stamped t_end
+    traj, seen = clocked_march(0.25, 0.1)
+    assert list(traj.times) == [0.0, 0.1, 0.2, 0.25]
+    assert seen[-1][1:] == (0.25 - 0.2, 0.25 - 0.2, 0.25)
+
+
+def test_a_run_of_equal_steps_after_a_change_stamps_its_base_plus_j_dt_rounded_once():
+    # steps of 0.3 after a first step of 0.1: stamp 0.1 + j*0.3 rounded once
+    # from the exact sum, where adding 0.3 to the last stamp j times drifts
+    traj, seen = clocked_march(3.1, 0.3, cut=lambda step, dt_max: min(dt_max, 0.1)
+                               if step == 1 else dt_max)
+    expect = [float(Fraction(0.1) + j * Fraction(0.3)) for j in range(len(traj) - 2)]
+    assert list(traj.times[1:-1]) == expect
+    assert traj.times[-1] == 3.1
+    drift, t = [], 0.1
+    for _ in range(len(traj) - 3):
+        t += 0.3
+        drift.append(t)
+    assert drift != expect[1:]

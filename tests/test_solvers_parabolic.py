@@ -1038,6 +1038,21 @@ def test_bundled_runs_count_their_closures(name):
 # batched 2-D stepper against one line solve at a time
 
 
+def fixed_dt_steps(t_end, dt):
+    """(t, dt, t + dt) of each step of a fixed-dt run, on march's clock:
+    stamp k is k*dt rounded once and the last is t_end; a last step is
+    cut to the time left only where that falls short of dt by more than
+    4 ulp(t_end)."""
+    near, t, k, steps = 4 * math.ulp(t_end), 0.0, 0, []
+    while t < t_end:
+        k += 1
+        step = dt if t_end - t >= dt - near else t_end - t
+        end = k * dt if step == dt else t + step
+        steps.append((t, step, t_end if end >= t_end - near else end))
+        t = steps[-1][2]
+    return steps
+
+
 def explicit_source(scn, pts, t, w):
     """-c phi(w) + f at the points, the fields evaluated anew."""
     return (-np.asarray(scn.c(pts, t), dtype=float) * np.asarray(scn.reaction(w), dtype=float)
@@ -1058,10 +1073,8 @@ def per_line_2d(scn, grid, cfg):
     xs, ys = X[:, 0], Y[0, :]
     xf, yf = 0.5 * (xs[:-1] + xs[1:]), 0.5 * (ys[:-1] + ys[1:])
     w = np.asarray(scn.w0((X, Y)), dtype=float)
-    states, t = [w], 0.0
-    while t < cfg.t_end - 1e-12 * cfg.t_end:
-        dt = min(cfg.dt, cfg.t_end - t)
-        tn = t + dt
+    states = [w]
+    for t, dt, tn in fixed_dt_steps(cfg.t_end, cfg.dt):
         src = explicit_source(scn, (X, Y), t, w)
         w_star = np.asarray(scn.d1((X, Y), tn), dtype=float)
         w_new = w_star.copy()
@@ -1081,7 +1094,7 @@ def per_line_2d(scn, grid, cfg):
                     w_star[ix, :], grid.steps[1], dt, af, np.zeros(grid.ny + 1),
                     bc_spec(scn, "bottom", (x, 0.0), tn), bc_spec(scn, "top", (x, 1.0), tn),
                     scn.boundary_reaction, cfg.bc_tol)
-        w, t = w_new, tn
+        w = w_new
         states.append(w)
     return states
 
@@ -1165,10 +1178,8 @@ def per_step_1d(scn, grid, cfg, partner):
     y = grid.points()
     yf = 0.5 * (y[:-1] + y[1:])
     w = np.asarray(scn.w0(y), dtype=float)
-    states, t = [w], 0.0
-    while t < cfg.t_end - 1e-12 * cfg.t_end:
-        dt = min(cfg.dt, cfg.t_end - t)
-        tn = t + dt
+    states = [w]
+    for t, dt, tn in fixed_dt_steps(cfg.t_end, cfg.dt):
         src = explicit_source(scn, y, t, w)
         ends = []
         for edge, coord in (("left", 0.0), ("right", 1.0)):
@@ -1179,7 +1190,6 @@ def per_step_1d(scn, grid, cfg, partner):
                          np.stack([src, 0.3 * src]), *ends, scn.boundary_reaction,
                          cfg.bc_tol)[0]
         states.append(w)
-        t = tn
     return states
 
 

@@ -142,28 +142,50 @@ def test_gronwall_linear_oracle():
     dt = 1e-3
     n = 1001
     t = np.arange(n) * dt
-    phi = np.full(n, -1.0)
-    psi = np.ones(n)
-    eta = gronwall_envelope_at(t, phi, psi, 0.0)
+    eta = gronwall_envelope_at(t, 1.0, np.ones(n), 0.0)
     np.testing.assert_allclose(eta, 1.0 - np.exp(-t), atol=1e-5)
 
 
 def test_gronwall_zero_source_is_exponential():
     dt = 1e-3
     t = np.arange(501) * dt
-    eta = gronwall_envelope_at(t, np.full(t.size, -2.0), np.zeros(t.size), 3.0)
+    eta = gronwall_envelope_at(t, 2.0, np.zeros(t.size), 3.0)
     np.testing.assert_allclose(eta, 3.0 * np.exp(-2.0 * t), rtol=1e-5)
 
 
 def test_gronwall_envelope_at_nonuniform_lattice():
     times = np.array([0.0, 0.05, 0.2, 0.35, 0.7, 1.0])
-    eta = gronwall_envelope_at(times, np.full(times.size, -1.0),
-                               np.ones(times.size), 0.0)
+    eta = gronwall_envelope_at(times, 1.0, np.ones(times.size), 0.0)
     exact = 1.0 - np.exp(-times)
     np.testing.assert_allclose(eta, exact, atol=5e-3)
     assert eta[0] == 0.0
 
 
+def test_gronwall_far_past_the_exponent_range_is_the_exact_trapezoid_solution():
+    # rate*t_end = 2000 puts exp(rate*t) far past the floats (about 709.78).
+    # With a constant psi on a uniform lattice the trapezoid recurrence
+    # env' = a*env + (dt/2)*(1 + a)*psi, a = exp(-rate*dt), has the exact
+    # solution env_i = s + (eta0 - s)*a**i with fixed point
+    # s = (dt/2)*(1 + a)*psi/(1 - a); a few roundings a step, damped by a,
+    # keep the computed envelope within a relative 1e-13 of it
+    rate, dt, psi, eta0 = 1000.0, 1e-3, 2.5, 7.0
+    t = np.arange(2001) * dt
+    a = np.exp(-rate * dt)
+    s = 0.5 * dt * (1.0 + a) * psi / (1.0 - a)
+    exact = s + (eta0 - s) * a ** np.arange(t.size)
+    env = gronwall_envelope_at(t, rate, np.full(t.size, psi), eta0)
+    assert np.all(np.isfinite(env))
+    np.testing.assert_allclose(env, exact, rtol=1e-13, atol=0.0)
+
+
+def test_gronwall_envelope_past_the_floats_is_a_value_error():
+    # a negative rate grows: exp(1000*t) leaves the floats, in the factor
+    # at one step of 1 and in the product over many steps of 0.01
+    for t in (np.array([0.0, 1.0]), np.arange(101) * 0.01):
+        with pytest.raises(ValueError, match="the Gronwall envelope must be finite"):
+            gronwall_envelope_at(t, -1000.0, np.ones(t.size), 1.0)
+
+
 def test_gronwall_rejects_mismatched_lengths():
     with pytest.raises(ValueError):
-        gronwall_envelope_at(0.1 * np.arange(4), np.zeros(4), np.zeros(5), 0.0)
+        gronwall_envelope_at(0.1 * np.arange(4), 0.0, np.zeros(5), 0.0)
