@@ -103,10 +103,11 @@ def _reject_unknown(doc, allowed, path):
 
 def _facts(law, **facts):
     """law, with its kind's facts as attributes, which the scenarios read
-    instead of sampling the law.  A map is v -> slope*v + gamma*v**3 with
+    instead of sampling the law.  A map kind is v -> slope*v + gamma*v**3,
     slope > 0 and gamma >= 0: odd, of the sign of v and nondecreasing, of
-    least slope slope.  A speed is even and nonincreasing in |s|, so its
-    sup is its value at 0, sup."""
+    least slope slope.  ParabolicScenario admits a flux law of slope 0 too;
+    the level's inverse refuses only slope = gamma = 0.  A speed is even and
+    nonincreasing in |s|, so its sup is its value at 0, sup."""
     law.__dict__.update(facts)
     return law
 

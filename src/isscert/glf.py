@@ -7,9 +7,9 @@ weighted truncation energies of the shifted state,
 
 summed over the sign pattern the class calls for.  The truncation level
 is derived from the disturbances alone, through one path: their exact
-running sups (:func:`running_sups`), each pushed through its map's
-inverse (:func:`invert_monotone`).  So the functional vanishes whenever
-the state is trapped inside the disturbance band, and along solutions it
+running sups (:func:`running_sups`), through each map's inverse from its
+facts, rounded up (:func:`invert_monotone`).  So the functional vanishes
+when the state is trapped inside the disturbance band, and along solutions it
 obeys a linear decay inequality whose residual this module measures
 stamp by stamp.
 """
@@ -237,55 +237,51 @@ def running_sups(scn, grid, times) -> dict:
 def truncation_level_parabolic(scn, sups) -> np.ndarray:
     """Disturbance level phi^{-1}(sup|f|/c0) + sup|d1| + varphi^{-1}(sup|d2|).
 
-    ``sups`` are the running sups of :func:`running_sups`; the level is
-    taken entry by entry, each inverse by :func:`invert_monotone`, never
-    below the root.  Requires a strictly positive reaction floor; the
-    classical heat baseline (c0 = 0) has no truncation level and must be
-    certified by its own quadratic estimate instead.
+    ``sups`` are the running sups of :func:`running_sups`; each inverse takes
+    every stamp's target in one call of :func:`invert_monotone`, rounded up,
+    and the three parts are summed in floats.  Requires a strictly positive
+    reaction floor; the classical heat baseline (c0 = 0) has no truncation
+    level and must be certified by its own quadratic estimate instead.
     """
     if not scn.c0 > 0:
         raise ScenarioError("truncation level needs a positive reaction floor c0")
-    return (_invert_each(scn.reaction, sups["f"] / scn.c0) + sups["d1"]
-            + _invert_each(scn.boundary_reaction, sups["d2"]))
+    return (invert_monotone(scn.reaction, sups["f"] / scn.c0) + sups["d1"]
+            + invert_monotone(scn.boundary_reaction, sups["d2"]))
 
 
-def _invert_each(fn, ys):
-    # running sups repeat values, so invert each distinct one once
-    values, where = np.unique(ys, return_inverse=True)
-    return np.asarray([invert_monotone(fn, y) for y in values.tolist()])[where]
-
-
-def invert_monotone(f, y):
-    """Solve f(x) = y >= 0 for an increasing callable f with f(0) <= y.
-
-    The bracket [0, hi] doubles hi from 1 until f(hi) >= y; bisection then
-    returns the first midpoint with ``|f(mid) - y| <= 1e-12``.  Where no
-    float meets that, it stops when the ends are adjacent floats and
-    returns the upper one: f(hi) >= y holds throughout, so x is never
-    taken below the root.
+def invert_monotone(law, ys):
+    """x >= 0 with slope*x + gamma*x**3 >= y exactly, a few floats above the
+    root, for each target y >= 0 of ys (array or scalar), by the law's facts.
+    gamma = 0: y/slope, one float up unless slope*x, rounded once, is above y,
+    or is y under a power-of-two slope (an exact quotient: the identity's).
+    gamma > 0: Newton from min(y/slope, cbrt(y/gamma)), both above the root,
+    while a step decreases x (the convex side); then x steps up 1, 2, 4, ...
+    floats until a lower bound of f(x) reaches y: its four operations on
+    nonnegative terms each step to the next float below, losing at most 3u of
+    f(x) each, u = 2**-53 (in subnormals, one smallest float).  Where no float
+    reaches y (a zero law, a level past the floats) it is a ValueError.
     """
-    if y < 0:
-        raise ValueError("target must be nonnegative")
-    if y == 0.0:
-        return 0.0
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        if float(f(hi)) >= y:
-            break
-        hi *= 2.0
-    else:
-        raise ValueError("bracket expansion failed; map grows too slowly")
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            return hi
-        fm = float(f(mid))
-        if abs(fm - y) <= 1e-12:
-            return mid
-        if fm < y:
-            lo = mid
+    slope, gamma, y = float(law.slope), float(law.gamma), np.asarray(ys, dtype=float)
+    if not (y >= 0.0).all():
+        raise ValueError("targets must be nonnegative")
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x = y / slope if slope else np.where(y > 0.0, np.inf, 0.0)
+        if not gamma:
+            p, exact = slope * x, math.frexp(slope)[0] == 0.5
+            x = np.where((p > y) | (p == y) & (exact | (y == 0.0)), x, np.nextafter(x, np.inf))
         else:
-            hi = mid
+            from .solvers.parabolic import cbrt_above
+            x = np.minimum(x, cbrt_above(y / gamma))
+            while ((step := x - (x * (slope + gamma * (x * x)) - y)
+                    / (slope + 3.0 * gamma * (x * x))) < x).any():
+                x = np.fmin(step, x)
+            below = lambda z: np.maximum(np.nextafter(z, -np.inf), 0.0)  # noqa: E731
+            up = np.spacing(x)
+            while (short := below(x * below(slope + below(gamma * below(x * x)))) < y).any():
+                x, up = np.where(short, x + up, x), up + up
+    if not np.isfinite(x).all():
+        raise ValueError(f"no float x has {slope:g}*x + {gamma:g}*x**3 >= {y.max():g}")
+    return x if np.ndim(ys) else float(x)
 
 
 # ---------------------------------------------------------------------------

@@ -48,8 +48,6 @@ from .common import ScenarioError, SolverConfig, SolverDivergedError, march
 
 __all__ = ["ParabolicScenario", "solve_parabolic"]
 
-_SIGN_TOL = 1e-12
-
 
 def _constant(value):
     """value as a read-only 0-d array: numpy combines one with an array in
@@ -157,15 +155,15 @@ class ParabolicScenario:
 
 
 def _check_floors(scn, a_faces, c_nodes, t_end):
-    """Reject a run whose diffusion coefficient (bound on the faces of
-    each sweep) or reaction coefficient (bound on the nodes) drops below
-    its floor."""
+    """Reject a run whose diffusion coefficient (bound on the faces of each
+    sweep) or reaction coefficient (bound on the nodes) drops below its floor;
+    the infs are exact (``BoundField.range``), so with no slack."""
     for what, bound, name, floor in (("diffusion", a_faces, "a0", scn.a0),
                                      ("reaction", [c_nodes], "c0", scn.c0)):
         low = min(b.range(t_end)[0] for b in bound)
-        if low < floor - _SIGN_TOL:
-            raise ScenarioError(f"{what} coefficient drops below {name} = {floor:g} "
-                                f"(down to {low:g})")
+        if low < floor:
+            raise ScenarioError(f"{what} coefficient drops below {name} = {floor:.15g} "
+                                f"(down to {low:.15g})")
 
 
 def solve_parabolic(scn: ParabolicScenario, grid, cfg: SolverConfig) -> Trajectory:
@@ -599,6 +597,11 @@ def _cbrt_above(x, t):
     return t
 
 
+def cbrt_above(x):
+    """:func:`_cbrt_above` of an array x >= 0, inf at inf; also the truncation level's."""
+    return np.where(np.isinf(x), x, _cbrt_above(x, np.ldexp(1.0, -(-np.frexp(x)[1] // 3))))
+
+
 class _Floats:
     """The float layout: one line on Python floats, whose stops are exits."""
 
@@ -617,8 +620,7 @@ class _Lockstep:
 
     where, any, all, finite, copysign, minimum, maximum = map(staticmethod, (
         np.where, np.any, np.all, np.isfinite, np.copysign, np.minimum, np.maximum))
-    cbrt_above = staticmethod(lambda x: np.where(np.isinf(x), x, _cbrt_above(
-        x, np.ldexp(1.0, -(-np.frexp(x)[1] // 3)))))
+    cbrt_above = staticmethod(cbrt_above)
     scalar, pick, data = map(staticmethod, (_constant, lambda a, j: a[:, j], np.broadcast_to))
 
     def __init__(self, lines):

@@ -854,6 +854,60 @@ def test_cli_run_coefficient_below_floor_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_run_damping_within_1e_12_of_its_floor_exits_2(tmp_path, capsys):
+    # the floor gate compares the exact inf with no slack
+    doc = load_config("parabolic_demo")
+    doc["scenario"]["damping"] = {"kind": "constant", "value": 0.9999999999995}
+    cfg = tmp_path / "floor.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "solver error: reaction coefficient drops below c0 = 1 (down to 0.9999999999995)\n")
+    assert not (tmp_path / "out").exists()
+
+
+def _level_line(tmp_path, capsys, **scenario):
+    """The exit code and the energy line's level of parabolic_demo with the
+    scenario entries given and t_end 0.02."""
+    doc = load_config("parabolic_demo")
+    doc["scenario"].update(scenario)
+    doc["solver"]["t_end"] = 0.02
+    cfg = tmp_path / "level.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    code = main(["run", str(cfg), "--out", str(tmp_path / "out")])
+    out = capsys.readouterr()
+    return code, re.findall(r"\blevel=(\S+)", out.out), out.err
+
+
+ZERO_DATA = {"forcing": {"kind": "constant", "value": 0.0},
+             "dirichlet_data": {"kind": "constant", "value": 0.0}}
+
+
+def test_cli_run_levels_are_rounded_up(tmp_path, capsys):
+    # 0.5 + 0.2 + 0.3 through identities is 1 exactly; the bisection gave
+    # 9.999999999993e-01, and 2.328306436539e-10 for the slope-0.01 law
+    assert _level_line(tmp_path, capsys)[:2] == (0, ["1.000000000000e+00"])
+    code, level, _ = _level_line(tmp_path, capsys, **ZERO_DATA,
+                                 boundary_reaction={"kind": "linear", "slope": 0.01},
+                                 flux_data={"kind": "constant", "value": 3e-12})
+    assert code == 0 and float(level[0]) >= 3e-10
+
+
+def test_cli_run_reaches_a_level_past_the_old_bracket(tmp_path, capsys):
+    # the doubling bracket stopped at 2**200 and exited 2
+    assert _level_line(tmp_path, capsys, **ZERO_DATA,
+                       flux_data={"kind": "constant", "value": 1e70})[:2] == (
+        0, ["1.000000000000e+70"])
+
+
+def test_cli_run_level_past_the_floats_exits_2(tmp_path, capsys):
+    code, level, err = _level_line(tmp_path, capsys,
+                                   boundary_reaction={"kind": "linear", "slope": 1e-300},
+                                   flux_data={"kind": "constant", "value": 1e10})
+    assert (code, level) == (2, [])
+    assert err == "energy error: no float x has 1e-300*x + 0*x**3 >= 1e+10\n"
+
+
 def test_cli_run_speed_below_uniform_floor_exits_2(tmp_path, capsys):
     # the floor lies below the sup 1 = speed(0) of 1/(1 + |s|), so the
     # config builds, but the run starts at total mass 200

@@ -1,12 +1,14 @@
 """Tests for the truncation-energy functionals and decay reports."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from isscert.config import (_constant_speed as constant_speed, _cubic as cubic,
-                            _identity as identity, _reciprocal_speed as reciprocal_speed)
+from isscert.config import (_constant_speed as constant_speed, _cubic as cubic, _facts,
+                            _identity as identity, _linear as linear,
+                            _reciprocal_speed as reciprocal_speed)
 from isscert.fields import Grid, Trajectory
 from isscert.glf import (GlfSpec, components,
                          default_transport_rate, dissipation_rate,
@@ -216,21 +218,68 @@ def test_wave_energy_vanishes_on_the_steady_state(c):
     assert np.max(rep.vhat - rep.envelope) <= 0.0
 
 
-def test_invert_cube_root():
-    x = invert_monotone(lambda v: v**3, 8.0)
-    assert abs(x - 2.0) < 1e-9
+def exact_map(law, x):
+    """slope*x + gamma*x**3 of the law's facts, in exact arithmetic."""
+    x = Fraction(x)
+    return Fraction(law.slope) * x + Fraction(law.gamma) * x**3
 
 
-def test_invert_identity():
-    assert invert_monotone(lambda v: v, 0.7) == pytest.approx(0.7, abs=1e-12)
+def ulps_above_least(law, x, y, most):
+    """How many floats below x still reach y exactly, counted up to most + 1:
+    0 when x is the least float at or above the root."""
+    k, y = 0, Fraction(y)
+    while k <= most and x > 0.0 and exact_map(law, math.nextafter(x, 0.0)) >= y:
+        x, k = math.nextafter(x, 0.0), k + 1
+    return k
+
+
+SUBNORMALS = [5e-324, 1e-323, 7.5e-322, 1e-310, 2.2250738585072e-308]
+TARGETS = np.array([0.0, *SUBNORMALS,
+                    *10.0 ** np.random.default_rng(41).uniform(-300.0, 300.0, 300)])
+
+# the least float x passing the check is within 15 ulps of the root r: the
+# check's four operations lose at most 3u each (a rounding and a step to the
+# next float below, u = 2**-53), so f(x) >= y*(1 + 15u) passes, and by
+# convexity f(x) >= y*x/r above r, so x >= r*(1 + 15u) does.  Newton stops
+# where its residual, rounded within 4u*y, stops being positive, within 5
+# ulps of r, and the bumps 1, 2, 4, ... ulps overshoot the least passing x
+# by at most its distance from that stop.  A linear map is within one float
+# (the quotient, or the next float above it), and the identity is exact.
+ULPS = {"identity": 0, "linear": 1, "cubic": 2 * 15 + 5}
+
+
+@pytest.mark.parametrize("kind, law", [
+    ("identity", identity()), ("linear", linear(0.01)), ("linear", linear(3.0)),
+    ("linear", linear(1e6)), ("cubic", cubic(1e-6)), ("cubic", cubic(1.0)), ("cubic", cubic(1e6))])
+def test_the_inverse_reaches_every_target_exactly_and_within_its_ulps(kind, law):
+    x = invert_monotone(law, TARGETS)
+    assert x[0] == 0.0
+    for xi, yi in zip(x.tolist(), TARGETS.tolist()):
+        assert exact_map(law, xi) >= Fraction(yi)
+        assert ulps_above_least(law, xi, yi, ULPS[kind]) <= ULPS[kind]
+
+
+def test_the_inverse_of_the_identity_is_its_target():
+    # the old bisection returned 0.2999999999992724 for 0.3
+    assert invert_monotone(identity(), 0.3) == 0.3
+    assert invert_monotone(identity(), 0.7) == 0.7
+    assert np.array_equal(invert_monotone(identity(), TARGETS), TARGETS)
+
+
+def test_the_inverse_of_a_cube_from_its_facts():
+    # slope 0: the root of 8 is 2, and the check passes a few floats above it
+    x = invert_monotone(_facts(lambda v: v**3, slope=0.0, gamma=1.0), 8.0)
+    assert 2.0 <= x <= 2.0 + 8 * math.ulp(2.0)
+    assert invert_monotone(_facts(lambda v: v**3, slope=0.0, gamma=1.0), 0.0) == 0.0
 
 
 def test_invert_cubic_reaction_values():
     # v + v^3 = 2 has the exact root 1; v + 2v^3 = 2 does not.
     x1 = invert_monotone(cubic(1.0), 2.0)
-    assert abs(x1 - 1.0) < 1e-9
+    assert 1.0 <= x1 < 1.0 + 1e-14
     x2 = invert_monotone(cubic(2.0), 2.0)
     assert x2 == pytest.approx(0.835122348481, abs=1e-9)
+    assert exact_map(cubic(2.0), x2) >= 2
 
 
 def test_invert_round_trip_random(rng):
@@ -238,29 +287,35 @@ def test_invert_round_trip_random(rng):
     for _ in range(100):
         y = rng.uniform(0.0, float(f(50.0)))
         x = invert_monotone(f, y)
-        assert abs(float(f(x)) - y) <= 2e-10
+        assert 0.0 <= float(f(x)) - y <= 2e-10
+
+
+def test_one_target_inverts_as_in_any_batch():
+    for law in (identity(), linear(0.01), cubic(1e-6), cubic(1e6)):
+        batch = invert_monotone(law, TARGETS)
+        for i in (0, 1, 5, 17, 300):
+            one = invert_monotone(law, TARGETS[i:i + 1])
+            assert one.tobytes() == batch[i:i + 1].tobytes()
+            assert invert_monotone(law, float(TARGETS[i])) == batch[i]
+        assert type(invert_monotone(law, 1.0)) is float
 
 
 def test_invert_zero_target_and_refusals():
     assert invert_monotone(cubic(1.0), 0.0) == 0.0
     with pytest.raises(ValueError, match="nonnegative"):
         invert_monotone(cubic(1.0), -1.0)
-    with pytest.raises(ValueError, match="grows too slowly"):
-        invert_monotone(math.log1p, 1e3)
-
-
-@pytest.mark.parametrize("y, gamma", [(7777.7, 0.5), (3.3e4, 1.0), (123456.7, 2.0),
-                                      (2e5, 1.0)])
-def test_invert_stops_on_adjacent_floats_at_or_above_the_root(y, gamma):
-    # f's floats near y are spaced wider than the 1e-12 exit, so bisection
-    # closes the bracket to adjacent floats: the upper one is returned, the
-    # least float where f reaches y
-    def f(v):
-        return v + gamma * v**3
-
-    x = invert_monotone(f, y)
-    assert abs(f(x) - y) > 1e-12
-    assert f(x) >= y > f(np.nextafter(x, 0.0))
+    # no float reaches y: a zero law, an infinite target, a level past the floats
+    zero = _facts(lambda v: 0.0 * v, slope=0.0, gamma=0.0)
+    assert np.array_equal(invert_monotone(zero, np.zeros(3)), np.zeros(3))
+    for law, y, message in (
+            (zero, np.array([0.0, 1e-300]), r"0\*x \+ 0\*x\*\*3 >= 1e-300$"),
+            (cubic(1.0), math.inf, r"1\*x \+ 1\*x\*\*3 >= inf$"),
+            (linear(1e-300), 1e10, r"1e-300\*x \+ 0\*x\*\*3 >= 1e\+10$"),
+            (_facts(lambda v: v**3, slope=0.0, gamma=1e-300), 1e300, r"0\*x \+ 1e-300\*x")):
+        with pytest.raises(ValueError, match="^no float x has " + message):
+            invert_monotone(law, y)
+    # a level past the old bracket's 2**200 is a level like any other
+    assert invert_monotone(identity(), 1e70) == 1e70
 
 
 # ---------------------------------------------------------------------------

@@ -112,9 +112,9 @@ checks:
 
 # recorded with the toolchain of the golden list
 PROFILED_2D_SHA256 = {
-    "check00_parabolic_q_q2.csv": "9b25e177dcfa73bde4d13da060253a2c2d13ce40229c8b79e86859189d3161e4",
-    "glf.csv": "b204d515c87b54c748035907f70ac6a21efe38f55ec8cdff08deedf03ce4cafb",
-    "report.txt": "317ef5e2bd622b7114474e0270ef272a8bdc61507c747c5414ab393ac4ab0251",
+    "check00_parabolic_q_q2.csv": "2e3d8033f8c6b8f8cefd0dace8b73d93e786d969d28492d657ff452aa462ca7d",
+    "glf.csv": "9c9b1ca1ad42806b094db283084295d4316de472eefa566ea5c3981991c29b7c",
+    "report.txt": "e030fff463b773f7d4c5dfb3e1fe3a2edf7edd970e3e7e5870b15930109bba0c",
     "trajectory.csv": "689852467d6edd38520e0cbf408a8ee1ffed2d050ab1c970da99b48bdf73218d",
     "trajectory_meta.yaml": "df766643bbd3cd0c1940ce8ca61685128e9c12e30bcd4eb8a1e19bb50388237d",
 }

@@ -248,8 +248,20 @@ def test_floor_check_is_exact_for_uniform_fields(dim, coef, low):
     message = f"{what} coefficient drops below {coef}0 = 1 (down to {low:g})"
     with pytest.raises(ScenarioError, match=rf"^{re.escape(message)}$"):
         solve_parabolic(scn, grid, cfg)
-    # the exact minimum is an admissible floor
-    solve_parabolic(make_scenario(**over, **{f"{coef}0": low}), grid, cfg)
+    # the exact minimum is an admissible floor: 1 + (low - 1), which for low
+    # = 0.1 is 0.09999999999999998, one float below 0.1
+    solve_parabolic(make_scenario(**over, **{f"{coef}0": 1.0 + (low - 1.0)}), grid, cfg)
+
+
+@pytest.mark.parametrize("coef", ["a", "c"])
+def test_floor_check_has_no_slack(coef):
+    # the infs are exact, so one float below the floor is below it, and the
+    # floor itself is admissible
+    grid, cfg = Grid(16, layout="node"), SolverConfig(t_end=0.1, dt=0.01)
+    below = SpaceTimeField.constant(math.nextafter(1.0, 0.0))
+    with pytest.raises(ScenarioError, match=rf"drops below {coef}0 = 1 \(down to 1\)"):
+        solve_parabolic(make_scenario(**{coef: below}), grid, cfg)
+    solve_parabolic(make_scenario(**{coef: ONE}), grid, cfg)
 
 
 def test_floor_check_separable_uses_profile_and_signal_extremes():
