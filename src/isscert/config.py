@@ -29,6 +29,8 @@ from .signals import (SpaceTimeField, TimeSignal, profile_affine,
 from .fields import AXES, Grid, edge_names, grid_keys
 from .solvers import (ParabolicScenario, SolverConfig, TransportScenario,
                       WaveScenario)
+from .solvers import transport, wave
+from .solvers.common import record_rows
 
 __all__ = ["ConfigError", "RunPlan", "bundled_names", "load_config", "build_plan", "load_plan"]
 
@@ -301,6 +303,37 @@ def _build_solver(doc, path, pde):
         output_stride=_integer(doc, "output_stride", path, SolverConfig.output_stride))
 
 
+# each class's state arrays, least step and whether its steps but the last are
+# equal: what march sizes its record of stamps by
+_RECORDS = {"parabolic": (1, lambda scn, grid, cfg: cfg.dt, True),
+            "transport": (1, transport.least_step, False),
+            "wave": (2, wave.least_step, True)}
+
+
+def _admit_record(pde, scenario, grid, solver):
+    """Refuse a run whose record of stamps (:func:`~isscert.solvers.common.
+    record_rows`, from the least step march is given) exceeds the host's
+    physical memory: at solver.output_stride where the run's steps would fit
+    in it as one 8-byte word each, else at the key that sets the least step,
+    solver.dt or solver.cfl_sigma.  Where the host does not report its
+    memory, march's RecordSizeError stays the only refusal."""
+    names, least_step, equal = _RECORDS[pde]
+    try:
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return
+    dt_min, row = least_step(scenario, grid, solver), 8 * (1 + names * grid.npoints)
+    steps = solver.t_end / dt_min
+    rows = record_rows(solver, dt_min, equal) if steps < math.inf else math.inf
+    if rows * row <= memory:
+        return
+    key = ("output_stride" if 8 * steps <= memory
+           else "dt" if dt_min == solver.dt else "cfl_sigma")
+    raise ConfigError(f"solver.{key}", f"the record of the steps of dt {dt_min:.4g} up to "
+                      f"t = {solver.t_end:g}, {rows:.4g} stamps of {row} bytes, exceeds the "
+                      f"host's {memory:.4g} bytes of physical memory")
+
+
 # each class's energy builder and the keys it reads
 _ENERGY = {"parabolic": (glf_for_parabolic, ("p",)),
            "transport": (glf_for_transport, ("p", "rate")),
@@ -443,6 +476,7 @@ def build_plan(doc: dict) -> RunPlan:
         raise ConfigError("scenario", str(exc)) from exc
     grid = _build_grid(_get(doc, "grid", "<config>"), "grid", pde, scenario)
     solver = _build_solver(_get(doc, "solver", "<config>"), "solver", pde)
+    _admit_record(pde, scenario, grid, solver)
     energy = _build_energy(doc.get("energy"), "energy", pde, scenario)
     checks = _build_checks(doc.get("checks"), "checks", pde, scenario, grid, solver.t_end)
     return RunPlan(name=name, pde=pde, scenario=scenario, grid=grid, solver=solver,

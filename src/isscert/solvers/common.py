@@ -88,7 +88,7 @@ def march(traj, cfg, state, advance, dt_min, equal=True):
     """
     t_end, stride, near = cfg.t_end, cfg.output_stride, 4.0 * math.ulp(cfg.t_end)
     try:
-        traj.reserve(1 + -(-(math.ceil(t_end / dt_min) + (not equal)) // stride))
+        traj.reserve(record_rows(cfg, dt_min, equal))
     except (MemoryError, ValueError, ArithmeticError) as exc:
         raise RecordSizeError(f"no record holds the steps of dt {dt_min:.4g} up to "
                               f"t = {t_end:g} ({exc})") from exc
@@ -121,6 +121,13 @@ def march(traj, cfg, state, advance, dt_min, equal=True):
         least, most = min(least, dt), max(most, dt)
     traj.counters.update(steps=step, dt_min=least, dt_max=most,
                          max_abs=dict(zip(traj.names, reach)))
+
+
+def record_rows(cfg, dt_min, equal=True):
+    """The stamps :func:`march` reserves for cfg's run of steps of at least
+    dt_min, one step more where they are not equal; OverflowError where the
+    step count passes the floats."""
+    return 1 + -(-(math.ceil(cfg.t_end / dt_min) + (not equal)) // cfg.output_stride)
 
 
 def capped_dt(raw_dt, speed, h, sigma):

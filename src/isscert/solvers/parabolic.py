@@ -16,21 +16,23 @@ axis, with zero couplings in one tridiagonal band.  The interior unknowns
 of a line are affine in its end values, so by the flux law's facts
 (slope and gamma) the balance at a flux end is a cubic in its value,
 less a multiple of the other end's value where that is a flux end too.
-One closure, :func:`_close`, solves it: a linear law in closed form, a
-cubic one by Newton's method from a closed-form start, each end
-stopping on a proven bound on its error.  One line runs on Python
-floats, more in lockstep on arrays, with the same bits.
-:func:`solve_parabolic` supplies the step of any dimension to the time
-loop all steppers share, :func:`~isscert.solvers.common.march`.  It binds
-every field to its points once per solve
-(:meth:`~isscert.signals.SpaceTimeField.bind`): a on the faces, c and f
-on the nodes, d1 and d2 on the boundary points, so a step evaluates the
-fields' time signals only, and a field of a constant signal not at all.
-Each sweep factors its band once per operator (LAPACK gttrf), with the
-unit responses of its flux ends and, at its first closure, the closure's
-constants (:class:`_Bound`); a step solves one right-hand side (gttrs)
-and closes from each end's state.  A new h, dt or diffusivity, such as a
-time-varying a or a shorter last step, refactors and rebinds.
+The closure solves it: a linear law in closed form, a cubic one by
+Newton's method from a closed-form start, each end stopping on a proven
+bound on its error.  One line runs on Python floats, more in lockstep on
+arrays, with the same bits.  :func:`solve_parabolic` supplies the step
+of any dimension to the time loop all steppers share,
+:func:`~isscert.solvers.common.march`.  It binds every field to its
+points once per solve (:meth:`~isscert.signals.SpaceTimeField.bind`): a
+on the faces, c and f on the nodes, d1 and d2 on the boundary points, so
+a step evaluates the fields' time signals only, and reads a field of a
+constant signal once.  Each sweep's band (:class:`_Band`) binds the
+sweep's whole step once per operator: it factors the band (LAPACK
+gttrf), solves its flux ends' unit responses, and binds (:func:`_bind`)
+one function that solves a right-hand side (gttrs) and closes the flux
+ends with the balance constants and the closure form chosen once, from
+the layout, the number of flux ends and the law's facts.  A step calls
+that function once per sweep.  A new h, dt or diffusivity, such as a
+time-varying a or a shorter last step, refactors and binds anew.
 """
 
 from __future__ import annotations
@@ -183,14 +185,15 @@ def solve_parabolic(scn: ParabolicScenario, grid, cfg: SolverConfig) -> Trajecto
     pts = grid.points()
     c_n, f_n = scn.c.bind(pts), scn.f.bind(pts)
     _check_floors(scn, a_faces, c_n, cfg.t_end)
-    # a constant c is negated once, not every step (negation is exact)
-    minus_c = None if c_n.fixed is None else -c_n.fixed
+    # a constant c is negated once, not every step (negation is exact), and a
+    # constant f read once
+    minus_c, f_fixed = None if c_n.fixed is None else -c_n.fixed, f_n.fixed
 
     def advance(t, dt, state, step, clock):
         (w,) = state
         tn = clock(dt)
         src = ((-c_n(t) if minus_c is None else minus_c)
-               * np.asarray(scn.reaction(w), dtype=float) + f_n(t))
+               * np.asarray(scn.reaction(w), dtype=float) + (f_n(t) if f_fixed is None else f_fixed))
         try:
             return dt, (implicit(w, src, dt, tn),)
         except (RuntimeError, np.linalg.LinAlgError) as exc:
@@ -220,7 +223,7 @@ def _setup(scn, grid, cfg):
     nodes along k).  It binds a on the faces, one row per line, and the
     end data on the lines' end points, which hold axis k's coordinate as
     the scalar 0 or 1.  Every node a sweep leaves out takes the Dirichlet
-    data.
+    data.  A field of a constant signal is read once here, not every step.
     """
     coords, g1 = grid.coords(), scn.gamma1
     keep = [slice(int(lo in g1), x.size - int(hi in g1)) for (lo, hi, _), x in zip(AXES, coords)]
@@ -235,23 +238,27 @@ def _setup(scn, grid, cfg):
                  for m in np.broadcast_arrays(*np.ix_(*face_coords))]
         ends = [(edge, _points([at if j == k else f[:, 0] for j, f in enumerate(faces)]))
                 for edge, at in ((lo, 0.0), (hi, 1.0))]
-        bcs = [("dirichlet", scn.d1.bind(p)) if edge in g1 else ("flux", scn.d2.bind(p))
-               for edge, p in ends]
-        sweeps.append((order, sel, _Band(), grid.steps[k], scn.a.bind(_points(faces)), bcs,
-                       np.zeros((len(faces[0]), x.size))))
+        kinds, data = zip(*[("dirichlet", scn.d1.bind(p)) if edge in g1 else ("flux", scn.d2.bind(p))
+                            for edge, p in ends])
+        a_k = scn.a.bind(_points(faces))
+        # the first sweep takes the step's source, the others a zero one
+        sweeps.append((order, sel, _Band(), grid.steps[k], a_k, a_k.fixed, kinds,
+                       *(v for d in data for v in (d, d.fixed)),
+                       np.zeros((len(faces[0]), x.size)) if k else None, k == grid.dim - 1))
     # the nodes a sweep leaves out, on the other axes' Dirichlet faces, take the data
     d1_n = scn.d1.bind(grid.points()) if grid.dim > 1 and g1 else None
+    d1_fixed = None if d1_n is None else d1_n.fixed
+    law, tol = scn.boundary_reaction, cfg.bc_tol
 
     def implicit(w, src, dt, tn):
-        dvals = None if d1_n is None else d1_n(tn)
-        for k, (order, sel, band, h, a_k, bcs, zero) in enumerate(sweeps):
+        dvals = d1_fixed if d1_fixed is not None or d1_n is None else d1_n(tn)
+        for order, sel, band, h, a_k, af, kinds, lo, lo_v, hi, hi_v, zero, last in sweeps:
             moved = w.transpose(order)[sel]
             stack = moved.reshape(-1, moved.shape[-1])
-            lines = _solve_lines(
-                band, stack, h, dt, a_k(tn),
-                src.transpose(order)[sel].reshape(stack.shape) if k == 0 else zero,
-                *[(kind, value(tn)) for kind, value in bcs], scn.boundary_reaction, cfg.bc_tol)
-            if dvals is None and k == grid.dim - 1:  # every node, in C order: no copy
+            lines = band.bind(h, dt, a_k(tn) if af is None else af, kinds, law, tol)(
+                stack, src.transpose(order)[sel].reshape(stack.shape) if zero is None else zero,
+                lo(tn) if lo_v is None else lo_v, hi(tn) if hi_v is None else hi_v)
+            if dvals is None and last:  # every node, in C order: no copy
                 w = lines.reshape(grid.shape)
             else:
                 w = np.empty(grid.shape) if dvals is None else dvals.copy()
@@ -271,25 +278,52 @@ def _points(coords):
 
 @dataclass
 class _Band:
-    """One sweep's memo of its last factored diffusion band: the key it was
-    factored under, gttrf's factors lu, the read-only unit responses resp
-    of its flux ends, the number of factorisations so far, and af, the
-    diffusivity array of the key when it is read-only and owns its data;
-    bound, its closure constants (:class:`_Bound`, None until the first
-    closure); and the sweep's closures, law calls and largest error bound."""
+    """One sweep's memo of its bound step.  key is the operator the band was
+    last factored under, (h, dt, end kinds, shape and bits of the face
+    diffusivities), whose first three are also held as h, dt and kinds, and
+    af is that diffusivity array when it is read-only and owns its data, so
+    a step compares fields and identities, not keys.  lu holds gttrf's
+    factors, resp the read-only unit responses of the flux ends, faces each
+    flux end's (c_face, r_lo, r_hi) on the layout lay (:func:`_bind`), solve
+    the band's solve and step the step bound under law and tol; then the
+    sweep's factorisations, closures, law calls and largest error bound."""
 
     key: tuple = None
+    h: float = None
+    dt: float = None
+    kinds: tuple = None
     af: np.ndarray = None
     lu: list = None
     resp: dict = None
-    bound: _Bound = None
+    lay: object = None
+    faces: dict = None
+    solve: Callable = None
+    law: Callable = None
+    tol: float = None
+    step: Callable = None
     factorizations: int = 0
     closures: int = 0
     law_calls: int = 0
     closure_error: float = 0.0
 
-    def factor(self, key, h, dt, af, kinds):
-        """Factor the band of faces af under key; solve the ends' unit responses."""
+    def bind(self, h, dt, af, kinds, law, tol):
+        """The step of the band of faces af under the flux law and tol,
+        step(w_old, src, lo, hi) (:func:`_bind`): factored and bound anew
+        only where h, dt, the end kinds or the bits of af changed, and bound
+        anew where the law or tol did."""
+        if af is not self.af or dt != self.dt or h != self.h or kinds != self.kinds:
+            key = (h, dt, kinds, af.shape, af.tobytes())
+            if key != self.key:
+                self.factor(key, af, law, tol)
+            self.af = None if af.flags.writeable or not af.flags.owndata else af
+        if law is not self.law or tol != self.tol:
+            self.step = _bind(self, law, tol)
+        return self.step
+
+    def factor(self, key, af, law, tol):
+        """Factor the band of key's h, dt and end kinds on the faces af, solve
+        its flux ends' unit responses and bind its step under law and tol."""
+        h, dt, kinds = key[:3]
         n_lines, m = af.shape[0], af.shape[1] + 1
         lam = dt / h**2
         ab = np.zeros((3, n_lines, m))
@@ -311,280 +345,329 @@ class _Band:
         unit[0, :, 0] = unit[1, :, m - 1] = 1.0
         x = gttrs(*lu, unit.reshape(2, -1).T, overwrite_b=True)[0].T.reshape(2, n_lines, m)
         x.flags.writeable = False
-        self.key, self.lu, self.bound, self.resp = key, lu, None, {
-            end: x[j] for j, (end, kind) in enumerate(zip(("lo", "hi"), kinds)) if kind == "flux"}
+        resp = {end: x[j] for j, (end, kind) in enumerate(zip(("lo", "hi"), kinds)) if kind == "flux"}
+        lay = _Floats if n_lines == 1 else _Lockstep(n_lines)
+        set_lo, set_hi = (kind == "dirichlet" for kind in kinds)
+        dt_, (dl, d, du, du2, ipiv) = _constant(dt), lu
+
+        def solve(w_old, src, lo, hi):
+            """The stack's solution from w_old + dt*src, each Dirichlet end at
+            its value lo or hi and each flux end held at zero.  A non-finite
+            right-hand side raises RuntimeError: a step's one check of its input."""
+            # w_old + dt*src in two passes, end columns set after
+            rhs = src * dt_
+            rhs += w_old
+            rhs[:, 0] = lo if set_lo else 0.0
+            rhs[:, m - 1] = hi if set_hi else 0.0
+            flat = rhs.ravel()
+            if not _all(np.isfinite(flat)):
+                raise RuntimeError("non-finite explicit source or boundary data")
+            return gttrs(dl, d, du, du2, ipiv, flat)[0].reshape(n_lines, m)
+
+        self.key, self.h, self.dt, self.kinds, self.lu, self.resp = key, h, dt, kinds, lu, resp
+        self.lay, self.solve = lay, solve
+        # each flux end's (2/h^2) a on its face and the responses at its inner node
+        self.faces = {end: ((2.0 / h**2) * lay.pick(af, 0 if end == "lo" else m - 2),
+                            *(lay.pick(resp[e], 1 if end == "lo" else m - 2) if e in resp else None
+                              for e in ("lo", "hi"))) for end in resp}
         self.factorizations += 1
+        self.step = _bind(self, law, tol)
 
 
-def _line_responses(band, w_old, h, dt, af, src, bc_lo, bc_hi):
-    """Implicit diffusion solves along a stack of grid lines.
+def _bind(band, law, tol):
+    """band's step under the flux law (facts slope and gamma) and tol:
+    step(w_old, src, lo, hi) solves the stack w_old, (lines, m), with the
+    explicit source src and the end data lo and hi (a value per line, or
+    one for all), closes its flux ends and returns the new (lines, m) state.
 
-    w_old and src are (lines, m), af is (lines, m - 1) face diffusivities,
-    and bc_lo / bc_hi are (kind, values) with one value per line.  The
-    lines go into one tridiagonal band with zero couplings between them,
-    which band, the sweep's :class:`_Band`, factors once per operator: anew
-    only when h, dt, the end kinds or the bits of af change, solving and
-    caching the ends' unit responses then.  A step solves one right-hand
-    side.  Returns the (lines, m) solution with every flux end held at
-    zero, and {end: read-only response to a unit value there} for each
-    flux end, "lo" and/or "hi".  A non-finite band or right-hand side
-    raises RuntimeError; the latter is a step's one check of its input.
-    """
-    n_lines, m = w_old.shape
-    kinds = (bc_lo[0], bc_hi[0])
-    # a constant diffusivity is the same read-only array every step, so its
-    # bits are only read when another array comes
-    if af is not band.af or band.key[:3] != (h, dt, kinds):
-        key = (h, dt, kinds, af.shape, af.tobytes())
-        if band.key != key:
-            band.factor(key, h, dt, af, kinds)
-        band.af = None if af.flags.writeable or not af.flags.owndata else af
-    # w_old + dt*src in two passes over one C-ordered array, end columns set after
-    rhs = np.multiply(dt, src, order="C")
-    rhs += w_old
-    for i, (kind, value) in ((0, bc_lo), (m - 1, bc_hi)):
-        rhs[:, i] = value if kind == "dirichlet" else 0.0
-    if not np.isfinite(rhs).all():
-        raise RuntimeError("non-finite explicit source or boundary data")
-    base = _lapack()[1](*band.lu, rhs.reshape(-1, 1), overwrite_b=True)[0]
-    return base.reshape(n_lines, m), band.resp
-
-
-def _solve_lines(band, w_old, h, dt, af, src, bc_lo, bc_hi, varphi, bc_tol):
-    """Implicit diffusion solves along a stack of grid lines, flux ends closed.
-
-    The arguments are those of :func:`_line_responses` (a boundary value
-    may also be one scalar for all lines), the flux law varphi and bc_tol.
-    Each flux end's balance
+    A flux end's balance (:func:`_balance`)
 
         (b - w)/dt + (2/h) varphi(b) - (2/h) d2 + (2/h^2) a (b - inner) - src
 
-    is closed by :func:`_close_lines`; band counts the closures (a flux
-    end of a line each), law calls and the largest error bound at exit.
+    is R(b) = m*b + k*b^3 - C - beta*y, y the other flux end's value: m =
+    1/dt + c_face*(1 - r_own) + c_phi*slope > 0, k = c_phi*gamma >= 0, beta
+    = c_face*r_other >= 0 and C = -R(0).  L = [[m_lo, -beta_lo], [-beta_hi,
+    m_hi]] is an M-matrix (beta + 1/dt <= m), and R(z) - R(z*) = (L + D)(z -
+    z*), D diagonal and D >= 3/4 k diag(z^2), so |z - z*| <= (L + 3/4 k
+    diag(z^2))^-1 |R(z)| (|R(b)|/(m + 3/4 k b^2) for one end): a line stops
+    where that is at most tol.  The closure's form is chosen here, once: a
+    linear law closes as C/m or L^-1 C (:func:`_close_one`,
+    :func:`_close_two`), a cubic one by Newton, and the layout is one line
+    on Python floats or more in lockstep on arrays, with the same bits.
+    band counts the closures (a flux end of a line each), law calls and the
+    largest error bound at exit.
     """
-    base, resp = _line_responses(band, w_old, h, dt, af, src, bc_lo, bc_hi)
+    band.law, band.tol = law, tol
+    solve, resp, lay, faces = band.solve, band.resp, band.lay, band.faces
     if not resp:
+        return solve
+    lines, m = next(iter(resp.values())).shape
+    pick, data, col, d_phi = lay.pick, lay.data, lay.col, 2.0 / band.h
+    dt, c_phi = lay.scalar(band.dt), lay.scalar(2.0 / band.h)
+    if len(resp) == 2:
+        close, r_lo, r_hi = _close_two(lay, dt, c_phi, law, tol, faces), resp["lo"], resp["hi"]
+
+        def step(w_old, src, lo, hi):
+            base = solve(w_old, src, lo, hi)
+            x, y, err, calls = close(
+                pick(w_old, 0), pick(src, 0), pick(base, 1), d_phi * data(lo, lines),
+                pick(w_old, m - 1), pick(src, m - 1), pick(base, m - 2), d_phi * data(hi, lines))
+            band.closures += 2 * lines
+            band.law_calls += calls
+            band.closure_error = max(band.closure_error, err)
+            # base is this step's own array, and the closure no longer reads it
+            base += col(x) * r_lo
+            base += col(y) * r_hi
+            return base
+        return step
+    ((end, r),) = resp.items()
+    close, flux_lo = _close_one(lay, dt, c_phi, law, tol, end, *faces[end]), end == "lo"
+    i, j = (0, 1) if flux_lo else (m - 1, m - 2)
+
+    def step(w_old, src, lo, hi):
+        base = solve(w_old, src, lo, hi)
+        b, err, calls = close(pick(w_old, i), pick(src, i), pick(base, j),
+                              d_phi * data(lo if flux_lo else hi, lines))
+        band.closures += lines
+        band.law_calls += calls
+        band.closure_error = max(band.closure_error, err)
+        base += col(b) * r
+        if flux_lo:
+            base[:, -1] = hi
+        else:
+            base[:, 0] = lo
         return base
-    ends, err, calls = _close_lines(band, h, dt, w_old, src, base, af,
-                                    {"lo": bc_lo[1], "hi": bc_hi[1]}, varphi, bc_tol)
-    band.closures += w_old.shape[0] * len(resp)
-    band.law_calls += calls
-    band.closure_error = max(band.closure_error, err)
-    # base is this call's own array, and the closure no longer reads it
-    w = base
-    for end, r in resp.items():
-        w += ends[end] * r
-    if bc_lo[0] == "dirichlet":
-        w[:, 0] = bc_lo[1]
-    if bc_hi[0] == "dirichlet":
-        w[:, -1] = bc_hi[1]
-    return w
+    return step
 
 
-def _residual(end, dt, c_phi, law, w_i, src_i, base_k, c_d2, c_face, r_lo, r_hi):
-    """The balance of end (:func:`_close`, :class:`_Bound`), as a function
-    residual(b, other=0.0) of its value b and the other flux end's value,
-    if any.  The inner node's value adds b's and the other value's
-    response terms to base_k in the order lo, hi; the high end's keeps
-    other*r_lo at other = 0.0, which sets the sign of a zero sum."""
+def _balance(end, dt, c_phi, law, c_face, r_lo, r_hi):
+    """The balance of end (:func:`_bind`) with face constants c_face, r_lo and
+    r_hi (None at a Dirichlet end), as a function balance(b, other, w_i,
+    src_i, base_k, c_d2) of its value b, the other flux end's value, if any,
+    and its state: its old and source values at its node, the base solution
+    at its inner neighbour and (2/h) d2.  The inner node's value adds b's
+    and the other value's response terms to base_k in the order lo, hi; the
+    high end's keeps other*r_lo at other = 0.0, which sets the sign of a
+    zero sum."""
     if r_lo is None or r_hi is None:
         r_k = r_hi if r_lo is None else r_lo
 
-        def residual(b, other=0.0):
+        def balance(b, other, w_i, src_i, base_k, c_d2):
             return ((b - w_i) / dt + c_phi * law(b) - c_d2
                     + c_face * (b - (base_k + b * r_k)) - src_i)
     elif end == "lo":
-        def residual(b, other=0.0):
+        def balance(b, other, w_i, src_i, base_k, c_d2):
             return ((b - w_i) / dt + c_phi * law(b) - c_d2
                     + c_face * (b - (base_k + b * r_lo + other * r_hi)) - src_i)
     else:
-        def residual(b, other=0.0):
+        def balance(b, other, w_i, src_i, base_k, c_d2):
             return ((b - w_i) / dt + c_phi * law(b) - c_d2
                     + c_face * (b - (base_k + other * r_lo + b * r_hi)) - src_i)
-    return residual
+    return balance
 
 
-def _close(bound, law, states, tol):
-    """The values {end: b} of the flux ends with states {end: (w_i, src_i,
-    base_k, c_d2)}, each end's old and source values at its node, the base
-    solution at its inner neighbour and (2/h) d2, under the constants bound
-    (:class:`_Bound`); the error bounds at exit and the law's calls, counted
-    per line.  An end's balance (:func:`_residual`) is R(b) = m*b + k*b^3 -
-    C - beta*y, y the other flux end's value: m = 1/dt + c_face*(1 - r_own)
-    + c_phi*slope > 0, k = c_phi*gamma >= 0, beta = c_face*r_other >= 0 and
-    C = -R(0).  L = [[m_lo, -beta_lo], [-beta_hi, m_hi]] is an M-matrix
-    (beta + 1/dt <= m), and R(z) - R(z*) = (L + D)(z - z*), D diagonal and
-    D >= 3/4 k diag(z^2), so |z - z*| <= (L + 3/4 k diag(z^2))^-1 |R(z)|
-    (|R(b)|/(m + 3/4 k b^2) for one end): a line stops where that is at
-    most tol.  A linear law closes as C/m or L^-1 C.  A cubic one runs
-    Newton, one end from above |b*| on R's convex side (:func:`_one_end`),
-    two from L^-1 C clipped to each end's cube-root bound, and past
-    _NEWTON_ROUNDS rounds or a non-finite point by :func:`_nested`.  A line
-    also stops where its point would not move, or where each |R| is within
-    nu (:meth:`_Bound.rounding`), which bounds the rounding of the computed
-    balance and adds nu/m to the bound.  A NaN balance raises RuntimeError.
-    """
-    lay, dt, c_phi, k, det = bound.lay, bound.dt, bound.c_phi, bound.k, bound.det
-    calls, res, c = len(states) * lay.lines, {}, {}
-    for end, (w_i, src_i, base_k, c_d2) in states.items():
-        c_face, r_lo, r_hi, m, _, _, _, _ = bound.ends[end]
-        res[end] = _residual(end, dt, c_phi, law, w_i, src_i, base_k, c_d2, c_face, r_lo, r_hi)
-        c[end] = 0.0 - res[end](lay.zero, lay.zero)
-        if not lay.all(lay.finite(c[end])):
-            raise RuntimeError(_NONFINITE_BALANCE)
-    if len(res) == 1:
-        ((end, r),) = res.items()
-        if not law.gamma:
-            return {end: c[end] / m}, 0.0, calls
-        b, err, more = _one_end(lay, r, m, k, c[end], tol, bound.rounding(end, *states[end]))
-        return {end: b}, err, calls + more
-    (lo, hi), (c_lo, c_hi) = (res["lo"], res["hi"]), (c["lo"], c["hi"])
-    (*_, m_lo, b_lo, _, _, _), (*_, m_hi, b_hi, _, _, _) = bound.ends["lo"], bound.ends["hi"]
-    x, y = (m_hi * c_lo + b_lo * c_hi) / det, (m_lo * c_hi + b_hi * c_lo) / det
+def _constants(dt, c_phi, law, end, c_face, r_lo, r_hi):
+    """m and beta of end's balance (:func:`_bind`) and n1 to n3, the state-free
+    coefficients of nu (:func:`_terms`)."""
+    own, other = (r_lo, r_hi) if end == "lo" else (r_hi, r_lo)
+    m = 1.0 / dt + c_face * (1.0 - own) + c_phi * law.slope
+    beta = 0.0 if other is None else abs(c_face * other)
+    return m, beta, *(_ROUNDING * v for v in (
+        1.0 / dt + c_phi * law.slope + c_face * (1.0 + abs(own)), c_phi * law.gamma, beta))
+
+
+def _terms(balance, m, k, n1, n2, n3):
+    """Newton's terms (:func:`_newton`) of an end's balance of constants m
+    and k: terms(b, other, w_i, src_i, base_k, c_d2, n0) is the balance at
+    b, its slope m + 3k b^2, the floor m + 3/4 k b^2 of its secant slopes
+    from b, and nu, 16 units of roundoff of its terms at b and other, n0
+    being the state's part (:func:`_rounding`)."""
+    def terms(b, other, w_i, src_i, base_k, c_d2, n0):
+        bb = b * b
+        return (balance(b, other, w_i, src_i, base_k, c_d2), m + k * (3.0 * bb),
+                m + k * (0.75 * bb), n0 + abs(b) * (n1 + n2 * bb) + n3 * abs(other))
+    return terms
+
+
+def _rounding(dt, c_face, w_i, src_i, base_k, c_d2):
+    """nu's state part: 16 units of roundoff of the state terms of a balance."""
+    return _ROUNDING * (abs(w_i) / dt + abs(c_d2) + c_face * abs(base_k) + abs(src_i))
+
+
+def _at_zero(lay, balance, w_i, src_i, base_k, c_d2):
+    """C = -R(0) of an end's balance and state; a non-finite C raises RuntimeError."""
+    c = 0.0 - balance(lay.zero, lay.zero, w_i, src_i, base_k, c_d2)
+    if not lay.all_finite(c):
+        raise RuntimeError(_NONFINITE_BALANCE)
+    return c
+
+
+def _close_one(lay, dt, c_phi, law, tol, end, c_face, r_lo, r_hi):
+    """The closure of one flux end on lay: close(w_i, src_i, base_k, c_d2) is
+    the end's value, its error bound and the law's calls.  A linear law
+    closes as C/m, a cubic one by Newton from above |b*| on R's convex side
+    (:func:`_one_end`)."""
+    balance = _balance(end, dt, c_phi, law, c_face, r_lo, r_hi)
+    m, _, n1, n2, n3 = _constants(dt, c_phi, law, end, c_face, r_lo, r_hi)
     if not law.gamma:
-        return {"lo": x, "hi": y}, 0.0, calls
-    nu = {end: bound.rounding(end, *state) for end, state in states.items()}
-    # |z*| <= B = L^-1 |C|, so k*|x*|^3 <= |C_lo| + beta_lo*B_y = m_lo*B_x
-    a_lo, a_hi = abs(c_lo), abs(c_hi)
-    top = (lay.cbrt_above(m_lo * ((m_hi * a_lo + b_lo * a_hi) / det) / k),
-           lay.cbrt_above(m_hi * ((b_hi * a_lo + m_lo * a_hi) / det) / k))
-    start = tuple(lay.minimum(lay.maximum(v, -t), t) for v, t in zip((x, y), top))
+        def close(w_i, src_i, base_k, c_d2):
+            return _at_zero(lay, balance, w_i, src_i, base_k, c_d2) / m, 0.0, lay.lines
+        return close
+    k = c_phi * law.gamma
+    terms = _terms(balance, m, k, n1, n2, n3)
 
-    def round_(z):
-        x, y = z
-        r_lo, r_hi = lo(x, y), hi(y, x)
-        if lay.any((r_lo != r_lo) | (r_hi != r_hi)):
-            raise RuntimeError(_NONFINITE_BALANCE)
-        a_lo, a_hi, xx, yy = abs(r_lo), abs(r_hi), x * x, y * y
-        q_lo, q_hi = m_lo + k * (0.75 * xx), m_hi + k * (0.75 * yy)
-        q = q_lo * q_hi - b_lo * b_hi
-        err = lay.maximum((q_hi * a_lo + b_lo * a_hi) / q, (b_hi * a_lo + q_lo * a_hi) / q)
-        # the Newton step, by the Jacobian L + 3k diag(z^2)
-        j_lo, j_hi = m_lo + k * (3.0 * xx), m_hi + k * (3.0 * yy)
-        j = j_lo * j_hi - b_lo * b_hi
-        nx, ny = x - (j_hi * r_lo + b_lo * r_hi) / j, y - (b_hi * r_lo + j_lo * r_hi) / j
-        need = ((err > tol) & ((nx != x) | (ny != y))
-                & ((a_lo > nu["lo"](x, y)) | (a_hi > nu["hi"](y, x))))
-        return err, (nx, ny), need & lay.finite(nx) & lay.finite(ny), need
+    def close(w_i, src_i, base_k, c_d2):
+        c = _at_zero(lay, balance, w_i, src_i, base_k, c_d2)
+        n0 = _rounding(dt, c_face, w_i, src_i, base_k, c_d2)
+        b, err, calls = _one_end(lay, terms, (0.0, w_i, src_i, base_k, c_d2, n0), m, k, c, tol)
+        return b, lay.top(err), calls + lay.lines
+    return close
 
-    (x, y), err, need, rounds = _run(lay, round_, start, _NEWTON_ROUNDS)
-    calls += 2 * rounds * lay.lines
-    if lay.lines == 1 and need:
-        x, y, err, more = _nested(lo, hi, m_lo, m_hi, b_lo, b_hi, k, c_lo, c_hi, det, nu,
-                                  start[1], tol)
-        calls += more
-    elif lay.lines > 1:
+
+def _close_two(lay, dt, c_phi, law, tol, faces):
+    """The closure of two flux ends on lay: close(w_lo, src_lo, base_lo,
+    d_lo, w_hi, src_hi, base_hi, d_hi), each end's state (:func:`_balance`),
+    is the ends' values x and y, the error bound and the law's calls.  A
+    linear law closes as L^-1 C; a cubic one runs Newton from L^-1 C clipped
+    to each end's cube-root bound, and past _NEWTON_ROUNDS rounds or a
+    non-finite point by :func:`_nested`.  A line also stops where its point
+    would not move, or where each |R| is within nu (:func:`_terms`), which
+    bounds the rounding of the computed balance and adds nu/m to the bound.
+    A NaN balance raises RuntimeError."""
+    (cf_lo, *_), (cf_hi, *_) = faces["lo"], faces["hi"]
+    bal_lo, bal_hi = (_balance(end, dt, c_phi, law, *faces[end]) for end in ("lo", "hi"))
+    (m_lo, b_lo, *n_lo), (m_hi, b_hi, *n_hi) = (
+        _constants(dt, c_phi, law, end, *faces[end]) for end in ("lo", "hi"))
+    det, lines = m_lo * m_hi - b_lo * b_hi, lay.lines
+
+    def linear(w_lo, s_lo, k_lo, d_lo, w_hi, s_hi, k_hi, d_hi):
+        c_lo = _at_zero(lay, bal_lo, w_lo, s_lo, k_lo, d_lo)
+        c_hi = _at_zero(lay, bal_hi, w_hi, s_hi, k_hi, d_hi)
+        return (m_hi * c_lo + b_lo * c_hi) / det, (m_lo * c_hi + b_hi * c_lo) / det, c_lo, c_hi
+
+    if not law.gamma:
+        def close(w_lo, s_lo, k_lo, d_lo, w_hi, s_hi, k_hi, d_hi):
+            return (*linear(w_lo, s_lo, k_lo, d_lo, w_hi, s_hi, k_hi, d_hi)[:2], 0.0, 2 * lines)
+        return close
+    k = c_phi * law.gamma
+    (n1_lo, n2_lo, n3_lo), (n1_hi, n2_hi, n3_hi) = n_lo, n_hi
+    terms_lo, terms_hi = _terms(bal_lo, m_lo, k, *n_lo), _terms(bal_hi, m_hi, k, *n_hi)
+
+    def close(w_lo, s_lo, k_lo, d_lo, w_hi, s_hi, k_hi, d_hi):
+        x, y, c_lo, c_hi = linear(w_lo, s_lo, k_lo, d_lo, w_hi, s_hi, k_hi, d_hi)
+        n0_lo = _rounding(dt, cf_lo, w_lo, s_lo, k_lo, d_lo)
+        n0_hi = _rounding(dt, cf_hi, w_hi, s_hi, k_hi, d_hi)
+        # |z*| <= B = L^-1 |C|, so k*|x*|^3 <= |C_lo| + beta_lo*B_y = m_lo*B_x
+        a_lo, a_hi = abs(c_lo), abs(c_hi)
+        t_x = lay.cbrt_above(m_lo * ((m_hi * a_lo + b_lo * a_hi) / det) / k)
+        t_y = lay.cbrt_above(m_hi * ((b_hi * a_lo + m_lo * a_hi) / det) / k)
+        x, y = lay.minimum(lay.maximum(x, -t_x), t_x), lay.minimum(lay.maximum(y, -t_y), t_y)
+        # each round from the last point; a stopped line keeps its point and repeats its round
+        y0, live, rounds = y, True, 0
+        while True:
+            r_lo, r_hi = bal_lo(x, y, w_lo, s_lo, k_lo, d_lo), bal_hi(y, x, w_hi, s_hi, k_hi, d_hi)
+            if lay.any((r_lo != r_lo) | (r_hi != r_hi)):
+                raise RuntimeError(_NONFINITE_BALANCE)
+            a_lo, a_hi, xx, yy = abs(r_lo), abs(r_hi), x * x, y * y
+            q_lo, q_hi = m_lo + k * (0.75 * xx), m_hi + k * (0.75 * yy)
+            q = q_lo * q_hi - b_lo * b_hi
+            err = lay.maximum((q_hi * a_lo + b_lo * a_hi) / q, (b_hi * a_lo + q_lo * a_hi) / q)
+            # the Newton step, by the Jacobian L + 3k diag(z^2)
+            j_lo, j_hi = m_lo + k * (3.0 * xx), m_hi + k * (3.0 * yy)
+            j = j_lo * j_hi - b_lo * b_hi
+            nx, ny = x - (j_hi * r_lo + b_lo * r_hi) / j, y - (b_hi * r_lo + j_lo * r_hi) / j
+            need = ((err > tol) & ((nx != x) | (ny != y))
+                    & ((a_lo > n0_lo + abs(x) * (n1_lo + n2_lo * xx) + n3_lo * abs(y))
+                       | (a_hi > n0_hi + abs(y) * (n1_hi + n2_hi * yy) + n3_hi * abs(x))))
+            rounds += 1
+            live = live & need & lay.finite(nx) & lay.finite(ny)
+            if not lay.any(live) or rounds == _NEWTON_ROUNDS:
+                break
+            x, y = lay.keep((x, y), (nx, ny), live)
+        calls = 2 * (rounds + 1) * lines
+        if lines == 1:
+            if need:
+                x, y, err, more = _nested(
+                    (terms_lo, (w_lo, s_lo, k_lo, d_lo, n0_lo)),
+                    (terms_hi, (w_hi, s_hi, k_hi, d_hi, n0_hi)),
+                    m_lo, m_hi, b_lo, b_hi, k, c_lo, c_hi, det, y0, tol)
+                calls += more
+            return x, y, err, calls
         # such a line closes on floats from its start: the same rounds, then _nested
         for j in np.flatnonzero(need):
-            one = _Bound(_Floats, dt.item(), c_phi.item(), law, {e: tuple(
-                None if f is None else f[j].item() for f in bound.ends[e][:3]) for e in states})
-            ends, err[j], more = _close(one, law, {end: tuple(f[j].item() for f in state)
-                                                   for end, state in states.items()}, tol)
-            x[j], y[j], calls = ends["lo"], ends["hi"], calls + more
-    return {"lo": x, "hi": y}, err, calls
+            line = _close_two(_Floats, dt.item(), c_phi.item(), law, tol, {
+                end: tuple(None if f is None else f[j].item() for f in face)
+                for end, face in faces.items()})
+            x[j], y[j], err[j], more = line(*(v[j].item() for v in (
+                w_lo, s_lo, k_lo, d_lo, w_hi, s_hi, k_hi, d_hi)))
+            calls += more
+        return x, y, lay.top(err), calls
+    return close
 
 
 _NEWTON_ROUNDS = 24
+# ndarray.all's reduction without its Python-level wrapper, for a step's check
+_all = np.logical_and.reduce
 _NONFINITE_BALANCE = "non-finite flux boundary balance"
 _ROUNDING = 2.0**-49
 
 
-class _Bound:
-    """The constants of :func:`_close` for flux ends with faces {end: (c_face,
-    r_lo, r_hi)}, c_face = (2/h^2) a on its face and r_lo, r_hi the flux
-    ends' unit responses at its inner neighbour (None if Dirichlet), under
-    a law of facts (slope, gamma) on lay with its dt and c_phi = 2/h: ends
-    {end: (c_face, r_lo, r_hi, m, beta, n1, n2, n3)}, n1 to n3 nu's state-free
-    coefficients (:meth:`rounding`), and det for two flux ends, else None."""
-
-    def __init__(self, lay, dt, c_phi, law, faces):
-        k, ends = c_phi * law.gamma, {}
-        self.facts, self.lay, self.dt, self.c_phi, self.k, self.ends, self.det = (
-            (law.slope, law.gamma), lay, dt, c_phi, k, ends, None)
-        for end, (c_face, r_lo, r_hi) in faces.items():
-            own, other = (r_lo, r_hi) if end == "lo" else (r_hi, r_lo)
-            m = 1.0 / dt + c_face * (1.0 - own) + c_phi * law.slope
-            beta = 0.0 if other is None else abs(c_face * other)
-            ends[end] = (c_face, r_lo, r_hi, m, beta, *(_ROUNDING * v for v in (
-                1.0 / dt + c_phi * law.slope + c_face * (1.0 + abs(own)), k, beta)))
-        if len(ends) == 2:
-            (*_, m_lo, b_lo, _, _, _), (*_, m_hi, b_hi, _, _, _) = ends["lo"], ends["hi"]
-            self.det = m_lo * m_hi - b_lo * b_hi
-
-    def rounding(self, end, w_i, src_i, base_k, c_d2):
-        """nu(b, y) of end with state w_i, src_i, base_k and c_d2: 16 units of
-        roundoff of its balance's terms at its value b and the other's y."""
-        c_face, *_, n1, n2, n3 = self.ends[end]
-        n0 = _ROUNDING * (abs(w_i) / self.dt + abs(c_d2) + c_face * abs(base_k) + abs(src_i))
-        return lambda b, y=0.0: n0 + abs(b) * (n1 + n2 * (b * b)) + n3 * abs(y)
-
-
-def _one_end(lay, res, m, k, c, tol, nu):
-    """The root of res(b) = m*b + k*b^3 - c, k > 0, its bound and the law's
-    calls: Newton from sign(c)*min(|c|/m, cbrt(|c|/k)), bracketed by 0 and
-    twice that."""
-    start = lay.copysign(lay.minimum(abs(c) / m, lay.cbrt_above(abs(c) / k)), c)
-    (b,), err, _, rounds = _run(lay, _newton_round(
-        lay, res, lambda b, bb: (m + k * (3.0 * bb), m + k * (0.75 * bb)),
-        lay.minimum(start + start, 0.0), lay.maximum(start + start, 0.0), tol, nu), (start,))
-    return b, err, rounds * lay.lines
-
-
-def _newton_round(lay, res, rates, lo, hi, tol, nu):
-    """A round of Newton on the increasing res in the bracket lo, hi of its
-    root, which res(b) moves onto b by its sign; a point not inside it is
-    its midpoint.  rates(b, b*b) is res'(b) and least, a floor of res's
-    secant slopes from b: the bound is |res(b)|/least.  A line also stops
-    where |res(b)| <= nu(b), where it would not move or at adjacent floats."""
-    def round_(z):
-        nonlocal lo, hi
-        (b,) = z
-        r = res(b)
+def _newton(lay, terms, args, b, lo, hi, tol):
+    """Newton on an increasing function from b, in the bracket lo, hi of its
+    root: terms(b, *args) is its value r at b, which moves b's side of the
+    bracket by its sign, its slope, least, a floor of its secant slopes from
+    b, and nu, a bound on the rounding of r.  A point not inside the bracket
+    is its midpoint.  The bound is |r|/least; a line stops where that is at
+    most tol, where |r| <= nu, where it would not move or at adjacent
+    floats, and a stopped line keeps its point and repeats its round.  Each
+    line's last point and bound, and the rounds; a NaN value raises
+    RuntimeError."""
+    live, rounds = True, 0
+    while True:
+        r, slope, least, nu = terms(b, *args)
         if lay.any(r != r):
             raise RuntimeError(_NONFINITE_BALANCE)
-        slope, least = rates(b, b * b)
         err = abs(r) / least
         lo, hi = lay.where(r < 0.0, b, lo), lay.where(r > 0.0, b, hi)
         step = b - r / slope
         nxt = lay.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
-        go = (err > tol) & (abs(r) > nu(b)) & (step != b) & (lo < nxt) & (nxt < hi)
-        return err, (nxt,), go, go
-    return round_
-
-
-def _run(lay, round_, z, cap=None):
-    """round_(z) -> (error bound, next z, go on, needs to move) from z until
-    no line goes on, or for cap rounds: each line's last z, bound and need,
-    and the rounds.  A stopped line keeps its z, and repeats its round."""
-    live, rounds = True, 0
-    while True:
-        err, new, go, need = round_(z)
+        go = (err > tol) & (abs(r) > nu) & (step != b) & (lo < nxt) & (nxt < hi)
         rounds += 1
         live = live & go
-        if not lay.any(live) or rounds == cap:
-            return z, err, need, rounds
-        z = lay.keep(z, new, live)
+        if not lay.any(live):
+            return b, err, rounds
+        (b,) = lay.keep((b,), (nxt,), live)
 
 
-def _nested(lo, hi, m_lo, m_hi, b_lo, b_hi, k, c_lo, c_hi, det, nu, y, tol):
-    """x, y, the error bound and the law's calls of two flux ends on floats:
-    Newton on G(y) = R_hi(y; x(y)) from y in |y| <= 2*(m_lo*|C_hi| +
+def _one_end(lay, terms, args, m, k, c, tol):
+    """The root of m*b + k*b^3 - c, k > 0, whose Newton terms are
+    terms(b, *args) (:func:`_newton`), its bound and the law's calls: Newton
+    from sign(c)*min(|c|/m, cbrt(|c|/k)), bracketed by 0 and twice that."""
+    start = lay.copysign(lay.minimum(abs(c) / m, lay.cbrt_above(abs(c) / k)), c)
+    b, err, rounds = _newton(lay, terms, args, start, lay.minimum(start + start, 0.0),
+                             lay.maximum(start + start, 0.0), tol)
+    return b, err, rounds * lay.lines
+
+
+def _nested(lo, hi, m_lo, m_hi, b_lo, b_hi, k, c_lo, c_hi, det, y, tol):
+    """x, y, the error bound and the law's calls of two flux ends on floats,
+    lo and hi each end's Newton terms (:func:`_terms`) and state: Newton on
+    G(y) = R_hi(y; x(y)) from y in |y| <= 2*(m_lo*|C_hi| +
     beta_hi*|C_lo|)/det, x(y) the low end's own closure (bound e_x).
     G' >= det/m_lo, so |y - y*| <= e_y = (|G| + beta_hi*e_x)*m_lo/det and
     |x - x*| <= e_x + (beta_lo/m_lo)*e_y."""
+    (terms_lo, state_lo), (terms_hi, state_hi) = lo, hi
+    least, reach = det / m_lo, 2.0 * (m_lo * abs(c_hi) + b_hi * abs(c_lo)) / det
     at = {"calls": 0}
 
     def g(y):
-        x, e_x, calls = _one_end(_Floats, lambda b: lo(b, y), m_lo, k, 0.0 - lo(0.0, y), 0.0,
-                                 lambda b: nu["lo"](b, y))
+        x, e_x, calls = _one_end(_Floats, terms_lo, (y, *state_lo), m_lo, k,
+                                 0.0 - terms_lo(0.0, y, *state_lo)[0], 0.0)
+        r, _, _, nu = terms_hi(y, x, *state_hi)
         at.update(x=x, e_x=e_x, calls=at["calls"] + calls + 2)
-        return hi(y, x)
+        return r, m_hi + k * (3.0 * (y * y)) - b_hi * b_lo / (m_lo + k * (3.0 * (x * x))), least, nu
 
-    least, reach = det / m_lo, 2.0 * (m_lo * abs(c_hi) + b_hi * abs(c_lo)) / det
-    (y,), e_g, _, _ = _run(_Floats, _newton_round(
-        _Floats, g, lambda y, yy: (m_hi + k * (3.0 * yy) - b_hi * b_lo / (
-            m_lo + k * (3.0 * (at["x"] * at["x"]))), least), -reach, reach,
-        0.5 * tol, lambda y: nu["hi"](y, at["x"])), (y,))
+    y, e_g, _ = _newton(_Floats, g, (), y, -reach, reach, 0.5 * tol)
     e_y = e_g + b_hi * at["e_x"] / least
     return at["x"], y, max(e_y, at["e_x"] + b_lo / m_lo * e_y), at["calls"]
 
@@ -606,22 +689,26 @@ class _Floats:
     """The float layout: one line on Python floats, whose stops are exits."""
 
     lines, zero, where = 1, 0.0, staticmethod(lambda cond, a, b: a if cond else b)
-    any = all = staticmethod(bool)
-    finite, copysign, minimum, maximum = map(staticmethod, (math.isfinite, math.copysign, min, max))
+    any = staticmethod(bool)
+    finite = all_finite = staticmethod(math.isfinite)
+    copysign, minimum, maximum = map(staticmethod, (math.copysign, min, max))
     cbrt_above = staticmethod(lambda x: x if x == math.inf else _cbrt_above(
         x, math.ldexp(1.0, -(-math.frexp(x)[1] // 3))))
     keep = staticmethod(lambda z, new, live: new if live else z)
-    scalar, pick = staticmethod(lambda x: x), staticmethod(np.ndarray.item)
+    scalar = col = top = staticmethod(lambda x: x)
+    pick = staticmethod(np.ndarray.item)
     data = staticmethod(lambda d, n: d if type(d) is float else np.asarray(d, dtype=float).item())
 
 
 class _Lockstep:
     """A stack of lines on arrays, one entry per line, branches as masks."""
 
-    where, any, all, finite, copysign, minimum, maximum = map(staticmethod, (
-        np.where, np.any, np.all, np.isfinite, np.copysign, np.minimum, np.maximum))
+    where, any, finite, copysign, minimum, maximum = map(staticmethod, (
+        np.where, np.any, np.isfinite, np.copysign, np.minimum, np.maximum))
+    all_finite = staticmethod(lambda c: np.isfinite(c).all())
     cbrt_above = staticmethod(cbrt_above)
     scalar, pick, data = map(staticmethod, (_constant, lambda a, j: a[:, j], np.broadcast_to))
+    col, top = staticmethod(lambda b: b[:, None]), staticmethod(lambda e: float(np.max(e)))
 
     def __init__(self, lines):
         self.lines, self.zero = lines, np.zeros(lines)
@@ -631,26 +718,3 @@ class _Lockstep:
         for old, value in zip(z, new):
             np.copyto(old, value, where=live)
         return z
-
-
-def _close_lines(band, h, dt, w_old, src, base, af, data, varphi, bc_tol):
-    """:func:`_close` on a stack, with its largest bound: one line on floats
-    (its factors and boundary data, a scalar or a size-1 array, read once,
-    so the law sees floats), more in lockstep, each end as a column; band's
-    constants bound anew after a factorisation or under other law facts."""
-    (n_lines, m), resp, bound = w_old.shape, band.resp, band.bound
-    if bound is None or bound.facts != (varphi.slope, varphi.gamma):
-        lay = _Floats if n_lines == 1 else _Lockstep(n_lines)
-        bound = band.bound = _Bound(lay, lay.scalar(dt), lay.scalar(2.0 / h), varphi, {
-            end: ((2.0 / h**2) * lay.pick(af, 0 if end == "lo" else m - 2),
-                  *(lay.pick(resp[e], 1 if end == "lo" else m - 2) if e in resp else None
-                    for e in ("lo", "hi"))) for end in resp})
-    lay, states = bound.lay, {}
-    for end in resp:
-        i, k = (0, 1) if end == "lo" else (m - 1, m - 2)
-        states[end] = (lay.pick(w_old, i), lay.pick(src, i), lay.pick(base, k),
-                       (2.0 / h) * lay.data(data[end], n_lines))
-    if lay is _Floats:
-        return _close(bound, varphi, states, bc_tol)
-    ends, err, calls = _close(bound, varphi, states, bc_tol)
-    return {end: b[:, None] for end, b in ends.items()}, float(np.max(err)), calls

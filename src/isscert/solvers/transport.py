@@ -74,6 +74,12 @@ class TransportScenario:
                 raise ScenarioError("speed map drops below its declared floor")
 
 
+def least_step(scn: TransportScenario, grid: Grid, cfg: SolverConfig) -> float:
+    """A bound below every step of a run but its last: no speed exceeds the
+    sup, so no step is shorter than cfg.dt capped at cfl_sigma at the sup."""
+    return capped_dt(cfg.dt or np.inf, scn.speed_map.sup, grid.h, cfg.cfl_sigma)
+
+
 def solve_transport(scn: TransportScenario, grid: Grid, cfg: SolverConfig) -> Trajectory:
     """March to cfg.t_end with first-order upwind fluxes on cell averages.
 
@@ -114,10 +120,8 @@ def solve_transport(scn: TransportScenario, grid: Grid, cfg: SolverConfig) -> Tr
         "n": grid.n, "cfl_sigma": cfg.cfl_sigma, "t_end": cfg.t_end,
         "scenario": scn.label,
     })
-    # no speed exceeds the sup, so no step but the last is shorter than at it
-    dt_min = capped_dt(cfg.dt or np.inf, scn.speed_map.sup, h, cfg.cfl_sigma)
-    march(traj, cfg, (np.asarray(scn.rho0(grid.points()), dtype=float),), advance, dt_min,
-          equal=False)
+    march(traj, cfg, (np.asarray(scn.rho0(grid.points()), dtype=float),), advance,
+          least_step(scn, grid, cfg), equal=False)
     traj.meta.update((key, traj.counters[key]) for key in ("dt_min", "dt_max", "steps"))
     traj.counters["max_abs_mass"] = max(top_mass, abs(h * float(traj.state(-1).sum())))
     return traj

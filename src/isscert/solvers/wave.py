@@ -72,6 +72,11 @@ def reconstruct_wave_state(plus, minus, c):
     return 0.5 * (plus + minus), (plus - minus) / (2.0 * c)
 
 
+def least_step(scn: WaveScenario, grid: Grid, cfg: SolverConfig) -> float:
+    """Every step of a run but its last: cfg.dt capped at cfl_sigma."""
+    return capped_dt(cfg.dt or np.inf, scn.c, grid.h, cfg.cfl_sigma)
+
+
 def solve_wave(scn: WaveScenario, grid: Grid, cfg: SolverConfig) -> Trajectory:
     """March the characteristic pair to cfg.t_end with upwind differences.
 
@@ -113,7 +118,6 @@ def solve_wave(scn: WaveScenario, grid: Grid, cfg: SolverConfig) -> Trajectory:
         "n": grid.n, "cfl_sigma": cfg.cfl_sigma, "c": c, "t_end": cfg.t_end,
         "scenario": scn.label,
     })
-    dt_min = capped_dt(cfg.dt or np.inf, c, h, cfg.cfl_sigma)
-    march(traj, cfg, (plus, minus), advance, dt_min)
+    march(traj, cfg, (plus, minus), advance, least_step(scn, grid, cfg))
     traj.meta["steps"] = traj.counters["steps"]
     return traj

@@ -21,6 +21,7 @@ from isscert.cli import main
 from isscert.config import (_LEAVES, ConfigError, _leaf, build_plan, bundled_names, load_config,
                             load_plan)
 from isscert.fields import Grid, Trajectory
+from isscert.solvers import RecordSizeError, solve_parabolic, solve_transport, solve_wave
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -956,9 +957,9 @@ def test_cli_run_cubic_0_past_the_squares_solves(tmp_path, capsys):
 
 
 # Records beyond the 128 TiB x86-64 address space, so no test allocates one,
-# and step counts past the floats: numpy refuses the first three with
-# MemoryError, the next with ValueError, and math.ceil the last with
-# OverflowError.
+# and step counts past the floats: past the solver's, numpy refuses the first
+# three with MemoryError, the next with ValueError, and math.ceil the last
+# with OverflowError.
 UNALLOCATABLE = [("parabolic_demo", "dt", 1.0e-15), ("wave_demo", "cfl_sigma", 1.0e-12),
                  ("transport_global", "cfl_sigma", 1.0e-9), ("parabolic_demo", "dt", 1.0e-300),
                  ("parabolic_demo", "dt", 1.0e-320)]
@@ -966,9 +967,10 @@ UNALLOCATABLE = [("parabolic_demo", "dt", 1.0e-15), ("wave_demo", "cfl_sigma", 1
 
 @pytest.mark.parametrize("demo,key,value", UNALLOCATABLE)
 def test_cli_run_an_unallocatable_record_exits_2_before_its_solve(tmp_path, demo, key, value):
-    # the record is sized in closed form before the first step, so these
-    # runs stop at once; they once hung counting their steps, or died with
-    # a MemoryError traceback
+    # the record is sized in closed form when the config is read, so these
+    # runs stop at once, at the key that sets their step; they once hung
+    # counting their steps, died with a MemoryError traceback, or stopped
+    # with a solver error
     doc = load_config(demo)
     doc["solver"][key] = value
     cfg = tmp_path / "huge.yaml"
@@ -980,9 +982,51 @@ def test_cli_run_an_unallocatable_record_exits_2_before_its_solve(tmp_path, demo
         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
     assert time.monotonic() - start < 30.0
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.startswith("solver error: no record holds the steps of dt ")
+    assert proc.stderr.startswith(f"config error: solver.{key}: the record of the steps of dt ")
+    assert proc.stderr.endswith("bytes of physical memory\n")
     assert proc.stderr.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("demo,key,value", UNALLOCATABLE)
+def test_an_unallocatable_record_still_stops_a_solve_called_directly(demo, key, value):
+    # the config refuses these runs; a solver called with the plan's objects
+    # refuses them before its first step, as march sizes its record
+    plan = load_plan(demo)
+    solver = replace(plan.solver, **{key: value})
+    solve = {"parabolic": solve_parabolic, "transport": solve_transport, "wave": solve_wave}[plan.pde]
+    with pytest.raises(RecordSizeError, match="^no record holds the steps of dt "):
+        solve(plan.scenario, plan.grid, solver)
+
+
+def test_a_record_of_few_steps_on_a_fine_grid_is_refused_at_its_stride():
+    # 10^7 steps on 101^3 nodes recording every state is a record of 8e13
+    # bytes, but the steps alone fit in memory: the stride is at fault
+    doc = yaml.safe_load("""
+        name: fine_cube
+        pde: parabolic
+        scenario:
+          dim: 3
+          diffusion: {kind: constant, value: 1.0}
+          diffusion_floor: 1.0
+          damping: {kind: constant, value: 2.0}
+          damping_floor: 2.0
+          reaction: {kind: identity}
+          boundary_reaction: {kind: identity}
+          forcing: {kind: constant, value: 0.0}
+          dirichlet_data: {kind: constant, value: 0.0}
+          flux_data: {kind: constant, value: 0.0}
+          dirichlet_edges: [left, right, bottom, top, front, back]
+          flux_edges: []
+          initial: {kind: sinprod, amplitude: 1.0, mode_x: 1, mode_y: 1, mode_z: 1}
+        grid: {nx: 100, ny: 100, nz: 100}
+        solver: {t_end: 1.5, dt: 1.5e-7, output_stride: 1}
+        """)
+    with pytest.raises(ConfigError, match=r"^solver\.output_stride: the record of the steps of "
+                                          r"dt 1\.5e-07 up to t = 1\.5, 1e\+07 stamps of 8242416 "):
+        build_plan(doc)
+    doc["solver"]["output_stride"] = 10**6
+    assert build_plan(doc).solver.output_stride == 10**6
 
 
 @pytest.mark.parametrize("floor", [5.0, 0.2])

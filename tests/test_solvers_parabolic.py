@@ -30,11 +30,28 @@ from isscert.signals import (SpaceTimeField, TimeSignal, profile_bump,
                              profile_sum)
 from isscert.solvers import (ParabolicScenario, ScenarioError, SolverConfig,
                              SolverDivergedError, solve_parabolic)
-from isscert.solvers.parabolic import _Band, _line_responses, _solve_lines
+from isscert.solvers.parabolic import _Band
 
 ZERO = SpaceTimeField.constant(0.0)
 ONE = SpaceTimeField.constant(1.0)
 NONFINITE_BALANCE = "non-finite flux boundary balance"
+
+
+def solve_lines(band, w_old, h, dt, af, src, bc_lo, bc_hi, varphi, bc_tol):
+    """A stack's implicit step through band's bound step, as a sweep takes
+    it: the ends as (kind, value), a value per line or one for all."""
+    step = band.bind(h, dt, af, (bc_lo[0], bc_hi[0]), varphi, bc_tol)
+    return step(w_old, src, bc_lo[1], bc_hi[1])
+
+
+RESPONSE_LAW = identity()
+
+
+def line_responses(band, w_old, h, dt, af, src, bc_lo, bc_hi):
+    """The base solution of a stack, every flux end held at zero, from band's
+    solve, and band's read-only unit responses of its flux ends."""
+    band.bind(h, dt, af, (bc_lo[0], bc_hi[0]), RESPONSE_LAW, 1e-10)
+    return band.solve(w_old, src, bc_lo[1], bc_hi[1]), band.resp
 
 
 def make_scenario(**over):
@@ -332,8 +349,8 @@ KINDS = ("dirichlet", "flux")
 
 
 def solve_one_line(w_old, h, dt, af, src, bc_lo, bc_hi, varphi, bc_tol):
-    """_solve_lines on the one-line stack of a single line's data."""
-    return _solve_lines(_Band(), w_old[None, :], h, dt, af[None, :], src[None, :],
+    """solve_lines on the one-line stack of a single line's data."""
+    return solve_lines(_Band(), w_old[None, :], h, dt, af[None, :], src[None, :],
                         bc_lo, bc_hi, varphi, bc_tol)[0]
 
 
@@ -348,7 +365,7 @@ def random_lines(rng, n_lines=7, m=12, scale=1.0):
 def solve_both(w_old, af, src, kinds, ends, h=1.0 / 11, dt=0.01,
                varphi=cubic(0.8)):
     bc_lo, bc_hi = (kinds[0], ends[0]), (kinds[1], ends[1])
-    batched = _solve_lines(_Band(), w_old, h, dt, af, src, bc_lo, bc_hi, varphi, 1e-10)
+    batched = solve_lines(_Band(), w_old, h, dt, af, src, bc_lo, bc_hi, varphi, 1e-10)
     per_line = np.array([
         solve_one_line(w_old[k], h, dt, af[k], src[k], (kinds[0], ends[0][k]),
                        (kinds[1], ends[1][k]), varphi, 1e-10)
@@ -439,7 +456,7 @@ def test_flux_law_sees_floats_on_one_line_and_arrays_on_a_stack():
             seen.add(type(v))
             return varphi(v)
 
-        _solve_lines(_Band(), w_old[rows], 1.0 / 11, 0.01, af[rows], src[rows],
+        solve_lines(_Band(), w_old[rows], 1.0 / 11, 0.01, af[rows], src[rows],
                      ("flux", ends[0][rows]), ("flux", ends[1][rows]), recorded, 1e-10)
         assert seen == {want}
 
@@ -451,14 +468,14 @@ def test_solve_lines_nan_residual_raises():
     for varphi in (cubic(0.8), identity()):
         for kind in ("dirichlet", "flux"):
             with pytest.raises(RuntimeError, match=f"^{NONFINITE_BALANCE}$"):
-                _solve_lines(_Band(), w_old, 0.1, 0.01, af, src, (kind, ends[0]),
+                solve_lines(_Band(), w_old, 0.1, 0.01, af, src, (kind, ends[0]),
                              ("flux", ends[1]), varphi, 1e-10)
     with pytest.raises(RuntimeError, match=f"^{NONFINITE_BALANCE}$"):
         solve_one_line(w_old[3], 0.1, 0.01, af[3], src[3], ("dirichlet", ends[0][3]),
                        ("flux", ends[1][3]), varphi, 1e-10)
     src[2, 5] = np.inf
     with pytest.raises(RuntimeError, match="non-finite"):
-        _solve_lines(_Band(), w_old, 0.1, 0.01, af, src, ("dirichlet", ends[0]),
+        solve_lines(_Band(), w_old, 0.1, 0.01, af, src, ("dirichlet", ends[0]),
                      ("dirichlet", ends[0]), varphi, 1e-10)
 
 
@@ -485,7 +502,7 @@ def test_law_turning_nan_partway_through_a_closure_raises(n_lines, kinds):
         return np.full(np.shape(v), np.nan) if len(calls) > 2 else varphi(v)
 
     with pytest.raises(RuntimeError, match=f"^{NONFINITE_BALANCE}$"):
-        _solve_lines(_Band(), w_old, 0.1, 0.01, af, src, (kinds[0], ends[0]),
+        solve_lines(_Band(), w_old, 0.1, 0.01, af, src, (kinds[0], ends[0]),
                      (kinds[1], ends[1]), law, 1e-10)
     # the balances at 0, then the next call, which is NaN, and the other
     # end's in its round
@@ -529,7 +546,7 @@ def coupled_lines(n, a, n_lines=5, dt=0.01, seed=0):
 def balance_factors(w_old, h, dt, af, src, ends):
     """Per line and end, (s, beta, g) of the balance s*b + (2/h)*varphi(b)
     - beta*other - g, from the band's base solution and unit responses."""
-    base, resp = _line_responses(_Band(), w_old, h, dt, af, src,
+    base, resp = line_responses(_Band(), w_old, h, dt, af, src,
                                  ("flux", ends[0]), ("flux", ends[1]))
     out = {}
     for end, i, k, f, other in (("lo", 0, 1, 0, "hi"), ("hi", -1, -2, -1, "lo")):
@@ -571,7 +588,7 @@ def test_two_flux_ends_match_the_exact_linear_solve():
         for n in (8, 32, 200):
             w_old, h, dt, af, src, ends = coupled_lines(n, a_dt / 0.01, seed=n)
             exact, rhos = exact_linear_ends(w_old, h, dt, af, src, ends)
-            stack = _solve_lines(_Band(), w_old, h, dt, af, src, ("flux", ends[0]),
+            stack = solve_lines(_Band(), w_old, h, dt, af, src, ("flux", ends[0]),
                                  ("flux", ends[1]), law, BC_TOL)
             alone = solve_one_line(w_old[0], h, dt, af[0], src[0], ("flux", ends[0][0]),
                                    ("flux", ends[1][0]), law, BC_TOL)
@@ -611,7 +628,7 @@ def test_two_flux_ends_match_a_nested_bisection_on_a_cubic_law(gamma):
     cases = [coupled_lines(n, a_dt / 0.01, seed=n + 1) for a_dt in A_DT for n in (8, 32, 200)]
     stacks, alone, facs = [], [], []
     for w_old, h, dt, af, src, ends in cases:
-        stacks.append(_solve_lines(_Band(), w_old, h, dt, af, src, ("flux", ends[0]),
+        stacks.append(solve_lines(_Band(), w_old, h, dt, af, src, ("flux", ends[0]),
                                    ("flux", ends[1]), varphi, BC_TOL))
         alone.append(solve_one_line(w_old[0], h, dt, af[0], src[0], ("flux", ends[0][0]),
                                     ("flux", ends[1][0]), varphi, BC_TOL))
@@ -640,7 +657,7 @@ def test_cross_factors_that_underflow_give_finite_ends(gamma):
     assert not betas[:, 0].any() and betas[:, 1].tolist().count(0.0) == 1
     assert 0.0 < betas[:, 2].max() < 1e-300
     varphi = cubic(gamma)
-    stack = _solve_lines(_Band(), w_old, h, dt, af, src, ("flux", ends[0]), ("flux", ends[1]),
+    stack = solve_lines(_Band(), w_old, h, dt, af, src, ("flux", ends[0]), ("flux", ends[1]),
                          varphi, BC_TOL)
     assert np.all(np.isfinite(stack))
     for j in range(3):
@@ -669,6 +686,13 @@ def loop_residual(end, dt, c_phi, law, w_i, src_i, base_k, c_d2, c_face, r_lo, r
                 + c_face * (b - val) - src_i)
 
     return residual
+
+
+def balance_residual(end, dt, c_phi, law, w_i, src_i, base_k, c_d2, c_face, r_lo, r_hi):
+    """The step's balance of end (parabolic._balance) at the state, as a
+    function residual(b, other=0.0) like :func:`loop_residual`."""
+    balance = parabolic._balance(end, dt, c_phi, law, c_face, r_lo, r_hi)
+    return lambda b, other=0.0: balance(b, other, w_i, src_i, base_k, c_d2)
 
 
 def residual_factors(rng, n):
@@ -701,14 +725,14 @@ def test_closure_residual_has_the_bits_of_the_loop(end, ends):
     for law in (lambda v: v, cubic(3.0)):
         # the lockstep layout on arrays
         got, want = (form(end, 0.002, 400.0, law, *factors)
-                     for form in (parabolic._residual, loop_residual))
+                     for form in (balance_residual, loop_residual))
         assert np.array_equal(bits(got(b)), bits(want(b)))
         assert np.array_equal(bits(got(b, other)), bits(want(b, other)))
         # the float layout, on every 7th entry
         for j in range(0, b.size, 7):
             one = [None if f is None else f[j].item() for f in factors]
             got, want = (form(end, 0.002, 400.0, lambda v: float(law(v)), *one)
-                         for form in (parabolic._residual, loop_residual))
+                         for form in (balance_residual, loop_residual))
             for call in ((b[j].item(),), (b[j].item(), other[j].item())):
                 assert type(got(*call)) is float and bits(got(*call)) == bits(want(*call))
 
@@ -769,7 +793,7 @@ def exact_cubic_ends(fac, c_phi, gamma):
 def one_end_factors(w_old, h, dt, af, src, bc_lo, bc_hi):
     """(s, g) per line of the balance s*b + (2/h)*varphi(b) - g at the high
     flux end of lines whose low end is Dirichlet."""
-    base, resp = _line_responses(_Band(), w_old, h, dt, af, src, bc_lo, bc_hi)
+    base, resp = line_responses(_Band(), w_old, h, dt, af, src, bc_lo, bc_hi)
     c_face = (2.0 / h**2) * af[:, -1]
     g = w_old[:, -1] / dt + (2.0 / h) * bc_hi[1] + c_face * base[:, -2] + src[:, -1]
     return 1.0 / dt + c_face * (1.0 - resp["hi"][:, -2]), g
@@ -790,7 +814,7 @@ def test_one_flux_end_is_within_its_bound_of_the_exact_root(gamma, lam, scale):
     dt = lam * h * h
     bcs = ("dirichlet", ends[0]), ("flux", ends[1])
     band = _Band()
-    stack = _solve_lines(band, w_old, h, dt, af, src, *bcs, cubic(gamma), BC_TOL)
+    stack = solve_lines(band, w_old, h, dt, af, src, *bcs, cubic(gamma), BC_TOL)
     s, g = one_end_factors(w_old, h, dt, af, src, *bcs)
     c_phi = 2.0 / h
     for j in range(6):
@@ -822,7 +846,7 @@ def test_two_flux_ends_are_within_their_bound_of_the_exact_roots(gamma, lam, sca
     h = 1.0 / 11
     dt = lam * h * h
     band = _Band()
-    stack = _solve_lines(band, w_old, h, dt, af, src, ("flux", ends[0]), ("flux", ends[1]),
+    stack = solve_lines(band, w_old, h, dt, af, src, ("flux", ends[0]), ("flux", ends[1]),
                          cubic(gamma), BC_TOL)
     for j in range(4):
         alone = solve_one_line(w_old[j], h, dt, af[j], src[j], ("flux", ends[0][j]),
@@ -845,8 +869,8 @@ def test_a_tolerance_below_the_floats_ends_at_the_rounding(kinds, gamma):
     w_old, af, src, ends = random_lines(rng, n_lines=5)
     bcs = (kinds[0], ends[0]), (kinds[1], ends[1])
     band = _Band()
-    stack = _solve_lines(band, w_old, 1.0 / 11, 0.01, af, src, *bcs, cubic(gamma), 1e-300)
-    loose = _solve_lines(_Band(), w_old, 1.0 / 11, 0.01, af, src, *bcs, cubic(gamma), 1e-10)
+    stack = solve_lines(band, w_old, 1.0 / 11, 0.01, af, src, *bcs, cubic(gamma), 1e-300)
+    loose = solve_lines(_Band(), w_old, 1.0 / 11, 0.01, af, src, *bcs, cubic(gamma), 1e-10)
     assert np.abs(stack - loose).max() <= 1e-10
     assert band.closure_error <= 1e-14
     for j in range(5):
@@ -865,7 +889,7 @@ def test_coupled_lines_stop_on_their_own():
                                    h=0.2, dt=0.02, varphi=cubic(0.8))
     assert np.array_equal(batched, per_line)
     band = _Band()
-    _solve_lines(band, w_old, 0.2, 0.02, af, src, ("flux", ends[0]), ("flux", ends[1]),
+    solve_lines(band, w_old, 0.2, 0.02, af, src, ("flux", ends[0]), ("flux", ends[1]),
                  cubic(0.8), 1e-10)
     assert band.closures == 18 and band.closure_error <= 1e-10
 
@@ -888,7 +912,7 @@ def test_two_flux_ends_past_the_newton_rounds_close_nested(monkeypatch, gamma):
              for n in (8, 200)]
     for w_old, h, dt, af, src, ends in cases:
         band = _Band()
-        stack = _solve_lines(band, w_old, h, dt, af, src, ("flux", ends[0]), ("flux", ends[1]),
+        stack = solve_lines(band, w_old, h, dt, af, src, ("flux", ends[0]), ("flux", ends[1]),
                              cubic(gamma), BC_TOL)
         for j in range(3):
             alone = solve_one_line(w_old[j], h, dt, af[j], src[j], ("flux", ends[0][j]),
@@ -912,12 +936,12 @@ def test_a_band_rebinds_its_closure_constants_when_refactored(n_lines, kinds, ga
     w_old, af, src, ends = random_lines(rng, n_lines=n_lines)
     h, dt, law = 1.0 / 11, 0.01, cubic(gamma)
     bcs = [(kind, ends[j]) for j, kind in enumerate(kinds)]
-    fresh = _solve_lines(_Band(), w_old, h, dt, af, src, *bcs, law, BC_TOL)
+    fresh = solve_lines(_Band(), w_old, h, dt, af, src, *bcs, law, BC_TOL)
     for stale_dt, stale_af, stale_law in ((2.0 * dt, af, law), (dt, 1.5 * af, law),
                                           (0.5 * dt, 0.5 * af, law), (dt, af, cubic(gamma + 3.0))):
         band = _Band()
-        _solve_lines(band, w_old, h, stale_dt, stale_af, src, *bcs, stale_law, BC_TOL)
-        again = _solve_lines(band, w_old, h, dt, af, src, *bcs, law, BC_TOL)
+        solve_lines(band, w_old, h, stale_dt, stale_af, src, *bcs, stale_law, BC_TOL)
+        again = solve_lines(band, w_old, h, dt, af, src, *bcs, law, BC_TOL)
         assert band.factorizations == (1 if stale_law is not law else 2)
         assert np.array_equal(again, fresh) and same_bits(again, fresh)
 
@@ -991,6 +1015,28 @@ def reference_close_stack(band, h, dt, w_old, src, base, af, data, varphi, bc_to
     return {end: b[:, None] for end, b in ends.items()}, 0.0, 0
 
 
+BIND = _Band.bind
+
+
+def bisection_bind(band, h, dt, af, kinds, varphi, bc_tol):
+    """:meth:`_Band.bind` with the band's solve and responses, closing its
+    flux ends by :func:`reference_close_stack` instead of the bound closure."""
+    BIND(band, h, dt, af, kinds, varphi, bc_tol)
+
+    def step(w_old, src, lo, hi):
+        w = band.solve(w_old, src, lo, hi)
+        if band.resp:
+            ends, _, _ = reference_close_stack(band, h, dt, w_old, src, w, af,
+                                               {"lo": lo, "hi": hi}, varphi, bc_tol)
+            for end, r in band.resp.items():
+                w += ends[end] * r
+        for i, kind, value in ((0, kinds[0], lo), (-1, kinds[1], hi)):
+            if kind == "dirichlet":
+                w[:, i] = value
+        return w
+    return step
+
+
 PARABOLIC_BUNDLED = [name for name in bundled_names() if load_plan(name).pde == "parabolic"]
 
 
@@ -1011,7 +1057,7 @@ def test_newton_runs_stay_within_the_closure_bound_of_the_bisection(monkeypatch,
         scn = replace(scn, boundary_reaction=cubic(1.0))
     new = solve_parabolic(scn, grid, cfg)
     with monkeypatch.context() as patch:
-        patch.setattr(parabolic, "_close_lines", reference_close_stack)
+        patch.setattr(_Band, "bind", bisection_bind)
         old = solve_parabolic(scn, grid, cfg)
     reach = new.counters["max_abs"]["u"]
     c_top = float(scn.c.bind(grid.points()).range(cfg.t_end)[1])
@@ -1142,20 +1188,15 @@ def test_2d_batched_sweeps_match_per_line_oracle(flux_edges):
         assert np.array_equal(traj.state(i), expected)
 
 
-CLOSE_LINES = parabolic._close_lines
-
-
-def close_line_by_line(band, h, dt, w_old, src, base, af, data, varphi, bc_tol):
-    """:func:`parabolic._close_lines` of a stack as one call per line, each
-    on the float layout, with a band of that line's responses alone."""
-    n_lines = w_old.shape[0]
-    rows = [CLOSE_LINES(
-        _Band(resp={end: r[j:j + 1] for end, r in band.resp.items()}), h, dt,
-        w_old[j:j + 1], src[j:j + 1], base[j:j + 1], af[j:j + 1],
-        {end: np.broadcast_to(v, n_lines)[j] for end, v in data.items()}, varphi, bc_tol)
-        for j in range(n_lines)]
-    return ({end: np.array([[row[0][end]] for row in rows]) for end in band.resp},
-            max(row[1] for row in rows), sum(row[2] for row in rows))
+def bind_line_by_line(band, h, dt, af, kinds, varphi, bc_tol):
+    """:meth:`_Band.bind` of a stack as a step that solves each line alone,
+    on the float layout, with a fresh band of that line's faces."""
+    def step(w_old, src, lo, hi):
+        n_lines = w_old.shape[0]
+        return np.concatenate([BIND(_Band(), h, dt, af[j:j + 1], kinds, varphi, bc_tol)(
+            w_old[j:j + 1], src[j:j + 1], *(np.broadcast_to(v, n_lines)[j] for v in (lo, hi)))
+            for j in range(n_lines)])
+    return step
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -1172,7 +1213,7 @@ def test_whole_solves_close_stacks_as_line_by_line(monkeypatch, dim):
         w0=profile_sum(profile_constant(0.3), profile_sinprod(2.0, 1, 2, 1 if dim == 3 else None)))
     grid, cfg = Grid(*(10, 12, 8)[:dim]), SolverConfig(t_end=0.05, dt=0.01)
     shipped = solve_parabolic(scn, grid, cfg)
-    monkeypatch.setattr(parabolic, "_close_lines", close_line_by_line)
+    monkeypatch.setattr(_Band, "bind", bind_line_by_line)
     by_line = solve_parabolic(scn, grid, cfg)
     assert len(shipped) == len(by_line) == 6
     for i in range(len(shipped)):
@@ -1198,7 +1239,7 @@ def per_step_1d(scn, grid, cfg, partner):
             kind, value = bc_spec(scn, edge, coord, tn)
             ends.append((kind, np.array([value, 0.5 * value - 0.1])))
         stack = np.stack([w, partner(w)])
-        w = _solve_lines(_Band(), stack, grid.h, dt, np.repeat(scn.a(yf, tn)[None, :], 2, axis=0),
+        w = solve_lines(_Band(), stack, grid.h, dt, np.repeat(scn.a(yf, tn)[None, :], 2, axis=0),
                          np.stack([src, 0.3 * src]), *ends, scn.boundary_reaction,
                          cfg.bc_tol)[0]
         states.append(w)
@@ -1319,7 +1360,7 @@ def test_line_responses_match_gtsv_bitwise(lam_a, n_lines, kinds):
     for _ in range(2):  # the second step reuses the factorisation
         w_old, src = rng.normal(size=(2, n_lines, m))
         ends = rng.normal(size=(2, n_lines))
-        base, resp = _line_responses(band, w_old, h, dt, af, src,
+        base, resp = line_responses(band, w_old, h, dt, af, src,
                                      (kinds[0], ends[0]), (kinds[1], ends[1]))
         want_base, want_resp = gtsv_responses(w_old, h, dt, af, src, kinds, ends)
         assert np.array_equal(base, want_base)
@@ -1384,7 +1425,7 @@ def test_band_checks_survive_the_cache():
     w_old, af, src, ends = random_lines(rng)
     bcs = ("dirichlet", ends[0]), ("flux", ends[1])
     band = _Band()
-    _, resp = _line_responses(band, w_old, 0.1, 0.01, af, src, *bcs)
+    _, resp = line_responses(band, w_old, 0.1, 0.01, af, src, *bcs)
     assert not resp["hi"].flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         resp["hi"][0, 0] = 0.0
@@ -1392,15 +1433,15 @@ def test_band_checks_survive_the_cache():
     bad_src = src.copy()
     bad_src[2, 5] = np.nan
     with pytest.raises(RuntimeError, match=f"^{NONFINITE_RHS}$"):
-        _line_responses(band, w_old, 0.1, 0.01, af, bad_src, *bcs)
+        line_responses(band, w_old, 0.1, 0.01, af, bad_src, *bcs)
     # an infinite face diffusivity when the band is refactored
     bad_af = af.copy()
     bad_af[3, 4] = np.inf
     with pytest.raises(RuntimeError, match=f"^{NONFINITE_BAND}$"):
-        _line_responses(band, w_old, 0.1, 0.01, bad_af, src, *bcs)
+        line_responses(band, w_old, 0.1, 0.01, bad_af, src, *bcs)
     # the memo keeps its last good factorisation
     assert band.factorizations == 1
-    assert _line_responses(band, w_old, 0.1, 0.01, af, src, *bcs)[1] is resp
+    assert line_responses(band, w_old, 0.1, 0.01, af, src, *bcs)[1] is resp
     assert band.factorizations == 1
 
 
