@@ -63,7 +63,7 @@ def top_level(source: str) -> list:
     """(private names defined, names read) of each top-level statement.
 
     A private name starts with one underscore.  Names read include
-    attributes, so ``parabolic._solve_lines`` reads ``_solve_lines``.
+    attributes, so ``parabolic._balance`` reads ``_balance``.
     """
     out = []
     for node in ast.parse(source).body:
