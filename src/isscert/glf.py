@@ -316,7 +316,7 @@ def glf_for_transport(scn, traj: Optional[Trajectory], p: float,
     """At the largest admissible weight rate when none is given."""
     hi = default_transport_rate(p, scn.k)
     r = hi if rate is None else float(rate)
-    if not 0.0 < r <= hi + 1e-12:
+    if not 0.0 < r <= hi:
         raise ParamError("rate", f"weight rate must lie in (0, {hi}], got {r}")
     return GlfSpec("transport", p, r, float(_end_sups(scn, traj)["d"][-1]) / (1.0 - abs(scn.k)))
 

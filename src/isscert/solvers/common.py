@@ -73,10 +73,12 @@ def march(traj, cfg, state, advance, dt_min, equal=True):
     clock(dt), where advance reads end-of-step data, is the stamp of a step
     of dt: t_b + j*dt rounded once on a run of equal steps from stamp t_b
     (fl(k*dt) at a fixed dt), and t_end from t_end - 4 ulp(t_end) on, which
-    ends the loop.  If t_end = K*dt in decimals, dt, t_end and fl(K*dt) each
-    round by a relative u = 2**-53 at most, so fl(K*dt) lies within 3
-    ulp(t_end) of t_end.  dt_max is the time left, or dt_min if that is less
-    than 4 ulp(t_end) short of it, capped at cfg.dt.  traj holds
+    ends the loop.  The loop takes the stamp advance read for the dt it
+    returns, so a step evaluates the clock once.  If t_end = K*dt in
+    decimals, dt, t_end and fl(K*dt) each round by a relative u = 2**-53 at
+    most, so fl(K*dt) lies within 3 ulp(t_end) of t_end.  dt_max is the
+    time left, or dt_min if that is less than 4 ulp(t_end) short of it,
+    capped at cfg.dt.  traj holds
     ceil(t_end/dt_min) steps (RecordSizeError if it cannot): with equal,
     each step but the last is dt_min (parabolic, wave), and M =
     ceil(fl(t_end/dt_min)) gives fl(M*dt_min) >= t_end*(1 - 2u), so no run
@@ -94,11 +96,14 @@ def march(traj, cfg, state, advance, dt_min, equal=True):
                               f"t = {t_end:g} ({exc})") from exc
     t, step, least, most, reach = 0.0, 0, math.inf, 0.0, [0.0] * len(traj.names)
     run_dt, base, unit, den, j = None, 0, 0, 1, 0  # stamp j of the run: (base + j*unit)/den
+    read = None  # the (dt, stamp) advance read this step
 
     def clock(dt):
+        nonlocal read
         end = (t + dt if dt != run_dt else (base + (j + 1) * unit) / den if base
                else (j + 1) * dt)
-        return t_end if end >= t_end - near else end
+        read = dt, (t_end if end >= t_end - near else end)
+        return read[1]
 
     while True:
         for i, values in enumerate(state):
@@ -114,10 +119,12 @@ def march(traj, cfg, state, advance, dt_min, equal=True):
         rest, step = t_end - t, step + 1
         dt_max = min(cfg.dt or math.inf, max(rest, dt_min) if rest >= dt_min - near else rest)
         dt, state = advance(t, dt_max, state, step, clock)
+        # before a new run starts the clock reads t + dt rounded once, its first stamp
+        tn = read[1] if read is not None and read[0] == dt else clock(dt)
         if dt != run_dt:
             (tb, db), (dn, dd) = t.as_integer_ratio(), dt.as_integer_ratio()
             run_dt, base, unit, den, j = dt, tb * dd, dn * db, db * dd, 0
-        t, j = clock(dt), j + 1
+        t, j, read = tn, j + 1, None
         least, most = min(least, dt), max(most, dt)
     traj.counters.update(steps=step, dt_min=least, dt_max=most,
                          max_abs=dict(zip(traj.names, reach)))

@@ -23,16 +23,17 @@ arrays, with the same bits.  :func:`solve_parabolic` supplies the step
 of any dimension to the time loop all steppers share,
 :func:`~isscert.solvers.common.march`.  It binds every field to its
 points once per solve (:meth:`~isscert.signals.SpaceTimeField.bind`): a
-on the faces, c and f on the nodes, d1 and d2 on the boundary points, so
-a step evaluates the fields' time signals only, and reads a field of a
-constant signal once.  Each sweep's band (:class:`_Band`) binds the
-sweep's whole step once per operator: it factors the band (LAPACK
-gttrf), solves its flux ends' unit responses, and binds (:func:`_bind`)
-one function that solves a right-hand side (gttrs) and closes the flux
-ends with the balance constants and the closure form chosen once, from
-the layout, the number of flux ends and the law's facts.  A step calls
-that function once per sweep.  A new h, dt or diffusivity, such as a
-time-varying a or a shorter last step, refactors and binds anew.
+on the faces, c and f on the nodes (a uniform one on one point), d1 and
+d2 on the boundary points, so a step evaluates the fields' time signals
+only, and reads a field of a constant signal once.  Each sweep's band
+(:class:`_Band`) holds the facts fixed for a solve, the spacing h, the
+end kinds, the flux law and bc_tol, and binds the sweep's whole step once
+per operator: it factors the band (LAPACK gttrf), solves its flux ends'
+unit responses, and binds (:func:`_bind`) one function that solves a
+right-hand side (gttrs) and closes the flux ends with the constants and
+closure form chosen once, from the layout, the number of flux ends and
+the law's facts.  A step calls it once per sweep; only a new dt or
+diffusivity (a shorter last step, a time-varying a) binds anew.
 """
 
 from __future__ import annotations
@@ -181,12 +182,12 @@ def solve_parabolic(scn: ParabolicScenario, grid, cfg: SolverConfig) -> Trajecto
     if grid.layout != "node" or grid.dim != scn.dim:
         raise ValueError(f"dim {scn.dim} runs need a node-centered grid of dim {scn.dim}")
     a_faces, bands, meta, implicit = _setup(scn, grid, cfg)
-    # every field is bound to its points once: a step evaluates signals only
+    # every field is bound to its points once: a step evaluates signals only,
+    # and a uniform c or f is bound to one point, a float of the same bits
     pts = grid.points()
-    c_n, f_n = scn.c.bind(pts), scn.f.bind(pts)
+    c_n, f_n = (fld.bind(0.0 if fld.profile is None else pts) for fld in (scn.c, scn.f))
     _check_floors(scn, a_faces, c_n, cfg.t_end)
-    # a constant c is negated once, not every step (negation is exact), and a
-    # constant f read once
+    # a constant c is negated (exactly) and a constant f read once, not every step
     minus_c, f_fixed = None if c_n.fixed is None else -c_n.fixed, f_n.fixed
 
     def advance(t, dt, state, step, clock):
@@ -242,20 +243,20 @@ def _setup(scn, grid, cfg):
                             for edge, p in ends])
         a_k = scn.a.bind(_points(faces))
         # the first sweep takes the step's source, the others a zero one
-        sweeps.append((order, sel, _Band(), grid.steps[k], a_k, a_k.fixed, kinds,
+        band = _Band(grid.steps[k], kinds, scn.boundary_reaction, cfg.bc_tol)
+        sweeps.append((order, sel, band, a_k, a_k.fixed,
                        *(v for d in data for v in (d, d.fixed)),
                        np.zeros((len(faces[0]), x.size)) if k else None, k == grid.dim - 1))
     # the nodes a sweep leaves out, on the other axes' Dirichlet faces, take the data
     d1_n = scn.d1.bind(grid.points()) if grid.dim > 1 and g1 else None
     d1_fixed = None if d1_n is None else d1_n.fixed
-    law, tol = scn.boundary_reaction, cfg.bc_tol
 
     def implicit(w, src, dt, tn):
         dvals = d1_fixed if d1_fixed is not None or d1_n is None else d1_n(tn)
-        for order, sel, band, h, a_k, af, kinds, lo, lo_v, hi, hi_v, zero, last in sweeps:
+        for order, sel, band, a_k, af, lo, lo_v, hi, hi_v, zero, last in sweeps:
             moved = w.transpose(order)[sel]
             stack = moved.reshape(-1, moved.shape[-1])
-            lines = band.bind(h, dt, a_k(tn) if af is None else af, kinds, law, tol)(
+            lines = band.bind(dt, a_k(tn) if af is None else af)(
                 stack, src.transpose(order)[sel].reshape(stack.shape) if zero is None else zero,
                 lo(tn) if lo_v is None else lo_v, hi(tn) if hi_v is None else hi_v)
             if dvals is None and last:  # every node, in C order: no copy
@@ -268,7 +269,7 @@ def _setup(scn, grid, cfg):
     meta = {"scheme": ("dimension-split " if grid.dim > 1 else "")
             + "semi-implicit diffusion, explicit reaction",
             "dim": grid.dim, **dict(zip(grid_keys(grid.dim), grid.cells))}
-    return [sweep[4] for sweep in sweeps], [sweep[2] for sweep in sweeps], meta, implicit
+    return [sweep[3] for sweep in sweeps], [sweep[2] for sweep in sweeps], meta, implicit
 
 
 def _points(coords):
@@ -278,52 +279,45 @@ def _points(coords):
 
 @dataclass
 class _Band:
-    """One sweep's memo of its bound step.  key is the operator the band was
-    last factored under, (h, dt, end kinds, shape and bits of the face
-    diffusivities), whose first three are also held as h, dt and kinds, and
-    af is that diffusivity array when it is read-only and owns its data, so
-    a step compares fields and identities, not keys.  lu holds gttrf's
-    factors, resp the read-only unit responses of the flux ends, faces each
-    flux end's (c_face, r_lo, r_hi) on the layout lay (:func:`_bind`), solve
-    the band's solve and step the step bound under law and tol; then the
-    sweep's factorisations, closures, law calls and largest error bound."""
+    """One sweep's band: its spacing h, end kinds, flux law and tol, fixed for
+    a solve, and the memo of its bound step.  key is the (dt, bits of the
+    face diffusivities, always of the sweep's shape) it was last factored
+    under, and af that array when it is read-only and owns its data, so a
+    step of a fixed a compares a dt and an identity.  lu holds gttrf's
+    factors, resp the flux ends' read-only unit responses, solve the band's
+    solve and step its step; then the sweep's factorisations, closures, law
+    calls and largest error bound."""
 
+    h: float
+    kinds: tuple
+    law: Callable
+    tol: float
     key: tuple = None
-    h: float = None
-    dt: float = None
-    kinds: tuple = None
     af: np.ndarray = None
     lu: list = None
     resp: dict = None
-    lay: object = None
-    faces: dict = None
     solve: Callable = None
-    law: Callable = None
-    tol: float = None
     step: Callable = None
     factorizations: int = 0
     closures: int = 0
     law_calls: int = 0
     closure_error: float = 0.0
 
-    def bind(self, h, dt, af, kinds, law, tol):
-        """The step of the band of faces af under the flux law and tol,
-        step(w_old, src, lo, hi) (:func:`_bind`): factored and bound anew
-        only where h, dt, the end kinds or the bits of af changed, and bound
-        anew where the law or tol did."""
-        if af is not self.af or dt != self.dt or h != self.h or kinds != self.kinds:
-            key = (h, dt, kinds, af.shape, af.tobytes())
+    def bind(self, dt, af):
+        """The step of the band of faces af at dt, step(w_old, src, lo, hi)
+        (:func:`_bind`): factored and bound anew only where dt or the bits of
+        af changed."""
+        if af is not self.af or dt != self.key[0]:
+            key = (dt, af.tobytes())
             if key != self.key:
-                self.factor(key, af, law, tol)
+                self.factor(key, af)
             self.af = None if af.flags.writeable or not af.flags.owndata else af
-        if law is not self.law or tol != self.tol:
-            self.step = _bind(self, law, tol)
         return self.step
 
-    def factor(self, key, af, law, tol):
-        """Factor the band of key's h, dt and end kinds on the faces af, solve
-        its flux ends' unit responses and bind its step under law and tol."""
-        h, dt, kinds = key[:3]
+    def factor(self, key, af):
+        """Factor the band at key's dt on the faces af, solve its flux ends'
+        unit responses and bind its step."""
+        (dt, _), h, kinds = key, self.h, self.kinds
         n_lines, m = af.shape[0], af.shape[1] + 1
         lam = dt / h**2
         ab = np.zeros((3, n_lines, m))
@@ -345,7 +339,7 @@ class _Band:
         unit[0, :, 0] = unit[1, :, m - 1] = 1.0
         x = gttrs(*lu, unit.reshape(2, -1).T, overwrite_b=True)[0].T.reshape(2, n_lines, m)
         x.flags.writeable = False
-        resp = {end: x[j] for j, (end, kind) in enumerate(zip(("lo", "hi"), kinds)) if kind == "flux"}
+        resp = {end: x[j] for j, end in enumerate(("lo", "hi")) if kinds[j] == "flux"}
         lay = _Floats if n_lines == 1 else _Lockstep(n_lines)
         set_lo, set_hi = (kind == "dirichlet" for kind in kinds)
         dt_, (dl, d, du, du2, ipiv) = _constant(dt), lu
@@ -364,18 +358,18 @@ class _Band:
                 raise RuntimeError("non-finite explicit source or boundary data")
             return gttrs(dl, d, du, du2, ipiv, flat)[0].reshape(n_lines, m)
 
-        self.key, self.h, self.dt, self.kinds, self.lu, self.resp = key, h, dt, kinds, lu, resp
-        self.lay, self.solve = lay, solve
+        self.key, self.lu, self.resp, self.solve = key, lu, resp, solve
         # each flux end's (2/h^2) a on its face and the responses at its inner node
-        self.faces = {end: ((2.0 / h**2) * lay.pick(af, 0 if end == "lo" else m - 2),
-                            *(lay.pick(resp[e], 1 if end == "lo" else m - 2) if e in resp else None
-                              for e in ("lo", "hi"))) for end in resp}
+        faces = {end: ((2.0 / h**2) * lay.pick(af, 0 if end == "lo" else m - 2),
+                       *(lay.pick(resp[e], 1 if end == "lo" else m - 2) if e in resp else None
+                         for e in ("lo", "hi"))) for end in resp}
         self.factorizations += 1
-        self.step = _bind(self, law, tol)
+        self.step = _bind(self, dt, lay, faces)
 
 
-def _bind(band, law, tol):
-    """band's step under the flux law (facts slope and gamma) and tol:
+def _bind(band, dt, lay, faces):
+    """band's step at dt on the layout lay, under its flux law (facts slope
+    and gamma) and tol, each flux end's (c_face, r_lo, r_hi) in faces:
     step(w_old, src, lo, hi) solves the stack w_old, (lines, m), with the
     explicit source src and the end data lo and hi (a value per line, or
     one for all), closes its flux ends and returns the new (lines, m) state.
@@ -397,13 +391,12 @@ def _bind(band, law, tol):
     band counts the closures (a flux end of a line each), law calls and the
     largest error bound at exit.
     """
-    band.law, band.tol = law, tol
-    solve, resp, lay, faces = band.solve, band.resp, band.lay, band.faces
+    solve, resp, law, tol = band.solve, band.resp, band.law, band.tol
     if not resp:
         return solve
     lines, m = next(iter(resp.values())).shape
     pick, data, col, d_phi = lay.pick, lay.data, lay.col, 2.0 / band.h
-    dt, c_phi = lay.scalar(band.dt), lay.scalar(2.0 / band.h)
+    dt, c_phi = lay.scalar(dt), lay.scalar(d_phi)
     if len(resp) == 2:
         close, r_lo, r_hi = _close_two(lay, dt, c_phi, law, tol, faces), resp["lo"], resp["hi"]
 
@@ -466,27 +459,24 @@ def _balance(end, dt, c_phi, law, c_face, r_lo, r_hi):
     return balance
 
 
-def _constants(dt, c_phi, law, end, c_face, r_lo, r_hi):
-    """m and beta of end's balance (:func:`_bind`) and n1 to n3, the state-free
-    coefficients of nu (:func:`_terms`)."""
+def _terms(dt, c_phi, law, end, c_face, r_lo, r_hi):
+    """end's balance (:func:`_balance`), its m, beta and k (:func:`_bind`)
+    and its Newton terms (:func:`_newton`): terms(b, other, w_i, src_i,
+    base_k, c_d2, n0) is the balance at b, its slope m + 3k b^2, the floor
+    m + 3/4 k b^2 of its secant slopes from b, and nu, 16 units of roundoff
+    of its terms at b and other, n0 being the state's part (:func:`_rounding`)."""
+    balance = _balance(end, dt, c_phi, law, c_face, r_lo, r_hi)
     own, other = (r_lo, r_hi) if end == "lo" else (r_hi, r_lo)
     m = 1.0 / dt + c_face * (1.0 - own) + c_phi * law.slope
-    beta = 0.0 if other is None else abs(c_face * other)
-    return m, beta, *(_ROUNDING * v for v in (
-        1.0 / dt + c_phi * law.slope + c_face * (1.0 + abs(own)), c_phi * law.gamma, beta))
+    beta, k = 0.0 if other is None else abs(c_face * other), c_phi * law.gamma
+    n1, n2, n3 = (_ROUNDING * v for v in (
+        1.0 / dt + c_phi * law.slope + c_face * (1.0 + abs(own)), k, beta))
 
-
-def _terms(balance, m, k, n1, n2, n3):
-    """Newton's terms (:func:`_newton`) of an end's balance of constants m
-    and k: terms(b, other, w_i, src_i, base_k, c_d2, n0) is the balance at
-    b, its slope m + 3k b^2, the floor m + 3/4 k b^2 of its secant slopes
-    from b, and nu, 16 units of roundoff of its terms at b and other, n0
-    being the state's part (:func:`_rounding`)."""
     def terms(b, other, w_i, src_i, base_k, c_d2, n0):
         bb = b * b
         return (balance(b, other, w_i, src_i, base_k, c_d2), m + k * (3.0 * bb),
                 m + k * (0.75 * bb), n0 + abs(b) * (n1 + n2 * bb) + n3 * abs(other))
-    return terms
+    return balance, m, beta, k, terms
 
 
 def _rounding(dt, c_face, w_i, src_i, base_k, c_d2):
@@ -507,14 +497,11 @@ def _close_one(lay, dt, c_phi, law, tol, end, c_face, r_lo, r_hi):
     the end's value, its error bound and the law's calls.  A linear law
     closes as C/m, a cubic one by Newton from above |b*| on R's convex side
     (:func:`_one_end`)."""
-    balance = _balance(end, dt, c_phi, law, c_face, r_lo, r_hi)
-    m, _, n1, n2, n3 = _constants(dt, c_phi, law, end, c_face, r_lo, r_hi)
+    balance, m, _, k, terms = _terms(dt, c_phi, law, end, c_face, r_lo, r_hi)
     if not law.gamma:
         def close(w_i, src_i, base_k, c_d2):
             return _at_zero(lay, balance, w_i, src_i, base_k, c_d2) / m, 0.0, lay.lines
         return close
-    k = c_phi * law.gamma
-    terms = _terms(balance, m, k, n1, n2, n3)
 
     def close(w_i, src_i, base_k, c_d2):
         c = _at_zero(lay, balance, w_i, src_i, base_k, c_d2)
@@ -535,10 +522,10 @@ def _close_two(lay, dt, c_phi, law, tol, faces):
     bounds the rounding of the computed balance and adds nu/m to the bound.
     A NaN balance raises RuntimeError."""
     (cf_lo, *_), (cf_hi, *_) = faces["lo"], faces["hi"]
-    bal_lo, bal_hi = (_balance(end, dt, c_phi, law, *faces[end]) for end in ("lo", "hi"))
-    (m_lo, b_lo, *n_lo), (m_hi, b_hi, *n_hi) = (
-        _constants(dt, c_phi, law, end, *faces[end]) for end in ("lo", "hi"))
-    det, lines = m_lo * m_hi - b_lo * b_hi, lay.lines
+    (bal_lo, m_lo, b_lo, k, terms_lo), (bal_hi, m_hi, b_hi, _, terms_hi) = (
+        _terms(dt, c_phi, law, end, *faces[end]) for end in ("lo", "hi"))
+    b_2, det, lines = b_lo * b_hi, m_lo * m_hi - b_lo * b_hi, lay.lines
+    any_, finite, maximum, keep = lay.any, lay.finite, lay.maximum, lay.keep
 
     def linear(w_lo, s_lo, k_lo, d_lo, w_hi, s_hi, k_hi, d_hi):
         c_lo = _at_zero(lay, bal_lo, w_lo, s_lo, k_lo, d_lo)
@@ -549,9 +536,6 @@ def _close_two(lay, dt, c_phi, law, tol, faces):
         def close(w_lo, s_lo, k_lo, d_lo, w_hi, s_hi, k_hi, d_hi):
             return (*linear(w_lo, s_lo, k_lo, d_lo, w_hi, s_hi, k_hi, d_hi)[:2], 0.0, 2 * lines)
         return close
-    k = c_phi * law.gamma
-    (n1_lo, n2_lo, n3_lo), (n1_hi, n2_hi, n3_hi) = n_lo, n_hi
-    terms_lo, terms_hi = _terms(bal_lo, m_lo, k, *n_lo), _terms(bal_hi, m_hi, k, *n_hi)
 
     def close(w_lo, s_lo, k_lo, d_lo, w_hi, s_hi, k_hi, d_hi):
         x, y, c_lo, c_hi = linear(w_lo, s_lo, k_lo, d_lo, w_hi, s_hi, k_hi, d_hi)
@@ -565,25 +549,21 @@ def _close_two(lay, dt, c_phi, law, tol, faces):
         # each round from the last point; a stopped line keeps its point and repeats its round
         y0, live, rounds = y, True, 0
         while True:
-            r_lo, r_hi = bal_lo(x, y, w_lo, s_lo, k_lo, d_lo), bal_hi(y, x, w_hi, s_hi, k_hi, d_hi)
-            if lay.any((r_lo != r_lo) | (r_hi != r_hi)):
+            r_lo, j_lo, q_lo, nu_lo = terms_lo(x, y, w_lo, s_lo, k_lo, d_lo, n0_lo)
+            r_hi, j_hi, q_hi, nu_hi = terms_hi(y, x, w_hi, s_hi, k_hi, d_hi, n0_hi)
+            if any_((r_lo != r_lo) | (r_hi != r_hi)):
                 raise RuntimeError(_NONFINITE_BALANCE)
-            a_lo, a_hi, xx, yy = abs(r_lo), abs(r_hi), x * x, y * y
-            q_lo, q_hi = m_lo + k * (0.75 * xx), m_hi + k * (0.75 * yy)
-            q = q_lo * q_hi - b_lo * b_hi
-            err = lay.maximum((q_hi * a_lo + b_lo * a_hi) / q, (b_hi * a_lo + q_lo * a_hi) / q)
+            a_lo, a_hi, q = abs(r_lo), abs(r_hi), q_lo * q_hi - b_2
+            err = maximum((q_hi * a_lo + b_lo * a_hi) / q, (b_hi * a_lo + q_lo * a_hi) / q)
             # the Newton step, by the Jacobian L + 3k diag(z^2)
-            j_lo, j_hi = m_lo + k * (3.0 * xx), m_hi + k * (3.0 * yy)
-            j = j_lo * j_hi - b_lo * b_hi
+            j = j_lo * j_hi - b_2
             nx, ny = x - (j_hi * r_lo + b_lo * r_hi) / j, y - (b_hi * r_lo + j_lo * r_hi) / j
-            need = ((err > tol) & ((nx != x) | (ny != y))
-                    & ((a_lo > n0_lo + abs(x) * (n1_lo + n2_lo * xx) + n3_lo * abs(y))
-                       | (a_hi > n0_hi + abs(y) * (n1_hi + n2_hi * yy) + n3_hi * abs(x))))
+            need = (err > tol) & ((nx != x) | (ny != y)) & ((a_lo > nu_lo) | (a_hi > nu_hi))
             rounds += 1
-            live = live & need & lay.finite(nx) & lay.finite(ny)
-            if not lay.any(live) or rounds == _NEWTON_ROUNDS:
+            live = live & need & finite(nx) & finite(ny)
+            if not any_(live) or rounds == _NEWTON_ROUNDS:
                 break
-            x, y = lay.keep((x, y), (nx, ny), live)
+            x, y = keep((x, y), (nx, ny), live)
         calls = 2 * (rounds + 1) * lines
         if lines == 1:
             if need:
@@ -663,9 +643,9 @@ def _nested(lo, hi, m_lo, m_hi, b_lo, b_hi, k, c_lo, c_hi, det, y, tol):
     def g(y):
         x, e_x, calls = _one_end(_Floats, terms_lo, (y, *state_lo), m_lo, k,
                                  0.0 - terms_lo(0.0, y, *state_lo)[0], 0.0)
-        r, _, _, nu = terms_hi(y, x, *state_hi)
+        r, slope, _, nu = terms_hi(y, x, *state_hi)
         at.update(x=x, e_x=e_x, calls=at["calls"] + calls + 2)
-        return r, m_hi + k * (3.0 * (y * y)) - b_hi * b_lo / (m_lo + k * (3.0 * (x * x))), least, nu
+        return r, slope - b_hi * b_lo / (m_lo + k * (3.0 * (x * x))), least, nu
 
     y, e_g, _ = _newton(_Floats, g, (), y, -reach, reach, 0.5 * tol)
     e_y = e_g + b_hi * at["e_x"] / least

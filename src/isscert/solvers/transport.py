@@ -24,7 +24,6 @@ from .common import AssumptionViolationError, ScenarioError, SolverConfig, cappe
 __all__ = ["TransportScenario", "solve_transport"]
 
 _ASSUMPTIONS = ("uniform", "decreasing")
-_FLOOR_SLACK = 1e-12  # how far a speed may sit below the floor of "uniform"
 
 
 @dataclass
@@ -70,7 +69,7 @@ class TransportScenario:
         if self.assumption == "uniform":
             if self.speed_floor is None:
                 raise ScenarioError("assumption 'uniform' needs speed_floor > 0")
-            if sup < self.speed_floor - _FLOOR_SLACK:
+            if sup < self.speed_floor:
                 raise ScenarioError("speed map drops below its declared floor")
 
 
@@ -88,7 +87,7 @@ def solve_transport(scn: TransportScenario, grid: Grid, cfg: SolverConfig) -> Tr
     averages; the largest |W| over every state goes to
     traj.counters["max_abs_mass"].  Raises AssumptionViolationError if the
     speed ever fails to be positive along the run, or drops below a
-    declared speed_floor (with validate's slack).
+    declared speed_floor, compared exactly.
     """
     scn.validate()
     if grid.layout != "cell":
@@ -105,7 +104,7 @@ def solve_transport(scn: TransportScenario, grid: Grid, cfg: SolverConfig) -> Tr
         if not (np.isfinite(speed) and speed > 0):
             raise AssumptionViolationError(
                 f"speed {speed} at total mass {mass} is not positive (t = {t})")
-        if scn.speed_floor is not None and speed < scn.speed_floor - _FLOOR_SLACK:
+        if scn.speed_floor is not None and speed < scn.speed_floor:
             raise AssumptionViolationError(
                 f"speed {speed} at total mass {mass} drops below the declared "
                 f"floor {scn.speed_floor} (t = {t})")

@@ -411,6 +411,9 @@ def test_cli_run_rejects_bad_bc_tol(tmp_path, capsys, bc_tol):
     assert not (tmp_path / "out").exists()
 
 
+# one float above transport_global's largest admissible weight rate (p+1) ln(1/|k|)
+RATE_ABOVE = math.nextafter(3.0 * math.log(2.0), math.inf)
+
 
 def _no_solver(monkeypatch):
     def unreachable(*args):
@@ -437,6 +440,10 @@ def _no_solver(monkeypatch):
      "config error: energy: truncation level needs a positive reaction floor c0"),
     ("transport_global", lambda doc: doc["energy"].update(rate=3.0),
      f"config error: energy.rate: weight rate must lie in (0, {3.0 * math.log(2.0)}], got 3.0"),
+    # one float above the largest admissible rate, compared with no slack
+    ("transport_global", lambda doc: doc["energy"].update(rate=RATE_ABOVE),
+     f"config error: energy.rate: weight rate must lie in (0, {3.0 * math.log(2.0)}], "
+     f"got {RATE_ABOVE}"),
     ("transport_global", lambda doc: doc["scenario"].update(k=0.0),
      "config error: energy: recirculation gain zero leaves the rate unconstrained"),
     ("wave_demo", lambda doc: doc["energy"].update(rate=0.0),
@@ -455,7 +462,8 @@ def _no_solver(monkeypatch):
     ("wave_demo", lambda doc: doc["energy"].update(p=2.0, rate=710.0, eps=1.0),
      "config error: energy.rate: the weight exp(rate*y) overflows the floats at rate = 710"),
 ], ids=["transport_liss_energy", "wave_energy_eps", "wave_check_eps", "energy_p",
-        "parabolic_energy_c0", "transport_rate", "transport_k", "wave_rate",
+        "parabolic_energy_c0", "transport_rate", "transport_rate_one_float_above", "transport_k",
+        "wave_rate",
         "wave_slack_p", "wave_slack_eps", "wave_weight_1000", "wave_weight_710"])
 def test_cli_run_post_solve_errors_exit_2(tmp_path, capsys, monkeypatch, demo, edit, message):
     # these once failed after the solve, as energy and check errors; now
@@ -519,6 +527,24 @@ def test_cli_run_wave_energy_at_steep_weights_keeps_a_finite_envelope(tmp_path, 
     energy = next(line for line in (out / "report.txt").read_text().splitlines()
                   if line.startswith("energy p="))
     assert float(energy.rsplit("max_envelope_excess=", 1)[1]) <= 0.0
+
+
+def test_cli_run_transport_at_the_largest_admissible_rate(tmp_path, capsys):
+    # the default rate (p+1) ln(1/|k|), given explicitly, is admitted and
+    # gives the results of the run that omits it
+    reports = []
+    for rate in (None, 3.0 * math.log(2.0)):
+        doc = load_config("transport_global")
+        if rate is not None:
+            doc["energy"]["rate"] = rate
+        cfg = tmp_path / "rate.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        out = tmp_path / f"out{len(reports)}"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        report = (out / "transport_global" / "report.txt").read_text()
+        reports.append(report.split("--- results\n", 1)[1])
+    assert reports[0] == reports[1] and "status=ok" in reports[0]
 
 
 def test_wave_weight_rate_up_to_the_float_limit_builds():
@@ -827,11 +853,14 @@ def test_integer_keys_accept_integral_floats():
      "scenario: reaction slope must be at least one"),
     ("transport_global", "scenario.speed_floor", 1.5,
      "scenario: speed map drops below its declared floor"),
+    # the speed 1.0 one float below its floor, compared with no slack
+    ("transport_global", "scenario.speed_floor", math.nextafter(1.0, 2.0),
+     "scenario: speed map drops below its declared floor"),
 ], ids=["grid_n", "bump_halfwidth", "map_slope", "poly_coeffs", "nan_signal",
         "transport_node_layout", "parabolic_without_dt", "unhashable_check_kind",
         "nan_tol", "inf_slope", "huge_int", "zero_slope", "negative_gamma", "power_map",
         "huge_q", "nan_q", "zero_speed", "negative_speed_scale", "nan_coeffs",
-        "sub_unit_reaction_slope", "floor_above_the_speed"])
+        "sub_unit_reaction_slope", "floor_above_the_speed", "floor_one_float_above_the_speed"])
 def test_cli_run_build_errors_exit_2(tmp_path, capsys, demo, location, value, message):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(yaml.safe_dump(_edited(demo, location, value)))

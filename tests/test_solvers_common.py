@@ -1,6 +1,7 @@
 """Tests for the time loop and configuration shared by all steppers."""
 
 import math
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -19,6 +20,35 @@ LOOP_CASES = {
     "transport": (solve_transport, "transport_global", 0.05),
     "wave": (solve_wave, "wave_demo", 0.05),
 }
+
+
+def clock_calls(solver, *args):
+    """solver(*args) and the number of times it evaluated march's clock."""
+    code = next(c for c in march.__code__.co_consts if getattr(c, "co_name", None) == "clock")
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and frame.f_code is code
+
+    sys.setprofile(count)
+    try:
+        traj = solver(*args)
+    finally:
+        sys.setprofile(None)
+    return traj, calls
+
+
+@pytest.mark.parametrize("pde", sorted(LOOP_CASES))
+def test_a_step_evaluates_the_clock_once(pde):
+    # a parabolic or wave step reads its end-of-step data at the stamp the
+    # loop then takes, and a transport step reads none; each run ends in a
+    # partial step, which starts a new run of the clock
+    solver, demo, t_end = LOOP_CASES[pde]
+    plan = load_plan(demo)
+    traj, calls = clock_calls(solver, plan.scenario, plan.grid, replace(plan.solver, t_end=t_end))
+    assert calls == traj.counters["steps"] > 2
+    assert traj.counters["dt_min"] < traj.counters["dt_max"] and traj.times[-1] == t_end
 
 
 @pytest.mark.parametrize("pde", sorted(LOOP_CASES))

@@ -37,20 +37,27 @@ ONE = SpaceTimeField.constant(1.0)
 NONFINITE_BALANCE = "non-finite flux boundary balance"
 
 
-def solve_lines(band, w_old, h, dt, af, src, bc_lo, bc_hi, varphi, bc_tol):
-    """A stack's implicit step through band's bound step, as a sweep takes
-    it: the ends as (kind, value), a value per line or one for all."""
-    step = band.bind(h, dt, af, (bc_lo[0], bc_hi[0]), varphi, bc_tol)
-    return step(w_old, src, bc_lo[1], bc_hi[1])
+def band_of(h, bc_lo, bc_hi, varphi, bc_tol):
+    """A sweep's band: its spacing h, the kinds of the ends (kind, value),
+    the flux law and tol."""
+    return _Band(h, (bc_lo[0], bc_hi[0]), varphi, bc_tol)
+
+
+def solve_lines(w_old, h, dt, af, src, bc_lo, bc_hi, varphi, bc_tol):
+    """A stack's implicit step through a fresh band's bound step, as a sweep
+    takes it: the ends as (kind, value), a value per line or one for all."""
+    return band_of(h, bc_lo, bc_hi, varphi, bc_tol).bind(dt, af)(w_old, src, bc_lo[1], bc_hi[1])
 
 
 RESPONSE_LAW = identity()
 
 
-def line_responses(band, w_old, h, dt, af, src, bc_lo, bc_hi):
-    """The base solution of a stack, every flux end held at zero, from band's
-    solve, and band's read-only unit responses of its flux ends."""
-    band.bind(h, dt, af, (bc_lo[0], bc_hi[0]), RESPONSE_LAW, 1e-10)
+def line_responses(w_old, h, dt, af, src, bc_lo, bc_hi, band=None):
+    """The base solution of a stack, every flux end held at zero, from the
+    solve of band, a fresh one by default, and the band's read-only unit
+    responses of its flux ends."""
+    band = band_of(h, bc_lo, bc_hi, RESPONSE_LAW, 1e-10) if band is None else band
+    band.bind(dt, af)
     return band.solve(w_old, src, bc_lo[1], bc_hi[1]), band.resp
 
 
@@ -350,8 +357,8 @@ KINDS = ("dirichlet", "flux")
 
 def solve_one_line(w_old, h, dt, af, src, bc_lo, bc_hi, varphi, bc_tol):
     """solve_lines on the one-line stack of a single line's data."""
-    return solve_lines(_Band(), w_old[None, :], h, dt, af[None, :], src[None, :],
-                        bc_lo, bc_hi, varphi, bc_tol)[0]
+    return solve_lines(w_old[None, :], h, dt, af[None, :], src[None, :],
+                       bc_lo, bc_hi, varphi, bc_tol)[0]
 
 
 def random_lines(rng, n_lines=7, m=12, scale=1.0):
@@ -365,7 +372,7 @@ def random_lines(rng, n_lines=7, m=12, scale=1.0):
 def solve_both(w_old, af, src, kinds, ends, h=1.0 / 11, dt=0.01,
                varphi=cubic(0.8)):
     bc_lo, bc_hi = (kinds[0], ends[0]), (kinds[1], ends[1])
-    batched = solve_lines(_Band(), w_old, h, dt, af, src, bc_lo, bc_hi, varphi, 1e-10)
+    batched = solve_lines(w_old, h, dt, af, src, bc_lo, bc_hi, varphi, 1e-10)
     per_line = np.array([
         solve_one_line(w_old[k], h, dt, af[k], src[k], (kinds[0], ends[0][k]),
                        (kinds[1], ends[1][k]), varphi, 1e-10)
@@ -456,8 +463,8 @@ def test_flux_law_sees_floats_on_one_line_and_arrays_on_a_stack():
             seen.add(type(v))
             return varphi(v)
 
-        solve_lines(_Band(), w_old[rows], 1.0 / 11, 0.01, af[rows], src[rows],
-                     ("flux", ends[0][rows]), ("flux", ends[1][rows]), recorded, 1e-10)
+        solve_lines(w_old[rows], 1.0 / 11, 0.01, af[rows], src[rows],
+                    ("flux", ends[0][rows]), ("flux", ends[1][rows]), recorded, 1e-10)
         assert seen == {want}
 
 
@@ -468,15 +475,15 @@ def test_solve_lines_nan_residual_raises():
     for varphi in (cubic(0.8), identity()):
         for kind in ("dirichlet", "flux"):
             with pytest.raises(RuntimeError, match=f"^{NONFINITE_BALANCE}$"):
-                solve_lines(_Band(), w_old, 0.1, 0.01, af, src, (kind, ends[0]),
-                             ("flux", ends[1]), varphi, 1e-10)
+                solve_lines(w_old, 0.1, 0.01, af, src, (kind, ends[0]),
+                            ("flux", ends[1]), varphi, 1e-10)
     with pytest.raises(RuntimeError, match=f"^{NONFINITE_BALANCE}$"):
         solve_one_line(w_old[3], 0.1, 0.01, af[3], src[3], ("dirichlet", ends[0][3]),
                        ("flux", ends[1][3]), varphi, 1e-10)
     src[2, 5] = np.inf
     with pytest.raises(RuntimeError, match="non-finite"):
-        solve_lines(_Band(), w_old, 0.1, 0.01, af, src, ("dirichlet", ends[0]),
-                     ("dirichlet", ends[0]), varphi, 1e-10)
+        solve_lines(w_old, 0.1, 0.01, af, src, ("dirichlet", ends[0]),
+                    ("dirichlet", ends[0]), varphi, 1e-10)
 
 
 def test_strongly_coupled_closures_match_scalar_solves():
@@ -502,8 +509,8 @@ def test_law_turning_nan_partway_through_a_closure_raises(n_lines, kinds):
         return np.full(np.shape(v), np.nan) if len(calls) > 2 else varphi(v)
 
     with pytest.raises(RuntimeError, match=f"^{NONFINITE_BALANCE}$"):
-        solve_lines(_Band(), w_old, 0.1, 0.01, af, src, (kinds[0], ends[0]),
-                     (kinds[1], ends[1]), law, 1e-10)
+        solve_lines(w_old, 0.1, 0.01, af, src, (kinds[0], ends[0]),
+                    (kinds[1], ends[1]), law, 1e-10)
     # the balances at 0, then the next call, which is NaN, and the other
     # end's in its round
     assert len(calls) == 2 + kinds.count("flux")
@@ -546,8 +553,8 @@ def coupled_lines(n, a, n_lines=5, dt=0.01, seed=0):
 def balance_factors(w_old, h, dt, af, src, ends):
     """Per line and end, (s, beta, g) of the balance s*b + (2/h)*varphi(b)
     - beta*other - g, from the band's base solution and unit responses."""
-    base, resp = line_responses(_Band(), w_old, h, dt, af, src,
-                                 ("flux", ends[0]), ("flux", ends[1]))
+    base, resp = line_responses(w_old, h, dt, af, src,
+                                ("flux", ends[0]), ("flux", ends[1]))
     out = {}
     for end, i, k, f, other in (("lo", 0, 1, 0, "hi"), ("hi", -1, -2, -1, "lo")):
         c_face = (2.0 / h**2) * af[:, f]
@@ -588,8 +595,8 @@ def test_two_flux_ends_match_the_exact_linear_solve():
         for n in (8, 32, 200):
             w_old, h, dt, af, src, ends = coupled_lines(n, a_dt / 0.01, seed=n)
             exact, rhos = exact_linear_ends(w_old, h, dt, af, src, ends)
-            stack = solve_lines(_Band(), w_old, h, dt, af, src, ("flux", ends[0]),
-                                 ("flux", ends[1]), law, BC_TOL)
+            stack = solve_lines(w_old, h, dt, af, src, ("flux", ends[0]),
+                                ("flux", ends[1]), law, BC_TOL)
             alone = solve_one_line(w_old[0], h, dt, af[0], src[0], ("flux", ends[0][0]),
                                    ("flux", ends[1][0]), law, BC_TOL)
             worst = max(worst, end_errors(stack, exact), end_errors(alone[None], exact[:1]))
@@ -628,8 +635,8 @@ def test_two_flux_ends_match_a_nested_bisection_on_a_cubic_law(gamma):
     cases = [coupled_lines(n, a_dt / 0.01, seed=n + 1) for a_dt in A_DT for n in (8, 32, 200)]
     stacks, alone, facs = [], [], []
     for w_old, h, dt, af, src, ends in cases:
-        stacks.append(solve_lines(_Band(), w_old, h, dt, af, src, ("flux", ends[0]),
-                                   ("flux", ends[1]), varphi, BC_TOL))
+        stacks.append(solve_lines(w_old, h, dt, af, src, ("flux", ends[0]),
+                                  ("flux", ends[1]), varphi, BC_TOL))
         alone.append(solve_one_line(w_old[0], h, dt, af[0], src[0], ("flux", ends[0][0]),
                                     ("flux", ends[1][0]), varphi, BC_TOL))
         facs.append(balance_factors(w_old, h, dt, af, src, ends))
@@ -657,8 +664,8 @@ def test_cross_factors_that_underflow_give_finite_ends(gamma):
     assert not betas[:, 0].any() and betas[:, 1].tolist().count(0.0) == 1
     assert 0.0 < betas[:, 2].max() < 1e-300
     varphi = cubic(gamma)
-    stack = solve_lines(_Band(), w_old, h, dt, af, src, ("flux", ends[0]), ("flux", ends[1]),
-                         varphi, BC_TOL)
+    stack = solve_lines(w_old, h, dt, af, src, ("flux", ends[0]), ("flux", ends[1]),
+                        varphi, BC_TOL)
     assert np.all(np.isfinite(stack))
     for j in range(3):
         alone = solve_one_line(w_old[j], h, dt, af[j], src[j], ("flux", ends[0][j]),
@@ -793,7 +800,7 @@ def exact_cubic_ends(fac, c_phi, gamma):
 def one_end_factors(w_old, h, dt, af, src, bc_lo, bc_hi):
     """(s, g) per line of the balance s*b + (2/h)*varphi(b) - g at the high
     flux end of lines whose low end is Dirichlet."""
-    base, resp = line_responses(_Band(), w_old, h, dt, af, src, bc_lo, bc_hi)
+    base, resp = line_responses(w_old, h, dt, af, src, bc_lo, bc_hi)
     c_face = (2.0 / h**2) * af[:, -1]
     g = w_old[:, -1] / dt + (2.0 / h) * bc_hi[1] + c_face * base[:, -2] + src[:, -1]
     return 1.0 / dt + c_face * (1.0 - resp["hi"][:, -2]), g
@@ -813,8 +820,8 @@ def test_one_flux_end_is_within_its_bound_of_the_exact_root(gamma, lam, scale):
     h = 1.0 / 11
     dt = lam * h * h
     bcs = ("dirichlet", ends[0]), ("flux", ends[1])
-    band = _Band()
-    stack = solve_lines(band, w_old, h, dt, af, src, *bcs, cubic(gamma), BC_TOL)
+    band = band_of(h, *bcs, cubic(gamma), BC_TOL)
+    stack = band.bind(dt, af)(w_old, src, ends[0], ends[1])
     s, g = one_end_factors(w_old, h, dt, af, src, *bcs)
     c_phi = 2.0 / h
     for j in range(6):
@@ -845,9 +852,8 @@ def test_two_flux_ends_are_within_their_bound_of_the_exact_roots(gamma, lam, sca
     ends *= scale
     h = 1.0 / 11
     dt = lam * h * h
-    band = _Band()
-    stack = solve_lines(band, w_old, h, dt, af, src, ("flux", ends[0]), ("flux", ends[1]),
-                         cubic(gamma), BC_TOL)
+    band = _Band(h, ("flux", "flux"), cubic(gamma), BC_TOL)
+    stack = band.bind(dt, af)(w_old, src, ends[0], ends[1])
     for j in range(4):
         alone = solve_one_line(w_old[j], h, dt, af[j], src[j], ("flux", ends[0][j]),
                                ("flux", ends[1][j]), cubic(gamma), BC_TOL)
@@ -868,9 +874,9 @@ def test_a_tolerance_below_the_floats_ends_at_the_rounding(kinds, gamma):
     rng = np.random.default_rng(30)
     w_old, af, src, ends = random_lines(rng, n_lines=5)
     bcs = (kinds[0], ends[0]), (kinds[1], ends[1])
-    band = _Band()
-    stack = solve_lines(band, w_old, 1.0 / 11, 0.01, af, src, *bcs, cubic(gamma), 1e-300)
-    loose = solve_lines(_Band(), w_old, 1.0 / 11, 0.01, af, src, *bcs, cubic(gamma), 1e-10)
+    band = band_of(1.0 / 11, *bcs, cubic(gamma), 1e-300)
+    stack = band.bind(0.01, af)(w_old, src, ends[0], ends[1])
+    loose = solve_lines(w_old, 1.0 / 11, 0.01, af, src, *bcs, cubic(gamma), 1e-10)
     assert np.abs(stack - loose).max() <= 1e-10
     assert band.closure_error <= 1e-14
     for j in range(5):
@@ -888,9 +894,8 @@ def test_coupled_lines_stop_on_their_own():
     batched, per_line = solve_both(w_old, af, src, ("flux", "flux"), ends,
                                    h=0.2, dt=0.02, varphi=cubic(0.8))
     assert np.array_equal(batched, per_line)
-    band = _Band()
-    solve_lines(band, w_old, 0.2, 0.02, af, src, ("flux", ends[0]), ("flux", ends[1]),
-                 cubic(0.8), 1e-10)
+    band = _Band(0.2, ("flux", "flux"), cubic(0.8), 1e-10)
+    band.bind(0.02, af)(w_old, src, ends[0], ends[1])
     assert band.closures == 18 and band.closure_error <= 1e-10
 
 
@@ -911,9 +916,8 @@ def test_two_flux_ends_past_the_newton_rounds_close_nested(monkeypatch, gamma):
     cases = [coupled_lines(n, a_dt / 0.01, n_lines=3, seed=n + 4) for a_dt in (1e-2, 1.0, 1e3)
              for n in (8, 200)]
     for w_old, h, dt, af, src, ends in cases:
-        band = _Band()
-        stack = solve_lines(band, w_old, h, dt, af, src, ("flux", ends[0]), ("flux", ends[1]),
-                             cubic(gamma), BC_TOL)
+        band = _Band(h, ("flux", "flux"), cubic(gamma), BC_TOL)
+        stack = band.bind(dt, af)(w_old, src, ends[0], ends[1])
         for j in range(3):
             alone = solve_one_line(w_old[j], h, dt, af[j], src[j], ("flux", ends[0][j]),
                                    ("flux", ends[1][j]), cubic(gamma), BC_TOL)
@@ -929,20 +933,19 @@ def test_two_flux_ends_past_the_newton_rounds_close_nested(monkeypatch, gamma):
 @pytest.mark.parametrize("kinds", [("dirichlet", "flux"), ("flux", "flux")])
 @pytest.mark.parametrize("gamma", [0.0, 100.0])
 def test_a_band_rebinds_its_closure_constants_when_refactored(n_lines, kinds, gamma):
-    # a sweep's closure constants are bound per factorisation and law
-    # facts: a band that closed under another dt, another af or both, or
-    # under a law of other facts, closes the next stack as a fresh band
+    # a sweep's closure constants are bound per factorisation: a band that
+    # closed under another dt, another af or both closes the next stack as
+    # a fresh band
     rng = np.random.default_rng(38 + n_lines)
     w_old, af, src, ends = random_lines(rng, n_lines=n_lines)
     h, dt, law = 1.0 / 11, 0.01, cubic(gamma)
     bcs = [(kind, ends[j]) for j, kind in enumerate(kinds)]
-    fresh = solve_lines(_Band(), w_old, h, dt, af, src, *bcs, law, BC_TOL)
-    for stale_dt, stale_af, stale_law in ((2.0 * dt, af, law), (dt, 1.5 * af, law),
-                                          (0.5 * dt, 0.5 * af, law), (dt, af, cubic(gamma + 3.0))):
-        band = _Band()
-        solve_lines(band, w_old, h, stale_dt, stale_af, src, *bcs, stale_law, BC_TOL)
-        again = solve_lines(band, w_old, h, dt, af, src, *bcs, law, BC_TOL)
-        assert band.factorizations == (1 if stale_law is not law else 2)
+    fresh = solve_lines(w_old, h, dt, af, src, *bcs, law, BC_TOL)
+    for stale_dt, stale_af in ((2.0 * dt, af), (dt, 1.5 * af), (0.5 * dt, 0.5 * af)):
+        band = band_of(h, *bcs, law, BC_TOL)
+        band.bind(stale_dt, stale_af)(w_old, src, ends[0], ends[1])
+        again = band.bind(dt, af)(w_old, src, ends[0], ends[1])
+        assert band.factorizations == 2
         assert np.array_equal(again, fresh) and same_bits(again, fresh)
 
 
@@ -1018,19 +1021,19 @@ def reference_close_stack(band, h, dt, w_old, src, base, af, data, varphi, bc_to
 BIND = _Band.bind
 
 
-def bisection_bind(band, h, dt, af, kinds, varphi, bc_tol):
+def bisection_bind(band, dt, af):
     """:meth:`_Band.bind` with the band's solve and responses, closing its
     flux ends by :func:`reference_close_stack` instead of the bound closure."""
-    BIND(band, h, dt, af, kinds, varphi, bc_tol)
+    BIND(band, dt, af)
 
     def step(w_old, src, lo, hi):
         w = band.solve(w_old, src, lo, hi)
         if band.resp:
-            ends, _, _ = reference_close_stack(band, h, dt, w_old, src, w, af,
-                                               {"lo": lo, "hi": hi}, varphi, bc_tol)
+            ends, _, _ = reference_close_stack(band, band.h, dt, w_old, src, w, af,
+                                               {"lo": lo, "hi": hi}, band.law, band.tol)
             for end, r in band.resp.items():
                 w += ends[end] * r
-        for i, kind, value in ((0, kinds[0], lo), (-1, kinds[1], hi)):
+        for i, kind, value in ((0, band.kinds[0], lo), (-1, band.kinds[1], hi)):
             if kind == "dirichlet":
                 w[:, i] = value
         return w
@@ -1188,15 +1191,44 @@ def test_2d_batched_sweeps_match_per_line_oracle(flux_edges):
         assert np.array_equal(traj.state(i), expected)
 
 
-def bind_line_by_line(band, h, dt, af, kinds, varphi, bc_tol):
+def bind_line_by_line(band, dt, af):
     """:meth:`_Band.bind` of a stack as a step that solves each line alone,
     on the float layout, with a fresh band of that line's faces."""
     def step(w_old, src, lo, hi):
         n_lines = w_old.shape[0]
-        return np.concatenate([BIND(_Band(), h, dt, af[j:j + 1], kinds, varphi, bc_tol)(
+        fresh = (band.h, band.kinds, band.law, band.tol)
+        return np.concatenate([BIND(_Band(*fresh), dt, af[j:j + 1])(
             w_old[j:j + 1], src[j:j + 1], *(np.broadcast_to(v, n_lines)[j] for v in (lo, hi)))
             for j in range(n_lines)])
     return step
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_uniform_c_or_f_is_bound_to_one_point(monkeypatch, dim):
+    # a uniform field of a varying signal is a float per step, which
+    # broadcasts to the bits of that field on every node
+    sig_c, sig_f = TimeSignal.sinusoid(0.2, 0.7, offset=1.5), TimeSignal.sinusoid(1.0, 1.3, 0.4)
+    uniform = make_scenario(
+        dim=dim, gamma2=tuple(edge for edge in edge_names(dim) if edge != "left"),
+        c=SpaceTimeField.from_signal(sig_c), c0=1.0, f=SpaceTimeField.from_signal(sig_f),
+        reaction=cubic(0.5), boundary_reaction=cubic(1.2),
+        w0=profile_sum(profile_constant(0.3), profile_sin(1.0) if dim == 1 else profile_sinprod(2.0)))
+    on_nodes = replace(uniform, c=SpaceTimeField.separable(profile_constant(1.0), sig_c),
+                       f=SpaceTimeField.separable(profile_constant(1.0), sig_f))
+    grid, cfg = Grid(*(10, 12)[:dim]), SolverConfig(t_end=0.05, dt=0.01)
+    shapes, bind = {}, SpaceTimeField.bind
+
+    def recorded(fld, y):
+        bound = bind(fld, y)
+        shapes.setdefault(fld, []).append(bound.shape)
+        return bound
+
+    monkeypatch.setattr(SpaceTimeField, "bind", recorded)
+    one, every = solve_parabolic(uniform, grid, cfg), solve_parabolic(on_nodes, grid, cfg)
+    assert shapes[uniform.c] == shapes[uniform.f] == [()]
+    assert shapes[on_nodes.c] == shapes[on_nodes.f] == [grid.shape]
+    assert np.array_equal(one.times, every.times)
+    assert same_bits(one.states("u"), every.states("u"))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -1239,9 +1271,9 @@ def per_step_1d(scn, grid, cfg, partner):
             kind, value = bc_spec(scn, edge, coord, tn)
             ends.append((kind, np.array([value, 0.5 * value - 0.1])))
         stack = np.stack([w, partner(w)])
-        w = solve_lines(_Band(), stack, grid.h, dt, np.repeat(scn.a(yf, tn)[None, :], 2, axis=0),
-                         np.stack([src, 0.3 * src]), *ends, scn.boundary_reaction,
-                         cfg.bc_tol)[0]
+        w = solve_lines(stack, grid.h, dt, np.repeat(scn.a(yf, tn)[None, :], 2, axis=0),
+                        np.stack([src, 0.3 * src]), *ends, scn.boundary_reaction,
+                        cfg.bc_tol)[0]
         states.append(w)
     return states
 
@@ -1356,12 +1388,12 @@ def test_line_responses_match_gtsv_bitwise(lam_a, n_lines, kinds):
     rng = np.random.default_rng(15)
     m, h, dt = 12, 1.0 / 11, 0.01
     af = (lam_a * h**2 / dt) * rng.uniform(0.5, 2.0, size=(n_lines, m - 1))
-    band = _Band()
+    band = _Band(h, kinds, RESPONSE_LAW, 1e-10)
     for _ in range(2):  # the second step reuses the factorisation
         w_old, src = rng.normal(size=(2, n_lines, m))
         ends = rng.normal(size=(2, n_lines))
-        base, resp = line_responses(band, w_old, h, dt, af, src,
-                                     (kinds[0], ends[0]), (kinds[1], ends[1]))
+        base, resp = line_responses(w_old, h, dt, af, src, (kinds[0], ends[0]),
+                                    (kinds[1], ends[1]), band)
         want_base, want_resp = gtsv_responses(w_old, h, dt, af, src, kinds, ends)
         assert np.array_equal(base, want_base)
         assert resp.keys() == want_resp.keys()
@@ -1424,8 +1456,8 @@ def test_band_checks_survive_the_cache():
     rng = np.random.default_rng(16)
     w_old, af, src, ends = random_lines(rng)
     bcs = ("dirichlet", ends[0]), ("flux", ends[1])
-    band = _Band()
-    _, resp = line_responses(band, w_old, 0.1, 0.01, af, src, *bcs)
+    band = band_of(0.1, *bcs, RESPONSE_LAW, 1e-10)
+    _, resp = line_responses(w_old, 0.1, 0.01, af, src, *bcs, band)
     assert not resp["hi"].flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         resp["hi"][0, 0] = 0.0
@@ -1433,15 +1465,15 @@ def test_band_checks_survive_the_cache():
     bad_src = src.copy()
     bad_src[2, 5] = np.nan
     with pytest.raises(RuntimeError, match=f"^{NONFINITE_RHS}$"):
-        line_responses(band, w_old, 0.1, 0.01, af, bad_src, *bcs)
+        line_responses(w_old, 0.1, 0.01, af, bad_src, *bcs, band)
     # an infinite face diffusivity when the band is refactored
     bad_af = af.copy()
     bad_af[3, 4] = np.inf
     with pytest.raises(RuntimeError, match=f"^{NONFINITE_BAND}$"):
-        line_responses(band, w_old, 0.1, 0.01, bad_af, src, *bcs)
+        line_responses(w_old, 0.1, 0.01, bad_af, src, *bcs, band)
     # the memo keeps its last good factorisation
     assert band.factorizations == 1
-    assert line_responses(band, w_old, 0.1, 0.01, af, src, *bcs)[1] is resp
+    assert line_responses(w_old, 0.1, 0.01, af, src, *bcs, band)[1] is resp
     assert band.factorizations == 1
 
 

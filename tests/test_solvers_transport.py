@@ -166,6 +166,24 @@ def test_validate_decides_the_speed_by_its_kind():
                       speed_floor=None).validate()
 
 
+def test_speed_floor_is_compared_exactly():
+    # "uniform" refuses a constant speed one float below its floor
+    with pytest.raises(ScenarioError, match="^speed map drops below its declared floor$"):
+        make_scenario(speed_floor=np.nextafter(1.0, 2.0)).validate()
+    # the run's mass stays 1.0, where 1/(1 + W) is 0.5: a floor of 0.5 holds
+    # at every step, and one a float above it fails at the first
+    scn = make_scenario(speed_map=reciprocal_speed(1.0), assumption="decreasing",
+                        speed_floor=0.5, rho0=profile_constant(1.0), d=TimeSignal.constant(0.5))
+    grid, cfg = Grid(32, layout="cell"), SolverConfig(t_end=0.5, cfl_sigma=0.9)
+    traj = solve_transport(scn, grid, cfg)
+    assert traj.counters["max_abs_mass"] == 1.0 and traj.times[-1] == 0.5
+    above = float(np.nextafter(0.5, 1.0))
+    with pytest.raises(AssumptionViolationError, match=(
+            rf"^speed 0\.5 at total mass 1\.0 drops below the declared floor {above!r} "
+            rf"\(t = 0\.0\)$")):
+        solve_transport(make_scenario(**{**scn.__dict__, "speed_floor": above}), grid, cfg)
+
+
 def test_node_grid_rejected():
     with pytest.raises(ValueError):
         solve_transport(make_scenario(), Grid(32, layout="node"),
