@@ -22,7 +22,7 @@ import numpy as np
 import yaml
 
 from .certify import BOUNDS, admit_check
-from .glf import dissipation_rate, glf_for_parabolic, glf_for_transport, glf_for_wave
+from .glf import ENERGIES
 from .signals import (SpaceTimeField, TimeSignal, profile_affine,
                       profile_bump, profile_constant, profile_poly,
                       profile_sin, profile_sinprod, profile_sum)
@@ -334,12 +334,6 @@ def _admit_record(pde, scenario, grid, solver):
                       f"host's {memory:.4g} bytes of physical memory")
 
 
-# each class's energy builder and the keys it reads
-_ENERGY = {"parabolic": (glf_for_parabolic, ("p",)),
-           "transport": (glf_for_transport, ("p", "rate")),
-           "wave": (glf_for_wave, ("p", "rate", "eps"))}
-
-
 def _refusal(exc, path, keys):
     """A ConfigError at path.<key> when exc names one of keys, else at path."""
     key = getattr(exc, "key", None)
@@ -350,19 +344,14 @@ def _build_energy(doc, path, pde, scenario):
     if doc is None:
         return None
     doc = _expect_mapping(doc, path)
-    build, keys = _ENERGY[pde]
-    _reject_unknown(doc, keys, path)
-    energy = {"p": _number(doc, "p", path)}
-    for key in keys[1:]:
-        val = _number(doc, key, path, required=False)
-        if val is not None:
-            energy[key] = val
-    if pde == "wave" and "rate" not in energy:
-        raise ConfigError(f"{path}.rate", "wave energies need an explicit weight rate")
+    kind = ENERGIES[pde]
+    _reject_unknown(doc, kind.keys, path)
+    energy = {key: _number(doc, key, path) for key in kind.keys
+              if key in kind.required or doc.get(key) is not None}
     try:  # the builder and decay rate at zero level, before any run
-        dissipation_rate(build(scenario, None, **energy), scenario)
+        kind.rate(kind.build(scenario, None, **energy), scenario)
     except ValueError as exc:
-        raise _refusal(exc, path, keys) from exc
+        raise _refusal(exc, path, kind.keys) from exc
     return energy
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -31,6 +31,8 @@ from .trunc import TruncationPair, gronwall_envelope_at
 __all__ = [
     "ParamError",
     "GlfSpec",
+    "EnergyKind",
+    "ENERGIES",
     "GlfSeries",
     "weighted_energy",
     "components",
@@ -75,7 +77,7 @@ class GlfSpec:
     eps: Optional[float] = None
 
     def __post_init__(self):
-        if self.pde_class not in ("parabolic", "transport", "wave"):
+        if self.pde_class not in ENERGIES:
             raise ValueError(f"unknown pde class {self.pde_class!r}")
         if not self.p > 1.0:
             raise ParamError("p", "exponent p must exceed 1")
@@ -117,21 +119,8 @@ def weighted_energy(values, grid, pair, rate=0.0, weight_sign=0, shift_sign=1,
 
 def components(state: dict, grid, spec: GlfSpec) -> dict:
     """Each energy term of the functional for one state snapshot."""
-    pair = spec.pair
-    if spec.pde_class in ("parabolic", "transport"):
-        wsign = -1 if spec.pde_class == "transport" else 0
-        u = state["u"]
-        return {
-            "pos": weighted_energy(u, grid, pair, spec.r, wsign, 1, spec.level),
-            "neg": weighted_energy(u, grid, pair, spec.r, wsign, -1, spec.level),
-        }
-    plus, minus = state["plus"], state["minus"]
-    return {
-        "plus_pos": weighted_energy(plus, grid, pair, spec.r, 1, 1, spec.level),
-        "plus_neg": weighted_energy(plus, grid, pair, spec.r, 1, -1, spec.level),
-        "minus_pos": weighted_energy(minus, grid, pair, spec.r, -1, 1, spec.level),
-        "minus_neg": weighted_energy(minus, grid, pair, spec.r, -1, -1, spec.level),
-    }
+    return {name: weighted_energy(state[u], grid, spec.pair, spec.r, wsign, shift, spec.level)
+            for name, (u, wsign, shift) in ENERGIES[spec.pde_class].terms.items()}
 
 
 def series(traj: Trajectory, spec: GlfSpec):
@@ -342,19 +331,41 @@ def glf_for_wave(scn, traj: Optional[Trajectory], p: float, rate: float,
     return spec
 
 
-def dissipation_rate(spec: GlfSpec, scn) -> float:
-    """Decay rate certified by the functional for this scenario.
+def _transport_rate(spec: GlfSpec, scn) -> float:
+    if not scn.speed_floor:
+        raise ScenarioError("decay rate needs a declared speed floor")
+    return spec.r * scn.speed_floor
 
-    Parabolic: c0 * (p+1).  Transport: r * speed_floor (the scenario must
-    declare one).  Wave: c*r - eps.
-    """
-    if spec.pde_class == "parabolic":
-        return scn.c0 * (spec.p + 1.0)
-    if spec.pde_class == "transport":
-        if not scn.speed_floor:
-            raise ScenarioError("decay rate needs a declared speed floor")
-        return spec.r * scn.speed_floor
-    return scn.c * spec.r - spec.eps
+
+@dataclass(frozen=True)
+class EnergyKind:
+    """One PDE class's functional: the energy keys its config section accepts
+    and requires, its builder build(scn, traj, **energy), its certified decay
+    rate rate(spec, scn), and its terms by name, each (state, weight sign,
+    shift sign) of :func:`weighted_energy`, which :func:`series` sums in order."""
+
+    keys: tuple
+    required: tuple
+    build: Callable
+    rate: Callable
+    terms: dict
+
+
+ENERGIES = {
+    "parabolic": EnergyKind(("p",), ("p",), glf_for_parabolic, lambda s, scn: scn.c0 * (s.p + 1.0),
+                            {"pos": ("u", 0, 1), "neg": ("u", 0, -1)}),
+    "transport": EnergyKind(("p", "rate"), ("p",), glf_for_transport, _transport_rate,
+                            {"pos": ("u", -1, 1), "neg": ("u", -1, -1)}),
+    "wave": EnergyKind(("p", "rate", "eps"), ("p", "rate"), glf_for_wave,
+                       lambda s, scn: scn.c * s.r - s.eps,
+                       {"plus_pos": ("plus", 1, 1), "plus_neg": ("plus", 1, -1),
+                        "minus_pos": ("minus", -1, 1), "minus_neg": ("minus", -1, -1)}),
+}
+
+
+def dissipation_rate(spec: GlfSpec, scn) -> float:
+    """Decay rate certified by the functional for this scenario."""
+    return ENERGIES[spec.pde_class].rate(spec, scn)
 
 
 def _slack_coefficient(spec: GlfSpec) -> float:

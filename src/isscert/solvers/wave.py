@@ -59,7 +59,7 @@ class WaveScenario:
             raise ScenarioError(f"d must be a TimeSignal, got {type(self.d).__name__}")
         if not (np.isfinite(self.c) and self.c > 0):
             raise ScenarioError("wave speed must be positive")
-        if abs(float(self.w0(0.0))) > 1e-12:
+        if float(self.w0(0.0)) != 0.0:
             raise ScenarioError("initial displacement must vanish at y = 0")
 
 

@@ -869,6 +869,20 @@ def test_cli_run_build_errors_exit_2(tmp_path, capsys, demo, location, value, me
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_run_wave_displacement_off_zero_at_the_pinned_end_exits_2(tmp_path, capsys):
+    # w0(0) is compared with 0 exactly, so 1e-13, inside a 1e-12 slack, is refused
+    doc = load_config("wave_finite_time")
+    doc["scenario"]["initial_displacement"] = {"kind": "constant", "value": 1e-13}
+    cfg = tmp_path / "w0.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: scenario: initial displacement must vanish at y = 0\n")
+    assert not (tmp_path / "out").exists()
+    for demo in ("wave_demo", "wave_finite_time"):
+        assert main(["run", demo, "--out", str(tmp_path / "demos")]) == 0
+
+
 def test_cli_run_coefficient_below_floor_exits_2(tmp_path, capsys):
     # 1 - 0.5 sin(4 pi t) and 1 - 0.9 sin(4 pi t) equal their floor 1 at
     # t = 0, 0.5 and 5 but dip to 0.5 and 0.1 in between
@@ -1293,7 +1307,7 @@ def test_cli_verify_never_forks(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "fork", no_fork)
     assert main(["verify", "all", "--seed", "0", "--out", str(tmp_path)]) == 0
-    assert capsys.readouterr().out.endswith("failed=0 total=60\n")
+    assert capsys.readouterr().out.endswith("failed=0 total=57\n")
 
 
 def test_cli_verify_report_write_error_exits_2(tmp_path, capsys):
