@@ -1,13 +1,18 @@
 """Closed-form decay bounds with explicit constants, and trajectory checks.
 
 Each bound evaluator is a pure formula in the elapsed time, the initial
-norm, and windowed disturbance sups.  :data:`BOUNDS` holds one entry per
-bound kind and is the one place its rules live; :func:`admit_check`
-refuses, before any solve, a check its kind cannot certify.
-:func:`prepare_bound` packages a bound for a computed trajectory, turning
-every disturbance into a running sup over (0, t) so the comparison is
-causal, and :func:`check_trajectory` measures the margin bound - norm at
-every recorded stamp.
+norm, and windowed disturbance sups.  The wave bounds are written once, at
+c = 1 in the time s: wave_m is 8 e^{4m} e^{-m s/2} init + (16/m) e^{4m} sup|f|
++ 4 sup|d|, and wave_r_eps, with gap = r - eps, 2^{(q-1)/q} [2^{(q+1)/q}
+e^{(2r - gap s)/q} init + ((q-1)/eps)^{(q-1)/q} (8 e^{2r}/gap)^{1/q} sup|f|
++ 2 sup|d|].  One map, :func:`_unit_speed`, takes both to speed c: s = c*t,
+the left side times max(c, 1), init times max(1, 1/c), sup|f| over c**2, m
+as m/c and eps as eps/c.  :data:`BOUNDS` holds one entry per bound kind and
+is the one place its rules live; :func:`admit_check` refuses, before any
+solve, a check its kind cannot certify.  :func:`prepare_bound` packages a
+bound for a computed trajectory, turning every disturbance into a running
+sup over (0, t) so the comparison is causal, and :func:`check_trajectory`
+measures the margin bound - norm at every recorded stamp.
 """
 
 from __future__ import annotations
@@ -111,38 +116,56 @@ def bound_transport_q(q, k, t, rho0_norm, speed_floor, sup_d):
             + (2.0 / (1.0 - ak)) * np.asarray(sup_d, dtype=float))
 
 
-def bound_wave_r_eps(q, r, eps, t, init_norm, sup_f, sup_d, c):
-    """Free-rate wave bound for finite q; needs c*r - eps > 0.
+def _unit_speed(c, param, t, init_norm, sup_f):
+    """(scale, param/c, s, init, sup_f/c**2): a wave bound at speed c is scale
+    times its c = 1 form at elapsed time s, initial norm init and forcing sup
+    sup_f/c**2, with the same sup|d| and its free parameter per unit time,
+    param, read per unit s as param/c.
 
-    init_norm is |w_t(0)|_q + |w_y(0)|_q, and the left side it dominates
-    is the same sum along the trajectory.
+    With s = c*t and W(y, s) = w(y, s/c), the run
+
+        w_tt = c**2 w_yy + f,   w(0, t) = 0,   w_y(1, t) = -w_t(1, t)/c + d(t)
+
+    is W_ss = W_yy + f/c**2,  W(0, s) = 0,  W_y(1, s) = -W_s(1, s) + d(s/c):
+    the c = 1 run, with forcing f/c**2 and the same sup|d|.  Since
+    w_t = c*W_s and w_y = W_y,
+
+        |w_t|_q + |w_y|_q <= max(c, 1) (|W_s|_q + |W_y|_q),
+        |W_s(0)|_q + |W_y(0)|_q <= max(1, 1/c) (|w_t(0)|_q + |w_y(0)|_q),
+
+    so the c = 1 bound at s, with the initial norm times max(1, 1/c) and
+    sup|f| over c**2, times scale = max(c, 1), bounds the left side at t.
+    A rate per unit s is c times smaller than the same rate per unit t:
+    wave_m's m at speed c is m/c at c = 1, so e^{-m' s/2} = e^{-m t/2}, and
+    wave_r_eps's split eps is eps/c, so its gap r - eps/c is (c*r - eps)/c
+    and gap*s = (c*r - eps)*t.
     """
+    return (max(c, 1.0), param / c, c * np.asarray(t, dtype=float),
+            max(1.0, 1.0 / c) * init_norm, np.asarray(sup_f, dtype=float) / c**2)
+
+
+def bound_wave_r_eps(q, r, eps, t, init_norm, sup_f, sup_d, c):
+    """Free-rate wave bound for finite q (module docstring); needs c*r - eps > 0.
+    init_norm and the left side are |w_t|_q + |w_y|_q, at t = 0 and at t."""
     q = _check_q(q, allow_inf=False)
     _positive(r=r, eps=eps, c=c)
-    gap = c * r - eps
-    if not gap > 0:
-        raise ParamError(None, f"need c*r - eps > 0, got {gap}")
-    t = np.asarray(t, dtype=float)
-    decay = np.exp((2.0 * r - gap * t) / q)
-    forcing = ((q - 1.0) / eps) ** ((q - 1.0) / q) * (8.0 * math.exp(2.0 * r) / gap) ** (1.0 / q)
-    return 2.0 ** ((q - 1.0) / q) * (
-        2.0 ** ((q + 1.0) / q) * decay * init_norm
-        + forcing * np.asarray(sup_f, dtype=float)
-        + (2.0 / c) * np.asarray(sup_d, dtype=float))
+    scale, eps1, s, init_norm, sup_f = _unit_speed(c, eps, t, init_norm, sup_f)
+    if not (gap := r - eps1) > 0:
+        raise ParamError(None, f"need c*r - eps > 0, got {c * r - eps}")
+    forcing = ((q - 1.0) / eps1) ** ((q - 1.0) / q) * (8.0 * math.exp(2.0 * r) / gap) ** (1.0 / q)
+    return scale * (2.0 ** ((q - 1.0) / q) * (
+        2.0 ** ((q + 1.0) / q) * np.exp((2.0 * r - gap * s) / q) * init_norm
+        + forcing * sup_f + 2.0 * np.asarray(sup_d, dtype=float)))
 
 
 def bound_wave_m(q, m, t, init_norm, sup_f, sup_d, c):
-    """One-parameter wave bound, valid for every q in [2, inf]:
-
-    8 e^{4m/c} e^{-m t/2} init + (16/m) e^{4m/c} sup|f| + (4/c) sup|d|.
-    """
+    """One-parameter wave bound for every q in [2, inf] (module docstring)."""
     _check_q(q)
     _positive(m=m, c=c)
-    t = np.asarray(t, dtype=float)
-    boost = math.exp(4.0 * m / c)
-    return (8.0 * boost * np.exp(-m * t / 2.0) * init_norm
-            + (16.0 / m) * boost * np.asarray(sup_f, dtype=float)
-            + (4.0 / c) * np.asarray(sup_d, dtype=float))
+    scale, m, s, init_norm, sup_f = _unit_speed(c, m, t, init_norm, sup_f)
+    boost = math.exp(4.0 * m)
+    return scale * (8.0 * boost * np.exp(-m * s / 2.0) * init_norm
+                    + (16.0 / m) * boost * sup_f + 4.0 * np.asarray(sup_d, dtype=float))
 
 
 def bound_heat_classical(t, w0_norm, eps, sup_f, sup_d):

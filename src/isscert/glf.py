@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
@@ -226,15 +227,16 @@ def running_sups(scn, grid, times) -> dict:
 def truncation_level_parabolic(scn, sups) -> np.ndarray:
     """Disturbance level phi^{-1}(sup|f|/c0) + sup|d1| + varphi^{-1}(sup|d2|).
 
-    ``sups`` are the running sups of :func:`running_sups`; each inverse takes
-    every stamp's target in one call of :func:`invert_monotone`, rounded up,
-    and the three parts are summed in floats.  Requires a strictly positive
-    reaction floor; the classical heat baseline (c0 = 0) has no truncation
-    level and must be certified by its own quadratic estimate instead.
+    ``sups`` are the running sups of :func:`running_sups`; each inverse, of
+    sup|f|/c0 (slope c0) too, takes every stamp's target in one call of
+    :func:`invert_monotone`, rounded up, and the three parts are summed in
+    floats.  Requires a strictly positive reaction floor; the classical heat
+    baseline (c0 = 0) has no truncation level and needs its own estimate.
     """
     if not scn.c0 > 0:
         raise ScenarioError("truncation level needs a positive reaction floor c0")
-    return (invert_monotone(scn.reaction, sups["f"] / scn.c0) + sups["d1"]
+    quotient = invert_monotone(SimpleNamespace(slope=scn.c0, gamma=0.0), sups["f"])
+    return (invert_monotone(scn.reaction, quotient) + sups["d1"]
             + invert_monotone(scn.boundary_reaction, sups["d2"]))
 
 

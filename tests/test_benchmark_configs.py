@@ -14,8 +14,8 @@ stacks of 32-64 lines; the ``dense_record_1d`` round (transport and wave,
 every step recorded) evaluates its time signals at every step, through
 the boundary data d(t) and separable forcing.  The list was
 recorded with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1; another
-toolchain may round a float differently, and then this test reports the
-files whose hash moved.
+toolchain may round a float differently, and then this test lists, one
+`path old new` line each, the files whose hash moved.
 """
 
 import hashlib
@@ -28,6 +28,7 @@ import pytest
 from isscert.cli import main
 from isscert.config import load_plan
 from isscert.solvers import solve_parabolic
+from test_golden_outputs import pin_diff
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 ROUND_SHA256 = Path(__file__).parent / "data" / "benchmark_round_sha256.txt"
@@ -65,7 +66,7 @@ def test_one_round_of_each_run_workload_is_ok(tmp_path, capsys, workload):
         expected = dict(reversed(line.split())
                         for line in ROUND_SHA256.read_text().splitlines()
                         if line.split()[1].startswith(f"{workload}/"))
-        assert actual == expected
+        assert actual == expected, pin_diff(expected, actual)
 
 
 @pytest.mark.parametrize("workload", ["parabolic_2d_flux", "parabolic_1d_mixed"])

@@ -78,14 +78,16 @@ def test_wave_m_frozen_values():
     assert got == pytest.approx(8.0 * math.exp(4.0), rel=1e-10)
     forcing = bound_wave_m(2.0, 2.0, 0.0, 0.0, 0.5, 0.0, 2.0)
     assert forcing == pytest.approx(4.0 * math.exp(4.0), rel=1e-12)
-    assert bound_wave_m(math.inf, 1.0, 0.0, 0.0, 0.0, 1.0, 4.0) == 1.0
+    # the sup|d| gain is 4 at c = 1, times max(c, 1) = 4 at c = 4
+    assert bound_wave_m(math.inf, 1.0, 0.0, 0.0, 0.0, 1.0, 4.0) == 16.0
     with pytest.raises(ValueError):
         bound_wave_m(2.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0)
 
 
 def test_wave_r_eps_frozen_value():
     got = bound_wave_r_eps(2.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 2.0)
-    assert got == pytest.approx(4.0 * math.e, rel=1e-12)
+    # 4e at c = 1 with the split eps/c = 1/2, times max(c, 1) = 2
+    assert got == pytest.approx(8.0 * math.e, rel=1e-12)
     with pytest.raises(ValueError):
         bound_wave_r_eps(math.inf, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 2.0)
     with pytest.raises(ValueError):
@@ -467,12 +469,14 @@ def test_transport_q_at_q_400_certifies_the_true_norm():
 ])
 def test_a_q_uniform_margin_at_large_q_nears_the_max_norm_margin(demo, check):
     # the q-norm tends to the max norm, so the margins of a bound uniform
-    # in q do too; at q = 1e5 the norms once underflowed to 0
+    # in q do too; at q = 1e5 the norms once underflowed to 0.  A wave bound
+    # at speed c is max(c, 1) times its c = 1 form, so its margins are
+    # compared per unit of that factor
     doc = load_config(demo)
     doc["energy"] = None
     doc["checks"] = [{**check, "q": q, "tol": 0.0} for q in (1e5, "inf")]
     large, top = (rep.min_margin for rep in run_plan(build_plan(doc)).reports)
-    assert abs(large - top) <= 1e-3
+    assert abs(large - top) / max(doc["scenario"].get("c", 1.0), 1.0) <= 1e-3
 
 
 # ---------------------------------------------------------------------------

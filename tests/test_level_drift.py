@@ -3,9 +3,11 @@
 The reference is kept here as it was: :func:`old_invert_monotone` doubles a
 bracket from 1 up to 2**200 and bisects to the first midpoint within 1e-12
 of the target, or to adjacent floats; :func:`old_invert` inverts each
-distinct running sup once through it.  Every bundled parabolic run, the
-pinned profiled 2-D run and every config of one seed-11 round of the
-parabolic benchmark workloads is made both ways, through ``cli.run_plan``.
+distinct running sup once through it, and :func:`old_level_inverse` divides
+sup|f| by c0 in floats, as the old level did, where the new one rounds the
+quotient up.  Every bundled parabolic run, the pinned profiled 2-D run
+and every config of one seed-11 round of the parabolic benchmark workloads
+is made both ways, through ``cli.run_plan``.
 The trajectories and statuses must not move, and each moved level part,
 level, check rhs and margin, and energy value must lie within the bound
 derived beside its assertion.
@@ -13,7 +15,9 @@ derived beside its assertion.
 
 import importlib.util
 import math
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from test_golden_outputs import PROFILED_2D
 
 from isscert import cli, glf
 from isscert.config import bundled_names, load_plan
+from isscert.solvers import solve_parabolic
 
 U = 2.0**-53  # the unit roundoff of float64
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -59,6 +64,12 @@ def old_invert(law, ys):
     return np.asarray([old_invert_monotone(law, y) for y in values.tolist()])[where]
 
 
+def old_level_inverse(law, ys):
+    """The old level's inverses: each map (a callable law) by bisection, and
+    the quotient by c0 (the facts of the linear map of slope c0) in floats."""
+    return old_invert(law, ys) if callable(law) else ys / law.slope
+
+
 def _round_configs(root):
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
@@ -71,12 +82,17 @@ def _round_configs(root):
 
 
 @pytest.fixture(scope="module")
-def plans(tmp_path_factory):
-    root = tmp_path_factory.mktemp("round")
-    (root / "profiled_2d.yaml").write_text(PROFILED_2D)
+def round_plans(tmp_path_factory):
+    return [load_plan(c) for c in _round_configs(tmp_path_factory.mktemp("round"))]
+
+
+@pytest.fixture(scope="module")
+def plans(tmp_path_factory, round_plans):
+    profiled = tmp_path_factory.mktemp("profiled") / "profiled_2d.yaml"
+    profiled.write_text(PROFILED_2D)
     bundled = [load_plan(name) for name in bundled_names()]
     return ([plan for plan in bundled if plan.pde == "parabolic"]
-            + [load_plan(c) for c in [root / "profiled_2d.yaml", *_round_configs(root)]])
+            + [load_plan(profiled), *round_plans])
 
 
 def part_bound(law, new, targets):
@@ -96,20 +112,25 @@ def test_the_closed_form_moves_every_level_and_energy_within_its_bound(plans, mo
             continue
         new = cli.run_plan(plan)
         with monkeypatch.context() as patch:
-            patch.setattr(glf, "invert_monotone", old_invert)
+            patch.setattr(glf, "invert_monotone", old_level_inverse)
             old = cli.run_plan(plan)
         scn, traj = plan.scenario, new.traj
         assert np.array_equal(traj.times, old.traj.times)
         assert np.array_equal(traj.states("u"), old.traj.states("u"))
 
-        # the level parts, from the same running sups
+        # the level parts, from the same running sups; the reaction's new
+        # target is sup|f|/c0 rounded up, its old one the float quotient, and
+        # an inverse moves by at most the targets' gap over the least slope
         sups = glf.running_sups(scn, traj.grid, traj.times)
-        parts = [(scn.reaction, sups["f"] / scn.c0), (scn.boundary_reaction, sups["d2"])]
+        quotient = glf.invert_monotone(SimpleNamespace(slope=scn.c0, gamma=0.0), sups["f"])
+        parts = [(scn.reaction, quotient, sups["f"] / scn.c0),
+                 (scn.boundary_reaction, sups["d2"], sups["d2"])]
         moved = np.zeros_like(traj.times)
-        for law, targets in parts:
-            x_new, x_old = glf.invert_monotone(law, targets), old_invert(law, targets)
+        for law, targets, old_targets in parts:
+            x_new, x_old = glf.invert_monotone(law, targets), old_invert(law, old_targets)
             diff = np.abs(x_new - x_old)
-            assert (diff <= part_bound(law, x_new, targets)).all(), plan.name
+            shift = (targets - old_targets) / (law.slope if law.slope else math.inf)
+            assert (diff <= part_bound(law, x_new, targets) + shift).all(), plan.name
             moved += diff
         # the level sums the parts in floats: two additions, each within u of
         # the level, so the two sums' roundings differ by 4u*level at most
@@ -169,3 +190,38 @@ def test_the_energy_and_every_parabolic_q_check_read_one_level():
         assert levels and all(
             np.float64(level).tobytes() == np.float64(res.spec.level).tobytes()
             for level in levels), name
+
+
+def test_the_reaction_target_is_sup_f_over_c0_rounded_up():
+    # fl(1/3) = 0.33333333333333331 lies below 1/3
+    identity = SimpleNamespace(slope=1.0, gamma=0.0)
+    scn = SimpleNamespace(c0=3.0, reaction=identity, boundary_reaction=identity)
+    zero = np.zeros(1)
+    level = glf.truncation_level_parabolic(scn, {"f": np.ones(1), "d1": zero, "d2": zero})
+    assert Fraction(float(level[0])) >= Fraction(1, 3)
+
+
+def test_c0_times_the_reaction_target_covers_sup_f_on_a_round(round_plans, monkeypatch):
+    # every plan of one seed-11 round of the parabolic workloads, at every
+    # stamp, in exact arithmetic; a float quotient rounds down at some stamp
+    # in most of the slots with a reaction floor
+    invert = glf.invert_monotone
+    floored = [plan for plan in round_plans if plan.scenario.c0 > 0]
+    assert len(floored) == 8
+    for plan in floored:
+        scn = plan.scenario
+        times = solve_parabolic(scn, plan.grid, plan.solver).times
+        sups = glf.running_sups(scn, plan.grid, times)
+        targets = []
+
+        def recording(law, ys):
+            if law is scn.reaction:
+                targets.append(ys)
+            return invert(law, ys)
+
+        monkeypatch.setattr(glf, "invert_monotone", recording)
+        glf.truncation_level_parabolic(scn, sups)
+        c0 = Fraction(scn.c0)
+        assert len(targets) == 1 and all(
+            c0 * Fraction(y) >= Fraction(f) for y, f in zip(targets[0].tolist(),
+                                                             sups["f"].tolist())), plan.name
