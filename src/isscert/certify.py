@@ -145,8 +145,7 @@ def _unit_speed(c, param, t, init_norm, sup_f):
 
 
 def bound_wave_r_eps(q, r, eps, t, init_norm, sup_f, sup_d, c):
-    """Free-rate wave bound for finite q (module docstring); needs c*r - eps > 0.
-    init_norm and the left side are |w_t|_q + |w_y|_q, at t = 0 and at t."""
+    """Free-rate bound of |w_t|_q + |w_y|_q for finite q (module docstring); needs c*r > eps."""
     q = _check_q(q, allow_inf=False)
     _positive(r=r, eps=eps, c=c)
     scale, eps1, s, init_norm, sup_f = _unit_speed(c, eps, t, init_norm, sup_f)

@@ -169,11 +169,10 @@ def _report(plan, res) -> tuple:
     traj, spec, erep, reports = res.traj, res.spec, res.energy, res.reports
     results = [f"stamps={len(traj)} t_end={verify._fmt(traj.times[-1])}"]
     if erep is not None:
-        excess = float(np.max(erep.vhat - erep.envelope))
         results.append(
             f"energy p={spec.p:g} rate={verify._fmt(erep.decay_rate)} "
             f"level={verify._fmt(spec.level)} max_residual={verify._fmt(erep.max_residual)} "
-            f"max_envelope_excess={verify._fmt(excess)}")
+            f"max_envelope_excess={verify._fmt(erep.max_envelope_excess)}")
     for rep in reports:
         results += [rep.summary_line(), *(f"warning {w}" for w in rep.warnings)]
 

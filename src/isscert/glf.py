@@ -150,6 +150,10 @@ class GlfSeries:
     def max_residual(self) -> float:
         return float(np.max(self.residuals)) if self.residuals.size else -math.inf
 
+    @property
+    def max_envelope_excess(self) -> float:
+        return float(np.max(self.vhat - self.envelope))
+
     def to_csv(self, path):
         res = np.append(self.residuals, math.nan)
         return write_table(path, "t,Vhat,residual,envelope",
