@@ -14,17 +14,17 @@ CONFIG is a YAML path or a bundled scenario name.  Output goes under
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import verify  # verify reads run_plan back through this module
 from .certify import check_trajectory, prepare_bound
-from .config import ConfigError, bundled_names, load_config, load_plan
+from .config import ConfigError, bundled_names, dump_config, load_config, load_plan
 from .fields import csv_stream
 from .glf import (dissipation_rate, dissipation_report, glf_for_parabolic,
                   glf_for_transport, glf_for_wave, wave_forcing_slack)
@@ -180,10 +180,8 @@ def _report(plan, res) -> tuple:
     status = ("violations" if violations else
               "not-applicable" if any(not r.applicable for r in reports) else "ok")
 
-    # the pure emitter: libyaml's folds long quoted strings elsewhere, moving report bytes
     text = "\n".join(
-        [f"run name={plan.name}", f"pde={plan.pde}", "--- config",
-         yaml.safe_dump(plan.doc, sort_keys=True, default_flow_style=False).rstrip(),
+        [f"run name={plan.name}", f"pde={plan.pde}", "--- config", dump_config(plan.doc).rstrip(),
          "--- results", *results, f"status={status}"]) + "\n"
     return text, violations
 
@@ -213,6 +211,8 @@ def cmd_list(args) -> int:
                            for name in bundled_names()))
 
 
+# one tree a process: parse_args makes a fresh namespace on every call
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="isscert",

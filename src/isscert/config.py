@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field as dc_field
 from importlib import resources
@@ -32,7 +33,8 @@ from .solvers import (ParabolicScenario, SolverConfig, TransportScenario,
 from .solvers import transport, wave
 from .solvers.common import record_rows
 
-__all__ = ["ConfigError", "RunPlan", "bundled_names", "load_config", "build_plan", "load_plan"]
+__all__ = ["ConfigError", "RunPlan", "bundled_names", "load_config", "build_plan", "load_plan",
+           "dump_config"]
 
 # libyaml when PyYAML was built with it; the pure parser otherwise
 _CSafeLoader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -451,6 +453,10 @@ def build_plan(doc: dict) -> RunPlan:
     # the run writes under <out>/<name>, so name must be one directory
     if not isinstance(name, str) or name in ("", ".", "..") or {os.sep, os.altsep} & set(name):
         raise ConfigError("<config>.name", f"expected a directory name, got {name!r}")
+    # free text, which dump_config leaves to PyYAML, holds no shared container
+    description = doc.get("description", "")
+    if not isinstance(description, str):
+        raise ConfigError("<config>.description", f"expected a string, got {description!r}")
     pde = _get(doc, "pde", "<config>")
     if not isinstance(pde, str) or pde not in _SCENARIOS:
         raise ConfigError("<config>.pde", f"unknown pde class {pde!r}")
@@ -474,3 +480,111 @@ def build_plan(doc: dict) -> RunPlan:
 
 def load_plan(source) -> RunPlan:
     return build_plan(load_config(source))
+
+
+# ---------------------------------------------------------------------------
+# the report's config echo
+
+# a word PyYAML writes plain: YAML 1.1 reads it as a string, save the words it
+# reads as a bool or null in the cases PyYAML resolves (yes, Yes, YES, ...)
+_WORD = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_RESERVED = frozenset(("yes", "no", "on", "off", "true", "false", "null"))
+
+
+def _word(text):
+    """text, a schema word PyYAML writes plain; a ValueError for any other."""
+    if not (isinstance(text, str) and _WORD.fullmatch(text)) or text.lower() in _RESERVED:
+        raise ValueError(f"{text!r} is not a plain schema word")
+    return text
+
+
+def _scalar(value):
+    """PyYAML's text of a scalar value build_plan admits below the top level."""
+    if value is None:
+        return "null"
+    if type(value) is int:
+        return str(value)
+    if value == math.inf:  # q
+        return ".inf"
+    if type(value) is float and math.isfinite(value):
+        text = repr(value).lower()
+        # YAML 1.1 reads 1e+16 as a string; PyYAML writes 1.0e+16
+        return text.replace("e", ".0e", 1) if "." not in text and "e" in text else text
+    return _word(value)
+
+
+def _anchors(doc):
+    """PyYAML's anchor of each container doc holds twice or more, by id: id001,
+    id002, ... in the order a depth-first walk over sorted keys meets each
+    container's second reference."""
+    seen, anchors = set(), {}
+
+    def walk(node):
+        if not isinstance(node, (dict, list)):
+            return
+        if id(node) in seen:
+            anchors.setdefault(id(node), f"id{len(anchors) + 1:03d}")
+            return
+        seen.add(id(node))
+        for child in ([node[key] for key in sorted(node)] if isinstance(node, dict) else node):
+            walk(child)
+
+    walk(doc)
+    return anchors
+
+
+def _node(value, indent, anchors, written):
+    """A value's text after its key's ": " or its item's "- ", and the lines
+    of its block body, a mapping's at indent and a list's items at indent."""
+    head = ""
+    if isinstance(value, (dict, list)) and id(value) in anchors:
+        if id(value) in written:
+            return f"*{anchors[id(value)]}", []
+        written.add(id(value))
+        head = f"&{anchors[id(value)]}"
+    if not isinstance(value, (dict, list)):
+        return _scalar(value), []
+    if not value:  # in flow style: [] or {}
+        return f"{head} {value}".lstrip(), []
+    lines = []
+    if isinstance(value, dict):
+        for key in sorted(value):
+            _entry(key, value[key], indent, anchors, written, lines)
+        return head, lines
+    for item in value:
+        # a list's items sit at its key's indent, their own bodies two further
+        item_head, body = _node(item, indent + 2, anchors, written)
+        if item_head or not body:
+            lines += [f"{' ' * indent}- {item_head}", *body]
+        else:
+            lines += [f"{' ' * indent}- {body[0][indent + 2:]}", *body[1:]]
+    return head, lines
+
+
+def _entry(key, value, indent, anchors, written, lines):
+    """Append the lines of one mapping entry at indent to lines."""
+    head, body = _node(value, indent + 2 if isinstance(value, dict) else indent,
+                       anchors, written)
+    lines += [f"{' ' * indent}{_word(key)}:{' ' + head if head else ''}", *body]
+
+
+def dump_config(doc) -> str:
+    """The text ``yaml.safe_dump(doc, sort_keys=True, default_flow_style=False)``
+    gives for a document :func:`build_plan` admitted, the report's config echo.
+
+    Below the top level such a document holds mappings with keys from fixed
+    tables, lists, finite numbers, ``.inf``, nulls and words of fixed
+    vocabularies, whose text does not depend on their context; this writes
+    those itself, with PyYAML's anchors on shared containers.  A string that
+    PyYAML would quote raises ValueError.  The free text, name and
+    description, goes through PyYAML's pure emitter, one entry at a time,
+    for its quoting and line folding (libyaml's folds long quoted strings
+    elsewhere): a top-level entry's text does not depend on its siblings'.
+    """
+    anchors, written, lines = _anchors(doc), set(), []
+    for key in sorted(doc):
+        if key in ("name", "description"):  # free text
+            lines.append(yaml.safe_dump({key: doc[key]}, default_flow_style=False)[:-1])
+        else:
+            _entry(key, doc[key], 0, anchors, written, lines)
+    return "\n".join(lines) + "\n"

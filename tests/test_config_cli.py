@@ -1123,6 +1123,20 @@ def test_name_must_be_one_directory(tmp_path, capsys, name):
     assert not (tmp_path / "root").exists()
 
 
+@pytest.mark.parametrize("description", [5, None, ["a", "b"], "shared"])
+def test_description_must_be_a_string(tmp_path, capsys, description):
+    doc = load_config("transport_steady")
+    # "shared": the scenario's boundary data, which the YAML writes as an alias
+    doc["description"] = (doc["scenario"]["boundary_data"] if description == "shared"
+                          else description)
+    cfg = tmp_path / "described.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (f"config error: <config>.description: expected a "
+                                       f"string, got {doc['description']!r}\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("case, message", [
     ("unparsable", "invalid YAML: expected ',' or ']', but got '<stream end>' at line 2, column 1"),
     ("undecodable", "invalid YAML: unacceptable character #x0080"),
