@@ -536,14 +536,14 @@ def _anchors(doc):
 def _node(value, indent, anchors, written):
     """A value's text after its key's ": " or its item's "- ", and the lines
     of its block body, a mapping's at indent and a list's items at indent."""
+    if not isinstance(value, (dict, list)):
+        return _scalar(value), []
     head = ""
-    if isinstance(value, (dict, list)) and id(value) in anchors:
+    if id(value) in anchors:
         if id(value) in written:
             return f"*{anchors[id(value)]}", []
         written.add(id(value))
         head = f"&{anchors[id(value)]}"
-    if not isinstance(value, (dict, list)):
-        return _scalar(value), []
     if not value:  # in flow style: [] or {}
         return f"{head} {value}".lstrip(), []
     lines = []
